@@ -134,7 +134,7 @@ def _cmd_track(args) -> int:
         for f in sorted(detections):
             tracker.process_frame(detections[f], frame=f)
         tracks = tracker.final_tracks()
-        total = tracker.total_output_cost()
+        total = sum(t.cost for t in tracks)
 
     fout = _open_out(args.output)
     try:
@@ -159,21 +159,31 @@ def _track_stream(args, model, settings, gating, factor, window) -> int:
     tracker = OnlineTracker(config, bounded=args.solver == "mbodssp")
     lag = args.confirm_lag
     fout = _open_out(args.output)
+    # Rows already written, as (frame, track id); a detection whose id is
+    # revised later is written again under the new id.
     emitted = set()
+    # Frozen (track id, detection) rows not yet written, logged by the tracker.
+    frozen = tracker.freeze_log = []
 
-    def emit_through(frame):
-        rows = []
-        for traj in tracker.final_tracks():
-            for d in traj.detections:
-                if d.frame <= frame and (d.frame, traj.track_id) not in emitted:
-                    x, y, w, h = d.box
-                    rows.append((d.frame, traj.track_id, x, y, w, h))
-        rows.sort()
+    def emit_through(limit):
+        """Write the not yet emitted rows of frames <= limit. The candidates
+        are the frozen rows and the current solution's rows, which is what
+        final_tracks() holds, without rebuilding the frozen history."""
+        nonlocal emitted
+        current = [(traj.track_id, d) for traj in tracker.solution.trajectories
+                   for d in traj.detections]
+        rows = sorted((d.frame, tid, *d.box) for tid, d in frozen + current
+                      if d.frame <= limit and (d.frame, tid) not in emitted)
         for f, tid, x, y, w, h in rows:
             emitted.add((f, tid))
             fout.write(f"{f},{tid},{'%.6g' % x},{'%.6g' % y},"
                        f"{'%.6g' % w},{'%.6g' % h}\n")
         fout.flush()
+        # Rows at or below the limit are in `emitted` now. Later candidates
+        # lie in the graph's frames or above the limit, so keys below the
+        # graph's first frame can never match again.
+        frozen[:] = [(tid, d) for tid, d in frozen if d.frame > limit]
+        emitted = {key for key in emitted if key[0] >= tracker.graph.t_min}
 
     last = None
     while True:

@@ -85,6 +85,14 @@ def pairwise_features(a: Detection, b: Detection) -> tuple[float, ...]:
     return (clamp(overlap), clamp(location), clamp(size))
 
 
+def _logistic(z: float) -> float:
+    """1 / (1 + exp(z)), and its limit 0.0 where exp(z) overflows."""
+    try:
+        return 1.0 / (1.0 + math.exp(z))
+    except OverflowError:
+        return 0.0
+
+
 @dataclass(frozen=True)
 class CostModel:
     """Immutable parameter set mapping detections to edge costs.
@@ -126,11 +134,11 @@ class CostModel:
 
     def detection_probability(self, score: float) -> float:
         """Probability of the detection being a true positive."""
-        return 1.0 / (1.0 + math.exp(-self.beta * score))
+        return _logistic(-self.beta * score)
 
     def detection_cost(self, score: float) -> float:
         """Signed cost of keeping a detection; negative for confident ones."""
-        logistic = 1.0 / (1.0 + math.exp(self.beta * score))
+        logistic = _logistic(self.beta * score)
         if self.det_cost_form == "logodds":
             p = 1.0 - logistic
             p = min(max(p, 1e-12), 1.0 - 1e-12)

@@ -250,9 +250,7 @@ def parse_stream_frame(fobj) -> tuple[int, list[Detection]] | None:
     """
     per: list[Detection] = []
     frame = None
-    saw_any = False
     for line in fobj:
-        saw_any = True
         text = line.strip()
         if not text:
             if frame is not None:
@@ -267,5 +265,5 @@ def parse_stream_frame(fobj) -> tuple[int, list[Detection]] | None:
         per.append(Detection(frame=det.frame, box=det.box, score=det.score,
                              local_index=len(per), extras=det.extras))
     if frame is None:
-        return None if not saw_any else None
+        return None
     return frame, per

@@ -188,6 +188,9 @@ class OnlineTracker:
         self.solution = FlowSolution()
         self.registry = TrackRegistry()
         self.frozen: dict[int, list[Detection]] = {}
+        # Set to a list to have each (track id, detection) appended as it is
+        # frozen; the owner consumes and trims it.
+        self.freeze_log: list[tuple[int, Detection]] | None = None
         self.stats = SolverStats()
         self.frame_stats: list[FrameStats] = []
         self.max_dets_per_frame = 0
@@ -259,6 +262,8 @@ class OnlineTracker:
             if traj.detections[0].frame == t_min:
                 self.frozen.setdefault(traj.track_id, []).append(
                     traj.detections[0])
+                if self.freeze_log is not None:
+                    self.freeze_log.append((traj.track_id, traj.detections[0]))
         g.clip_oldest_frame(self.solution, self.config.model,
                             entry_mode=self.config.clip_entry_mode)
         self.cache.clip(t_min)

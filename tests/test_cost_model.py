@@ -112,6 +112,32 @@ class TestDetectionCost:
         assert model.detection_probability(0.0) == pytest.approx(0.5)
         assert model.detection_probability(4.0) > 0.9
 
+    def test_extreme_scores_take_the_limit(self):
+        for beta in (1.0, 3.0):
+            model = CostModel(beta=beta)
+            assert model.detection_probability(1000.0) == 1.0
+            assert model.detection_probability(-1000.0) == 0.0
+            assert model.detection_cost(1000.0) == model.det_offset
+            assert model.detection_cost(-1000.0) == (model.det_offset
+                                                     + model.det_weight)
+        logodds = CostModel(det_cost_form="logodds")
+        assert logodds.detection_cost(1000.0) == logodds.detection_cost(60.0)
+        assert logodds.detection_cost(-1000.0) == logodds.detection_cost(-60.0)
+
+    @given(st.floats(-700, 700))
+    def test_formula_unchanged_where_exp_is_finite(self, score):
+        for form in ("affine", "logodds"):
+            model = CostModel(det_cost_form=form)
+            logistic = 1.0 / (1.0 + math.exp(score))
+            if form == "affine":
+                expected = model.det_offset + model.det_weight * logistic
+            else:
+                p = min(max(1.0 - logistic, 1e-12), 1.0 - 1e-12)
+                expected = math.log((1.0 - p) / p)
+            assert model.detection_cost(score) == expected
+        assert CostModel().detection_probability(score) == \
+            1.0 / (1.0 + math.exp(-score))
+
 
 class TestLinkCost:
     def test_perfect_match_zero_offset(self):

@@ -265,6 +265,16 @@ class TestCli:
         r = run_cli("track", "-i", str(tmp_path / "missing.csv"), "-o", "-")
         assert r.returncode == 2
 
+    def test_extreme_scores_track_without_traceback(self, tmp_path):
+        for score in ("1000", "-1000"):
+            path = tmp_path / "one.csv"
+            path.write_text(f"0,-1,10,10,20,20,{score}\n")
+            for form in ("affine", "logodds"):
+                r = run_cli("track", "-i", str(path), "-o", "-",
+                            "--det-cost-form", form)
+                assert r.returncode == 0, r.stderr
+                assert "Traceback" not in r.stderr
+
     def test_mbodssp_requires_window(self, sample_files):
         _, det_path, _ = sample_files
         r = run_cli("track", "-i", str(det_path), "--solver", "mbodssp")
