@@ -12,8 +12,7 @@ from .errors import DataError, FlowTrackError, InvariantBreach
 from .graph import (FlowSolution, TrackingGraph, Trajectory, build_batch_graph,
                     check_flow_conservation, check_layered_dag)
 from .metrics import GroundTruth, MotReport, clear_mot
-from .online import (OnlineTracker, TrackerConfig, assign_track_ids,
-                     process_frame_bounded, process_frame_optimal)
+from .online import OnlineTracker, TrackerConfig, assign_track_ids
 from .oracle import brute_force_optimum
 from .ssp import SolverStats, solve_dp_greedy, solve_dssp, solve_ssp
 from .synthetic import SyntheticConfig, generate_synthetic
@@ -27,7 +26,6 @@ __all__ = [
     "check_layered_dag", "check_flow_conservation",
     "solve_ssp", "solve_dssp", "solve_dp_greedy", "SolverStats",
     "OnlineTracker", "TrackerConfig", "assign_track_ids",
-    "process_frame_optimal", "process_frame_bounded",
     "brute_force_optimum",
     "GroundTruth", "MotReport", "clear_mot",
     "SyntheticConfig", "generate_synthetic",

@@ -1,7 +1,7 @@
 """Benchmark harness: run each solver over a detection set and emit CSV rows.
 
 Row format: ``solver,tau,frame,wall_time,relaxations,queue_pushes,live_nodes,
-live_edges,cache_entries``. Streaming solvers emit one row per frame; batch
+live_edges``. Streaming solvers emit one row per frame; batch
 solvers emit a single summary row with frame = -1.
 """
 from __future__ import annotations
@@ -16,7 +16,7 @@ from .online import OnlineTracker, TrackerConfig
 from .ssp import solve_dp_greedy, solve_dssp, solve_ssp
 
 HEADER = ("solver,tau,frame,wall_time,relaxations,queue_pushes,"
-          "live_nodes,live_edges,cache_entries")
+          "live_nodes,live_edges")
 
 BATCH_SOLVERS = {"ssp": solve_ssp, "dssp": solve_dssp, "dp": solve_dp_greedy}
 
@@ -31,13 +31,12 @@ class BenchRow:
     queue_pushes: int
     live_nodes: int
     live_edges: int
-    cache_entries: int
 
     def format(self) -> str:
         tau = "" if self.tau is None else str(self.tau)
         return (f"{self.solver},{tau},{self.frame},{self.wall_time:.6f},"
                 f"{self.relaxations},{self.queue_pushes},{self.live_nodes},"
-                f"{self.live_edges},{self.cache_entries}")
+                f"{self.live_edges}")
 
 
 def _bench_batch(name: str, detections, model: CostModel, gating, factor):
@@ -47,21 +46,20 @@ def _bench_batch(name: str, detections, model: CostModel, gating, factor):
     _, stats = BATCH_SOLVERS[name](graph)
     dt = time.perf_counter() - t0
     return [BenchRow(name, None, -1, dt, stats.relaxations, stats.queue_pushes,
-                     graph.n_live_nodes, graph.n_live_edges, 0)]
+                     graph.n_live_nodes, graph.n_live_edges)]
 
 
 def _bench_online(name: str, detections, model: CostModel, gating, factor,
                   tau: int | None):
     bounded = name == "mbodssp"
     config = TrackerConfig(model=model, window=tau if bounded else None,
-                           cache_size=tau, gating=gating,
-                           gate_radius_factor=factor)
+                           gating=gating, gate_radius_factor=factor)
     tracker = OnlineTracker(config, bounded=bounded)
     for f in sorted(detections):
         tracker.process_frame(detections[f], frame=f)
     return [BenchRow(name, tau if bounded else None, fs.frame, fs.wall_time,
                      fs.relaxations, fs.queue_pushes, fs.live_nodes,
-                     fs.live_edges, fs.cache_entries)
+                     fs.live_edges)
             for fs in tracker.frame_stats]
 
 

@@ -37,7 +37,6 @@ _RUN_KEYS = {
     "gating": lambda s: s.lower() in ("1", "true", "yes", "on"),
     "gate_radius_factor": float,
     "window": int,
-    "cache_size": int,
     "clip_entry_mode": str,
     "iou_threshold": float,
 }
@@ -87,14 +86,6 @@ def _add_model_args(p: argparse.ArgumentParser):
     p.add_argument("--gate-radius-factor", type=float, dest="gate_radius_factor")
 
 
-def _open_in(path):
-    return sys.stdin if path in (None, "-") else open(path, newline="")
-
-
-def _open_out(path):
-    return sys.stdout if path in (None, "-") else open(path, "w", newline="")
-
-
 # -- track ---------------------------------------------------------------------
 
 def _cmd_track(args) -> int:
@@ -110,12 +101,7 @@ def _cmd_track(args) -> int:
     if args.stream:
         return _track_stream(args, model, settings, gating, factor, window)
 
-    fin = _open_in(args.input)
-    try:
-        detections = ftio.parse_detections(fin)
-    finally:
-        if fin is not sys.stdin:
-            fin.close()
+    detections = ftio.parse_detections(args.input)
 
     if solver in ("ssp", "dssp", "dp"):
         graph = build_batch_graph(detections, model, gating=gating,
@@ -127,8 +113,7 @@ def _cmd_track(args) -> int:
     else:
         config = TrackerConfig(
             model=model, window=window if solver == "mbodssp" else None,
-            cache_size=settings.get("cache_size"), gating=gating,
-            gate_radius_factor=factor,
+            gating=gating, gate_radius_factor=factor,
             clip_entry_mode=settings.get("clip_entry_mode", "prefix"))
         tracker = OnlineTracker(config, bounded=solver == "mbodssp")
         for f in sorted(detections):
@@ -136,12 +121,7 @@ def _cmd_track(args) -> int:
         tracks = tracker.final_tracks()
         total = sum(t.cost for t in tracks)
 
-    fout = _open_out(args.output)
-    try:
-        ftio.write_tracks(fout, tracks)
-    finally:
-        if fout is not sys.stdout:
-            fout.close()
+    ftio.write_tracks(args.output, tracks)
     print(f"tracks: {len(tracks)}  total cost: {total:.6g}", file=sys.stderr)
     return 0
 
@@ -153,55 +133,55 @@ def _track_stream(args, model, settings, gating, factor, window) -> int:
         raise DataError("--stream requires an online solver")
     config = TrackerConfig(
         model=model, window=window if args.solver == "mbodssp" else None,
-        cache_size=settings.get("cache_size"), gating=gating,
-        gate_radius_factor=factor,
+        gating=gating, gate_radius_factor=factor,
         clip_entry_mode=settings.get("clip_entry_mode", "prefix"))
     tracker = OnlineTracker(config, bounded=args.solver == "mbodssp")
     lag = args.confirm_lag
-    fout = _open_out(args.output)
-    # Rows already written, as (frame, track id); a detection whose id is
-    # revised later is written again under the new id.
-    emitted = set()
-    # Frozen (track id, detection) rows not yet written, logged by the tracker.
-    frozen = tracker.freeze_log = []
+    with ftio.open_or_stdio(args.output, "w") as fout:
+        # Rows already written, as (frame, track id); a detection whose id is
+        # revised later is written again under the new id.
+        emitted = set()
+        # Frozen (track id, detection) rows not yet written, logged by the
+        # tracker.
+        frozen = tracker.freeze_log = []
 
-    def emit_through(limit):
-        """Write the not yet emitted rows of frames <= limit. The candidates
-        are the frozen rows and the current solution's rows, which is what
-        final_tracks() holds, without rebuilding the frozen history."""
-        nonlocal emitted
-        current = [(traj.track_id, d) for traj in tracker.solution.trajectories
-                   for d in traj.detections]
-        rows = sorted((d.frame, tid, *d.box) for tid, d in frozen + current
-                      if d.frame <= limit and (d.frame, tid) not in emitted)
-        for f, tid, x, y, w, h in rows:
-            emitted.add((f, tid))
-            fout.write(f"{f},{tid},{'%.6g' % x},{'%.6g' % y},"
-                       f"{'%.6g' % w},{'%.6g' % h}\n")
-        fout.flush()
-        # Rows at or below the limit are in `emitted` now. Later candidates
-        # lie in the graph's frames or above the limit, so keys below the
-        # graph's first frame can never match again.
-        frozen[:] = [(tid, d) for tid, d in frozen if d.frame > limit]
-        emitted = {key for key in emitted if key[0] >= tracker.graph.t_min}
+        def emit_through(limit):
+            """Write the not yet emitted rows of frames <= limit. The
+            candidates are the frozen rows and the current solution's rows,
+            which is what final_tracks() holds, without rebuilding the frozen
+            history."""
+            nonlocal emitted
+            current = [(traj.track_id, d)
+                       for traj in tracker.solution.trajectories
+                       for d in traj.detections]
+            rows = sorted((d.frame, tid, *d.box) for tid, d in frozen + current
+                          if d.frame <= limit and (d.frame, tid) not in emitted)
+            for f, tid, x, y, w, h in rows:
+                emitted.add((f, tid))
+                fout.write(f"{f},{tid},{'%.6g' % x},{'%.6g' % y},"
+                           f"{'%.6g' % w},{'%.6g' % h}\n")
+            fout.flush()
+            # Rows at or below the limit are in `emitted` now. Later
+            # candidates lie in the graph's frames or above the limit, so keys
+            # below the graph's first frame can never match again.
+            frozen[:] = [(tid, d) for tid, d in frozen if d.frame > limit]
+            emitted = {key for key in emitted if key[0] >= tracker.graph.t_min}
 
-    last = None
-    while True:
-        block = ftio.parse_stream_frame(sys.stdin)
-        if block is None:
-            break
-        frame, dets = block
+        last = None
+        while True:
+            block = ftio.parse_stream_frame(sys.stdin)
+            if block is None:
+                break
+            frame, dets = block
+            if last is not None:
+                while frame > last + 1:  # fill skipped frames as empty
+                    last += 1
+                    tracker.process_frame([], frame=last)
+            tracker.process_frame(dets, frame=frame)
+            last = frame
+            emit_through(frame - lag)
         if last is not None:
-            while frame > last + 1:  # fill skipped frames as empty
-                last += 1
-                tracker.process_frame([], frame=last)
-        tracker.process_frame(dets, frame=frame)
-        last = frame
-        emit_through(frame - lag)
-    if last is not None:
-        emit_through(last)
-    if fout is not sys.stdout:
-        fout.close()
+            emit_through(last)
     return 0
 
 
@@ -213,25 +193,9 @@ def _cmd_synth(args) -> int:
         miss_rate=args.miss_rate, fp_rate=args.fp_rate,
         crossing=args.crossing)
     detections, gt = generate_synthetic(cfg, args.seed)
-    fout = _open_out(args.output)
-    try:
-        ftio.write_detections(fout, detections)
-    finally:
-        if fout is not sys.stdout:
-            fout.close()
+    ftio.write_detections(args.output, detections)
     if args.gt_output:
-        from .cost_model import Detection
-        gt_dets = {}
-        row_ids = {}
-        for f in sorted(gt.frames):
-            dets = []
-            for gid, box in gt.frames[f]:
-                d = Detection(frame=f, box=box, score=1.0,
-                              local_index=len(dets))
-                dets.append(d)
-                row_ids[d.key] = gid
-            gt_dets[f] = dets
-        ftio.write_detections(args.gt_output, gt_dets, gt_ids=row_ids)
+        ftio.write_ground_truth(args.gt_output, gt.frames)
     return 0
 
 
@@ -258,24 +222,14 @@ def _cmd_eval(args) -> int:
 def _cmd_oracle(args) -> int:
     settings = _load_settings(args)
     model = _make_model(settings)
-    fin = _open_in(args.input)
-    try:
-        detections = ftio.parse_detections(fin)
-    finally:
-        if fin is not sys.stdin:
-            fin.close()
+    detections = ftio.parse_detections(args.input)
     graph = build_batch_graph(detections, model,
                               gating=settings.get("gating", True),
                               gate_radius_factor=settings.get(
                                   "gate_radius_factor", 2.0))
     solution = brute_force_optimum(graph, seed=args.seed,
                                    max_detections=args.max_detections)
-    fout = _open_out(args.output)
-    try:
-        ftio.write_tracks(fout, solution.trajectories)
-    finally:
-        if fout is not sys.stdout:
-            fout.close()
+    ftio.write_tracks(args.output, solution.trajectories)
     print(f"optimum cost: {solution.total_cost:.6g}", file=sys.stderr)
     return 0
 
@@ -283,44 +237,19 @@ def _cmd_oracle(args) -> int:
 def _cmd_bench(args) -> int:
     settings = _load_settings(args)
     model = _make_model(settings)
-    fin = _open_in(args.input)
-    try:
-        detections = ftio.parse_detections(fin)
-    finally:
-        if fin is not sys.stdin:
-            fin.close()
+    detections = ftio.parse_detections(args.input)
     rows = run_bench(detections, model,
                      solvers=tuple(args.solvers.split(",")),
                      taus=tuple(int(t) for t in args.taus.split(",")),
                      gating=settings.get("gating", True),
                      gate_radius_factor=settings.get("gate_radius_factor", 2.0))
-    fout = _open_out(args.output)
-    try:
+    with ftio.open_or_stdio(args.output, "w") as fout:
         write_bench(fout, rows)
-    finally:
-        if fout is not sys.stdout:
-            fout.close()
     return 0
 
 
 def _cmd_tracks_to_gt(args) -> int:
-    from .cost_model import Detection
-    frames = ftio.parse_tracks(args.input)
-    gt_dets = {}
-    row_ids = {}
-    for f in sorted(frames):
-        dets = []
-        for tid, box in frames[f]:
-            d = Detection(frame=f, box=box, score=1.0, local_index=len(dets))
-            dets.append(d)
-            row_ids[d.key] = tid
-        gt_dets[f] = dets
-    fout = _open_out(args.output)
-    try:
-        ftio.write_detections(fout, gt_dets, gt_ids=row_ids)
-    finally:
-        if fout is not sys.stdout:
-            fout.close()
+    ftio.write_ground_truth(args.output, ftio.parse_tracks(args.input))
     return 0
 
 

@@ -178,13 +178,3 @@ class CostModel:
                 )
             feats.extend(min(1.0, max(0.0, e)) for e in extras)
         return self.link_cost(feats)
-
-
-def detection_cost(score: float, model: CostModel) -> float:
-    """Functional alias for CostModel.detection_cost."""
-    return model.detection_cost(score)
-
-
-def link_cost(features, model: CostModel) -> float:
-    """Functional alias for CostModel.link_cost."""
-    return model.link_cost(features)

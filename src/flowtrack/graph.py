@@ -30,18 +30,6 @@ LINK = "link"
 EXIT = "exit"
 
 
-@dataclass(frozen=True)
-class Edge:
-    """Read-only view of one edge."""
-
-    eid: int
-    src: int
-    dst: int
-    kind: str
-    cost: float
-    origin_track: int | None = None
-
-
 @dataclass
 class Trajectory:
     """One decoded track: detections at strictly consecutive frames."""
@@ -116,10 +104,6 @@ class TrackingGraph:
     @property
     def n_detections(self) -> int:
         return len(self.det_nodes)
-
-    def edge(self, eid: int) -> Edge:
-        return Edge(eid, self.e_src[eid], self.e_dst[eid], self.e_kind[eid],
-                    self.e_cost[eid], self.e_origin[eid])
 
     def node_frame(self, nid: int) -> int | None:
         det = self.node_det[nid]

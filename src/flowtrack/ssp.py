@@ -29,6 +29,8 @@ class SolverStats:
     relaxations: int = 0
     queue_pushes: int = 0
     iterations: int = 0
+    # Online trackers: frames whose DAG bootstrap started from the previous
+    # frame's labels (hits) or from scratch (misses).
     cache_hits: int = 0
     cache_misses: int = 0
     wall_time: dict = field(default_factory=dict)
@@ -70,14 +72,6 @@ class Path:
 
     nodes: list[int]
     eids: list[int]
-
-    def det_keys(self, graph: TrackingGraph) -> frozenset:
-        keys = set()
-        for n in self.nodes:
-            det = graph.node_det[n]
-            if det is not None:
-                keys.add(det.key)
-        return frozenset(keys)
 
 
 class ResidualGraph:
@@ -445,16 +439,31 @@ def _finalize_termination_stats(stats: SolverStats):
                 break
 
 
-def _ssp_loop(graph: TrackingGraph, inner: str):
+def _ssp_loop(graph: TrackingGraph, inner: str,
+              warm: tuple[PredecessorMap, int] | None = None):
+    """Successive shortest paths from zero flow; inner is "dijkstra" or "dynamic".
+
+    warm = (labels, from_frame) starts the DAG bootstrap from labels that are
+    valid for every frame before from_frame, so only edges into from_frame and
+    later are relaxed. Returns (solution, stats, bootstrap labels); the labels
+    warm-start the solve of this graph with one more frame appended.
+    """
     stats = SolverStats()
-    res = ResidualGraph(graph)
     if graph.is_empty or graph.n_detections == 0:
-        return FlowSolution(), stats, res
+        return FlowSolution(), stats, None
+    res = ResidualGraph(graph)
 
     t0 = time.perf_counter()
-    path, labels = dag_shortest_path(res, stats=stats)
+    if warm is None:
+        path, labels = dag_shortest_path(res, stats=stats)
+    else:
+        path, labels = dag_shortest_path(res, from_frame=warm[1],
+                                         labels=warm[0].grown(res.n_nodes),
+                                         stats=stats)
     stats.add_time("dag", time.perf_counter() - t0)
     stats.reduced_sink_dists.append(float(labels.dist[SINK]))
+    # convert_edge_costs returns new labels, so these stay as bootstrapped.
+    dag_labels = labels
 
     guard = graph.n_detections
     while path is not None:
@@ -477,8 +486,7 @@ def _ssp_loop(graph: TrackingGraph, inner: str):
         stats.reduced_sink_dists.append(float(labels.dist[SINK]))
 
     _finalize_termination_stats(stats)
-    solution = _solution_from_residual(res)
-    return solution, stats, res
+    return _solution_from_residual(res), stats, dag_labels
 
 
 def solve_ssp(graph: TrackingGraph):

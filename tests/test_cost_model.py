@@ -3,8 +3,7 @@ import math
 import pytest
 from hypothesis import given, strategies as st
 
-from flowtrack.cost_model import (CostModel, Detection, detection_cost, iou,
-                                  link_cost, pairwise_features)
+from flowtrack.cost_model import CostModel, Detection, iou, pairwise_features
 from flowtrack.errors import DataError
 
 
@@ -91,10 +90,6 @@ class TestDetectionCost:
         assert model.detection_cost(1.0) == pytest.approx(expected, abs=1e-9)
         assert model.detection_cost(1.0) == pytest.approx(-0.76159, abs=1e-5)
 
-    def test_functional_alias(self):
-        model = CostModel()
-        assert detection_cost(0.7, model) == model.detection_cost(0.7)
-
     @given(st.floats(-20, 20), st.floats(-20, 20))
     def test_monotone_decreasing_in_score(self, s1, s2):
         model = CostModel(beta=1.0, det_weight=2.0)
@@ -160,7 +155,6 @@ class TestLinkCost:
         model = CostModel()
         with pytest.raises(DataError):
             model.link_cost((0.5, 0.5))
-        assert link_cost((1.0, 1.0, 1.0), model) == model.link_cost((1, 1, 1))
 
     @given(st.floats(0, 1), st.floats(0, 1))
     def test_monotone_nonincreasing_per_feature(self, f1, f2):

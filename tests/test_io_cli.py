@@ -109,6 +109,43 @@ class TestConfig:
             ftio.load_config(io.StringIO("= 3\n"))
 
 
+class TestOpenOrStdio:
+    def test_path_closed_even_on_error(self, tmp_path):
+        path = tmp_path / "out.csv"
+        with pytest.raises(RuntimeError):
+            with ftio.open_or_stdio(path, "w") as fobj:
+                fobj.write("row\n")
+                raise RuntimeError("boom")
+        assert fobj.closed
+        assert path.read_text() == "row\n"
+
+    def test_dash_and_none_are_stdio_left_open(self):
+        for target in (None, "-"):
+            with ftio.open_or_stdio(target) as fin:
+                assert fin is sys.stdin
+            with ftio.open_or_stdio(target, "w") as fout:
+                assert fout is sys.stdout
+        assert not sys.stdout.closed
+
+    def test_file_object_passed_through(self):
+        buf = io.StringIO()
+        with ftio.open_or_stdio(buf, "w") as fobj:
+            assert fobj is buf
+        assert not buf.closed
+
+
+class TestGroundTruthWriter:
+    def test_round_trip(self):
+        frames = {0: [(7, (1.0, 1.0, 5.0, 5.0)), (3, (9.0, 2.0, 4.0, 4.0))],
+                  2: [(7, (2.0, 1.5, 5.0, 5.0))]}
+        buf = io.StringIO()
+        ftio.write_ground_truth(buf, frames)
+        buf.seek(0)
+        dets, gt = ftio.parse_ground_truth(buf)
+        assert gt.frames == frames
+        assert [d.score for d in dets[0]] == [1.0, 1.0]
+
+
 class TestStreamBlocks:
     def test_blocks_parsed_in_order(self):
         text = "0,-1,1,1,5,5,0.5\n0,-1,9,9,5,5,0.6\n\n1,-1,2,2,5,5,0.5\n\n"
@@ -249,6 +286,15 @@ class TestCli:
                     "--config", str(cfg), "--entry-cost", "2",
                     "--exit-cost", "2")
         assert r.returncode == 0 and r.stdout != ""
+
+    def test_unknown_config_key_is_data_error(self, sample_files, tmp_path):
+        _, det_path, _ = sample_files
+        cfg = tmp_path / "old.cfg"
+        cfg.write_text("cache_size = 4\n")  # a key that no longer exists
+        r = run_cli("track", "-i", str(det_path), "-o", "-",
+                    "--config", str(cfg))
+        assert r.returncode == 2
+        assert "unknown config key 'cache_size'" in r.stderr
 
     def test_exit_code_usage_error(self):
         r = run_cli("track", "--solver", "definitely-not-a-solver")

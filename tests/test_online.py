@@ -6,16 +6,30 @@ from flowtrack.cost_model import CostModel
 from flowtrack.errors import DataError
 from flowtrack.graph import FlowSolution, Trajectory, build_batch_graph
 from flowtrack.online import (OnlineTracker, TrackerConfig, TrackRegistry,
-                              assign_track_ids, process_frame_bounded,
-                              process_frame_optimal, trajectory_model_cost)
+                              assign_track_ids, trajectory_model_cost)
 from flowtrack.ssp import solve_ssp
 from flowtrack.synthetic import SyntheticConfig, generate_synthetic
 
 
-def stream(tracker, frames):
+def stream(tracker, frames, cold=False):
+    """Feed frames in order; cold drops the DAG warm start before each one."""
     for f in sorted(frames):
+        if cold:
+            tracker.cache.clip()
         tracker.process_frame(frames[f], frame=f)
     return tracker
+
+
+def gated_scene(seed):
+    """~25-frame synthetic scene, gating on, with misses, false positives,
+    births, deaths and a few frames emptied outright."""
+    cfg = SyntheticConfig(n_frames=25, n_initial_tracks=4, miss_rate=0.15,
+                          fp_rate=0.15, spawn_prob=0.15, death_prob=0.04)
+    dets, _ = generate_synthetic(cfg, seed)
+    rng = np.random.default_rng(seed)
+    for f in rng.choice(sorted(dets), size=3, replace=False):
+        dets[int(f)] = []
+    return dets
 
 
 class TestOptimalOnline:
@@ -40,6 +54,16 @@ class TestOptimalOnline:
                 batch, _ = solve_ssp(build_graph(prefix, model))
                 assert solution.total_cost == pytest.approx(batch.total_cost,
                                                             abs=1e-9)
+        model = CostModel()
+        for seed in range(40):
+            frames = gated_scene(seed)
+            tr = OnlineTracker(TrackerConfig(model=model))
+            for f in sorted(frames):
+                solution = tr.process_frame(frames[f], frame=f)
+                prefix = {k: v for k, v in frames.items() if k <= f}
+                batch, _ = solve_ssp(build_batch_graph(prefix, model))
+                assert solution.total_cost == pytest.approx(batch.total_cost,
+                                                            abs=1e-9)
 
     def test_empty_frame_keeps_cost(self):
         model = StubModel(links={((0, 0), (1, 0)): 0.0})
@@ -49,19 +73,21 @@ class TestOptimalOnline:
         after = tr.process_frame([], frame=2).total_cost
         assert after == pytest.approx(before)
 
-    def test_cache_miss_fallback_changes_stats_not_costs(self):
+    def test_cold_dag_start_changes_stats_not_costs(self):
         for seed in range(8):
             frames, model = make_random_instance(seed, frame_range=(4, 6),
                                                  dets_range=(2, 3))
-            normal = stream(OnlineTracker(
+            warm = stream(OnlineTracker(
                 TrackerConfig(model=model, gating=False)), frames)
-            forced = stream(OnlineTracker(
-                TrackerConfig(model=model, gating=False,
-                              force_cache_miss=True)), frames)
-            assert forced.solution.total_cost == pytest.approx(
-                normal.solution.total_cost, abs=1e-9)
-            assert forced.stats.cache_hits == 0
-            assert normal.stats.cache_hits > 0
+            cold = stream(OnlineTracker(
+                TrackerConfig(model=model, gating=False)), frames, cold=True)
+            assert cold.solution.total_cost == pytest.approx(
+                warm.solution.total_cost, abs=1e-9)
+            # one hit or miss per frame; only the first frame starts cold
+            assert (cold.stats.cache_hits, cold.stats.cache_misses) == (
+                0, len(frames))
+            assert (warm.stats.cache_hits, warm.stats.cache_misses) == (
+                len(frames) - 1, 1)
 
     def test_out_of_order_frames_rejected(self):
         tr = OnlineTracker(TrackerConfig(model=CostModel()))
@@ -71,24 +97,11 @@ class TestOptimalOnline:
         with pytest.raises(DataError):
             tr.process_frame([det(5, 0)], frame=5)
 
-    def test_mode_guards(self):
-        opt = OnlineTracker(TrackerConfig(model=CostModel()))
-        with pytest.raises(DataError):
-            process_frame_bounded(opt, [det(0, 0)], frame=0)
-        bnd = OnlineTracker(TrackerConfig(model=CostModel(), window=4),
-                            bounded=True)
-        with pytest.raises(DataError):
-            process_frame_optimal(bnd, [det(0, 0)], frame=0)
-        process_frame_optimal(opt, [det(0, 0)], frame=0)
-        process_frame_bounded(bnd, [det(0, 0)], frame=0)
-
     def test_bounded_mode_requires_window(self):
         with pytest.raises(DataError):
             OnlineTracker(TrackerConfig(model=CostModel()), bounded=True)
         with pytest.raises(DataError):
             TrackerConfig(model=CostModel(), window=0)
-        with pytest.raises(DataError):
-            TrackerConfig(model=CostModel(), cache_size=0)
 
 
 class TestBoundedOnline:
@@ -122,7 +135,6 @@ class TestBoundedOnline:
             tr.process_frame(dets[f], frame=f)
             assert tr.graph.n_live_nodes <= 2 * tau * d_max + 2
             assert tr.graph.n_frames <= tau
-            assert len(tr.cache) <= tr.config.effective_cache_size
 
     def test_track_id_stable_across_many_windows(self):
         # one straight, clean track alive for 40 frames with a 10-frame window
@@ -238,9 +250,8 @@ class TestReuseStatistics:
         dets, _ = generate_synthetic(cfg, 2)
         model = CostModel()
         warm = stream(OnlineTracker(TrackerConfig(model=model)), dets)
-        cold = stream(OnlineTracker(TrackerConfig(model=model,
-                                                  force_cache_miss=True)),
-                      dets)
+        cold = stream(OnlineTracker(TrackerConfig(model=model)), dets,
+                      cold=True)
         assert warm.solution.total_cost == pytest.approx(
             cold.solution.total_cost, abs=1e-9)
         assert warm.stats.relaxations < cold.stats.relaxations
