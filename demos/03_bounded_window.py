@@ -20,8 +20,7 @@ cfg = ft.SyntheticConfig(n_frames=200, n_initial_tracks=5, spawn_prob=0.0,
                          death_prob=0.0, miss_rate=0.0, fp_rate=0.1)
 dets, _ = ft.generate_synthetic(cfg, seed=0)
 
-tracker = ft.OnlineTracker(ft.TrackerConfig(model=model, window=WINDOW),
-                           bounded=True)
+tracker = ft.OnlineTracker(ft.TrackerConfig(model=model, window=WINDOW))
 for f in sorted(dets):
     tracker.process_frame(dets[f], frame=f)
 

@@ -34,8 +34,7 @@ for name, trajectories in [
     print(f"{name:>8} {r.mota:>7.4f} {r.motp:>7.4f} {r.id_switches:>4} "
           f"{r.false_positives:>4} {r.false_negatives:>4}")
 
-tracker = ft.OnlineTracker(ft.TrackerConfig(model=model, window=10),
-                           bounded=True)
+tracker = ft.OnlineTracker(ft.TrackerConfig(model=model, window=10))
 for f in sorted(dets):
     tracker.process_frame(dets[f], frame=f)
 r = ft.clear_mot(gt, hyps(tracker.final_tracks()))

@@ -51,13 +51,12 @@ def _bench_batch(name: str, detections, model: CostModel, gating, factor):
 
 def _bench_online(name: str, detections, model: CostModel, gating, factor,
                   tau: int | None):
-    bounded = name == "mbodssp"
-    config = TrackerConfig(model=model, window=tau if bounded else None,
-                           gating=gating, gate_radius_factor=factor)
-    tracker = OnlineTracker(config, bounded=bounded)
+    tracker = OnlineTracker(TrackerConfig(model=model, window=tau,
+                                          gating=gating,
+                                          gate_radius_factor=factor))
     for f in sorted(detections):
         tracker.process_frame(detections[f], frame=f)
-    return [BenchRow(name, tau if bounded else None, fs.frame, fs.wall_time,
+    return [BenchRow(name, tau, fs.frame, fs.wall_time,
                      fs.relaxations, fs.queue_pushes, fs.live_nodes,
                      fs.live_edges)
             for fs in tracker.frame_stats]

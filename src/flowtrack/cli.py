@@ -37,7 +37,6 @@ _RUN_KEYS = {
     "gating": lambda s: s.lower() in ("1", "true", "yes", "on"),
     "gate_radius_factor": float,
     "window": int,
-    "clip_entry_mode": str,
     "iou_threshold": float,
 }
 
@@ -98,8 +97,16 @@ def _cmd_track(args) -> int:
     if solver == "mbodssp" and window is None:
         raise DataError("mbodssp needs --window")
 
+    def make_tracker():
+        """The online tracker: a window makes it mbodssp; odssp ignores it."""
+        return OnlineTracker(TrackerConfig(
+            model=model, window=window if solver == "mbodssp" else None,
+            gating=gating, gate_radius_factor=factor))
+
     if args.stream:
-        return _track_stream(args, model, settings, gating, factor, window)
+        if solver not in ("odssp", "mbodssp"):
+            raise DataError("--stream requires an online solver")
+        return _track_stream(args, make_tracker())
 
     detections = ftio.parse_detections(args.input)
 
@@ -111,11 +118,7 @@ def _cmd_track(args) -> int:
         tracks = solution.trajectories
         total = solution.total_cost
     else:
-        config = TrackerConfig(
-            model=model, window=window if solver == "mbodssp" else None,
-            gating=gating, gate_radius_factor=factor,
-            clip_entry_mode=settings.get("clip_entry_mode", "prefix"))
-        tracker = OnlineTracker(config, bounded=solver == "mbodssp")
+        tracker = make_tracker()
         for f in sorted(detections):
             tracker.process_frame(detections[f], frame=f)
         tracks = tracker.final_tracks()
@@ -126,16 +129,9 @@ def _cmd_track(args) -> int:
     return 0
 
 
-def _track_stream(args, model, settings, gating, factor, window) -> int:
+def _track_stream(args, tracker: OnlineTracker) -> int:
     """Read blank-line-terminated frame blocks from stdin and emit track rows
     once they are --confirm-lag frames old (0 = emit and possibly revise)."""
-    if args.solver not in ("odssp", "mbodssp"):
-        raise DataError("--stream requires an online solver")
-    config = TrackerConfig(
-        model=model, window=window if args.solver == "mbodssp" else None,
-        gating=gating, gate_radius_factor=factor,
-        clip_entry_mode=settings.get("clip_entry_mode", "prefix"))
-    tracker = OnlineTracker(config, bounded=args.solver == "mbodssp")
     lag = args.confirm_lag
     with ftio.open_or_stdio(args.output, "w") as fout:
         # Rows already written, as (frame, track id); a detection whose id is

@@ -3,9 +3,9 @@
 Each detection is split into a u/v node pair connected by a detection edge;
 entry edges run from the source to every u node, exit edges from every v node
 to the sink, and link edges connect v nodes to u nodes in the next frame.
-The graph supports online frame appending and oldest-frame clipping with
-entry-cost merging, recycling node/edge slots so a windowed graph stays
-bounded in memory.
+The graph supports online frame appending and oldest-frame clipping, which
+folds each clipped trajectory prefix into its successor's entry cost, and
+recycles node/edge slots so a windowed graph stays bounded in memory.
 """
 from __future__ import annotations
 
@@ -137,9 +137,6 @@ class TrackingGraph:
                 return eid
         return None
 
-    def live_nodes(self):
-        return [n for n, k in enumerate(self.node_kind) if k != KIND_DEAD]
-
     def live_edges(self):
         return [e for e in range(len(self.e_src)) if self.e_alive[e]]
 
@@ -213,11 +210,18 @@ class TrackingGraph:
 
     # -- frame-level operations ------------------------------------------------
 
-    def append_frame(self, new_detections: list[Detection], model,
-                     frame: int | None = None) -> "TrackingGraph":
-        """Extend the graph by one frame of detections (possibly empty)."""
-        if new_detections:
-            frames = {d.frame for d in new_detections}
+    def frame_index(self, detections: list[Detection],
+                    frame: int | None = None) -> int:
+        """Validate one frame of detections for append_frame and return its
+        index, leaving the graph untouched.
+
+        The detections must share one frame, which must agree with `frame`
+        when both are given, and have distinct local indices. The first frame
+        of an empty graph needs an explicit index; every later one is
+        t_max + 1.
+        """
+        if detections:
+            frames = {d.frame for d in detections}
             if len(frames) > 1:
                 raise DataError(f"detections span multiple frames: {sorted(frames)}")
             det_frame = frames.pop()
@@ -226,23 +230,29 @@ class TrackingGraph:
             frame = det_frame
         if self.is_empty:
             if frame is None:
-                raise DataError("cannot append an empty frame to an empty graph "
-                                "without an explicit frame index")
-            self.t_min = frame
+                raise DataError("the first frame needs an explicit frame index")
         else:
             expected = self.t_max + 1
             if frame is None:
                 frame = expected
             if frame != expected:
-                raise DataError(f"expected frame {expected}, got {frame}")
-        self.t_max = frame
-
-        dets = sorted(new_detections, key=lambda d: d.local_index)
+                raise DataError(f"frames must be strictly in order: expected "
+                                f"frame {expected}, got {frame}")
         seen = set()
-        for d in dets:
+        for d in detections:
             if d.local_index in seen:
                 raise DataError(f"duplicate local_index {d.local_index} in frame {frame}")
             seen.add(d.local_index)
+        return frame
+
+    def append_frame(self, new_detections: list[Detection], model,
+                     frame: int | None = None) -> "TrackingGraph":
+        """Extend the graph by one frame of detections (possibly empty)."""
+        frame = self.frame_index(new_detections, frame)
+        if self.is_empty:
+            self.t_min = frame
+        self.t_max = frame
+        dets = sorted(new_detections, key=lambda d: d.local_index)
         self.frames[frame] = dets
 
         prev_dets = self.frames.get(frame - 1, [])
@@ -265,26 +275,15 @@ class TrackingGraph:
                 self._add_edge(self.v_node(p), self.u_node(d), LINK, cost)
         return self
 
-    def clip_oldest_frame(self, solution: FlowSolution, model,
-                          entry_mode: str = "prefix") -> "TrackingGraph":
-        """Drop the oldest frame, folding clipped trajectory prefixes into the
-        successors' entry-edge costs.
-
-        entry_mode "prefix" accumulates the full remembered prefix cost into
-        the synthesized entry edge; "hop" folds only the removed hop.
+    def clip_oldest_frame(self, solution: FlowSolution) -> "TrackingGraph":
+        """Drop the oldest frame, folding each clipped trajectory's prefix
+        cost (entry, detection and link) into its successor's entry edge, so
+        the suffix keeps the trajectory's full cost and, via e_origin, its id.
         """
         if self.is_empty or self.t_min == self.t_max:
             raise DataError("cannot clip the only frame of the graph")
-        if entry_mode not in ("prefix", "hop"):
-            raise DataError(f"unknown entry_mode {entry_mode!r}")
         t_min = self.t_min
         removed = self.frames.get(t_min, [])
-
-        # Reset next-frame entries to the plain model cost before synthesizing.
-        for d in self.frames.get(t_min + 1, []):
-            eid = self.entry_edge_of(d)
-            self.e_cost[eid] = model.entry_cost_of(d)
-            self.e_origin[eid] = None
 
         for traj in solution.trajectories:
             first = traj.detections[0]
@@ -296,15 +295,10 @@ class TrackingGraph:
                 raise InvariantBreach(
                     f"solution trajectory uses missing link {first.key}->{succ.key}")
             entry_eid = self.entry_edge_of(first)
-            if entry_mode == "prefix":
-                # Same additions in the same order as a left-fold path cost.
-                cost = self.e_cost[entry_eid]
-                cost += self.e_cost[self.detection_edge_of(first)]
-                cost += self.e_cost[link_eid]
-            else:
-                cost = model.entry_cost_of(succ)
-                cost += self.e_cost[self.detection_edge_of(first)]
-                cost += self.e_cost[link_eid]
+            # Same additions in the same order as a left-fold path cost.
+            cost = self.e_cost[entry_eid]
+            cost += self.e_cost[self.detection_edge_of(first)]
+            cost += self.e_cost[link_eid]
             succ_entry = self.entry_edge_of(succ)
             self.e_cost[succ_entry] = cost
             origin = self.e_origin[entry_eid]

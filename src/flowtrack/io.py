@@ -82,7 +82,7 @@ def _detection_from_row(row, lineno, with_gt_id=False):
     return det, gt_id
 
 
-def _finish_frames(per_frame: dict, n_extras: int | None):
+def _finish_frames(per_frame: dict):
     if not per_frame:
         return {}
     out = {}
@@ -111,7 +111,7 @@ def parse_detections(source) -> dict[int, list[Detection]]:
             elif len(det.extras) != n_extras:
                 raise DataError(f"line {lineno}: inconsistent column count")
             per_frame.setdefault(det.frame, []).append(det)
-    return _finish_frames(per_frame, n_extras)
+    return _finish_frames(per_frame)
 
 
 def parse_ground_truth(source) -> tuple[dict[int, list[Detection]], GroundTruth]:
@@ -123,7 +123,7 @@ def parse_ground_truth(source) -> tuple[dict[int, list[Detection]], GroundTruth]
             det, gt_id = _detection_from_row(row, lineno, with_gt_id=True)
             per_frame.setdefault(det.frame, []).append(det)
             gt.add(det.frame, gt_id, det.box)
-    return _finish_frames(per_frame, None), gt
+    return _finish_frames(per_frame), gt
 
 
 def _fmt(x: float) -> str:

@@ -4,10 +4,10 @@ Each incoming frame is appended to the graph and the flow problem is re-solved
 by the batch dynamic SSP loop (O-DSSP). The loop's DAG bootstrap is
 warm-started from the previous frame's DAG labels, so only edges touching the
 new frame are relaxed; every later iteration is a dynamic broadcast, which is
-exact because the converted labels meet its precondition. The bounded variant
-additionally clips frames older than the window, folding clipped trajectory
-prefixes into synthesized entry-edge costs so track identities and costs
-survive clipping.
+exact because the converted labels meet its precondition. A tracker with a
+window is memory-bounded: it also clips frames older than the window, folding
+clipped trajectory prefixes into synthesized entry-edge costs so track
+identities and costs survive clipping.
 """
 from __future__ import annotations
 
@@ -28,11 +28,11 @@ class TrackerConfig:
     window: int | None = None          # frame budget; None = unbounded
     gating: bool = True
     gate_radius_factor: float = 2.0
-    clip_entry_mode: str = "prefix"
 
     def __post_init__(self):
-        if self.window is not None and self.window < 1:
-            raise DataError("window must be >= 1")
+        # A window of one frame would have to clip the only frame it holds.
+        if self.window is not None and self.window < 2:
+            raise DataError(f"window must be >= 2, got {self.window}")
 
 
 class PredecessorCache:
@@ -128,13 +128,13 @@ def trajectory_model_cost(dets: list[Detection], model: CostModel) -> float:
 
 
 class OnlineTracker:
-    """Single-stream tracker state; callers serialize process_frame calls."""
+    """Single-stream tracker state; callers serialize process_frame calls.
 
-    def __init__(self, config: TrackerConfig, bounded: bool = False):
-        if bounded and config.window is None:
-            raise DataError("bounded mode requires a window")
+    With config.window set the tracker is memory-bounded (mbodssp); without
+    it, it is the exact online tracker (odssp)."""
+
+    def __init__(self, config: TrackerConfig):
         self.config = config
-        self.bounded = bounded
         self.graph = TrackingGraph(gating=config.gating,
                                    gate_radius_factor=config.gate_radius_factor)
         self.cache = PredecessorCache()
@@ -154,27 +154,10 @@ class OnlineTracker:
                       frame: int | None = None) -> FlowSolution:
         t_start = time.perf_counter()
         g = self.graph
-        if detections:
-            frames = {d.frame for d in detections}
-            if len(frames) > 1:
-                raise DataError("detections span multiple frames")
-            det_frame = frames.pop()
-            if frame is not None and frame != det_frame:
-                raise DataError("frame argument disagrees with detections")
-            frame = det_frame
-        if not g.is_empty:
-            expected = g.t_max + 1
-            if frame is None:
-                frame = expected
-            if frame != expected:
-                raise DataError(
-                    f"stream must be strictly in order: expected frame "
-                    f"{expected}, got {frame}")
-        elif frame is None:
-            raise DataError("first frame of a stream needs an explicit index")
-
+        # Validate before clipping, so a rejected frame leaves no trace.
+        frame = g.frame_index(detections, frame)
         window = self.config.window
-        if self.bounded and not g.is_empty and g.n_frames >= window:
+        if window is not None and g.n_frames >= window:
             self._clip_one_frame()
         g.append_frame(detections, self.config.model, frame=frame)
         self.max_dets_per_frame = max(self.max_dets_per_frame, len(detections))
@@ -189,7 +172,7 @@ class OnlineTracker:
         assign_track_ids(self.solution, solution, self.registry, origins)
         self.solution = solution
 
-        if self.bounded:
+        if window is not None:
             self._check_bounds()
         self.frame_stats.append(FrameStats(
             frame=frame,
@@ -210,8 +193,7 @@ class OnlineTracker:
                     traj.detections[0])
                 if self.freeze_log is not None:
                     self.freeze_log.append((traj.track_id, traj.detections[0]))
-        g.clip_oldest_frame(self.solution, self.config.model,
-                            entry_mode=self.config.clip_entry_mode)
+        g.clip_oldest_frame(self.solution)
         self.cache.clip()
         # Drop clipped detections from the retained solution so the next clip
         # sees trajectories consistent with the graph.

@@ -8,7 +8,6 @@ predecessor labels, trajectory decoding, and the greedy DP baseline.
 from __future__ import annotations
 
 import heapq
-import time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -17,8 +16,10 @@ from .errors import DataError, InvariantBreach
 from .graph import (DET, ENTRY, EXIT, LINK, SINK, SOURCE, KIND_U,
                     FlowSolution, TrackingGraph, Trajectory)
 
-#: Absolute tolerance for reduced-cost non-negativity; values in [-EPS, 0)
-#: are clamped to zero before entering a priority queue.
+#: Tolerance for reduced-cost non-negativity, relative to the graph's largest
+#: |edge cost|: values in [-eps, 0), eps = EPS * that cost, are clamped to
+#: zero before entering a priority queue. Being relative, it makes a solve
+#: invariant under scaling every cost by a power of two.
 EPS = 1e-9
 
 
@@ -33,14 +34,10 @@ class SolverStats:
     # frame's labels (hits) or from scratch (misses).
     cache_hits: int = 0
     cache_misses: int = 0
-    wall_time: dict = field(default_factory=dict)
     reduced_sink_dists: list = field(default_factory=list)
     path_original_costs: list = field(default_factory=list)
     prose_stop_iteration: int | None = None
     alg1_stop_iteration: int | None = None
-
-    def add_time(self, phase: str, dt: float):
-        self.wall_time[phase] = self.wall_time.get(phase, 0.0) + dt
 
 
 class PredecessorMap:
@@ -50,12 +47,6 @@ class PredecessorMap:
         self.dist = np.full(n_nodes, np.inf)
         self.dist[SOURCE] = 0.0
         self.pred: list[tuple[int, int] | None] = [None] * n_nodes
-
-    def copy(self) -> "PredecessorMap":
-        out = PredecessorMap.__new__(PredecessorMap)
-        out.dist = self.dist.copy()
-        out.pred = list(self.pred)
-        return out
 
     def grown(self, n_nodes: int) -> "PredecessorMap":
         """Copy extended to n_nodes entries; new entries are unreachable."""
@@ -79,15 +70,11 @@ class ResidualGraph:
 
     rcost holds the current (possibly converted) cost of each edge in its
     residual direction: edges carrying flow are traversed dst -> src with a
-    negated cost.
+    negated cost. eps is the clamping tolerance (see EPS).
     """
 
     def __init__(self, graph: TrackingGraph):
-        self.graph = graph
-        self.reset()
-
-    def reset(self):
-        g = self.graph
+        g = self.graph = graph
         m = len(g.e_src)
         self.rcost = np.array(g.e_cost, dtype=float) if m else np.zeros(0)
         self.flow = np.zeros(m, dtype=np.int8)
@@ -96,6 +83,7 @@ class ResidualGraph:
         self.alive_arr = np.array(g.e_alive, dtype=bool) if m else np.zeros(0, bool)
         if m:
             self.rcost[~self.alive_arr] = 0.0
+        self.eps = EPS * float(np.max(np.abs(self.rcost))) if m else 0.0
         self.iteration = 0
 
     @property
@@ -128,14 +116,14 @@ class ResidualGraph:
     def flip(self, eid: int):
         self.flow[eid] ^= 1
         rc = -float(self.rcost[eid])
-        if -EPS <= rc < 0.0:
+        if -self.eps <= rc < 0.0:
             rc = 0.0
         self.rcost[eid] = rc
 
     def arc_cost(self, eid: int) -> float:
         """Residual arc cost clamped for queue ordering."""
         rc = float(self.rcost[eid])
-        if rc < -EPS:
+        if rc < -self.eps:
             raise InvariantBreach(f"negative reduced cost {rc} on edge {eid}")
         return rc if rc > 0.0 else 0.0
 
@@ -255,7 +243,7 @@ def convert_edge_costs(res: ResidualGraph, labels: PredecessorMap) -> Predecesso
         ok = np.isfinite(ds) & np.isfinite(dd) & res.alive_arr
         res.rcost[ok] += ds[ok] - dd[ok]
         neg = res.rcost < 0.0
-        tiny = neg & (res.rcost >= -EPS)
+        tiny = neg & (res.rcost >= -res.eps)
         if np.any(tiny):
             res.rcost[tiny] = 0.0
         bad = neg & ~tiny & ok
@@ -453,14 +441,12 @@ def _ssp_loop(graph: TrackingGraph, inner: str,
         return FlowSolution(), stats, None
     res = ResidualGraph(graph)
 
-    t0 = time.perf_counter()
     if warm is None:
         path, labels = dag_shortest_path(res, stats=stats)
     else:
         path, labels = dag_shortest_path(res, from_frame=warm[1],
                                          labels=warm[0].grown(res.n_nodes),
                                          stats=stats)
-    stats.add_time("dag", time.perf_counter() - t0)
     stats.reduced_sink_dists.append(float(labels.dist[SINK]))
     # convert_edge_costs returns new labels, so these stay as bootstrapped.
     dag_labels = labels
@@ -477,12 +463,10 @@ def _ssp_loop(graph: TrackingGraph, inner: str,
         build_residual(res, path)
         stats.iterations += 1
         prev_nodes = path.nodes
-        t0 = time.perf_counter()
         if inner == "dijkstra":
             path, labels = dijkstra_full(res, stats)
         else:
             path, labels = dynamic_broadcast(res, prev_nodes, labels, stats)
-        stats.add_time("inner", time.perf_counter() - t0)
         stats.reduced_sink_dists.append(float(labels.dist[SINK]))
 
     _finalize_termination_stats(stats)

@@ -21,9 +21,8 @@ TOL = 1e-9
 MODEL = CostModel()
 
 
-def run_online(dets, window=None, bounded=False):
-    tracker = OnlineTracker(
-        TrackerConfig(model=MODEL, window=window), bounded=bounded)
+def run_online(dets, window=None):
+    tracker = OnlineTracker(TrackerConfig(model=MODEL, window=window))
     for f in sorted(dets):
         tracker.process_frame(dets[f], frame=f)
     return tracker
@@ -79,8 +78,7 @@ def test_03_bounded_window_degeneracy():
                               fp_rate=0.1, spawn_prob=0.1, death_prob=0.05)
         dets, _ = generate_synthetic(cfg, seed)
         opt = OnlineTracker(TrackerConfig(model=MODEL))
-        bnd = OnlineTracker(TrackerConfig(model=MODEL, window=12),
-                            bounded=True)
+        bnd = OnlineTracker(TrackerConfig(model=MODEL, window=12))
         for f in sorted(dets):
             so = opt.process_frame(dets[f], frame=f)
             sb = bnd.process_frame(dets[f], frame=f)
@@ -106,7 +104,7 @@ def test_04_memory_bound():
     constant-detection sequence."""
     dets = _stationary_500()
     d_max = max(len(v) for v in dets.values())
-    tracker = run_online(dets, window=10, bounded=True)
+    tracker = run_online(dets, window=10)
     bound = 2 * 10 * d_max + 2
     peak = max(fs.live_nodes for fs in tracker.frame_stats)
     assert peak <= bound
@@ -114,7 +112,7 @@ def test_04_memory_bound():
     cfg = SyntheticConfig(n_frames=60, n_initial_tracks=4, spawn_prob=0.0,
                           death_prob=0.0, miss_rate=0.0, fp_rate=0.0)
     clean, _ = generate_synthetic(cfg, 1)
-    tr2 = run_online(clean, window=10, bounded=True)
+    tr2 = run_online(clean, window=10)
     steady = {fs.live_nodes for fs in tr2.frame_stats if fs.frame > 10}
     assert len(steady) == 1
     print(f"\nPASS criterion 4: peak live nodes {peak} <= bound {bound} over "
@@ -126,7 +124,7 @@ def test_05_computation_bound():
     stationary frames (slope <= 1% of mean), while the optimal online
     tracker's per-frame work keeps growing."""
     dets = _stationary_500()
-    bounded = run_online(dets, window=10, bounded=True)
+    bounded = run_online(dets, window=10)
     rel = np.array([fs.relaxations for fs in bounded.frame_stats[20:]],
                    dtype=float)
     slope = np.polyfit(np.arange(len(rel)), rel, 1)[0]
@@ -181,7 +179,7 @@ def test_07_approximation_quality():
         dets, gt = generate_synthetic(cfg, seed)
         batch, _ = solve_ssp(build_batch_graph(dets, MODEL))
         greedy, _ = solve_dp_greedy(build_batch_graph(dets, MODEL))
-        tracker = run_online(dets, window=10, bounded=True)
+        tracker = run_online(dets, window=10)
         cost = tracker.total_output_cost()
         rel = abs(cost - batch.total_cost) / max(abs(batch.total_cost), TOL)
         if rel <= 0.05:
@@ -235,7 +233,7 @@ def test_09_determinism(tmp_path):
     outputs = []
     for run in range(2):
         parsed = parse_detections(det_path)
-        tracker = run_online(parsed, window=8, bounded=True)
+        tracker = run_online(parsed, window=8)
         out = tmp_path / f"run{run}.csv"
         write_tracks(out, tracker.final_tracks())
         outputs.append(out.read_bytes())
@@ -251,7 +249,7 @@ def test_10_throughput_soft_gate():
                           fp_rate=0.2, spawn_prob=0.1, death_prob=0.02)
     dets, _ = generate_synthetic(cfg, 4)
     assert max(len(v) for v in dets.values()) <= 20
-    tracker = run_online(dets, window=10, bounded=True)
+    tracker = run_online(dets, window=10)
     per_frame = np.mean([fs.wall_time for fs in tracker.frame_stats]) * 1000
     if per_frame < 10.0:
         print(f"\nPASS criterion 10 (soft): {per_frame:.2f} ms/frame mean "

@@ -130,22 +130,22 @@ class TestClipOldestFrame:
         g = TrackingGraph(gating=False)
         for f in range(3):
             g.append_frame([det(f, 0)], model, frame=f)
-        return g, model
+        return g
 
     def test_synthesized_entry_cost(self):
-        g, model = self._three_frame_chain()
+        g = self._three_frame_chain()
         solution = _solve(g)
         assert solution.total_cost == pytest.approx(-11.0)  # 2 -5 -5 -5 +2
-        g.clip_oldest_frame(solution, model)
+        g.clip_oldest_frame(solution)
         eid = g.entry_edge_of(det(1, 0))
         # remembered prefix: entry 2 + det -5 + link 0 = -3
         assert g.e_cost[eid] == -3.0
         assert g.e_origin[eid] == solution.trajectories[0].track_id
 
     def test_suffix_cost_preserved_exactly(self):
-        g, model = self._three_frame_chain()
+        g = self._three_frame_chain()
         solution = _solve(g)
-        g.clip_oldest_frame(solution, model)
+        g.clip_oldest_frame(solution)
         clipped = _solve(g)
         assert clipped.total_cost == solution.total_cost  # exact, same fp order
 
@@ -154,7 +154,7 @@ class TestClipOldestFrame:
         g = TrackingGraph(gating=False)
         g.append_frame([det(0, 0)], model, frame=0)
         g.append_frame([det(1, 0)], model)
-        g.clip_oldest_frame(FlowSolution(), model)
+        g.clip_oldest_frame(FlowSolution())
         assert g.n_live_nodes == 4
         eid = g.entry_edge_of(det(1, 0))
         assert g.e_cost[eid] == 2.0
@@ -163,38 +163,20 @@ class TestClipOldestFrame:
     def test_clip_only_frame_rejected(self):
         g = build_batch_graph([det(0, 0)], CostModel())
         with pytest.raises(DataError):
-            g.clip_oldest_frame(FlowSolution(), CostModel())
+            g.clip_oldest_frame(FlowSolution())
 
-    def test_hop_mode_uses_plain_successor_entry(self):
-        g, model = self._three_frame_chain()
-        solution = _solve(g)
-        g.clip_oldest_frame(solution, model, entry_mode="hop")
-        eid = g.entry_edge_of(det(1, 0))
-        # successor's own entry 2 + removed det -5 + link 0 = -3 here too,
-        # but the formula differs when the prefix is longer than one hop
-        assert g.e_cost[eid] == -3.0
-        with pytest.raises(DataError):
-            g.clip_oldest_frame(solution, model, entry_mode="nope")
-
-    def test_prefix_vs_hop_diverge_on_long_prefix(self):
+    def test_prefix_cost_survives_repeated_clips(self):
         links = {((0, 0), (1, 0)): 0.0, ((1, 0), (2, 0)): 0.0,
                  ((2, 0), (3, 0)): 0.0}
         model = StubModel(links=links)
-
-        def build():
-            g = TrackingGraph(gating=False)
-            for f in range(4):
-                g.append_frame([det(f, 0)], model, frame=f)
-            return g
-
-        g1, g2 = build(), build()
-        sol = _solve(g1)
-        _solve(g2)
-        g1.clip_oldest_frame(sol, model, entry_mode="prefix")
-        s1 = _solve(g1)
-        g1.clip_oldest_frame(s1, model, entry_mode="prefix")
-        # prefix mode keeps the full original cost through repeated clipping
-        assert _solve(g1).total_cost == sol.total_cost
+        g = TrackingGraph(gating=False)
+        for f in range(4):
+            g.append_frame([det(f, 0)], model, frame=f)
+        sol = _solve(g)
+        g.clip_oldest_frame(sol)
+        g.clip_oldest_frame(_solve(g))
+        # the second fold carries the first one's prefix along
+        assert _solve(g).total_cost == sol.total_cost
 
     def test_node_budget_bounded_under_windowing(self):
         model = CostModel()
@@ -203,7 +185,7 @@ class TestClipOldestFrame:
         for f in range(30):
             dets = [det(f, i, x=20.0 * i, y=1.0 * f) for i in range(d_max)]
             if not g.is_empty and g.n_frames >= tau:
-                g.clip_oldest_frame(_solve(g), model)
+                g.clip_oldest_frame(_solve(g))
             g.append_frame(dets, model, frame=f)
             assert g.n_live_nodes <= 2 * tau * d_max + 2
             check_layered_dag(g)

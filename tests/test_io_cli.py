@@ -6,10 +6,13 @@ import sys
 import pytest
 
 from conftest import det
+from flowtrack import cli
 from flowtrack import io as ftio
+from flowtrack.cost_model import CostModel
 from flowtrack.errors import DataError
 from flowtrack.graph import Trajectory
 from flowtrack.metrics import clear_mot
+from flowtrack.synthetic import SyntheticConfig, generate_synthetic
 
 
 class TestParseDetections:
@@ -290,11 +293,43 @@ class TestCli:
     def test_unknown_config_key_is_data_error(self, sample_files, tmp_path):
         _, det_path, _ = sample_files
         cfg = tmp_path / "old.cfg"
-        cfg.write_text("cache_size = 4\n")  # a key that no longer exists
-        r = run_cli("track", "-i", str(det_path), "-o", "-",
-                    "--config", str(cfg))
-        assert r.returncode == 2
-        assert "unknown config key 'cache_size'" in r.stderr
+        # keys that no longer exist
+        for key, value in (("cache_size", "4"), ("clip_entry_mode", "prefix")):
+            cfg.write_text(f"{key} = {value}\n")
+            r = run_cli("track", "-i", str(det_path), "-o", "-",
+                        "--config", str(cfg))
+            assert r.returncode == 2
+            assert f"unknown config key '{key}'" in r.stderr
+
+    def test_scaled_costs_give_the_same_tracks(self, tmp_path, monkeypatch):
+        """Scaling every cost by a power of two changes no track, however
+        large or small the costs get."""
+        monkeypatch.delenv("FLOWTRACK_CONFIG", raising=False)
+        det_path, out, cfg = (str(tmp_path / n)
+                              for n in ("det.csv", "tracks.csv", "scaled.cfg"))
+        scene = SyntheticConfig(n_frames=30, n_initial_tracks=4,
+                                miss_rate=0.1, fp_rate=0.2, crossing=True)
+        ftio.write_detections(det_path, generate_synthetic(scene, 1)[0])
+        model = CostModel()
+
+        def track(solver, *config):
+            assert cli.main(["track", "-i", det_path, "-o", out,
+                             "--solver", solver, *config]) == 0
+            with open(out) as f:
+                return f.read()
+
+        for solver in ("ssp", "dssp", "odssp"):
+            base = track(solver)
+            for scale in (2.0 ** -30, 2.0 ** 20, 2.0 ** 40):
+                weights = ",".join(repr(w * scale)
+                                   for w in model.feature_weights)
+                with open(cfg, "w") as f:
+                    f.write(f"entry_cost = {model.entry_cost * scale!r}\n"
+                            f"exit_cost = {model.exit_cost * scale!r}\n"
+                            f"det_offset = {model.det_offset * scale!r}\n"
+                            f"det_weight = {model.det_weight * scale!r}\n"
+                            f"feature_weights = {weights}\n")
+                assert track(solver, "--config", cfg) == base, (solver, scale)
 
     def test_exit_code_usage_error(self):
         r = run_cli("track", "--solver", "definitely-not-a-solver")
@@ -325,3 +360,13 @@ class TestCli:
         _, det_path, _ = sample_files
         r = run_cli("track", "-i", str(det_path), "--solver", "mbodssp")
         assert r.returncode == 2
+        # a one-frame window is refused before any frame is read
+        r = run_cli("track", "-i", str(det_path), "-o", "-",
+                    "--solver", "mbodssp", "--window", "1")
+        assert r.returncode == 2
+        assert "window must be >= 2" in r.stderr
+        r = run_cli("track", "--stream", "--solver", "mbodssp", "--window", "1",
+                    stdin="0,-1,10,10,20,40,2\n\n1,-1,12,10,20,40,2\n\n")
+        assert r.returncode == 2
+        assert "window must be >= 2" in r.stderr
+        assert r.stdout == ""

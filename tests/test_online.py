@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -97,21 +99,56 @@ class TestOptimalOnline:
         with pytest.raises(DataError):
             tr.process_frame([det(5, 0)], frame=5)
 
-    def test_bounded_mode_requires_window(self):
-        with pytest.raises(DataError):
-            OnlineTracker(TrackerConfig(model=CostModel()), bounded=True)
-        with pytest.raises(DataError):
-            TrackerConfig(model=CostModel(), window=0)
-
 
 class TestBoundedOnline:
+    def test_window_below_two_rejected(self):
+        # a one-frame window would have to clip the only frame it holds
+        for window in (0, 1):
+            with pytest.raises(DataError, match="window must be >= 2"):
+                TrackerConfig(model=CostModel(), window=window)
+        tr = OnlineTracker(TrackerConfig(model=CostModel(), window=2))
+        for f in range(4):
+            tr.process_frame([det(f, 0)], frame=f)
+        assert tr.graph.n_frames == 2
+
+    def test_rejected_frame_leaves_full_window_untouched(self):
+        cfg = SyntheticConfig(n_frames=12, n_initial_tracks=3, miss_rate=0.0,
+                              fp_rate=0.1, spawn_prob=0.0, death_prob=0.0)
+        dets, _ = generate_synthetic(cfg, 4)
+        window, nxt = 5, 8
+        dup = replace(dets[nxt][0], box=(500.0, 500.0, 20.0, 40.0))
+        rejected = (
+            ("wrong index", dets[nxt + 1], nxt + 1),
+            ("repeated index", dets[nxt - 1], nxt - 1),
+            ("frame argument", dets[nxt], nxt + 1),
+            ("mixed frames", dets[nxt] + dets[nxt + 1], None),
+            ("duplicate local_index", dets[nxt] + [dup], nxt),
+        )
+        for what, bad, frame in rejected:
+            ref = OnlineTracker(TrackerConfig(model=CostModel(), window=window))
+            tr = OnlineTracker(TrackerConfig(model=CostModel(), window=window))
+            stream(ref, {f: dets[f] for f in range(nxt)})
+            stream(tr, {f: dets[f] for f in range(nxt)})
+            assert tr.graph.n_frames == window
+            before = (tr.graph.t_min, tr.graph.n_live_nodes)
+            with pytest.raises(DataError):
+                tr.process_frame(bad, frame=frame)
+            assert (tr.graph.t_min, tr.graph.n_live_nodes) == before, what
+            got = tr.process_frame(dets[nxt], frame=nxt)
+            want = ref.process_frame(dets[nxt], frame=nxt)
+            assert got.total_cost == want.total_cost, what
+            assert ([(t.track_id, [d.key for d in t.detections])
+                     for t in got.trajectories] ==
+                    [(t.track_id, [d.key for d in t.detections])
+                     for t in want.trajectories]), what
+
     def test_wide_window_identical_to_optimal(self):
         for seed in range(6):
             frames, model = make_random_instance(seed, frame_range=(4, 6),
                                                  dets_range=(1, 3))
             opt = OnlineTracker(TrackerConfig(model=model, gating=False))
             bnd = OnlineTracker(TrackerConfig(model=model, gating=False,
-                                              window=50), bounded=True)
+                                              window=50))
             for f in sorted(frames):
                 so = opt.process_frame(frames[f], frame=f)
                 sb = bnd.process_frame(frames[f], frame=f)
@@ -127,8 +164,7 @@ class TestBoundedOnline:
                               fp_rate=0.1, spawn_prob=0.1, death_prob=0.05)
         dets, _ = generate_synthetic(cfg, 3)
         tau = 5
-        tr = OnlineTracker(TrackerConfig(model=CostModel(), window=tau),
-                           bounded=True)
+        tr = OnlineTracker(TrackerConfig(model=CostModel(), window=tau))
         d_max = 0
         for f in sorted(dets):
             d_max = max(d_max, len(dets[f]))
@@ -143,8 +179,7 @@ class TestBoundedOnline:
                               observation_noise=0.1, miss_rate=0.0,
                               fp_rate=0.0)
         dets, _ = generate_synthetic(cfg, 7)
-        tr = OnlineTracker(TrackerConfig(model=CostModel(), window=10),
-                           bounded=True)
+        tr = OnlineTracker(TrackerConfig(model=CostModel(), window=10))
         ids_seen = set()
         for f in sorted(dets):
             solution = tr.process_frame(dets[f], frame=f)
@@ -161,7 +196,7 @@ class TestBoundedOnline:
                               fp_rate=0.05)
         dets, _ = generate_synthetic(cfg, 11)
         model = CostModel()
-        tr = OnlineTracker(TrackerConfig(model=model, window=6), bounded=True)
+        tr = OnlineTracker(TrackerConfig(model=model, window=6))
         for f in sorted(dets):
             tr.process_frame(dets[f], frame=f)
         for t in tr.final_tracks():
@@ -173,8 +208,7 @@ class TestBoundedOnline:
                               fp_rate=0.0, spawn_prob=0.0, death_prob=0.0,
                               motion_noise=0.2, observation_noise=0.2)
         dets, _ = generate_synthetic(cfg, 5)
-        tr = OnlineTracker(TrackerConfig(model=CostModel(), window=8),
-                           bounded=True)
+        tr = OnlineTracker(TrackerConfig(model=CostModel(), window=8))
         for f in sorted(dets):
             tr.process_frame(dets[f], frame=f)
         emitted = {d.key for t in tr.final_tracks() for d in t.detections}

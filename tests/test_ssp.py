@@ -1,8 +1,11 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from conftest import (StubModel, build_graph, canonical_graph, det,
                       interchange_graph, make_random_instance)
+from flowtrack.cost_model import CostModel
 from flowtrack.errors import DataError, InvariantBreach
 from flowtrack.graph import (LINK, SINK, SOURCE, TrackingGraph,
                              build_batch_graph, check_flow_conservation)
@@ -11,6 +14,8 @@ from flowtrack.ssp import (Path, PredecessorMap, ResidualGraph, build_residual,
                            dijkstra_full, dynamic_broadcast,
                            path_original_cost, solve_dp_greedy, solve_dssp,
                            solve_ssp)
+from flowtrack.online import OnlineTracker, TrackerConfig
+from flowtrack.synthetic import SyntheticConfig, generate_synthetic
 
 
 def single_det_graph(detection=-5.0):
@@ -296,3 +301,48 @@ class TestGreedyDp:
             greedy, _ = solve_dp_greedy(build_graph(frames, model))
             optimal, _ = solve_ssp(build_graph(frames, model))
             assert greedy.total_cost >= optimal.total_cost - 1e-9
+
+
+def scaled_model(scale):
+    """CostModel whose every edge cost is exactly scale x the default's, for
+    a power-of-two scale."""
+    m = CostModel()
+    return replace(m, entry_cost=m.entry_cost * scale,
+                   exit_cost=m.exit_cost * scale,
+                   det_offset=m.det_offset * scale,
+                   det_weight=m.det_weight * scale,
+                   feature_weights=tuple(w * scale for w in m.feature_weights))
+
+
+class TestCostScaling:
+    """The reduced-cost tolerance is relative to the largest |edge cost|, so
+    scaling every cost by a power of two, which is exact in floating point,
+    scales the objective and leaves every decision alone."""
+
+    SCALES = [2.0 ** k for k in range(-30, 41, 10)]
+
+    def test_solvers_invariant_under_power_of_two_scaling(self):
+        cfg = SyntheticConfig(n_frames=30, n_initial_tracks=4, miss_rate=0.1,
+                              fp_rate=0.2, crossing=True)
+        dets, _ = generate_synthetic(cfg, 1)
+
+        def online(model):
+            tracker = OnlineTracker(TrackerConfig(model=model))
+            for f in sorted(dets):
+                solution = tracker.process_frame(dets[f], frame=f)
+            return solution
+
+        solvers = {
+            "ssp": lambda m: solve_ssp(build_batch_graph(dets, m))[0],
+            "dssp": lambda m: solve_dssp(build_batch_graph(dets, m))[0],
+            "odssp": online,
+        }
+        for name, solve in solvers.items():
+            base = solve(CostModel())
+            assert base.trajectories
+            for scale in self.SCALES:
+                got = solve(scaled_model(scale))
+                assert got.total_cost == base.total_cost * scale, (name, scale)
+                assert ([[d.key for d in t.detections] for t in got.trajectories]
+                        == [[d.key for d in t.detections]
+                            for t in base.trajectories]), (name, scale)

@@ -57,7 +57,7 @@ def reference_stream(solver, window, lag, text) -> str:
     track that is at least `lag` frames old and not yet written."""
     config = TrackerConfig(model=CostModel(),
                            window=window if solver == "mbodssp" else None)
-    tracker = OnlineTracker(config, bounded=solver == "mbodssp")
+    tracker = OnlineTracker(config)
     out, emitted = [], set()
 
     def emit_through(frame):
@@ -147,8 +147,8 @@ def test_stream_work_per_frame_stays_bounded(monkeypatch):
     starts = []
 
     class Tracker(OnlineTracker):
-        def __init__(self, config, bounded=False):
-            super().__init__(replace(config, model=model), bounded)
+        def __init__(self, config):
+            super().__init__(replace(config, model=model))
 
         def process_frame(self, detections, frame=None):
             starts.append(model.link_calls)
