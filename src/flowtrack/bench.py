@@ -1,8 +1,8 @@
 """Benchmark harness: run each solver over a detection set and emit CSV rows.
 
 Row format: ``solver,tau,frame,wall_time,relaxations,queue_pushes,live_nodes,
-live_edges``. Streaming solvers emit one row per frame; batch
-solvers emit a single summary row with frame = -1.
+live_edges``. Streaming solvers emit one row per frame that occurs in the
+input; batch solvers emit a single summary row with frame = -1.
 """
 from __future__ import annotations
 

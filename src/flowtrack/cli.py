@@ -164,18 +164,10 @@ def _track_stream(args, tracker: OnlineTracker) -> int:
             emitted = {key for key in emitted if key[0] >= tracker.graph.t_min}
 
         last = None
-        while True:
-            block = ftio.parse_stream_frame(sys.stdin)
-            if block is None:
-                break
-            frame, dets = block
-            if last is not None:
-                while frame > last + 1:  # fill skipped frames as empty
-                    last += 1
-                    tracker.process_frame([], frame=last)
-            tracker.process_frame(dets, frame=frame)
-            last = frame
-            emit_through(frame - lag)
+        while (block := ftio.parse_stream_frame(sys.stdin)) is not None:
+            last, dets = block
+            tracker.process_frame(dets, frame=last)
+            emit_through(last - lag)
         if last is not None:
             emit_through(last)
     return 0

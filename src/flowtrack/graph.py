@@ -64,10 +64,13 @@ def default_gate(a: Detection, b: Detection, radius_factor: float = 2.0) -> bool
 
 
 class TrackingGraph:
-    """Mutable layered DAG over a contiguous frame interval.
+    """Mutable layered DAG over the frames t_min..t_max.
 
-    Single-writer: operations mutate the graph exclusively. Node and edge ids
-    are recycled through free lists so clipping keeps storage bounded.
+    `frames` maps each frame index the graph holds to its detections, in frame
+    order. Indices may skip: a skipped frame holds no detections and costs
+    nothing, and links join consecutive indices only. Single-writer:
+    operations mutate the graph exclusively. Node and edge ids are recycled
+    through free lists so clipping keeps storage bounded.
     """
 
     def __init__(self, gating: bool = True, gate_radius_factor: float = 2.0):
@@ -166,17 +169,14 @@ class TrackingGraph:
         self.n_live_nodes += 1
         return nid
 
-    def _add_edge(self, src: int, dst: int, kind: str, cost: float,
-                  origin: int | None = None) -> int:
-        if not math.isfinite(cost):
-            raise DataError(f"non-finite {kind} edge cost {cost!r}")
+    def _add_edge(self, src: int, dst: int, kind: str, cost: float) -> int:
         if self._free_edges:
             eid = self._free_edges.pop()
             self.e_src[eid] = src
             self.e_dst[eid] = dst
             self.e_kind[eid] = kind
             self.e_cost[eid] = cost
-            self.e_origin[eid] = origin
+            self.e_origin[eid] = None
             self.e_alive[eid] = True
         else:
             eid = len(self.e_src)
@@ -184,7 +184,7 @@ class TrackingGraph:
             self.e_dst.append(dst)
             self.e_kind.append(kind)
             self.e_cost.append(cost)
-            self.e_origin.append(origin)
+            self.e_origin.append(None)
             self.e_alive.append(True)
         self.out_edges[src].append(eid)
         self.in_edges[dst].append(eid)
@@ -217,8 +217,9 @@ class TrackingGraph:
 
         The detections must share one frame, which must agree with `frame`
         when both are given, and have distinct local indices. The first frame
-        of an empty graph needs an explicit index; every later one is
-        t_max + 1.
+        of an empty graph needs an explicit index; every later one must lie
+        above t_max and defaults to t_max + 1. Frames skipped in between hold
+        no detections and cost nothing.
         """
         if detections:
             frames = {d.frame for d in detections}
@@ -231,13 +232,11 @@ class TrackingGraph:
         if self.is_empty:
             if frame is None:
                 raise DataError("the first frame needs an explicit frame index")
-        else:
-            expected = self.t_max + 1
-            if frame is None:
-                frame = expected
-            if frame != expected:
-                raise DataError(f"frames must be strictly in order: expected "
-                                f"frame {expected}, got {frame}")
+        elif frame is None:
+            frame = self.t_max + 1
+        elif frame <= self.t_max:
+            raise DataError(f"frames must be strictly in order: expected a "
+                            f"frame above {self.t_max}, got {frame}")
         seen = set()
         for d in detections:
             if d.local_index in seen:
@@ -247,43 +246,57 @@ class TrackingGraph:
 
     def append_frame(self, new_detections: list[Detection], model,
                      frame: int | None = None) -> "TrackingGraph":
-        """Extend the graph by one frame of detections (possibly empty)."""
-        frame = self.frame_index(new_detections, frame)
-        if self.is_empty:
-            self.t_min = frame
-        self.t_max = frame
-        dets = sorted(new_detections, key=lambda d: d.local_index)
-        self.frames[frame] = dets
+        """Extend the graph by one frame of detections (possibly empty).
 
-        prev_dets = self.frames.get(frame - 1, [])
-        for d in dets:
-            u = self._alloc_node(KIND_U, d)
-            v = self._alloc_node(KIND_V, d)
-            self.det_nodes[d.key] = (u, v)
-            self._add_edge(SOURCE, u, ENTRY, model.entry_cost_of(d))
-            self._add_edge(u, v, DET, model.detection_cost_of(d))
-            self._add_edge(v, SINK, EXIT, model.exit_cost_of(d))
-        for p in prev_dets:
+        Links join the frame to frame - 1 only, so nothing crosses skipped
+        frames. Every index and cost is checked before the graph changes, so
+        a rejected frame leaves no trace.
+        """
+        frame = self.frame_index(new_detections, frame)
+        dets = sorted(new_detections, key=lambda d: d.local_index)
+        node_costs = [(model.entry_cost_of(d), model.detection_cost_of(d),
+                       model.exit_cost_of(d)) for d in dets]
+        for costs in node_costs:
+            for kind, cost in zip((ENTRY, DET, EXIT), costs):
+                if not math.isfinite(cost):
+                    raise DataError(f"non-finite {kind} edge cost {cost!r}")
+        links = []
+        for p in self.frames.get(frame - 1, []):
             for d in dets:
                 if self.gating and not default_gate(p, d, self.gate_radius_factor):
                     continue
                 cost = model.link_cost_of(p, d)
                 if math.isnan(cost):
                     raise DataError(f"non-finite link cost for {p.key}->{d.key}")
-                if math.isinf(cost):
-                    continue  # +inf means "no plausible link"
-                self._add_edge(self.v_node(p), self.u_node(d), LINK, cost)
+                if not math.isinf(cost):  # +inf means "no plausible link"
+                    links.append((p, d, cost))
+
+        if self.is_empty:
+            self.t_min = frame
+        self.t_max = frame
+        self.frames[frame] = dets
+        for d, (entry, det_cost, exit_) in zip(dets, node_costs):
+            u = self._alloc_node(KIND_U, d)
+            v = self._alloc_node(KIND_V, d)
+            self.det_nodes[d.key] = (u, v)
+            self._add_edge(SOURCE, u, ENTRY, entry)
+            self._add_edge(u, v, DET, det_cost)
+            self._add_edge(v, SINK, EXIT, exit_)
+        for p, d, cost in links:
+            self._add_edge(self.v_node(p), self.u_node(d), LINK, cost)
         return self
 
     def clip_oldest_frame(self, solution: FlowSolution) -> "TrackingGraph":
         """Drop the oldest frame, folding each clipped trajectory's prefix
         cost (entry, detection and link) into its successor's entry edge, so
         the suffix keeps the trajectory's full cost and, via e_origin, its id.
+        t_min moves to the oldest frame left; clipping the only frame empties
+        the graph.
         """
-        if self.is_empty or self.t_min == self.t_max:
-            raise DataError("cannot clip the only frame of the graph")
+        if self.is_empty:
+            raise DataError("cannot clip an empty graph")
         t_min = self.t_min
-        removed = self.frames.get(t_min, [])
+        removed = self.frames.pop(t_min)
 
         for traj in solution.trajectories:
             first = traj.detections[0]
@@ -308,12 +321,14 @@ class TrackingGraph:
             u, v = self.det_nodes.pop(d.key)
             self._remove_node(u)
             self._remove_node(v)
-        self.frames.pop(t_min, None)
-        self.t_min = t_min + 1
+        self.t_min = next(iter(self.frames), None)
+        if self.t_min is None:
+            self.t_max = None
         return self
 
     @property
     def n_frames(self) -> int:
+        """Frame indices spanned, skipped ones included."""
         return 0 if self.is_empty else self.t_max - self.t_min + 1
 
 
@@ -327,11 +342,8 @@ def build_batch_graph(detections, model, gating: bool = True,
         by_frame = {}
         for d in detections:
             by_frame.setdefault(d.frame, []).append(d)
-    if not by_frame:
-        return graph
-    t_min, t_max = min(by_frame), max(by_frame)
-    for f in range(t_min, t_max + 1):
-        graph.append_frame(by_frame.get(f, []), model, frame=f)
+    for f in sorted(by_frame):
+        graph.append_frame(by_frame[f], model, frame=f)
     return graph
 
 
@@ -367,11 +379,12 @@ def check_layered_dag(graph: TrackingGraph) -> None:
         kd = graph.node_topo_key(graph.e_dst[eid])
         if not ks < kd:
             raise InvariantBreach(f"edge {eid} violates the layered order")
-    if not graph.is_empty:
-        for f in range(graph.t_min, graph.t_max + 1):
-            for d in graph.frames.get(f, []):
-                if not graph.t_min <= d.frame <= graph.t_max:
-                    raise InvariantBreach("detection outside frames_present")
+    held = list(graph.frames)
+    ends = (held[0], held[-1]) if held else (None, None)
+    if held != sorted(held) or ends != (graph.t_min, graph.t_max) or any(
+            d.frame != f for f, dets in graph.frames.items() for d in dets):
+        raise InvariantBreach("frames out of order, outside t_min..t_max or "
+                              "holding another frame's detection")
     expected = 2 * graph.n_detections + 2
     if graph.n_live_nodes != expected:
         raise InvariantBreach(

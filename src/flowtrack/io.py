@@ -59,7 +59,11 @@ def _rows(fobj):
         yield lineno, [c.strip() for c in row]
 
 
-def _detection_from_row(row, lineno, with_gt_id=False):
+def _add_detection(per_frame: dict[int, list[Detection]], row, lineno,
+                   with_gt_id=False):
+    """Parse one detection row and append it to its frame's list in
+    per_frame, with the next local index of that frame. Returns the
+    detection and its gt id (None without with_gt_id)."""
     tail = 1 if with_gt_id else 0
     if len(row) < 7 + tail:
         raise DataError(f"line {lineno}: expected at least {7 + tail} columns, "
@@ -74,44 +78,31 @@ def _detection_from_row(row, lineno, with_gt_id=False):
     extras = tuple(_parse_float(c, f"extra column {i}", lineno)
                    for i, c in enumerate(extra_cols, start=7))
     gt_id = _parse_int(row[-1], "gt id", lineno) if with_gt_id else None
+    dets = per_frame.setdefault(frame, [])
     try:
-        det = Detection(frame=frame, box=(x, y, w, h), score=score,
-                        local_index=0, extras=extras)
+        dets.append(Detection(frame=frame, box=(x, y, w, h), score=score,
+                              local_index=len(dets), extras=extras))
     except DataError as exc:
         raise DataError(f"line {lineno}: {exc}") from None
-    return det, gt_id
-
-
-def _finish_frames(per_frame: dict):
-    if not per_frame:
-        return {}
-    out = {}
-    for f in range(min(per_frame), max(per_frame) + 1):
-        dets = []
-        for i, d in enumerate(per_frame.get(f, [])):
-            dets.append(Detection(frame=d.frame, box=d.box, score=d.score,
-                                  local_index=i, extras=d.extras))
-        out[f] = dets
-    return out
+    return dets[-1], gt_id
 
 
 def parse_detections(source) -> dict[int, list[Detection]]:
-    """Read a detection CSV into {frame: [Detection, ...]}.
+    """Read a detection CSV into {frame: [Detection, ...]} in frame order.
 
-    Frames inside the observed range with no detections map to empty lists;
-    local indices follow file order within each frame.
+    Only frames that occur in the file are keys; local indices follow file
+    order within each frame.
     """
     per_frame: dict[int, list[Detection]] = {}
     n_extras = None
     with open_or_stdio(source) as fobj:
         for lineno, row in _rows(fobj):
-            det, _ = _detection_from_row(row, lineno)
+            det, _ = _add_detection(per_frame, row, lineno)
             if n_extras is None:
                 n_extras = len(det.extras)
             elif len(det.extras) != n_extras:
                 raise DataError(f"line {lineno}: inconsistent column count")
-            per_frame.setdefault(det.frame, []).append(det)
-    return _finish_frames(per_frame)
+    return dict(sorted(per_frame.items()))
 
 
 def parse_ground_truth(source) -> tuple[dict[int, list[Detection]], GroundTruth]:
@@ -120,10 +111,9 @@ def parse_ground_truth(source) -> tuple[dict[int, list[Detection]], GroundTruth]
     gt = GroundTruth()
     with open_or_stdio(source) as fobj:
         for lineno, row in _rows(fobj):
-            det, gt_id = _detection_from_row(row, lineno, with_gt_id=True)
-            per_frame.setdefault(det.frame, []).append(det)
+            det, gt_id = _add_detection(per_frame, row, lineno, with_gt_id=True)
             gt.add(det.frame, gt_id, det.box)
-    return _finish_frames(per_frame), gt
+    return dict(sorted(per_frame.items())), gt
 
 
 def _fmt(x: float) -> str:
@@ -213,22 +203,16 @@ def parse_stream_frame(fobj) -> tuple[int, list[Detection]] | None:
     Returns (frame, detections) or None at end of input. All rows in a block
     must share one frame index.
     """
-    per: list[Detection] = []
-    frame = None
+    per_frame: dict[int, list[Detection]] = {}
     for line in fobj:
         text = line.strip()
         if not text:
-            if frame is not None:
+            if per_frame:
                 break
             continue  # leading blank lines
         row = [c.strip() for c in text.split(",")]
-        det, _ = _detection_from_row(row, lineno=0)
-        if frame is None:
-            frame = det.frame
-        elif det.frame != frame:
+        det, _ = _add_detection(per_frame, row, lineno=0)
+        frame = next(iter(per_frame))
+        if det.frame != frame:
             raise DataError(f"stream block mixes frames {frame} and {det.frame}")
-        per.append(Detection(frame=det.frame, box=det.box, score=det.score,
-                             local_index=len(per), extras=det.extras))
-    if frame is None:
-        return None
-    return frame, per
+    return next(iter(per_frame.items()), None)

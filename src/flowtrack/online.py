@@ -43,8 +43,12 @@ class PredecessorCache:
         self.labels: PredecessorMap | None = None
 
     def lookup(self, frame: int) -> PredecessorMap | None:
-        """The stored labels if they are for frame - 1, else None."""
-        return self.labels if self.frame == frame - 1 else None
+        """The stored labels if they are for an earlier frame, else None.
+        Nothing but `frame` was appended since, so they still hold for every
+        older node, also across skipped frames."""
+        if self.frame is None or self.frame >= frame:
+            return None
+        return self.labels
 
     def clip(self):
         """Drop the labels: a clip changes entry costs, so they go stale."""
@@ -157,7 +161,8 @@ class OnlineTracker:
         # Validate before clipping, so a rejected frame leaves no trace.
         frame = g.frame_index(detections, frame)
         window = self.config.window
-        if window is not None and g.n_frames >= window:
+        # The window counts frame indices, so after a gap several frames go.
+        while window is not None and not g.is_empty and frame - g.t_min >= window:
             self._clip_one_frame()
         g.append_frame(detections, self.config.model, frame=frame)
         self.max_dets_per_frame = max(self.max_dets_per_frame, len(detections))

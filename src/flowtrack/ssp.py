@@ -208,8 +208,9 @@ def dag_shortest_path(res: ResidualGraph, from_frame: int | None = None,
                 if dst not in excluded:
                     relax(vn, eid, dst)
     # Frame-by-frame sweep: u nodes (detection edges) then v nodes (links, exits).
-    for f in range(from_frame, g.t_max + 1):
-        dets = g.frames.get(f, [])
+    for f, dets in g.frames.items():
+        if f < from_frame:
+            continue
         for d in dets:
             un = g.u_node(d)
             if un in excluded or not np.isfinite(dist[un]):

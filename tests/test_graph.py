@@ -75,10 +75,46 @@ class TestAppendFrame:
         g.append_frame([det(2, 0)], CostModel())
         assert all(g.e_kind[e] != LINK for e in g.live_edges())
 
-    def test_frame_gap_rejected(self):
-        g = build_batch_graph([det(0, 0)], CostModel())
-        with pytest.raises(DataError):
-            g.append_frame([det(5, 0)], CostModel())
+    def test_frame_gap_links_nothing(self):
+        model = CostModel()
+        g = build_batch_graph([det(0, 0)], model)
+        g.append_frame([det(5, 0)], model)
+        assert (g.t_min, g.t_max, list(g.frames)) == (0, 5, [0, 5])
+        assert all(g.e_kind[e] != LINK for e in g.live_edges())
+        check_layered_dag(g)
+        # the same graph as with the skipped frames appended empty
+        filled = TrackingGraph()
+        for f in range(6):
+            filled.append_frame([det(f, 0)] if f in (0, 5) else [], model,
+                                frame=f)
+        assert graphs_structurally_equal(g, filled)
+        # the implicit next frame is still t_max + 1
+        g.append_frame([], model)
+        assert g.t_max == 6
+
+    def test_rejected_cost_leaves_graph_untouched(self):
+        frame0, frame1 = [det(0, 0)], [det(1, 0), det(1, 1)]
+        good = StubModel(links={((0, 0), (1, 0)): 0.0, ((0, 0), (1, 1)): 1.0})
+        bad_models = (
+            StubModel(links={((0, 0), (1, 0)): 0.0, ((0, 0), (1, 1)): math.nan}),
+            StubModel(exit_={(0, 0): 2.0, (1, 0): 2.0, (1, 1): math.inf},
+                      links=good.links),
+        )
+        for bad in bad_models:
+            g = TrackingGraph(gating=False)
+            g.append_frame(frame0, good, frame=0)
+
+            def state():
+                return (g.t_min, g.t_max, list(g.frames), g.n_detections,
+                        g.n_live_nodes, g.n_live_edges)
+
+            before = state()
+            with pytest.raises(DataError, match="non-finite"):
+                g.append_frame(frame1, bad)
+            assert state() == before
+            g.append_frame(frame1, good)
+            assert graphs_structurally_equal(
+                g, build_graph({0: frame0, 1: frame1}, good))
 
     def test_mixed_frames_rejected(self):
         g = TrackingGraph()
@@ -160,10 +196,27 @@ class TestClipOldestFrame:
         assert g.e_cost[eid] == 2.0
         assert g.e_origin[eid] is None
 
-    def test_clip_only_frame_rejected(self):
+    def test_clip_only_frame_empties_graph(self):
         g = build_batch_graph([det(0, 0)], CostModel())
-        with pytest.raises(DataError):
+        g.clip_oldest_frame(FlowSolution())
+        assert g.is_empty and g.t_max is None and g.frames == {}
+        assert (g.n_detections, g.n_live_nodes, g.n_live_edges) == (0, 2, 0)
+        check_layered_dag(g)
+        with pytest.raises(DataError, match="empty graph"):
             g.clip_oldest_frame(FlowSolution())
+        g.append_frame([det(7, 0)], CostModel())
+        assert (g.t_min, g.t_max, g.n_live_nodes) == (7, 7, 4)
+
+    def test_clip_moves_tmin_past_a_gap(self):
+        model = CostModel()
+        g = TrackingGraph()
+        for f in (2, 3, 9):
+            g.append_frame([det(f, 0)], model, frame=f)
+        g.clip_oldest_frame(_solve(g))
+        assert (g.t_min, g.n_frames) == (3, 7)
+        g.clip_oldest_frame(_solve(g))
+        assert (g.t_min, g.t_max, list(g.frames), g.n_detections) == (9, 9, [9], 1)
+        check_layered_dag(g)
 
     def test_prefix_cost_survives_repeated_clips(self):
         links = {((0, 0), (1, 0)): 0.0, ((1, 0), (2, 0)): 0.0,

@@ -10,8 +10,9 @@ from flowtrack import cli
 from flowtrack import io as ftio
 from flowtrack.cost_model import CostModel
 from flowtrack.errors import DataError
-from flowtrack.graph import Trajectory
+from flowtrack.graph import TrackingGraph, Trajectory
 from flowtrack.metrics import clear_mot
+from flowtrack.online import OnlineTracker
 from flowtrack.synthetic import SyntheticConfig, generate_synthetic
 
 
@@ -38,11 +39,12 @@ class TestParseDetections:
         with pytest.raises(DataError, match="line 1"):
             ftio.parse_detections(io.StringIO("0,-1,x,1,5,5,0.5\n"))
 
-    def test_sparse_frames_filled(self):
-        text = "0,-1,1,1,5,5,0.5\n3,-1,1,1,5,5,0.5\n"
+    def test_sparse_frames_kept_sparse(self):
+        text = "3,-1,1,1,5,5,0.5\n0,-1,1,1,5,5,0.5\n3,-1,2,2,5,5,0.5\n"
         dets = ftio.parse_detections(io.StringIO(text))
-        assert sorted(dets) == [0, 1, 2, 3]
-        assert dets[1] == [] and dets[2] == []
+        # only the frames that occur, in frame order
+        assert list(dets) == [0, 3]
+        assert [d.local_index for d in dets[3]] == [0, 1]
 
     def test_local_indices_follow_file_order(self):
         text = "0,-1,1,1,5,5,0.5\n0,-1,9,9,5,5,0.7\n"
@@ -370,3 +372,46 @@ class TestCli:
         assert r.returncode == 2
         assert "window must be >= 2" in r.stderr
         assert r.stdout == ""
+
+
+#: Every solver, batch and --stream.
+GAP_RUNS = ([(solver, False) for solver in ("ssp", "dssp", "dp", "odssp",
+                                             "mbodssp")]
+            + [(solver, True) for solver in ("odssp", "mbodssp")])
+
+
+@pytest.mark.parametrize("solver,stream", GAP_RUNS)
+def test_frame_gap_costs_nothing(solver, stream, monkeypatch):
+    """Two rows a million frames apart: two frames appended, at most two
+    solves, and both detections tracked."""
+    rows = ("0,-1,10,10,20,40,2\n", "1000000,-1,12,10,20,40,2\n")
+    appends, solves = [], []
+
+    def counting(fn, calls):
+        def wrapper(*args, **kwargs):
+            calls.append(1)
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(TrackingGraph, "append_frame",
+                        counting(TrackingGraph.append_frame, appends))
+    monkeypatch.setattr(OnlineTracker, "_solve",
+                        counting(OnlineTracker._solve, solves))
+    for name in ("solve_ssp", "solve_dssp", "solve_dp_greedy"):
+        monkeypatch.setattr(cli, name, counting(getattr(cli, name), solves))
+    monkeypatch.delenv("FLOWTRACK_CONFIG", raising=False)
+    monkeypatch.setattr(sys, "stdin", io.StringIO(
+        "\n".join(rows) if stream else "".join(rows)))
+    out = io.StringIO()
+    monkeypatch.setattr(sys, "stdout", out)
+    # cheap entries and exits make a one-detection track worth keeping
+    argv = ["track", "--solver", solver, "-o", "-", "--entry-cost", "0.25",
+            "--exit-cost", "0.25"]
+    argv += ["--stream"] if stream else ["-i", "-"]
+    if solver == "mbodssp":
+        argv += ["--window", "5"]
+    assert cli.main(argv) == 0
+    assert len(appends) == 2
+    assert 1 <= len(solves) <= 2
+    assert [line.split(",")[0] for line in out.getvalue().splitlines()] == \
+        ["0", "1000000"]

@@ -91,13 +91,34 @@ class TestOptimalOnline:
             assert (warm.stats.cache_hits, warm.stats.cache_misses) == (
                 len(frames) - 1, 1)
 
+    def test_dag_labels_reused_across_a_gap(self):
+        cfg = SyntheticConfig(n_frames=16, n_initial_tracks=3, miss_rate=0.1,
+                              fp_rate=0.2)
+        dets, _ = generate_synthetic(cfg, 2)
+        frames = {f: ds for f, ds in dets.items()
+                  if ds and f not in (4, 5, 9, 10, 11)}
+        warm, cold = (stream(OnlineTracker(TrackerConfig(model=CostModel())),
+                             frames, cold=c) for c in (False, True))
+        assert warm.solution.total_cost == pytest.approx(
+            cold.solution.total_cost, abs=1e-9)
+        assert ([[d.key for d in t.detections] for t in warm.solution.trajectories]
+                == [[d.key for d in t.detections]
+                    for t in cold.solution.trajectories])
+        # the labels of the frame before a gap still hold after it
+        assert (warm.stats.cache_hits, warm.stats.cache_misses) == (
+            len(frames) - 1, 1)
+        assert warm.stats.relaxations < cold.stats.relaxations
+
     def test_out_of_order_frames_rejected(self):
         tr = OnlineTracker(TrackerConfig(model=CostModel()))
         tr.process_frame([det(0, 0)], frame=0)
         with pytest.raises(DataError):
             tr.process_frame([det(0, 0)], frame=0)
-        with pytest.raises(DataError):
-            tr.process_frame([det(5, 0)], frame=5)
+        tr.process_frame([det(5, 0)], frame=5)  # a gap is accepted
+        for f in (5, 3):
+            with pytest.raises(DataError, match="strictly in order"):
+                tr.process_frame([det(f, 0)], frame=f)
+        assert list(tr.graph.frames) == [0, 5]
 
 
 class TestBoundedOnline:
@@ -118,7 +139,7 @@ class TestBoundedOnline:
         window, nxt = 5, 8
         dup = replace(dets[nxt][0], box=(500.0, 500.0, 20.0, 40.0))
         rejected = (
-            ("wrong index", dets[nxt + 1], nxt + 1),
+            ("lower index", dets[nxt - 2], nxt - 2),
             ("repeated index", dets[nxt - 1], nxt - 1),
             ("frame argument", dets[nxt], nxt + 1),
             ("mixed frames", dets[nxt] + dets[nxt + 1], None),

@@ -17,23 +17,31 @@ from flowtrack.cost_model import CostModel
 from flowtrack.online import OnlineTracker, TrackerConfig
 from flowtrack.synthetic import SyntheticConfig, generate_synthetic
 
-#: Scenes with births, deaths, missed detections and false positives. In the
-#: crowded crossing one, odssp revises ids of rows it has already written;
-#: the high miss rate of the last one leaves empty frames that the CLI fills.
+#: Scenes with births, deaths, missed detections and false positives, as
+#: (config, seed, frames carved out). In the crowded crossing one, odssp
+#: revises ids of rows it has already written. The high miss rate of the
+#: third one leaves frames without detections, which the stream skips and the
+#: reference emitter processes as explicit empty frames. The carved gaps of
+#: the last one are longer than the window of 4, so mbodssp clips its whole
+#: window at once, down to an empty graph.
 SCENES = (
     (SyntheticConfig(n_frames=30, n_initial_tracks=3, spawn_prob=0.2,
-                     death_prob=0.08, miss_rate=0.15, fp_rate=0.15), 3),
+                     death_prob=0.08, miss_rate=0.15, fp_rate=0.15), 3, ()),
     (SyntheticConfig(n_frames=30, n_initial_tracks=6, spawn_prob=0.1,
                      death_prob=0.05, miss_rate=0.2, fp_rate=0.3,
-                     crossing=True, speed_range=(10.0, 25.0)), 9),
+                     crossing=True, speed_range=(10.0, 25.0)), 9, ()),
     (SyntheticConfig(n_frames=30, n_initial_tracks=1, spawn_prob=0.1,
-                     death_prob=0.1, miss_rate=0.5, fp_rate=0.1), 21),
+                     death_prob=0.1, miss_rate=0.5, fp_rate=0.1), 21, ()),
+    (SyntheticConfig(n_frames=40, n_initial_tracks=4, spawn_prob=0.1,
+                     death_prob=0.05, miss_rate=0.1, fp_rate=0.2), 5,
+     (*range(8, 14), *range(20, 29), 33)),
 )
 RUNS = (("odssp", ()), ("mbodssp", ("--window", "4")))
 LAGS = (0, 2, 6)
 
 
 def stream_text(detections) -> str:
+    """One block per frame with detections."""
     blocks = []
     for f in sorted(detections):
         if detections[f]:
@@ -95,16 +103,22 @@ def revised_rows(text: str) -> int:
     return n
 
 
+def scene_text(cfg, seed, carved) -> str:
+    detections = generate_synthetic(cfg, seed)[0]
+    return stream_text({f: dets for f, dets in detections.items()
+                        if f not in carved})
+
+
 @pytest.mark.parametrize("solver,args", RUNS)
 def test_stream_matches_full_scan_emitter(solver, args, monkeypatch):
     revisions = 0
-    for cfg, seed in SCENES:
-        text = stream_text(generate_synthetic(cfg, seed)[0])
+    for scene in SCENES:
+        text = scene_text(*scene)
         for lag in LAGS:
             expected = reference_stream(solver, 4, lag, text)
             got = run_stream(["--solver", solver, *args,
                               "--confirm-lag", str(lag)], text, monkeypatch)
-            assert got == expected, (cfg, seed, lag)
+            assert got == expected, (scene, lag)
             revisions += revised_rows(expected)
     # The scenes exercise ids revised after their rows were written (mbodssp
     # keeps its ids on these scenes).
@@ -120,8 +134,7 @@ def test_stream_never_rebuilds_final_tracks(monkeypatch):
             return super().final_tracks()
 
     monkeypatch.setattr(cli, "OnlineTracker", Tracker)
-    cfg, seed = SCENES[0]
-    text = stream_text(generate_synthetic(cfg, seed)[0])
+    text = scene_text(*SCENES[0])
     for lag in LAGS:
         assert run_stream(["--solver", "mbodssp", "--window", "4",
                            "--confirm-lag", str(lag)], text, monkeypatch)
