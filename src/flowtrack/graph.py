@@ -55,6 +55,18 @@ class FlowSolution:
     edge_flow: dict[int, int] = field(default_factory=dict)
 
 
+@dataclass
+class PreparedFrame:
+    """One frame checked against a graph, ready to append: its index, its
+    detections in local-index order, their (entry, detection, exit) costs
+    and the admitted (previous, detection, cost) links."""
+
+    frame: int
+    dets: list[Detection]
+    node_costs: list[tuple[float, float, float]]
+    links: list[tuple[Detection, Detection, float]]
+
+
 def default_gate(a: Detection, b: Detection, radius_factor: float = 2.0) -> bool:
     """Admit a link only when the box centers are within radius_factor times
     the larger box diagonal."""
@@ -210,19 +222,22 @@ class TrackingGraph:
 
     # -- frame-level operations ------------------------------------------------
 
-    def frame_index(self, detections: list[Detection],
-                    frame: int | None = None) -> int:
-        """Validate one frame of detections for append_frame and return its
-        index, leaving the graph untouched.
+    def prepare_frame(self, new_detections: list[Detection], model,
+                      frame: int | None = None) -> PreparedFrame:
+        """Check one frame of detections and compute its costs, leaving the
+        graph untouched; append_frame commits the result.
 
         The detections must share one frame, which must agree with `frame`
         when both are given, and have distinct local indices. The first frame
         of an empty graph needs an explicit index; every later one must lie
         above t_max and defaults to t_max + 1. Frames skipped in between hold
-        no detections and cost nothing.
+        no detections and cost nothing. Every cost must be finite, except a
+        link cost of +inf, which admits no link. Links join the frame to
+        frame - 1, so the result stays valid while only older frames are
+        clipped.
         """
-        if detections:
-            frames = {d.frame for d in detections}
+        if new_detections:
+            frames = {d.frame for d in new_detections}
             if len(frames) > 1:
                 raise DataError(f"detections span multiple frames: {sorted(frames)}")
             det_frame = frames.pop()
@@ -238,21 +253,11 @@ class TrackingGraph:
             raise DataError(f"frames must be strictly in order: expected a "
                             f"frame above {self.t_max}, got {frame}")
         seen = set()
-        for d in detections:
+        for d in new_detections:
             if d.local_index in seen:
                 raise DataError(f"duplicate local_index {d.local_index} in frame {frame}")
             seen.add(d.local_index)
-        return frame
 
-    def append_frame(self, new_detections: list[Detection], model,
-                     frame: int | None = None) -> "TrackingGraph":
-        """Extend the graph by one frame of detections (possibly empty).
-
-        Links join the frame to frame - 1 only, so nothing crosses skipped
-        frames. Every index and cost is checked before the graph changes, so
-        a rejected frame leaves no trace.
-        """
-        frame = self.frame_index(new_detections, frame)
         dets = sorted(new_detections, key=lambda d: d.local_index)
         node_costs = [(model.entry_cost_of(d), model.detection_cost_of(d),
                        model.exit_cost_of(d)) for d in dets]
@@ -270,19 +275,35 @@ class TrackingGraph:
                     raise DataError(f"non-finite link cost for {p.key}->{d.key}")
                 if not math.isinf(cost):  # +inf means "no plausible link"
                     links.append((p, d, cost))
+        return PreparedFrame(frame, dets, node_costs, links)
 
+    def append_frame(self, new_detections: list[Detection], model,
+                     frame: int | None = None,
+                     prepared: PreparedFrame | None = None) -> "TrackingGraph":
+        """Extend the graph by one frame of detections (possibly empty).
+
+        Links join the frame to frame - 1 only, so nothing crosses skipped
+        frames. Every index and cost is checked before the graph changes, so
+        a rejected frame leaves no trace. A caller that must change the graph
+        between the checks and the append passes what prepare_frame returned
+        for these detections as `prepared`.
+        """
+        if prepared is None:
+            prepared = self.prepare_frame(new_detections, model, frame)
+        frame = prepared.frame
         if self.is_empty:
             self.t_min = frame
         self.t_max = frame
-        self.frames[frame] = dets
-        for d, (entry, det_cost, exit_) in zip(dets, node_costs):
+        self.frames[frame] = prepared.dets
+        for d, (entry, det_cost, exit_) in zip(prepared.dets,
+                                                prepared.node_costs):
             u = self._alloc_node(KIND_U, d)
             v = self._alloc_node(KIND_V, d)
             self.det_nodes[d.key] = (u, v)
             self._add_edge(SOURCE, u, ENTRY, entry)
             self._add_edge(u, v, DET, det_cost)
             self._add_edge(v, SINK, EXIT, exit_)
-        for p, d, cost in links:
+        for p, d, cost in prepared.links:
             self._add_edge(self.v_node(p), self.u_node(d), LINK, cost)
         return self
 

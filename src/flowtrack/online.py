@@ -1,13 +1,13 @@
 """Streaming trackers: optimal online solving and the memory-bounded variant.
 
 Each incoming frame is appended to the graph and the flow problem is re-solved
-by the batch dynamic SSP loop (O-DSSP). The loop's DAG bootstrap is
-warm-started from the previous frame's DAG labels, so only edges touching the
-new frame are relaxed; every later iteration is a dynamic broadcast, which is
-exact because the converted labels meet its precondition. A tracker with a
-window is memory-bounded: it also clips frames older than the window, folding
-clipped trajectory prefixes into synthesized entry-edge costs so track
-identities and costs survive clipping.
+by the batch SSP loop. The loop's DAG bootstrap is warm-started from the
+previous frame's DAG labels, so only edges touching the new frame are relaxed;
+every later iteration is a full compiled Dijkstra (ssp.dijkstra_full), which
+measured faster per frame than the paper's Python dynamic broadcast. A
+tracker with a window is memory-bounded: it also clips frames older than the
+window, folding clipped trajectory prefixes into synthesized entry-edge costs
+so track identities and costs survive clipping.
 """
 from __future__ import annotations
 
@@ -18,7 +18,8 @@ from .cost_model import CostModel, Detection
 from .errors import DataError, InvariantBreach
 from .graph import FlowSolution, TrackingGraph, Trajectory
 from .ssp import PredecessorMap, SolverStats, _ssp_loop
-# Unused; perfbench's tracer test checks that this imported copy gets wrapped.
+# Unused here (_ssp_loop calls it from ssp); perfbench's tracer test checks
+# that this imported copy gets wrapped too.
 from .ssp import dijkstra_full  # noqa: F401
 
 
@@ -158,13 +159,15 @@ class OnlineTracker:
                       frame: int | None = None) -> FlowSolution:
         t_start = time.perf_counter()
         g = self.graph
-        # Validate before clipping, so a rejected frame leaves no trace.
-        frame = g.frame_index(detections, frame)
+        # Check the frame and its costs before clipping, so a rejected frame
+        # leaves no trace; the clip keeps frame - 1, which the links join.
+        prepared = g.prepare_frame(detections, self.config.model, frame)
+        frame = prepared.frame
         window = self.config.window
         # The window counts frame indices, so after a gap several frames go.
         while window is not None and not g.is_empty and frame - g.t_min >= window:
             self._clip_one_frame()
-        g.append_frame(detections, self.config.model, frame=frame)
+        g.append_frame(detections, self.config.model, prepared=prepared)
         self.max_dets_per_frame = max(self.max_dets_per_frame, len(detections))
 
         solution, run = self._solve(frame)
@@ -212,11 +215,12 @@ class OnlineTracker:
                                      edge_flow={})
 
     def _solve(self, frame: int) -> tuple[FlowSolution, SolverStats]:
-        """Batch dSSP over the graph, warm-started from the previous frame's
-        DAG labels when the cache holds them; counters fold into self.stats."""
+        """Batch SSP over the graph, a compiled Dijkstra per path, its DAG
+        bootstrap warm-started from the previous frame's DAG labels when the
+        cache holds them; counters fold into self.stats."""
         labels = self.cache.lookup(frame)
         warm = None if labels is None else (labels, frame)
-        solution, run, dag_labels = _ssp_loop(self.graph, "dynamic", warm=warm)
+        solution, run, dag_labels = _ssp_loop(self.graph, "dijkstra", warm=warm)
         self.cache.frame, self.cache.labels = frame, dag_labels
         stats = self.stats
         if labels is None:

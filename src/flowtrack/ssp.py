@@ -1,9 +1,11 @@
 """Successive shortest path solvers over the tracking graph.
 
 Contains the residual-graph machinery (reduced-cost conversion, edge
-reversal), the DAG shortest-path bootstrap, a full Dijkstra reference inner
-solver, the dynamic priority-queue broadcast that updates only invalidated
-predecessor labels, trajectory decoding, and the greedy DP baseline.
+reversal), the DAG shortest-path bootstrap, the full Dijkstra inner search
+(compiled: scipy's Dijkstra over a CSR of the residual arcs; used by ssp and
+by the online trackers), the paper's dynamic priority-queue broadcast that
+updates only invalidated predecessor labels (dssp), trajectory decoding, and
+the greedy DP baseline.
 """
 from __future__ import annotations
 
@@ -11,6 +13,8 @@ import heapq
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import dijkstra
 
 from .errors import DataError, InvariantBreach
 from .graph import (DET, ENTRY, EXIT, LINK, SINK, SOURCE, KIND_U,
@@ -85,6 +89,31 @@ class ResidualGraph:
             self.rcost[~self.alive_arr] = 0.0
         self.eps = EPS * float(np.max(np.abs(self.rcost))) if m else 0.0
         self.iteration = 0
+        self._arcs = None
+
+    def arcs(self):
+        """Static CSR of residual arc slots, built on first use.
+
+        Every live edge has a forward slot (src -> dst, usable while it
+        carries no flow) and a reverse slot (dst -> src, usable while it
+        does), sorted by row then column. Returns (matrix, slot edge ids,
+        slot is-reverse flags, slot rows, slot keys row * n + col); only the
+        matrix's weights change from search to search.
+        """
+        if self._arcs is None:
+            n = self.n_nodes
+            live = np.flatnonzero(self.alive_arr)
+            src, dst = self.src_arr[live], self.dst_arr[live]
+            keys = np.concatenate((src * n + dst, dst * n + src))
+            order = np.argsort(keys, kind="stable")
+            keys = keys[order]
+            rows = keys // n
+            indptr = np.searchsorted(rows, np.arange(n + 1))
+            matrix = csr_matrix((np.zeros(len(keys)), keys % n, indptr),
+                                shape=(n, n))
+            self._arcs = (matrix, np.concatenate((live, live))[order],
+                          (order >= len(live)).astype(np.int8), rows, keys)
+        return self._arcs
 
     @property
     def n_nodes(self) -> int:
@@ -274,26 +303,39 @@ def build_residual(res: ResidualGraph, path: Path) -> ResidualGraph:
 
 
 def dijkstra_full(res: ResidualGraph, stats: SolverStats | None = None):
-    """Reference inner solver: fresh labels for the whole residual graph."""
+    """Full Dijkstra from the source over the residual graph, compiled.
+
+    Weights are the residual arcs' reduced costs, clamped at 0; slots not in
+    the residual graph weigh inf. relaxations counts the residual arcs out of
+    reached nodes, queue_pushes the nodes reached. Returns (path to the sink
+    or None, fresh labels for every node).
+    """
     stats = stats or SolverStats()
-    labels = PredecessorMap(res.n_nodes)
-    dist, pred = labels.dist, labels.pred
-    heap = [(0.0, SOURCE)]
-    stats.queue_pushes += 1
-    done = np.zeros(res.n_nodes, dtype=bool)
-    while heap:
-        d, u = heapq.heappop(heap)
-        if done[u] or d > dist[u]:
-            continue
-        done[u] = True
-        for eid, v in res.out_arcs(u):
-            stats.relaxations += 1
-            nd = d + res.arc_cost(eid)
-            if nd < dist[v]:
-                dist[v] = nd
-                pred[v] = (u, eid)
-                heapq.heappush(heap, (nd, v))
-                stats.queue_pushes += 1
+    matrix, slot_eid, slot_rev, slot_row, slot_key = res.arcs()
+    active = res.flow[slot_eid] == slot_rev
+    cost = res.rcost[slot_eid]
+    matrix.data = np.where(active, np.maximum(cost, 0.0), np.inf)
+    dist, pred_node = dijkstra(matrix, indices=SOURCE, return_predecessors=True)
+    reached = np.isfinite(dist)
+    scanned = active & reached[slot_row]
+    bad = np.flatnonzero(scanned & (cost < -res.eps))
+    if len(bad):
+        eid = int(slot_eid[bad[0]])
+        raise InvariantBreach(f"negative reduced cost {res.rcost[eid]} on edge {eid}")
+    stats.relaxations += int(np.count_nonzero(scanned))
+    stats.queue_pushes += int(np.count_nonzero(reached))
+
+    # The edge of each tree arc u -> v is the slot with key u * n + v.
+    n = res.n_nodes
+    has_pred = pred_node >= 0
+    pred_eid = np.full(n, -1)
+    pred_eid[has_pred] = slot_eid[np.searchsorted(
+        slot_key, pred_node[has_pred] * np.int64(n) + np.flatnonzero(has_pred))]
+    labels = PredecessorMap.__new__(PredecessorMap)
+    labels.dist = dist
+    labels.pred = list(zip(pred_node.tolist(), pred_eid.tolist()))
+    for v in np.flatnonzero(~has_pred).tolist():
+        labels.pred[v] = None
     return extract_path(res, labels), labels
 
 
@@ -475,7 +517,8 @@ def _ssp_loop(graph: TrackingGraph, inner: str,
 
 
 def solve_ssp(graph: TrackingGraph):
-    """Globally optimal batch solve; full Dijkstra at every iteration."""
+    """Globally optimal batch solve; a full (compiled) Dijkstra at every
+    iteration."""
     solution, stats, _ = _ssp_loop(graph, "dijkstra")
     return solution, stats
 

@@ -1,3 +1,4 @@
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -162,6 +163,35 @@ class TestBoundedOnline:
                      for t in got.trajectories] ==
                     [(t.track_id, [d.key for d in t.detections])
                      for t in want.trajectories]), what
+
+        # A cost rejected while the window is full: the clip that the frame
+        # would cause must not happen either.
+        class PoisonedLinks(StubModel):
+            def link_cost_of(self, a, b):
+                if b.box[0] == 300.0:
+                    return math.nan
+                return super().link_cost_of(a, b)
+
+        model = PoisonedLinks(links={((f, 0), (f + 1, 0)): -1.0
+                                     for f in range(4)})
+        ref, tr = (OnlineTracker(TrackerConfig(model=model, window=3,
+                                               gating=False))
+                   for _ in range(2))
+        stream(ref, {f: [det(f, 0)] for f in range(3)})
+        stream(tr, {f: [det(f, 0)] for f in range(3)})
+        before = (tr.graph.t_min, tr.graph.n_live_nodes, dict(tr.frozen))
+        with pytest.raises(DataError, match="link cost"):
+            tr.process_frame([det(3, 0, x=300.0)], frame=3)
+        assert (tr.graph.t_min, tr.graph.n_live_nodes, tr.frozen) == before
+        assert before[:2] == (0, 8) and not before[2]
+        got = tr.process_frame([det(3, 0)], frame=3)
+        want = ref.process_frame([det(3, 0)], frame=3)
+        assert got.total_cost == want.total_cost
+        assert ([(t.track_id, [d.key for d in t.detections])
+                 for t in got.trajectories] ==
+                [(t.track_id, [d.key for d in t.detections])
+                 for t in want.trajectories])
+        assert tr.frozen == ref.frozen
 
     def test_wide_window_identical_to_optimal(self):
         for seed in range(6):

@@ -1,3 +1,4 @@
+import heapq
 from dataclasses import replace
 
 import numpy as np
@@ -9,9 +10,9 @@ from flowtrack.cost_model import CostModel
 from flowtrack.errors import DataError, InvariantBreach
 from flowtrack.graph import (LINK, SINK, SOURCE, TrackingGraph,
                              build_batch_graph, check_flow_conservation)
-from flowtrack.ssp import (Path, PredecessorMap, ResidualGraph, build_residual,
-                           convert_edge_costs, dag_shortest_path,
-                           dijkstra_full, dynamic_broadcast,
+from flowtrack.ssp import (Path, PredecessorMap, ResidualGraph, SolverStats,
+                           build_residual, convert_edge_costs,
+                           dag_shortest_path, dijkstra_full, dynamic_broadcast,
                            path_original_cost, solve_dp_greedy, solve_dssp,
                            solve_ssp)
 from flowtrack.online import OnlineTracker, TrackerConfig
@@ -150,6 +151,124 @@ class TestBuildResidual:
             build_residual(res, Path([SOURCE, SINK], []))
         with pytest.raises(DataError):
             build_residual(res, None)
+
+
+def heap_dijkstra(res):
+    """Plain-heap reference search: (distances, arcs scanned out of settled
+    nodes). Negative reduced costs count as 0, as in the solvers; on the
+    converted graphs below they lie within eps of 0."""
+    dist = np.full(res.n_nodes, np.inf)
+    dist[SOURCE] = 0.0
+    done = np.zeros(res.n_nodes, dtype=bool)
+    heap, scanned = [(0.0, SOURCE)], 0
+    while heap:
+        d, u = heapq.heappop(heap)
+        if done[u]:
+            continue
+        done[u] = True
+        for eid, v in res.out_arcs(u):
+            scanned += 1
+            nd = d + max(float(res.rcost[eid]), 0.0)
+            if nd < dist[v]:
+                dist[v] = nd
+                heapq.heappush(heap, (nd, v))
+    return dist, scanned
+
+
+def residual_states(graph, max_paths=6):
+    """The residual graph after 0, 1, ... augmentations of an SSP solve,
+    each with reduced costs converted so every arc is non-negative."""
+    res = ResidualGraph(graph)
+    path, labels = dag_shortest_path(res)
+    for _ in range(max_paths):
+        labels = convert_edge_costs(res, labels)
+        yield res
+        if path is None or path_original_cost(res, path) >= 0.0:
+            return
+        build_residual(res, path)
+        path, labels = dijkstra_full(res)
+
+
+class TestCompiledDijkstra:
+    """dijkstra_full against the plain-heap reference on the same residual
+    graphs: every distance, whether the sink is reached, the counters."""
+
+    def check(self, res):
+        stats = SolverStats()
+        path, labels = dijkstra_full(res, stats)
+        want, scanned = heap_dijkstra(res)
+        reached = np.isfinite(want)
+        assert np.array_equal(np.isfinite(labels.dist), reached)
+        assert np.allclose(labels.dist[reached], want[reached],
+                           rtol=0.0, atol=1e-12)
+        assert (path is None) == (not reached[SINK])
+        assert stats.relaxations == scanned
+        assert stats.queue_pushes == int(reached.sum())
+        if path is not None:
+            # the path follows the labels: every arc on it is tight
+            for u, v, eid in zip(path.nodes, path.nodes[1:], path.eids):
+                assert res.res_endpoints(eid) == (u, v)
+                assert labels.dist[v] == pytest.approx(
+                    labels.dist[u] + max(float(res.rcost[eid]), 0.0),
+                    abs=1e-12)
+        return path
+
+    def test_matches_heap_reference_after_each_augmentation(self):
+        checked = 0
+        for seed in range(15):
+            frames, model = make_random_instance(seed, frame_range=(3, 6),
+                                                 dets_range=(1, 4))
+            for res in residual_states(build_graph(frames, model)):
+                self.check(res)
+                checked += 1
+        assert checked > 30
+
+    def test_matches_heap_reference_on_recycled_slots(self):
+        # a windowed tracker's graph: clipped node and edge ids are free or
+        # reused by later frames, so ids no longer follow frame order
+        cfg = SyntheticConfig(n_frames=30, n_initial_tracks=4, miss_rate=0.1,
+                              fp_rate=0.2, spawn_prob=0.1, death_prob=0.05)
+        dets, _ = generate_synthetic(cfg, 3)
+        tracker = OnlineTracker(TrackerConfig(model=CostModel(), window=4))
+        appended = 0
+        for f in sorted(dets):
+            tracker.process_frame(dets[f], frame=f)
+            appended += len(dets[f])
+            g = tracker.graph
+            if f >= 6 and f % 3 == 0:
+                assert len(g.node_kind) < 2 + 2 * appended
+                for res in residual_states(g):
+                    self.check(res)
+
+    def test_zero_cost_arc_is_an_edge(self):
+        # every arc costs exactly 0, so every node is reached only through
+        # explicit zero weights
+        res = ResidualGraph(single_det_graph())
+        res.rcost[:] = 0.0
+        path = self.check(res)
+        assert path is not None and len(path.eids) == 3
+        _, labels = dijkstra_full(res)
+        assert np.all(labels.dist[[SOURCE, SINK]] == 0.0)
+
+    def test_negative_arc_out_of_reached_node_raises(self):
+        res = ResidualGraph(single_det_graph())  # detection edge costs -5
+        with pytest.raises(InvariantBreach, match="negative reduced cost"):
+            dijkstra_full(res)
+
+    def test_negative_arc_out_of_unreached_node_ignored(self):
+        g = single_det_graph()
+        res = ResidualGraph(g)
+        # the detection's u node is only entered by its entry edge; marked
+        # as carrying flow, that arc points back to the source, so u, v and
+        # the sink are unreached and u's -5 detection arc is never scanned
+        entry = g.entry_edge_of(det(0, 0))
+        res.flow[entry] = 1
+        res.rcost[entry] = 0.0
+        stats = SolverStats()
+        path, labels = dijkstra_full(res, stats)
+        assert path is None
+        assert np.isfinite(labels.dist).sum() == 1
+        assert stats.relaxations == 0 and stats.queue_pushes == 1
 
 
 class TestDynamicBroadcast:
