@@ -1,8 +1,10 @@
 """Benchmark harness: run each solver over a detection set and emit CSV rows.
 
 Row format: ``solver,tau,frame,wall_time,relaxations,queue_pushes,live_nodes,
-live_edges``. Streaming solvers emit one row per frame that occurs in the
-input; batch solvers emit a single summary row with frame = -1.
+live_edges,iterations``. Streaming solvers emit one row per frame that occurs
+in the input; batch solvers emit a single summary row with frame = -1.
+iterations counts augmentations: a batch solve's paths, or the paths and
+cycles through the sink that one online frame's solve pushed.
 """
 from __future__ import annotations
 
@@ -16,7 +18,7 @@ from .online import OnlineTracker, TrackerConfig
 from .ssp import solve_dp_greedy, solve_dssp, solve_ssp
 
 HEADER = ("solver,tau,frame,wall_time,relaxations,queue_pushes,"
-          "live_nodes,live_edges")
+          "live_nodes,live_edges,iterations")
 
 BATCH_SOLVERS = {"ssp": solve_ssp, "dssp": solve_dssp, "dp": solve_dp_greedy}
 
@@ -31,12 +33,13 @@ class BenchRow:
     queue_pushes: int
     live_nodes: int
     live_edges: int
+    iterations: int
 
     def format(self) -> str:
         tau = "" if self.tau is None else str(self.tau)
         return (f"{self.solver},{tau},{self.frame},{self.wall_time:.6f},"
                 f"{self.relaxations},{self.queue_pushes},{self.live_nodes},"
-                f"{self.live_edges}")
+                f"{self.live_edges},{self.iterations}")
 
 
 def _bench_batch(name: str, detections, model: CostModel, gating, factor):
@@ -46,7 +49,7 @@ def _bench_batch(name: str, detections, model: CostModel, gating, factor):
     _, stats = BATCH_SOLVERS[name](graph)
     dt = time.perf_counter() - t0
     return [BenchRow(name, None, -1, dt, stats.relaxations, stats.queue_pushes,
-                     graph.n_live_nodes, graph.n_live_edges)]
+                     graph.n_live_nodes, graph.n_live_edges, stats.iterations)]
 
 
 def _bench_online(name: str, detections, model: CostModel, gating, factor,
@@ -58,7 +61,7 @@ def _bench_online(name: str, detections, model: CostModel, gating, factor,
         tracker.process_frame(detections[f], frame=f)
     return [BenchRow(name, tau, fs.frame, fs.wall_time,
                      fs.relaxations, fs.queue_pushes, fs.live_nodes,
-                     fs.live_edges)
+                     fs.live_edges, fs.iterations)
             for fs in tracker.frame_stats]
 
 

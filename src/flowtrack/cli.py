@@ -8,6 +8,7 @@ built-in defaults. Exit codes: 0 success, 1 usage error, 2 bad input data,
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 
@@ -39,6 +40,10 @@ _RUN_KEYS = {
     "window": int,
     "iou_threshold": float,
 }
+#: Config file key -> converter of its text.
+_CONFIG_KEYS = {**_MODEL_KEYS, **_RUN_KEYS,
+                **{key: lambda s: tuple(float(v) for v in s.split(","))
+                   for key in _TUPLE_KEYS}}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -52,20 +57,24 @@ def _load_settings(args) -> dict:
     settings: dict = {}
     path = getattr(args, "config", None) or os.environ.get(CONFIG_ENV)
     if path:
-        raw = ftio.load_config(path)
-        for key, value in raw.items():
-            if key in _MODEL_KEYS:
-                settings[key] = _MODEL_KEYS[key](value)
-            elif key in _TUPLE_KEYS:
-                settings[key] = tuple(float(v) for v in value.split(","))
-            elif key in _RUN_KEYS:
-                settings[key] = _RUN_KEYS[key](value)
-            else:
+        for key, value in ftio.load_config(path).items():
+            convert = _CONFIG_KEYS.get(key)
+            if convert is None:
                 raise DataError(f"unknown config key {key!r}")
+            try:
+                settings[key] = convert(value)
+            except ValueError:
+                raise DataError(f"config key {key!r}: cannot parse "
+                                f"{value!r}") from None
     for key in list(_MODEL_KEYS) + list(_RUN_KEYS):
         cli_value = getattr(args, key, None)
         if cli_value is not None:
             settings[key] = cli_value
+    factor = settings.get("gate_radius_factor")
+    # nan or a negative factor would gate out every link without a word
+    if factor is not None and not 0.0 <= factor < math.inf:
+        raise DataError(f"gate_radius_factor must be finite and >= 0, "
+                        f"got {factor!r}")
     return settings
 
 

@@ -1,13 +1,15 @@
 """Streaming trackers: optimal online solving and the memory-bounded variant.
 
 Each incoming frame is appended to the graph and the flow problem is re-solved
-by the batch SSP loop. The loop's DAG bootstrap is warm-started from the
-previous frame's DAG labels, so only edges touching the new frame are relaxed;
-every later iteration is a full compiled Dijkstra (ssp.dijkstra_full), which
-measured faster per frame than the paper's Python dynamic broadcast. A
-tracker with a window is memory-bounded: it also clips frames older than the
-window, folding clipped trajectory prefixes into synthesized entry-edge costs
-so track identities and costs survive clipping.
+from the previous frame's optimum: the tracker keeps one residual graph
+(ssp.OnlineResidual) with its flow and node potentials, gives the new frame's
+nodes potentials in one relaxation pass, and runs successive shortest paths
+with the compiled Dijkstra (ssp.dijkstra_full) from the source and the sink's
+reversed exits, so tracks that continue into the frame are extended by
+cycles through the sink instead of being replayed from zero flow. A tracker
+with a window is memory-bounded: it also clips frames older than the window,
+folding clipped trajectory prefixes into synthesized entry-edge costs, which
+take over their flow, so track identities and costs survive clipping.
 """
 from __future__ import annotations
 
@@ -17,10 +19,8 @@ from dataclasses import dataclass
 from .cost_model import CostModel, Detection
 from .errors import DataError, InvariantBreach
 from .graph import FlowSolution, TrackingGraph, Trajectory
-from .ssp import PredecessorMap, SolverStats, _ssp_loop
-# Unused here (_ssp_loop calls it from ssp); perfbench's tracer test checks
-# that this imported copy gets wrapped too.
-from .ssp import dijkstra_full  # noqa: F401
+from .ssp import (OnlineResidual, SolverStats, _solution_from_residual,
+                  build_residual, dijkstra_full, path_original_cost)
 
 
 @dataclass(frozen=True)
@@ -37,23 +37,25 @@ class TrackerConfig:
 
 
 class PredecessorCache:
-    """The last frame's DAG bootstrap labels: the next frame's warm start."""
+    """The previous frame's optimum, which the next frame's solve starts
+    from: the tracker's residual graph, whose flow and node potentials carry
+    over from frame to frame, and the frame it was last solved for."""
 
-    def __init__(self):
+    def __init__(self, graph: TrackingGraph):
+        self.residual = OnlineResidual(graph)
         self.frame: int | None = None
-        self.labels: PredecessorMap | None = None
 
-    def lookup(self, frame: int) -> PredecessorMap | None:
-        """The stored labels if they are for an earlier frame, else None.
-        Nothing but `frame` was appended since, so they still hold for every
-        older node, also across skipped frames."""
-        if self.frame is None or self.frame >= frame:
-            return None
-        return self.labels
+    def lookup(self) -> OnlineResidual | None:
+        """The residual if it holds an earlier frame's optimum, else None:
+        the graph was empty, so the solve starts from zero flow."""
+        return None if self.frame is None else self.residual
 
-    def clip(self):
-        """Drop the labels: a clip changes entry costs, so they go stale."""
-        self.labels = None
+    def clip(self, solution: FlowSolution):
+        """Clip the oldest frame, keeping the optimum's flow on what stays;
+        an emptied graph holds none."""
+        self.residual.clip_oldest_frame(solution)
+        if self.residual.graph.is_empty:
+            self.frame = None
 
 
 @dataclass
@@ -76,6 +78,7 @@ class FrameStats:
     wall_time: float
     live_nodes: int
     live_edges: int
+    iterations: int  # augmentations: paths and cycles pushed this frame
 
 
 def assign_track_ids(previous: FlowSolution, current: FlowSolution,
@@ -142,7 +145,7 @@ class OnlineTracker:
         self.config = config
         self.graph = TrackingGraph(gating=config.gating,
                                    gate_radius_factor=config.gate_radius_factor)
-        self.cache = PredecessorCache()
+        self.cache = PredecessorCache(self.graph)
         self.solution = FlowSolution()
         self.registry = TrackRegistry()
         self.frozen: dict[int, list[Detection]] = {}
@@ -167,7 +170,7 @@ class OnlineTracker:
         # The window counts frame indices, so after a gap several frames go.
         while window is not None and not g.is_empty and frame - g.t_min >= window:
             self._clip_one_frame()
-        g.append_frame(detections, self.config.model, prepared=prepared)
+        self.cache.residual.append_frame(detections, self.config.model, prepared)
         self.max_dets_per_frame = max(self.max_dets_per_frame, len(detections))
 
         solution, run = self._solve(frame)
@@ -189,6 +192,7 @@ class OnlineTracker:
             wall_time=time.perf_counter() - t_start,
             live_nodes=g.n_live_nodes,
             live_edges=g.n_live_edges,
+            iterations=run.iterations,
         ))
         return solution
 
@@ -201,8 +205,7 @@ class OnlineTracker:
                     traj.detections[0])
                 if self.freeze_log is not None:
                     self.freeze_log.append((traj.track_id, traj.detections[0]))
-        g.clip_oldest_frame(self.solution)
-        self.cache.clip()
+        self.cache.clip(self.solution)
         # Drop clipped detections from the retained solution so the next clip
         # sees trajectories consistent with the graph.
         kept = []
@@ -215,22 +218,40 @@ class OnlineTracker:
                                      edge_flow={})
 
     def _solve(self, frame: int) -> tuple[FlowSolution, SolverStats]:
-        """Batch SSP over the graph, a compiled Dijkstra per path, its DAG
-        bootstrap warm-started from the previous frame's DAG labels when the
-        cache holds them; counters fold into self.stats."""
-        labels = self.cache.lookup(frame)
-        warm = None if labels is None else (labels, frame)
-        solution, run, dag_labels = _ssp_loop(self.graph, "dijkstra", warm=warm)
-        self.cache.frame, self.cache.labels = frame, dag_labels
-        stats = self.stats
-        if labels is None:
+        """Successive shortest paths from the previous frame's optimum.
+
+        Each compiled search runs from the source and the sink's reversed
+        exits; the potentials take its distances, and a path or cycle of
+        negative original cost is pushed. It stops at the first one costing
+        >= 0, the rule of the batch loop, which here certifies the global
+        optimum. After an empty graph the flow is zero and the potentials are
+        DAG distances: a cold start through the same loop. Counters fold
+        into self.stats.
+        """
+        res, run, stats = self.cache.residual, SolverStats(), self.stats
+        if self.cache.lookup() is None:
             stats.cache_misses += 1
         else:
             stats.cache_hits += 1
+        # A safety bound far above the paths and cycles one frame needs.
+        guard = 2 * self.graph.n_detections + 2
+        while self.graph.n_detections:
+            res.reprice()
+            path, labels = dijkstra_full(res, run)
+            if path is None:
+                break
+            res.settle(labels.dist)
+            if path_original_cost(res, path) >= 0.0:
+                break
+            if run.iterations >= guard:
+                raise InvariantBreach("online SSP exceeded its iteration bound")
+            build_residual(res, path)
+            run.iterations += 1
+        self.cache.frame = frame
         stats.relaxations += run.relaxations
         stats.queue_pushes += run.queue_pushes
         stats.iterations += run.iterations
-        return solution, run
+        return _solution_from_residual(res), run
 
     def _check_bounds(self):
         g = self.graph

@@ -5,11 +5,15 @@ reversal), the DAG shortest-path bootstrap, the full Dijkstra inner search
 (compiled: scipy's Dijkstra over a CSR of the residual arcs; used by ssp and
 by the online trackers), the paper's dynamic priority-queue broadcast that
 updates only invalidated predecessor labels (dssp), trajectory decoding, and
-the greedy DP baseline.
+the greedy DP baseline. OnlineResidual is the residual graph the online
+trackers keep from frame to frame: the last optimum's flow plus node
+potentials, searched from the sink as well as the source, so each frame is
+re-solved from the previous optimum instead of from zero flow.
 """
 from __future__ import annotations
 
 import heapq
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -17,8 +21,8 @@ from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import dijkstra
 
 from .errors import DataError, InvariantBreach
-from .graph import (DET, ENTRY, EXIT, LINK, SINK, SOURCE, KIND_U,
-                    FlowSolution, TrackingGraph, Trajectory)
+from .graph import (EXIT, SINK, SOURCE, KIND_U, FlowSolution, TrackingGraph,
+                    Trajectory)
 
 #: Tolerance for reduced-cost non-negativity, relative to the graph's largest
 #: |edge cost|: values in [-eps, 0), eps = EPS * that cost, are clamped to
@@ -34,8 +38,8 @@ class SolverStats:
     relaxations: int = 0
     queue_pushes: int = 0
     iterations: int = 0
-    # Online trackers: frames whose DAG bootstrap started from the previous
-    # frame's labels (hits) or from scratch (misses).
+    # Online trackers: frames solved from the previous frame's optimum (hits)
+    # or from zero flow (misses).
     cache_hits: int = 0
     cache_misses: int = 0
     reduced_sink_dists: list = field(default_factory=list)
@@ -45,20 +49,16 @@ class SolverStats:
 
 
 class PredecessorMap:
-    """Per-node shortest-path distance labels and predecessor pointers."""
+    """Per-node shortest-path distance labels and predecessor pointers.
+
+    pred is None in the labels of the compiled search (dijkstra_full), which
+    walks only the target's chain and keeps no per-node predecessors.
+    """
 
     def __init__(self, n_nodes: int):
         self.dist = np.full(n_nodes, np.inf)
         self.dist[SOURCE] = 0.0
-        self.pred: list[tuple[int, int] | None] = [None] * n_nodes
-
-    def grown(self, n_nodes: int) -> "PredecessorMap":
-        """Copy extended to n_nodes entries; new entries are unreachable."""
-        out = PredecessorMap(n_nodes)
-        k = min(len(self.dist), n_nodes)
-        out.dist[:k] = self.dist[:k]
-        out.pred[:k] = self.pred[:k]
-        return out
+        self.pred: list[tuple[int, int] | None] | None = [None] * n_nodes
 
 
 @dataclass
@@ -74,8 +74,12 @@ class ResidualGraph:
 
     rcost holds the current (possibly converted) cost of each edge in its
     residual direction: edges carrying flow are traversed dst -> src with a
-    negated cost. eps is the clamping tolerance (see EPS).
+    negated cost. eps is the clamping tolerance (see EPS). The compiled
+    search runs from `roots` to `target`.
     """
+
+    roots = (SOURCE,)
+    target = SINK
 
     def __init__(self, graph: TrackingGraph):
         g = self.graph = graph
@@ -101,19 +105,22 @@ class ResidualGraph:
         matrix's weights change from search to search.
         """
         if self._arcs is None:
-            n = self.n_nodes
-            live = np.flatnonzero(self.alive_arr)
-            src, dst = self.src_arr[live], self.dst_arr[live]
-            keys = np.concatenate((src * n + dst, dst * n + src))
-            order = np.argsort(keys, kind="stable")
-            keys = keys[order]
-            rows = keys // n
-            indptr = np.searchsorted(rows, np.arange(n + 1))
-            matrix = csr_matrix((np.zeros(len(keys)), keys % n, indptr),
-                                shape=(n, n))
-            self._arcs = (matrix, np.concatenate((live, live))[order],
-                          (order >= len(live)).astype(np.int8), rows, keys)
+            self._arcs = self._slots(self.n_nodes, self.dst_arr)
         return self._arcs
+
+    def _slots(self, n: int, fwd_dst: np.ndarray):
+        """arcs() over n rows, forward slots ending at fwd_dst."""
+        live = np.flatnonzero(self.alive_arr)
+        src, dst = self.src_arr[live], self.dst_arr[live]
+        keys = np.concatenate((src * n + fwd_dst[live], dst * n + src))
+        order = np.argsort(keys, kind="stable")
+        keys = keys[order]
+        rows = keys // n
+        indptr = np.searchsorted(rows, np.arange(n + 1))
+        matrix = csr_matrix((np.zeros(len(keys)), keys % n, indptr),
+                            shape=(n, n))
+        return (matrix, np.concatenate((live, live))[order],
+                (order >= len(live)).astype(np.int8), rows, keys)
 
     @property
     def n_nodes(self) -> int:
@@ -157,6 +164,111 @@ class ResidualGraph:
         return rc if rc > 0.0 else 0.0
 
 
+class OnlineResidual(ResidualGraph):
+    """The residual graph of an online tracker, kept from frame to frame.
+
+    It holds the last optimum's flow and node potentials p under which every
+    residual arc has reduced cost c + p(u) - p(v) >= 0 (rcost, set by
+    reprice), so each frame's solve starts from the previous optimum. A
+    track that continues into a new frame keeps the flow value: it is a
+    cycle sink -> v_old (reversed exit) -> u_new -> v_new -> sink. So the
+    search splits the sink: its out-arcs, the reversed flowed exits, leave a
+    root, which shares potential 0 with the source, the other root; exits
+    enter the target, node n_nodes, which holds the sink's potential. A
+    shortest path from the source is an augmenting path, one from a
+    reversed exit cancels a cycle through the sink. Build it over an empty
+    graph, then append and clip through it.
+    """
+
+    roots = (SINK, SOURCE)
+
+    def __init__(self, graph: TrackingGraph):
+        super().__init__(graph)
+        self.potential = np.zeros(self.n_nodes + 1)
+        self._sync()
+
+    @property
+    def target(self) -> int:
+        return self.n_nodes
+
+    def arcs(self):
+        if self._arcs is None:
+            self._arcs = self._slots(self.n_nodes + 1, self.fwd_dst)
+        return self._arcs
+
+    def _sync(self):
+        """Re-read the graph's edges after it changed. Edge slots keep their
+        flow (append adds slots without flow, clip zeroes the ones it frees)
+        and node slots their potential; the target's moves to the end."""
+        g = self.graph
+        m, n = len(g.e_src), self.n_nodes
+        self.src_arr = np.array(g.e_src, dtype=np.int64)
+        self.dst_arr = np.array(g.e_dst, dtype=np.int64)
+        self.alive_arr = np.array(g.e_alive, dtype=bool)
+        self.cost = np.array(g.e_cost, dtype=float)
+        self.fwd_dst = np.where(self.dst_arr == SINK, n, self.dst_arr)
+        flow = np.zeros(m, dtype=np.int8)
+        flow[:len(self.flow)] = self.flow
+        self.flow = flow
+        old = self.potential
+        if len(old) != n + 1:
+            self.potential = np.zeros(n + 1)
+            self.potential[:len(old) - 1] = old[:-1]
+            self.potential[n] = old[-1]
+        live = self.cost[self.alive_arr]
+        self.eps = EPS * float(np.max(np.abs(live))) if len(live) else 0.0
+        self._arcs = None
+
+    def append_frame(self, detections, model, prepared):
+        """Append a prepared frame to the graph. Its edges carry no flow; its
+        nodes get potentials in one relaxation pass over their in-arcs
+        (entries and links from frame - 1), and the sink's potential drops
+        to its lowest new exit, which keeps every reduced cost >= 0. On an
+        empty graph these are the DAG shortest-path distances, from which
+        the solve starts at zero flow."""
+        g = self.graph
+        g.append_frame(detections, model, prepared=prepared)
+        self._sync()
+        p, t = self.potential, self.target
+        for d in prepared.dets:
+            u, v = g.det_nodes[d.key]
+            p[u] = min(p[g.e_src[e]] + g.e_cost[e] for e in g.in_edges[u])
+            p[v] = p[u] + g.e_cost[g.out_edges[u][0]]
+            p[t] = min(p[t], p[v] + g.e_cost[g.out_edges[v][0]])
+
+    def clip_oldest_frame(self, solution: FlowSolution):
+        """Clip the graph's oldest frame. The freed edge slots lose their
+        flow, and each continuing track's flow moves onto its folded entry
+        edge, whose reduced cost is the sum of the flowed arcs' it replaces
+        (each <= 0), so the potentials stay valid."""
+        g = self.graph
+        t_min = g.t_min
+        freed = [eid for d in g.frames[t_min] for node in g.det_nodes[d.key]
+                 for eid in g.in_edges[node] + g.out_edges[node]]
+        g.clip_oldest_frame(solution)
+        self.flow[freed] = 0
+        for traj in solution.trajectories:
+            if traj.detections[0].frame == t_min and len(traj.detections) > 1:
+                self.flow[g.entry_edge_of(traj.detections[1])] = 1
+
+    def reprice(self):
+        """Set rcost to every edge's reduced cost in its residual direction
+        (a reversed exit leaves the root, of potential 0)."""
+        p = self.potential
+        p_src = p[self.src_arr]
+        fwd = self.cost + p_src - p[self.fwd_dst]
+        rev = p[self.dst_arr] - p_src - self.cost
+        self.rcost = np.where(self.flow == 0, fwd, rev)
+
+    def settle(self, dist: np.ndarray):
+        """Raise the potentials by a search's distances, capped at the
+        target's: reduced costs stay >= 0 and the shortest path's become 0.
+        The roots stay at 0."""
+        cap = dist[self.target]
+        if np.isfinite(cap):
+            self.potential += np.minimum(dist, cap)
+
+
 def extract_path(res: ResidualGraph, labels: PredecessorMap) -> Path | None:
     """Backtrack the predecessor chain from the sink; None if unreachable."""
     if not np.isfinite(labels.dist[SINK]):
@@ -179,34 +291,27 @@ def extract_path(res: ResidualGraph, labels: PredecessorMap) -> Path | None:
 
 
 def path_original_cost(res: ResidualGraph, path: Path) -> float:
-    """Sum of unreduced edge costs along a residual path (reversed arcs negate)."""
-    g = res.graph
-    total = 0.0
-    for eid in path.eids:
-        c = g.e_cost[eid]
-        total += -c if res.flow[eid] == 1 else c
-    return total
+    """Sum of unreduced edge costs along a residual path (reversed arcs
+    negate), rounded once: a cycle whose costs cancel, such as one swapping
+    two equal continuations of a track, costs exactly 0, so the stop rule
+    does not push it back and forth forever."""
+    g, flow = res.graph, res.flow
+    return math.fsum(-g.e_cost[eid] if flow[eid] == 1 else g.e_cost[eid]
+                     for eid in path.eids)
 
 
-def dag_shortest_path(res: ResidualGraph, from_frame: int | None = None,
-                      labels: PredecessorMap | None = None,
-                      stats: SolverStats | None = None,
+def dag_shortest_path(res: ResidualGraph, stats: SolverStats | None = None,
                       excluded: set | None = None):
     """Topological-order relaxation over the forward (acyclic) graph.
 
-    With from_frame > t_min, labels for earlier frames must already be valid;
-    only edges entering frames >= from_frame (plus exits of those frames) are
-    relaxed. Handles negative costs. Returns (path_to_sink_or_None, labels).
+    Handles negative costs. Returns (path_to_sink_or_None, labels).
     """
     g = res.graph
     stats = stats or SolverStats()
-    if labels is None:
-        labels = PredecessorMap(res.n_nodes)
+    labels = PredecessorMap(res.n_nodes)
     dist, pred = labels.dist, labels.pred
     if g.is_empty:
         return None, labels
-    if from_frame is None:
-        from_frame = g.t_min
     excluded = excluded or set()
 
     def relax(u, eid, v):
@@ -216,30 +321,14 @@ def dag_shortest_path(res: ResidualGraph, from_frame: int | None = None,
             dist[v] = nd
             pred[v] = (u, eid)
 
-    # Entry edges into the region being (re)computed.
     for eid in g.out_edges[SOURCE]:
         if res.flow[eid] == 1:
             raise InvariantBreach("DAG relaxation over a reversed entry edge")
         v = g.e_dst[eid]
-        if v in excluded:
-            continue
-        if g.node_frame(v) >= from_frame:
+        if v not in excluded:
             relax(SOURCE, eid, v)
-    # Link edges bridging into the region from the last valid frame.
-    prev = g.frames.get(from_frame - 1, [])
-    for d in prev:
-        vn = g.v_node(d)
-        if vn in excluded:
-            continue
-        for eid in g.out_edges[vn]:
-            if g.e_kind[eid] == LINK and res.flow[eid] == 0:
-                dst = g.e_dst[eid]
-                if dst not in excluded:
-                    relax(vn, eid, dst)
     # Frame-by-frame sweep: u nodes (detection edges) then v nodes (links, exits).
-    for f, dets in g.frames.items():
-        if f < from_frame:
-            continue
+    for dets in g.frames.values():
         for d in dets:
             un = g.u_node(d)
             if un in excluded or not np.isfinite(dist[un]):
@@ -262,7 +351,7 @@ def convert_edge_costs(res: ResidualGraph, labels: PredecessorMap) -> Predecesso
 
     Arcs leaving unreachable nodes are left untouched (they can never be
     traversed). Returns the labels valid after conversion: zero for every
-    reachable node, infinity otherwise, predecessors unchanged.
+    reachable node, infinity otherwise, with the same predecessors.
     """
     d = labels.dist
     if len(res.rcost):
@@ -283,16 +372,17 @@ def convert_edge_costs(res: ResidualGraph, labels: PredecessorMap) -> Predecesso
                 f"stale labels: reduced cost {res.rcost[eid]} on edge {eid}")
     out = PredecessorMap.__new__(PredecessorMap)
     out.dist = np.where(np.isfinite(d), 0.0, np.inf)
-    out.pred = list(labels.pred)
+    out.pred = labels.pred
     return out
 
 
 def build_residual(res: ResidualGraph, path: Path) -> ResidualGraph:
-    """Push one unit of flow along a zero-reduced-cost path by reversing it."""
+    """Push one unit of flow along a zero-reduced-cost path by reversing it:
+    a source-to-sink path, or a cycle through the sink."""
     if path is None or not path.eids:
         raise DataError("cannot build a residual from an empty path")
-    if path.nodes[0] != SOURCE or path.nodes[-1] != SINK:
-        raise DataError("path must run from source to sink")
+    if path.nodes[0] not in (SOURCE, SINK) or path.nodes[-1] != SINK:
+        raise DataError("path must run from the source or the sink to the sink")
     for u, v, eid in zip(path.nodes, path.nodes[1:], path.eids):
         if res.res_endpoints(eid) != (u, v):
             raise DataError(f"path edge {eid} does not connect {u}->{v}")
@@ -303,19 +393,22 @@ def build_residual(res: ResidualGraph, path: Path) -> ResidualGraph:
 
 
 def dijkstra_full(res: ResidualGraph, stats: SolverStats | None = None):
-    """Full Dijkstra from the source over the residual graph, compiled.
+    """Full Dijkstra from res.roots over the residual graph, compiled.
 
     Weights are the residual arcs' reduced costs, clamped at 0; slots not in
     the residual graph weigh inf. relaxations counts the residual arcs out of
-    reached nodes, queue_pushes the nodes reached. Returns (path to the sink
-    or None, fresh labels for every node).
+    reached nodes, queue_pushes the nodes reached. Returns (path to
+    res.target or None, labels holding every node's distance). Only the
+    target's predecessor chain is walked, so labels.pred is None.
     """
     stats = stats or SolverStats()
     matrix, slot_eid, slot_rev, slot_row, slot_key = res.arcs()
     active = res.flow[slot_eid] == slot_rev
     cost = res.rcost[slot_eid]
     matrix.data = np.where(active, np.maximum(cost, 0.0), np.inf)
-    dist, pred_node = dijkstra(matrix, indices=SOURCE, return_predecessors=True)
+    roots = res.roots
+    dist, pred, _ = dijkstra(matrix, indices=roots, min_only=True,
+                             return_predecessors=True)
     reached = np.isfinite(dist)
     scanned = active & reached[slot_row]
     bad = np.flatnonzero(scanned & (cost < -res.eps))
@@ -325,18 +418,24 @@ def dijkstra_full(res: ResidualGraph, stats: SolverStats | None = None):
     stats.relaxations += int(np.count_nonzero(scanned))
     stats.queue_pushes += int(np.count_nonzero(reached))
 
-    # The edge of each tree arc u -> v is the slot with key u * n + v.
-    n = res.n_nodes
-    has_pred = pred_node >= 0
-    pred_eid = np.full(n, -1)
-    pred_eid[has_pred] = slot_eid[np.searchsorted(
-        slot_key, pred_node[has_pred] * np.int64(n) + np.flatnonzero(has_pred))]
     labels = PredecessorMap.__new__(PredecessorMap)
-    labels.dist = dist
-    labels.pred = list(zip(pred_node.tolist(), pred_eid.tolist()))
-    for v in np.flatnonzero(~has_pred).tolist():
-        labels.pred[v] = None
-    return extract_path(res, labels), labels
+    labels.dist, labels.pred = dist, None
+    n = matrix.shape[0]
+    if not reached[res.target]:
+        return None, labels
+    nodes = [res.target]
+    while (u := int(pred[nodes[-1]])) >= 0:
+        nodes.append(u)
+        if len(nodes) > n:
+            raise InvariantBreach("predecessor chain contains a cycle")
+    if nodes[-1] not in roots:
+        raise InvariantBreach(f"broken predecessor chain at node {nodes[-1]}")
+    nodes.reverse()
+    # The edge of each tree arc u -> v is the slot with key u * n + v.
+    chain = np.array(nodes, dtype=np.int64)
+    eids = slot_eid[np.searchsorted(slot_key, chain[:-1] * n + chain[1:])]
+    nodes[-1] = SINK  # the target stands for the sink
+    return Path(nodes, eids.tolist()), labels
 
 
 def dynamic_broadcast(res: ResidualGraph, seeds, labels: PredecessorMap,
@@ -445,10 +544,10 @@ def decode_trajectories(res: ResidualGraph, start_id: int = 0) -> list[Trajector
 
 
 def _solution_from_residual(res: ResidualGraph) -> FlowSolution:
+    """The decoded trajectories and their total; edge_flow is left empty."""
     trajectories = decode_trajectories(res)
-    flow = {eid: int(res.flow[eid]) for eid in res.graph.live_edges()}
-    total = sum(t.cost for t in trajectories)
-    return FlowSolution(trajectories=trajectories, total_cost=total, edge_flow=flow)
+    return FlowSolution(trajectories=trajectories,
+                        total_cost=sum(t.cost for t in trajectories))
 
 
 def _finalize_termination_stats(stats: SolverStats):
@@ -470,29 +569,16 @@ def _finalize_termination_stats(stats: SolverStats):
                 break
 
 
-def _ssp_loop(graph: TrackingGraph, inner: str,
-              warm: tuple[PredecessorMap, int] | None = None):
-    """Successive shortest paths from zero flow; inner is "dijkstra" or "dynamic".
-
-    warm = (labels, from_frame) starts the DAG bootstrap from labels that are
-    valid for every frame before from_frame, so only edges into from_frame and
-    later are relaxed. Returns (solution, stats, bootstrap labels); the labels
-    warm-start the solve of this graph with one more frame appended.
-    """
+def _ssp_loop(graph: TrackingGraph, inner: str):
+    """Successive shortest paths from zero flow; inner is "dijkstra" or
+    "dynamic". Returns (solution with its edge flows, stats)."""
     stats = SolverStats()
     if graph.is_empty or graph.n_detections == 0:
-        return FlowSolution(), stats, None
+        return FlowSolution(), stats
     res = ResidualGraph(graph)
 
-    if warm is None:
-        path, labels = dag_shortest_path(res, stats=stats)
-    else:
-        path, labels = dag_shortest_path(res, from_frame=warm[1],
-                                         labels=warm[0].grown(res.n_nodes),
-                                         stats=stats)
+    path, labels = dag_shortest_path(res, stats=stats)
     stats.reduced_sink_dists.append(float(labels.dist[SINK]))
-    # convert_edge_costs returns new labels, so these stay as bootstrapped.
-    dag_labels = labels
 
     guard = graph.n_detections
     while path is not None:
@@ -513,20 +599,20 @@ def _ssp_loop(graph: TrackingGraph, inner: str,
         stats.reduced_sink_dists.append(float(labels.dist[SINK]))
 
     _finalize_termination_stats(stats)
-    return _solution_from_residual(res), stats, dag_labels
+    solution = _solution_from_residual(res)
+    solution.edge_flow = {eid: int(res.flow[eid]) for eid in graph.live_edges()}
+    return solution, stats
 
 
 def solve_ssp(graph: TrackingGraph):
     """Globally optimal batch solve; a full (compiled) Dijkstra at every
     iteration."""
-    solution, stats, _ = _ssp_loop(graph, "dijkstra")
-    return solution, stats
+    return _ssp_loop(graph, "dijkstra")
 
 
 def solve_dssp(graph: TrackingGraph):
     """Globally optimal batch solve; dynamic broadcasting at every iteration."""
-    solution, stats, _ = _ssp_loop(graph, "dynamic")
-    return solution, stats
+    return _ssp_loop(graph, "dynamic")
 
 
 def solve_dp_greedy(graph: TrackingGraph):

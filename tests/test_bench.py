@@ -6,6 +6,9 @@ import pytest
 from flowtrack.bench import HEADER, run_bench, write_bench
 from flowtrack.cost_model import CostModel
 from flowtrack.errors import DataError
+from flowtrack.graph import build_batch_graph
+from flowtrack.online import OnlineTracker, TrackerConfig
+from flowtrack.ssp import solve_ssp
 from flowtrack.synthetic import SyntheticConfig, generate_synthetic
 
 
@@ -60,3 +63,19 @@ class TestRunBench:
         assert lines[0] == HEADER
         assert len(lines) == 2
         assert lines[1].split(",")[0] == "dp"
+
+    def test_iterations_column(self, sequence):
+        rows = run_bench(sequence, CostModel(), solvers=("ssp", "odssp"),
+                         taus=())
+        buf = io.StringIO()
+        write_bench(buf, rows)
+        lines = [line.split(",") for line in buf.getvalue().splitlines()]
+        assert lines[0][-1] == "iterations"
+        assert {len(cells) for cells in lines} == {len(lines[0])}
+        _, stats = solve_ssp(build_batch_graph(sequence, CostModel()))
+        assert [int(c[-1]) for c in lines if c[0] == "ssp"] == [stats.iterations]
+        tracker = OnlineTracker(TrackerConfig(model=CostModel()))
+        for f in sorted(sequence):
+            tracker.process_frame(sequence[f], frame=f)
+        assert ([int(c[-1]) for c in lines if c[0] == "odssp"] ==
+                [fs.iterations for fs in tracker.frame_stats])

@@ -3,8 +3,9 @@
 
 Rows mix valid detections with bad numbers, short rows, non-positive sizes,
 negative frames, comments and blank lines; frame indices reach 10^9, which
-costs nothing because skipped frames are never created. The settings are
-fixed so the test is deterministic.
+costs nothing because skipped frames are never created. Config files mix
+known and unknown keys with junk, huge and non-finite numbers, and windows
+of 0, 1 and 10^9. The settings are fixed so the test is deterministic.
 """
 import io
 import sys
@@ -99,3 +100,33 @@ def test_batch_csv_never_crashes(lines, solver, costs, monkeypatch):
 def test_stream_never_crashes(text, solver, costs, lag, monkeypatch):
     run(["track", "--stream", "--confirm-lag", str(lag), *solver, *costs],
         text, monkeypatch)
+
+
+#: Every config key, plus two unknown ones.
+config_keys = st.sampled_from([
+    "beta", "entry_cost", "exit_cost", "det_offset", "det_weight",
+    "det_cost_form", "feature_offsets", "feature_weights", "gating",
+    "gate_radius_factor", "window", "iou_threshold", "cache_size", "colour"])
+config_values = st.one_of(
+    numbers,
+    st.sampled_from(["abc", "0", "1", "2", "1e9", "1000000000", "1,x",
+                     "0.5,0.5,0.5", "1,2,3,4", "nan,1,1", "inf", "1e300",
+                     "-1e300", "true", "off", "logodds", "affine"]))
+
+
+@FUZZ
+@given(config=st.lists(st.builds("{} = {}".format, config_keys,
+                                 config_values), max_size=4),
+       lines=csv_lines(), text=stream_text(), stream=st.booleans(),
+       solver=st.sampled_from([["--solver", "ssp"], ["--solver", "dssp"],
+                               ["--solver", "dp"], ["--solver", "odssp"],
+                               ["--solver", "mbodssp"]]))
+def test_config_file_never_crashes(config, lines, text, stream, solver,
+                                   tmp_path, monkeypatch):
+    path = tmp_path / "run.cfg"
+    path.write_text("\n".join(config) + "\n")
+    argv = ["track", "-o", "-", "--config", str(path), *solver]
+    if stream and solver[1] in ("odssp", "mbodssp"):
+        run([*argv, "--stream"], text, monkeypatch)
+    else:
+        run([*argv, "-i", "-"], "\n".join(lines) + "\n", monkeypatch)

@@ -5,7 +5,9 @@ common and all sums are exact.
 The scenes are gated (lp_optimum gates at the CLI's default radius, and so
 do the solvers), hold empty frames, and skip frame indices. Which of several
 equal optima a solver returns depends on how its shortest-path search breaks
-ties; only the objective is compared.
+ties; the batch solvers are compared by objective only. The online trackers
+(odssp, and mbodssp with a window spanning the scene) must also return the
+same trajectories on every frame.
 """
 import os
 import sys
@@ -71,6 +73,11 @@ def test_tied_objectives_match_lp(scene):
                                                        window=max(span, 2)))}
     for f in sorted(frames):
         want = optimum({k: v for k, v in frames.items() if k <= f}, model)
+        tracks = {}
         for name, tracker in trackers.items():
-            got = tracker.process_frame(frames[f], frame=f).total_cost
-            assert same_objective(got, want), (name, f, got, want)
+            solution = tracker.process_frame(frames[f], frame=f)
+            assert same_objective(solution.total_cost, want), (
+                name, f, solution.total_cost, want)
+            tracks[name] = sorted(tuple(d.key for d in t.detections)
+                                  for t in solution.trajectories)
+        assert tracks["odssp"] == tracks["mbodssp"], f
