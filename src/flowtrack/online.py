@@ -165,6 +165,7 @@ class OnlineTracker:
         # Check the frame and its costs before clipping, so a rejected frame
         # leaves no trace; the clip keeps frame - 1, which the links join.
         prepared = g.prepare_frame(detections, self.config.model, frame)
+        self.cache.residual.check_frame(prepared)
         frame = prepared.frame
         window = self.config.window
         # The window counts frame indices, so after a gap several frames go.

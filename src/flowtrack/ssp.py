@@ -2,23 +2,26 @@
 
 Contains the residual-graph machinery (reduced-cost conversion, edge
 reversal), the DAG shortest-path bootstrap, the full Dijkstra inner search
-(compiled: scipy's Dijkstra over a CSR of the residual arcs; used by ssp and
-by the online trackers), the paper's dynamic priority-queue broadcast that
-updates only invalidated predecessor labels (dssp), trajectory decoding, and
-the greedy DP baseline. OnlineResidual is the residual graph the online
-trackers keep from frame to frame: the last optimum's flow plus node
-potentials, searched from the sink as well as the source, so each frame is
-re-solved from the previous optimum instead of from zero flow.
+(used by ssp and by the online trackers), the paper's dynamic broadcast that
+re-labels only the invalidated part of the shortest-path tree (dssp),
+trajectory decoding, and the greedy DP baseline. Both inner searches are
+compiled: scipy's Dijkstra over one CSR of the residual arcs; the broadcast
+finds its affected subtree with scipy's breadth-first order and searches
+only the arcs that enter it, from its frontier. The predecessor tree is an
+array of nodes; the edge of a tree arc is found by its slot key.
+OnlineResidual is the residual graph the online trackers keep from frame to
+frame: the last optimum's flow plus node potentials, searched from the sink
+as well as the source, so each frame is re-solved from the previous optimum
+instead of from zero flow.
 """
 from __future__ import annotations
 
-import heapq
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import dijkstra
+from scipy.sparse.csgraph import breadth_first_order, dijkstra
 
 from .errors import DataError, InvariantBreach
 from .graph import (EXIT, SINK, SOURCE, KIND_U, FlowSolution, TrackingGraph,
@@ -33,7 +36,15 @@ EPS = 1e-9
 
 @dataclass
 class SolverStats:
-    """Instrumentation counters accumulated during a solve."""
+    """Instrumentation counters accumulated during a solve.
+
+    relaxations counts arcs examined, queue_pushes nodes labelled:
+      - DAG sweep: the arcs relaxed out of reached nodes; no queue (0).
+      - full search (dijkstra_full): the residual arcs out of reached
+        nodes; the nodes reached.
+      - broadcast (dynamic_broadcast): the residual arcs into the affected
+        set out of reached nodes; the affected nodes re-labelled.
+    """
 
     relaxations: int = 0
     queue_pushes: int = 0
@@ -49,16 +60,24 @@ class SolverStats:
 
 
 class PredecessorMap:
-    """Per-node shortest-path distance labels and predecessor pointers.
-
-    pred is None in the labels of the compiled search (dijkstra_full), which
-    walks only the target's chain and keeps no per-node predecessors.
-    """
+    """Per-node shortest-path distance labels and the predecessor tree:
+    pred[v] is the node before v, -1 for none (a root or an unreached node).
+    The edge of a tree arc u -> v is the residual slot keyed u * n + v (see
+    ResidualGraph.arcs)."""
 
     def __init__(self, n_nodes: int):
         self.dist = np.full(n_nodes, np.inf)
         self.dist[SOURCE] = 0.0
-        self.pred: list[tuple[int, int] | None] | None = [None] * n_nodes
+        self.pred = np.full(n_nodes, -1, dtype=np.int64)
+
+
+def check_cost_sum(total: float):
+    """DataError unless three times total, a sum of |edge cost|, is finite.
+    Path costs and labels are bounded by that sum, and reduced costs
+    c + p(u) - p(v) by about three times it, so no solve overflows to inf or
+    -inf."""
+    if not math.isfinite(3.0 * total):
+        raise DataError("edge costs too large: their sum overflows a float")
 
 
 @dataclass
@@ -91,6 +110,8 @@ class ResidualGraph:
         self.alive_arr = np.array(g.e_alive, dtype=bool) if m else np.zeros(0, bool)
         if m:
             self.rcost[~self.alive_arr] = 0.0
+        with np.errstate(over="ignore"):
+            check_cost_sum(float(np.sum(np.abs(self.rcost))))
         self.eps = EPS * float(np.max(np.abs(self.rcost))) if m else 0.0
         self.iteration = 0
         self._arcs = None
@@ -140,28 +161,12 @@ class ResidualGraph:
             if fl[eid] == 1:
                 yield eid, g.e_src[eid]
 
-    def in_arcs(self, node: int):
-        g, fl = self.graph, self.flow
-        for eid in g.in_edges[node]:
-            if fl[eid] == 0:
-                yield eid, g.e_src[eid]
-        for eid in g.out_edges[node]:
-            if fl[eid] == 1:
-                yield eid, g.e_dst[eid]
-
     def flip(self, eid: int):
         self.flow[eid] ^= 1
         rc = -float(self.rcost[eid])
         if -self.eps <= rc < 0.0:
             rc = 0.0
         self.rcost[eid] = rc
-
-    def arc_cost(self, eid: int) -> float:
-        """Residual arc cost clamped for queue ordering."""
-        rc = float(self.rcost[eid])
-        if rc < -self.eps:
-            raise InvariantBreach(f"negative reduced cost {rc} on edge {eid}")
-        return rc if rc > 0.0 else 0.0
 
 
 class OnlineResidual(ResidualGraph):
@@ -215,9 +220,18 @@ class OnlineResidual(ResidualGraph):
             self.potential = np.zeros(n + 1)
             self.potential[:len(old) - 1] = old[:-1]
             self.potential[n] = old[-1]
-        live = self.cost[self.alive_arr]
-        self.eps = EPS * float(np.max(np.abs(live))) if len(live) else 0.0
+        live = np.abs(self.cost[self.alive_arr])
+        self.eps = EPS * float(np.max(live)) if len(live) else 0.0
+        self.cost_sum = float(np.sum(live))
         self._arcs = None
+
+    def check_frame(self, prepared):
+        """check_cost_sum over the live edges and a prepared frame's, so a
+        frame whose costs would overflow is rejected before it changes
+        anything."""
+        new = [c for costs in prepared.node_costs for c in costs]
+        new += [c for _, _, c in prepared.links]
+        check_cost_sum(self.cost_sum + sum(map(abs, new)))
 
     def append_frame(self, detections, model, prepared):
         """Append a prepared frame to the graph. Its edges carry no flow; its
@@ -270,24 +284,25 @@ class OnlineResidual(ResidualGraph):
 
 
 def extract_path(res: ResidualGraph, labels: PredecessorMap) -> Path | None:
-    """Backtrack the predecessor chain from the sink; None if unreachable."""
-    if not np.isfinite(labels.dist[SINK]):
+    """Walk the predecessor chain back from res.target to one of res.roots;
+    None if the target is unreached. Each tree arc u -> v is the slot keyed
+    u * n + v. The target stands for the sink in the returned path."""
+    if not np.isfinite(labels.dist[res.target]):
         return None
-    nodes, eids = [SINK], []
-    node = SINK
-    limit = 2 * res.n_nodes + 4
-    while node != SOURCE:
-        step = labels.pred[node]
-        if step is None:
-            raise InvariantBreach(f"broken predecessor chain at node {node}")
-        node, eid = step
-        nodes.append(node)
-        eids.append(eid)
-        if len(nodes) > limit:
+    matrix, slot_eid, _, _, slot_key = res.arcs()
+    n, pred = matrix.shape[0], labels.pred
+    nodes = [res.target]
+    while (u := int(pred[nodes[-1]])) >= 0:
+        nodes.append(u)
+        if len(nodes) > n:
             raise InvariantBreach("predecessor chain contains a cycle")
+    if nodes[-1] not in res.roots:
+        raise InvariantBreach(f"broken predecessor chain at node {nodes[-1]}")
     nodes.reverse()
-    eids.reverse()
-    return Path(nodes, eids)
+    chain = np.array(nodes, dtype=np.int64)
+    eids = slot_eid[np.searchsorted(slot_key, chain[:-1] * n + chain[1:])]
+    nodes[-1] = SINK
+    return Path(nodes, eids.tolist())
 
 
 def path_original_cost(res: ResidualGraph, path: Path) -> float:
@@ -309,17 +324,17 @@ def dag_shortest_path(res: ResidualGraph, stats: SolverStats | None = None,
     g = res.graph
     stats = stats or SolverStats()
     labels = PredecessorMap(res.n_nodes)
-    dist, pred = labels.dist, labels.pred
     if g.is_empty:
         return None, labels
     excluded = excluded or set()
+    dist, pred = labels.dist, [-1] * res.n_nodes
 
     def relax(u, eid, v):
         stats.relaxations += 1
         nd = dist[u] + res.rcost[eid]
         if nd < dist[v]:
             dist[v] = nd
-            pred[v] = (u, eid)
+            pred[v] = u
 
     for eid in g.out_edges[SOURCE]:
         if res.flow[eid] == 1:
@@ -343,6 +358,7 @@ def dag_shortest_path(res: ResidualGraph, stats: SolverStats | None = None,
             for eid, v in res.out_arcs(vn):
                 if v not in excluded:
                     relax(vn, eid, v)
+    labels.pred = np.array(pred, dtype=np.int64)
     return extract_path(res, labels), labels
 
 
@@ -392,121 +408,96 @@ def build_residual(res: ResidualGraph, path: Path) -> ResidualGraph:
     return res
 
 
+def _count_scanned(res: ResidualGraph, stats: SolverStats, slot_eid,
+                   scanned: np.ndarray, cost: np.ndarray):
+    """Add the scanned arc slots to stats.relaxations; a scanned arc whose
+    reduced cost is below -eps breaks the search's precondition."""
+    bad = np.flatnonzero(scanned & (cost < -res.eps))
+    if len(bad):
+        eid = int(slot_eid[bad[0]])
+        raise InvariantBreach(f"negative reduced cost {res.rcost[eid]} on edge {eid}")
+    stats.relaxations += int(np.count_nonzero(scanned))
+
+
 def dijkstra_full(res: ResidualGraph, stats: SolverStats | None = None):
     """Full Dijkstra from res.roots over the residual graph, compiled.
 
     Weights are the residual arcs' reduced costs, clamped at 0; slots not in
     the residual graph weigh inf. relaxations counts the residual arcs out of
     reached nodes, queue_pushes the nodes reached. Returns (path to
-    res.target or None, labels holding every node's distance). Only the
-    target's predecessor chain is walked, so labels.pred is None.
+    res.target or None, labels holding every node's distance and
+    predecessor).
     """
     stats = stats or SolverStats()
-    matrix, slot_eid, slot_rev, slot_row, slot_key = res.arcs()
+    matrix, slot_eid, slot_rev, slot_row, _ = res.arcs()
     active = res.flow[slot_eid] == slot_rev
     cost = res.rcost[slot_eid]
     matrix.data = np.where(active, np.maximum(cost, 0.0), np.inf)
-    roots = res.roots
-    dist, pred, _ = dijkstra(matrix, indices=roots, min_only=True,
+    dist, pred, _ = dijkstra(matrix, indices=res.roots, min_only=True,
                              return_predecessors=True)
     reached = np.isfinite(dist)
-    scanned = active & reached[slot_row]
-    bad = np.flatnonzero(scanned & (cost < -res.eps))
-    if len(bad):
-        eid = int(slot_eid[bad[0]])
-        raise InvariantBreach(f"negative reduced cost {res.rcost[eid]} on edge {eid}")
-    stats.relaxations += int(np.count_nonzero(scanned))
+    _count_scanned(res, stats, slot_eid, active & reached[slot_row], cost)
     stats.queue_pushes += int(np.count_nonzero(reached))
-
     labels = PredecessorMap.__new__(PredecessorMap)
-    labels.dist, labels.pred = dist, None
-    n = matrix.shape[0]
-    if not reached[res.target]:
-        return None, labels
-    nodes = [res.target]
-    while (u := int(pred[nodes[-1]])) >= 0:
-        nodes.append(u)
-        if len(nodes) > n:
-            raise InvariantBreach("predecessor chain contains a cycle")
-    if nodes[-1] not in roots:
-        raise InvariantBreach(f"broken predecessor chain at node {nodes[-1]}")
-    nodes.reverse()
-    # The edge of each tree arc u -> v is the slot with key u * n + v.
-    chain = np.array(nodes, dtype=np.int64)
-    eids = slot_eid[np.searchsorted(slot_key, chain[:-1] * n + chain[1:])]
-    nodes[-1] = SINK  # the target stands for the sink
-    return Path(nodes, eids.tolist()), labels
+    labels.dist, labels.pred = dist, np.maximum(pred, -1)
+    return extract_path(res, labels), labels
 
 
 def dynamic_broadcast(res: ResidualGraph, seeds, labels: PredecessorMap,
                       stats: SolverStats | None = None):
-    """Update only invalidated predecessor labels via a dynamic priority queue.
+    """Re-label only the invalidated part of the shortest-path tree, compiled.
 
-    seeds must contain every node whose predecessor edge may have changed
-    (typically the nodes of the just-reversed shortest path); labels for all
-    other nodes must be valid for the current residual graph, and edge changes
-    may only have lengthened distances. Labels of the seeds' predecessor-tree
-    descendants are re-derived from the unaffected frontier and settled with a
-    priority queue; everything else is untouched. Returns the updated shortest
-    path to the sink; labels are updated in place.
+    seeds must contain every node whose predecessor arc may have changed
+    (typically the nodes of the just-reversed shortest path). Every other
+    label must be valid for the current residual graph, edge changes may
+    only have lengthened distances, and every reached label must be 0, as
+    convert_edge_costs leaves them. The affected set is the seeds and their
+    predecessor-tree descendants: one breadth-first search over the tree
+    from a virtual root linked to the seeds. Its labels come from one
+    compiled Dijkstra from its frontier, the reached nodes outside the set
+    with a usable arc into it, which all start at 0; slots that do not enter
+    the set weigh inf. Every other label is left as it is. relaxations
+    counts the usable arcs into the set out of reached nodes, queue_pushes
+    the nodes re-labelled. Returns the updated shortest path to the sink;
+    labels are updated in place.
     """
     stats = stats or SolverStats()
     dist, pred = labels.dist, labels.pred
-    n = res.n_nodes
+    n = len(dist)
+    seeds = np.asarray(seeds, dtype=np.int64)
+    seeds = seeds[seeds != SOURCE]
+    if not len(seeds):
+        return extract_path(res, labels), labels
+    # Parent -> child CSR of the tree; row n is the virtual root.
+    child = np.flatnonzero(pred >= 0)
+    rows = np.concatenate((pred[child], np.full(len(seeds), n)))
+    cols = np.concatenate((child, seeds))
+    tree = csr_matrix((np.ones(len(rows)), (rows, cols)), shape=(n + 1, n + 1))
+    affected = breadth_first_order(tree, n, return_predecessors=False)[1:]
+    in_set = np.zeros(n, dtype=bool)
+    in_set[affected] = True
+    dist[affected] = np.inf
+    pred[affected] = -1
 
-    # Affected region: seeds plus all predecessor-tree descendants.
-    children: list[list[int]] = [[] for _ in range(n)]
-    for x in range(n):
-        p = pred[x]
-        if p is not None:
-            children[p[0]].append(x)
-    affected: set[int] = set()
-    stack = [s for s in set(seeds) if s != SOURCE]
-    while stack:
-        x = stack.pop()
-        if x in affected:
-            continue
-        affected.add(x)
-        stack.extend(children[x])
-
-    for x in affected:
-        dist[x] = np.inf
-        pred[x] = None
-    heap: list[tuple[float, int]] = []
-    for x in affected:
-        best, best_pred = np.inf, None
-        for eid, w in res.in_arcs(x):
-            if w in affected:
-                continue
-            stats.relaxations += 1
-            dw = dist[w]
-            if not np.isfinite(dw):
-                continue
-            nd = dw + res.arc_cost(eid)
-            if nd < best:
-                best, best_pred = nd, (w, eid)
-        if best_pred is not None:
-            dist[x] = best
-            pred[x] = best_pred
-            heapq.heappush(heap, (best, x))
-            stats.queue_pushes += 1
-
-    done: set[int] = set()
-    while heap:
-        d, u = heapq.heappop(heap)
-        if u in done or d > dist[u]:
-            continue
-        done.add(u)
-        for eid, v in res.out_arcs(u):
-            if v not in affected:
-                continue
-            stats.relaxations += 1
-            nd = d + res.arc_cost(eid)
-            if nd < dist[v]:
-                dist[v] = nd
-                pred[v] = (u, eid)
-                heapq.heappush(heap, (nd, v))
-                stats.queue_pushes += 1
+    matrix, slot_eid, slot_rev, slot_row, _ = res.arcs()
+    cost = res.rcost[slot_eid]
+    into = (res.flow[slot_eid] == slot_rev) & in_set[matrix.indices]
+    # With the set's labels cleared, a reached tail lies outside the set.
+    is_frontier = np.zeros(n, dtype=bool)
+    is_frontier[slot_row[into & np.isfinite(dist[slot_row])]] = True
+    frontier = np.flatnonzero(is_frontier)
+    off = frontier[dist[frontier] != 0.0]
+    if len(off):
+        raise InvariantBreach(
+            f"frontier node {off[0]} has label {dist[off[0]]}, not 0")
+    if len(frontier):
+        matrix.data = np.where(into, np.maximum(cost, 0.0), np.inf)
+        d, p, _ = dijkstra(matrix, indices=frontier, min_only=True,
+                           return_predecessors=True)
+        dist[affected] = d[affected]
+        pred[affected] = np.maximum(p[affected], -1)
+    _count_scanned(res, stats, slot_eid, into & np.isfinite(dist[slot_row]), cost)
+    stats.queue_pushes += int(np.count_nonzero(np.isfinite(dist[affected])))
     return extract_path(res, labels), labels
 
 

@@ -415,3 +415,25 @@ def test_frame_gap_costs_nothing(solver, stream, monkeypatch):
     assert 1 <= len(solves) <= 2
     assert [line.split(",")[0] for line in out.getvalue().splitlines()] == \
         ["0", "1000000"]
+
+
+@pytest.mark.parametrize("solver,stream", GAP_RUNS)
+def test_overflowing_cost_sums_are_data_errors(solver, stream, tmp_path,
+                                               monkeypatch, capsys):
+    """Finite settings whose path sums overflow a float end in exit 2 for
+    every solver, not in exit 3 or an infinite total."""
+    cfg = tmp_path / "huge.cfg"
+    cfg.write_text("entry_cost = 1e300\nexit_cost = 1e300\n"
+                   "det_offset = -1.7e308\n")
+    rows = [f"{f},-1,{10 + f},10,20,40,2\n" for f in range(3)]
+    monkeypatch.delenv("FLOWTRACK_CONFIG", raising=False)
+    monkeypatch.setattr(sys, "stdin", io.StringIO(
+        "\n".join(rows) if stream else "".join(rows)))
+    monkeypatch.setattr(sys, "stdout", io.StringIO())
+    argv = ["track", "--solver", solver, "-o", "-", "--config", str(cfg)]
+    argv += ["--stream"] if stream else ["-i", "-"]
+    if solver == "mbodssp":
+        argv += ["--window", "2"]
+    assert cli.main(argv) == 2
+    err = capsys.readouterr().err
+    assert "edge costs too large" in err and "Traceback" not in err

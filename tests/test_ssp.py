@@ -13,8 +13,8 @@ from flowtrack.graph import (LINK, SINK, SOURCE, TrackingGraph,
 from flowtrack.ssp import (Path, PredecessorMap, ResidualGraph, SolverStats,
                            build_residual, convert_edge_costs,
                            dag_shortest_path, dijkstra_full, dynamic_broadcast,
-                           path_original_cost, solve_dp_greedy, solve_dssp,
-                           solve_ssp)
+                           extract_path, path_original_cost, solve_dp_greedy,
+                           solve_dssp, solve_ssp)
 from flowtrack.online import OnlineTracker, TrackerConfig
 from flowtrack.synthetic import SyntheticConfig, generate_synthetic
 
@@ -269,6 +269,195 @@ class TestCompiledDijkstra:
         assert path is None
         assert np.isfinite(labels.dist).sum() == 1
         assert stats.relaxations == 0 and stats.queue_pushes == 1
+
+
+def in_arcs(res, node):
+    """Residual arcs into node, as (edge id, tail)."""
+    g, fl = res.graph, res.flow
+    for eid in g.in_edges[node]:
+        if fl[eid] == 0:
+            yield eid, g.e_src[eid]
+    for eid in g.out_edges[node]:
+        if fl[eid] == 1:
+            yield eid, g.e_dst[eid]
+
+
+def arc_cost(res, eid):
+    """Residual arc cost clamped for queue ordering."""
+    rc = float(res.rcost[eid])
+    if rc < -res.eps:
+        raise InvariantBreach(f"negative reduced cost {rc} on edge {eid}")
+    return rc if rc > 0.0 else 0.0
+
+
+def python_broadcast(res, seeds, labels, stats):
+    """Plain reference for dynamic_broadcast: the interpreted broadcast, with
+    a children index rebuilt over every node and a heap seeded from the
+    frontier's in-arcs. relaxations counts the arcs into the affected set out
+    of reached nodes, queue_pushes the nodes settled."""
+    dist, pred = labels.dist, labels.pred
+    n = res.n_nodes
+    children = [[] for _ in range(n)]
+    for x in range(n):
+        if pred[x] >= 0:
+            children[pred[x]].append(x)
+    affected = set()
+    stack = [s for s in set(seeds) if s != SOURCE]
+    while stack:
+        x = stack.pop()
+        if x in affected:
+            continue
+        affected.add(x)
+        stack.extend(children[x])
+
+    for x in affected:
+        dist[x] = np.inf
+        pred[x] = -1
+    heap = []
+    for x in affected:
+        best, best_pred = np.inf, -1
+        for eid, w in in_arcs(res, x):
+            if w in affected or not np.isfinite(dist[w]):
+                continue
+            stats.relaxations += 1
+            nd = dist[w] + arc_cost(res, eid)
+            if nd < best:
+                best, best_pred = nd, w
+        if best_pred >= 0:
+            dist[x] = best
+            pred[x] = best_pred
+            heapq.heappush(heap, (best, x))
+
+    done = set()
+    while heap:
+        d, u = heapq.heappop(heap)
+        if u in done or d > dist[u]:
+            continue
+        done.add(u)
+        stats.queue_pushes += 1
+        for eid, v in res.out_arcs(u):
+            if v not in affected:
+                continue
+            stats.relaxations += 1
+            nd = d + arc_cost(res, eid)
+            if nd < dist[v]:
+                dist[v] = nd
+                pred[v] = u
+                heapq.heappush(heap, (nd, v))
+    return extract_path(res, labels), labels
+
+
+def copy_labels(labels):
+    out = PredecessorMap(len(labels.dist))
+    out.dist, out.pred = labels.dist.copy(), labels.pred.copy()
+    return out
+
+
+def single_det_tree():
+    """single_det_graph's residual with zero labels over the tree source ->
+    u -> v -> sink; the u -> v detection arc costs -5."""
+    g = single_det_graph()
+    res = ResidualGraph(g)
+    u, v = g.det_nodes[(0, 0)]
+    labels = PredecessorMap(res.n_nodes)
+    labels.dist[:] = 0.0
+    labels.pred[[u, v, SINK]] = [SOURCE, u, v]
+    return res, labels, u, v
+
+
+class TestCompiledBroadcast:
+    """dynamic_broadcast against the plain Python reference on the same
+    residual graphs and labels: every distance, the path, the counters."""
+
+    def check(self, res, seeds, labels):
+        want_stats, stats = SolverStats(), SolverStats()
+        want_path, want = python_broadcast(res, seeds, copy_labels(labels),
+                                           want_stats)
+        path, got = dynamic_broadcast(res, seeds, labels, stats)
+        reached = np.isfinite(want.dist)
+        assert np.array_equal(np.isfinite(got.dist), reached)
+        assert np.allclose(got.dist[reached], want.dist[reached],
+                           rtol=0.0, atol=1e-12)
+        assert (path is None) == (want_path is None)
+        if path is not None:
+            assert (path.nodes, path.eids) == (want_path.nodes, want_path.eids)
+        assert stats.relaxations == want_stats.relaxations
+        assert stats.queue_pushes == want_stats.queue_pushes
+        return path
+
+    def solve(self, graph, max_paths=6):
+        """Check every broadcast of a dssp solve; the first one reverses
+        nothing (its seeds are the DAG's path, whose labels stay valid).
+        Returns the number of broadcasts checked."""
+        res = ResidualGraph(graph)
+        path, labels = dag_shortest_path(res)
+        labels = convert_edge_costs(res, labels)
+        path = self.check(res, path.nodes, labels)
+        checked = 1
+        while (path is not None and path_original_cost(res, path) < 0.0
+               and checked <= max_paths):
+            labels = convert_edge_costs(res, labels)
+            build_residual(res, path)
+            path = self.check(res, path.nodes, labels)
+            checked += 1
+        return checked
+
+    def test_matches_reference_after_each_augmentation(self):
+        checked = 0
+        for seed in range(15):
+            frames, model = make_random_instance(seed, frame_range=(3, 6),
+                                                 dets_range=(1, 4))
+            checked += self.solve(build_graph(frames, model))
+        assert checked > 30
+
+    def test_matches_reference_on_a_crossing_scene(self):
+        cfg = SyntheticConfig(n_frames=30, n_initial_tracks=4, crossing=True,
+                              miss_rate=0.1, fp_rate=0.2)
+        dets, _ = generate_synthetic(cfg, 1)
+        assert self.solve(build_batch_graph(dets, CostModel()),
+                          max_paths=10 ** 6) > 4
+
+    def test_empty_seeds_are_a_no_op(self):
+        g, _, _ = canonical_graph()
+        res = ResidualGraph(g)
+        path, labels = dag_shortest_path(res)
+        before = copy_labels(labels)
+        stats = SolverStats()
+        path2, _ = dynamic_broadcast(res, [], labels, stats)
+        assert stats == SolverStats()
+        assert np.array_equal(labels.dist, before.dist)
+        assert np.array_equal(labels.pred, before.pred)
+        assert (path2.nodes, path2.eids) == (path.nodes, path.eids)
+
+    def test_negative_arc_out_of_reached_node_raises(self):
+        res, labels, _, v = single_det_tree()
+        with pytest.raises(InvariantBreach, match="negative reduced cost"):
+            dynamic_broadcast(res, [v], labels)
+
+    def test_negative_arc_out_of_unreached_node_ignored(self):
+        res, labels, u, v = single_det_tree()
+        labels.dist[u] = np.inf
+        stats = SolverStats()
+        path, _ = dynamic_broadcast(res, [v], labels, stats)
+        assert path is None
+        assert not np.isfinite(labels.dist[[v, SINK]]).any()
+        assert stats.relaxations == 0 and stats.queue_pushes == 0
+
+    def test_nonzero_frontier_label_raises(self):
+        res, labels, u, v = single_det_tree()
+        res.rcost[:] = 0.0
+        labels.dist[u] = 1.5
+        with pytest.raises(InvariantBreach, match="label"):
+            dynamic_broadcast(res, [v], labels)
+
+    def test_broken_or_cyclic_chain_raises(self):
+        res, labels, u, v = single_det_tree()
+        labels.pred[u] = v
+        with pytest.raises(InvariantBreach, match="cycle"):
+            extract_path(res, labels)
+        labels.pred[u] = -1
+        with pytest.raises(InvariantBreach, match="broken"):
+            extract_path(res, labels)
 
 
 class TestDynamicBroadcast:
