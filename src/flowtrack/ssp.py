@@ -4,11 +4,13 @@ Contains the residual-graph machinery (reduced-cost conversion, edge
 reversal), the DAG shortest-path bootstrap, the full Dijkstra inner search
 (used by ssp and by the online trackers), the paper's dynamic broadcast that
 re-labels only the invalidated part of the shortest-path tree (dssp),
-trajectory decoding, and the greedy DP baseline. Both inner searches are
-compiled: scipy's Dijkstra over one CSR of the residual arcs; the broadcast
-finds its affected subtree with scipy's breadth-first order and searches
-only the arcs that enter it, from its frontier. The predecessor tree is an
-array of nodes; the edge of a tree arc is found by its slot key.
+trajectory decoding, and the greedy DP baseline. Every search is compiled.
+The DAG sweep relaxes one frame layer per numpy reduction; it bootstraps ssp
+and dssp, and the greedy baseline runs it once per committed track. Both
+inner searches are scipy's Dijkstra over one CSR of the residual arcs; the
+broadcast finds its affected subtree with scipy's breadth-first order and
+searches only the arcs that enter it, from its frontier. The predecessor
+tree is an array of nodes; the edge of a tree arc is found by its slot key.
 OnlineResidual is the residual graph the online trackers keep from frame to
 frame: the last optimum's flow plus node potentials, searched from the sink
 as well as the source, so each frame is re-solved from the previous optimum
@@ -39,7 +41,8 @@ class SolverStats:
     """Instrumentation counters accumulated during a solve.
 
     relaxations counts arcs examined, queue_pushes nodes labelled:
-      - DAG sweep: the arcs relaxed out of reached nodes; no queue (0).
+      - DAG sweep: the forward edges out of reached nodes into nodes not
+        excluded; no queue (0).
       - full search (dijkstra_full): the residual arcs out of reached
         nodes; the nodes reached.
       - broadcast (dynamic_broadcast): the residual arcs into the affected
@@ -114,7 +117,7 @@ class ResidualGraph:
             check_cost_sum(float(np.sum(np.abs(self.rcost))))
         self.eps = EPS * float(np.max(np.abs(self.rcost))) if m else 0.0
         self.iteration = 0
-        self._arcs = None
+        self._arcs = self._dag = None
 
     def arcs(self):
         """Static CSR of residual arc slots, built on first use.
@@ -143,6 +146,41 @@ class ResidualGraph:
         return (matrix, np.concatenate((live, live))[order],
                 (order >= len(live)).astype(np.int8), rows, keys)
 
+    def dag_levels(self):
+        """Level index of the forward (acyclic) graph, built on first use,
+        with the same lifetime as arcs().
+
+        Levels are the source, then the u and then the v nodes of each frame
+        in frame order, then the sink. Push order is the source's out_edges,
+        then each frame's u nodes' and then v nodes' out_edges, in list
+        order; recycled ids make it differ from edge id order. Forward edges
+        are sorted by (level of head, head, rank in push order). Returns
+        (edge ids, tails, heads, one (first edge, end edge, group starts
+        within those edges, group heads) per level).
+        """
+        if self._dag is None:
+            g, n = self.graph, self.n_nodes
+            level = np.zeros(n, dtype=np.int64)
+            tails = [SOURCE]
+            for i, dets in enumerate(g.frames.values()):
+                us = [g.det_nodes[d.key][0] for d in dets]
+                vs = [g.det_nodes[d.key][1] for d in dets]
+                level[us], level[vs] = 2 * i + 1, 2 * i + 2
+                tails += us + vs
+            level[SINK] = 2 * len(g.frames) + 1
+            push = np.array([e for u in tails for e in g.out_edges[u]],
+                            dtype=np.int64)
+            heads = self.dst_arr[push]
+            eids = push[np.argsort(level[heads] * n + heads, kind="stable")]
+            heads = self.dst_arr[eids]
+            first = np.flatnonzero(np.diff(heads, prepend=-1))
+            bounds = np.flatnonzero(np.diff(level[heads[first]], prepend=-1))
+            ends = np.append(first, len(eids))
+            levels = [(ends[a], ends[b], first[a:b] - ends[a], heads[first[a:b]])
+                      for a, b in zip(bounds, np.append(bounds[1:], len(first)))]
+            self._dag = (eids, self.src_arr[eids], heads, levels)
+        return self._dag
+
     @property
     def n_nodes(self) -> int:
         return len(self.graph.node_kind)
@@ -151,15 +189,6 @@ class ResidualGraph:
         if self.flow[eid] == 0:
             return self.graph.e_src[eid], self.graph.e_dst[eid]
         return self.graph.e_dst[eid], self.graph.e_src[eid]
-
-    def out_arcs(self, node: int):
-        g, fl = self.graph, self.flow
-        for eid in g.out_edges[node]:
-            if fl[eid] == 0:
-                yield eid, g.e_dst[eid]
-        for eid in g.in_edges[node]:
-            if fl[eid] == 1:
-                yield eid, g.e_src[eid]
 
     def flip(self, eid: int):
         self.flow[eid] ^= 1
@@ -223,7 +252,7 @@ class OnlineResidual(ResidualGraph):
         live = np.abs(self.cost[self.alive_arr])
         self.eps = EPS * float(np.max(live)) if len(live) else 0.0
         self.cost_sum = float(np.sum(live))
-        self._arcs = None
+        self._arcs = self._dag = None
 
     def check_frame(self, prepared):
         """check_cost_sum over the live edges and a prepared frame's, so a
@@ -316,49 +345,37 @@ def path_original_cost(res: ResidualGraph, path: Path) -> float:
 
 
 def dag_shortest_path(res: ResidualGraph, stats: SolverStats | None = None,
-                      excluded: set | None = None):
-    """Topological-order relaxation over the forward (acyclic) graph.
+                      excluded: np.ndarray | None = None):
+    """Shortest paths from the source over the forward (acyclic) graph,
+    compiled: one numpy min-reduction per level of res.dag_levels().
 
-    Handles negative costs. Returns (path_to_sink_or_None, labels).
+    Handles negative costs. The residual graph must carry no flow. excluded
+    is a boolean node mask of nodes the sweep may not enter, so it never
+    leaves them either. A node's predecessor is the tail of its first tight
+    in-edge in push order: the edge a strict-< relaxation in that order
+    keeps. relaxations counts the edges out of reached nodes into nodes not
+    excluded. Returns (path_to_sink_or_None, labels).
     """
-    g = res.graph
     stats = stats or SolverStats()
     labels = PredecessorMap(res.n_nodes)
-    if g.is_empty:
+    if res.graph.is_empty:
         return None, labels
-    excluded = excluded or set()
-    dist, pred = labels.dist, [-1] * res.n_nodes
-
-    def relax(u, eid, v):
-        stats.relaxations += 1
-        nd = dist[u] + res.rcost[eid]
-        if nd < dist[v]:
-            dist[v] = nd
-            pred[v] = u
-
-    for eid in g.out_edges[SOURCE]:
-        if res.flow[eid] == 1:
-            raise InvariantBreach("DAG relaxation over a reversed entry edge")
-        v = g.e_dst[eid]
-        if v not in excluded:
-            relax(SOURCE, eid, v)
-    # Frame-by-frame sweep: u nodes (detection edges) then v nodes (links, exits).
-    for dets in g.frames.values():
-        for d in dets:
-            un = g.u_node(d)
-            if un in excluded or not np.isfinite(dist[un]):
-                continue
-            for eid, v in res.out_arcs(un):
-                if v not in excluded:
-                    relax(un, eid, v)
-        for d in dets:
-            vn = g.v_node(d)
-            if vn in excluded or not np.isfinite(dist[vn]):
-                continue
-            for eid, v in res.out_arcs(vn):
-                if v not in excluded:
-                    relax(vn, eid, v)
-    labels.pred = np.array(pred, dtype=np.int64)
+    if np.any(res.flow[res.alive_arr]):
+        raise InvariantBreach("DAG sweep over a residual graph carrying flow")
+    eids, tails, heads, levels = res.dag_levels()
+    w = res.rcost[eids]
+    if excluded is not None:
+        w[excluded[heads]] = np.inf
+    dist = labels.dist
+    for a, b, starts, level_heads in levels:
+        dist[level_heads] = np.minimum.reduceat(dist[tails[a:b]] + w[a:b],
+                                                starts)
+    via = dist[tails] + w
+    reached = np.isfinite(via)
+    stats.relaxations += int(np.count_nonzero(reached))
+    tight = np.flatnonzero(reached & (via == dist[heads]))
+    first = tight[np.diff(heads[tight], prepend=-1) != 0]
+    labels.pred[heads[first]] = tails[first]
     return extract_path(res, labels), labels
 
 
@@ -617,7 +634,7 @@ def solve_dp_greedy(graph: TrackingGraph):
     if graph.is_empty or graph.n_detections == 0:
         return FlowSolution(), stats
 
-    excluded: set[int] = set()
+    excluded = np.zeros(res.n_nodes, dtype=bool)
     trajectories = []
     edge_flow = {eid: 0 for eid in graph.live_edges()}
     total = 0.0
@@ -636,8 +653,6 @@ def solve_dp_greedy(graph: TrackingGraph):
         total += cost
         for eid in path.eids:
             edge_flow[eid] = 1
-        for n in path.nodes:
-            if n not in (SOURCE, SINK):
-                excluded.add(n)
+        excluded[path.nodes[1:-1]] = True
     return FlowSolution(trajectories=trajectories, total_cost=total,
                         edge_flow=edge_flow), stats

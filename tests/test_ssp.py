@@ -8,8 +8,10 @@ from conftest import (StubModel, build_graph, canonical_graph, det,
                       interchange_graph, make_random_instance)
 from flowtrack.cost_model import CostModel
 from flowtrack.errors import DataError, InvariantBreach
-from flowtrack.graph import (LINK, SINK, SOURCE, TrackingGraph,
-                             build_batch_graph, check_flow_conservation)
+from flowtrack import ssp
+from flowtrack.graph import (KIND_U, LINK, SINK, SOURCE, FlowSolution,
+                             TrackingGraph, Trajectory, build_batch_graph,
+                             check_flow_conservation)
 from flowtrack.ssp import (Path, PredecessorMap, ResidualGraph, SolverStats,
                            build_residual, convert_edge_costs,
                            dag_shortest_path, dijkstra_full, dynamic_broadcast,
@@ -153,6 +155,18 @@ class TestBuildResidual:
             build_residual(res, None)
 
 
+def out_arcs(res, node):
+    """Residual arcs out of node, as (edge id, head): its out-edges without
+    flow, then its in-edges with flow."""
+    g, fl = res.graph, res.flow
+    for eid in g.out_edges[node]:
+        if fl[eid] == 0:
+            yield eid, g.e_dst[eid]
+    for eid in g.in_edges[node]:
+        if fl[eid] == 1:
+            yield eid, g.e_src[eid]
+
+
 def heap_dijkstra(res):
     """Plain-heap reference search: (distances, arcs scanned out of settled
     nodes). Negative reduced costs count as 0, as in the solvers; on the
@@ -166,7 +180,7 @@ def heap_dijkstra(res):
         if done[u]:
             continue
         done[u] = True
-        for eid, v in res.out_arcs(u):
+        for eid, v in out_arcs(res, u):
             scanned += 1
             nd = d + max(float(res.rcost[eid]), 0.0)
             if nd < dist[v]:
@@ -335,7 +349,7 @@ def python_broadcast(res, seeds, labels, stats):
             continue
         done.add(u)
         stats.queue_pushes += 1
-        for eid, v in res.out_arcs(u):
+        for eid, v in out_arcs(res, u):
             if v not in affected:
                 continue
             stats.relaxations += 1
@@ -499,6 +513,281 @@ class TestDynamicBroadcast:
         s2, st2 = solve_dssp(g2)
         assert s1.total_cost == pytest.approx(s2.total_cost)
         assert st2.relaxations < st1.relaxations
+
+
+def python_dag(res, stats, excluded=frozenset()):
+    """Plain reference for dag_shortest_path: the interpreted topological
+    sweep. Pushes the source's out-arcs, then each frame's u nodes' and then
+    v nodes' out-arcs, in list order, with a strict-< relaxation, skipping
+    unreached tails and excluded nodes."""
+    g = res.graph
+    labels = PredecessorMap(res.n_nodes)
+    if g.is_empty:
+        return None, labels
+    dist, pred = labels.dist, [-1] * res.n_nodes
+
+    def relax(u, eid, v):
+        stats.relaxations += 1
+        nd = dist[u] + res.rcost[eid]
+        if nd < dist[v]:
+            dist[v] = nd
+            pred[v] = u
+
+    for eid in g.out_edges[SOURCE]:
+        v = g.e_dst[eid]
+        if v not in excluded:
+            relax(SOURCE, eid, v)
+    for dets in g.frames.values():
+        for nodes in ([g.u_node(d) for d in dets], [g.v_node(d) for d in dets]):
+            for u in nodes:
+                if u in excluded or not np.isfinite(dist[u]):
+                    continue
+                for eid, v in out_arcs(res, u):
+                    if v not in excluded:
+                        relax(u, eid, v)
+    labels.pred = np.array(pred, dtype=np.int64)
+    return extract_path(res, labels), labels
+
+
+def python_dp_greedy(graph):
+    """Reference greedy baseline over python_dag: commit the cheapest path,
+    exclude its nodes, repeat while paths cost < 0."""
+    stats = SolverStats()
+    res = ResidualGraph(graph)
+    excluded, trajectories, total = set(), [], 0.0
+    edge_flow = {eid: 0 for eid in graph.live_edges()}
+    for _ in range(graph.n_detections + 1):
+        path, labels = python_dag(res, stats, excluded)
+        if path is None or labels.dist[SINK] >= 0.0:
+            break
+        cost = float(labels.dist[SINK])
+        stats.iterations += 1
+        dets = [graph.node_det[n] for n in path.nodes
+                if graph.node_kind[n] == KIND_U]
+        trajectories.append(Trajectory(len(trajectories), dets, cost))
+        total += cost
+        for eid in path.eids:
+            edge_flow[eid] = 1
+        excluded.update(path.nodes[1:-1])
+    return FlowSolution(trajectories, total, edge_flow), stats
+
+
+def dyadic_frames(seed, n_frames=6, max_dets=4, skip=False):
+    """(frames, model) with costs drawn from a few multiples of 1/2, so
+    equal-cost paths and in-edges tie exactly. With skip, frame indices jump
+    by 1-3 and some frames are empty."""
+    rng = np.random.default_rng(seed)
+    frames, f = {}, 0
+    for _ in range(n_frames):
+        n = int(rng.integers(0 if skip else 1, max_dets + 1))
+        frames[f] = [det(f, i, x=float(rng.uniform(0, 500))) for i in range(n)]
+        f += int(rng.integers(1, 4)) if skip else 1
+    half = lambda lo, hi: float(rng.integers(lo, hi + 1)) / 2.0
+    dets = [d for ds in frames.values() for d in ds]
+    model = StubModel(
+        entry={d.key: half(2, 3) for d in dets},
+        exit_={d.key: half(2, 3) for d in dets},
+        detection={d.key: half(-6, -4) for d in dets},
+        links={(a.key, b.key): half(-1, 1) for a in dets for b in dets
+               if b.frame == a.frame + 1})
+    return frames, model
+
+
+def dyadic_instance(seed, **kwargs):
+    """dyadic_frames as a batch graph; empty frames are appended too."""
+    return build_graph(*dyadic_frames(seed, **kwargs))
+
+
+def recycled_graphs(frames, model, window=4):
+    """Graphs of a windowed tracker after clips: their node and edge ids are
+    reused by later frames, so ids no longer follow frame or push order."""
+    tracker = OnlineTracker(TrackerConfig(model=model, window=window,
+                                          gating=False))
+    for f in sorted(frames):
+        tracker.process_frame(frames[f], frame=f)
+        if f >= window:
+            yield tracker.graph
+
+
+def synthetic_frames(seed=3):
+    cfg = SyntheticConfig(n_frames=30, n_initial_tracks=4, miss_rate=0.1,
+                          fp_rate=0.2, spawn_prob=0.1, death_prob=0.05)
+    return generate_synthetic(cfg, seed)[0], CostModel()
+
+
+class TestCompiledDagSweep:
+    """dag_shortest_path against the interpreted sweep on the same graphs:
+    bit-identical distances and predecessors, the same path and the same
+    relaxations."""
+
+    def check(self, graph, excluded=None):
+        res = ResidualGraph(graph)
+        want_stats, stats = SolverStats(), SolverStats()
+        skip = set() if excluded is None else set(np.flatnonzero(excluded))
+        want_path, want = python_dag(res, want_stats, skip)
+        path, got = dag_shortest_path(res, stats, excluded)
+        assert np.array_equal(got.dist, want.dist)
+        assert np.array_equal(got.pred, want.pred)
+        assert stats.relaxations == want_stats.relaxations
+        assert stats.queue_pushes == 0
+        assert (path is None) == (want_path is None)
+        if path is not None:
+            assert (path.nodes, path.eids) == (want_path.nodes, want_path.eids)
+        return res
+
+    def random_mask(self, graph, rng):
+        mask = np.zeros(len(graph.node_kind), dtype=bool)
+        for u, v in graph.det_nodes.values():
+            if rng.random() < 0.3:
+                mask[u if rng.random() < 0.5 else v] = True
+        return mask
+
+    def test_random_instances(self):
+        for seed in range(20):
+            frames, model = make_random_instance(seed, frame_range=(2, 6),
+                                                 dets_range=(1, 4))
+            self.check(build_graph(frames, model))
+
+    def test_dyadic_ties_keep_the_first_in_push_order(self):
+        ties = 0
+        for seed in range(20):
+            res = self.check(dyadic_instance(seed))
+            _, labels = dag_shortest_path(res)
+            eids, tails, heads, _ = res.dag_levels()
+            via = labels.dist[tails] + res.rcost[eids]
+            tight = heads[np.isfinite(via) & (via == labels.dist[heads])]
+            ties += len(tight) - len(np.unique(tight))
+        assert ties > 50  # many nodes have two or more tight in-edges
+
+    def test_skipped_and_empty_frames(self):
+        for seed in range(20):
+            graph = dyadic_instance(seed, n_frames=8, skip=True)
+            assert graph.n_frames > len(graph.frames) or any(
+                not ds for ds in graph.frames.values())
+            self.check(graph)
+
+    def test_excluded_masks(self):
+        rng = np.random.default_rng(0)
+        for seed in range(20):
+            for graph in (dyadic_instance(seed, skip=seed % 2 == 1),
+                          build_graph(*make_random_instance(seed))):
+                self.check(graph, self.random_mask(graph, rng))
+        # excluding every node leaves the sink unreached
+        graph = dyadic_instance(0)
+        mask = np.ones(len(graph.node_kind), dtype=bool)
+        mask[[SOURCE, SINK]] = False
+        res = self.check(graph, mask)
+        assert dag_shortest_path(res, excluded=mask)[0] is None
+
+    def test_recycled_ids(self):
+        # push order, not edge id order, breaks ties: exits into the sink
+        # come in frame order while their recycled ids do not
+        rng = np.random.default_rng(1)
+        reordered = 0
+        for frames, model in [synthetic_frames()] + [
+                dyadic_frames(seed, n_frames=12) for seed in range(6)]:
+            for graph in recycled_graphs(frames, model):
+                self.check(graph)
+                self.check(graph, self.random_mask(graph, rng))
+                eids, _, heads, _ = ResidualGraph(graph).dag_levels()
+                reordered += bool(np.any(np.diff(eids[heads == SINK]) < 0))
+        assert reordered > 20
+
+    def test_empty_graph_and_frames_without_detections(self):
+        self.check(TrackingGraph())
+        graph = TrackingGraph()
+        graph.append_frame([], StubModel(), frame=4)
+        graph.append_frame([], StubModel(), frame=5)
+        path, labels = dag_shortest_path(ResidualGraph(graph))
+        assert path is None and np.isinf(labels.dist[SINK])
+
+    def test_level_index_lives_with_the_arcs(self):
+        res = ResidualGraph(canonical_graph()[0])
+        assert res.dag_levels() is res.dag_levels()
+        tracker = OnlineTracker(TrackerConfig(model=CostModel(), window=3))
+        tracker.process_frame([det(0, 0)], frame=0)
+        online = tracker.cache.residual
+        online.dag_levels()
+        tracker.process_frame([det(1, 0)], frame=1)
+        assert sorted(online.dag_levels()[0]) == tracker.graph.live_edges()
+
+    @pytest.mark.parametrize("kind", ["entry", "detection", "link", "exit"])
+    def test_refuses_a_residual_carrying_flow(self, kind):
+        g, _, (d00, _, d10, _) = canonical_graph()
+        eid = {"entry": g.entry_edge_of(d00),
+               "detection": g.detection_edge_of(d00),
+               "link": g.link_edge_between(d00, d10),
+               "exit": g.out_edges[g.v_node(d10)][0]}[kind]
+        res = ResidualGraph(g)
+        res.flow[eid] = 1
+        with pytest.raises(InvariantBreach, match="carrying flow"):
+            dag_shortest_path(res)
+
+
+class TestCompiledGreedyDp:
+    """solve_dp_greedy against the greedy built on the interpreted sweep."""
+
+    def check(self, build):
+        got, stats = solve_dp_greedy(build())
+        want, want_stats = python_dp_greedy(build())
+        assert ([([d.key for d in t.detections], t.cost)
+                 for t in got.trajectories]
+                == [([d.key for d in t.detections], t.cost)
+                    for t in want.trajectories])
+        assert got.total_cost == want.total_cost
+        assert got.edge_flow == want.edge_flow
+        assert stats.iterations == want_stats.iterations
+        assert stats.relaxations == want_stats.relaxations
+        return stats
+
+    def test_random_instances(self):
+        for seed in range(20):
+            frames, model = make_random_instance(seed, frame_range=(3, 6),
+                                                 dets_range=(1, 4))
+            self.check(lambda: build_graph(frames, model))
+
+    def test_tied_instances(self):
+        iterations = 0
+        for seed in range(20):
+            iterations += self.check(
+                lambda: dyadic_instance(seed, skip=seed % 2 == 1)).iterations
+        assert iterations > 20
+
+    def test_crossing_scene(self):
+        cfg = SyntheticConfig(n_frames=30, n_initial_tracks=4, crossing=True,
+                              miss_rate=0.1, fp_rate=0.2)
+        dets, _ = generate_synthetic(cfg, 1)
+        assert self.check(lambda: build_batch_graph(dets, CostModel())
+                          ).iterations > 3
+
+
+class TestLayerHooks:
+    """perfbench's layer map wraps ssp's module attributes from outside: the
+    solvers must reach the DAG sweep through the module attribute, so
+    ssp.dag_calls counts one call per search."""
+
+    def count_dag_calls(self, monkeypatch, solve, graph):
+        calls = []
+        sweep = ssp.dag_shortest_path
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return sweep(*args, **kwargs)
+
+        monkeypatch.setattr(ssp, "dag_shortest_path", counted)
+        _, stats = solve(graph)
+        return len(calls), stats
+
+    def test_one_sweep_per_search(self, monkeypatch):
+        cfg = SyntheticConfig(n_frames=20, n_initial_tracks=4, crossing=True)
+        dets, _ = generate_synthetic(cfg, 2)
+        calls, stats = self.count_dag_calls(
+            monkeypatch, ssp.solve_dp_greedy, build_batch_graph(dets, CostModel()))
+        assert stats.iterations > 1 and calls == stats.iterations + 1
+        for solve in (ssp.solve_ssp, ssp.solve_dssp):
+            calls, stats = self.count_dag_calls(
+                monkeypatch, solve, build_batch_graph(dets, CostModel()))
+            assert stats.iterations > 1 and calls == 1
 
 
 class TestSolveSsp:
