@@ -4,11 +4,23 @@ Four cost families are produced: entry, exit, detection and link. Link costs
 come from a weighted offset feature vector; detection costs pass the detector
 score through a logistic and map the resulting probability to a signed cost,
 either affinely or through log-odds.
+
+`link_cost_of` prices one pair of detections and is the reference. The graph
+prices a whole frame at once with `CostModel.link_costs_of`, over the
+`FrameBoxes` geometry computed once per frame. It gives the same floats bit
+for bit: numpy does the elementwise IEEE arithmetic, `math.hypot`,
+`math.exp` and the builtin `sum` are mapped over lists (numpy's hypot and exp
+differ in the last bit on some inputs, and its sum in the order of adding),
+and `np.fmin`/`np.fmax` keep the builtin `min`/`max` rule of passing over a
+NaN second argument.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+import operator
+from dataclasses import dataclass
+
+import numpy as np
 
 from .errors import DataError
 
@@ -38,6 +50,9 @@ class Detection:
             raise DataError(f"detection frame must be >= 0, got {self.frame}")
         if not all(math.isfinite(v) for v in (x, y, w, h, self.score)):
             raise DataError("detection fields must be finite")
+        if not w * h > 0:
+            raise DataError(f"detection box area w*h underflows to zero, "
+                            f"got w={w}, h={h}")
 
     @property
     def key(self) -> tuple[int, int]:
@@ -68,6 +83,8 @@ def iou(box_a, box_b) -> float:
     if inter <= 0.0:
         return 0.0
     union = aw * ah + bw * bh - inter
+    if union == 0.0:  # rounding made inter equal the summed areas
+        return 1.0
     return min(1.0, inter / union)
 
 
@@ -83,6 +100,26 @@ def pairwise_features(a: Detection, b: Detection) -> tuple[float, ...]:
     size = min(a.area, b.area) / max(a.area, b.area)
     clamp = lambda v: min(1.0, max(0.0, v))
     return (clamp(overlap), clamp(location), clamp(size))
+
+
+def nan_link_error(a: Detection, b: Detection) -> DataError:
+    return DataError(f"non-finite link cost for {a.key}->{b.key}")
+
+
+class FrameBoxes:
+    """One frame's detections (nonempty, in local-index order), with their
+    box geometry as the rows of the (8, n) array `geo`: x, y, x + w, y + h,
+    centre x, centre y, area and diagonal, each computed as the Detection
+    properties and iou() compute it."""
+
+    __slots__ = ("dets", "geo")
+
+    def __init__(self, dets: list[Detection]):
+        self.dets = dets
+        self.geo = np.array([(x, y, x + w, y + h, x + w / 2.0, y + h / 2.0,
+                              w * h, math.hypot(w, h))
+                             for x, y, w, h in (d.box for d in dets)],
+                            dtype=float).T
 
 
 def _logistic(z: float) -> float:
@@ -125,6 +162,11 @@ class CostModel:
             raise DataError("cost model parameters must be finite")
         if self.det_cost_form not in ("affine", "logodds"):
             raise DataError(f"unknown det_cost_form {self.det_cost_form!r}")
+        # columns that broadcast over a frame's pairs in link_costs_of
+        object.__setattr__(self, "_offsets",
+                           np.array(self.feature_offsets, dtype=float)[:, None])
+        object.__setattr__(self, "_weights",
+                           np.array(self.feature_weights, dtype=float)[:, None])
 
     @property
     def n_features(self) -> int:
@@ -172,9 +214,72 @@ class CostModel:
             # successor detection's trailing CSV columns.
             extras = b.extras[:n_extra]
             if len(extras) < n_extra:
-                raise DataError(
-                    f"model expects {n_extra} extra feature column(s), detection "
-                    f"{b.key} carries {len(b.extras)}"
-                )
+                raise self._missing_extras(b)
             feats.extend(min(1.0, max(0.0, e)) for e in extras)
         return self.link_cost(feats)
+
+    def link_costs_of(self, prev: FrameBoxes, new: FrameBoxes,
+                      ip: np.ndarray, jn: np.ndarray) -> list[float]:
+        """[link_cost_of(prev.dets[i], new.dets[j]) for i, j in zip(ip, jn)],
+        bit for bit, in one array pass.
+
+        Raises a DataError for the first pair whose cost is NaN or whose
+        successor lacks the model's extra feature columns, with the text
+        that pricing pair by pair gives.
+        """
+        a, b = prev.geo[:, ip], new.geo[:, jn]
+        area_a, area_b = a[6], b[6]
+        s = np.empty((self.n_features, len(ip)))
+        with np.errstate(all="ignore"):
+            ixy = np.minimum(a[2:4], b[2:4]) - np.maximum(a[0:2], b[0:2])
+            np.maximum(ixy, 0.0, out=ixy)
+            inter = ixy[0] * ixy[1]
+            # iou(). Areas are positive, so inter == 0.0 gives 0.0 without
+            # a branch, and inter / 0.0 is inf, which min() makes 1.0.
+            np.fmin(1.0, inter / (area_a + area_b - inter), out=s[0])
+            # exp(-dist / diagonal) in Python floats, as pairwise_features()
+            dist = map(math.hypot, *(a[4:6] - b[4:6]).tolist())
+            s[1] = list(map(math.exp, map(operator.truediv,
+                                          map(operator.neg, dist),
+                                          a[7].tolist())))
+            np.divide(np.minimum(area_a, area_b), np.maximum(area_a, area_b),
+                      out=s[2])
+            missing = self._extras(new, s, jn)
+            # The geometry features are at most 1.0 or NaN, and the extras
+            # come clamped, so max(0.0, v) is what is left of the clamp.
+            np.fmax(0.0, s, out=s)
+            np.subtract(1.0, s, out=s)
+            s += self._offsets
+            s *= self._weights
+        costs = list(map(sum, s.T.tolist()))
+        # the sum of the costs is NaN whenever one of them is
+        if missing is not None or math.isnan(sum(costs)):
+            bad = np.isnan(costs)
+            if missing is not None:
+                bad |= missing
+            if bad.any():
+                k = int(bad.argmax())
+                pa, pb = prev.dets[ip[k]], new.dets[jn[k]]
+                if missing is not None and missing[k]:
+                    raise self._missing_extras(pb)
+                raise nan_link_error(pa, pb)
+        return costs
+
+    def _extras(self, new: FrameBoxes, s: np.ndarray, jn: np.ndarray):
+        """Fill s[3:] with the clamped extra columns of new.dets[jn].
+        Returns the mask of the pairs whose successor lacks them, or None
+        when none does."""
+        n_extra = self.n_features - len(GEOMETRY_FEATURES)
+        if not n_extra:
+            return None
+        rows = [d.extras[:n_extra] for d in new.dets]
+        short = np.array([len(r) < n_extra for r in rows])
+        table = np.array([(0.0,) * n_extra if lacks else r
+                          for r, lacks in zip(rows, short)], dtype=float)
+        s[3:] = np.fmin(1.0, np.fmax(0.0, table))[jn].T
+        return short[jn] if short.any() else None
+
+    def _missing_extras(self, b: Detection) -> DataError:
+        n_extra = self.n_features - len(GEOMETRY_FEATURES)
+        return DataError(f"model expects {n_extra} extra feature column(s), "
+                         f"detection {b.key} carries {len(b.extras)}")

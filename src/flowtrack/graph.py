@@ -6,13 +6,20 @@ to the sink, and link edges connect v nodes to u nodes in the next frame.
 The graph supports online frame appending and oldest-frame clipping, which
 folds each clipped trajectory prefix into its successor's entry cost, and
 recycles node/edge slots so a windowed graph stays bounded in memory.
+
+A frame's links are gated and priced as one (previous frame x new frame)
+block: `gate_block` over the box geometry kept per frame, then the model's
+`link_costs_of` over the admitted pairs. Both give, bit for bit, what the
+scalar references `default_gate` and `link_cost_of` give pair by pair.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
 
-from .cost_model import Detection
+import numpy as np
+
+from .cost_model import Detection, FrameBoxes, nan_link_error
 from .errors import DataError, InvariantBreach
 
 SOURCE = 0
@@ -58,11 +65,13 @@ class FlowSolution:
 @dataclass
 class PreparedFrame:
     """One frame checked against a graph, ready to append: its index, its
-    detections in local-index order, their (entry, detection, exit) costs
-    and the admitted (previous, detection, cost) links."""
+    detections in local-index order, their box geometry (None for an empty
+    frame), their (entry, detection, exit) costs and the admitted
+    (previous, detection, cost) links."""
 
     frame: int
     dets: list[Detection]
+    boxes: FrameBoxes | None
     node_costs: list[tuple[float, float, float]]
     links: list[tuple[Detection, Detection, float]]
 
@@ -73,6 +82,17 @@ def default_gate(a: Detection, b: Detection, radius_factor: float = 2.0) -> bool
     ca, cb = a.center, b.center
     dist = math.hypot(ca[0] - cb[0], ca[1] - cb[1])
     return dist <= radius_factor * max(a.diagonal, b.diagonal)
+
+
+def gate_block(a: FrameBoxes, b: FrameBoxes,
+               radius_factor: float = 2.0) -> np.ndarray:
+    """default_gate(a.dets[i], b.dets[j], radius_factor) as the [i, j] entry
+    of a boolean array, bit for bit."""
+    with np.errstate(all="ignore"):
+        d = a.geo[4:6, :, None] - b.geo[4:6, None, :]
+        dist = np.array(list(map(math.hypot, *d.reshape(2, -1).tolist())))
+        return (dist.reshape(d.shape[1:])
+                <= radius_factor * np.maximum(a.geo[7, :, None], b.geo[7]))
 
 
 class TrackingGraph:
@@ -105,6 +125,7 @@ class TrackingGraph:
         # detection bookkeeping
         self.det_nodes: dict[tuple[int, int], tuple[int, int]] = {}  # key -> (u, v)
         self.frames: dict[int, list[Detection]] = {}
+        self.boxes: dict[int, FrameBoxes | None] = {}  # geometry of frames
         self.t_min: int | None = None
         self.t_max: int | None = None
         self.n_live_nodes = 2
@@ -265,17 +286,25 @@ class TrackingGraph:
             for kind, cost in zip((ENTRY, DET, EXIT), costs):
                 if not math.isfinite(cost):
                     raise DataError(f"non-finite {kind} edge cost {cost!r}")
+        boxes = FrameBoxes(dets) if dets else None
+        prev = self.boxes.get(frame - 1)
         links = []
-        for p in self.frames.get(frame - 1, []):
-            for d in dets:
-                if self.gating and not default_gate(p, d, self.gate_radius_factor):
-                    continue
-                cost = model.link_cost_of(p, d)
-                if math.isnan(cost):
-                    raise DataError(f"non-finite link cost for {p.key}->{d.key}")
-                if not math.isinf(cost):  # +inf means "no plausible link"
-                    links.append((p, d, cost))
-        return PreparedFrame(frame, dets, node_costs, links)
+        if prev is not None and boxes is not None:
+            if self.gating:
+                ip, jn = np.nonzero(gate_block(prev, boxes,
+                                               self.gate_radius_factor))
+            else:
+                ip, jn = np.indices((len(prev.dets), len(dets))).reshape(2, -1)
+            costs = model.link_costs_of(prev, boxes, ip, jn) if len(ip) else []
+            pairs = list(zip(ip.tolist(), jn.tolist(), costs))
+            if math.isnan(sum(costs)):  # as it is whenever a cost is NaN
+                for i, j, cost in pairs:
+                    if math.isnan(cost):
+                        raise nan_link_error(prev.dets[i], dets[j])
+            # +inf means "no plausible link"
+            links = [(prev.dets[i], dets[j], cost) for i, j, cost in pairs
+                     if not math.isinf(cost)]
+        return PreparedFrame(frame, dets, boxes, node_costs, links)
 
     def append_frame(self, new_detections: list[Detection], model,
                      frame: int | None = None,
@@ -295,6 +324,7 @@ class TrackingGraph:
             self.t_min = frame
         self.t_max = frame
         self.frames[frame] = prepared.dets
+        self.boxes[frame] = prepared.boxes
         for d, (entry, det_cost, exit_) in zip(prepared.dets,
                                                 prepared.node_costs):
             u = self._alloc_node(KIND_U, d)
@@ -318,6 +348,7 @@ class TrackingGraph:
             raise DataError("cannot clip an empty graph")
         t_min = self.t_min
         removed = self.frames.pop(t_min)
+        del self.boxes[t_min]
 
         for traj in solution.trajectories:
             first = traj.detections[0]

@@ -45,6 +45,10 @@ class StubModel:
     def link_cost_of(self, a, b):
         return self.links.get((a.key, b.key), math.inf)
 
+    def link_costs_of(self, prev, new, ip, jn):
+        return [self.link_cost_of(prev.dets[i], new.dets[j])
+                for i, j in zip(ip.tolist(), jn.tolist())]
+
 
 def two_frame_pairs(links_by_index, **kwargs):
     """2 frames x 2 detections graph with link costs keyed by local indices."""

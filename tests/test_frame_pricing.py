@@ -1,0 +1,264 @@
+"""Frame-at-a-time link pricing against the scalar references.
+
+TrackingGraph.prepare_frame gates and prices the (previous frame x new frame)
+block at once, with gate_block and CostModel.link_costs_of. These tests pin
+both to default_gate and link_cost_of bit for bit, errors included, and pin
+whole graphs, batch and windowed, to a builder that prices pair by pair.
+"""
+import math
+import warnings
+from dataclasses import replace
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from flowtrack import online
+from flowtrack.cost_model import CostModel, Detection, FrameBoxes, iou
+from flowtrack.errors import DataError
+from flowtrack.graph import (TrackingGraph, build_batch_graph, default_gate,
+                             gate_block)
+from flowtrack.online import OnlineTracker, TrackerConfig
+from flowtrack.synthetic import SyntheticConfig, generate_synthetic
+
+PROPERTY = settings(derandomize=True, database=None, max_examples=400,
+                    deadline=None)
+
+#: Box scales from tiny to where x + w and w * h overflow.
+SCALES = (1e-150, 1e-40, 1e-3, 1.0, 50.0, 1e8, 1e16, 1e150, 1e300, 1e307)
+unit = st.floats(-4.0, 4.0)
+size = st.floats(0.01, 4.0)
+extra = st.one_of(st.floats(-0.5, 1.5), st.sampled_from(
+    [math.inf, -math.inf, 0.0, -0.0, 1.0]))
+
+
+@st.composite
+def box_near(draw, prev):
+    """A fresh box at some scale, or one identical to, touching or shifted
+    from a box of the previous frame."""
+    mode = draw(st.sampled_from(["fresh", "same", "touch", "shift"]))
+    if prev and mode != "fresh":
+        x, y, w, h = draw(st.sampled_from(prev))
+        if mode == "touch":
+            x += w
+        elif mode == "shift":
+            x += draw(unit) * w
+            y += draw(unit) * h
+        return (x, y, w, h)
+    s = draw(st.sampled_from(SCALES))
+    return (draw(unit) * s, draw(unit) * s, draw(size) * s, draw(size) * s)
+
+
+@st.composite
+def frame_pair(draw):
+    """Two consecutive frames of 1-4 detections; new ones carry 0-2 extras."""
+    prev_boxes = [draw(box_near([])) for _ in range(draw(st.integers(1, 4)))]
+    new_boxes = [draw(box_near(prev_boxes))
+                 for _ in range(draw(st.integers(1, 4)))]
+    prev = [Detection(0, b, 0.0, i) for i, b in enumerate(prev_boxes)]
+    new = [Detection(1, b, 0.0, i,
+                     extras=tuple(draw(st.lists(extra, max_size=2))))
+           for i, b in enumerate(new_boxes)]
+    return prev, new
+
+
+param = st.one_of(st.floats(-3.0, 3.0),
+                  st.sampled_from([1e308, -1e308, 0.0]))
+
+
+@st.composite
+def models(draw):
+    """3- and 4-feature models; huge parameters make inf and NaN costs."""
+    n = draw(st.sampled_from([3, 4]))
+    return CostModel(feature_offsets=tuple(draw(param) for _ in range(n)),
+                     feature_weights=tuple(draw(param) for _ in range(n)))
+
+
+def outcome(fn):
+    """Hex of each returned float, or the DataError text."""
+    try:
+        return [c.hex() for c in fn()]
+    except DataError as exc:
+        return f"DataError: {exc}"
+
+
+def scalar_costs(model, pairs):
+    """link_cost_of pair by pair, stopping at the first error or NaN cost
+    with the DataError the graph raises for it."""
+    costs = []
+    for a, b in pairs:
+        cost = model.link_cost_of(a, b)
+        if math.isnan(cost):
+            raise DataError(f"non-finite link cost for {a.key}->{b.key}")
+        costs.append(cost)
+    return costs
+
+
+@PROPERTY
+@given(dets=frame_pair(), model=models(),
+       radius=st.sampled_from([0.0, 0.5, 2.0, 1e300]))
+def test_block_pricing_is_bit_identical_to_scalar(dets, model, radius):
+    prev, new = dets
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        pb, nb = FrameBoxes(prev), FrameBoxes(new)
+        mask = gate_block(pb, nb, radius)
+        assert mask.tolist() == [[default_gate(a, b, radius) for b in new]
+                                 for a in prev]
+        # gated pairs, then all pairs (gating off)
+        for admitted in (mask, np.ones_like(mask)):
+            ip, jn = np.nonzero(admitted)
+            pairs = [(prev[i], new[j]) for i, j in zip(ip, jn)]
+            assert (outcome(lambda: model.link_costs_of(pb, nb, ip, jn))
+                    == outcome(lambda: scalar_costs(model, pairs)))
+
+
+def test_gate_on_its_radius_follows_math_hypot():
+    """Centre distances exactly on the gate radius, where np.hypot rounds
+    above math.hypot: default_gate admits the pair, so gate_block must."""
+    rng = np.random.default_rng(0)
+    a = Detection(0, (0.0, 0.0, 1.0, 1.0), 0.0, 0)
+    checked = 0
+    while checked < 10:
+        b = Detection(1, (*rng.uniform(-100.0, 100.0, 2).tolist(), 1.0, 1.0),
+                      0.0, 0)
+        dx, dy = a.center[0] - b.center[0], a.center[1] - b.center[1]
+        dist = math.hypot(dx, dy)
+        if np.hypot(dx, dy) <= dist:
+            continue
+        radius = dist / a.diagonal
+        radius = next((r for r in (radius, math.nextafter(radius, 0.0),
+                                   math.nextafter(radius, math.inf))
+                       if r * a.diagonal == dist), None)
+        if radius is None:
+            continue
+        assert default_gate(a, b, radius)
+        assert gate_block(FrameBoxes([a]), FrameBoxes([b]), radius).tolist() \
+            == [[True]]
+        checked += 1
+
+
+def test_overlap_rounded_up_to_the_summed_areas():
+    """At 1e16, x + w rounds up by two units, so the intersection of two
+    unit boxes equals their summed areas and the union is 0.0."""
+    a = Detection(0, (1e16 + 2, 0.0, 1.0, 1.0), 0.0, 0)
+    b = replace(a, frame=1)
+    assert iou(a.box, b.box) == 1.0
+    model = CostModel()
+    one = np.array([0])
+    assert model.link_costs_of(FrameBoxes([a]), FrameBoxes([b]), one, one) \
+        == [model.link_cost_of(a, b)]
+
+
+class _NodeCostsOnly:
+    """The wrapped model, except that it prices every link +inf."""
+
+    def __init__(self, model):
+        self.model = model
+
+    def __getattr__(self, name):
+        return getattr(self.model, name)
+
+    def link_costs_of(self, prev, new, ip, jn):
+        return [math.inf] * len(ip)
+
+
+class ScalarGraph(TrackingGraph):
+    """Reference: gates and prices each (previous, new) pair on its own,
+    with default_gate and link_cost_of."""
+
+    def prepare_frame(self, new_detections, model, frame=None):
+        prepared = super().prepare_frame(new_detections,
+                                         _NodeCostsOnly(model), frame)
+        links = []
+        for p in self.frames.get(prepared.frame - 1, []):
+            for d in prepared.dets:
+                if self.gating and not default_gate(p, d,
+                                                    self.gate_radius_factor):
+                    continue
+                cost = model.link_cost_of(p, d)
+                if math.isnan(cost):
+                    raise DataError(f"non-finite link cost for "
+                                    f"{p.key}->{d.key}")
+                if not math.isinf(cost):
+                    links.append((p, d, cost))
+        return replace(prepared, links=links)
+
+
+def graph_arrays(g):
+    """Everything the solvers read, costs as hex."""
+    return (g.e_src, g.e_dst, g.e_kind, [c.hex() for c in g.e_cost],
+            g.e_alive, g.e_origin, g.out_edges, g.in_edges, g.node_kind,
+            list(g.frames), list(g.boxes))
+
+
+CROWDED = SyntheticConfig(n_frames=25, n_initial_tracks=12, crossing=True,
+                          spawn_prob=0.1, death_prob=0.05, miss_rate=0.05,
+                          fp_rate=0.2)
+STATIONARY = SyntheticConfig(n_frames=40, n_initial_tracks=5, spawn_prob=0.0,
+                             death_prob=0.0, miss_rate=0.1, fp_rate=0.1)
+#: The default model and a 4-feature one reading an extra column.
+MODELS = (CostModel(), CostModel(feature_offsets=(-0.4, -0.4, -0.4, -0.2),
+                                 feature_weights=(2.0, 1.0, 1.0, 0.5)))
+
+
+def parsed(detections):
+    """Synthetic detections as a CSV parse gives them: Python floats, here
+    with one extra column."""
+    return {f: [replace(d, box=tuple(map(float, d.box)), score=float(d.score),
+                        extras=((d.local_index % 5) / 4.0,)) for d in ds]
+            for f, ds in detections.items()}
+
+
+@pytest.mark.parametrize("gating,radius", [(True, 2.0), (True, 0.5),
+                                           (False, 2.0)])
+@pytest.mark.parametrize("model", MODELS)
+def test_batch_graph_matches_scalar_builder(model, gating, radius):
+    for seed in (0, 1):
+        detections = parsed(generate_synthetic(CROWDED, seed)[0])
+        ref = ScalarGraph(gating=gating, gate_radius_factor=radius)
+        for f in sorted(detections):
+            ref.append_frame(detections[f], model, frame=f)
+        got = build_batch_graph(detections, model, gating=gating,
+                                gate_radius_factor=radius)
+        assert graph_arrays(got) == graph_arrays(ref)
+        assert sum(k == "link" for k in got.e_kind) > 0
+
+
+@pytest.mark.parametrize("window", [3, None])
+def test_online_graphs_match_scalar_builder(window, monkeypatch):
+    """Windowed graphs recycle node and edge ids across clips; odssp's only
+    grow. Every frame's graph and solution match the reference's."""
+    detections = parsed(generate_synthetic(STATIONARY, 4)[0])
+    for model in MODELS:
+        config = TrackerConfig(model=model, window=window)
+        got = OnlineTracker(config)
+        with monkeypatch.context() as m:
+            m.setattr(online, "TrackingGraph", ScalarGraph)
+            ref = OnlineTracker(config)
+        assert type(ref.graph) is ScalarGraph
+        for f in sorted(detections):
+            sol_got = got.process_frame(detections[f], frame=f)
+            sol_ref = ref.process_frame(detections[f], frame=f)
+            assert graph_arrays(got.graph) == graph_arrays(ref.graph), f
+            assert list(got.graph.boxes) == list(got.graph.frames)
+            assert (float(sol_got.total_cost).hex()
+                    == float(sol_ref.total_cost).hex())
+            assert sol_got.edge_flow == sol_ref.edge_flow
+        if window is not None:
+            assert got.graph._free_edges  # clips recycled ids
+
+
+def test_nan_link_leaves_graph_untouched():
+    """Huge weights of opposite sign make every link cost inf - inf."""
+    model = CostModel(feature_offsets=(1e308, 1e308, 0.0),
+                      feature_weights=(1e308, -1e308, 1.0))
+    frames = parsed(generate_synthetic(STATIONARY, 2)[0])
+    for graph in (TrackingGraph(), ScalarGraph()):
+        graph.append_frame(frames[0], CostModel(), frame=0)
+        before = graph_arrays(graph)
+        with pytest.raises(DataError, match="non-finite link cost for "
+                                            r"\(0, 0\)->\(1, 0\)"):
+            graph.append_frame(frames[1], model, frame=1)
+        assert graph_arrays(graph) == before

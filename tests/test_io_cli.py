@@ -374,6 +374,38 @@ class TestCli:
         assert r.stdout == ""
 
 
+@pytest.mark.parametrize("solver,stream", [("ssp", False), ("dssp", False),
+                                           ("dp", False), ("odssp", True),
+                                           ("mbodssp", True)])
+def test_degenerate_boxes_without_traceback(solver, stream, monkeypatch,
+                                            capsys):
+    """A box whose area underflows to zero is a data error. Boxes at 1e16,
+    where x + w rounds up so far that the overlap equals the summed areas,
+    are tracked."""
+    def track(rows):
+        monkeypatch.delenv("FLOWTRACK_CONFIG", raising=False)
+        monkeypatch.setattr(sys, "stdin", io.StringIO(
+            "\n".join(rows) if stream else "".join(rows)))
+        monkeypatch.setattr(sys, "stdout", out := io.StringIO())
+        # cheap entries and exits make the two detections worth a track
+        argv = ["track", "--solver", solver, "-o", "-", "--entry-cost",
+                "0.25", "--exit-cost", "0.25"]
+        argv += ["--stream"] if stream else ["-i", "-"]
+        if solver == "mbodssp":
+            argv += ["--window", "2"]
+        return cli.main(argv), out.getvalue()
+
+    code, _ = track([f"{f},-1,5,5,1e-200,1e-200,2\n" for f in range(2)])
+    assert code == 2
+    assert "detection box area w*h underflows" in capsys.readouterr().err
+    code, out = track([f"{f},-1,10000000000000002,0,1,1,2\n"
+                       for f in range(2)])
+    assert code == 0 and "Traceback" not in capsys.readouterr().err
+    # one track through both detections: their link was priced
+    rows = [row.split(",") for row in out.splitlines()]
+    assert [r[0] for r in rows] == ["0", "1"] and rows[0][1] == rows[1][1]
+
+
 #: Every solver, batch and --stream.
 GAP_RUNS = ([(solver, False) for solver in ("ssp", "dssp", "dp", "odssp",
                                              "mbodssp")]

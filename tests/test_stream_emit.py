@@ -142,7 +142,8 @@ def test_stream_never_rebuilds_final_tracks(monkeypatch):
 
 
 class CountingModel(CostModel):
-    """Default cost model that counts its link_cost_of calls."""
+    """Default cost model that counts the links it prices, one pair at a time
+    (link_cost_of) or a frame's admitted pairs at once (link_costs_of)."""
 
     def __post_init__(self):
         super().__post_init__()
@@ -152,10 +153,14 @@ class CountingModel(CostModel):
         object.__setattr__(self, "link_calls", self.link_calls + 1)
         return super().link_cost_of(a, b)
 
+    def link_costs_of(self, prev, new, ip, jn):
+        object.__setattr__(self, "link_calls", self.link_calls + len(ip))
+        return super().link_costs_of(prev, new, ip, jn)
+
 
 def test_stream_work_per_frame_stays_bounded(monkeypatch):
-    """link_cost_of calls per frame of a CLI stream, counting the tracker's
-    update and the output written after it, do not grow with stream length."""
+    """Links priced per frame of a CLI stream, counting the tracker's update
+    and the output written after it, do not grow with stream length."""
     model = CountingModel()
     starts = []
 
@@ -176,4 +181,4 @@ def test_stream_work_per_frame_stays_bounded(monkeypatch):
                       monkeypatch)
     assert len(starts) == 200
     per_frame = [b - a for a, b in zip(starts, starts[1:] + [model.link_calls])]
-    assert sum(per_frame[150:200]) <= sum(per_frame[20:70])
+    assert 0 < sum(per_frame[150:200]) <= sum(per_frame[20:70])
