@@ -1,10 +1,13 @@
 """Benchmark harness: run each solver over a detection set and emit CSV rows.
 
 Row format: ``solver,tau,frame,wall_time,relaxations,queue_pushes,live_nodes,
-live_edges,iterations``. Streaming solvers emit one row per frame that occurs
-in the input; batch solvers emit a single summary row with frame = -1.
-iterations counts augmentations: a batch solve's paths, or the paths and
-cycles through the sink that one online frame's solve pushed.
+live_edges,iterations,searches``. Streaming solvers emit one row per frame
+that occurs in the input; batch solvers emit a single summary row with
+frame = -1. iterations counts augmentations: a batch solve's paths, or the
+paths and cycles through the sink that one online frame's solve pushed.
+searches counts the shortest-path searches that found them: a batch solve's
+DAG sweeps, full searches and broadcasts, or one online frame's compiled
+searches, each of which can push several paths and cycles.
 """
 from __future__ import annotations
 
@@ -18,7 +21,7 @@ from .online import OnlineTracker, TrackerConfig
 from .ssp import solve_dp_greedy, solve_dssp, solve_ssp
 
 HEADER = ("solver,tau,frame,wall_time,relaxations,queue_pushes,"
-          "live_nodes,live_edges,iterations")
+          "live_nodes,live_edges,iterations,searches")
 
 BATCH_SOLVERS = {"ssp": solve_ssp, "dssp": solve_dssp, "dp": solve_dp_greedy}
 
@@ -34,12 +37,13 @@ class BenchRow:
     live_nodes: int
     live_edges: int
     iterations: int
+    searches: int
 
     def format(self) -> str:
         tau = "" if self.tau is None else str(self.tau)
         return (f"{self.solver},{tau},{self.frame},{self.wall_time:.6f},"
                 f"{self.relaxations},{self.queue_pushes},{self.live_nodes},"
-                f"{self.live_edges},{self.iterations}")
+                f"{self.live_edges},{self.iterations},{self.searches}")
 
 
 def _bench_batch(name: str, detections, model: CostModel, gating, factor):
@@ -49,7 +53,8 @@ def _bench_batch(name: str, detections, model: CostModel, gating, factor):
     _, stats = BATCH_SOLVERS[name](graph)
     dt = time.perf_counter() - t0
     return [BenchRow(name, None, -1, dt, stats.relaxations, stats.queue_pushes,
-                     graph.n_live_nodes, graph.n_live_edges, stats.iterations)]
+                     graph.n_live_nodes, graph.n_live_edges, stats.iterations,
+                     stats.searches)]
 
 
 def _bench_online(name: str, detections, model: CostModel, gating, factor,
@@ -61,7 +66,7 @@ def _bench_online(name: str, detections, model: CostModel, gating, factor,
         tracker.process_frame(detections[f], frame=f)
     return [BenchRow(name, tau, fs.frame, fs.wall_time,
                      fs.relaxations, fs.queue_pushes, fs.live_nodes,
-                     fs.live_edges, fs.iterations)
+                     fs.live_edges, fs.iterations, fs.searches)
             for fs in tracker.frame_stats]
 
 

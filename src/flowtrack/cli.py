@@ -172,8 +172,8 @@ def _track_stream(args, tracker: OnlineTracker) -> int:
             frozen[:] = [(tid, d) for tid, d in frozen if d.frame > limit]
             emitted = {key for key in emitted if key[0] >= tracker.graph.t_min}
 
-        last = None
-        while (block := ftio.parse_stream_frame(sys.stdin)) is not None:
+        last, lines = None, ftio.LineCounter(sys.stdin)
+        while (block := ftio.parse_stream_frame(lines)) is not None:
             last, dets = block
             tracker.process_frame(dets, frame=last)
             emit_through(last - lag)

@@ -141,10 +141,6 @@ class TrackingGraph:
     def n_detections(self) -> int:
         return len(self.det_nodes)
 
-    def node_frame(self, nid: int) -> int | None:
-        det = self.node_det[nid]
-        return None if det is None else det.frame
-
     def u_node(self, det: Detection) -> int:
         return self.det_nodes[det.key][0]
 

@@ -197,22 +197,43 @@ def load_config(source) -> dict[str, str]:
     return out
 
 
+class LineCounter:
+    """Iterates a text stream's lines and counts them: lineno is the number
+    of the last line read. Read a stream's blocks through one so that every
+    error names the row's line in the whole input."""
+
+    def __init__(self, fobj):
+        self._lines = iter(fobj)
+        self.lineno = 0
+
+    def __iter__(self):
+        return self
+
+    def __next__(self):
+        line = next(self._lines)
+        self.lineno += 1
+        return line
+
+
 def parse_stream_frame(fobj) -> tuple[int, list[Detection]] | None:
     """Read one blank-line-terminated block of detection rows from a stream.
 
     Returns (frame, detections) or None at end of input. All rows in a block
-    must share one frame index.
+    must share one frame index. Errors name input lines counted by fobj if
+    it is a LineCounter, else from the first line this call reads.
     """
+    lines = fobj if isinstance(fobj, LineCounter) else LineCounter(fobj)
     per_frame: dict[int, list[Detection]] = {}
-    for line in fobj:
+    for line in lines:
         text = line.strip()
         if not text:
             if per_frame:
                 break
             continue  # leading blank lines
         row = [c.strip() for c in text.split(",")]
-        det, _ = _add_detection(per_frame, row, lineno=0)
+        det, _ = _add_detection(per_frame, row, lines.lineno)
         frame = next(iter(per_frame))
         if det.frame != frame:
-            raise DataError(f"stream block mixes frames {frame} and {det.frame}")
+            raise DataError(f"line {lines.lineno}: stream block mixes frames "
+                            f"{frame} and {det.frame}")
     return next(iter(per_frame.items()), None)

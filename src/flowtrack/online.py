@@ -6,21 +6,29 @@ from the previous frame's optimum: the tracker keeps one residual graph
 nodes potentials in one relaxation pass, and runs successive shortest paths
 with the compiled Dijkstra (ssp.dijkstra_full) from the source and the sink's
 reversed exits, so tracks that continue into the frame are extended by
-cycles through the sink instead of being replayed from zero flow. A tracker
+cycles through the sink instead of being replayed from zero flow. One search
+usually settles a frame: every path and cycle into the sink that is still a
+shortest path after the earlier ones is pushed from the same shortest-path
+tree, as in muSSP (Wang et al., NeurIPS 2019), and the search's labels
+certify the optimum when the least remaining candidate costs >= 0. A tracker
 with a window is memory-bounded: it also clips frames older than the window,
 folding clipped trajectory prefixes into synthesized entry-edge costs, which
 take over their flow, so track identities and costs survive clipping.
 """
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass
 
+import numpy as np
+
 from .cost_model import CostModel, Detection
 from .errors import DataError, InvariantBreach
-from .graph import FlowSolution, TrackingGraph, Trajectory
-from .ssp import (OnlineResidual, SolverStats, _solution_from_residual,
-                  build_residual, dijkstra_full, path_original_cost)
+from .graph import SINK, FlowSolution, TrackingGraph, Trajectory
+from .ssp import (OnlineResidual, PredecessorMap, SolverStats,
+                  _solution_from_residual, build_residual, dijkstra_full,
+                  extract_path, path_original_cost)
 
 
 @dataclass(frozen=True)
@@ -79,6 +87,7 @@ class FrameStats:
     live_nodes: int
     live_edges: int
     iterations: int  # augmentations: paths and cycles pushed this frame
+    searches: int  # compiled searches run this frame
 
 
 def assign_track_ids(previous: FlowSolution, current: FlowSolution,
@@ -133,6 +142,36 @@ def trajectory_model_cost(dets: list[Detection], model: CostModel) -> float:
         cost += model.detection_cost_of(b)
     cost += model.exit_cost_of(dets[-1])
     return cost
+
+
+def _push_round(res: OnlineResidual, labels: PredecessorMap, run: SolverStats,
+                guard: int) -> tuple[float, bool]:
+    """Push one search's candidates in value order until the first that
+    costs >= 0, enters a node an earlier push used, or ranks after a freed
+    exit (see OnlineTracker._solve). Returns the cap d_k and whether the
+    least remaining item certifies the optimum."""
+    dist = labels.dist
+    values, tails = res.exits(dist)
+    used = np.zeros(len(dist), dtype=bool)
+    freed = math.inf  # the least bound of an exit this search freed
+    cap = float(values[0])
+    for value, v in zip(values.tolist(), tails.tolist()):
+        if freed < value:
+            return cap, True
+        path = extract_path(res, labels, via=v)
+        if path_original_cost(res, path) >= 0.0:
+            return cap, True
+        if used[path.nodes[1:-1]].any():
+            return cap, False
+        if run.iterations >= guard:
+            raise InvariantBreach("online SSP exceeded its iteration bound")
+        if path.nodes[0] == SINK:
+            freed = min(freed, res.exit_bound(dist, path.nodes[1], path.eids[0]))
+        used[path.nodes[1:-1]] = True
+        build_residual(res, path)
+        run.iterations += 1
+        cap = value
+    return cap, True
 
 
 class OnlineTracker:
@@ -194,6 +233,7 @@ class OnlineTracker:
             live_nodes=g.n_live_nodes,
             live_edges=g.n_live_edges,
             iterations=run.iterations,
+            searches=run.searches,
         ))
         return solution
 
@@ -219,15 +259,30 @@ class OnlineTracker:
                                      edge_flow={})
 
     def _solve(self, frame: int) -> tuple[FlowSolution, SolverStats]:
-        """Successive shortest paths from the previous frame's optimum.
+        """Successive shortest paths from the previous frame's optimum,
+        several per search.
 
         Each compiled search runs from the source and the sink's reversed
-        exits; the potentials take its distances, and a path or cycle of
-        negative original cost is pushed. It stops at the first one costing
-        >= 0, the rule of the batch loop, which here certifies the global
-        optimum. After an empty graph the flow is zero and the potentials are
-        DAG distances: a cold start through the same loop. Counters fold
-        into self.stats.
+        exits. Its candidates are the usable arcs into the target, the
+        unflowed exits v -> sink, taken in order of value dist(v) + reduced
+        cost, each with v's tree path; they are pushed until the first one
+        that costs >= 0 (original costs, summed with fsum), whose tree path
+        enters a node an earlier push of this search used (the root aside),
+        or that a freed exit ranks before. A cycle from the sink root frees
+        the exit of its first node, whose value is then only a lower bound
+        (OnlineResidual.exit_bound). So each pushed path is a shortest path at
+        its turn: labels outside the used nodes' subtrees still hold. The
+        potentials then settle with the cap d_k, the last pushed value (the
+        first candidate's if none was pushed).
+
+        The labels stay a lower bound after the pushes, so the least
+        remaining item certifies the optimum when it costs >= 0: the
+        candidate stopped at, or a freed exit, whose path (its reversed exit
+        then its forward exit) costs exactly 0. Only a candidate stopped by
+        an earlier push's node, costing < 0, calls for another search. After
+        an empty graph the flow is zero and the potentials are DAG
+        distances: a cold start through the same loop. Counters fold into
+        self.stats.
         """
         res, run, stats = self.cache.residual, SolverStats(), self.stats
         if self.cache.lookup() is None:
@@ -241,17 +296,15 @@ class OnlineTracker:
             path, labels = dijkstra_full(res, run)
             if path is None:
                 break
-            res.settle(labels.dist)
-            if path_original_cost(res, path) >= 0.0:
+            cap, certified = _push_round(res, labels, run, guard)
+            res.settle(labels.dist, cap)
+            if certified:
                 break
-            if run.iterations >= guard:
-                raise InvariantBreach("online SSP exceeded its iteration bound")
-            build_residual(res, path)
-            run.iterations += 1
         self.cache.frame = frame
         stats.relaxations += run.relaxations
         stats.queue_pushes += run.queue_pushes
         stats.iterations += run.iterations
+        stats.searches += run.searches
         return _solution_from_residual(res), run
 
     def _check_bounds(self):

@@ -14,7 +14,9 @@ tree is an array of nodes; the edge of a tree arc is found by its slot key.
 OnlineResidual is the residual graph the online trackers keep from frame to
 frame: the last optimum's flow plus node potentials, searched from the sink
 as well as the source, so each frame is re-solved from the previous optimum
-instead of from zero flow.
+instead of from zero flow; it lists a search's candidate arcs into the sink
+(exits) and settles the potentials with a cap, so one search can push
+several paths and cycles.
 """
 from __future__ import annotations
 
@@ -40,7 +42,10 @@ EPS = 1e-9
 class SolverStats:
     """Instrumentation counters accumulated during a solve.
 
-    relaxations counts arcs examined, queue_pushes nodes labelled:
+    iterations counts augmentations, the paths and cycles pushed, and
+    searches the shortest-path searches run: DAG sweeps, full searches and
+    broadcasts. relaxations counts arcs examined, queue_pushes nodes
+    labelled:
       - DAG sweep: the forward edges out of reached nodes into nodes not
         excluded; no queue (0).
       - full search (dijkstra_full): the residual arcs out of reached
@@ -52,6 +57,7 @@ class SolverStats:
     relaxations: int = 0
     queue_pushes: int = 0
     iterations: int = 0
+    searches: int = 0
     # Online trackers: frames solved from the previous frame's optimum (hits)
     # or from zero flow (misses).
     cache_hits: int = 0
@@ -241,6 +247,7 @@ class OnlineResidual(ResidualGraph):
         self.alive_arr = np.array(g.e_alive, dtype=bool)
         self.cost = np.array(g.e_cost, dtype=float)
         self.fwd_dst = np.where(self.dst_arr == SINK, n, self.dst_arr)
+        self.exit_ids = np.flatnonzero((self.fwd_dst == n) & self.alive_arr)
         flow = np.zeros(m, dtype=np.int8)
         flow[:len(self.flow)] = self.flow
         self.flow = flow
@@ -303,24 +310,49 @@ class OnlineResidual(ResidualGraph):
         rev = p[self.dst_arr] - p_src - self.cost
         self.rcost = np.where(self.flow == 0, fwd, rev)
 
-    def settle(self, dist: np.ndarray):
-        """Raise the potentials by a search's distances, capped at the
-        target's: reduced costs stay >= 0 and the shortest path's become 0.
-        The roots stay at 0."""
-        cap = dist[self.target]
-        if np.isfinite(cap):
-            self.potential += np.minimum(dist, cap)
+    def exits(self, dist: np.ndarray):
+        """The usable arcs into the target, the unflowed exits v -> sink, as
+        (values, tails v), sorted by value dist(v) + clamped reduced cost: the
+        length of the tree path to v and on to the target. Exits of
+        unreached nodes are left out; the least value is dist[target]."""
+        eids = self.exit_ids[self.flow[self.exit_ids] == 0]
+        tails = self.src_arr[eids]
+        values = dist[tails] + np.maximum(self.rcost[eids], 0.0)
+        order = np.argsort(values, kind="stable")
+        order = order[np.isfinite(values[order])]
+        return values[order], tails[order]
+
+    def exit_bound(self, dist: np.ndarray, v: int, eid: int) -> float:
+        """dist(v) plus the clamped reduced cost of v's exit eid as an
+        unflowed arc into the target: after a cycle from the sink root frees
+        that exit, a lower bound on the length of any path through it."""
+        p = self.potential
+        return dist[v] + max(self.cost[eid] + p[v] - p[self.target], 0.0)
+
+    def settle(self, dist: np.ndarray, cap: float):
+        """Raise the potentials by a search's distances capped at cap, the
+        value of the last path pushed from that search (or of its shortest
+        path if none was), and the target's by exactly cap. Every residual reduced cost stays >= 0 and the pushed
+        paths' become 0, provided each pushed path was a shortest path at its
+        turn and no usable arc into the target is left below cap. The roots
+        stay at 0."""
+        raised = np.minimum(dist, cap)
+        raised[self.target] = cap
+        self.potential += raised
 
 
-def extract_path(res: ResidualGraph, labels: PredecessorMap) -> Path | None:
+def extract_path(res: ResidualGraph, labels: PredecessorMap,
+                 via: int | None = None) -> Path | None:
     """Walk the predecessor chain back from res.target to one of res.roots;
-    None if the target is unreached. Each tree arc u -> v is the slot keyed
-    u * n + v. The target stands for the sink in the returned path."""
-    if not np.isfinite(labels.dist[res.target]):
+    None if the target is unreached. With via, the path is via's tree path
+    and then the arc via -> target, which need not be a tree arc. Each arc
+    u -> v is the slot keyed u * n + v. The target stands for the sink in
+    the returned path."""
+    if not np.isfinite(labels.dist[res.target if via is None else via]):
         return None
     matrix, slot_eid, _, _, slot_key = res.arcs()
     n, pred = matrix.shape[0], labels.pred
-    nodes = [res.target]
+    nodes = [res.target] if via is None else [res.target, via]
     while (u := int(pred[nodes[-1]])) >= 0:
         nodes.append(u)
         if len(nodes) > n:
@@ -335,13 +367,15 @@ def extract_path(res: ResidualGraph, labels: PredecessorMap) -> Path | None:
 
 
 def path_original_cost(res: ResidualGraph, path: Path) -> float:
-    """Sum of unreduced edge costs along a residual path (reversed arcs
-    negate), rounded once: a cycle whose costs cancel, such as one swapping
-    two equal continuations of a track, costs exactly 0, so the stop rule
-    does not push it back and forth forever."""
-    g, flow = res.graph, res.flow
-    return math.fsum(-g.e_cost[eid] if flow[eid] == 1 else g.e_cost[eid]
-                     for eid in path.eids)
+    """Sum of unreduced edge costs along a residual path, rounded once: a
+    cycle whose costs cancel, such as one swapping two equal continuations
+    of a track, costs exactly 0, so the stop rule does not push it back and
+    forth forever. An arc that runs against its edge negates the cost; the
+    direction is read from the path's nodes, not from the flow, so a path
+    is priced as it was found even after some of its arcs flipped."""
+    g = res.graph
+    return math.fsum(g.e_cost[eid] if g.e_src[eid] == u else -g.e_cost[eid]
+                     for u, eid in zip(path.nodes, path.eids))
 
 
 def dag_shortest_path(res: ResidualGraph, stats: SolverStats | None = None,
@@ -373,6 +407,7 @@ def dag_shortest_path(res: ResidualGraph, stats: SolverStats | None = None,
     via = dist[tails] + w
     reached = np.isfinite(via)
     stats.relaxations += int(np.count_nonzero(reached))
+    stats.searches += 1
     tight = np.flatnonzero(reached & (via == dist[heads]))
     first = tight[np.diff(heads[tight], prepend=-1) != 0]
     labels.pred[heads[first]] = tails[first]
@@ -455,6 +490,7 @@ def dijkstra_full(res: ResidualGraph, stats: SolverStats | None = None):
     reached = np.isfinite(dist)
     _count_scanned(res, stats, slot_eid, active & reached[slot_row], cost)
     stats.queue_pushes += int(np.count_nonzero(reached))
+    stats.searches += 1
     labels = PredecessorMap.__new__(PredecessorMap)
     labels.dist, labels.pred = dist, np.maximum(pred, -1)
     return extract_path(res, labels), labels
@@ -515,6 +551,7 @@ def dynamic_broadcast(res: ResidualGraph, seeds, labels: PredecessorMap,
         pred[affected] = np.maximum(p[affected], -1)
     _count_scanned(res, stats, slot_eid, into & np.isfinite(dist[slot_row]), cost)
     stats.queue_pushes += int(np.count_nonzero(np.isfinite(dist[affected])))
+    stats.searches += 1
     return extract_path(res, labels), labels
 
 

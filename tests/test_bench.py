@@ -70,12 +70,32 @@ class TestRunBench:
         buf = io.StringIO()
         write_bench(buf, rows)
         lines = [line.split(",") for line in buf.getvalue().splitlines()]
-        assert lines[0][-1] == "iterations"
+        col = lines[0].index("iterations")
         assert {len(cells) for cells in lines} == {len(lines[0])}
         _, stats = solve_ssp(build_batch_graph(sequence, CostModel()))
-        assert [int(c[-1]) for c in lines if c[0] == "ssp"] == [stats.iterations]
+        assert [int(c[col]) for c in lines if c[0] == "ssp"] == [stats.iterations]
         tracker = OnlineTracker(TrackerConfig(model=CostModel()))
         for f in sorted(sequence):
             tracker.process_frame(sequence[f], frame=f)
-        assert ([int(c[-1]) for c in lines if c[0] == "odssp"] ==
+        assert ([int(c[col]) for c in lines if c[0] == "odssp"] ==
                 [fs.iterations for fs in tracker.frame_stats])
+
+    def test_searches_column(self, sequence):
+        # the last column; batch ssp runs one DAG sweep and then one search
+        # per path, and an online search can push several paths and cycles
+        rows = run_bench(sequence, CostModel(), solvers=("ssp", "dp", "odssp"),
+                         taus=())
+        buf = io.StringIO()
+        write_bench(buf, rows)
+        lines = [line.split(",") for line in buf.getvalue().splitlines()]
+        assert lines[0][-1] == "searches"
+        assert lines[0][-2] == "iterations"
+        batch = {c[0]: (int(c[-2]), int(c[-1])) for c in lines
+                 if c[0] in ("ssp", "dp")}
+        for solver, (iterations, searches) in batch.items():
+            assert iterations > 1 and searches == iterations + 1, solver
+        online = [(int(c[-2]), int(c[-1])) for c in lines if c[0] == "odssp"]
+        assert all(searches >= 1 for _, searches in online)
+        iterations = sum(i for i, _ in online)
+        searches = sum(s for _, s in online)
+        assert searches < iterations

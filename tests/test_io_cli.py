@@ -169,6 +169,33 @@ class TestStreamBlocks:
             ftio.parse_stream_frame(io.StringIO(text))
 
 
+class TestStreamLineNumbers:
+    """Stream errors name the row's line in the whole input, counted across
+    blocks and blank lines."""
+
+    TEXT = ("0,-1,1,1,5,5,0.5\n0,-1,9,9,5,5,0.6\n\n\n"
+            "1,-1,2,2,5,5,0.5\n\n2,-1,3,3,5,5,0.5\n")
+
+    def test_bad_row_in_first_and_third_block(self):
+        for text, line in (("0,-1,5,5,1e-200,1e-200,2\n\n", 1),
+                           (self.TEXT + "2,-1,4,4,5,x,0.5\n\n", 8),
+                           (self.TEXT + "3,-1,4,4,5,5,0.5\n\n", 8)):
+            lines = ftio.LineCounter(io.StringIO(text))
+            with pytest.raises(DataError, match=f"^line {line}: "):
+                while ftio.parse_stream_frame(lines) is not None:
+                    pass
+
+    def test_cli_names_the_input_line(self):
+        r = run_cli("track", "--stream", "--solver", "odssp",
+                    stdin="0,-1,5,5,1e-200,1e-200,2\n\n")
+        assert r.returncode == 2
+        assert "line 1: detection box area" in r.stderr
+        r = run_cli("track", "--stream", "--solver", "mbodssp", "--window",
+                    "2", stdin=self.TEXT + "2,-1,4,4,5,x,0.5\n\n")
+        assert r.returncode == 2
+        assert "line 8: bad h 'x'" in r.stderr
+
+
 def run_cli(*args, stdin=None, env_extra=None):
     env = dict(os.environ)
     env.pop("FLOWTRACK_CONFIG", None)

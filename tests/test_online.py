@@ -6,11 +6,14 @@ import pytest
 
 from conftest import StubModel, build_graph, det, make_random_instance
 from flowtrack.cost_model import CostModel, Detection
-from flowtrack.errors import DataError
+import flowtrack.online as online
+from flowtrack.errors import DataError, InvariantBreach
 from flowtrack.graph import FlowSolution, Trajectory, build_batch_graph
 from flowtrack.online import (OnlineTracker, TrackerConfig, TrackRegistry,
                               assign_track_ids, trajectory_model_cost)
-from flowtrack.ssp import solve_ssp
+from flowtrack.ssp import (SolverStats, _solution_from_residual,
+                           build_residual, dijkstra_full, path_original_cost,
+                           solve_ssp)
 from flowtrack.synthetic import SyntheticConfig, generate_synthetic
 
 
@@ -37,6 +40,40 @@ def stream_against_cold(tracker, frames):
         assert track_keys(warm.trajectories) == track_keys(cold.trajectories), f
         cold_iterations += stats.iterations
     return cold_iterations
+
+
+def single_push_solve(tracker, frame):
+    """Reference for OnlineTracker._solve: one push per compiled search.
+    Each search's shortest path or cycle is pushed unless it costs >= 0, and
+    the potentials settle with the target's distance as the cap."""
+    res, run, stats = tracker.cache.residual, SolverStats(), tracker.stats
+    if tracker.cache.lookup() is None:
+        stats.cache_misses += 1
+    else:
+        stats.cache_hits += 1
+    guard = 2 * tracker.graph.n_detections + 2
+    while tracker.graph.n_detections:
+        res.reprice()
+        path, labels = dijkstra_full(res, run)
+        if path is None:
+            break
+        res.settle(labels.dist, labels.dist[res.target])
+        if path_original_cost(res, path) >= 0.0:
+            break
+        if run.iterations >= guard:
+            raise InvariantBreach("online SSP exceeded its iteration bound")
+        build_residual(res, path)
+        run.iterations += 1
+    tracker.cache.frame = frame
+    stats.relaxations += run.relaxations
+    stats.queue_pushes += run.queue_pushes
+    stats.iterations += run.iterations
+    stats.searches += run.searches
+    return _solution_from_residual(res), run
+
+
+class SinglePushTracker(OnlineTracker):
+    _solve = single_push_solve
 
 
 def gated_scene(seed):
@@ -387,3 +424,64 @@ class TestReuseStatistics:
         assert np.mean(iterations[100:150]) <= 1.5 * np.mean(iterations[20:60])
         relaxations = [fs.relaxations for fs in tr.frame_stats]
         assert np.mean(relaxations[-40:]) > 2 * np.mean(relaxations[20:60])
+
+
+class TestSeveralPushesPerSearch:
+    def test_matches_single_push_reference(self):
+        # odssp and mbodssp with windows of 2-4 over scenes with births,
+        # deaths, misses, recycled ids and gaps that empty the graph
+        model = CostModel()
+        searches = reference_searches = 0
+        for seed in range(12):
+            frames = {f: ds for f, ds in gated_scene(seed).items()
+                      if not (8 <= f < 13 or 17 <= f < 22)}
+            for window in (None, 2, 3, 4):
+                config = TrackerConfig(model=model, window=window)
+                tr, ref = OnlineTracker(config), SinglePushTracker(config)
+                for f in sorted(frames):
+                    got = tr.process_frame(frames[f], frame=f)
+                    want = ref.process_frame(frames[f], frame=f)
+                    assert got.total_cost == pytest.approx(want.total_cost,
+                                                           abs=1e-9)
+                    assert (track_keys(got.trajectories) ==
+                            track_keys(want.trajectories)), (seed, window, f)
+                    assert (tr.frame_stats[-1].iterations ==
+                            ref.frame_stats[-1].iterations), (seed, window, f)
+                assert tr.stats.searches <= ref.stats.searches
+                assert tr.stats.searches == sum(
+                    fs.searches for fs in tr.frame_stats)
+                searches += tr.stats.searches
+                reference_searches += ref.stats.searches
+        assert searches < reference_searches
+
+    def test_one_search_per_frame_on_stationary_scene(self):
+        # the criteria 4-5 scene: each frame continues about five tracks,
+        # which the first search of the frame already holds
+        cfg = SyntheticConfig(n_frames=150, n_initial_tracks=5,
+                              spawn_prob=0.0, death_prob=0.0, miss_rate=0.1,
+                              fp_rate=0.1)
+        dets, _ = generate_synthetic(cfg, 0)
+        for window in (None, 10):
+            tr = stream(OnlineTracker(TrackerConfig(model=CostModel(),
+                                                    window=window)), dets)
+            late = tr.frame_stats[20:150]
+            assert np.mean([fs.searches for fs in late]) <= 1.5, window
+            assert np.mean([fs.iterations for fs in late]) > 2.5, window
+
+    def test_freed_exit_ranks_before_later_candidates(self, monkeypatch):
+        # Track (0, 0) continues into (1, 0) by a cycle from the sink root,
+        # which frees the exit of (0, 0); a path through that exit is at
+        # least dist(v) + reduced cost long, so the lone (1, 1), which ranks
+        # after it, is not pushed from the same search even if its cost reads
+        # negative, as rounding could make it: the potentials stay valid.
+        model = StubModel(links={((0, 0), (1, 0)): 0.0},
+                          detection={(0, 0): -5.0, (1, 0): -5.0, (1, 1): 1.0})
+        monkeypatch.setattr(online, "path_original_cost", lambda res, p: -1.0)
+        tr = OnlineTracker(TrackerConfig(model=model, gating=False))
+        tr.process_frame([det(0, 0)], frame=0)
+        solution = tr.process_frame([det(1, 0), det(1, 1)], frame=1)
+        assert track_keys(solution.trajectories) == [((0, 0), (1, 0))]
+        assert tr.frame_stats[-1].iterations == 1
+        res = tr.cache.residual
+        res.reprice()
+        assert res.rcost[res.alive_arr].min() >= -res.eps
