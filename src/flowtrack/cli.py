@@ -75,7 +75,19 @@ def _load_settings(args) -> dict:
     if factor is not None and not 0.0 <= factor < math.inf:
         raise DataError(f"gate_radius_factor must be finite and >= 0, "
                         f"got {factor!r}")
+    iou = settings.get("iou_threshold")  # an overlap, in [0, 1]
+    if iou is not None and not 0.0 <= iou <= 1.0:
+        raise DataError(f"iou_threshold must be in [0, 1], got {iou!r}")
     return settings
+
+
+def _int_list(text: str) -> tuple[int, ...]:
+    """argparse type: comma-separated integers."""
+    try:
+        return tuple(int(t) for t in text.split(","))
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected comma-separated integers, got {text!r}") from None
 
 
 def _make_model(settings: dict) -> CostModel:
@@ -197,12 +209,11 @@ def _cmd_synth(args) -> int:
 
 
 def _cmd_eval(args) -> int:
+    settings = _load_settings(args)
     _, gt = ftio.parse_ground_truth(args.gt)
     hypotheses = ftio.parse_tracks(args.tracks)
-    settings = _load_settings(args)
-    iou_threshold = (args.iou if args.iou is not None
-                     else settings.get("iou_threshold", 0.5))
-    report = clear_mot(gt, hypotheses, iou_threshold=iou_threshold)
+    report = clear_mot(gt, hypotheses,
+                       iou_threshold=settings.get("iou_threshold", 0.5))
     print(f"MOTA {report.mota:.4f}")
     print(f"MOTP {report.motp:.4f}")
     print(f"MT {report.mostly_tracked:.4f}")
@@ -237,7 +248,7 @@ def _cmd_bench(args) -> int:
     detections = ftio.parse_detections(args.input)
     rows = run_bench(detections, model,
                      solvers=tuple(args.solvers.split(",")),
-                     taus=tuple(int(t) for t in args.taus.split(",")),
+                     taus=args.taus,
                      gating=settings.get("gating", True),
                      gate_radius_factor=settings.get("gate_radius_factor", 2.0))
     with ftio.open_or_stdio(args.output, "w") as fout:
@@ -284,7 +295,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("eval", help="CLEAR-MOT metrics for a track file")
     p.add_argument("--gt", required=True, help="ground-truth CSV")
     p.add_argument("--tracks", required=True, help="track CSV")
-    p.add_argument("--iou", type=float, help="match threshold (default 0.5)")
+    p.add_argument("--iou", type=float, dest="iou_threshold",
+                   help="match threshold in [0, 1] (default 0.5)")
     p.add_argument("--config")
     p.set_defaults(func=_cmd_eval)
 
@@ -300,7 +312,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--input", "-i", help="detection CSV ('-' = stdin)")
     p.add_argument("--output", "-o", help="CSV report ('-' = stdout)")
     p.add_argument("--solvers", default="ssp,dssp,dp,odssp,mbodssp")
-    p.add_argument("--taus", default="10")
+    p.add_argument("--taus", type=_int_list, default="10",
+                   help="comma-separated mbodssp windows")
     _add_model_args(p)
     p.set_defaults(func=_cmd_bench)
 

@@ -7,6 +7,11 @@ The graph supports online frame appending and oldest-frame clipping, which
 folds each clipped trajectory prefix into its successor's entry cost, and
 recycles node/edge slots so a windowed graph stays bounded in memory.
 
+Nodes and edges are stored once, as numpy columns by slot id that the
+solvers read directly, with fixed edge slots per detection and a block of
+link edges per frame: a frame is appended, or clipped, as one write per
+column.
+
 A frame's links are gated and priced as one (previous frame x new frame)
 block: `gate_block` over the box geometry kept per frame, then the model's
 `link_costs_of` over the admitted pairs. Both give, bit for bit, what the
@@ -25,16 +30,15 @@ from .errors import DataError, InvariantBreach
 SOURCE = 0
 SINK = 1
 
-KIND_SOURCE = "source"
-KIND_SINK = "sink"
-KIND_U = "u"
-KIND_V = "v"
-KIND_DEAD = "dead"
+# Node kinds (int8 column node_kind).
+KIND_SOURCE, KIND_SINK, KIND_U, KIND_V, KIND_DEAD = range(5)
+# Edge kinds (int8 column e_kind), in the order a node's edges were pushed:
+# entry before links into a u node, exit before links out of a v node.
+ENTRY, DET, EXIT, LINK = range(4)
 
-ENTRY = "entry"
-DET = "det"
-LINK = "link"
-EXIT = "exit"
+NO_EDGES = np.zeros(0, dtype=np.int64)
+NODE_COLUMNS = ("node_kind", "node_in", "node_out")
+EDGE_COLUMNS = ("e_src", "e_dst", "e_kind", "e_cost", "e_alive", "e_origin")
 
 
 @dataclass
@@ -101,31 +105,38 @@ class TrackingGraph:
     `frames` maps each frame index the graph holds to its detections, in frame
     order. Indices may skip: a skipped frame holds no detections and costs
     nothing, and links join consecutive indices only. Single-writer:
-    operations mutate the graph exclusively. Node and edge ids are recycled
-    through free lists so clipping keeps storage bounded.
+    operations mutate the graph exclusively.
+
+    Columns by slot id: node_kind, node_det, and node_in and node_out, the
+    fixed in- and out-edge (a u node's entry and detection edge, a v node's
+    detection and exit edge); e_src, e_dst, e_kind, e_cost, e_alive and
+    e_origin (the track id a folded entry carries, -1 for none).
+    frame_nodes[f] holds frame f's u and v nodes, (2, n) in local-index
+    order, frame_links[f] its link edges from f - 1 in (previous, new) order.
+    Clipped slots are reused, last freed first; columns grow only when the
+    free lists run short, by exactly the slots missing.
     """
 
     def __init__(self, gating: bool = True, gate_radius_factor: float = 2.0):
         self.gating = gating
         self.gate_radius_factor = gate_radius_factor
-        # node storage
-        self.node_kind: list[str] = [KIND_SOURCE, KIND_SINK]
+        self.node_kind = np.array([KIND_SOURCE, KIND_SINK], dtype=np.int8)
         self.node_det: list[Detection | None] = [None, None]
-        self.out_edges: list[list[int]] = [[], []]
-        self.in_edges: list[list[int]] = [[], []]
+        self.node_in = np.full(2, -1, dtype=np.int64)
+        self.node_out = np.full(2, -1, dtype=np.int64)
         self._free_nodes: list[int] = []
-        # edge storage (struct of arrays)
-        self.e_src: list[int] = []
-        self.e_dst: list[int] = []
-        self.e_kind: list[str] = []
-        self.e_cost: list[float] = []
-        self.e_origin: list[int | None] = []
-        self.e_alive: list[bool] = []
+        self.e_src = np.zeros(0, dtype=np.int64)
+        self.e_dst = np.zeros(0, dtype=np.int64)
+        self.e_kind = np.zeros(0, dtype=np.int8)
+        self.e_cost = np.zeros(0)
+        self.e_alive = np.zeros(0, dtype=bool)
+        self.e_origin = np.zeros(0, dtype=np.int64)
         self._free_edges: list[int] = []
-        # detection bookkeeping
         self.det_nodes: dict[tuple[int, int], tuple[int, int]] = {}  # key -> (u, v)
         self.frames: dict[int, list[Detection]] = {}
         self.boxes: dict[int, FrameBoxes | None] = {}  # geometry of frames
+        self.frame_nodes: dict[int, np.ndarray] = {}
+        self.frame_links: dict[int, np.ndarray] = {}
         self.t_min: int | None = None
         self.t_max: int | None = None
         self.n_live_nodes = 2
@@ -148,29 +159,23 @@ class TrackingGraph:
         return self.det_nodes[det.key][1]
 
     def entry_edge_of(self, det: Detection) -> int:
-        u = self.u_node(det)
-        for eid in self.in_edges[u]:
-            if self.e_kind[eid] == ENTRY:
-                return eid
-        raise InvariantBreach(f"detection {det.key} has no entry edge")
+        return int(self.node_in[self.u_node(det)])
 
     def detection_edge_of(self, det: Detection) -> int:
-        u = self.u_node(det)
-        for eid in self.out_edges[u]:
-            if self.e_kind[eid] == DET:
-                return eid
-        raise InvariantBreach(f"detection {det.key} has no detection edge")
+        return int(self.node_out[self.u_node(det)])
+
+    def links_out_of(self, frame: int) -> np.ndarray:
+        """The link edges from frame to frame + 1, in (previous, new) order."""
+        return self.frame_links.get(frame + 1, NO_EDGES)
 
     def link_edge_between(self, a: Detection, b: Detection) -> int | None:
-        va = self.v_node(a)
-        ub = self.u_node(b)
-        for eid in self.out_edges[va]:
-            if self.e_kind[eid] == LINK and self.e_dst[eid] == ub:
-                return eid
-        return None
+        va, ub = self.v_node(a), self.u_node(b)
+        block = self.frame_links[b.frame]
+        hit = block[(self.e_src[block] == va) & (self.e_dst[block] == ub)]
+        return int(hit[0]) if len(hit) else None
 
     def live_edges(self):
-        return [e for e in range(len(self.e_src)) if self.e_alive[e]]
+        return np.flatnonzero(self.e_alive).tolist()
 
     def node_topo_key(self, nid: int):
         """Sort key realizing the layered order source < frames < sink."""
@@ -182,60 +187,21 @@ class TrackingGraph:
         det = self.node_det[nid]
         return (det.frame, 0 if kind == KIND_U else 1, det.local_index)
 
-    # -- low-level mutation ---------------------------------------------------
-
-    def _alloc_node(self, kind: str, det: Detection) -> int:
-        if self._free_nodes:
-            nid = self._free_nodes.pop()
-            self.node_kind[nid] = kind
-            self.node_det[nid] = det
-        else:
-            nid = len(self.node_kind)
-            self.node_kind.append(kind)
-            self.node_det.append(det)
-            self.out_edges.append([])
-            self.in_edges.append([])
-        self.n_live_nodes += 1
-        return nid
-
-    def _add_edge(self, src: int, dst: int, kind: str, cost: float) -> int:
-        if self._free_edges:
-            eid = self._free_edges.pop()
-            self.e_src[eid] = src
-            self.e_dst[eid] = dst
-            self.e_kind[eid] = kind
-            self.e_cost[eid] = cost
-            self.e_origin[eid] = None
-            self.e_alive[eid] = True
-        else:
-            eid = len(self.e_src)
-            self.e_src.append(src)
-            self.e_dst.append(dst)
-            self.e_kind.append(kind)
-            self.e_cost.append(cost)
-            self.e_origin.append(None)
-            self.e_alive.append(True)
-        self.out_edges[src].append(eid)
-        self.in_edges[dst].append(eid)
-        self.n_live_edges += 1
-        return eid
-
-    def _remove_edge(self, eid: int):
-        self.out_edges[self.e_src[eid]].remove(eid)
-        self.in_edges[self.e_dst[eid]].remove(eid)
-        self.e_alive[eid] = False
-        self._free_edges.append(eid)
-        self.n_live_edges -= 1
-
-    def _remove_node(self, nid: int):
-        for eid in list(self.out_edges[nid]):
-            self._remove_edge(eid)
-        for eid in list(self.in_edges[nid]):
-            self._remove_edge(eid)
-        self.node_kind[nid] = KIND_DEAD
-        self.node_det[nid] = None
-        self._free_nodes.append(nid)
-        self.n_live_nodes -= 1
+    def _take(self, free: list[int], k: int, columns) -> np.ndarray:
+        """k slot ids, recycled ones last freed first, then new ones, added to
+        each named column; the caller writes every slot taken."""
+        r = min(k, len(free))
+        size = len(getattr(self, columns[0]))
+        ids = np.arange(size - r, size + k - r)
+        if r:
+            ids[:r] = free[len(free) - r:][::-1]
+            del free[len(free) - r:]
+        if k > r:
+            for name in columns:
+                column = getattr(self, name)
+                setattr(self, name, np.concatenate(
+                    (column, np.zeros(k - r, column.dtype))))
+        return ids
 
     # -- frame-level operations ------------------------------------------------
 
@@ -279,7 +245,7 @@ class TrackingGraph:
         node_costs = [(model.entry_cost_of(d), model.detection_cost_of(d),
                        model.exit_cost_of(d)) for d in dets]
         for costs in node_costs:
-            for kind, cost in zip((ENTRY, DET, EXIT), costs):
+            for kind, cost in zip(("entry", "det", "exit"), costs):
                 if not math.isfinite(cost):
                     raise DataError(f"non-finite {kind} edge cost {cost!r}")
         boxes = FrameBoxes(dets) if dets else None
@@ -311,26 +277,44 @@ class TrackingGraph:
         frames. Every index and cost is checked before the graph changes, so
         a rejected frame leaves no trace. A caller that must change the graph
         between the checks and the append passes what prepare_frame returned
-        for these detections as `prepared`.
+        for these detections as `prepared`. Slots are taken as one-by-one
+        allocation took them: per detection a u and a v node, and its entry,
+        detection and exit edge, then the links in (previous, new) order.
         """
         if prepared is None:
             prepared = self.prepare_frame(new_detections, model, frame)
-        frame = prepared.frame
+        frame, links, n = prepared.frame, prepared.links, len(prepared.dets)
         if self.is_empty:
             self.t_min = frame
         self.t_max = frame
         self.frames[frame] = prepared.dets
         self.boxes[frame] = prepared.boxes
-        for d, (entry, det_cost, exit_) in zip(prepared.dets,
-                                                prepared.node_costs):
-            u = self._alloc_node(KIND_U, d)
-            v = self._alloc_node(KIND_V, d)
+
+        uv = self._take(self._free_nodes, 2 * n, NODE_COLUMNS)  # u, v, u, ...
+        nodes = uv.reshape(n, 2).T
+        self.node_det += [None] * (len(self.node_kind) - len(self.node_det))
+        src, dst = [], []
+        for d, u, v in zip(prepared.dets, *nodes.tolist()):
             self.det_nodes[d.key] = (u, v)
-            self._add_edge(SOURCE, u, ENTRY, entry)
-            self._add_edge(u, v, DET, det_cost)
-            self._add_edge(v, SINK, EXIT, exit_)
-        for p, d, cost in prepared.links:
-            self._add_edge(self.v_node(p), self.u_node(d), LINK, cost)
+            self.node_det[u] = self.node_det[v] = d
+            src += (SOURCE, u, v)
+            dst += (u, v, SINK)
+        src += [self.det_nodes[p.key][1] for p, _, _ in links]
+        dst += [self.det_nodes[d.key][0] for _, d, _ in links]
+
+        eids = self._take(self._free_edges, len(src), EDGE_COLUMNS)
+        triples = eids[:3 * n].reshape(n, 3)  # entry, detection, exit
+        self.node_kind[uv] = [KIND_U, KIND_V] * n
+        self.node_in[uv] = triples[:, :2].ravel()
+        self.node_out[uv] = triples[:, 1:].ravel()
+        self.e_src[eids], self.e_dst[eids] = src, dst
+        self.e_kind[eids] = [ENTRY, DET, EXIT] * n + [LINK] * len(links)
+        self.e_cost[eids] = [c for costs in prepared.node_costs for c in costs] \
+            + [c for _, _, c in links]
+        self.e_alive[eids], self.e_origin[eids] = True, -1
+        self.frame_nodes[frame], self.frame_links[frame] = nodes, eids[3 * n:]
+        self.n_live_nodes += 2 * n
+        self.n_live_edges += len(eids)
         return self
 
     def clip_oldest_frame(self, solution: FlowSolution) -> "TrackingGraph":
@@ -338,37 +322,58 @@ class TrackingGraph:
         cost (entry, detection and link) into its successor's entry edge, so
         the suffix keeps the trajectory's full cost and, via e_origin, its id.
         t_min moves to the oldest frame left; clipping the only frame empties
-        the graph.
+        the graph. The freed slots join the free lists in the order one-by-one
+        removal gave: per detection its detection, entry and exit edge and
+        its links out, and its u and then its v node.
         """
         if self.is_empty:
             raise DataError("cannot clip an empty graph")
-        t_min = self.t_min
-        removed = self.frames.pop(t_min)
-        del self.boxes[t_min]
+        t_min, removed = self.t_min, self.frames.pop(self.t_min)
+        del self.boxes[t_min], self.frame_links[t_min]
+        nodes = u, v = self.frame_nodes.pop(t_min)
+        out = self.links_out_of(t_min)
 
-        for traj in solution.trajectories:
-            first = traj.detections[0]
-            if first.frame != t_min or len(traj.detections) < 2:
-                continue
-            succ = traj.detections[1]
-            link_eid = self.link_edge_between(first, succ)
-            if link_eid is None:
-                raise InvariantBreach(
-                    f"solution trajectory uses missing link {first.key}->{succ.key}")
-            entry_eid = self.entry_edge_of(first)
+        # Each link out, keyed by its (v node, next u node), in block order.
+        link_of = dict(zip(zip(self.e_src[out].tolist(),
+                               self.e_dst[out].tolist()), out.tolist()))
+        fold = []  # (track id, u node, link, next u node) per continuing track
+        for t in solution.trajectories:
+            if t.detections[0].frame == t_min and len(t.detections) > 1:
+                u0, v0 = self.det_nodes[t.detections[0].key]
+                u1 = self.u_node(t.detections[1])
+                if (v0, u1) not in link_of:
+                    raise InvariantBreach(
+                        f"solution trajectory uses missing link "
+                        f"{t.detections[0].key}->{t.detections[1].key}")
+                fold.append((t.track_id, u0, link_of[v0, u1], u1))
+        if fold:
+            tid, u0, link, u1 = np.array(fold).T
+            entry, succ_entry = self.node_in[u0], self.node_in[u1]
             # Same additions in the same order as a left-fold path cost.
-            cost = self.e_cost[entry_eid]
-            cost += self.e_cost[self.detection_edge_of(first)]
-            cost += self.e_cost[link_eid]
-            succ_entry = self.entry_edge_of(succ)
-            self.e_cost[succ_entry] = cost
-            origin = self.e_origin[entry_eid]
-            self.e_origin[succ_entry] = traj.track_id if origin is None else origin
+            self.e_cost[succ_entry] = (self.e_cost[entry] + self.e_cost[
+                self.node_out[u0]] + self.e_cost[link])
+            origin = self.e_origin[entry]
+            self.e_origin[succ_entry] = np.where(origin < 0, tid, origin)
 
+        links_from = {vn: [] for vn in v.tolist()}  # in v's order
+        for (vn, _), eid in link_of.items():
+            links_from[vn].append(eid)
+        triples = np.column_stack(
+            (self.node_out[u], self.node_in[u], self.node_out[v])).tolist()
+        freed = []
+        for triple, out_links in zip(triples, links_from.values()):
+            freed += triple + out_links
+        self.e_alive[freed] = False
+        self._free_edges += freed
+        self.n_live_edges -= len(freed)
+        if len(out):
+            self.frame_links[t_min + 1] = NO_EDGES
+        self.node_kind[nodes] = KIND_DEAD
         for d in removed:
-            u, v = self.det_nodes.pop(d.key)
-            self._remove_node(u)
-            self._remove_node(v)
+            for x in self.det_nodes.pop(d.key):
+                self.node_det[x] = None
+                self._free_nodes.append(x)
+        self.n_live_nodes -= 2 * len(removed)
         self.t_min = next(iter(self.frames), None)
         if self.t_min is None:
             self.t_max = None
@@ -398,26 +403,19 @@ def build_batch_graph(detections, model, gating: bool = True,
 def graphs_structurally_equal(a: TrackingGraph, b: TrackingGraph,
                               cost_tol: float = 1e-12) -> bool:
     """Compare node and edge sets by detection identity, kind and cost."""
-    if set(a.det_nodes) != set(b.det_nodes):
-        return False
-    if (a.t_min, a.t_max) != (b.t_min, b.t_max):
+    if (set(a.det_nodes), a.t_min, a.t_max) != (set(b.det_nodes), b.t_min,
+                                                 b.t_max):
         return False
 
     def edge_set(g: TrackingGraph):
-        out = {}
-        for eid in g.live_edges():
-            src_det = g.node_det[g.e_src[eid]]
-            dst_det = g.node_det[g.e_dst[eid]]
-            key = (g.e_kind[eid],
-                   None if src_det is None else src_det.key,
-                   None if dst_det is None else dst_det.key)
-            out[key] = g.e_cost[eid]
-        return out
+        def det_key(node):  # None for the source and the sink
+            return getattr(g.node_det[node], "key", None)
+        return {(int(g.e_kind[e]), det_key(g.e_src[e]), det_key(g.e_dst[e])):
+                float(g.e_cost[e]) for e in g.live_edges()}
 
     ea, eb = edge_set(a), edge_set(b)
-    if set(ea) != set(eb):
-        return False
-    return all(abs(ea[k] - eb[k]) <= cost_tol for k in ea)
+    return set(ea) == set(eb) and all(abs(ea[k] - eb[k]) <= cost_tol
+                                      for k in ea)
 
 
 def check_layered_dag(graph: TrackingGraph) -> None:
@@ -440,20 +438,16 @@ def check_layered_dag(graph: TrackingGraph) -> None:
 
 
 def check_flow_conservation(graph: TrackingGraph, solution: FlowSolution) -> None:
-    """Check per-node conservation of the 0/1 edge flows in a solution."""
-    flow = solution.edge_flow
-    for key, (u, v) in graph.det_nodes.items():
-        f_en = sum(flow.get(e, 0) for e in graph.in_edges[u]
-                   if graph.e_kind[e] == ENTRY)
-        f_li_in = sum(flow.get(e, 0) for e in graph.in_edges[u]
-                      if graph.e_kind[e] == LINK)
-        f_det = sum(flow.get(e, 0) for e in graph.out_edges[u]
-                    if graph.e_kind[e] == DET)
-        f_ex = sum(flow.get(e, 0) for e in graph.out_edges[v]
-                   if graph.e_kind[e] == EXIT)
-        f_li_out = sum(flow.get(e, 0) for e in graph.out_edges[v]
-                       if graph.e_kind[e] == LINK)
-        if f_en + f_li_in != f_det or f_det != f_ex + f_li_out:
+    """Check per-node conservation of the 0/1 edge flows in a solution: at a
+    u node, entry and links in against the detection edge, at a v node, the
+    detection edge against exit and links out."""
+    g, n = graph, len(graph.node_kind)
+    flow = np.zeros(len(g.e_src), dtype=np.int64)
+    flow[list(solution.edge_flow)] = list(solution.edge_flow.values())
+    flow[~g.e_alive] = 0
+    into, out = np.bincount(g.e_dst, flow, n), np.bincount(g.e_src, flow, n)
+    for key, (u, v) in g.det_nodes.items():
+        if into[u] != out[u] or out[u] != out[v]:
             raise InvariantBreach(f"flow conservation violated at detection {key}")
-        if f_det not in (0, 1):
-            raise InvariantBreach(f"detection {key} carries flow {f_det}")
+        if out[u] not in (0, 1):
+            raise InvariantBreach(f"detection {key} carries flow {out[u]:g}")

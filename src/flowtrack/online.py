@@ -215,11 +215,10 @@ class OnlineTracker:
 
         solution, run = self._solve(frame)
 
-        origins = {}
-        for i, traj in enumerate(solution.trajectories):
-            eid = g.entry_edge_of(traj.detections[0])
-            if g.e_origin[eid] is not None:
-                origins[i] = g.e_origin[eid]
+        entries = g.node_in[[g.u_node(t.detections[0])
+                             for t in solution.trajectories]]
+        origins = {i: o for i, o in enumerate(g.e_origin[entries].tolist())
+                   if o >= 0}
         assign_track_ids(self.solution, solution, self.registry, origins)
         self.solution = solution
 

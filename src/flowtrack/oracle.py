@@ -4,31 +4,30 @@ from __future__ import annotations
 import random
 
 from .errors import DataError
-from .graph import (DET, EXIT, LINK, SINK, SOURCE, FlowSolution, TrackingGraph,
-                    Trajectory)
+from .graph import FlowSolution, TrackingGraph, Trajectory
 
 
 def enumerate_paths(graph: TrackingGraph):
-    """All source-to-sink paths as (detection list, edge id list, cost)."""
-    paths = []
+    """All source-to-sink paths as (detection list, edge id list, cost), by
+    first detection in frame order, each detection's exit before its links."""
+    paths, cost_of = [], graph.e_cost
 
     def walk(det, dets, eids, cost):
-        vn = graph.v_node(det)
-        for eid in graph.out_edges[vn]:
-            kind = graph.e_kind[eid]
-            if kind == EXIT:
-                paths.append((dets, eids + [eid], cost + graph.e_cost[eid]))
-            elif kind == LINK:
-                nxt = graph.node_det[graph.e_dst[eid]]
-                det_eid = graph.detection_edge_of(nxt)
-                walk(nxt, dets + [nxt], eids + [eid, det_eid],
-                     cost + graph.e_cost[eid] + graph.e_cost[det_eid])
+        exit_eid = int(graph.node_out[graph.v_node(det)])
+        paths.append((dets, eids + [exit_eid], cost + cost_of[exit_eid]))
+        block = graph.links_out_of(det.frame)
+        for eid in block[graph.e_src[block] == graph.v_node(det)].tolist():
+            nxt = graph.node_det[graph.e_dst[eid]]
+            det_eid = graph.detection_edge_of(nxt)
+            walk(nxt, dets + [nxt], eids + [eid, det_eid],
+                 cost + cost_of[eid] + cost_of[det_eid])
 
-    for entry_eid in graph.out_edges[SOURCE]:
-        det = graph.node_det[graph.e_dst[entry_eid]]
-        det_eid = graph.detection_edge_of(det)
-        walk(det, [det], [entry_eid, det_eid],
-             graph.e_cost[entry_eid] + graph.e_cost[det_eid])
+    for dets in graph.frames.values():
+        for det in dets:
+            entry_eid = graph.entry_edge_of(det)
+            det_eid = graph.detection_edge_of(det)
+            walk(det, [det], [entry_eid, det_eid],
+                 cost_of[entry_eid] + cost_of[det_eid])
     return paths
 
 

@@ -28,7 +28,7 @@ from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import breadth_first_order, dijkstra
 
 from .errors import DataError, InvariantBreach
-from .graph import (EXIT, SINK, SOURCE, KIND_U, FlowSolution, TrackingGraph,
+from .graph import (EXIT, SINK, SOURCE, FlowSolution, TrackingGraph,
                     Trajectory)
 
 #: Tolerance for reduced-cost non-negativity, relative to the graph's largest
@@ -111,17 +111,11 @@ class ResidualGraph:
 
     def __init__(self, graph: TrackingGraph):
         g = self.graph = graph
-        m = len(g.e_src)
-        self.rcost = np.array(g.e_cost, dtype=float) if m else np.zeros(0)
-        self.flow = np.zeros(m, dtype=np.int8)
-        self.src_arr = np.array(g.e_src, dtype=np.int64) if m else np.zeros(0, np.int64)
-        self.dst_arr = np.array(g.e_dst, dtype=np.int64) if m else np.zeros(0, np.int64)
-        self.alive_arr = np.array(g.e_alive, dtype=bool) if m else np.zeros(0, bool)
-        if m:
-            self.rcost[~self.alive_arr] = 0.0
+        self.rcost = np.where(g.e_alive, g.e_cost, 0.0)
+        self.flow = np.zeros(len(g.e_src), dtype=np.int8)
         with np.errstate(over="ignore"):
             check_cost_sum(float(np.sum(np.abs(self.rcost))))
-        self.eps = EPS * float(np.max(np.abs(self.rcost))) if m else 0.0
+        self.eps = EPS * float(np.max(np.abs(self.rcost), initial=0.0))
         self.iteration = 0
         self._arcs = self._dag = None
 
@@ -135,20 +129,22 @@ class ResidualGraph:
         matrix's weights change from search to search.
         """
         if self._arcs is None:
-            self._arcs = self._slots(self.n_nodes, self.dst_arr)
+            self._arcs = self._slots(self.n_nodes, self.graph.e_dst)
         return self._arcs
 
     def _slots(self, n: int, fwd_dst: np.ndarray):
-        """arcs() over n rows, forward slots ending at fwd_dst."""
-        live = np.flatnonzero(self.alive_arr)
-        src, dst = self.src_arr[live], self.dst_arr[live]
+        """arcs() over n rows, forward slots ending at fwd_dst; int32 indexes,
+        which scipy keeps as given (int64 ones it checks and copies down)."""
+        g = self.graph
+        live = np.flatnonzero(g.e_alive)
+        src, dst = g.e_src[live], g.e_dst[live]
         keys = np.concatenate((src * n + fwd_dst[live], dst * n + src))
         order = np.argsort(keys, kind="stable")
         keys = keys[order]
         rows = keys // n
-        indptr = np.searchsorted(rows, np.arange(n + 1))
-        matrix = csr_matrix((np.zeros(len(keys)), keys % n, indptr),
-                            shape=(n, n))
+        indptr = np.searchsorted(rows, np.arange(n + 1)).astype(np.int32)
+        matrix = csr_matrix((np.zeros(len(keys)), (keys % n).astype(np.int32),
+                             indptr), shape=(n, n))
         return (matrix, np.concatenate((live, live))[order],
                 (order >= len(live)).astype(np.int8), rows, keys)
 
@@ -157,34 +153,34 @@ class ResidualGraph:
         with the same lifetime as arcs().
 
         Levels are the source, then the u and then the v nodes of each frame
-        in frame order, then the sink. Push order is the source's out_edges,
-        then each frame's u nodes' and then v nodes' out_edges, in list
-        order; recycled ids make it differ from edge id order. Forward edges
-        are sorted by (level of head, head, rank in push order). Returns
+        in frame order, then the sink. Forward edges are sorted by (level of
+        head, head, rank in push order): the source's out-edges, then each
+        frame's u nodes' and then v nodes' out-edges. Listing the entries and
+        exits in (frame, local index) order and then every frame's link block
+        puts each node's in-edges in that order, whatever the ids. Returns
         (edge ids, tails, heads, one (first edge, end edge, group starts
         within those edges, group heads) per level).
         """
         if self._dag is None:
             g, n = self.graph, self.n_nodes
             level = np.zeros(n, dtype=np.int64)
-            tails = [SOURCE]
-            for i, dets in enumerate(g.frames.values()):
-                us = [g.det_nodes[d.key][0] for d in dets]
-                vs = [g.det_nodes[d.key][1] for d in dets]
-                level[us], level[vs] = 2 * i + 1, 2 * i + 2
-                tails += us + vs
-            level[SINK] = 2 * len(g.frames) + 1
-            push = np.array([e for u in tails for e in g.out_edges[u]],
-                            dtype=np.int64)
-            heads = self.dst_arr[push]
+            sizes = [uv.shape[1] for uv in g.frame_nodes.values()]
+            u, v = np.concatenate([np.zeros((2, 0), np.int64),
+                                   *g.frame_nodes.values()], axis=1)
+            layer = 2 * np.repeat(np.arange(len(sizes)), sizes)
+            level[u], level[v] = layer + 1, layer + 2
+            level[SINK] = 2 * len(sizes) + 1
+            push = np.concatenate((g.node_in[u], g.node_out[u], g.node_out[v],
+                                   *g.frame_links.values()))
+            heads = g.e_dst[push]
             eids = push[np.argsort(level[heads] * n + heads, kind="stable")]
-            heads = self.dst_arr[eids]
+            heads = g.e_dst[eids]
             first = np.flatnonzero(np.diff(heads, prepend=-1))
             bounds = np.flatnonzero(np.diff(level[heads[first]], prepend=-1))
             ends = np.append(first, len(eids))
             levels = [(ends[a], ends[b], first[a:b] - ends[a], heads[first[a:b]])
                       for a, b in zip(bounds, np.append(bounds[1:], len(first)))]
-            self._dag = (eids, self.src_arr[eids], heads, levels)
+            self._dag = (eids, g.e_src[eids], heads, levels)
         return self._dag
 
     @property
@@ -192,9 +188,8 @@ class ResidualGraph:
         return len(self.graph.node_kind)
 
     def res_endpoints(self, eid: int) -> tuple[int, int]:
-        if self.flow[eid] == 0:
-            return self.graph.e_src[eid], self.graph.e_dst[eid]
-        return self.graph.e_dst[eid], self.graph.e_src[eid]
+        ends = int(self.graph.e_src[eid]), int(self.graph.e_dst[eid])
+        return ends if self.flow[eid] == 0 else ends[::-1]
 
     def flip(self, eid: int):
         self.flow[eid] ^= 1
@@ -217,7 +212,8 @@ class OnlineResidual(ResidualGraph):
     enter the target, node n_nodes, which holds the sink's potential. A
     shortest path from the source is an augmenting path, one from a
     reversed exit cancels a cycle through the sink. Build it over an empty
-    graph, then append and clip through it.
+    graph, then append and clip through it; it reads the graph's columns
+    and keeps only a flow per edge slot and a potential per node slot.
     """
 
     roots = (SINK, SOURCE)
@@ -231,24 +227,20 @@ class OnlineResidual(ResidualGraph):
     def target(self) -> int:
         return self.n_nodes
 
+    def fwd_dst(self) -> np.ndarray:  # edge heads, the target for the sink
+        return np.where(self.graph.e_dst == SINK, self.target, self.graph.e_dst)
+
     def arcs(self):
         if self._arcs is None:
-            self._arcs = self._slots(self.n_nodes + 1, self.fwd_dst)
+            self._arcs = self._slots(self.n_nodes + 1, self.fwd_dst())
         return self._arcs
 
     def _sync(self):
-        """Re-read the graph's edges after it changed. Edge slots keep their
-        flow (append adds slots without flow, clip zeroes the ones it frees)
-        and node slots their potential; the target's moves to the end."""
-        g = self.graph
-        m, n = len(g.e_src), self.n_nodes
-        self.src_arr = np.array(g.e_src, dtype=np.int64)
-        self.dst_arr = np.array(g.e_dst, dtype=np.int64)
-        self.alive_arr = np.array(g.e_alive, dtype=bool)
-        self.cost = np.array(g.e_cost, dtype=float)
-        self.fwd_dst = np.where(self.dst_arr == SINK, n, self.dst_arr)
-        self.exit_ids = np.flatnonzero((self.fwd_dst == n) & self.alive_arr)
-        flow = np.zeros(m, dtype=np.int8)
+        """Fit flow and potentials to the graph's slots after an append (new
+        slots start at 0, the target's potential moves to the end), re-read
+        the live costs' scale and drop the indexes."""
+        g, n = self.graph, self.n_nodes
+        flow = np.zeros(len(g.e_src), dtype=np.int8)
         flow[:len(self.flow)] = self.flow
         self.flow = flow
         old = self.potential
@@ -256,7 +248,7 @@ class OnlineResidual(ResidualGraph):
             self.potential = np.zeros(n + 1)
             self.potential[:len(old) - 1] = old[:-1]
             self.potential[n] = old[-1]
-        live = np.abs(self.cost[self.alive_arr])
+        live = np.abs(g.e_cost[g.e_alive])
         self.eps = EPS * float(np.max(live)) if len(live) else 0.0
         self.cost_sum = float(np.sum(live))
         self._arcs = self._dag = None
@@ -279,35 +271,36 @@ class OnlineResidual(ResidualGraph):
         g = self.graph
         g.append_frame(detections, model, prepared=prepared)
         self._sync()
-        p, t = self.potential, self.target
-        for d in prepared.dets:
-            u, v = g.det_nodes[d.key]
-            p[u] = min(p[g.e_src[e]] + g.e_cost[e] for e in g.in_edges[u])
-            p[v] = p[u] + g.e_cost[g.out_edges[u][0]]
-            p[t] = min(p[t], p[v] + g.e_cost[g.out_edges[v][0]])
+        p, t, c = self.potential, self.target, g.e_cost
+        u, v = g.frame_nodes[prepared.frame]
+        links = g.frame_links[prepared.frame]
+        p[u] = p[SOURCE] + c[g.node_in[u]]
+        np.minimum.at(p, g.e_dst[links], p[g.e_src[links]] + c[links])
+        p[v] = p[u] + c[g.node_out[u]]
+        p[t] = np.min(p[v] + c[g.node_out[v]], initial=p[t])
 
     def clip_oldest_frame(self, solution: FlowSolution):
         """Clip the graph's oldest frame. The freed edge slots lose their
         flow, and each continuing track's flow moves onto its folded entry
         edge, whose reduced cost is the sum of the flowed arcs' it replaces
         (each <= 0), so the potentials stay valid."""
-        g = self.graph
-        t_min = g.t_min
-        freed = [eid for d in g.frames[t_min] for node in g.det_nodes[d.key]
-                 for eid in g.in_edges[node] + g.out_edges[node]]
+        g, t_min = self.graph, self.graph.t_min
+        u, v = g.frame_nodes[t_min]
+        freed = np.concatenate((g.node_in[u], g.node_out[u], g.node_out[v],
+                                g.links_out_of(t_min)))
+        succ = [g.u_node(t.detections[1]) for t in solution.trajectories
+                if t.detections[0].frame == t_min and len(t.detections) > 1]
         g.clip_oldest_frame(solution)
         self.flow[freed] = 0
-        for traj in solution.trajectories:
-            if traj.detections[0].frame == t_min and len(traj.detections) > 1:
-                self.flow[g.entry_edge_of(traj.detections[1])] = 1
+        self.flow[g.node_in[succ]] = 1
 
     def reprice(self):
         """Set rcost to every edge's reduced cost in its residual direction
         (a reversed exit leaves the root, of potential 0)."""
-        p = self.potential
-        p_src = p[self.src_arr]
-        fwd = self.cost + p_src - p[self.fwd_dst]
-        rev = p[self.dst_arr] - p_src - self.cost
+        g, p = self.graph, self.potential
+        p_src = p[g.e_src]
+        fwd = g.e_cost + p_src - p[self.fwd_dst()]
+        rev = p[g.e_dst] - p_src - g.e_cost
         self.rcost = np.where(self.flow == 0, fwd, rev)
 
     def exits(self, dist: np.ndarray):
@@ -315,8 +308,9 @@ class OnlineResidual(ResidualGraph):
         (values, tails v), sorted by value dist(v) + clamped reduced cost: the
         length of the tree path to v and on to the target. Exits of
         unreached nodes are left out; the least value is dist[target]."""
-        eids = self.exit_ids[self.flow[self.exit_ids] == 0]
-        tails = self.src_arr[eids]
+        g = self.graph
+        eids = np.flatnonzero((g.e_kind == EXIT) & g.e_alive & (self.flow == 0))
+        tails = g.e_src[eids]
         values = dist[tails] + np.maximum(self.rcost[eids], 0.0)
         order = np.argsort(values, kind="stable")
         order = order[np.isfinite(values[order])]
@@ -327,15 +321,15 @@ class OnlineResidual(ResidualGraph):
         unflowed arc into the target: after a cycle from the sink root frees
         that exit, a lower bound on the length of any path through it."""
         p = self.potential
-        return dist[v] + max(self.cost[eid] + p[v] - p[self.target], 0.0)
+        return dist[v] + max(self.graph.e_cost[eid] + p[v] - p[self.target], 0.0)
 
     def settle(self, dist: np.ndarray, cap: float):
         """Raise the potentials by a search's distances capped at cap, the
         value of the last path pushed from that search (or of its shortest
-        path if none was), and the target's by exactly cap. Every residual reduced cost stays >= 0 and the pushed
-        paths' become 0, provided each pushed path was a shortest path at its
-        turn and no usable arc into the target is left below cap. The roots
-        stay at 0."""
+        path if none was), and the target's by exactly cap. Every residual
+        reduced cost stays >= 0 and the pushed paths' become 0, provided each
+        pushed path was a shortest path at its turn and no usable arc into
+        the target is left below cap. The roots stay at 0."""
         raised = np.minimum(dist, cap)
         raised[self.target] = cap
         self.potential += raised
@@ -374,8 +368,9 @@ def path_original_cost(res: ResidualGraph, path: Path) -> float:
     direction is read from the path's nodes, not from the flow, so a path
     is priced as it was found even after some of its arcs flipped."""
     g = res.graph
-    return math.fsum(g.e_cost[eid] if g.e_src[eid] == u else -g.e_cost[eid]
-                     for u, eid in zip(path.nodes, path.eids))
+    costs, tails = g.e_cost[path.eids].tolist(), g.e_src[path.eids].tolist()
+    return math.fsum(c if t == u else -c
+                     for u, t, c in zip(path.nodes, tails, costs))
 
 
 def dag_shortest_path(res: ResidualGraph, stats: SolverStats | None = None,
@@ -394,7 +389,7 @@ def dag_shortest_path(res: ResidualGraph, stats: SolverStats | None = None,
     labels = PredecessorMap(res.n_nodes)
     if res.graph.is_empty:
         return None, labels
-    if np.any(res.flow[res.alive_arr]):
+    if np.any(res.flow[res.graph.e_alive]):
         raise InvariantBreach("DAG sweep over a residual graph carrying flow")
     eids, tails, heads, levels = res.dag_levels()
     w = res.rcost[eids]
@@ -421,13 +416,13 @@ def convert_edge_costs(res: ResidualGraph, labels: PredecessorMap) -> Predecesso
     traversed). Returns the labels valid after conversion: zero for every
     reachable node, infinity otherwise, with the same predecessors.
     """
-    d = labels.dist
+    d, g = labels.dist, res.graph
     if len(res.rcost):
         fwd = res.flow == 0
-        rs = np.where(fwd, res.src_arr, res.dst_arr)
-        rd = np.where(fwd, res.dst_arr, res.src_arr)
+        rs = np.where(fwd, g.e_src, g.e_dst)
+        rd = np.where(fwd, g.e_dst, g.e_src)
         ds, dd = d[rs], d[rd]
-        ok = np.isfinite(ds) & np.isfinite(dd) & res.alive_arr
+        ok = np.isfinite(ds) & np.isfinite(dd) & g.e_alive
         res.rcost[ok] += ds[ok] - dd[ok]
         neg = res.rcost < 0.0
         tiny = neg & (res.rcost >= -res.eps)
@@ -556,33 +551,33 @@ def dynamic_broadcast(res: ResidualGraph, seeds, labels: PredecessorMap,
 
 
 def decode_trajectories(res: ResidualGraph, start_id: int = 0) -> list[Trajectory]:
-    """Follow reversed edge chains from every flowed entry edge."""
+    """Follow the flow from every flowed entry edge, through the successor
+    map node -> (head, edge cost) of the flowed edges out of other nodes;
+    a trajectory costs the left fold of its edge costs."""
     g = res.graph
-    entry_eids = [eid for eid in g.out_edges[SOURCE] if res.flow[eid] == 1]
-    entry_eids.sort(key=lambda eid: g.node_det[g.e_dst[eid]].key)
+    flowed = np.flatnonzero((res.flow == 1) & g.e_alive)
+    entries = flowed[g.e_src[flowed] == SOURCE]
+    starts = sorted(zip(g.e_dst[entries].tolist(), g.e_cost[entries].tolist()),
+                    key=lambda start: g.node_det[start[0]].key)
+    succ = dict(zip(g.e_src[flowed].tolist(), zip(g.e_dst[flowed].tolist(),
+                                                   g.e_cost[flowed].tolist())))
     trajectories = []
-    for i, entry_eid in enumerate(entry_eids):
-        det = g.node_det[g.e_dst[entry_eid]]
-        cost = g.e_cost[entry_eid]
+    for i, (u, cost) in enumerate(starts):
+        det = g.node_det[u]
         dets = [det]
         while True:
-            det_eid = g.detection_edge_of(det)
-            if res.flow[det_eid] != 1:
+            if (step := succ.get(u)) is None:
                 raise InvariantBreach(
                     f"dangling flow: detection edge of {det.key} carries no flow")
-            cost += g.e_cost[det_eid]
-            vn = g.v_node(det)
-            nxt = None
-            for eid in g.out_edges[vn]:
-                if res.flow[eid] == 1:
-                    nxt = eid
-                    break
-            if nxt is None:
+            v, c = step
+            cost += c
+            if (step := succ.get(v)) is None:
                 raise InvariantBreach(f"trajectory through {det.key} has no outflow")
-            cost += g.e_cost[nxt]
-            if g.e_kind[nxt] == EXIT:
+            u, c = step
+            cost += c
+            if u == SINK:
                 break
-            det = g.node_det[g.e_dst[nxt]]
+            det = g.node_det[u]
             dets.append(det)
         trajectories.append(Trajectory(start_id + i, dets, cost))
     return trajectories
@@ -645,7 +640,8 @@ def _ssp_loop(graph: TrackingGraph, inner: str):
 
     _finalize_termination_stats(stats)
     solution = _solution_from_residual(res)
-    solution.edge_flow = {eid: int(res.flow[eid]) for eid in graph.live_edges()}
+    solution.edge_flow = dict(zip(graph.live_edges(),
+                                  res.flow[graph.e_alive].tolist()))
     return solution, stats
 
 
@@ -683,9 +679,7 @@ def solve_dp_greedy(graph: TrackingGraph):
         if cost >= 0.0:
             break
         stats.iterations += 1
-        dets = [graph.node_det[n] for n in path.nodes
-                if graph.node_det[n] is not None
-                and graph.node_kind[n] == KIND_U]
+        dets = [graph.node_det[u] for u in path.nodes[1:-1:2]]  # u, v, ...
         trajectories.append(Trajectory(len(trajectories), dets, cost))
         total += cost
         for eid in path.eids:

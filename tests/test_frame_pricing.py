@@ -17,8 +17,8 @@ from hypothesis import strategies as st
 from flowtrack import online
 from flowtrack.cost_model import CostModel, Detection, FrameBoxes, iou
 from flowtrack.errors import DataError
-from flowtrack.graph import (TrackingGraph, build_batch_graph, default_gate,
-                             gate_block)
+from flowtrack.graph import (LINK, TrackingGraph, build_batch_graph,
+                             default_gate, gate_block)
 from flowtrack.online import OnlineTracker, TrackerConfig
 from flowtrack.synthetic import SyntheticConfig, generate_synthetic
 
@@ -187,9 +187,13 @@ class ScalarGraph(TrackingGraph):
 
 
 def graph_arrays(g):
-    """Everything the solvers read, costs as hex."""
-    return (g.e_src, g.e_dst, g.e_kind, [c.hex() for c in g.e_cost],
-            g.e_alive, g.e_origin, g.out_edges, g.in_edges, g.node_kind,
+    """Everything the solvers read, as lists, costs as hex."""
+    return (g.e_src.tolist(), g.e_dst.tolist(), g.e_kind.tolist(),
+            [c.hex() for c in g.e_cost.tolist()], g.e_alive.tolist(),
+            g.e_origin.tolist(), g.node_kind.tolist(), g.node_in.tolist(),
+            g.node_out.tolist(),
+            {f: x.tolist() for f, x in g.frame_nodes.items()},
+            {f: x.tolist() for f, x in g.frame_links.items()},
             list(g.frames), list(g.boxes))
 
 
@@ -223,7 +227,7 @@ def test_batch_graph_matches_scalar_builder(model, gating, radius):
         got = build_batch_graph(detections, model, gating=gating,
                                 gate_radius_factor=radius)
         assert graph_arrays(got) == graph_arrays(ref)
-        assert sum(k == "link" for k in got.e_kind) > 0
+        assert sum(k == LINK for k in got.e_kind) > 0
 
 
 @pytest.mark.parametrize("window", [3, None])

@@ -6,7 +6,8 @@ from conftest import StubModel, build_graph, canonical_graph, det, \
     make_random_instance
 from flowtrack.cost_model import CostModel
 from flowtrack.errors import DataError, InvariantBreach
-from flowtrack.graph import (LINK, FlowSolution, TrackingGraph, Trajectory,
+from flowtrack.graph import (DET, ENTRY, EXIT, LINK, FlowSolution,
+                             TrackingGraph, Trajectory,
                              build_batch_graph, check_flow_conservation,
                              check_layered_dag, graphs_structurally_equal)
 from flowtrack.ssp import solve_ssp
@@ -23,8 +24,8 @@ class TestStructure:
         g = build_batch_graph([det(0, 0)], CostModel())
         assert g.n_live_nodes == 4
         assert g.n_live_edges == 3
-        kinds = sorted(g.e_kind[e] for e in g.live_edges())
-        assert kinds == ["det", "entry", "exit"]
+        kinds = sorted(g.e_kind[g.live_edges()].tolist())
+        assert kinds == sorted([DET, ENTRY, EXIT])
 
     def test_two_by_two_all_links(self):
         g, _, _ = canonical_graph()
@@ -32,8 +33,9 @@ class TestStructure:
         assert g.n_live_edges == 16
         by_kind = {}
         for e in g.live_edges():
-            by_kind[g.e_kind[e]] = by_kind.get(g.e_kind[e], 0) + 1
-        assert by_kind == {"entry": 4, "det": 4, "exit": 4, "link": 4}
+            kind = int(g.e_kind[e])
+            by_kind[kind] = by_kind.get(kind, 0) + 1
+        assert by_kind == {ENTRY: 4, DET: 4, EXIT: 4, LINK: 4}
 
     def test_layered_dag_invariant(self):
         g, _, _ = canonical_graph()
@@ -194,7 +196,7 @@ class TestClipOldestFrame:
         assert g.n_live_nodes == 4
         eid = g.entry_edge_of(det(1, 0))
         assert g.e_cost[eid] == 2.0
-        assert g.e_origin[eid] is None
+        assert g.e_origin[eid] == -1  # no origin
 
     def test_clip_only_frame_empties_graph(self):
         g = build_batch_graph([det(0, 0)], CostModel())
@@ -206,6 +208,29 @@ class TestClipOldestFrame:
             g.clip_oldest_frame(FlowSolution())
         g.append_frame([det(7, 0)], CostModel())
         assert (g.t_min, g.t_max, g.n_live_nodes) == (7, 7, 4)
+
+    def test_freed_slots_are_reused_last_freed_first(self):
+        # per detection the clip frees its detection, entry and exit edge
+        # and its links out, then its u and v node; an append takes them
+        # back from the top of the free lists
+        model = StubModel(links={((0, 0), (1, 0)): 0.0})
+        g = TrackingGraph(gating=False)
+        g.append_frame([det(0, 0)], model, frame=0)
+        g.append_frame([det(1, 0)], model)
+        first = (g.u_node(det(0, 0)), g.v_node(det(0, 0)),
+                 g.entry_edge_of(det(0, 0)), g.detection_edge_of(det(0, 0)),
+                 int(g.node_out[g.v_node(det(0, 0))]),
+                 g.link_edge_between(det(0, 0), det(1, 0)))
+        assert first == (2, 3, 0, 1, 2, 6)
+        g.clip_oldest_frame(FlowSolution())
+        assert (g._free_nodes, g._free_edges) == ([2, 3], [1, 0, 2, 6])
+        g.append_frame([det(2, 5, x=9000.0)], model)
+        d = det(2, 5, x=9000.0)
+        assert (g.u_node(d), g.v_node(d)) == (3, 2)
+        assert (g.entry_edge_of(d), g.detection_edge_of(d),
+                int(g.node_out[g.v_node(d)])) == (6, 2, 0)
+        assert (g._free_nodes, g._free_edges) == ([], [1])
+        assert (len(g.node_kind), len(g.e_src)) == (6, 7)
 
     def test_clip_moves_tmin_past_a_gap(self):
         model = CostModel()

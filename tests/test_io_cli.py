@@ -285,6 +285,36 @@ class TestCli:
         assert lines[0].startswith("solver,tau,frame")
         assert any(line.startswith("mbodssp,4,") for line in lines)
 
+    def test_bench_bad_taus_are_usage_errors(self, sample_files):
+        _, det_path, _ = sample_files
+        for taus in ("abc", ",", "", "4,x"):
+            r = run_cli("bench", "-i", str(det_path), "-o", "-",
+                        "--solvers", "mbodssp", "--taus", taus)
+            assert r.returncode == 1, (taus, r.stderr)
+            assert "argument --taus" in r.stderr
+            assert "Traceback" not in r.stderr
+
+    def test_eval_rejects_iou_outside_unit_interval(self, sample_files,
+                                                    tmp_path):
+        root, det_path, gt_path = sample_files
+        out = root / "tracks_iou.csv"
+        run_cli("track", "-i", str(det_path), "-o", str(out))
+        cfg = tmp_path / "iou.cfg"
+        for value in ("nan", "5", "-1", "inf"):
+            r = run_cli("eval", "--gt", str(gt_path), "--tracks", str(out),
+                        "--iou", value)
+            assert r.returncode == 2, (value, r.stdout)
+            assert "iou_threshold must be in [0, 1]" in r.stderr
+            cfg.write_text(f"iou_threshold = {value}\n")
+            r = run_cli("eval", "--gt", str(gt_path), "--tracks", str(out),
+                        "--config", str(cfg))
+            assert r.returncode == 2, (value, r.stdout)
+            assert "iou_threshold must be in [0, 1]" in r.stderr
+        for value in ("0", "1"):
+            r = run_cli("eval", "--gt", str(gt_path), "--tracks", str(out),
+                        "--iou", value)
+            assert r.returncode == 0, r.stderr
+
     def test_streaming_mode(self, sample_files):
         _, det_path, _ = sample_files
         batch = run_cli("track", "-i", str(det_path), "-o", "-",

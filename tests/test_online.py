@@ -296,6 +296,28 @@ class TestBoundedOnline:
             assert tr.graph.n_live_nodes <= 2 * tau * d_max + 2
             assert tr.graph.n_frames <= tau
 
+    def test_slots_grow_only_to_the_live_peak(self):
+        # clips recycle every freed slot before new ones are added, and new
+        # ones come at exact size: the allocated node and edge slots are the
+        # running peak of the live counts, frame by frame
+        stationary = SyntheticConfig(n_frames=500, n_initial_tracks=5,
+                                     spawn_prob=0.0, death_prob=0.0,
+                                     miss_rate=0.1, fp_rate=0.1)
+        gapped = {f: ds for f, ds in gated_scene(2).items()
+                  if not 8 <= f < 13}
+        for frames in (generate_synthetic(stationary, 0)[0], gapped):
+            for window in (2, 10):
+                tr = OnlineTracker(TrackerConfig(model=CostModel(),
+                                                 window=window))
+                peak_nodes = peak_edges = 0
+                for f in sorted(frames):
+                    tr.process_frame(frames[f], frame=f)
+                    g = tr.graph
+                    peak_nodes = max(peak_nodes, g.n_live_nodes)
+                    peak_edges = max(peak_edges, g.n_live_edges)
+                    assert len(g.node_kind) == peak_nodes, (window, f)
+                    assert len(g.e_src) == peak_edges, (window, f)
+
     def test_track_id_stable_across_many_windows(self):
         # one straight, clean track alive for 40 frames with a 10-frame window
         cfg = SyntheticConfig(n_frames=40, n_initial_tracks=1, spawn_prob=0.0,
@@ -484,4 +506,4 @@ class TestSeveralPushesPerSearch:
         assert tr.frame_stats[-1].iterations == 1
         res = tr.cache.residual
         res.reprice()
-        assert res.rcost[res.alive_arr].min() >= -res.eps
+        assert res.rcost[res.graph.e_alive].min() >= -res.eps

@@ -70,7 +70,7 @@ class TestConvertEdgeCosts:
         convert_edge_costs(res, labels)
         for eid in path.eids:
             assert res.rcost[eid] == pytest.approx(0.0, abs=1e-12)
-        assert float(res.rcost[res.alive_arr].min()) >= -1e-9
+        assert float(res.rcost[res.graph.e_alive].min()) >= -1e-9
 
     def test_formula_by_hand(self):
         # edge (u,v) with C=1, d(u)=-3, d(v)=-6 -> C' = 1 + (-3) - (-6) = 4
@@ -155,16 +155,21 @@ class TestBuildResidual:
             build_residual(res, None)
 
 
+def edges_at(g, mask, ends):
+    """The live edges in mask, as (edge id, other end), in the order they
+    were added to a node: by kind (entry before links, exit before links),
+    then by the other end's place in the layered order."""
+    eids = np.flatnonzero(mask & g.e_alive).tolist()
+    pairs = [(eid, int(ends[eid])) for eid in eids]
+    return sorted(pairs, key=lambda p: (g.e_kind[p[0]], g.node_topo_key(p[1])))
+
+
 def out_arcs(res, node):
-    """Residual arcs out of node, as (edge id, head): its out-edges without
-    flow, then its in-edges with flow."""
+    """Residual arcs out of node, as (edge id, head), from the edge columns:
+    its out-edges without flow, then its in-edges with flow."""
     g, fl = res.graph, res.flow
-    for eid in g.out_edges[node]:
-        if fl[eid] == 0:
-            yield eid, g.e_dst[eid]
-    for eid in g.in_edges[node]:
-        if fl[eid] == 1:
-            yield eid, g.e_src[eid]
+    yield from edges_at(g, (g.e_src == node) & (fl == 0), g.e_dst)
+    yield from edges_at(g, (g.e_dst == node) & (fl == 1), g.e_src)
 
 
 def heap_dijkstra(res):
@@ -286,14 +291,10 @@ class TestCompiledDijkstra:
 
 
 def in_arcs(res, node):
-    """Residual arcs into node, as (edge id, tail)."""
+    """Residual arcs into node, as (edge id, tail), from the edge columns."""
     g, fl = res.graph, res.flow
-    for eid in g.in_edges[node]:
-        if fl[eid] == 0:
-            yield eid, g.e_src[eid]
-    for eid in g.out_edges[node]:
-        if fl[eid] == 1:
-            yield eid, g.e_dst[eid]
+    yield from edges_at(g, (g.e_dst == node) & (fl == 0), g.e_src)
+    yield from edges_at(g, (g.e_src == node) & (fl == 1), g.e_dst)
 
 
 def arc_cost(res, eid):
@@ -518,8 +519,8 @@ class TestDynamicBroadcast:
 def python_dag(res, stats, excluded=frozenset()):
     """Plain reference for dag_shortest_path: the interpreted topological
     sweep. Pushes the source's out-arcs, then each frame's u nodes' and then
-    v nodes' out-arcs, in list order, with a strict-< relaxation, skipping
-    unreached tails and excluded nodes."""
+    v nodes' out-arcs, in the order out_arcs gives, with a strict-<
+    relaxation, skipping unreached tails and excluded nodes."""
     g = res.graph
     labels = PredecessorMap(res.n_nodes)
     if g.is_empty:
@@ -533,8 +534,7 @@ def python_dag(res, stats, excluded=frozenset()):
             dist[v] = nd
             pred[v] = u
 
-    for eid in g.out_edges[SOURCE]:
-        v = g.e_dst[eid]
+    for eid, v in out_arcs(res, SOURCE):
         if v not in excluded:
             relax(SOURCE, eid, v)
     for dets in g.frames.values():
@@ -717,7 +717,7 @@ class TestCompiledDagSweep:
         eid = {"entry": g.entry_edge_of(d00),
                "detection": g.detection_edge_of(d00),
                "link": g.link_edge_between(d00, d10),
-               "exit": g.out_edges[g.v_node(d10)][0]}[kind]
+               "exit": int(g.node_out[g.v_node(d10)])}[kind]
         res = ResidualGraph(g)
         res.flow[eid] = 1
         with pytest.raises(InvariantBreach, match="carrying flow"):
