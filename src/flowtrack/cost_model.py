@@ -6,13 +6,13 @@ score through a logistic and map the resulting probability to a signed cost,
 either affinely or through log-odds.
 
 `link_cost_of` prices one pair of detections and is the reference. The graph
-prices a whole frame at once with `CostModel.link_costs_of`, over the
-`FrameBoxes` geometry computed once per frame. It gives the same floats bit
-for bit: numpy does the elementwise IEEE arithmetic, `math.hypot`,
-`math.exp` and the builtin `sum` are mapped over lists (numpy's hypot and exp
-differ in the last bit on some inputs, and its sum in the order of adding),
-and `np.fmin`/`np.fmax` keep the builtin `min`/`max` rule of passing over a
-NaN second argument.
+prices every candidate pair of a run of frames at once with
+`CostModel.link_costs_of`, over the `FrameBoxes` geometry computed once per
+detection. It gives the same floats bit for bit: numpy does the elementwise
+IEEE arithmetic, `math.hypot`, `math.exp` and the builtin `sum` are mapped
+over lists (numpy's hypot and exp differ in the last bit on some inputs, and
+its sum in the order of adding), and `np.fmin`/`np.fmax` keep the builtin
+`min`/`max` rule of passing over a NaN second argument.
 """
 from __future__ import annotations
 
@@ -107,19 +107,23 @@ def nan_link_error(a: Detection, b: Detection) -> DataError:
 
 
 class FrameBoxes:
-    """One frame's detections (nonempty, in local-index order), with their
-    box geometry as the rows of the (8, n) array `geo`: x, y, x + w, y + h,
-    centre x, centre y, area and diagonal, each computed as the Detection
-    properties and iou() compute it."""
+    """Detections (nonempty, a frame's in local-index order, or a run of
+    frames'), with their box geometry as the rows of the (8, n) array `geo`:
+    x, y, x + w, y + h, centre x, centre y, area and diagonal, each computed
+    as the Detection properties and iou() compute it. A slice gives the
+    boxes of a slice of the detections, over a view of `geo`."""
 
     __slots__ = ("dets", "geo")
 
-    def __init__(self, dets: list[Detection]):
+    def __init__(self, dets: list[Detection], geo: np.ndarray | None = None):
         self.dets = dets
-        self.geo = np.array([(x, y, x + w, y + h, x + w / 2.0, y + h / 2.0,
-                              w * h, math.hypot(w, h))
-                             for x, y, w, h in (d.box for d in dets)],
-                            dtype=float).T
+        self.geo = geo if geo is not None else np.array(
+            [(x, y, x + w, y + h, x + w / 2.0, y + h / 2.0, w * h,
+              math.hypot(w, h)) for x, y, w, h in (d.box for d in dets)],
+            dtype=float).T
+
+    def __getitem__(self, part: slice) -> "FrameBoxes":
+        return FrameBoxes(self.dets[part], self.geo[:, part])
 
 
 def _logistic(z: float) -> float:

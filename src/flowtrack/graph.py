@@ -9,17 +9,21 @@ recycles node/edge slots so a windowed graph stays bounded in memory.
 
 Nodes and edges are stored once, as numpy columns by slot id that the
 solvers read directly, with fixed edge slots per detection and a block of
-link edges per frame: a frame is appended, or clipped, as one write per
-column.
+link edges per frame. A run of frames, one frame online or a whole batch,
+is checked and priced as one block and appended with one slot take and one
+write per column; a clip is one write per column too.
 
-A frame's links are gated and priced as one (previous frame x new frame)
-block: `gate_block` over the box geometry kept per frame, then the model's
-`link_costs_of` over the admitted pairs. Both give, bit for bit, what the
-scalar references `default_gate` and `link_cost_of` give pair by pair.
+A run's candidate links, the (previous frame x frame) pairs of every frame,
+are laid out as one global pair index over the run's box geometry (and the
+frame before it), gated in one pass by `gate_pairs` and priced by the
+model's `link_costs_of`, PAIR_BUDGET pairs at a time. Both give, bit for
+bit, what the scalar references `default_gate` and `link_cost_of` give pair
+by pair.
 """
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -37,6 +41,14 @@ KIND_SOURCE, KIND_SINK, KIND_U, KIND_V, KIND_DEAD = range(5)
 ENTRY, DET, EXIT, LINK = range(4)
 
 NO_EDGES = np.zeros(0, dtype=np.int64)
+#: Relative distance to the gate radius, far above any hypot's rounding
+#: error, inside which a pair is measured with math.hypot; TINY covers the
+#: absolute error of subnormal distances.
+GATE_TOL = 1e-9
+TINY = sys.float_info.min
+#: Candidate link pairs gated and priced per pass, which bounds the pass's
+#: temporary arrays however long the run of frames.
+PAIR_BUDGET = 1 << 13
 NODE_COLUMNS = ("node_kind", "node_in", "node_out")
 EDGE_COLUMNS = ("e_src", "e_dst", "e_kind", "e_cost", "e_alive", "e_origin")
 
@@ -67,17 +79,33 @@ class FlowSolution:
 
 
 @dataclass
-class PreparedFrame:
-    """One frame checked against a graph, ready to append: its index, its
-    detections in local-index order, their box geometry (None for an empty
-    frame), their (entry, detection, exit) costs and the admitted
-    (previous, detection, cost) links."""
+class PreparedFrames:
+    """A run of one or more frames checked against a graph, ready to append.
 
-    frame: int
+    `frames` holds the frame indices, increasing, and `sizes` each frame's
+    number of detections; `dets` holds the detections, frame by frame in
+    local-index order, and `node_costs` their (entry, detection, exit) costs,
+    one row each. Links may start at the graph's frame frames[0] - 1:
+    `boxes` holds the geometry of its detections followed by `dets` (None
+    when `dets` is empty). Each pair (i, j) of the index arrays `link_ends`
+    admits the link boxes.dets[i] -> boxes.dets[j] at the cost in
+    `link_costs`, frame by frame in (previous, new) order; `link_counts`
+    holds each frame's number of links.
+    """
+
+    frames: list[int]
+    sizes: list[int]
     dets: list[Detection]
     boxes: FrameBoxes | None
-    node_costs: list[tuple[float, float, float]]
-    links: list[tuple[Detection, Detection, float]]
+    node_costs: np.ndarray
+    link_ends: tuple[np.ndarray, np.ndarray]
+    link_costs: np.ndarray
+    link_counts: list[int]
+
+    @property
+    def frame(self) -> int:
+        """The last frame of the run."""
+        return self.frames[-1]
 
 
 def default_gate(a: Detection, b: Detection, radius_factor: float = 2.0) -> bool:
@@ -88,15 +116,36 @@ def default_gate(a: Detection, b: Detection, radius_factor: float = 2.0) -> bool
     return dist <= radius_factor * max(a.diagonal, b.diagonal)
 
 
+def gate_pairs(a: FrameBoxes, b: FrameBoxes, ip: np.ndarray, jn: np.ndarray,
+               radius_factor: float = 2.0) -> np.ndarray:
+    """default_gate(a.dets[i], b.dets[j], radius_factor) for each pair (i, j)
+    of ip and jn, as a boolean array, bit for bit.
+
+    numpy's hypot and math.hypot are each within one unit in the last place
+    of the true distance, so they can disagree on the gate only for a
+    distance within GATE_TOL of the radius; those pairs alone are measured
+    again with math.hypot, as default_gate measures them."""
+    with np.errstate(all="ignore"):
+        ga, gb = a.geo[4:8, ip], b.geo[4:8, jn]  # centre x, y, area, diagonal
+        dx, dy = ga[0] - gb[0], ga[1] - gb[1]
+        radius = radius_factor * np.maximum(ga[3], gb[3])
+        dist = np.hypot(dx, dy)
+        admit = dist <= radius
+        edge = (abs(dist - radius) <= radius * GATE_TOL + TINY).nonzero()[0]
+        if len(edge):
+            admit[edge] = (np.array(list(map(math.hypot, dx[edge].tolist(),
+                                              dy[edge].tolist())))
+                           <= radius[edge])
+    return admit
+
+
 def gate_block(a: FrameBoxes, b: FrameBoxes,
                radius_factor: float = 2.0) -> np.ndarray:
     """default_gate(a.dets[i], b.dets[j], radius_factor) as the [i, j] entry
     of a boolean array, bit for bit."""
-    with np.errstate(all="ignore"):
-        d = a.geo[4:6, :, None] - b.geo[4:6, None, :]
-        dist = np.array(list(map(math.hypot, *d.reshape(2, -1).tolist())))
-        return (dist.reshape(d.shape[1:])
-                <= radius_factor * np.maximum(a.geo[7, :, None], b.geo[7]))
+    shape = len(a.dets), len(b.dets)
+    ip, jn = np.indices(shape).reshape(2, -1)
+    return gate_pairs(a, b, ip, jn, radius_factor).reshape(shape)
 
 
 class TrackingGraph:
@@ -205,114 +254,203 @@ class TrackingGraph:
 
     # -- frame-level operations ------------------------------------------------
 
-    def prepare_frame(self, new_detections: list[Detection], model,
-                      frame: int | None = None) -> PreparedFrame:
-        """Check one frame of detections and compute its costs, leaving the
-        graph untouched; append_frame commits the result.
+    def prepare_frame(self, new_detections, model,
+                      frame: int | None = None) -> PreparedFrames:
+        """Check one frame of detections, or a run of frames given as a dict
+        {frame: detections} in frame order, and compute their costs, leaving
+        the graph untouched; append_frame commits the result.
 
-        The detections must share one frame, which must agree with `frame`
-        when both are given, and have distinct local indices. The first frame
-        of an empty graph needs an explicit index; every later one must lie
-        above t_max and defaults to t_max + 1. Frames skipped in between hold
-        no detections and cost nothing. Every cost must be finite, except a
-        link cost of +inf, which admits no link. Links join the frame to
-        frame - 1, so the result stays valid while only older frames are
-        clipped.
+        The detections of a frame must share its index, which must agree
+        with `frame` when both are given, and have distinct local indices.
+        The first frame of an empty graph needs an explicit index; every
+        later one must lie above the one before and defaults to it plus one.
+        Frames skipped in between hold no detections and cost nothing. Every
+        cost must be finite, except a link cost of +inf, which admits no
+        link. Links join a frame to the frame before, so the result stays
+        valid while only frames older than the run's first are clipped.
+
+        A run is checked and priced as one block, with what preparing and
+        appending its frames one by one gives, the first error included.
         """
-        if new_detections:
-            frames = {d.frame for d in new_detections}
-            if len(frames) > 1:
-                raise DataError(f"detections span multiple frames: {sorted(frames)}")
-            det_frame = frames.pop()
+        runs = (list(new_detections.items())
+                if isinstance(new_detections, dict)
+                else [(frame, new_detections)])
+        return self._prepare(runs, model)
+
+    def _prepare(self, runs, model) -> PreparedFrames:
+        """prepare_frame over (frame, detections) pairs. A frame at fault
+        raises only once the frames before it have passed, as one by one."""
+        frames, blocks, last = [], [], self.t_max
+        # Per frame, with its detections after the previous frame's in one
+        # pool: the end and start of its candidate pairs in pair order, the
+        # previous frame's first detection and its own, and its size.
+        layout, pool, pairs = [], 0, 0
+        for k, (frame, dets) in enumerate(runs):
+            try:
+                frame = self._frame_index(dets, frame, last)
+            except DataError:
+                self._prepare(runs[:k], model)
+                raise
+            prev = blocks[-1] if blocks else self.frames.get(frame - 1, ())
+            m, n = len(prev) if last == frame - 1 else 0, len(dets)
+            if not k:  # the graph's frame before the run leads the pool
+                pool = m
+            layout.append((pairs + m * n, pairs, pool - m, pool, n))
+            pool, pairs = pool + n, pairs + m * n
+            frames.append(frame)
+            blocks.append(sorted(dets, key=lambda d: d.local_index))
+            last = frame
+        sizes = [row[4] for row in layout]
+        dets = [d for block in blocks for d in block]
+        costs = [(model.entry_cost_of(d), model.detection_cost_of(d),
+                  model.exit_cost_of(d)) for d in dets]
+        node_costs = np.array(costs, dtype=float).reshape(-1, 3)
+        if not np.isfinite(node_costs).all():
+            i, kind = divmod(int(np.isfinite(node_costs).argmin()), 3)
+            self._prepare(runs[:np.searchsorted(np.cumsum(sizes), i, "right")],
+                          model)
+            raise DataError(f"non-finite {('entry', 'det', 'exit')[kind]} "
+                            f"edge cost {costs[i][kind]!r}")
+        boxes, ends, link_costs = None, (NO_EDGES, NO_EDGES), np.zeros(0)
+        counts = [0] * len(frames)
+        if dets:
+            boxes = FrameBoxes(dets)
+            if pool > len(dets):
+                prev = self.boxes[frames[0] - 1]
+                boxes = FrameBoxes(prev.dets + dets, np.concatenate(
+                    (prev.geo, boxes.geo), axis=1))
+            if pairs:
+                ends, link_costs, counts = self._links(
+                    boxes, np.array(layout).T, pairs, model)
+        return PreparedFrames(frames, sizes, dets, boxes, node_costs, ends,
+                              link_costs, counts)
+
+    @staticmethod
+    def _frame_index(dets, frame, last) -> int:
+        """The checked index of one frame of detections that follows frame
+        `last` (None on an empty graph)."""
+        if dets:
+            found = {d.frame for d in dets}
+            if len(found) > 1:
+                raise DataError(f"detections span multiple frames: {sorted(found)}")
+            det_frame = found.pop()
             if frame is not None and frame != det_frame:
                 raise DataError(f"frame argument {frame} != detection frame {det_frame}")
             frame = det_frame
-        if self.is_empty:
+        if last is None:
             if frame is None:
                 raise DataError("the first frame needs an explicit frame index")
         elif frame is None:
-            frame = self.t_max + 1
-        elif frame <= self.t_max:
+            frame = last + 1
+        elif frame <= last:
             raise DataError(f"frames must be strictly in order: expected a "
-                            f"frame above {self.t_max}, got {frame}")
-        seen = set()
-        for d in new_detections:
-            if d.local_index in seen:
-                raise DataError(f"duplicate local_index {d.local_index} in frame {frame}")
-            seen.add(d.local_index)
+                            f"frame above {last}, got {frame}")
+        if len({d.local_index for d in dets}) < len(dets):
+            seen = set()
+            for d in dets:
+                if d.local_index in seen:
+                    raise DataError(f"duplicate local_index {d.local_index} "
+                                    f"in frame {frame}")
+                seen.add(d.local_index)
+        return frame
 
-        dets = sorted(new_detections, key=lambda d: d.local_index)
-        node_costs = [(model.entry_cost_of(d), model.detection_cost_of(d),
-                       model.exit_cost_of(d)) for d in dets]
-        for costs in node_costs:
-            for kind, cost in zip(("entry", "det", "exit"), costs):
-                if not math.isfinite(cost):
-                    raise DataError(f"non-finite {kind} edge cost {cost!r}")
-        boxes = FrameBoxes(dets) if dets else None
-        prev = self.boxes.get(frame - 1)
-        links = []
-        if prev is not None and boxes is not None:
+    def _links(self, boxes: FrameBoxes, layout: np.ndarray, n_pairs: int,
+               model):
+        """The admitted links among the n_pairs candidate pairs that
+        `layout` lays out over `boxes`: each frame's (previous frame x frame)
+        pairs, row-major and frame by frame, gated and priced PAIR_BUDGET
+        pairs at a time. Returns the link ends (ip, jn), their costs and
+        each frame's number of links."""
+        pair_end, pair_first, prev_first, first, size = layout
+        found = []
+        for start in range(0, n_pairs, PAIR_BUDGET):
+            pair = np.arange(start, min(start + PAIR_BUDGET, n_pairs))
+            at = pair_end.searchsorted(pair, "right")  # the pair's frame
+            i, j = np.divmod(pair - pair_first[at], size[at])
+            ip, jn = prev_first[at] + i, first[at] + j
             if self.gating:
-                ip, jn = np.nonzero(gate_block(prev, boxes,
-                                               self.gate_radius_factor))
-            else:
-                ip, jn = np.indices((len(prev.dets), len(dets))).reshape(2, -1)
-            costs = model.link_costs_of(prev, boxes, ip, jn) if len(ip) else []
-            pairs = list(zip(ip.tolist(), jn.tolist(), costs))
-            if math.isnan(sum(costs)):  # as it is whenever a cost is NaN
-                for i, j, cost in pairs:
-                    if math.isnan(cost):
-                        raise nan_link_error(prev.dets[i], dets[j])
-            # +inf means "no plausible link"
-            links = [(prev.dets[i], dets[j], cost) for i, j, cost in pairs
-                     if not math.isinf(cost)]
-        return PreparedFrame(frame, dets, boxes, node_costs, links)
+                admit = gate_pairs(boxes, boxes, ip, jn,
+                                   self.gate_radius_factor)
+                at, ip, jn = at[admit], ip[admit], jn[admit]
+            cost = np.array(model.link_costs_of(boxes, boxes, ip, jn)
+                            if len(at) else (), dtype=float)
+            if not np.isfinite(cost).all():
+                nan = np.isnan(cost)
+                if nan.any():
+                    k = nan.argmax()
+                    raise nan_link_error(boxes.dets[ip[k]], boxes.dets[jn[k]])
+                keep = ~np.isinf(cost)  # +inf means "no plausible link"
+                at, ip, jn, cost = at[keep], ip[keep], jn[keep], cost[keep]
+            found.append((at, ip, jn, cost))
+        at, ip, jn, cost = (found[0] if len(found) == 1 else
+                            map(np.concatenate, zip(*found)))
+        return ((ip, jn), cost,
+                np.bincount(at, minlength=layout.shape[1]).tolist())
 
-    def append_frame(self, new_detections: list[Detection], model,
-                     frame: int | None = None,
-                     prepared: PreparedFrame | None = None) -> "TrackingGraph":
-        """Extend the graph by one frame of detections (possibly empty).
+    def append_frame(self, new_detections, model, frame: int | None = None,
+                     prepared: PreparedFrames | None = None) -> "TrackingGraph":
+        """Extend the graph by one frame of detections (possibly empty), or
+        a run of frames given as prepare_frame takes them.
 
-        Links join the frame to frame - 1 only, so nothing crosses skipped
-        frames. Every index and cost is checked before the graph changes, so
-        a rejected frame leaves no trace. A caller that must change the graph
-        between the checks and the append passes what prepare_frame returned
-        for these detections as `prepared`. Slots are taken as one-by-one
-        allocation took them: per detection a u and a v node, and its entry,
-        detection and exit edge, then the links in (previous, new) order.
+        Links join a frame to the frame before only, so nothing crosses
+        skipped frames. Every index and cost is checked before the graph
+        changes, so a rejected frame or run leaves no trace. A caller that
+        must change the graph between the checks and the append passes what
+        prepare_frame returned for these detections as `prepared`. Slots are
+        taken as one-by-one allocation took them: frame by frame, per
+        detection a u and a v node, and its entry, detection and exit edge,
+        then the frame's links in (previous, new) order.
         """
         if prepared is None:
             prepared = self.prepare_frame(new_detections, model, frame)
-        frame, links, n = prepared.frame, prepared.links, len(prepared.dets)
+        p, n = prepared, len(prepared.dets)
+        if not p.frames:
+            return self
         if self.is_empty:
-            self.t_min = frame
-        self.t_max = frame
-        self.frames[frame] = prepared.dets
-        self.boxes[frame] = prepared.boxes
+            self.t_min = p.frames[0]
+        self.t_max = p.frames[-1]
 
-        uv = self._take(self._free_nodes, 2 * n, NODE_COLUMNS)  # u, v, u, ...
-        nodes = uv.reshape(n, 2).T
+        # per detection, its u and v node
+        uv = self._take(self._free_nodes, 2 * n, NODE_COLUMNS).reshape(n, 2)
+        nodes = uv.T
         self.node_det += [None] * (len(self.node_kind) - len(self.node_det))
-        src, dst = [], []
-        for d, u, v in zip(prepared.dets, *nodes.tolist()):
-            self.det_nodes[d.key] = (u, v)
-            self.node_det[u] = self.node_det[v] = d
-            src += (SOURCE, u, v)
-            dst += (u, v, SINK)
-        src += [self.det_nodes[p.key][1] for p, _, _ in links]
-        dst += [self.det_nodes[d.key][0] for _, d, _ in links]
+        for d, x, y in zip(p.dets, *nodes.tolist()):
+            self.det_nodes[d.key] = (x, y)
+            self.node_det[x] = self.node_det[y] = d
 
-        eids = self._take(self._free_edges, len(src), EDGE_COLUMNS)
-        triples = eids[:3 * n].reshape(n, 3)  # entry, detection, exit
-        self.node_kind[uv] = [KIND_U, KIND_V] * n
-        self.node_in[uv] = triples[:, :2].ravel()
-        self.node_out[uv] = triples[:, 1:].ravel()
-        self.e_src[eids], self.e_dst[eids] = src, dst
-        self.e_kind[eids] = [ENTRY, DET, EXIT] * n + [LINK] * len(links)
-        self.e_cost[eids] = [c for costs in prepared.node_costs for c in costs] \
-            + [c for _, _, c in links]
+        eids = self._take(self._free_edges, 3 * n + len(p.link_costs),
+                          EDGE_COLUMNS)
+        # Frame by frame: the entry, detection and exit edge of each of its
+        # detections, then its links.
+        triples, links = [], []
+        a = e = 0
+        n_prev = len(p.boxes.dets) - n if n else 0
+        for f, size, count in zip(p.frames, p.sizes, p.link_counts):
+            b, l = a + size, e + 3 * size
+            triples.append(eids[e:l])
+            e = l + count
+            links.append(eids[l:e])
+            self.frames[f] = p.dets[a:b]
+            self.boxes[f] = p.boxes[n_prev + a:n_prev + b] if size else None
+            self.frame_nodes[f], self.frame_links[f] = nodes[:, a:b], links[-1]
+            a = b
+        triples = np.concatenate(triples).reshape(n, 3)
+        links = np.concatenate(links)
+        self.node_kind[uv] = KIND_U, KIND_V
+        self.node_in[uv], self.node_out[uv] = triples[:, :2], triples[:, 1:]
+        chain = np.empty((n, 4), dtype=np.int64)  # source, u, v, sink
+        chain[:, 0], chain[:, 1:3], chain[:, 3] = SOURCE, uv, SINK
+        self.e_src[triples], self.e_dst[triples] = chain[:, :3], chain[:, 1:]
+        self.e_kind[triples] = ENTRY, DET, EXIT
+        self.e_cost[triples] = p.node_costs
+        if len(links):  # ends index the frame before the run, then the run
+            ip, jn = p.link_ends
+            if n_prev:
+                nodes = np.concatenate((self.frame_nodes[p.frames[0] - 1],
+                                        nodes), axis=1)
+            self.e_src[links], self.e_dst[links] = nodes[1, ip], nodes[0, jn]
+        self.e_kind[links], self.e_cost[links] = LINK, p.link_costs
         self.e_alive[eids], self.e_origin[eids] = True, -1
-        self.frame_nodes[frame], self.frame_links[frame] = nodes, eids[3 * n:]
         self.n_live_nodes += 2 * n
         self.n_live_edges += len(eids)
         return self
@@ -387,7 +525,8 @@ class TrackingGraph:
 
 def build_batch_graph(detections, model, gating: bool = True,
                       gate_radius_factor: float = 2.0) -> TrackingGraph:
-    """Build the full graph for a batch of detections (list or frame dict)."""
+    """Build the full graph for a batch of detections (list or frame dict),
+    its frames prepared and appended as one run."""
     graph = TrackingGraph(gating=gating, gate_radius_factor=gate_radius_factor)
     if isinstance(detections, dict):
         by_frame = {f: list(ds) for f, ds in detections.items()}
@@ -395,9 +534,7 @@ def build_batch_graph(detections, model, gating: bool = True,
         by_frame = {}
         for d in detections:
             by_frame.setdefault(d.frame, []).append(d)
-    for f in sorted(by_frame):
-        graph.append_frame(by_frame[f], model, frame=f)
-    return graph
+    return graph.append_frame({f: by_frame[f] for f in sorted(by_frame)}, model)
 
 
 def graphs_structurally_equal(a: TrackingGraph, b: TrackingGraph,

@@ -257,27 +257,27 @@ class OnlineResidual(ResidualGraph):
         """check_cost_sum over the live edges and a prepared frame's, so a
         frame whose costs would overflow is rejected before it changes
         anything."""
-        new = [c for costs in prepared.node_costs for c in costs]
-        new += [c for _, _, c in prepared.links]
+        new = prepared.node_costs.ravel().tolist() + prepared.link_costs.tolist()
         check_cost_sum(self.cost_sum + sum(map(abs, new)))
 
     def append_frame(self, detections, model, prepared):
-        """Append a prepared frame to the graph. Its edges carry no flow; its
-        nodes get potentials in one relaxation pass over their in-arcs
-        (entries and links from frame - 1), and the sink's potential drops
-        to its lowest new exit, which keeps every reduced cost >= 0. On an
-        empty graph these are the DAG shortest-path distances, from which
-        the solve starts at zero flow."""
+        """Append prepared frames to the graph. Their edges carry no flow;
+        each frame's nodes get potentials in one relaxation pass over their
+        in-arcs (entries and links from frame - 1), and the sink's potential
+        drops to its lowest new exit, which keeps every reduced cost >= 0.
+        On an empty graph these are the DAG shortest-path distances, from
+        which the solve starts at zero flow."""
         g = self.graph
         g.append_frame(detections, model, prepared=prepared)
         self._sync()
         p, t, c = self.potential, self.target, g.e_cost
-        u, v = g.frame_nodes[prepared.frame]
-        links = g.frame_links[prepared.frame]
-        p[u] = p[SOURCE] + c[g.node_in[u]]
-        np.minimum.at(p, g.e_dst[links], p[g.e_src[links]] + c[links])
-        p[v] = p[u] + c[g.node_out[u]]
-        p[t] = np.min(p[v] + c[g.node_out[v]], initial=p[t])
+        for frame in prepared.frames:
+            u, v = g.frame_nodes[frame]
+            links = g.frame_links[frame]
+            p[u] = p[SOURCE] + c[g.node_in[u]]
+            np.minimum.at(p, g.e_dst[links], p[g.e_src[links]] + c[links])
+            p[v] = p[u] + c[g.node_out[u]]
+            p[t] = np.min(p[v] + c[g.node_out[v]], initial=p[t])
 
     def clip_oldest_frame(self, solution: FlowSolution):
         """Clip the graph's oldest frame. The freed edge slots lose their

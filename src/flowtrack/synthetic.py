@@ -43,6 +43,9 @@ class SyntheticConfig:
             raise DataError(f"fp_rate must be in [0, 1), got {self.fp_rate}")
         if self.n_frames < 1:
             raise DataError("n_frames must be >= 1")
+        if self.n_initial_tracks < 0:
+            raise DataError(f"n_initial_tracks must be >= 0, got "
+                            f"{self.n_initial_tracks}")
 
 
 class _Target:
@@ -83,7 +86,10 @@ class _Target:
 
 
 def generate_synthetic(cfg: SyntheticConfig, seed: int):
-    """Deterministic (detections per frame, GroundTruth) for a config and seed."""
+    """Deterministic (detections per frame, GroundTruth) for a config and a
+    seed >= 0."""
+    if seed < 0:
+        raise DataError(f"seed must be >= 0, got {seed}")
     rng = np.random.default_rng(seed)
     gt = GroundTruth()
     detections: dict[int, list[Detection]] = {}

@@ -50,6 +50,34 @@ class StubModel:
                 for i, j in zip(ip.tolist(), jn.tolist())]
 
 
+def faulty_batch(nan_link=None, bad_exit=None, duplicate=None, n_frames=6):
+    """Frames 0..n_frames - 1 of two detections each and a model pricing
+    every link, except a NaN link into frame `nan_link` and an infinite exit
+    cost in frame `bad_exit`; frame `duplicate` gets a third detection that
+    repeats local index 1."""
+    frames = {f: [det(f, 0), det(f, 1)] for f in range(n_frames)}
+    links = {((f - 1, i), (f, j)): 0.5 * (i + j)
+             for f in range(1, n_frames) for i in (0, 1) for j in (0, 1)}
+    exits = {(f, i): 2.0 for f in frames for i in (0, 1)}
+    if nan_link is not None:
+        links[(nan_link - 1, 1), (nan_link, 0)] = math.nan
+    if bad_exit is not None:
+        exits[bad_exit, 1] = math.inf
+    if duplicate is not None:
+        frames[duplicate].append(det(duplicate, 1, x=500.0))
+    return frames, StubModel(exit_=exits, links=links)
+
+
+#: faulty_batch arguments and the error that comes first frame by frame.
+BATCH_FAULTS = [
+    (dict(nan_link=2, bad_exit=4), "non-finite link cost for (1, 1)->(2, 0)"),
+    (dict(nan_link=4, bad_exit=2), "non-finite exit edge cost inf"),
+    (dict(nan_link=4, bad_exit=4, duplicate=3),
+     "duplicate local_index 1 in frame 3"),
+    (dict(nan_link=2, duplicate=3), "non-finite link cost for (1, 1)->(2, 0)"),
+]
+
+
 def two_frame_pairs(links_by_index, **kwargs):
     """2 frames x 2 detections graph with link costs keyed by local indices."""
     d00, d01, d10, d11 = det(0, 0), det(0, 1), det(1, 0), det(1, 1)

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from flowtrack import online
+from flowtrack import graph, online
 from flowtrack.cost_model import CostModel, Detection, FrameBoxes, iou
 from flowtrack.errors import DataError
 from flowtrack.graph import (LINK, TrackingGraph, build_batch_graph,
@@ -171,9 +171,10 @@ class ScalarGraph(TrackingGraph):
     def prepare_frame(self, new_detections, model, frame=None):
         prepared = super().prepare_frame(new_detections,
                                          _NodeCostsOnly(model), frame)
-        links = []
-        for p in self.frames.get(prepared.frame - 1, []):
-            for d in prepared.dets:
+        prev = self.frames.get(prepared.frame - 1, [])
+        ends, costs = [], []
+        for i, p in enumerate(prev):
+            for j, d in enumerate(prepared.dets, len(prev)):
                 if self.gating and not default_gate(p, d,
                                                     self.gate_radius_factor):
                     continue
@@ -182,8 +183,13 @@ class ScalarGraph(TrackingGraph):
                     raise DataError(f"non-finite link cost for "
                                     f"{p.key}->{d.key}")
                 if not math.isinf(cost):
-                    links.append((p, d, cost))
-        return replace(prepared, links=links)
+                    ends.append((i, j))
+                    costs.append(cost)
+        # link ends index the previous frame's detections, then the new ones
+        return replace(prepared,
+                       link_ends=np.array(ends, dtype=np.int64).reshape(-1, 2).T,
+                       link_costs=np.array(costs, dtype=float),
+                       link_counts=[len(costs)])
 
 
 def graph_arrays(g):
@@ -215,12 +221,32 @@ def parsed(detections):
             for f, ds in detections.items()}
 
 
+def gate_boundary_scene():
+    """3 x 4 boxes (diagonal 5) whose centres move from the origin to
+    exactly 0, 0.5 and 2 diagonals away, along an axis and along the 3-4-5
+    diagonal, or a hair further, and back: each radius factor of 0, 0.5 and
+    2 has pairs right on its gate and just outside it. Each move takes
+    three frames of its own, apart from the others'."""
+    steps = [(0.0, 0.0), (2.0 ** -52, 0.0)]
+    for r in (2.5, 10.0):
+        beyond = r * (1.0 + 2.0 ** -40)
+        steps += [(r, 0.0), (0.0, -r), (-0.6 * r, 0.8 * r), (beyond, 0.0),
+                  (0.0, -beyond)]
+    frames = {}
+    for k, (cx, cy) in enumerate(steps):
+        for f, (x, y) in enumerate([(0.0, 0.0), (cx, cy), (0.0, 0.0)]):
+            # the box whose centre, x + w / 2 and y + h / 2, is (x, y)
+            frames[4 * k + f] = [Detection(4 * k + f, (x - 1.5, y - 2.0, 3.0,
+                                                       4.0), 1.0, 0)]
+    return parsed(frames)
+
+
 @pytest.mark.parametrize("gating,radius", [(True, 2.0), (True, 0.5),
                                            (False, 2.0)])
 @pytest.mark.parametrize("model", MODELS)
 def test_batch_graph_matches_scalar_builder(model, gating, radius):
-    for seed in (0, 1):
-        detections = parsed(generate_synthetic(CROWDED, seed)[0])
+    scenes = [generate_synthetic(CROWDED, seed)[0] for seed in (0, 1)]
+    for detections in [parsed(s) for s in scenes] + [gate_boundary_scene()]:
         ref = ScalarGraph(gating=gating, gate_radius_factor=radius)
         for f in sorted(detections):
             ref.append_frame(detections[f], model, frame=f)
@@ -228,6 +254,27 @@ def test_batch_graph_matches_scalar_builder(model, gating, radius):
                                 gate_radius_factor=radius)
         assert graph_arrays(got) == graph_arrays(ref)
         assert sum(k == LINK for k in got.e_kind) > 0
+
+
+@pytest.mark.parametrize("budget", [1, 7, 100])
+def test_pair_budget_does_not_change_the_graph(budget, monkeypatch):
+    """Gating and pricing PAIR_BUDGET pairs at a time, with chunks cut
+    inside frames, gives the graph and the first error of one pass."""
+    detections = parsed({f: ds for f, ds in
+                         generate_synthetic(CROWDED, 0)[0].items() if f < 8})
+    nan_model = CostModel(feature_offsets=(1e308, 1e308, 0.0),
+                          feature_weights=(1e308, -1e308, 1.0))
+
+    def outcomes():
+        out = [graph_arrays(build_batch_graph(detections, m, gating=gating))
+               for m in MODELS for gating in (True, False)]
+        with pytest.raises(DataError) as error:
+            build_batch_graph(detections, nan_model)
+        return out, str(error.value)
+
+    one_pass = outcomes()
+    monkeypatch.setattr(graph, "PAIR_BUDGET", budget)
+    assert outcomes() == one_pass
 
 
 @pytest.mark.parametrize("window", [3, None])

@@ -2,8 +2,8 @@ import math
 
 import pytest
 
-from conftest import StubModel, build_graph, canonical_graph, det, \
-    make_random_instance
+from conftest import BATCH_FAULTS, StubModel, build_graph, canonical_graph, \
+    det, faulty_batch, make_random_instance
 from flowtrack.cost_model import CostModel
 from flowtrack.errors import DataError, InvariantBreach
 from flowtrack.graph import (DET, ENTRY, EXIT, LINK, FlowSolution,
@@ -117,6 +117,20 @@ class TestAppendFrame:
             g.append_frame(frame1, good)
             assert graphs_structurally_equal(
                 g, build_graph({0: frame0, 1: frame1}, good))
+
+    @pytest.mark.parametrize("faults,message", BATCH_FAULTS)
+    def test_batch_raises_the_first_error_of_frame_by_frame(self, faults,
+                                                           message):
+        """A batch is checked and priced as one block; it must still raise
+        the error that appending its frames one by one meets first."""
+        frames, model = faulty_batch(**faults)
+        g = TrackingGraph(gating=False)
+        with pytest.raises(DataError) as one_by_one:
+            for f in sorted(frames):
+                g.append_frame(frames[f], model, frame=f)
+        with pytest.raises(DataError) as batch:
+            build_batch_graph(frames, model, gating=False)
+        assert str(batch.value) == str(one_by_one.value) == message
 
     def test_mixed_frames_rejected(self):
         g = TrackingGraph()

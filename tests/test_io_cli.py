@@ -5,7 +5,7 @@ import sys
 
 import pytest
 
-from conftest import det
+from conftest import BATCH_FAULTS, det, faulty_batch
 from flowtrack import cli
 from flowtrack import io as ftio
 from flowtrack.cost_model import CostModel
@@ -315,6 +315,20 @@ class TestCli:
                         "--iou", value)
             assert r.returncode == 0, r.stderr
 
+    def test_synth_rejects_negative_seed_and_tracks(self, tmp_path):
+        out = tmp_path / "synth.csv"
+        for flag, value, message in (("--seed", "-1", "seed must be >= 0"),
+                                     ("--tracks", "-2",
+                                      "n_initial_tracks must be >= 0")):
+            r = run_cli("synth", flag, value, "--frames", "3", "-o", str(out))
+            assert r.returncode == 2, (flag, r.stderr)
+            assert message in r.stderr
+            assert "Traceback" not in r.stderr
+            assert not out.exists()
+        r = run_cli("synth", "--seed", "0", "--tracks", "0", "--frames", "3",
+                    "-o", str(out))
+        assert r.returncode == 0, r.stderr
+
     def test_streaming_mode(self, sample_files):
         _, det_path, _ = sample_files
         batch = run_cli("track", "-i", str(det_path), "-o", "-",
@@ -463,6 +477,24 @@ def test_degenerate_boxes_without_traceback(solver, stream, monkeypatch,
     assert [r[0] for r in rows] == ["0", "1"] and rows[0][1] == rows[1][1]
 
 
+@pytest.mark.parametrize("faults,message", [
+    case for case in BATCH_FAULTS if "duplicate" not in case[0]])
+def test_track_reports_the_first_cost_error(faults, message, tmp_path,
+                                            monkeypatch, capsys):
+    """A CSV cannot repeat a local index, so only the cost faults reach the
+    CLI; batch and online solvers name the first one and exit 2."""
+    frames, model = faulty_batch(**faults)
+    ftio.write_detections(tmp_path / "det.csv", frames)
+    monkeypatch.setattr(cli, "_make_model", lambda settings: model)
+    monkeypatch.delenv("FLOWTRACK_CONFIG", raising=False)
+    for solver in ("ssp", "dssp", "dp", "odssp"):
+        code = cli.main(["track", "-i", str(tmp_path / "det.csv"), "-o",
+                         str(tmp_path / "tracks.csv"), "--solver", solver,
+                         "--no-gating"])
+        assert code == 2, solver
+        assert capsys.readouterr().err == f"flowtrack: data error: {message}\n"
+
+
 #: Every solver, batch and --stream.
 GAP_RUNS = ([(solver, False) for solver in ("ssp", "dssp", "dp", "odssp",
                                              "mbodssp")]
@@ -482,8 +514,17 @@ def test_frame_gap_costs_nothing(solver, stream, monkeypatch):
             return fn(*args, **kwargs)
         return wrapper
 
+    def counting_frames(fn, frames):
+        """Frames added per call: a batch appends all of its frames at once."""
+        def wrapper(graph, *args, **kwargs):
+            before = len(graph.frame_nodes)
+            result = fn(graph, *args, **kwargs)
+            frames.append(len(graph.frame_nodes) - before)
+            return result
+        return wrapper
+
     monkeypatch.setattr(TrackingGraph, "append_frame",
-                        counting(TrackingGraph.append_frame, appends))
+                        counting_frames(TrackingGraph.append_frame, appends))
     monkeypatch.setattr(OnlineTracker, "_solve",
                         counting(OnlineTracker._solve, solves))
     for name in ("solve_ssp", "solve_dssp", "solve_dp_greedy"):
@@ -500,7 +541,7 @@ def test_frame_gap_costs_nothing(solver, stream, monkeypatch):
     if solver == "mbodssp":
         argv += ["--window", "5"]
     assert cli.main(argv) == 0
-    assert len(appends) == 2
+    assert sum(appends) == 2
     assert 1 <= len(solves) <= 2
     assert [line.split(",")[0] for line in out.getvalue().splitlines()] == \
         ["0", "1000000"]
