@@ -90,6 +90,16 @@ def _int_list(text: str) -> tuple[int, ...]:
             f"expected comma-separated integers, got {text!r}") from None
 
 
+def _nonneg_int(text: str) -> int:
+    """argparse type: an integer >= 0."""
+    try:
+        if (value := int(text)) >= 0:
+            return value
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"expected an integer >= 0, got {text!r}")
+
+
 def _make_model(settings: dict) -> CostModel:
     kwargs = {k: settings[k] for k in list(_MODEL_KEYS) + list(_TUPLE_KEYS)
               if k in settings}
@@ -276,7 +286,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--window", type=int, help="frame budget for mbodssp")
     p.add_argument("--stream", action="store_true",
                    help="read blank-line-separated frame blocks from stdin")
-    p.add_argument("--confirm-lag", type=int, default=0,
+    p.add_argument("--confirm-lag", type=_nonneg_int, default=0,
                    help="frames to wait before emitting streamed rows")
     _add_model_args(p)
     p.set_defaults(func=_cmd_track)

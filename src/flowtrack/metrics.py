@@ -4,6 +4,9 @@ Matching is threshold-gated: matches from the previous frame are carried
 forward while they still overlap, then the remaining objects are matched per
 frame with the Hungarian algorithm maximizing IoU. FAR is reported as false
 positives per frame.
+
+scipy.optimize, which supplies the Hungarian step, is loaded only when
+clear_mot runs: tracking never needs it, and it is slow to import.
 """
 from __future__ import annotations
 
@@ -11,7 +14,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from .cost_model import iou
 from .errors import DataError
@@ -49,6 +51,9 @@ class MotReport:
 def clear_mot(gt: GroundTruth, hypotheses: dict[int, list[tuple[int, tuple]]],
               iou_threshold: float = 0.5) -> MotReport:
     """Evaluate per-frame track hypotheses against ground truth."""
+    # Imported here: scipy.optimize is slow to load and only scoring needs it.
+    from scipy.optimize import linear_sum_assignment
+
     frames = sorted(set(gt.frames) | set(hypotheses))
     carried: dict[int, int] = {}          # gt id -> hyp id matched last frame
     last_hyp: dict[int, int] = {}         # gt id -> last hyp id ever matched

@@ -516,11 +516,16 @@ def dynamic_broadcast(res: ResidualGraph, seeds, labels: PredecessorMap,
     seeds = seeds[seeds != SOURCE]
     if not len(seeds):
         return extract_path(res, labels), labels
-    # Parent -> child CSR of the tree; row n is the virtual root.
+    # Parent -> child CSR of the tree, children in node order within a row;
+    # row n is the virtual root, holding the seeds.
     child = np.flatnonzero(pred >= 0)
-    rows = np.concatenate((pred[child], np.full(len(seeds), n)))
-    cols = np.concatenate((child, seeds))
-    tree = csr_matrix((np.ones(len(rows)), (rows, cols)), shape=(n + 1, n + 1))
+    parent = pred[child]
+    indices = np.concatenate((child[np.argsort(parent, kind="stable")], seeds))
+    counts = np.bincount(parent, minlength=n + 1)
+    counts[n] = len(seeds)
+    indptr = np.concatenate(([0], np.cumsum(counts)))
+    tree = csr_matrix((np.ones(len(indices)), indices.astype(np.int32),
+                       indptr.astype(np.int32)), shape=(n + 1, n + 1))
     affected = breadth_first_order(tree, n, return_predecessors=False)[1:]
     in_set = np.zeros(n, dtype=bool)
     in_set[affected] = True

@@ -196,13 +196,30 @@ class TestStreamLineNumbers:
         assert "line 8: bad h 'x'" in r.stderr
 
 
-def run_cli(*args, stdin=None, env_extra=None):
+def run_python(*args, stdin=None, env_extra=None):
+    """A fresh interpreter run with `args`, without $FLOWTRACK_CONFIG."""
     env = dict(os.environ)
     env.pop("FLOWTRACK_CONFIG", None)
     if env_extra:
         env.update(env_extra)
-    return subprocess.run([sys.executable, "-m", "flowtrack.cli", *args],
+    return subprocess.run([sys.executable, *args],
                           input=stdin, capture_output=True, text=True, env=env)
+
+
+def run_cli(*args, stdin=None, env_extra=None):
+    return run_python("-m", "flowtrack.cli", *args, stdin=stdin,
+                      env_extra=env_extra)
+
+
+def stream_text(det_path) -> str:
+    """A detection CSV as --stream input: one blank-line-ended block a frame."""
+    blocks = []
+    dets = ftio.parse_detections(str(det_path))
+    for f in sorted(dets):
+        rows = [f"{d.frame},-1,{d.box[0]},{d.box[1]},{d.box[2]},"
+                f"{d.box[3]},{d.score}" for d in dets[f]]
+        blocks.append("\n".join(rows))
+    return "\n\n".join(blocks) + "\n\n"
 
 
 @pytest.fixture(scope="module")
@@ -333,18 +350,24 @@ class TestCli:
         _, det_path, _ = sample_files
         batch = run_cli("track", "-i", str(det_path), "-o", "-",
                         "--solver", "odssp")
-        blocks = []
-        dets = ftio.parse_detections(str(det_path))
-        for f in sorted(dets):
-            rows = [f"{d.frame},-1,{d.box[0]},{d.box[1]},{d.box[2]},"
-                    f"{d.box[3]},{d.score}" for d in dets[f]]
-            blocks.append("\n".join(rows))
-        stdin = "\n\n".join(blocks) + "\n\n"
         streamed = run_cli("track", "--stream", "--solver", "odssp",
-                           "-o", "-", stdin=stdin)
+                           "-o", "-", stdin=stream_text(det_path))
         assert streamed.returncode == 0, streamed.stderr
         assert sorted(streamed.stdout.splitlines()) == \
             sorted(batch.stdout.splitlines())
+
+    def test_negative_confirm_lag_is_usage_error(self, sample_files):
+        _, det_path, _ = sample_files
+        stdin = stream_text(det_path)
+        for lag in ("-3", "-1", "x"):
+            r = run_cli("track", "--stream", "--solver", "odssp", "-o", "-",
+                        "--confirm-lag", lag, stdin=stdin)
+            assert r.returncode == 1, (lag, r.stderr)
+            assert "argument --confirm-lag" in r.stderr
+            assert r.stdout == "" and "Traceback" not in r.stderr
+        r = run_cli("track", "--stream", "--solver", "odssp", "-o", "-",
+                    "--confirm-lag", "0", stdin=stdin)
+        assert r.returncode == 0, r.stderr
 
     def test_config_file_and_env_precedence(self, sample_files, tmp_path):
         root, det_path, _ = sample_files
@@ -443,6 +466,53 @@ class TestCli:
         assert r.returncode == 2
         assert "window must be >= 2" in r.stderr
         assert r.stdout == ""
+
+
+#: Runs flowtrack.cli as `-m` does, then reports on stderr whether
+#: scipy.optimize was loaded by the time the interpreter exits.
+OPTIMIZE_PROBE = (
+    "import atexit, runpy, sys\n"
+    "atexit.register(lambda: print('optimize loaded:', 'scipy.optimize' in "
+    "sys.modules, file=sys.stderr))\n"
+    "runpy.run_module('flowtrack.cli', run_name='__main__', alter_sys=True)\n")
+
+
+class TestColdStart:
+    """Only CLEAR-MOT scoring loads scipy.optimize, which is slow to import;
+    tracking and a plain import of the package do not."""
+
+    @pytest.mark.parametrize("args", [
+        ("--solver", "ssp"), ("--solver", "dssp"), ("--solver", "dp"),
+        ("--stream", "--solver", "odssp"),
+        ("--stream", "--solver", "mbodssp", "--window", "3")])
+    def test_track_does_not_load_optimize(self, args, sample_files):
+        _, det_path, _ = sample_files
+        stream = "--stream" in args
+        r = run_python("-c", OPTIMIZE_PROBE, "track", "-o", "-", *args,
+                       *(() if stream else ("-i", str(det_path))),
+                       stdin=stream_text(det_path) if stream else None)
+        assert r.returncode == 0, r.stderr
+        assert r.stdout != ""
+        assert r.stderr.endswith("optimize loaded: False\n"), r.stderr
+
+    def test_import_does_not_load_optimize(self):
+        r = run_python("-c", "import sys, flowtrack; "
+                       "print('scipy.optimize' in sys.modules)")
+        assert (r.returncode, r.stdout) == (0, "False\n"), r.stderr
+
+    def test_eval_loads_optimize_and_reports(self, sample_files, tmp_path,
+                                             capsys, monkeypatch):
+        _, det_path, gt_path = sample_files
+        tracks = tmp_path / "tracks.csv"
+        assert run_cli("track", "-i", str(det_path), "-o", str(tracks)).returncode == 0
+        argv = ["eval", "--gt", str(gt_path), "--tracks", str(tracks)]
+        r = run_python("-c", OPTIMIZE_PROBE, *argv)
+        assert r.returncode == 0, r.stderr
+        assert r.stderr == "optimize loaded: True\n"
+        monkeypatch.delenv("FLOWTRACK_CONFIG", raising=False)
+        assert cli.main(argv) == 0
+        assert r.stdout == capsys.readouterr().out
+        assert r.stdout.startswith("MOTA ")
 
 
 @pytest.mark.parametrize("solver,stream", [("ssp", False), ("dssp", False),
