@@ -5,7 +5,8 @@ entry edges run from the source to every u node, exit edges from every v node
 to the sink, and link edges connect v nodes to u nodes in the next frame.
 The graph supports online frame appending and oldest-frame clipping, which
 folds each clipped trajectory prefix into its successor's entry cost, and
-recycles node/edge slots so a windowed graph stays bounded in memory.
+reuses the clipped node/edge slots, the dead ones, so a windowed graph
+stays bounded in memory.
 
 Nodes and edges are stored once, as numpy columns by slot id that the
 solvers read directly, with fixed edge slots per detection and a block of
@@ -162,8 +163,10 @@ class TrackingGraph:
     e_origin (the track id a folded entry carries, -1 for none).
     frame_nodes[f] holds frame f's u and v nodes, (2, n) in local-index
     order, frame_links[f] its link edges from f - 1 in (previous, new) order.
-    Clipped slots are reused, last freed first; columns grow only when the
-    free lists run short, by exactly the slots missing.
+    Nothing is stored twice: t_min and t_max are read from `frames`, the
+    live counts from det_nodes and e_alive, and an append reuses the dead
+    slots (node_kind KIND_DEAD, e_alive False) a clip leaves before it grows
+    a column, by exactly the slots missing.
     """
 
     def __init__(self, gating: bool = True, gate_radius_factor: float = 2.0):
@@ -173,29 +176,42 @@ class TrackingGraph:
         self.node_det: list[Detection | None] = [None, None]
         self.node_in = np.full(2, -1, dtype=np.int64)
         self.node_out = np.full(2, -1, dtype=np.int64)
-        self._free_nodes: list[int] = []
         self.e_src = np.zeros(0, dtype=np.int64)
         self.e_dst = np.zeros(0, dtype=np.int64)
         self.e_kind = np.zeros(0, dtype=np.int8)
         self.e_cost = np.zeros(0)
         self.e_alive = np.zeros(0, dtype=bool)
         self.e_origin = np.zeros(0, dtype=np.int64)
-        self._free_edges: list[int] = []
         self.det_nodes: dict[tuple[int, int], tuple[int, int]] = {}  # key -> (u, v)
         self.frames: dict[int, list[Detection]] = {}
         self.boxes: dict[int, FrameBoxes | None] = {}  # geometry of frames
         self.frame_nodes: dict[int, np.ndarray] = {}
         self.frame_links: dict[int, np.ndarray] = {}
-        self.t_min: int | None = None
-        self.t_max: int | None = None
-        self.n_live_nodes = 2
-        self.n_live_edges = 0
 
     # -- basic accessors -----------------------------------------------------
 
     @property
     def is_empty(self) -> bool:
-        return self.t_min is None
+        return not self.frames
+
+    @property
+    def t_min(self) -> int | None:
+        """The oldest frame held, None on an empty graph."""
+        return next(iter(self.frames), None)
+
+    @property
+    def t_max(self) -> int | None:
+        """The newest frame held, None on an empty graph."""
+        return next(reversed(self.frames), None)
+
+    @property
+    def n_live_nodes(self) -> int:
+        """The source, the sink and each detection's u and v node."""
+        return 2 * len(self.det_nodes) + 2
+
+    @property
+    def n_live_edges(self) -> int:
+        return int(np.count_nonzero(self.e_alive))
 
     @property
     def n_detections(self) -> int:
@@ -236,20 +252,18 @@ class TrackingGraph:
         det = self.node_det[nid]
         return (det.frame, 0 if kind == KIND_U else 1, det.local_index)
 
-    def _take(self, free: list[int], k: int, columns) -> np.ndarray:
-        """k slot ids, recycled ones last freed first, then new ones, added to
-        each named column; the caller writes every slot taken."""
-        r = min(k, len(free))
-        size = len(getattr(self, columns[0]))
-        ids = np.arange(size - r, size + k - r)
-        if r:
-            ids[:r] = free[len(free) - r:][::-1]
-            del free[len(free) - r:]
-        if k > r:
+    def _take(self, dead: np.ndarray, k: int, columns) -> np.ndarray:
+        """k slot ids: the dead slots (mask `dead` over the named columns) in
+        id order, then as many new ones as are missing, added to each named
+        column; the caller writes every slot taken."""
+        ids = np.flatnonzero(dead)[:k]
+        if len(ids) < k:
+            size, grow = len(dead), k - len(ids)
+            ids = np.concatenate((ids, np.arange(size, size + grow)))
             for name in columns:
                 column = getattr(self, name)
                 setattr(self, name, np.concatenate(
-                    (column, np.zeros(k - r, column.dtype))))
+                    (column, np.zeros(grow, column.dtype))))
         return ids
 
     # -- frame-level operations ------------------------------------------------
@@ -396,9 +410,9 @@ class TrackingGraph:
         skipped frames. Every index and cost is checked before the graph
         changes, so a rejected frame or run leaves no trace. A caller that
         must change the graph between the checks and the append passes what
-        prepare_frame returned for these detections as `prepared`. Slots are
-        taken as one-by-one allocation took them: frame by frame, per
-        detection a u and a v node, and its entry, detection and exit edge,
+        prepare_frame returned for these detections as `prepared`. Dead
+        slots are taken first, in id order: per detection a u and a v node,
+        and frame by frame each detection's entry, detection and exit edge,
         then the frame's links in (previous, new) order.
         """
         if prepared is None:
@@ -406,19 +420,17 @@ class TrackingGraph:
         p, n = prepared, len(prepared.dets)
         if not p.frames:
             return self
-        if self.is_empty:
-            self.t_min = p.frames[0]
-        self.t_max = p.frames[-1]
 
         # per detection, its u and v node
-        uv = self._take(self._free_nodes, 2 * n, NODE_COLUMNS).reshape(n, 2)
+        uv = self._take(self.node_kind == KIND_DEAD, 2 * n,
+                        NODE_COLUMNS).reshape(n, 2)
         nodes = uv.T
         self.node_det += [None] * (len(self.node_kind) - len(self.node_det))
         for d, x, y in zip(p.dets, *nodes.tolist()):
             self.det_nodes[d.key] = (x, y)
             self.node_det[x] = self.node_det[y] = d
 
-        eids = self._take(self._free_edges, 3 * n + len(p.link_costs),
+        eids = self._take(~self.e_alive, 3 * n + len(p.link_costs),
                           EDGE_COLUMNS)
         # Frame by frame: the entry, detection and exit edge of each of its
         # detections, then its links.
@@ -451,8 +463,6 @@ class TrackingGraph:
             self.e_src[links], self.e_dst[links] = nodes[1, ip], nodes[0, jn]
         self.e_kind[links], self.e_cost[links] = LINK, p.link_costs
         self.e_alive[eids], self.e_origin[eids] = True, -1
-        self.n_live_nodes += 2 * n
-        self.n_live_edges += len(eids)
         return self
 
     def clip_oldest_frame(self, solution: FlowSolution) -> "TrackingGraph":
@@ -460,9 +470,8 @@ class TrackingGraph:
         cost (entry, detection and link) into its successor's entry edge, so
         the suffix keeps the trajectory's full cost and, via e_origin, its id.
         t_min moves to the oldest frame left; clipping the only frame empties
-        the graph. The freed slots join the free lists in the order one-by-one
-        removal gave: per detection its detection, entry and exit edge and
-        its links out, and its u and then its v node.
+        the graph. The frame's nodes and edges and its links out die: their
+        slots are dead, for later appends to reuse.
         """
         if self.is_empty:
             raise DataError("cannot clip an empty graph")
@@ -471,7 +480,7 @@ class TrackingGraph:
         nodes = u, v = self.frame_nodes.pop(t_min)
         out = self.links_out_of(t_min)
 
-        # Each link out, keyed by its (v node, next u node), in block order.
+        # Each link out, keyed by its (v node, next u node).
         link_of = dict(zip(zip(self.e_src[out].tolist(),
                                self.e_dst[out].tolist()), out.tolist()))
         fold = []  # (track id, u node, link, next u node) per continuing track
@@ -493,28 +502,14 @@ class TrackingGraph:
             origin = self.e_origin[entry]
             self.e_origin[succ_entry] = np.where(origin < 0, tid, origin)
 
-        links_from = {vn: [] for vn in v.tolist()}  # in v's order
-        for (vn, _), eid in link_of.items():
-            links_from[vn].append(eid)
-        triples = np.column_stack(
-            (self.node_out[u], self.node_in[u], self.node_out[v])).tolist()
-        freed = []
-        for triple, out_links in zip(triples, links_from.values()):
-            freed += triple + out_links
-        self.e_alive[freed] = False
-        self._free_edges += freed
-        self.n_live_edges -= len(freed)
+        self.e_alive[np.concatenate((self.node_in[u], self.node_out[u],
+                                     self.node_out[v], out))] = False
         if len(out):
             self.frame_links[t_min + 1] = NO_EDGES
         self.node_kind[nodes] = KIND_DEAD
         for d in removed:
             for x in self.det_nodes.pop(d.key):
                 self.node_det[x] = None
-                self._free_nodes.append(x)
-        self.n_live_nodes -= 2 * len(removed)
-        self.t_min = next(iter(self.frames), None)
-        if self.t_min is None:
-            self.t_max = None
         return self
 
     @property
@@ -563,15 +558,13 @@ def check_layered_dag(graph: TrackingGraph) -> None:
         if not ks < kd:
             raise InvariantBreach(f"edge {eid} violates the layered order")
     held = list(graph.frames)
-    ends = (held[0], held[-1]) if held else (None, None)
-    if held != sorted(held) or ends != (graph.t_min, graph.t_max) or any(
+    if held != sorted(held) or any(
             d.frame != f for f, dets in graph.frames.items() for d in dets):
-        raise InvariantBreach("frames out of order, outside t_min..t_max or "
-                              "holding another frame's detection")
-    expected = 2 * graph.n_detections + 2
-    if graph.n_live_nodes != expected:
-        raise InvariantBreach(
-            f"live node count {graph.n_live_nodes} != {expected}")
+        raise InvariantBreach("frames out of order or holding another "
+                              "frame's detection")
+    live = int(np.count_nonzero(graph.node_kind != KIND_DEAD))
+    if live != graph.n_live_nodes:
+        raise InvariantBreach(f"live node count {live} != {graph.n_live_nodes}")
 
 
 def check_flow_conservation(graph: TrackingGraph, solution: FlowSolution) -> None:

@@ -1,6 +1,7 @@
 """Successive shortest path solvers over the tracking graph.
 
-Contains the residual-graph machinery (reduced-cost conversion, edge
+Contains the residual-graph machinery (node potentials, from which every
+exact solver derives its reduced costs c + p(u) - p(v), and edge
 reversal), the DAG shortest-path bootstrap, the full Dijkstra inner search
 (used by ssp and by the online trackers), the paper's dynamic broadcast that
 re-labels only the invalidated part of the shortest-path tree (dssp),
@@ -32,9 +33,9 @@ from .graph import (EXIT, SINK, SOURCE, FlowSolution, TrackingGraph,
                     Trajectory)
 
 #: Tolerance for reduced-cost non-negativity, relative to the graph's largest
-#: |edge cost|: values in [-eps, 0), eps = EPS * that cost, are clamped to
-#: zero before entering a priority queue. Being relative, it makes a solve
-#: invariant under scaling every cost by a power of two.
+#: |edge cost|: a search weighs values in [-eps, 0), eps = EPS * that cost,
+#: as zero and rejects any below. Being relative, it makes a solve invariant
+#: under scaling every cost by a power of two.
 EPS = 1e-9
 
 
@@ -98,12 +99,15 @@ class Path:
 
 
 class ResidualGraph:
-    """A tracking graph plus per-edge flow state and reduced costs.
+    """A tracking graph plus per-edge flow state and node potentials.
 
-    rcost holds the current (possibly converted) cost of each edge in its
-    residual direction: edges carrying flow are traversed dst -> src with a
-    negated cost. eps is the clamping tolerance (see EPS). The compiled
-    search runs from `roots` to `target`.
+    Edges carrying flow are traversed dst -> src. Every search node u has a
+    potential p(u), and rcost holds each edge's reduced cost in its residual
+    direction, c + p(tail) - p(head), set by reprice and negated by flip;
+    that is the only place reduced costs come from. eps is the tolerance
+    below 0 that a reduced cost may reach by rounding (see EPS). The
+    compiled search runs from `roots` to `target`; the search nodes are the
+    graph's node slots, one potential each.
     """
 
     roots = (SOURCE,)
@@ -111,42 +115,60 @@ class ResidualGraph:
 
     def __init__(self, graph: TrackingGraph):
         g = self.graph = graph
-        self.rcost = np.where(g.e_alive, g.e_cost, 0.0)
         self.flow = np.zeros(len(g.e_src), dtype=np.int8)
+        self.potential = np.zeros(self.n_nodes)
+        self._read_costs()
+        check_cost_sum(self.cost_sum)
+        self.reprice()
+
+    def _read_costs(self):
+        """Re-read the live costs' scale (eps) and sum after the graph
+        changed, and drop the indexes built over its slots."""
+        live = np.abs(self.graph.e_cost[self.graph.e_alive])
+        self.eps = EPS * float(np.max(live, initial=0.0))
         with np.errstate(over="ignore"):
-            check_cost_sum(float(np.sum(np.abs(self.rcost))))
-        self.eps = EPS * float(np.max(np.abs(self.rcost), initial=0.0))
-        self.iteration = 0
+            self.cost_sum = float(np.sum(live))
         self._arcs = self._dag = None
 
-    def arcs(self):
-        """Static CSR of residual arc slots, built on first use.
+    def fwd_dst(self) -> np.ndarray:
+        """The search node each edge's forward arc ends at."""
+        return self.graph.e_dst
 
-        Every live edge has a forward slot (src -> dst, usable while it
+    def reprice(self):
+        """Set rcost to every edge's reduced cost in its residual direction."""
+        g, p = self.graph, self.potential
+        p_src = p[g.e_src]
+        fwd = g.e_cost + p_src - p[self.fwd_dst()]
+        rev = p[g.e_dst] - p_src - g.e_cost
+        self.rcost = np.where(self.flow == 0, fwd, rev)
+
+    def arcs(self):
+        """Static CSR of residual arc slots over the search nodes, built on
+        first use.
+
+        Every live edge has a forward slot (src -> fwd_dst, usable while it
         carries no flow) and a reverse slot (dst -> src, usable while it
         does), sorted by row then column. Returns (matrix, slot edge ids,
         slot is-reverse flags, slot rows, slot keys row * n + col); only the
-        matrix's weights change from search to search.
+        matrix's weights change from search to search. Indexes are int32,
+        which scipy keeps as given (int64 ones it checks and copies down).
         """
         if self._arcs is None:
-            self._arcs = self._slots(self.n_nodes, self.graph.e_dst)
+            g, n = self.graph, len(self.potential)
+            live = np.flatnonzero(g.e_alive)
+            src, dst = g.e_src[live], g.e_dst[live]
+            keys = np.concatenate((src * n + self.fwd_dst()[live],
+                                   dst * n + src))
+            order = np.argsort(keys, kind="stable")
+            keys = keys[order]
+            rows = keys // n
+            indptr = np.searchsorted(rows, np.arange(n + 1)).astype(np.int32)
+            matrix = csr_matrix((np.zeros(len(keys)),
+                                 (keys % n).astype(np.int32), indptr),
+                                shape=(n, n))
+            self._arcs = (matrix, np.concatenate((live, live))[order],
+                          (order >= len(live)).astype(np.int8), rows, keys)
         return self._arcs
-
-    def _slots(self, n: int, fwd_dst: np.ndarray):
-        """arcs() over n rows, forward slots ending at fwd_dst; int32 indexes,
-        which scipy keeps as given (int64 ones it checks and copies down)."""
-        g = self.graph
-        live = np.flatnonzero(g.e_alive)
-        src, dst = g.e_src[live], g.e_dst[live]
-        keys = np.concatenate((src * n + fwd_dst[live], dst * n + src))
-        order = np.argsort(keys, kind="stable")
-        keys = keys[order]
-        rows = keys // n
-        indptr = np.searchsorted(rows, np.arange(n + 1)).astype(np.int32)
-        matrix = csr_matrix((np.zeros(len(keys)), (keys % n).astype(np.int32),
-                             indptr), shape=(n, n))
-        return (matrix, np.concatenate((live, live))[order],
-                (order >= len(live)).astype(np.int8), rows, keys)
 
     def dag_levels(self):
         """Level index of the forward (acyclic) graph, built on first use,
@@ -192,11 +214,10 @@ class ResidualGraph:
         return ends if self.flow[eid] == 0 else ends[::-1]
 
     def flip(self, eid: int):
+        """Push or cancel the unit of flow on edge eid: its residual arc
+        turns round, and so does the sign of its reduced cost."""
         self.flow[eid] ^= 1
-        rc = -float(self.rcost[eid])
-        if -self.eps <= rc < 0.0:
-            rc = 0.0
-        self.rcost[eid] = rc
+        self.rcost[eid] = -self.rcost[eid]
 
 
 class OnlineResidual(ResidualGraph):
@@ -221,7 +242,6 @@ class OnlineResidual(ResidualGraph):
     def __init__(self, graph: TrackingGraph):
         super().__init__(graph)
         self.potential = np.zeros(self.n_nodes + 1)
-        self._sync()
 
     @property
     def target(self) -> int:
@@ -230,28 +250,16 @@ class OnlineResidual(ResidualGraph):
     def fwd_dst(self) -> np.ndarray:  # edge heads, the target for the sink
         return np.where(self.graph.e_dst == SINK, self.target, self.graph.e_dst)
 
-    def arcs(self):
-        if self._arcs is None:
-            self._arcs = self._slots(self.n_nodes + 1, self.fwd_dst())
-        return self._arcs
-
     def _sync(self):
-        """Fit flow and potentials to the graph's slots after an append (new
-        slots start at 0, the target's potential moves to the end), re-read
-        the live costs' scale and drop the indexes."""
-        g, n = self.graph, self.n_nodes
-        flow = np.zeros(len(g.e_src), dtype=np.int8)
-        flow[:len(self.flow)] = self.flow
-        self.flow = flow
-        old = self.potential
-        if len(old) != n + 1:
-            self.potential = np.zeros(n + 1)
-            self.potential[:len(old) - 1] = old[:-1]
-            self.potential[n] = old[-1]
-        live = np.abs(g.e_cost[g.e_alive])
-        self.eps = EPS * float(np.max(live)) if len(live) else 0.0
-        self.cost_sum = float(np.sum(live))
-        self._arcs = self._dag = None
+        """Fit flow and potentials to the graph's slots after an append: new
+        slots start at 0 and the target's potential moves to the end."""
+        g, n, old = self.graph, self.n_nodes, self.potential
+        self.flow = np.concatenate(
+            (self.flow, np.zeros(len(g.e_src) - len(self.flow), np.int8)))
+        self.potential = np.zeros(n + 1)
+        self.potential[:len(old) - 1] = old[:-1]
+        self.potential[n] = old[-1]
+        self._read_costs()
 
     def check_frame(self, prepared):
         """check_cost_sum over the live edges and a prepared frame's, so a
@@ -285,23 +293,11 @@ class OnlineResidual(ResidualGraph):
         edge, whose reduced cost is the sum of the flowed arcs' it replaces
         (each <= 0), so the potentials stay valid."""
         g, t_min = self.graph, self.graph.t_min
-        u, v = g.frame_nodes[t_min]
-        freed = np.concatenate((g.node_in[u], g.node_out[u], g.node_out[v],
-                                g.links_out_of(t_min)))
         succ = [g.u_node(t.detections[1]) for t in solution.trajectories
                 if t.detections[0].frame == t_min and len(t.detections) > 1]
         g.clip_oldest_frame(solution)
-        self.flow[freed] = 0
+        self.flow[~g.e_alive] = 0
         self.flow[g.node_in[succ]] = 1
-
-    def reprice(self):
-        """Set rcost to every edge's reduced cost in its residual direction
-        (a reversed exit leaves the root, of potential 0)."""
-        g, p = self.graph, self.potential
-        p_src = p[g.e_src]
-        fwd = g.e_cost + p_src - p[self.fwd_dst()]
-        rev = p[g.e_dst] - p_src - g.e_cost
-        self.rcost = np.where(self.flow == 0, fwd, rev)
 
     def exits(self, dist: np.ndarray):
         """The usable arcs into the target, the unflowed exits v -> sink, as
@@ -410,31 +406,29 @@ def dag_shortest_path(res: ResidualGraph, stats: SolverStats | None = None,
 
 
 def convert_edge_costs(res: ResidualGraph, labels: PredecessorMap) -> PredecessorMap:
-    """Replace every residual arc cost c(u,v) by c(u,v) + d(u) - d(v).
+    """Add the reached nodes' distance labels d to their potentials and
+    reprice, so every residual arc's reduced cost c + p(u) - p(v) gains
+    d(u) - d(v).
 
-    Arcs leaving unreachable nodes are left untouched (they can never be
-    traversed). Returns the labels valid after conversion: zero for every
-    reachable node, infinity otherwise, with the same predecessors.
+    Unreached nodes keep their potentials: no search ever reaches them
+    again, so the arcs leaving them are never traversed. An arc between
+    reached nodes whose reduced cost falls below -eps means the labels were
+    not shortest-path distances (InvariantBreach). Returns the labels valid
+    after conversion: zero for every reachable node, infinity otherwise,
+    with the same predecessors.
     """
     d, g = labels.dist, res.graph
-    if len(res.rcost):
-        fwd = res.flow == 0
-        rs = np.where(fwd, g.e_src, g.e_dst)
-        rd = np.where(fwd, g.e_dst, g.e_src)
-        ds, dd = d[rs], d[rd]
-        ok = np.isfinite(ds) & np.isfinite(dd) & g.e_alive
-        res.rcost[ok] += ds[ok] - dd[ok]
-        neg = res.rcost < 0.0
-        tiny = neg & (res.rcost >= -res.eps)
-        if np.any(tiny):
-            res.rcost[tiny] = 0.0
-        bad = neg & ~tiny & ok
-        if np.any(bad):
-            eid = int(np.nonzero(bad)[0][0])
-            raise InvariantBreach(
-                f"stale labels: reduced cost {res.rcost[eid]} on edge {eid}")
+    reached = np.isfinite(d)
+    res.potential[reached] += d[reached]
+    res.reprice()
+    bad = np.flatnonzero(reached[g.e_src] & reached[g.e_dst] & g.e_alive
+                         & (res.rcost < -res.eps))
+    if len(bad):
+        eid = int(bad[0])
+        raise InvariantBreach(
+            f"stale labels: reduced cost {res.rcost[eid]} on edge {eid}")
     out = PredecessorMap.__new__(PredecessorMap)
-    out.dist = np.where(np.isfinite(d), 0.0, np.inf)
+    out.dist = np.where(reached, 0.0, np.inf)
     out.pred = labels.pred
     return out
 
@@ -451,7 +445,6 @@ def build_residual(res: ResidualGraph, path: Path) -> ResidualGraph:
             raise DataError(f"path edge {eid} does not connect {u}->{v}")
     for eid in path.eids:
         res.flip(eid)
-    res.iteration += 1
     return res
 
 

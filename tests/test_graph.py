@@ -6,8 +6,9 @@ from conftest import BATCH_FAULTS, StubModel, build_graph, canonical_graph, \
     det, faulty_batch, make_random_instance
 from flowtrack.cost_model import CostModel
 from flowtrack.errors import DataError, InvariantBreach
-from flowtrack.graph import (DET, ENTRY, EXIT, LINK, FlowSolution,
-                             TrackingGraph, Trajectory,
+from flowtrack.graph import (DET, EDGE_COLUMNS, ENTRY, EXIT, LINK,
+                             NODE_COLUMNS, FlowSolution, TrackingGraph,
+                             Trajectory,
                              build_batch_graph, check_flow_conservation,
                              check_layered_dag, graphs_structurally_equal)
 from flowtrack.ssp import solve_ssp
@@ -223,28 +224,35 @@ class TestClipOldestFrame:
         g.append_frame([det(7, 0)], CostModel())
         assert (g.t_min, g.t_max, g.n_live_nodes) == (7, 7, 4)
 
-    def test_freed_slots_are_reused_last_freed_first(self):
-        # per detection the clip frees its detection, entry and exit edge
-        # and its links out, then its u and v node; an append takes them
-        # back from the top of the free lists
+    def test_freed_slots_are_reused_before_columns_grow(self):
+        # the clip frees the detection's u and v node, its entry, detection
+        # and exit edge and its link out; an append that fits in those slots
+        # takes only them and grows no column
         model = StubModel(links={((0, 0), (1, 0)): 0.0})
         g = TrackingGraph(gating=False)
         g.append_frame([det(0, 0)], model, frame=0)
         g.append_frame([det(1, 0)], model)
-        first = (g.u_node(det(0, 0)), g.v_node(det(0, 0)),
-                 g.entry_edge_of(det(0, 0)), g.detection_edge_of(det(0, 0)),
-                 int(g.node_out[g.v_node(det(0, 0))]),
-                 g.link_edge_between(det(0, 0), det(1, 0)))
-        assert first == (2, 3, 0, 1, 2, 6)
+        old = det(0, 0)
+        freed_nodes = set(g.det_nodes[old.key])
+        freed_edges = {g.entry_edge_of(old), g.detection_edge_of(old),
+                       int(g.node_out[g.v_node(old)]),
+                       g.link_edge_between(old, det(1, 0))}
+
+        def lengths():
+            return [len(getattr(g, name)) for name in
+                    ("node_det",) + NODE_COLUMNS + EDGE_COLUMNS]
+
+        before = lengths()
         g.clip_oldest_frame(FlowSolution())
-        assert (g._free_nodes, g._free_edges) == ([2, 3], [1, 0, 2, 6])
-        g.append_frame([det(2, 5, x=9000.0)], model)
+        assert lengths() == before
         d = det(2, 5, x=9000.0)
-        assert (g.u_node(d), g.v_node(d)) == (3, 2)
-        assert (g.entry_edge_of(d), g.detection_edge_of(d),
-                int(g.node_out[g.v_node(d)])) == (6, 2, 0)
-        assert (g._free_nodes, g._free_edges) == ([], [1])
-        assert (len(g.node_kind), len(g.e_src)) == (6, 7)
+        g.append_frame([d], model)  # no link into it
+        assert set(g.det_nodes[d.key]) == freed_nodes
+        assert {g.entry_edge_of(d), g.detection_edge_of(d),
+                int(g.node_out[g.v_node(d)])} < freed_edges
+        assert lengths() == before
+        assert (g.n_live_nodes, g.n_live_edges) == (6, 6)
+        check_layered_dag(g)
 
     def test_clip_moves_tmin_past_a_gap(self):
         model = CostModel()

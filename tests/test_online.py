@@ -13,7 +13,7 @@ from flowtrack.online import (OnlineTracker, TrackerConfig, TrackRegistry,
                               assign_track_ids, trajectory_model_cost)
 from flowtrack.ssp import (SolverStats, _solution_from_residual,
                            build_residual, dijkstra_full, path_original_cost,
-                           solve_ssp)
+                           solve_dssp, solve_ssp)
 from flowtrack.synthetic import SyntheticConfig, generate_synthetic
 
 
@@ -30,14 +30,19 @@ def track_keys(trajectories):
 
 def stream_against_cold(tracker, frames):
     """Feed frames in order; after each one, check the warm solution against
-    a forced cold solve: batch SSP from zero flow over the tracker's graph.
-    Returns the cold solves' total augmentations."""
+    forced cold solves: batch SSP and dSSP from zero flow over the tracker's
+    graph, whose slots a window leaves dead or recycled and whose entries it
+    folds. Returns the cold SSP solves' total augmentations."""
     cold_iterations = 0
     for f in sorted(frames):
         warm = tracker.process_frame(frames[f], frame=f)
         cold, stats = solve_ssp(tracker.graph)
-        assert warm.total_cost == pytest.approx(cold.total_cost, abs=1e-9), f
-        assert track_keys(warm.trajectories) == track_keys(cold.trajectories), f
+        dynamic, _ = solve_dssp(tracker.graph)
+        for solution in (cold, dynamic):
+            assert warm.total_cost == pytest.approx(solution.total_cost,
+                                                    abs=1e-9), f
+            assert (track_keys(warm.trajectories)
+                    == track_keys(solution.trajectories)), f
         cold_iterations += stats.iterations
     return cold_iterations
 

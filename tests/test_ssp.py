@@ -129,7 +129,7 @@ class TestBuildResidual:
         convert_edge_costs(res, labels)
         build_residual(res, path)
         assert int(res.flow.sum()) == 3
-        assert res.iteration == 1
+        assert res.flow[path.eids].tolist() == [1, 1, 1]
 
     def test_interchange_cancels_link_flow(self):
         g, _, _ = interchange_graph()
