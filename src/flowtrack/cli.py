@@ -166,33 +166,43 @@ def _track_stream(args, tracker: OnlineTracker) -> int:
     lag = args.confirm_lag
     with ftio.open_or_stdio(args.output, "w") as fout:
         # Rows already written, as (frame, track id); a detection whose id is
-        # revised later is written again under the new id.
-        emitted = set()
-        # Frozen (track id, detection) rows not yet written, logged by the
-        # tracker.
+        # revised later is written again under the new id. Keys below the
+        # graph's first frame, t_min, can never match again.
+        emitted, t_min = set(), None
+        # Rows the tracker logged that are not written yet: frozen (track
+        # id, detection) rows, and (pending, by detection object) the current
+        # rows that were new or got a new id (the tracker's row_log).
         frozen = tracker.freeze_log = []
+        changed = tracker.row_log = []
+        pending = {}
 
         def emit_through(limit):
             """Write the not yet emitted rows of frames <= limit. The
             candidates are the frozen rows and the current solution's rows,
-            which is what final_tracks() holds, without rebuilding the frozen
-            history."""
-            nonlocal emitted
-            current = [(traj.track_id, d)
-                       for traj in tracker.solution.trajectories
-                       for d in traj.detections]
-            rows = sorted((d.frame, tid, *d.box) for tid, d in frozen + current
+            which is what final_tracks() holds. A current row at or below a
+            limit is written then or never, unless its id changes, which logs
+            it again, so only the logged rows are candidates."""
+            nonlocal emitted, t_min
+            for tid, d in changed:
+                if tid is None:
+                    pending.pop(id(d), None)
+                else:
+                    pending[id(d)] = tid, d
+            changed.clear()
+            ready = [row for row in pending.values() if row[1].frame <= limit]
+            rows = sorted((d.frame, tid, *d.box) for tid, d in frozen + ready
                           if d.frame <= limit and (d.frame, tid) not in emitted)
             for f, tid, x, y, w, h in rows:
                 emitted.add((f, tid))
                 fout.write(f"{f},{tid},{'%.6g' % x},{'%.6g' % y},"
                            f"{'%.6g' % w},{'%.6g' % h}\n")
             fout.flush()
-            # Rows at or below the limit are in `emitted` now. Later
-            # candidates lie in the graph's frames or above the limit, so keys
-            # below the graph's first frame can never match again.
+            for _, d in ready:
+                del pending[id(d)]
             frozen[:] = [(tid, d) for tid, d in frozen if d.frame > limit]
-            emitted = {key for key in emitted if key[0] >= tracker.graph.t_min}
+            if tracker.graph.t_min != t_min:
+                t_min = tracker.graph.t_min
+                emitted = {key for key in emitted if key[0] >= t_min}
 
         last, lines = None, ftio.LineCounter(sys.stdin)
         while (block := ftio.parse_stream_frame(lines)) is not None:

@@ -140,15 +140,6 @@ def gate_pairs(a: FrameBoxes, b: FrameBoxes, ip: np.ndarray, jn: np.ndarray,
     return admit
 
 
-def gate_block(a: FrameBoxes, b: FrameBoxes,
-               radius_factor: float = 2.0) -> np.ndarray:
-    """default_gate(a.dets[i], b.dets[j], radius_factor) as the [i, j] entry
-    of a boolean array, bit for bit."""
-    shape = len(a.dets), len(b.dets)
-    ip, jn = np.indices(shape).reshape(2, -1)
-    return gate_pairs(a, b, ip, jn, radius_factor).reshape(shape)
-
-
 class TrackingGraph:
     """Mutable layered DAG over the frames t_min..t_max.
 
@@ -530,24 +521,6 @@ def build_batch_graph(detections, model, gating: bool = True,
         for d in detections:
             by_frame.setdefault(d.frame, []).append(d)
     return graph.append_frame({f: by_frame[f] for f in sorted(by_frame)}, model)
-
-
-def graphs_structurally_equal(a: TrackingGraph, b: TrackingGraph,
-                              cost_tol: float = 1e-12) -> bool:
-    """Compare node and edge sets by detection identity, kind and cost."""
-    if (set(a.det_nodes), a.t_min, a.t_max) != (set(b.det_nodes), b.t_min,
-                                                 b.t_max):
-        return False
-
-    def edge_set(g: TrackingGraph):
-        def det_key(node):  # None for the source and the sink
-            return getattr(g.node_det[node], "key", None)
-        return {(int(g.e_kind[e]), det_key(g.e_src[e]), det_key(g.e_dst[e])):
-                float(g.e_cost[e]) for e in g.live_edges()}
-
-    ea, eb = edge_set(a), edge_set(b)
-    return set(ea) == set(eb) and all(abs(ea[k] - eb[k]) <= cost_tol
-                                      for k in ea)
 
 
 def check_layered_dag(graph: TrackingGraph) -> None:

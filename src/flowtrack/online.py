@@ -14,6 +14,13 @@ certify the optimum when the least remaining candidate costs >= 0. A tracker
 with a window is memory-bounded: it also clips frames older than the window,
 folding clipped trajectory prefixes into synthesized entry-edge costs, which
 take over their flow, so track identities and costs survive clipping.
+
+The decoded solution and its ids are kept from frame to frame: a frame
+re-decodes only the trajectories through the detections that its pushes and
+clips changed (ssp.FlowDecoder), runs the id rule (assign_track_ids) only over
+the trajectories whose id it may change, and logs for a streaming caller the
+rows that are new or got a new id. So the per-frame decode, id and output
+work follow the rows the frame changed, not the history.
 """
 from __future__ import annotations
 
@@ -26,7 +33,7 @@ import numpy as np
 from .cost_model import CostModel, Detection
 from .errors import DataError, InvariantBreach
 from .graph import SINK, FlowSolution, TrackingGraph, Trajectory
-from .ssp import (OnlineResidual, PredecessorMap, SolverStats,
+from .ssp import (Chain, OnlineResidual, PredecessorMap, SolverStats,
                   _solution_from_residual, build_residual, dijkstra_full,
                   extract_path, path_original_cost)
 
@@ -58,10 +65,11 @@ class PredecessorCache:
         the graph was empty, so the solve starts from zero flow."""
         return None if self.frame is None else self.residual
 
-    def clip(self, solution: FlowSolution):
-        """Clip the oldest frame, keeping the optimum's flow on what stays;
-        an emptied graph holds none."""
-        self.residual.clip_oldest_frame(solution)
+    def clip(self, heads: list[Chain]):
+        """Clip the oldest frame, where the chains heads start, keeping the
+        optimum's flow and decode on what stays
+        (OnlineResidual.clip_oldest_frame); an emptied graph holds none."""
+        self.residual.clip_oldest_frame(heads)
         if self.residual.graph.is_empty:
             self.frame = None
 
@@ -191,6 +199,15 @@ class OnlineTracker:
         # Set to a list to have each (track id, detection) appended as it is
         # frozen; the owner consumes and trims it.
         self.freeze_log: list[tuple[int, Detection]] | None = None
+        # Set to a list to have appended, as each frame is solved, each
+        # current (track id, detection) row that is new or got a new id, and
+        # (None, detection) for each detection that left the current
+        # solution, by a clip or a push; the owner consumes and trims it.
+        self.row_log: list[tuple[int | None, Detection]] | None = None
+        # The current trajectories' chains by track id, and by the origin
+        # their entry carries (_assign_ids).
+        self._holder: dict[int, Chain] = {}
+        self._by_origin: dict[int, set[Chain]] = {}
         self.stats = SolverStats()
         self.frame_stats: list[FrameStats] = []
         self.max_dets_per_frame = 0
@@ -214,12 +231,7 @@ class OnlineTracker:
         self.max_dets_per_frame = max(self.max_dets_per_frame, len(detections))
 
         solution, run = self._solve(frame)
-
-        entries = g.node_in[[g.u_node(t.detections[0])
-                             for t in solution.trajectories]]
-        origins = {i: o for i, o in enumerate(g.e_origin[entries].tolist())
-                   if o >= 0}
-        assign_track_ids(self.solution, solution, self.registry, origins)
+        self._assign_ids(solution)
         self.solution = solution
 
         if window is not None:
@@ -237,25 +249,133 @@ class OnlineTracker:
         return solution
 
     def _clip_one_frame(self):
+        """Clip the oldest frame: the first detection of each trajectory
+        that starts there is frozen."""
         g = self.graph
-        t_min = g.t_min
-        for traj in self.solution.trajectories:
-            if traj.detections[0].frame == t_min:
-                self.frozen.setdefault(traj.track_id, []).append(
-                    traj.detections[0])
-                if self.freeze_log is not None:
-                    self.freeze_log.append((traj.track_id, traj.detections[0]))
-        self.cache.clip(self.solution)
-        # Drop clipped detections from the retained solution so the next clip
-        # sees trajectories consistent with the graph.
-        kept = []
-        for traj in self.solution.trajectories:
-            dets = [d for d in traj.detections if d.frame > t_min]
-            if dets:
-                kept.append(Trajectory(traj.track_id, dets, traj.cost))
-        self.solution = FlowSolution(trajectories=kept,
-                                     total_cost=self.solution.total_cost,
-                                     edge_flow={})
+        heads = self.cache.residual.decoded.starting_in(g.frame_nodes[g.t_min][0])
+        for c in heads:
+            tid, first = c.traj.track_id, c.dets[0]
+            self.frozen.setdefault(tid, []).append(first)
+            if self.freeze_log is not None:
+                self.freeze_log.append((tid, first))
+            if self.row_log is not None:
+                self.row_log.append((None, first))
+        self.cache.clip(heads)
+
+    def _register(self, c: Chain):
+        """Add chain c to the lookups by id and by an origin other than its
+        id."""
+        tid, origin = c.traj.track_id, c.origin
+        self._holder[tid] = c
+        if origin >= 0 and origin != tid:
+            self._by_origin.setdefault(origin, set()).add(c)
+
+    def _unregister(self, c: Chain):
+        """Drop chain c, under its current id, from the lookups."""
+        if self._holder.get(c.traj.track_id) is c:
+            del self._holder[c.traj.track_id]
+        if (same := self._by_origin.get(c.origin)) is not None:
+            same.discard(c)
+            if not same:
+                del self._by_origin[c.origin]
+
+    def _assign_ids(self, solution: FlowSolution):
+        """Give the current trajectories the ids assign_track_ids gives them
+        over the whole previous and current solution, running it only over
+        the trajectories whose id it may change.
+
+        A trajectory is settled, and keeps its previous id, when it is
+        unchanged, or when it starts where a previous trajectory started and
+        holds no detection of any other (counted once per run of the decode,
+        FlowDecoder.fresh); it is then the same chain. The rule gives a
+        settled trajectory its previous id unless an open trajectory claims
+        its id or its origin (an open trajectory claims its origin and the
+        previous id of each of its detections), or no settled one holds that
+        origin any more. Settled ones that meet such an id open, until none
+        does. So does a settled one that a clip moved, whose start may now
+        sort before or after others: when its origin is not its id, or
+        another's origin is its id. The others are open. The rule then runs
+        over the open trajectories, against the previous ones they overlap;
+        a settled one claims no id an open one could take, as its origin and
+        previous id are its own id, or an id that another settled one holds
+        and, in the unchanged order, takes first.
+        """
+        dec = self.cache.residual.decoded
+        fresh = dec.fresh
+        for c in (*dec.ended, *dec.emptied):
+            self._unregister(c)
+        opened: dict[Chain, None] = {}  # open chains, in the order opened
+        for c, (was, segments) in fresh.items():
+            if was is None or any(s is not None and s is not was
+                                  for s, _, _ in segments):
+                opened[c] = None
+        moved, ended = set(dec.moved), set(dec.ended)
+        for c in dec.moved:
+            tid = c.traj.track_id
+            if c not in ended and (c.origin != tid or tid in self._by_origin):
+                opened[c] = None
+        bad: set[int] = set()
+        queue = list(opened)
+
+        def spoil(tid: int):
+            """tid is claimed by an open trajectory or held by no settled
+            one: open the settled ones whose origin or previous id it is."""
+            if tid < 0 or tid in bad:
+                return
+            bad.add(tid)
+            for c in (self._holder.get(tid), *self._by_origin.get(tid, ())):
+                if c is not None and c not in opened:
+                    opened[c] = None
+                    queue.append(c)
+
+        for c in (*dec.ended, *dec.emptied):
+            spoil(c.traj.track_id)
+        while queue:
+            c = queue.pop()
+            spoil(c.origin)
+            if c in fresh:
+                for s, _, _ in fresh[c][1]:
+                    if s is not None:
+                        spoil(s.track_id)
+            else:
+                spoil(c.traj.track_id)
+
+        # The open trajectories, each new to this solution, and the previous
+        # ones they overlap.
+        current, previous, before = [], {}, {}
+        for c in opened:
+            self._unregister(c)
+            t = c.traj
+            if c in fresh:
+                previous.update((id(s), s) for s, _, _ in fresh[c][1]
+                                if s is not None)
+            else:
+                previous[id(t)] = t
+                before[c] = t.track_id
+                if c not in moved:  # shared with the previous solution
+                    t = Trajectory(t.track_id, t.detections, t.cost)
+                    solution.trajectories[dec.replace_traj(c, t)] = t
+            current.append(c.traj)
+        if current:
+            assign_track_ids(
+                FlowSolution(trajectories=list(previous.values())),
+                FlowSolution(trajectories=current), self.registry,
+                {i: c.origin for i, c in enumerate(opened) if c.origin >= 0})
+        for c in opened:
+            self._register(c)
+
+        if self.row_log is None:
+            return
+        log = self.row_log
+        log.extend((None, d) for d in dec.dropped)
+        for c, (_, segments) in fresh.items():
+            tid, dets = c.traj.track_id, c.traj.detections
+            for s, lo, hi in segments:
+                if s is None or s.track_id != tid:
+                    log.extend((tid, d) for d in dets[lo:hi])
+        for c, tid in before.items():
+            if c.traj.track_id != tid:
+                log.extend((c.traj.track_id, d) for d in c.traj.detections)
 
     def _solve(self, frame: int) -> tuple[FlowSolution, SolverStats]:
         """Successive shortest paths from the previous frame's optimum,

@@ -5,7 +5,9 @@ exact solver derives its reduced costs c + p(u) - p(v), and edge
 reversal), the DAG shortest-path bootstrap, the full Dijkstra inner search
 (used by ssp and by the online trackers), the paper's dynamic broadcast that
 re-labels only the invalidated part of the shortest-path tree (dssp),
-trajectory decoding, and the greedy DP baseline. Every search is compiled.
+trajectory decoding, kept up to date from the edges whose flow changed
+(FlowDecoder; a batch solve decodes as a change from no flow), and the greedy
+DP baseline. Every search is compiled.
 The DAG sweep relaxes one frame layer per numpy reduction; it bootstraps ssp
 and dssp, and the greedy baseline runs it once per committed track. Both
 inner searches are scipy's Dijkstra over one CSR of the residual arcs; the
@@ -22,6 +24,7 @@ several paths and cycles.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -29,8 +32,8 @@ from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import breadth_first_order, dijkstra
 
 from .errors import DataError, InvariantBreach
-from .graph import (EXIT, SINK, SOURCE, FlowSolution, TrackingGraph,
-                    Trajectory)
+from .graph import (DET, ENTRY, EXIT, LINK, SINK, SOURCE, FlowSolution,
+                    TrackingGraph, Trajectory)
 
 #: Tolerance for reduced-cost non-negativity, relative to the graph's largest
 #: |edge cost|: a search weighs values in [-eps, 0), eps = EPS * that cost,
@@ -219,6 +222,15 @@ class ResidualGraph:
         self.flow[eid] ^= 1
         self.rcost[eid] = -self.rcost[eid]
 
+    def decode(self) -> FlowSolution:
+        """The flow's trajectories, numbered in key order: decoded as a
+        change from no flow, in which every flowed edge changed
+        (FlowDecoder.update)."""
+        solution = FlowDecoder(self.graph).update(self, np.flatnonzero(self.flow))
+        for i, t in enumerate(solution.trajectories):
+            t.track_id = i
+        return solution
+
 
 class OnlineResidual(ResidualGraph):
     """The residual graph of an online tracker, kept from frame to frame.
@@ -234,7 +246,8 @@ class OnlineResidual(ResidualGraph):
     shortest path from the source is an augmenting path, one from a
     reversed exit cancels a cycle through the sink. Build it over an empty
     graph, then append and clip through it; it reads the graph's columns
-    and keeps only a flow per edge slot and a potential per node slot.
+    and keeps only a flow per edge slot, a potential per node slot and the
+    decode of its flow.
     """
 
     roots = (SINK, SOURCE)
@@ -242,6 +255,8 @@ class OnlineResidual(ResidualGraph):
     def __init__(self, graph: TrackingGraph):
         super().__init__(graph)
         self.potential = np.zeros(self.n_nodes + 1)
+        self.decoded = FlowDecoder(graph)
+        self.touched: list[int] = []  # edges flipped since the last decode
 
     @property
     def target(self) -> int:
@@ -287,17 +302,29 @@ class OnlineResidual(ResidualGraph):
             p[v] = p[u] + c[g.node_out[u]]
             p[t] = np.min(p[v] + c[g.node_out[v]], initial=p[t])
 
-    def clip_oldest_frame(self, solution: FlowSolution):
-        """Clip the graph's oldest frame. The freed edge slots lose their
-        flow, and each continuing track's flow moves onto its folded entry
-        edge, whose reduced cost is the sum of the flowed arcs' it replaces
-        (each <= 0), so the potentials stay valid."""
-        g, t_min = self.graph, self.graph.t_min
-        succ = [g.u_node(t.detections[1]) for t in solution.trajectories
-                if t.detections[0].frame == t_min and len(t.detections) > 1]
-        g.clip_oldest_frame(solution)
+    def flip(self, eid: int):
+        """ResidualGraph.flip, noting eid for the next decode."""
+        self.flow[eid] ^= 1
+        self.rcost[eid] = -self.rcost[eid]
+        self.touched.append(eid)
+
+    def decode(self) -> FlowSolution:
+        """Bring the kept decode up to date with the edges flipped since the
+        last (FlowDecoder.update)."""
+        touched, self.touched = self.touched, []
+        return self.decoded.update(self, touched)
+
+    def clip_oldest_frame(self, heads: list[Chain]):
+        """Clip the graph's oldest frame, folding the decoded trajectories
+        that start there, the chains heads (FlowDecoder.clip). The freed edge
+        slots lose their flow, and each continuing track's flow moves onto
+        its folded entry edge, whose reduced cost is the sum of the flowed
+        arcs' it replaces (each <= 0), so the potentials stay valid."""
+        g = self.graph
+        g.clip_oldest_frame(FlowSolution([c.traj for c in heads]))
         self.flow[~g.e_alive] = 0
-        self.flow[g.node_in[succ]] = 1
+        self.flow[g.node_in[[c.nodes[1] for c in heads if len(c.nodes) > 1]]] = 1
+        self.decoded.clip(heads)
 
     def exits(self, dist: np.ndarray):
         """The usable arcs into the target, the unflowed exits v -> sink, as
@@ -548,44 +575,247 @@ def dynamic_broadcast(res: ResidualGraph, seeds, labels: PredecessorMap,
     return extract_path(res, labels), labels
 
 
-def decode_trajectories(res: ResidualGraph, start_id: int = 0) -> list[Trajectory]:
-    """Follow the flow from every flowed entry edge, through the successor
-    map node -> (head, edge cost) of the flowed edges out of other nodes;
-    a trajectory costs the left fold of its edge costs."""
-    g = res.graph
-    flowed = np.flatnonzero((res.flow == 1) & g.e_alive)
-    entries = flowed[g.e_src[flowed] == SOURCE]
-    starts = sorted(zip(g.e_dst[entries].tolist(), g.e_cost[entries].tolist()),
-                    key=lambda start: g.node_det[start[0]].key)
-    succ = dict(zip(g.e_src[flowed].tolist(), zip(g.e_dst[flowed].tolist(),
-                                                   g.e_cost[flowed].tolist())))
-    trajectories = []
-    for i, (u, cost) in enumerate(starts):
-        det = g.node_det[u]
-        dets = [det]
-        while True:
-            if (step := succ.get(u)) is None:
-                raise InvariantBreach(
-                    f"dangling flow: detection edge of {det.key} carries no flow")
-            v, c = step
-            cost += c
-            if (step := succ.get(v)) is None:
-                raise InvariantBreach(f"trajectory through {det.key} has no outflow")
-            u, c = step
-            cost += c
-            if u == SINK:
-                break
-            det = g.node_det[u]
-            dets.append(det)
-        trajectories.append(Trajectory(start_id + i, dets, cost))
-    return trajectories
+@dataclass(eq=False, slots=True)
+class Chain:
+    """One decoded trajectory and what its walk read, position by position:
+    each detection, its u node, the left fold of the edge costs through its
+    detection edge, and the flowed edge out of its v node (a link, or the
+    exit for the last). The trajectory costs its last fold plus that exit.
+    key is the first detection's key and origin the track id its entry edge
+    carries (-1 for none). traj is its Trajectory in the solution."""
+
+    traj: Trajectory
+    dets: list
+    nodes: list[int]
+    folds: list[float]
+    outs: list[int]
+    key: tuple[int, int]
+    origin: int
+
+
+class FlowDecoder:
+    """A residual graph's flow decoded into trajectories, kept up to date
+    from the edges whose flow changed.
+
+    A trajectory follows the flow from a flowed entry edge through each
+    detection edge and the flowed edge out of its v node, and costs the left
+    fold of its edge costs. update re-walks only the trajectories through a
+    detection at either end of a changed edge. Every other detection of
+    such a trajectory kept its edges' flow, so a run of them lies in one
+    chain of before and is copied from it, folds too when the fold before
+    the run is unchanged. A trajectory that starts where a chain started is
+    that chain, updated in place; the other chains it touched end. Decoding
+    a flow from none, every flowed edge changed, walks every trajectory. The
+    chains are kept in the order of their keys, which is the order of the
+    solution's trajectories.
+    """
+
+    def __init__(self, graph: TrackingGraph):
+        self.graph = graph
+        self.chains: dict[int, Chain] = {}  # start u node -> chain
+        self.chain_of: dict[int, Chain] = {}  # u node -> chain holding it
+        self.keys: list[tuple[int, int]] = []  # chain keys, in order
+        self.trajs: list[Trajectory] = []  # their trajectories and costs
+        self.costs: list[float] = []
+        self._moved: dict[Chain, None] = {}  # by clips, since the update
+        self._emptied: list[Chain] = []
+        # The last update's report. Each chain it walked, with its Trajectory
+        # before (None for a new chain) and its segments (Trajectory before
+        # or None, start, end): the runs of its positions that lay in one
+        # chain before, or in none. The chains that ended; the detections
+        # that left every chain; and the chains the clips before it trimmed,
+        # and emptied.
+        self.fresh: dict[Chain, tuple[Trajectory | None, list]] = {}
+        self.ended: list[Chain] = []
+        self.dropped: list = []
+        self.moved: list[Chain] = []
+        self.emptied: list[Chain] = []
+
+    def update(self, res: ResidualGraph, eids) -> FlowSolution:
+        """Re-decode after the flow of the live edges `eids` changed
+        (repeats allowed). Returns every trajectory in key order, the
+        chains' Trajectory objects, with their total cost. A walked
+        trajectory carries the track id of the chain it updates, -1 for a
+        new chain."""
+        g, chain_of = self.graph, self.chain_of
+        eids = np.asarray(eids, dtype=np.int64)
+        src = g.e_src[eids]
+        # The u nodes at either end of a changed edge; the flow now on those
+        # of their entry and detection edges that changed; and the flowed
+        # and the unflowed changed edges out of v nodes, the flowed by tail.
+        changed, entry_on, det_on, step, cut = set(), {}, {}, {}, set()
+        for eid, kind, a, b, on, a_u in zip(
+                eids.tolist(), g.e_kind[eids].tolist(), src.tolist(),
+                g.e_dst[eids].tolist(), res.flow[eids].tolist(),
+                g.e_src[g.node_in[src]].tolist()):
+            if kind == ENTRY:
+                changed.add(b)
+                entry_on[b] = on
+            elif kind == DET:
+                changed.add(a)
+                det_on[a] = on
+            else:  # an exit or a link out of v node a, whose u node is a_u
+                changed.add(a_u)
+                if kind == LINK:
+                    changed.add(b)
+                if on:
+                    step[a] = eid
+                else:
+                    cut.add(eid)
+        marks: dict[Chain, list[int]] = {}  # chain -> its changed positions
+        starts = []
+        for x in sorted(changed):
+            if (c := chain_of.get(x)) is not None:
+                marks.setdefault(c, []).append(c.nodes.index(x))
+            # An unchanged entry carries flow if it did, at a chain's start.
+            if entry_on.get(x, x in self.chains):
+                starts.append(x)
+        for c, positions in marks.items():
+            positions.sort()
+            if c.nodes[0] not in changed:
+                starts.append(c.nodes[0])
+        walks = [self._walk(s, changed, det_on, step, cut, marks)
+                 for s in starts]
+        gone = [x for x, on in det_on.items() if not on and x in chain_of]
+        kept = {walk[0] for walk in walks}
+        self.ended = [c for c in marks if c not in kept]
+        for c in self.ended:
+            self._remove(c)
+        for x in gone:
+            del chain_of[x]
+        fresh = {}
+        for c, traj, dets, nodes, folds, outs, key, origin, segments in walks:
+            if c is None:
+                c = Chain(traj, dets, nodes, folds, outs, key, origin)
+                self._place(c)
+                fresh[c] = None, segments
+                chain_of.update(dict.fromkeys(nodes, c))
+            else:
+                before = c.traj
+                fresh[c] = before, segments
+                c.dets, c.nodes, c.folds, c.outs = dets, nodes, folds, outs
+                self.replace_traj(c, traj)
+                for s, lo, hi in segments:  # nodes it did not hold before
+                    if s is not before:
+                        chain_of.update(dict.fromkeys(nodes[lo:hi], c))
+        self.fresh, self.dropped = fresh, [g.node_det[x] for x in gone]
+        self.moved, self.emptied = list(self._moved), self._emptied
+        self._moved, self._emptied = {}, []
+        return FlowSolution(trajectories=list(self.trajs),
+                            total_cost=sum(self.costs))
+
+    def _walk(self, s, changed, det_on, step, cut, marks):
+        """Decode the trajectory that starts at u node s. Returns the chain
+        that started at s, if any, and what the trajectory's chain holds:
+        its Trajectory, detections, nodes, folds, outs, key and origin, then
+        its segments."""
+        g, chain_of, sink = self.graph, self.chain_of, SINK
+        cost, node_out, e_dst, node_det = g.e_cost, g.node_out, g.e_dst, g.node_det
+        nodes, folds, outs, dets, segments = [], [], [], [], []
+        acc = cost.item(g.node_in.item(s))  # the fold through the edge into x
+        x = s
+        while x != sink:
+            c = chain_of.get(x)
+            if x in changed:
+                d, det = node_out.item(x), node_det[x]
+                if not det_on.get(x, c is not None):
+                    raise InvariantBreach(f"dangling flow: detection edge of "
+                                          f"{det.key} carries no flow")
+                acc += cost.item(d)
+                e = step.get(e_dst.item(d))
+                if e is None and c is not None:
+                    e = c.outs[c.nodes.index(x)]
+                    if e in cut:
+                        e = None
+                if e is None:
+                    raise InvariantBreach(f"trajectory through {det.key} has "
+                                          f"no outflow")
+                n = len(nodes)
+                segments.append((c and c.traj, n, n + 1))
+                nodes.append(x)
+                folds.append(acc)
+                outs.append(e)
+                dets.append(det)
+                acc += cost.item(e)
+                x = e_dst.item(e)
+                continue
+            if c is None:
+                raise InvariantBreach(f"flow enters node {x}, which no decoded "
+                                      f"trajectory holds")
+            p = c.nodes.index(x)
+            positions = marks.get(c, ())
+            k = bisect_right(positions, p)
+            end = positions[k] if k < len(positions) else len(c.nodes)
+            segments.append((c.traj, len(nodes), len(nodes) + end - p))
+            nodes += c.nodes[p:end]
+            outs += c.outs[p:end]
+            dets += c.dets[p:end]
+            if p == 0 or folds[-1] == c.folds[p - 1]:
+                folds += c.folds[p:end]
+            else:  # the run's prefix changed: fold its costs again
+                for u, e in zip(c.nodes[p:end], c.outs[p:end]):
+                    acc += cost.item(node_out.item(u))
+                    folds.append(acc)
+                    acc += cost.item(e)
+            acc = folds[-1] + cost.item(outs[-1])
+            x = c.nodes[end] if end < len(c.nodes) else sink
+        was = self.chains.get(s)
+        if was is None:
+            return (None, Trajectory(-1, dets, acc), dets, nodes, folds, outs,
+                    dets[0].key, g.e_origin.item(g.node_in.item(s)), segments)
+        return (was, Trajectory(was.traj.track_id, dets, acc), dets, nodes,
+                folds, outs, was.key, was.origin, segments)
+
+    def starting_in(self, us: np.ndarray) -> list[Chain]:
+        """The chains that start at the u nodes us, in their order."""
+        return [c for u in us.tolist() if (c := self.chains.get(u)) is not None]
+
+    def clip(self, heads: list[Chain]):
+        """Drop the first detection of each chain in heads, whose frame the
+        graph clipped. The rest of each, if any, stays the chain, from its
+        second detection, onto whose entry the clip moved the flow, with the
+        same folds and cost: the folded entry cost is the left fold of the
+        costs it replaced. The next update reports the chains trimmed
+        (moved) and emptied."""
+        g = self.graph
+        for c in heads:
+            self._remove(c)
+            del self.chain_of[c.nodes[0]]
+            if len(c.nodes) == 1:
+                self._moved.pop(c, None)
+                self._emptied.append(c)
+                continue
+            del c.nodes[0], c.folds[0], c.outs[0]
+            c.dets = c.dets[1:]
+            c.traj = Trajectory(c.traj.track_id, c.dets, c.traj.cost)
+            c.key = c.dets[0].key
+            c.origin = g.e_origin.item(g.node_in.item(c.nodes[0]))
+            self._place(c)
+            self._moved[c] = None
+
+    def _place(self, c: Chain):
+        self.chains[c.nodes[0]] = c
+        i = bisect_left(self.keys, c.key)
+        self.keys.insert(i, c.key)
+        self.trajs.insert(i, c.traj)
+        self.costs.insert(i, c.traj.cost)
+
+    def _remove(self, c: Chain):
+        del self.chains[c.nodes[0]]
+        i = bisect_left(self.keys, c.key)
+        del self.keys[i], self.trajs[i], self.costs[i]
+
+    def replace_traj(self, c: Chain, traj: Trajectory) -> int:
+        """Give chain c a new Trajectory object; returns its position."""
+        c.traj = traj
+        i = bisect_left(self.keys, c.key)
+        self.trajs[i], self.costs[i] = traj, traj.cost
+        return i
 
 
 def _solution_from_residual(res: ResidualGraph) -> FlowSolution:
     """The decoded trajectories and their total; edge_flow is left empty."""
-    trajectories = decode_trajectories(res)
-    return FlowSolution(trajectories=trajectories,
-                        total_cost=sum(t.cost for t in trajectories))
+    return res.decode()
 
 
 def _finalize_termination_stats(stats: SolverStats):

@@ -1,0 +1,70 @@
+"""Reference implementations that the tests hold the package to: the full
+decode of a flow, and two graph helpers that only tests use."""
+from __future__ import annotations
+
+import numpy as np
+
+from flowtrack.cost_model import FrameBoxes
+from flowtrack.errors import InvariantBreach
+from flowtrack.graph import SINK, SOURCE, TrackingGraph, Trajectory, gate_pairs
+
+
+def decode_trajectories(res, start_id: int = 0) -> list[Trajectory]:
+    """Follow the flow from every flowed entry edge, through the successor
+    map node -> (head, edge cost) of the flowed edges out of other nodes;
+    a trajectory costs the left fold of its edge costs. Trajectories come in
+    the order of their first detections' keys, numbered from start_id."""
+    g = res.graph
+    flowed = np.flatnonzero((res.flow == 1) & g.e_alive)
+    entries = flowed[g.e_src[flowed] == SOURCE]
+    starts = sorted(zip(g.e_dst[entries].tolist(), g.e_cost[entries].tolist()),
+                    key=lambda start: g.node_det[start[0]].key)
+    succ = dict(zip(g.e_src[flowed].tolist(), zip(g.e_dst[flowed].tolist(),
+                                                   g.e_cost[flowed].tolist())))
+    trajectories = []
+    for i, (u, cost) in enumerate(starts):
+        det = g.node_det[u]
+        dets = [det]
+        while True:
+            if (step := succ.get(u)) is None:
+                raise InvariantBreach(
+                    f"dangling flow: detection edge of {det.key} carries no flow")
+            v, c = step
+            cost += c
+            if (step := succ.get(v)) is None:
+                raise InvariantBreach(f"trajectory through {det.key} has no outflow")
+            u, c = step
+            cost += c
+            if u == SINK:
+                break
+            det = g.node_det[u]
+            dets.append(det)
+        trajectories.append(Trajectory(start_id + i, dets, cost))
+    return trajectories
+
+
+def gate_block(a: FrameBoxes, b: FrameBoxes,
+               radius_factor: float = 2.0) -> np.ndarray:
+    """default_gate(a.dets[i], b.dets[j], radius_factor) as the [i, j] entry
+    of a boolean array, bit for bit."""
+    shape = len(a.dets), len(b.dets)
+    ip, jn = np.indices(shape).reshape(2, -1)
+    return gate_pairs(a, b, ip, jn, radius_factor).reshape(shape)
+
+
+def graphs_structurally_equal(a: TrackingGraph, b: TrackingGraph,
+                              cost_tol: float = 1e-12) -> bool:
+    """Compare node and edge sets by detection identity, kind and cost."""
+    if (set(a.det_nodes), a.t_min, a.t_max) != (set(b.det_nodes), b.t_min,
+                                                 b.t_max):
+        return False
+
+    def edge_set(g: TrackingGraph):
+        def det_key(node):  # None for the source and the sink
+            return getattr(g.node_det[node], "key", None)
+        return {(int(g.e_kind[e]), det_key(g.e_src[e]), det_key(g.e_dst[e])):
+                float(g.e_cost[e]) for e in g.live_edges()}
+
+    ea, eb = edge_set(a), edge_set(b)
+    return set(ea) == set(eb) and all(abs(ea[k] - eb[k]) <= cost_tol
+                                      for k in ea)

@@ -18,9 +18,10 @@ from flowtrack import graph, online
 from flowtrack.cost_model import CostModel, Detection, FrameBoxes, iou
 from flowtrack.errors import DataError
 from flowtrack.graph import (LINK, TrackingGraph, build_batch_graph,
-                             default_gate, gate_block)
+                             default_gate)
 from flowtrack.online import OnlineTracker, TrackerConfig
 from flowtrack.synthetic import SyntheticConfig, generate_synthetic
+from reference import gate_block
 
 PROPERTY = settings(derandomize=True, database=None, max_examples=400,
                     deadline=None)

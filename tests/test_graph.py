@@ -10,8 +10,9 @@ from flowtrack.graph import (DET, EDGE_COLUMNS, ENTRY, EXIT, LINK,
                              NODE_COLUMNS, FlowSolution, TrackingGraph,
                              Trajectory,
                              build_batch_graph, check_flow_conservation,
-                             check_layered_dag, graphs_structurally_equal)
+                             check_layered_dag)
 from flowtrack.ssp import solve_ssp
+from reference import graphs_structurally_equal
 
 
 class TestStructure:

@@ -15,6 +15,8 @@ from flowtrack.ssp import (SolverStats, _solution_from_residual,
                            build_residual, dijkstra_full, path_original_cost,
                            solve_dssp, solve_ssp)
 from flowtrack.synthetic import SyntheticConfig, generate_synthetic
+from reference import decode_trajectories
+from test_stream_emit import SCENES as STREAM_SCENES
 
 
 def stream(tracker, frames):
@@ -512,3 +514,117 @@ class TestSeveralPushesPerSearch:
         res = tr.cache.residual
         res.reprice()
         assert res.rcost[res.graph.e_alive].min() >= -res.eps
+
+
+def reference_frame(tracker, previous, registry):
+    """The tracker's last solution as the full decode of its flow and the
+    id rule over the whole previous and current solution give it. previous
+    is the reference's solution of the frame before, registry its id
+    source. Returns the solution and the events the frame exercised:
+    origins passed to the rule, and trajectories whose top overlap with a
+    previous one ties."""
+    g, res = tracker.graph, tracker.cache.residual
+    kept = [Trajectory(t.track_id, dets, t.cost)
+            for t in previous.trajectories
+            if (dets := [d for d in t.detections if d.frame >= g.t_min])]
+    trajectories = decode_trajectories(res)
+    current = FlowSolution(trajectories=trajectories,
+                           total_cost=sum(t.cost for t in trajectories))
+    entries = g.node_in[[g.u_node(t.detections[0]) for t in trajectories]]
+    origins = {i: o for i, o in enumerate(g.e_origin[entries].tolist())
+               if o >= 0}
+    prev_id = {d.key: t.track_id for t in kept for d in t.detections}
+    ties = 0
+    for t in trajectories:
+        counts = {}
+        for d in t.detections:
+            if (p := prev_id.get(d.key)) is not None:
+                counts[p] = counts.get(p, 0) + 1
+        top = sorted(counts.values(), reverse=True)
+        ties += len(top) > 1 and top[0] == top[1]
+    assign_track_ids(FlowSolution(trajectories=kept), current, registry,
+                     origins)
+    return current, len(origins), ties
+
+
+def solution_record(solution):
+    return ([(t.track_id, [d.key for d in t.detections], float.hex(t.cost))
+             for t in solution.trajectories],
+            float.hex(float(solution.total_cost)))
+
+
+def criteria_scene(n_frames=500):
+    cfg = SyntheticConfig(n_frames=n_frames, n_initial_tracks=5,
+                          spawn_prob=0.0, death_prob=0.0, miss_rate=0.1,
+                          fp_rate=0.1)
+    return generate_synthetic(cfg, 0)[0]
+
+
+class TestKeptDecode:
+    """The decode and ids the tracker keeps from frame to frame, against the
+    full walk of the flow and the id rule over the whole solutions, frame by
+    frame: detection keys, costs and total to the bit, and ids."""
+
+    def compare(self, frames, window, model=CostModel(), gating=True):
+        tracker = OnlineTracker(TrackerConfig(model=model, window=window,
+                                              gating=gating))
+        previous, registry = FlowSolution(), TrackRegistry()
+        origins = ties = 0
+        for f in sorted(frames):
+            got = tracker.process_frame(frames[f], frame=f)
+            want, n_origins, n_ties = reference_frame(tracker, previous,
+                                                      registry)
+            assert solution_record(got) == solution_record(want), (window, f)
+            assert tracker.registry.next_id == registry.next_id, (window, f)
+            previous = want
+            origins += n_origins
+            ties += n_ties
+        recycled = len(tracker.graph.node_kind) < 2 + 2 * sum(
+            len(ds) for ds in frames.values())
+        return origins, ties, recycled
+
+    @pytest.mark.parametrize("window", [None, 2, 3, 10])
+    def test_stream_scenes_match_full_decode(self, window):
+        for cfg, seed, carved in STREAM_SCENES:
+            self.compare({f: ds for f, ds in
+                          generate_synthetic(cfg, seed)[0].items()
+                          if f not in carved}, window)
+
+    @pytest.mark.parametrize("window", [None, 2, 3, 5])
+    def test_random_instances_match_full_decode(self, window):
+        # Random link costs reroute the history: trajectories split and
+        # merge, and some overlap two previous ones equally. A window folds
+        # entries, whose origins the rule reads, and recycles the slots it
+        # clips.
+        events = []
+        for seed in range(100, 175):
+            frames, model = make_random_instance(seed, frame_range=(8, 16),
+                                                 dets_range=(2, 5))
+            events.append(self.compare(frames, window, model, gating=False))
+        origins, ties, recycled = map(sum, zip(*events))
+        assert ties > 0 or window == 2
+        assert (origins > 0 and recycled == len(events)) == (window is not None)
+
+    @pytest.mark.parametrize("window", [None, 2, 3, 10])
+    def test_criteria_scene_matches_full_decode(self, window):
+        self.compare(criteria_scene(), window)
+
+
+def test_keys_read_per_frame_stay_flat(monkeypatch):
+    """Over 500 odssp frames of the criteria 4-5 scene, the detection keys a
+    frame reads (to decode, assign ids and price) do not grow with the
+    history the graph holds."""
+    reads = []
+    key = Detection.key
+
+    def counted(d):
+        reads[-1] += 1
+        return key.fget(d)
+
+    frames = criteria_scene()
+    tracker = OnlineTracker(TrackerConfig(model=CostModel()))
+    monkeypatch.setattr(Detection, "key", property(counted))
+    for f in sorted(frames):
+        reads.append(0)
+        tracker.process_frame(frames[f], frame=f)
+    assert np.mean(reads[400:500]) <= 1.5 * np.mean(reads[20:100])

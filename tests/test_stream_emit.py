@@ -1,7 +1,9 @@
 """Streaming output path of `flowtrack track --stream`.
 
-The CLI builds each frame's rows from the tracker's window and the rows it
-froze since the last emit. These tests pin that to the straightforward
+The CLI writes each frame's rows from what the tracker logged since the last
+emit: the rows it froze, and the current rows that are new or got a new id.
+So the decode, id and output work of a frame follow the rows the frame
+changed, not the history. These tests pin that to the straightforward
 emitter, which rescans every final track after each frame, and check that
 the work per frame stays bounded.
 """
@@ -22,8 +24,8 @@ from flowtrack.synthetic import SyntheticConfig, generate_synthetic
 #: revises ids of rows it has already written. The high miss rate of the
 #: third one leaves frames without detections, which the stream skips and the
 #: reference emitter processes as explicit empty frames. The carved gaps of
-#: the last one are longer than the window of 4, so mbodssp clips its whole
-#: window at once, down to an empty graph.
+#: the last one are longer than windows of 2 and 4, so mbodssp clips its
+#: whole window at once, down to an empty graph.
 SCENES = (
     (SyntheticConfig(n_frames=30, n_initial_tracks=3, spawn_prob=0.2,
                      death_prob=0.08, miss_rate=0.15, fp_rate=0.15), 3, ()),
@@ -36,7 +38,8 @@ SCENES = (
                      death_prob=0.05, miss_rate=0.1, fp_rate=0.2), 5,
      (*range(8, 14), *range(20, 29), 33)),
 )
-RUNS = (("odssp", ()), ("mbodssp", ("--window", "4")))
+RUNS = (("odssp", ()), ("mbodssp", ("--window", "2")),
+        ("mbodssp", ("--window", "4")), ("mbodssp", ("--window", "10")))
 LAGS = (0, 2, 6)
 
 
@@ -115,7 +118,8 @@ def test_stream_matches_full_scan_emitter(solver, args, monkeypatch):
     for scene in SCENES:
         text = scene_text(*scene)
         for lag in LAGS:
-            expected = reference_stream(solver, 4, lag, text)
+            window = int(args[1]) if args else None
+            expected = reference_stream(solver, window, lag, text)
             got = run_stream(["--solver", solver, *args,
                               "--confirm-lag", str(lag)], text, monkeypatch)
             assert got == expected, (scene, lag)
