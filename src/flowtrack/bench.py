@@ -3,11 +3,11 @@
 Row format: ``solver,tau,frame,wall_time,relaxations,queue_pushes,live_nodes,
 live_edges,iterations,searches``. Streaming solvers emit one row per frame
 that occurs in the input; batch solvers emit a single summary row with
-frame = -1. iterations counts augmentations: a batch solve's paths, or the
-paths and cycles through the sink that one online frame's solve pushed.
-searches counts the shortest-path searches that found them: a batch solve's
-DAG sweeps, full searches and broadcasts, or one online frame's compiled
-searches, each of which can push several paths and cycles.
+frame = -1. iterations counts augmentations, the paths and cycles pushed,
+and searches the searches that found them: a batch solve's DAG sweep and
+then full searches (ssp, one path each; only ssp's stats carry Algorithm
+1's per-search stop rule) or broadcasts (dssp), or one online frame's full
+searches; dssp's and the online ones can each push several paths.
 """
 from __future__ import annotations
 

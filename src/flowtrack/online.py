@@ -3,14 +3,11 @@
 Each incoming frame is appended to the graph and the flow problem is re-solved
 from the previous frame's optimum: the tracker keeps one residual graph
 (ssp.OnlineResidual) with its flow and node potentials, gives the new frame's
-nodes potentials in one relaxation pass, and runs successive shortest paths
-with the compiled Dijkstra (ssp.dijkstra_full) from the source and the sink's
-reversed exits, so tracks that continue into the frame are extended by
-cycles through the sink instead of being replayed from zero flow. One search
-usually settles a frame: every path and cycle into the sink that is still a
-shortest path after the earlier ones is pushed from the same shortest-path
-tree, as in muSSP (Wang et al., NeurIPS 2019), and the search's labels
-certify the optimum when the least remaining candidate costs >= 0. A tracker
+nodes potentials in one relaxation pass, and runs the exact solvers' loop
+(ssp.successive_shortest_paths) with full searches from the source and the
+sink's reversed exits, so tracks that continue into the frame are extended by
+cycles through the sink. One search usually settles a frame, as every path
+and cycle that is still a shortest path is pushed from it. A tracker
 with a window is memory-bounded: it also clips frames older than the window,
 folding clipped trajectory prefixes into synthesized entry-edge costs, which
 take over their flow, so track identities and costs survive clipping.
@@ -24,18 +21,14 @@ work follow the rows the frame changed, not the history.
 """
 from __future__ import annotations
 
-import math
 import time
 from dataclasses import dataclass
 
-import numpy as np
-
 from .cost_model import CostModel, Detection
 from .errors import DataError, InvariantBreach
-from .graph import SINK, FlowSolution, TrackingGraph, Trajectory
-from .ssp import (Chain, OnlineResidual, PredecessorMap, SolverStats,
-                  _solution_from_residual, build_residual, dijkstra_full,
-                  extract_path, path_original_cost)
+from .graph import FlowSolution, TrackingGraph, Trajectory
+from .ssp import (Chain, OnlineResidual, SolverStats, _solution_from_residual,
+                  dijkstra_full, successive_shortest_paths)
 
 
 @dataclass(frozen=True)
@@ -150,36 +143,6 @@ def trajectory_model_cost(dets: list[Detection], model: CostModel) -> float:
         cost += model.detection_cost_of(b)
     cost += model.exit_cost_of(dets[-1])
     return cost
-
-
-def _push_round(res: OnlineResidual, labels: PredecessorMap, run: SolverStats,
-                guard: int) -> tuple[float, bool]:
-    """Push one search's candidates in value order until the first that
-    costs >= 0, enters a node an earlier push used, or ranks after a freed
-    exit (see OnlineTracker._solve). Returns the cap d_k and whether the
-    least remaining item certifies the optimum."""
-    dist = labels.dist
-    values, tails = res.exits(dist)
-    used = np.zeros(len(dist), dtype=bool)
-    freed = math.inf  # the least bound of an exit this search freed
-    cap = float(values[0])
-    for value, v in zip(values.tolist(), tails.tolist()):
-        if freed < value:
-            return cap, True
-        path = extract_path(res, labels, via=v)
-        if path_original_cost(res, path) >= 0.0:
-            return cap, True
-        if used[path.nodes[1:-1]].any():
-            return cap, False
-        if run.iterations >= guard:
-            raise InvariantBreach("online SSP exceeded its iteration bound")
-        if path.nodes[0] == SINK:
-            freed = min(freed, res.exit_bound(dist, path.nodes[1], path.eids[0]))
-        used[path.nodes[1:-1]] = True
-        build_residual(res, path)
-        run.iterations += 1
-        cap = value
-    return cap, True
 
 
 class OnlineTracker:
@@ -379,46 +342,19 @@ class OnlineTracker:
 
     def _solve(self, frame: int) -> tuple[FlowSolution, SolverStats]:
         """Successive shortest paths from the previous frame's optimum,
-        several per search.
-
-        Each compiled search runs from the source and the sink's reversed
-        exits. Its candidates are the usable arcs into the target, the
-        unflowed exits v -> sink, taken in order of value dist(v) + reduced
-        cost, each with v's tree path; they are pushed until the first one
-        that costs >= 0 (original costs, summed with fsum), whose tree path
-        enters a node an earlier push of this search used (the root aside),
-        or that a freed exit ranks before. A cycle from the sink root frees
-        the exit of its first node, whose value is then only a lower bound
-        (OnlineResidual.exit_bound). So each pushed path is a shortest path at
-        its turn: labels outside the used nodes' subtrees still hold. The
-        potentials then settle with the cap d_k, the last pushed value (the
-        first candidate's if none was pushed).
-
-        The labels stay a lower bound after the pushes, so the least
-        remaining item certifies the optimum when it costs >= 0: the
-        candidate stopped at, or a freed exit, whose path (its reversed exit
-        then its forward exit) costs exactly 0. Only a candidate stopped by
-        an earlier push's node, costing < 0, calls for another search. After
-        an empty graph the flow is zero and the potentials are DAG
-        distances: a cold start through the same loop. Counters fold into
-        self.stats.
-        """
+        several per full search (ssp.successive_shortest_paths); after an
+        empty graph, a cold start from DAG potentials through the same loop.
+        Counters fold into self.stats."""
         res, run, stats = self.cache.residual, SolverStats(), self.stats
         if self.cache.lookup() is None:
             stats.cache_misses += 1
         else:
             stats.cache_hits += 1
-        # A safety bound far above the paths and cycles one frame needs.
-        guard = 2 * self.graph.n_detections + 2
-        while self.graph.n_detections:
+        if self.graph.n_detections:
             res.reprice()
-            path, labels = dijkstra_full(res, run)
-            if path is None:
-                break
-            cap, certified = _push_round(res, labels, run, guard)
-            res.settle(labels.dist, cap)
-            if certified:
-                break
+            # A safety bound far above the paths and cycles one frame needs.
+            successive_shortest_paths(res, run, 2 * self.graph.n_detections + 2,
+                                      *dijkstra_full(res, run))
         self.cache.frame = frame
         stats.relaxations += run.relaxations
         stats.queue_pushes += run.queue_pushes

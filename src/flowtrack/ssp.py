@@ -1,35 +1,33 @@
 """Successive shortest path solvers over the tracking graph.
 
-Contains the residual-graph machinery (node potentials, from which every
-exact solver derives its reduced costs c + p(u) - p(v), and edge
-reversal), the DAG shortest-path bootstrap, the full Dijkstra inner search
-(used by ssp and by the online trackers), the paper's dynamic broadcast that
-re-labels only the invalidated part of the shortest-path tree (dssp),
-trajectory decoding, kept up to date from the edges whose flow changed
-(FlowDecoder; a batch solve decodes as a change from no flow), and the greedy
-DP baseline. Every search is compiled.
-The DAG sweep relaxes one frame layer per numpy reduction; it bootstraps ssp
-and dssp, and the greedy baseline runs it once per committed track. Both
-inner searches are scipy's Dijkstra over one CSR of the residual arcs; the
-broadcast finds its affected subtree with scipy's breadth-first order and
-searches only the arcs that enter it, from its frontier. The predecessor
-tree is an array of nodes; the edge of a tree arc is found by its slot key.
-OnlineResidual is the residual graph the online trackers keep from frame to
-frame: the last optimum's flow plus node potentials, searched from the sink
-as well as the source, so each frame is re-solved from the previous optimum
-instead of from zero flow; it lists a search's candidate arcs into the sink
-(exits) and settles the potentials with a cap, so one search can push
-several paths and cycles.
+Contains the residual graph (node potentials, from which every exact solver
+derives its reduced costs c + p(u) - p(v), and edge reversal), the DAG
+shortest-path sweep, the full Dijkstra search, the paper's dynamic broadcast
+that re-labels only the invalidated part of the shortest-path tree,
+trajectory decoding kept up to date from the edges whose flow changed
+(FlowDecoder), and the greedy DP baseline. Every search is compiled: the
+DAG sweep is one numpy reduction per frame layer, and both other searches
+are scipy's Dijkstra over one CSR of the residual arcs.
+
+Every exact solver runs one loop, successive_shortest_paths, over a
+residual that splits the sink into a root and a target (OnlineResidual):
+each round pushes from one search's tree, and the potentials then settle.
+ssp pushes one path per full search, as the paper's standard SSP does.
+dssp pushes every candidate that is still a shortest path at its turn (as
+in muSSP, Wang et al., NeurIPS 2019) and broadcasts after each round. The
+online trackers push several per full search, from the last frame's optimum.
 """
 from __future__ import annotations
 
 import math
 from bisect import bisect_left, bisect_right
+from collections import namedtuple
 from dataclasses import dataclass, field
+from itertools import takewhile
 
 import numpy as np
 from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import breadth_first_order, dijkstra
+from scipy.sparse.csgraph import dijkstra
 
 from .errors import DataError, InvariantBreach
 from .graph import (DET, ENTRY, EXIT, LINK, SINK, SOURCE, FlowSolution,
@@ -56,6 +54,10 @@ class SolverStats:
         nodes; the nodes reached.
       - broadcast (dynamic_broadcast): the residual arcs into the affected
         set out of reached nodes; the affected nodes re-labelled.
+    A batch solve keeps each search's distance to the target (the DAG
+    sweep's first) and the cost of each path pushed, then of the one that
+    stopped it. Algorithm 1's stop rule reads one search per path, so only
+    a one-path solve (ssp) sets alg1_stop_iteration; dssp leaves it None.
     """
 
     relaxations: int = 0
@@ -76,11 +78,11 @@ class PredecessorMap:
     """Per-node shortest-path distance labels and the predecessor tree:
     pred[v] is the node before v, -1 for none (a root or an unreached node).
     The edge of a tree arc u -> v is the residual slot keyed u * n + v (see
-    ResidualGraph.arcs)."""
+    ResidualGraph.arcs). They start at 0 for the roots, inf elsewhere."""
 
-    def __init__(self, n_nodes: int):
+    def __init__(self, n_nodes: int, roots=(SOURCE,)):
         self.dist = np.full(n_nodes, np.inf)
-        self.dist[SOURCE] = 0.0
+        self.dist[list(roots)] = 0.0
         self.pred = np.full(n_nodes, -1, dtype=np.int64)
 
 
@@ -101,6 +103,12 @@ class Path:
     eids: list[int]
 
 
+#: ResidualGraph.arcs: the CSR over the search nodes and a virtual root, and
+#: per edge slot in CSR order its edge, is-reverse flag, row, column and key
+#: row * n + col.
+Arcs = namedtuple("Arcs", "matrix eid rev row col key")
+
+
 class ResidualGraph:
     """A tracking graph plus per-edge flow state and node potentials.
 
@@ -119,7 +127,9 @@ class ResidualGraph:
     def __init__(self, graph: TrackingGraph):
         g = self.graph = graph
         self.flow = np.zeros(len(g.e_src), dtype=np.int8)
-        self.potential = np.zeros(self.n_nodes)
+        self.touched: list[int] = []  # edges flipped since the last decode
+        # One potential per search node: the node slots, a split sink's target.
+        self.potential = np.zeros(max(self.n_nodes, self.target + 1))
         self._read_costs()
         check_cost_sum(self.cost_sum)
         self.reprice()
@@ -145,15 +155,15 @@ class ResidualGraph:
         rev = p[g.e_dst] - p_src - g.e_cost
         self.rcost = np.where(self.flow == 0, fwd, rev)
 
-    def arcs(self):
-        """Static CSR of residual arc slots over the search nodes, built on
-        first use.
+    def arcs(self) -> Arcs:
+        """Static index of residual arc slots over the search nodes, built
+        on first use.
 
         Every live edge has a forward slot (src -> fwd_dst, usable while it
         carries no flow) and a reverse slot (dst -> src, usable while it
-        does), sorted by row then column. Returns (matrix, slot edge ids,
-        slot is-reverse flags, slot rows, slot keys row * n + col); only the
-        matrix's weights change from search to search. Indexes are int32,
+        does), sorted by row then column. Row n is a virtual root with a
+        slot to every search node after them, where a broadcast starts.
+        Only the weights change from search to search. Indexes are int32,
         which scipy keeps as given (int64 ones it checks and copies down).
         """
         if self._arcs is None:
@@ -164,13 +174,16 @@ class ResidualGraph:
                                    dst * n + src))
             order = np.argsort(keys, kind="stable")
             keys = keys[order]
-            rows = keys // n
-            indptr = np.searchsorted(rows, np.arange(n + 1)).astype(np.int32)
-            matrix = csr_matrix((np.zeros(len(keys)),
-                                 (keys % n).astype(np.int32), indptr),
-                                shape=(n, n))
-            self._arcs = (matrix, np.concatenate((live, live))[order],
-                          (order >= len(live)).astype(np.int8), rows, keys)
+            rows, cols = keys // n, keys % n
+            indptr = np.append(np.searchsorted(rows, np.arange(n + 1)),
+                               len(keys) + n).astype(np.int32)
+            matrix = csr_matrix(
+                (np.zeros(len(keys) + n),
+                 np.concatenate((cols, np.arange(n))).astype(np.int32),
+                 indptr), shape=(n + 1, n + 1))
+            self._arcs = Arcs(matrix, np.concatenate((live, live))[order],
+                              (order >= len(live)).astype(np.int8), rows,
+                              cols, keys)
         return self._arcs
 
     def dag_levels(self):
@@ -178,7 +191,7 @@ class ResidualGraph:
         with the same lifetime as arcs().
 
         Levels are the source, then the u and then the v nodes of each frame
-        in frame order, then the sink. Forward edges are sorted by (level of
+        in frame order, then the target. Forward edges are sorted by (level of
         head, head, rank in push order): the source's out-edges, then each
         frame's u nodes' and then v nodes' out-edges. Listing the entries and
         exits in (frame, local index) order and then every frame's link block
@@ -187,19 +200,19 @@ class ResidualGraph:
         within those edges, group heads) per level).
         """
         if self._dag is None:
-            g, n = self.graph, self.n_nodes
+            g, n, fwd = self.graph, len(self.potential), self.fwd_dst()
             level = np.zeros(n, dtype=np.int64)
             sizes = [uv.shape[1] for uv in g.frame_nodes.values()]
             u, v = np.concatenate([np.zeros((2, 0), np.int64),
                                    *g.frame_nodes.values()], axis=1)
             layer = 2 * np.repeat(np.arange(len(sizes)), sizes)
             level[u], level[v] = layer + 1, layer + 2
-            level[SINK] = 2 * len(sizes) + 1
+            level[self.target] = 2 * len(sizes) + 1
             push = np.concatenate((g.node_in[u], g.node_out[u], g.node_out[v],
                                    *g.frame_links.values()))
-            heads = g.e_dst[push]
+            heads = fwd[push]
             eids = push[np.argsort(level[heads] * n + heads, kind="stable")]
-            heads = g.e_dst[eids]
+            heads = fwd[eids]
             first = np.flatnonzero(np.diff(heads, prepend=-1))
             bounds = np.flatnonzero(np.diff(level[heads[first]], prepend=-1))
             ends = np.append(first, len(eids))
@@ -216,47 +229,35 @@ class ResidualGraph:
         ends = int(self.graph.e_src[eid]), int(self.graph.e_dst[eid])
         return ends if self.flow[eid] == 0 else ends[::-1]
 
-    def flip(self, eid: int):
-        """Push or cancel the unit of flow on edge eid: its residual arc
-        turns round, and so does the sign of its reduced cost."""
-        self.flow[eid] ^= 1
-        self.rcost[eid] = -self.rcost[eid]
-
-    def decode(self) -> FlowSolution:
-        """The flow's trajectories, numbered in key order: decoded as a
-        change from no flow, in which every flowed edge changed
-        (FlowDecoder.update)."""
-        solution = FlowDecoder(self.graph).update(self, np.flatnonzero(self.flow))
-        for i, t in enumerate(solution.trajectories):
-            t.track_id = i
-        return solution
+    def flip(self, eids: np.ndarray):
+        """Push or cancel the unit of flow on the distinct edges eids: their
+        residual arcs turn round, and so do the signs of their reduced
+        costs."""
+        self.flow[eids] ^= 1
+        self.rcost[eids] = -self.rcost[eids]
+        self.touched += eids.tolist()
 
 
 class OnlineResidual(ResidualGraph):
-    """The residual graph of an online tracker, kept from frame to frame.
+    """The residual graph of the exact solvers, whose sink is split.
 
-    It holds the last optimum's flow and node potentials p under which every
-    residual arc has reduced cost c + p(u) - p(v) >= 0 (rcost, set by
-    reprice), so each frame's solve starts from the previous optimum. A
-    track that continues into a new frame keeps the flow value: it is a
-    cycle sink -> v_old (reversed exit) -> u_new -> v_new -> sink. So the
-    search splits the sink: its out-arcs, the reversed flowed exits, leave a
-    root, which shares potential 0 with the source, the other root; exits
-    enter the target, node n_nodes, which holds the sink's potential. A
-    shortest path from the source is an augmenting path, one from a
-    reversed exit cancels a cycle through the sink. Build it over an empty
-    graph, then append and clip through it; it reads the graph's columns
-    and keeps only a flow per edge slot, a potential per node slot and the
-    decode of its flow.
+    It holds a flow and node potentials p under which every residual arc has
+    reduced cost c + p(u) - p(v) >= 0 (rcost, set by reprice). A track that
+    continues into a new frame keeps the flow value: it is a cycle sink ->
+    v_old (reversed exit) -> u_new -> v_new -> sink. So the search splits
+    the sink: its out-arcs, the reversed flowed exits, leave a root, which
+    shares potential 0 with the source, the other root; exits enter the
+    target, node n_nodes, which holds the sink's potential. A tracker builds
+    it over an empty graph and keeps it from frame to frame through appends
+    and clips; a batch solve builds it over the whole graph. It keeps only a
+    flow per edge slot, a potential per node slot and the decode of its flow.
     """
 
     roots = (SINK, SOURCE)
 
     def __init__(self, graph: TrackingGraph):
         super().__init__(graph)
-        self.potential = np.zeros(self.n_nodes + 1)
         self.decoded = FlowDecoder(graph)
-        self.touched: list[int] = []  # edges flipped since the last decode
 
     @property
     def target(self) -> int:
@@ -302,12 +303,6 @@ class OnlineResidual(ResidualGraph):
             p[v] = p[u] + c[g.node_out[u]]
             p[t] = np.min(p[v] + c[g.node_out[v]], initial=p[t])
 
-    def flip(self, eid: int):
-        """ResidualGraph.flip, noting eid for the next decode."""
-        self.flow[eid] ^= 1
-        self.rcost[eid] = -self.rcost[eid]
-        self.touched.append(eid)
-
     def decode(self) -> FlowSolution:
         """Bring the kept decode up to date with the edges flipped since the
         last (FlowDecoder.update)."""
@@ -339,20 +334,12 @@ class OnlineResidual(ResidualGraph):
         order = order[np.isfinite(values[order])]
         return values[order], tails[order]
 
-    def exit_bound(self, dist: np.ndarray, v: int, eid: int) -> float:
-        """dist(v) plus the clamped reduced cost of v's exit eid as an
-        unflowed arc into the target: after a cycle from the sink root frees
-        that exit, a lower bound on the length of any path through it."""
-        p = self.potential
-        return dist[v] + max(self.graph.e_cost[eid] + p[v] - p[self.target], 0.0)
-
     def settle(self, dist: np.ndarray, cap: float):
-        """Raise the potentials by a search's distances capped at cap, the
-        value of the last path pushed from that search (or of its shortest
-        path if none was), and the target's by exactly cap. Every residual
-        reduced cost stays >= 0 and the pushed paths' become 0, provided each
-        pushed path was a shortest path at its turn and no usable arc into
-        the target is left below cap. The roots stay at 0."""
+        """Raise the potentials by a search's distances capped at cap (see
+        push_round), and the target's by exactly cap. Every residual reduced
+        cost stays >= 0 and the pushed paths' become 0, provided each pushed
+        path was a shortest path at its turn and no usable arc into the
+        target is left below cap. The roots stay at 0."""
         raised = np.minimum(dist, cap)
         raised[self.target] = cap
         self.potential += raised
@@ -367,10 +354,9 @@ def extract_path(res: ResidualGraph, labels: PredecessorMap,
     the returned path."""
     if not np.isfinite(labels.dist[res.target if via is None else via]):
         return None
-    matrix, slot_eid, _, _, slot_key = res.arcs()
-    n, pred = matrix.shape[0], labels.pred
+    arcs, n, pred = res.arcs(), len(res.potential), labels.pred.item
     nodes = [res.target] if via is None else [res.target, via]
-    while (u := int(pred[nodes[-1]])) >= 0:
+    while (u := pred(nodes[-1])) >= 0:
         nodes.append(u)
         if len(nodes) > n:
             raise InvariantBreach("predecessor chain contains a cycle")
@@ -378,7 +364,7 @@ def extract_path(res: ResidualGraph, labels: PredecessorMap,
         raise InvariantBreach(f"broken predecessor chain at node {nodes[-1]}")
     nodes.reverse()
     chain = np.array(nodes, dtype=np.int64)
-    eids = slot_eid[np.searchsorted(slot_key, chain[:-1] * n + chain[1:])]
+    eids = arcs.eid[np.searchsorted(arcs.key, chain[:-1] * n + chain[1:])]
     nodes[-1] = SINK
     return Path(nodes, eids.tolist())
 
@@ -390,10 +376,10 @@ def path_original_cost(res: ResidualGraph, path: Path) -> float:
     forth forever. An arc that runs against its edge negates the cost; the
     direction is read from the path's nodes, not from the flow, so a path
     is priced as it was found even after some of its arcs flipped."""
-    g = res.graph
-    costs, tails = g.e_cost[path.eids].tolist(), g.e_src[path.eids].tolist()
-    return math.fsum(c if t == u else -c
-                     for u, t, c in zip(path.nodes, tails, costs))
+    g, eids = res.graph, np.array(path.eids)
+    costs = g.e_cost[eids]
+    return math.fsum(np.where(g.e_src[eids] == path.nodes[:-1], costs,
+                              -costs).tolist())
 
 
 def dag_shortest_path(res: ResidualGraph, stats: SolverStats | None = None,
@@ -403,13 +389,14 @@ def dag_shortest_path(res: ResidualGraph, stats: SolverStats | None = None,
 
     Handles negative costs. The residual graph must carry no flow. excluded
     is a boolean node mask of nodes the sweep may not enter, so it never
-    leaves them either. A node's predecessor is the tail of its first tight
-    in-edge in push order: the edge a strict-< relaxation in that order
-    keeps. relaxations counts the edges out of reached nodes into nodes not
-    excluded. Returns (path_to_sink_or_None, labels).
+    leaves them either. Every root starts at 0. A node's predecessor is the
+    tail of its first tight in-edge in push order: the edge a strict-<
+    relaxation in that order keeps. relaxations counts the edges out of
+    reached nodes into nodes not excluded. Returns (path to res.target or
+    None, labels).
     """
     stats = stats or SolverStats()
-    labels = PredecessorMap(res.n_nodes)
+    labels = PredecessorMap(len(res.potential), res.roots)
     if res.graph.is_empty:
         return None, labels
     if np.any(res.flow[res.graph.e_alive]):
@@ -460,54 +447,63 @@ def convert_edge_costs(res: ResidualGraph, labels: PredecessorMap) -> Predecesso
     return out
 
 
-def build_residual(res: ResidualGraph, path: Path) -> ResidualGraph:
-    """Push one unit of flow along a zero-reduced-cost path by reversing it:
-    a source-to-sink path, or a cycle through the sink."""
-    if path is None or not path.eids:
-        raise DataError("cannot build a residual from an empty path")
-    if path.nodes[0] not in (SOURCE, SINK) or path.nodes[-1] != SINK:
-        raise DataError("path must run from the source or the sink to the sink")
-    for u, v, eid in zip(path.nodes, path.nodes[1:], path.eids):
-        if res.res_endpoints(eid) != (u, v):
-            raise DataError(f"path edge {eid} does not connect {u}->{v}")
-    for eid in path.eids:
-        res.flip(eid)
+def build_residual(res: ResidualGraph, *paths: Path) -> ResidualGraph:
+    """Push one unit of flow along each of some edge-disjoint paths of zero
+    reduced cost by reversing them: source-to-sink paths, or cycles through
+    the sink. Every edge is checked, in path order, before any is flipped."""
+    eids, tails, heads = [], [], []
+    for path in paths:
+        if path is None or not path.eids:
+            raise DataError("cannot build a residual from an empty path")
+        if path.nodes[0] not in (SOURCE, SINK) or path.nodes[-1] != SINK:
+            raise DataError("path must run from the source or the sink to the sink")
+        eids += path.eids
+        tails += path.nodes[:-1]
+        heads += path.nodes[1:]
+    g, eids = res.graph, np.array(eids, dtype=np.int64)
+    tails, heads = np.array(tails), np.array(heads)
+    src, dst, flowed = g.e_src[eids], g.e_dst[eids], res.flow[eids] == 1
+    bad = np.flatnonzero((np.where(flowed, dst, src) != tails)
+                         | (np.where(flowed, src, dst) != heads))
+    if len(bad):
+        i = int(bad[0])
+        raise DataError(f"path edge {eids[i]} does not connect "
+                        f"{tails[i]}->{heads[i]}")
+    res.flip(eids)
     return res
 
 
-def _count_scanned(res: ResidualGraph, stats: SolverStats, slot_eid,
-                   scanned: np.ndarray, cost: np.ndarray):
-    """Add the scanned arc slots to stats.relaxations; a scanned arc whose
-    reduced cost is below -eps breaks the search's precondition."""
+def _count_search(res: ResidualGraph, stats: SolverStats, eids, scanned,
+                  cost, labelled):
+    """Count a search, its scanned arcs (edges eids) and labelled nodes; a
+    scanned arc whose reduced cost is below -eps breaks its precondition."""
     bad = np.flatnonzero(scanned & (cost < -res.eps))
     if len(bad):
-        eid = int(slot_eid[bad[0]])
+        eid = int(eids[bad[0]])
         raise InvariantBreach(f"negative reduced cost {res.rcost[eid]} on edge {eid}")
     stats.relaxations += int(np.count_nonzero(scanned))
+    stats.queue_pushes += int(np.count_nonzero(labelled))
+    stats.searches += 1
 
 
 def dijkstra_full(res: ResidualGraph, stats: SolverStats | None = None):
-    """Full Dijkstra from res.roots over the residual graph, compiled.
-
-    Weights are the residual arcs' reduced costs, clamped at 0; slots not in
-    the residual graph weigh inf. relaxations counts the residual arcs out of
-    reached nodes, queue_pushes the nodes reached. Returns (path to
-    res.target or None, labels holding every node's distance and
-    predecessor).
-    """
+    """Full Dijkstra from res.roots over the residual arcs, weighed by their
+    reduced costs clamped at 0, compiled. relaxations counts the residual
+    arcs out of reached nodes, queue_pushes the nodes reached. Returns
+    (path to res.target or None, every node's labels)."""
     stats = stats or SolverStats()
-    matrix, slot_eid, slot_rev, slot_row, _ = res.arcs()
-    active = res.flow[slot_eid] == slot_rev
-    cost = res.rcost[slot_eid]
-    matrix.data = np.where(active, np.maximum(cost, 0.0), np.inf)
-    dist, pred, _ = dijkstra(matrix, indices=res.roots, min_only=True,
+    arcs, n = res.arcs(), len(res.potential)
+    active = res.flow[arcs.eid] == arcs.rev
+    cost = res.rcost[arcs.eid]
+    arcs.matrix.data[:len(cost)] = np.where(active, np.maximum(cost, 0.0),
+                                            np.inf)
+    dist, pred, _ = dijkstra(arcs.matrix, indices=res.roots, min_only=True,
                              return_predecessors=True)
-    reached = np.isfinite(dist)
-    _count_scanned(res, stats, slot_eid, active & reached[slot_row], cost)
-    stats.queue_pushes += int(np.count_nonzero(reached))
-    stats.searches += 1
     labels = PredecessorMap.__new__(PredecessorMap)
-    labels.dist, labels.pred = dist, np.maximum(pred, -1)
+    labels.dist, labels.pred = dist[:n], np.maximum(pred[:n], -1)
+    reached = np.isfinite(labels.dist)
+    _count_search(res, stats, arcs.eid, active & reached[arcs.row], cost,
+                  reached)
     return extract_path(res, labels), labels
 
 
@@ -516,63 +512,151 @@ def dynamic_broadcast(res: ResidualGraph, seeds, labels: PredecessorMap,
     """Re-label only the invalidated part of the shortest-path tree, compiled.
 
     seeds must contain every node whose predecessor arc may have changed
-    (typically the nodes of the just-reversed shortest path). Every other
-    label must be valid for the current residual graph, edge changes may
-    only have lengthened distances, and every reached label must be 0, as
-    convert_edge_costs leaves them. The affected set is the seeds and their
-    predecessor-tree descendants: one breadth-first search over the tree
-    from a virtual root linked to the seeds. Its labels come from one
-    compiled Dijkstra from its frontier, the reached nodes outside the set
-    with a usable arc into it, which all start at 0; slots that do not enter
-    the set weigh inf. Every other label is left as it is. relaxations
-    counts the usable arcs into the set out of reached nodes, queue_pushes
-    the nodes re-labelled. Returns the updated shortest path to the sink;
-    labels are updated in place.
+    (typically the nodes of the just-reversed paths); every other label must
+    be a valid distance, as convert_edge_costs (all 0) or a settle after
+    pushes leaves it. The affected set is the seeds other than the roots and
+    their tree descendants, found by pointer doubling. Each of its nodes
+    starts at its least label through a usable arc from outside, whose tail
+    is then a frontier node (one labelled below 0 is an InvariantBreach), and
+    one compiled Dijkstra over the arcs within the set gives the rest.
+    relaxations counts the usable arcs into the set out of reached nodes,
+    queue_pushes the nodes re-labelled. Returns the updated shortest path to
+    the target; labels are updated in place.
     """
     stats = stats or SolverStats()
     dist, pred = labels.dist, labels.pred
     n = len(dist)
     seeds = np.asarray(seeds, dtype=np.int64)
-    seeds = seeds[seeds != SOURCE]
+    seeds = seeds[np.all(seeds[:, None] != res.roots, axis=1)]
     if not len(seeds):
         return extract_path(res, labels), labels
-    # Parent -> child CSR of the tree, children in node order within a row;
-    # row n is the virtual root, holding the seeds.
-    child = np.flatnonzero(pred >= 0)
-    parent = pred[child]
-    indices = np.concatenate((child[np.argsort(parent, kind="stable")], seeds))
-    counts = np.bincount(parent, minlength=n + 1)
-    counts[n] = len(seeds)
-    indptr = np.concatenate(([0], np.cumsum(counts)))
-    tree = csr_matrix((np.ones(len(indices)), indices.astype(np.int32),
-                       indptr.astype(np.int32)), shape=(n + 1, n + 1))
-    affected = breadth_first_order(tree, n, return_predecessors=False)[1:]
-    in_set = np.zeros(n, dtype=bool)
-    in_set[affected] = True
+    # Pointer doubling: after round k, in_set holds the nodes with a seed
+    # among their 2^k nearest ancestors and up their 2^k-th, n past a root.
+    in_set = np.zeros(n + 1, dtype=bool)
+    in_set[seeds] = True
+    up = np.append(np.where(pred >= 0, pred, n), n)
+    for _ in range(n.bit_length() + 1):
+        in_set |= in_set[up]
+        up = up[up]
+        if (up == n).all():
+            break
+    else:
+        raise InvariantBreach("predecessor tree contains a cycle")
+    affected = np.flatnonzero(in_set[:n])
     dist[affected] = np.inf
     pred[affected] = -1
 
-    matrix, slot_eid, slot_rev, slot_row, _ = res.arcs()
-    cost = res.rcost[slot_eid]
-    into = (res.flow[slot_eid] == slot_rev) & in_set[matrix.indices]
+    arcs = res.arcs()
+    # The usable arc slots into the set.
+    slots = np.flatnonzero(in_set[arcs.col] & (res.flow[arcs.eid] == arcs.rev))
+    eids, tails, heads = arcs.eid[slots], arcs.row[slots], arcs.col[slots]
+    cost = res.rcost[eids]
+    weight = np.maximum(cost, 0.0)
     # With the set's labels cleared, a reached tail lies outside the set.
-    is_frontier = np.zeros(n, dtype=bool)
-    is_frontier[slot_row[into & np.isfinite(dist[slot_row])]] = True
-    frontier = np.flatnonzero(is_frontier)
-    off = frontier[dist[frontier] != 0.0]
-    if len(off):
-        raise InvariantBreach(
-            f"frontier node {off[0]} has label {dist[off[0]]}, not 0")
-    if len(frontier):
-        matrix.data = np.where(into, np.maximum(cost, 0.0), np.inf)
-        d, p, _ = dijkstra(matrix, indices=frontier, min_only=True,
-                           return_predecessors=True)
-        dist[affected] = d[affected]
-        pred[affected] = np.maximum(p[affected], -1)
-    _count_scanned(res, stats, slot_eid, into & np.isfinite(dist[slot_row]), cost)
-    stats.queue_pushes += int(np.count_nonzero(np.isfinite(dist[affected])))
-    stats.searches += 1
+    if np.any(dist[tails] < 0.0):
+        x = int(tails[np.argmax(dist[tails] < 0.0)])
+        raise InvariantBreach(f"frontier node {x} has negative label {dist[x]}")
+    entry = dist[tails] + weight
+    start = np.full(n, np.inf)
+    np.minimum.at(start, heads, entry)
+    # Each start label's arc (one of equal ones).
+    tight = np.flatnonzero(entry == start[heads])
+    first = np.full(n, -1)
+    first[heads[tight]] = tails[tight]
+    # One Dijkstra over the arcs within the set, from the virtual root,
+    # whose slot to each node weighs its start label.
+    inside, data = in_set[tails], arcs.matrix.data
+    data.fill(np.inf)
+    data[slots[inside]] = weight[inside]
+    data[-n:] = start
+    d, p, _ = dijkstra(arcs.matrix, indices=n, min_only=True,
+                       return_predecessors=True)
+    dist[affected] = d[affected]
+    p = p[affected]
+    pred[affected] = np.where(p == n, first[affected], np.maximum(p, -1))
+    _count_search(res, stats, eids, np.isfinite(dist[tails]), cost,
+                  np.isfinite(dist[affected]))
     return extract_path(res, labels), labels
+
+
+def push_round(res: OnlineResidual, shortest: Path, labels: PredecessorMap,
+               stats: SolverStats, guard: int, single: bool):
+    """Push one search's candidates, the unflowed exits v -> target by value
+    dist(v) + clamped reduced cost, each with v's tree path (shortest, the
+    search's own path, for the first). A single round pushes only the first.
+    Otherwise pushes stop at the first candidate that costs >= 0 (fsum of
+    original costs), enters a node an earlier push used, or ranks after an
+    exit a pushed cycle freed: so each push is a shortest path at its turn,
+    and the labels stay a lower bound, by which the least remaining item
+    certifies the optimum if it costs >= 0. The round's paths are disjoint
+    and flipped together at its end; their costs, then one >= 0, go to
+    stats.path_original_costs. Returns the cap d_k (the last pushed value,
+    else the first's), whether the optimum is certified, and a used mask.
+    """
+    dist, first = labels.dist, int(labels.pred[res.target])
+    if single:
+        values, tails = [float(dist[res.target])], [first]
+    else:
+        values, tails = (a.tolist() for a in res.exits(dist))
+    used = np.zeros(len(dist), dtype=bool)
+    freed = math.inf  # the least bound of an exit this round freed
+    cap, certified, pushed = values[0], not single, []
+    for value, v in zip(values, tails):
+        if freed < value:
+            certified = True
+            break
+        path = shortest if v == first else extract_path(res, labels, via=v)
+        cost = path_original_cost(res, path)
+        if cost >= 0.0 or used[path.nodes[1:-1]].any():
+            certified = cost >= 0.0  # else it enters a node a push used
+            if certified:
+                stats.path_original_costs.append(cost)
+            break
+        if stats.iterations >= guard:
+            raise InvariantBreach(f"SSP exceeded its iteration bound {guard}")
+        if path.nodes[0] == SINK:  # it frees its first node x's exit
+            x, p = path.nodes[1], res.potential
+            rc = res.graph.e_cost[path.eids[0]] + p[x] - p[res.target]
+            freed = min(freed, dist[x] + max(rc, 0.0))
+        used[path.nodes[1:-1]] = True
+        pushed.append(path)
+        stats.path_original_costs.append(cost)
+        stats.iterations += 1
+        cap = value
+    if pushed:  # nothing above reads the flow
+        build_residual(res, *pushed)
+    return cap, certified, used
+
+
+def successive_shortest_paths(res: OnlineResidual, stats: SolverStats,
+                              guard: int, path: Path | None,
+                              labels: PredecessorMap, broadcast: bool = False,
+                              single: bool = False):
+    """Successive shortest paths on res from its flow and potentials until a
+    round certifies the optimum or the target is unreached: the loop of
+    every exact solver, from the first search's path and labels. Each round
+    pushes from one search's tree (push_round), settles the potentials with
+    the cap d_k, and searches again: in full, or with broadcast only the
+    used nodes' and the target's subtrees, as outside them a label d becomes
+    max(d - d_k, 0), its tree path's length after the settle, and no path
+    is shorter (a path's last used node lies within d_k and no reversed arc
+    follows it). guard bounds the pushes; the later searches' distances to
+    the target go to stats.reduced_sink_dists.
+    """
+    while path is not None:
+        cap, certified, used = push_round(res, path, labels, stats, guard,
+                                          single)
+        res.settle(labels.dist, cap)
+        if certified:
+            break
+        res.reprice()
+        if broadcast:
+            labels.dist = np.maximum(labels.dist - cap, 0.0)
+            seeds = np.append(np.flatnonzero(used), res.target)
+            path, labels = dynamic_broadcast(res, seeds, labels, stats)
+        else:
+            path, labels = dijkstra_full(res, stats)
+        stats.reduced_sink_dists.append(float(labels.dist[res.target]))
 
 
 @dataclass(eq=False, slots=True)
@@ -818,70 +902,50 @@ def _solution_from_residual(res: ResidualGraph) -> FlowSolution:
     return res.decode()
 
 
-def _finalize_termination_stats(stats: SolverStats):
-    """Derive the stop iteration under both equivalent termination rules."""
-    origs = stats.path_original_costs
-    for k, c in enumerate(origs):
-        if c >= 0:
-            stats.prose_stop_iteration = k
-            break
-    dists = stats.reduced_sink_dists
-    if dists and np.isfinite(dists[0]) and dists[0] < 0:
-        acc = 0.0
-        for k in range(1, len(dists)):
-            if not np.isfinite(dists[k]):
-                break
-            acc += dists[k]
-            if acc > abs(dists[0]):
-                stats.alg1_stop_iteration = k
-                break
+def _finalize_termination_stats(stats: SolverStats, single: bool):
+    """Derive the stop iteration under both equivalent termination rules:
+    the first path costing >= 0, and for a one-path solve Algorithm 1's
+    (the later searches' distances sum past the first's magnitude)."""
+    stats.prose_stop_iteration = next(
+        (k for k, c in enumerate(stats.path_original_costs) if c >= 0), None)
+    d = stats.reduced_sink_dists
+    if single and d and -math.inf < d[0] < 0:
+        acc = np.cumsum(list(takewhile(math.isfinite, d[1:])))
+        over = np.flatnonzero(acc > -d[0])
+        stats.alg1_stop_iteration = int(over[0]) + 1 if len(over) else None
 
 
-def _ssp_loop(graph: TrackingGraph, inner: str):
-    """Successive shortest paths from zero flow; inner is "dijkstra" or
-    "dynamic". Returns (solution with its edge flows, stats)."""
+def _solve_batch(graph: TrackingGraph, broadcast: bool, single: bool):
+    """Successive shortest paths from zero flow, the first round pushing
+    from one DAG sweep's tree, whose distances become the potentials.
+    Returns (solution with its edge flows, stats)."""
     stats = SolverStats()
     if graph.is_empty or graph.n_detections == 0:
         return FlowSolution(), stats
-    res = ResidualGraph(graph)
-
+    res = OnlineResidual(graph)
     path, labels = dag_shortest_path(res, stats=stats)
-    stats.reduced_sink_dists.append(float(labels.dist[SINK]))
-
-    guard = graph.n_detections
-    while path is not None:
-        ocost = path_original_cost(res, path)
-        stats.path_original_costs.append(ocost)
-        if ocost >= 0.0:
-            break
-        if stats.iterations >= guard:
-            raise InvariantBreach("SSP exceeded the detection-count iteration bound")
-        labels = convert_edge_costs(res, labels)
-        build_residual(res, path)
-        stats.iterations += 1
-        prev_nodes = path.nodes
-        if inner == "dijkstra":
-            path, labels = dijkstra_full(res, stats)
-        else:
-            path, labels = dynamic_broadcast(res, prev_nodes, labels, stats)
-        stats.reduced_sink_dists.append(float(labels.dist[SINK]))
-
-    _finalize_termination_stats(stats)
+    stats.reduced_sink_dists.append(float(labels.dist[res.target]))
+    successive_shortest_paths(res, stats, graph.n_detections, path,
+                              convert_edge_costs(res, labels), broadcast, single)
+    _finalize_termination_stats(stats, single)
     solution = _solution_from_residual(res)
+    for i, t in enumerate(solution.trajectories):
+        t.track_id = i
     solution.edge_flow = dict(zip(graph.live_edges(),
                                   res.flow[graph.e_alive].tolist()))
     return solution, stats
 
 
 def solve_ssp(graph: TrackingGraph):
-    """Globally optimal batch solve; a full (compiled) Dijkstra at every
-    iteration."""
-    return _ssp_loop(graph, "dijkstra")
+    """Globally optimal batch solve, the paper's standard SSP: one path per
+    full (compiled) Dijkstra search."""
+    return _solve_batch(graph, broadcast=False, single=True)
 
 
 def solve_dssp(graph: TrackingGraph):
-    """Globally optimal batch solve; dynamic broadcasting at every iteration."""
-    return _ssp_loop(graph, "dynamic")
+    """Globally optimal batch solve: several paths per search, each round
+    followed by a dynamic broadcast."""
+    return _solve_batch(graph, broadcast=True, single=False)
 
 
 def solve_dp_greedy(graph: TrackingGraph):

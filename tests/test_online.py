@@ -6,7 +6,7 @@ import pytest
 
 from conftest import StubModel, build_graph, det, make_random_instance
 from flowtrack.cost_model import CostModel, Detection
-import flowtrack.online as online
+import flowtrack.ssp as ssp
 from flowtrack.errors import DataError, InvariantBreach
 from flowtrack.graph import FlowSolution, Trajectory, build_batch_graph
 from flowtrack.online import (OnlineTracker, TrackerConfig, TrackRegistry,
@@ -505,7 +505,7 @@ class TestSeveralPushesPerSearch:
         # negative, as rounding could make it: the potentials stay valid.
         model = StubModel(links={((0, 0), (1, 0)): 0.0},
                           detection={(0, 0): -5.0, (1, 0): -5.0, (1, 1): 1.0})
-        monkeypatch.setattr(online, "path_original_cost", lambda res, p: -1.0)
+        monkeypatch.setattr(ssp, "path_original_cost", lambda res, p: -1.0)
         tr = OnlineTracker(TrackerConfig(model=model, gating=False))
         tr.process_frame([det(0, 0)], frame=0)
         solution = tr.process_frame([det(1, 0), det(1, 1)], frame=1)

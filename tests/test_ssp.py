@@ -9,7 +9,7 @@ from conftest import (StubModel, build_graph, canonical_graph, det,
 from flowtrack.cost_model import CostModel
 from flowtrack.errors import DataError, InvariantBreach
 from flowtrack import ssp
-from flowtrack.graph import (KIND_U, LINK, SINK, SOURCE, FlowSolution,
+from flowtrack.graph import (EXIT, KIND_U, LINK, SINK, SOURCE, FlowSolution,
                              TrackingGraph, Trajectory, build_batch_graph,
                              check_flow_conservation)
 from flowtrack.ssp import (Path, PredecessorMap, ResidualGraph, SolverStats,
@@ -458,12 +458,70 @@ class TestCompiledBroadcast:
         assert not np.isfinite(labels.dist[[v, SINK]]).any()
         assert stats.relaxations == 0 and stats.queue_pushes == 0
 
-    def test_nonzero_frontier_label_raises(self):
+    def test_negative_frontier_label_raises(self):
         res, labels, u, v = single_det_tree()
         res.rcost[:] = 0.0
-        labels.dist[u] = 1.5
+        labels.dist[u] = -1.5
         with pytest.raises(InvariantBreach, match="label"):
             dynamic_broadcast(res, [v], labels)
+
+    def solve_multi_push(self, graph, max_rounds=50):
+        """Check every broadcast of a multi-push solve over the plain
+        residual: each round pushes the exits' tree paths in order of value
+        dist(v) + clamped reduced cost while they cost < 0 and avoid the sink
+        and the nodes of earlier pushes, raises the potentials by the labels
+        capped at d_k, the last pushed value (the sink's by d_k), and
+        broadcasts from the used nodes and the sink with labels
+        max(d - d_k, 0). Returns the labels above 0 the broadcasts started
+        from."""
+        g, res = graph, ResidualGraph(graph)
+        _, labels = dag_shortest_path(res)
+        labels = convert_edge_costs(res, labels)
+        above_zero = 0
+        for _ in range(max_rounds):
+            dist = labels.dist
+            exits = np.flatnonzero((g.e_kind == EXIT) & g.e_alive
+                                   & (res.flow == 0))
+            tails = g.e_src[exits]
+            values = dist[tails] + np.maximum(res.rcost[exits], 0.0)
+            used, cap = {SINK}, None
+            for i in np.argsort(values, kind="stable"):
+                if not np.isfinite(values[i]):
+                    break
+                path = extract_path(res, labels, via=int(tails[i]))
+                if (used & set(path.nodes[1:-1])
+                        or path_original_cost(res, path) >= 0.0):
+                    break
+                used |= set(path.nodes[1:-1])
+                build_residual(res, path)
+                cap = float(values[i])
+            if cap is None:
+                return above_zero
+            raised = np.minimum(dist, cap)
+            raised[SINK] = cap
+            res.potential += raised
+            res.reprice()
+            labels.dist = np.maximum(dist - cap, 0.0)
+            above_zero += int(np.count_nonzero(np.isfinite(labels.dist)
+                                               & (labels.dist > 0.0)))
+            self.check(res, sorted(used), labels)
+        return above_zero
+
+    def test_matches_reference_after_a_multi_push_settle(self):
+        # frontier labels need not be 0: after several pushes from one tree
+        # and a settle with the cap d_k, the old labels become max(d - d_k, 0)
+        above_zero = 0
+        for seed in range(12):
+            cfg = SyntheticConfig(n_frames=20, n_initial_tracks=4,
+                                  crossing=True, miss_rate=0.1, fp_rate=0.2)
+            dets, _ = generate_synthetic(cfg, seed)
+            above_zero += self.solve_multi_push(
+                build_batch_graph(dets, CostModel()))
+        for seed in range(15):
+            frames, model = make_random_instance(seed, frame_range=(3, 6),
+                                                 dets_range=(1, 4))
+            above_zero += self.solve_multi_push(build_graph(frames, model))
+        assert above_zero > 100
 
     def test_broken_or_cyclic_chain_raises(self):
         res, labels, u, v = single_det_tree()
@@ -486,10 +544,13 @@ class TestDynamicBroadcast:
         assert stats.relaxations == 0
         assert path2.eids == path.eids
 
-    def test_matches_dijkstra_sink_distance_per_iteration(self):
+    def test_matches_dijkstra_sink_distance_per_search(self):
+        # dssp against the same loop with a full search in place of each
+        # broadcast: the same rounds, each search at the same sink distance
         for seed in range(25):
             frames, model = make_random_instance(seed)
-            s1, st1 = solve_ssp(build_graph(frames, model))
+            s1, st1 = ssp._solve_batch(build_graph(frames, model),
+                                       broadcast=False, single=False)
             s2, st2 = solve_dssp(build_graph(frames, model))
             assert s1.total_cost == pytest.approx(s2.total_cost, abs=1e-9)
             assert len(st1.reduced_sink_dists) == len(st2.reduced_sink_dists)
@@ -856,6 +917,33 @@ class TestSolveDssp:
             s1, _ = solve_ssp(build_graph(frames, model))
             s2, _ = solve_dssp(build_graph(frames, model))
             assert s1.total_cost == pytest.approx(s2.total_cost, abs=1e-9)
+
+    def test_fewer_searches_than_ssp_on_criterion_6_scenes(self):
+        # several paths per search: on criterion 6's scenes dssp runs at most
+        # 0.75x the searches of one-path ssp, for the same augmentations
+        for seed in range(10):
+            cfg = SyntheticConfig(n_frames=110, n_initial_tracks=4,
+                                  miss_rate=0.1, fp_rate=0.1, spawn_prob=0.05,
+                                  death_prob=0.02)
+            dets, _ = generate_synthetic(cfg, seed)
+            _, st1 = solve_ssp(build_batch_graph(dets, CostModel()))
+            _, st2 = solve_dssp(build_batch_graph(dets, CostModel()))
+            assert st2.iterations == st1.iterations, seed
+            assert st2.searches <= 0.75 * st1.searches, seed
+
+    def test_same_trajectories_as_ssp_on_crossing_scenes(self):
+        def record(solution):
+            return ([(tuple(d.key for d in t.detections), float.hex(t.cost))
+                     for t in solution.trajectories],
+                    float.hex(float(solution.total_cost)))
+
+        for seed in range(20):
+            cfg = SyntheticConfig(n_frames=30, n_initial_tracks=5,
+                                  crossing=True, miss_rate=0.1, fp_rate=0.2)
+            dets, _ = generate_synthetic(cfg, seed)
+            s1, _ = solve_ssp(build_batch_graph(dets, CostModel()))
+            s2, _ = solve_dssp(build_batch_graph(dets, CostModel()))
+            assert record(s1) == record(s2), seed
 
 
 class TestDecodeTrajectories:
