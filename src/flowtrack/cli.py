@@ -169,19 +169,18 @@ def _track_stream(args, tracker: OnlineTracker) -> int:
         # revised later is written again under the new id. Keys below the
         # graph's first frame, t_min, can never match again.
         emitted, t_min = set(), None
-        # Rows the tracker logged that are not written yet: frozen (track
-        # id, detection) rows, and (pending, by detection object) the current
-        # rows that were new or got a new id (the tracker's row_log).
-        frozen = tracker.freeze_log = []
+        # Rows the tracker logged (its row_log): the frozen rows and the
+        # current rows that were new or got a new id. Pending, by detection
+        # object, are the logged rows not written yet.
         changed = tracker.row_log = []
         pending = {}
 
         def emit_through(limit):
             """Write the not yet emitted rows of frames <= limit. The
             candidates are the frozen rows and the current solution's rows,
-            which is what final_tracks() holds. A current row at or below a
-            limit is written then or never, unless its id changes, which logs
-            it again, so only the logged rows are candidates."""
+            which is what final_tracks() holds. A row at or below a limit is
+            written then or never, unless its id changes, which logs it
+            again, so only the logged rows are candidates."""
             nonlocal emitted, t_min
             for tid, d in changed:
                 if tid is None:
@@ -190,8 +189,8 @@ def _track_stream(args, tracker: OnlineTracker) -> int:
                     pending[id(d)] = tid, d
             changed.clear()
             ready = [row for row in pending.values() if row[1].frame <= limit]
-            rows = sorted((d.frame, tid, *d.box) for tid, d in frozen + ready
-                          if d.frame <= limit and (d.frame, tid) not in emitted)
+            rows = sorted((d.frame, tid, *d.box) for tid, d in ready
+                          if (d.frame, tid) not in emitted)
             for f, tid, x, y, w, h in rows:
                 emitted.add((f, tid))
                 fout.write(f"{f},{tid},{'%.6g' % x},{'%.6g' % y},"
@@ -199,7 +198,6 @@ def _track_stream(args, tracker: OnlineTracker) -> int:
             fout.flush()
             for _, d in ready:
                 del pending[id(d)]
-            frozen[:] = [(tid, d) for tid, d in frozen if d.frame > limit]
             if tracker.graph.t_min != t_min:
                 t_min = tracker.graph.t_min
                 emitted = {key for key in emitted if key[0] >= t_min}

@@ -224,12 +224,6 @@ class TrackingGraph:
         """The link edges from frame to frame + 1, in (previous, new) order."""
         return self.frame_links.get(frame + 1, NO_EDGES)
 
-    def link_edge_between(self, a: Detection, b: Detection) -> int | None:
-        va, ub = self.v_node(a), self.u_node(b)
-        block = self.frame_links[b.frame]
-        hit = block[(self.e_src[block] == va) & (self.e_dst[block] == ub)]
-        return int(hit[0]) if len(hit) else None
-
     def live_edges(self):
         return np.flatnonzero(self.e_alive).tolist()
 

@@ -1,9 +1,10 @@
 """Streaming trackers: optimal online solving and the memory-bounded variant.
 
 Each incoming frame is appended to the graph and the flow problem is re-solved
-from the previous frame's optimum: the tracker keeps one residual graph
-(ssp.OnlineResidual) with its flow and node potentials, gives the new frame's
-nodes potentials in one relaxation pass, and runs the exact solvers' loop
+from the previous frame's optimum: the tracker keeps the split-sink residual
+graph every solver runs on (ssp.ResidualGraph) with its flow and node
+potentials, gives the new frame's nodes potentials in one relaxation pass,
+reprices the reduced costs from them, and runs the exact solvers' loop
 (ssp.successive_shortest_paths) with full searches from the source and the
 sink's reversed exits, so tracks that continue into the frame are extended by
 cycles through the sink. One search usually settles a frame, as every path
@@ -27,7 +28,7 @@ from dataclasses import dataclass
 from .cost_model import CostModel, Detection
 from .errors import DataError, InvariantBreach
 from .graph import FlowSolution, TrackingGraph, Trajectory
-from .ssp import (Chain, OnlineResidual, SolverStats, _solution_from_residual,
+from .ssp import (Chain, ResidualGraph, SolverStats, _solution_from_residual,
                   dijkstra_full, successive_shortest_paths)
 
 
@@ -50,10 +51,10 @@ class PredecessorCache:
     over from frame to frame, and the frame it was last solved for."""
 
     def __init__(self, graph: TrackingGraph):
-        self.residual = OnlineResidual(graph)
+        self.residual = ResidualGraph(graph)
         self.frame: int | None = None
 
-    def lookup(self) -> OnlineResidual | None:
+    def lookup(self) -> ResidualGraph | None:
         """The residual if it holds an earlier frame's optimum, else None:
         the graph was empty, so the solve starts from zero flow."""
         return None if self.frame is None else self.residual
@@ -61,7 +62,7 @@ class PredecessorCache:
     def clip(self, heads: list[Chain]):
         """Clip the oldest frame, where the chains heads start, keeping the
         optimum's flow and decode on what stays
-        (OnlineResidual.clip_oldest_frame); an emptied graph holds none."""
+        (ResidualGraph.clip_oldest_frame); an emptied graph holds none."""
         self.residual.clip_oldest_frame(heads)
         if self.residual.graph.is_empty:
             self.frame = None
@@ -159,13 +160,11 @@ class OnlineTracker:
         self.solution = FlowSolution()
         self.registry = TrackRegistry()
         self.frozen: dict[int, list[Detection]] = {}
-        # Set to a list to have each (track id, detection) appended as it is
-        # frozen; the owner consumes and trims it.
-        self.freeze_log: list[tuple[int, Detection]] | None = None
         # Set to a list to have appended, as each frame is solved, each
-        # current (track id, detection) row that is new or got a new id, and
-        # (None, detection) for each detection that left the current
-        # solution, by a clip or a push; the owner consumes and trims it.
+        # current (track id, detection) row that is new or got a new id, each
+        # (track id, detection) row that a clip froze, and (None, detection)
+        # for each detection that a push took out of the current solution;
+        # the owner consumes and trims it.
         self.row_log: list[tuple[int | None, Detection]] | None = None
         # The current trajectories' chains by track id, and by the origin
         # their entry carries (_assign_ids).
@@ -219,10 +218,8 @@ class OnlineTracker:
         for c in heads:
             tid, first = c.traj.track_id, c.dets[0]
             self.frozen.setdefault(tid, []).append(first)
-            if self.freeze_log is not None:
-                self.freeze_log.append((tid, first))
             if self.row_log is not None:
-                self.row_log.append((None, first))
+                self.row_log.append((tid, first))
         self.cache.clip(heads)
 
     def _register(self, c: Chain):

@@ -1,21 +1,23 @@
 """Successive shortest path solvers over the tracking graph.
 
-Contains the residual graph (node potentials, from which every exact solver
-derives its reduced costs c + p(u) - p(v), and edge reversal), the DAG
-shortest-path sweep, the full Dijkstra search, the paper's dynamic broadcast
-that re-labels only the invalidated part of the shortest-path tree,
-trajectory decoding kept up to date from the edges whose flow changed
-(FlowDecoder), and the greedy DP baseline. Every search is compiled: the
-DAG sweep is one numpy reduction per frame layer, and both other searches
-are scipy's Dijkstra over one CSR of the residual arcs.
+Contains the residual graph (a flow per edge, node potentials, from which
+reprice alone derives the reduced costs c + p(u) - p(v), and the decode of
+the flow), the DAG shortest-path sweep, the full Dijkstra search, the
+paper's dynamic broadcast that re-labels only the invalidated part of the
+shortest-path tree, trajectory decoding kept up to date from the edges whose
+flow changed (FlowDecoder), and the greedy DP baseline. Every search is
+compiled: the DAG sweep is one numpy reduction per frame layer, and both
+other searches are scipy's Dijkstra over one CSR of the residual arcs.
 
-Every exact solver runs one loop, successive_shortest_paths, over a
-residual that splits the sink into a root and a target (OnlineResidual):
-each round pushes from one search's tree, and the potentials then settle.
-ssp pushes one path per full search, as the paper's standard SSP does.
-dssp pushes every candidate that is still a shortest path at its turn (as
-in muSSP, Wang et al., NeurIPS 2019) and broadcasts after each round. The
-online trackers push several per full search, from the last frame's optimum.
+Every solver runs on one residual graph, whose sink is split into a root
+and a target (ResidualGraph). Every exact solver runs one loop,
+successive_shortest_paths: each round pushes from one search's tree, and
+the potentials then settle. ssp pushes one path per full search, as the
+paper's standard SSP does. dssp pushes every candidate that is still a
+shortest path at its turn (as in muSSP, Wang et al., NeurIPS 2019) and
+broadcasts after each round. The online trackers push several per full
+search, from the last frame's optimum. The greedy dp sweeps the forward
+graph alone and carries no flow.
 """
 from __future__ import annotations
 
@@ -110,29 +112,44 @@ Arcs = namedtuple("Arcs", "matrix eid rev row col key")
 
 
 class ResidualGraph:
-    """A tracking graph plus per-edge flow state and node potentials.
+    """The residual graph of every solver: a tracking graph plus a flow per
+    edge slot, a potential per search node and the decode of its flow.
 
     Edges carrying flow are traversed dst -> src. Every search node u has a
     potential p(u), and rcost holds each edge's reduced cost in its residual
-    direction, c + p(tail) - p(head), set by reprice and negated by flip;
-    that is the only place reduced costs come from. eps is the tolerance
-    below 0 that a reduced cost may reach by rounding (see EPS). The
-    compiled search runs from `roots` to `target`; the search nodes are the
-    graph's node slots, one potential each.
+    direction, c + p(tail) - p(head). reprice alone sets it: after a flip or
+    a change of potentials it is stale until the next reprice. eps is the
+    tolerance below 0 that a reduced cost may reach by rounding (see EPS).
+
+    A track that continues into a new frame keeps the flow value: it is a
+    cycle sink -> v_old (reversed exit) -> u_new -> v_new -> sink. So the
+    search splits the sink: its out-arcs, the reversed flowed exits, leave a
+    root, which shares potential 0 with the source, the other root; exits
+    enter the target, node n_nodes, which holds the sink's potential. The
+    search nodes are the graph's node slots and the target. A tracker builds
+    it over an empty graph and keeps it from frame to frame through appends
+    and clips; a batch solve builds it over the whole graph.
     """
 
-    roots = (SOURCE,)
-    target = SINK
+    roots = (SINK, SOURCE)
 
     def __init__(self, graph: TrackingGraph):
         g = self.graph = graph
         self.flow = np.zeros(len(g.e_src), dtype=np.int8)
         self.touched: list[int] = []  # edges flipped since the last decode
-        # One potential per search node: the node slots, a split sink's target.
-        self.potential = np.zeros(max(self.n_nodes, self.target + 1))
+        self.potential = np.zeros(self.n_nodes + 1)  # node slots, the target
+        self.decoded = FlowDecoder(graph)
         self._read_costs()
         check_cost_sum(self.cost_sum)
         self.reprice()
+
+    @property
+    def n_nodes(self) -> int:
+        return len(self.graph.node_kind)
+
+    @property
+    def target(self) -> int:
+        return self.n_nodes
 
     def _read_costs(self):
         """Re-read the live costs' scale (eps) and sum after the graph
@@ -144,8 +161,9 @@ class ResidualGraph:
         self._arcs = self._dag = None
 
     def fwd_dst(self) -> np.ndarray:
-        """The search node each edge's forward arc ends at."""
-        return self.graph.e_dst
+        """The search node each edge's forward arc ends at: its head, the
+        target for the sink."""
+        return np.where(self.graph.e_dst == SINK, self.target, self.graph.e_dst)
 
     def reprice(self):
         """Set rcost to every edge's reduced cost in its residual direction."""
@@ -221,50 +239,11 @@ class ResidualGraph:
             self._dag = (eids, g.e_src[eids], heads, levels)
         return self._dag
 
-    @property
-    def n_nodes(self) -> int:
-        return len(self.graph.node_kind)
-
-    def res_endpoints(self, eid: int) -> tuple[int, int]:
-        ends = int(self.graph.e_src[eid]), int(self.graph.e_dst[eid])
-        return ends if self.flow[eid] == 0 else ends[::-1]
-
     def flip(self, eids: np.ndarray):
         """Push or cancel the unit of flow on the distinct edges eids: their
-        residual arcs turn round, and so do the signs of their reduced
-        costs."""
+        residual arcs turn round."""
         self.flow[eids] ^= 1
-        self.rcost[eids] = -self.rcost[eids]
         self.touched += eids.tolist()
-
-
-class OnlineResidual(ResidualGraph):
-    """The residual graph of the exact solvers, whose sink is split.
-
-    It holds a flow and node potentials p under which every residual arc has
-    reduced cost c + p(u) - p(v) >= 0 (rcost, set by reprice). A track that
-    continues into a new frame keeps the flow value: it is a cycle sink ->
-    v_old (reversed exit) -> u_new -> v_new -> sink. So the search splits
-    the sink: its out-arcs, the reversed flowed exits, leave a root, which
-    shares potential 0 with the source, the other root; exits enter the
-    target, node n_nodes, which holds the sink's potential. A tracker builds
-    it over an empty graph and keeps it from frame to frame through appends
-    and clips; a batch solve builds it over the whole graph. It keeps only a
-    flow per edge slot, a potential per node slot and the decode of its flow.
-    """
-
-    roots = (SINK, SOURCE)
-
-    def __init__(self, graph: TrackingGraph):
-        super().__init__(graph)
-        self.decoded = FlowDecoder(graph)
-
-    @property
-    def target(self) -> int:
-        return self.n_nodes
-
-    def fwd_dst(self) -> np.ndarray:  # edge heads, the target for the sink
-        return np.where(self.graph.e_dst == SINK, self.target, self.graph.e_dst)
 
     def _sync(self):
         """Fit flow and potentials to the graph's slots after an append: new
@@ -579,7 +558,7 @@ def dynamic_broadcast(res: ResidualGraph, seeds, labels: PredecessorMap,
     return extract_path(res, labels), labels
 
 
-def push_round(res: OnlineResidual, shortest: Path, labels: PredecessorMap,
+def push_round(res: ResidualGraph, shortest: Path, labels: PredecessorMap,
                stats: SolverStats, guard: int, single: bool):
     """Push one search's candidates, the unflowed exits v -> target by value
     dist(v) + clamped reduced cost, each with v's tree path (shortest, the
@@ -628,7 +607,7 @@ def push_round(res: OnlineResidual, shortest: Path, labels: PredecessorMap,
     return cap, certified, used
 
 
-def successive_shortest_paths(res: OnlineResidual, stats: SolverStats,
+def successive_shortest_paths(res: ResidualGraph, stats: SolverStats,
                               guard: int, path: Path | None,
                               labels: PredecessorMap, broadcast: bool = False,
                               single: bool = False):
@@ -922,7 +901,7 @@ def _solve_batch(graph: TrackingGraph, broadcast: bool, single: bool):
     stats = SolverStats()
     if graph.is_empty or graph.n_detections == 0:
         return FlowSolution(), stats
-    res = OnlineResidual(graph)
+    res = ResidualGraph(graph)
     path, labels = dag_shortest_path(res, stats=stats)
     stats.reduced_sink_dists.append(float(labels.dist[res.target]))
     successive_shortest_paths(res, stats, graph.n_detections, path,
@@ -959,7 +938,7 @@ def solve_dp_greedy(graph: TrackingGraph):
     if graph.is_empty or graph.n_detections == 0:
         return FlowSolution(), stats
 
-    excluded = np.zeros(res.n_nodes, dtype=bool)
+    excluded = np.zeros(len(res.potential), dtype=bool)
     trajectories = []
     edge_flow = {eid: 0 for eid in graph.live_edges()}
     total = 0.0
@@ -967,7 +946,7 @@ def solve_dp_greedy(graph: TrackingGraph):
         path, labels = dag_shortest_path(res, stats=stats, excluded=excluded)
         if path is None:
             break
-        cost = float(labels.dist[SINK])
+        cost = float(labels.dist[res.target])
         if cost >= 0.0:
             break
         stats.iterations += 1

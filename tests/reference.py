@@ -1,10 +1,10 @@
 """Reference implementations that the tests hold the package to: the full
-decode of a flow, and two graph helpers that only tests use."""
+decode of a flow, and three graph helpers that only tests use."""
 from __future__ import annotations
 
 import numpy as np
 
-from flowtrack.cost_model import FrameBoxes
+from flowtrack.cost_model import Detection, FrameBoxes
 from flowtrack.errors import InvariantBreach
 from flowtrack.graph import SINK, SOURCE, TrackingGraph, Trajectory, gate_pairs
 
@@ -50,6 +50,15 @@ def gate_block(a: FrameBoxes, b: FrameBoxes,
     shape = len(a.dets), len(b.dets)
     ip, jn = np.indices(shape).reshape(2, -1)
     return gate_pairs(a, b, ip, jn, radius_factor).reshape(shape)
+
+
+def link_edge_between(g: TrackingGraph, a: Detection,
+                      b: Detection) -> int | None:
+    """The link edge from detection a to detection b, None if gated out."""
+    va, ub = g.v_node(a), g.u_node(b)
+    block = g.frame_links[b.frame]
+    hit = block[(g.e_src[block] == va) & (g.e_dst[block] == ub)]
+    return int(hit[0]) if len(hit) else None
 
 
 def graphs_structurally_equal(a: TrackingGraph, b: TrackingGraph,

@@ -12,7 +12,7 @@ from flowtrack.graph import (DET, EDGE_COLUMNS, ENTRY, EXIT, LINK,
                              build_batch_graph, check_flow_conservation,
                              check_layered_dag)
 from flowtrack.ssp import solve_ssp
-from reference import graphs_structurally_equal
+from reference import graphs_structurally_equal, link_edge_between
 
 
 class TestStructure:
@@ -237,7 +237,7 @@ class TestClipOldestFrame:
         freed_nodes = set(g.det_nodes[old.key])
         freed_edges = {g.entry_edge_of(old), g.detection_edge_of(old),
                        int(g.node_out[g.v_node(old)]),
-                       g.link_edge_between(old, det(1, 0))}
+                       link_edge_between(g, old, det(1, 0))}
 
         def lengths():
             return [len(getattr(g, name)) for name in

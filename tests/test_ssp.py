@@ -19,6 +19,7 @@ from flowtrack.ssp import (Path, PredecessorMap, ResidualGraph, SolverStats,
                            solve_dssp, solve_ssp)
 from flowtrack.online import OnlineTracker, TrackerConfig
 from flowtrack.synthetic import SyntheticConfig, generate_synthetic
+from reference import link_edge_between
 
 
 def single_det_graph(detection=-5.0):
@@ -32,7 +33,7 @@ class TestDagShortestPath:
     def test_single_detection(self):
         res = ResidualGraph(single_det_graph())
         path, labels = dag_shortest_path(res)
-        assert labels.dist[SINK] == pytest.approx(-1.0)  # 2 - 5 + 2
+        assert labels.dist[res.target] == pytest.approx(-1.0)  # 2 - 5 + 2
         assert path.nodes[0] == SOURCE and path.nodes[-1] == SINK
         assert len(path.eids) == 3
 
@@ -40,7 +41,7 @@ class TestDagShortestPath:
         g, _, _ = canonical_graph()
         res = ResidualGraph(g)
         path, labels = dag_shortest_path(res)
-        assert labels.dist[SINK] == pytest.approx(-6.0)
+        assert labels.dist[res.target] == pytest.approx(-6.0)
         # the path uses a matched (cost 0) link
         link = [e for e in path.eids if g.e_kind[e] == LINK]
         assert len(link) == 1 and g.e_cost[link[0]] == 0.0
@@ -50,7 +51,7 @@ class TestDagShortestPath:
         res = ResidualGraph(g)
         path, labels = dag_shortest_path(res)
         assert path is None
-        assert not np.isfinite(labels.dist[SINK])
+        assert not np.isfinite(labels.dist[res.target])
 
     def test_matches_dijkstra_on_converted_graph(self):
         for seed in range(10):
@@ -59,7 +60,7 @@ class TestDagShortestPath:
             p1, l1 = dag_shortest_path(res)
             convert_edge_costs(res, l1)
             p2, l2 = dijkstra_full(res)
-            assert l2.dist[SINK] == pytest.approx(0.0, abs=1e-9)
+            assert l2.dist[res.target] == pytest.approx(0.0, abs=1e-9)
 
 
 class TestConvertEdgeCosts:
@@ -80,10 +81,10 @@ class TestConvertEdgeCosts:
         res = ResidualGraph(g)
         u, v = g.det_nodes[(0, 0)]
         det_eid = g.detection_edge_of(det(0, 0))
-        labels = PredecessorMap(res.n_nodes)
+        labels = PredecessorMap(len(res.potential), res.roots)
         labels.dist[u] = -3.0
         labels.dist[v] = -6.0
-        labels.dist[SINK] = -106.0
+        labels.dist[res.target] = -106.0
         convert_edge_costs(res, labels)
         assert res.rcost[det_eid] == pytest.approx(4.0)
 
@@ -97,7 +98,7 @@ class TestConvertEdgeCosts:
         g.append_frame([det(0, 0), det(0, 1)], model, frame=0)
         g.append_frame([det(1, 0), det(1, 1)], model)
         res = ResidualGraph(g)
-        labels = PredecessorMap(res.n_nodes)
+        labels = PredecessorMap(len(res.potential), res.roots)
         labels.dist[:] = 0.0
         before = res.rcost.copy()
         convert_edge_costs(res, labels)
@@ -106,9 +107,9 @@ class TestConvertEdgeCosts:
     def test_stale_labels_detected(self):
         g = single_det_graph()
         res = ResidualGraph(g)
-        labels = PredecessorMap(res.n_nodes)
+        labels = PredecessorMap(len(res.potential), res.roots)
         labels.dist[:] = 0.0
-        labels.dist[SINK] = 100.0  # inconsistent with exit cost 2
+        labels.dist[res.target] = 100.0  # inconsistent with exit cost 2
         with pytest.raises(InvariantBreach):
             convert_edge_costs(res, labels)
 
@@ -140,6 +141,7 @@ class TestBuildResidual:
         assert len(first_link) == 1 and g.e_cost[first_link[0]] == -4.0
         labels = convert_edge_costs(res, labels)
         build_residual(res, path)
+        res.reprice()
         path2, labels = dijkstra_full(res)
         assert path_original_cost(res, path2) == pytest.approx(-8.0)
         # the second path traverses the reversed -4 link, cancelling it
@@ -166,20 +168,22 @@ def edges_at(g, mask, ends):
 
 def out_arcs(res, node):
     """Residual arcs out of node, as (edge id, head), from the edge columns:
-    its out-edges without flow, then its in-edges with flow."""
-    g, fl = res.graph, res.flow
-    yield from edges_at(g, (g.e_src == node) & (fl == 0), g.e_dst)
+    its out-edges without flow, to their forward heads (the target for the
+    sink), then its in-edges with flow."""
+    g, fl, fwd = res.graph, res.flow, res.fwd_dst()
+    for eid, _ in edges_at(g, (g.e_src == node) & (fl == 0), g.e_dst):
+        yield eid, int(fwd[eid])
     yield from edges_at(g, (g.e_dst == node) & (fl == 1), g.e_src)
 
 
 def heap_dijkstra(res):
-    """Plain-heap reference search: (distances, arcs scanned out of settled
-    nodes). Negative reduced costs count as 0, as in the solvers; on the
-    converted graphs below they lie within eps of 0."""
-    dist = np.full(res.n_nodes, np.inf)
-    dist[SOURCE] = 0.0
-    done = np.zeros(res.n_nodes, dtype=bool)
-    heap, scanned = [(0.0, SOURCE)], 0
+    """Plain-heap reference search from both roots: (distances, arcs scanned
+    out of settled nodes). Negative reduced costs count as 0, as in the
+    solvers; on the converted graphs below they lie within eps of 0."""
+    dist = np.full(len(res.potential), np.inf)
+    dist[list(res.roots)] = 0.0
+    done = np.zeros(len(res.potential), dtype=bool)
+    heap, scanned = sorted((0.0, r) for r in res.roots), 0
     while heap:
         d, u = heapq.heappop(heap)
         if done[u]:
@@ -205,7 +209,55 @@ def residual_states(graph, max_paths=6):
         if path is None or path_original_cost(res, path) >= 0.0:
             return
         build_residual(res, path)
+        res.reprice()
         path, labels = dijkstra_full(res)
+
+
+def flowed_exits(res):
+    """The reversed exits, the arcs out of the sink root."""
+    g = res.graph
+    return int(np.count_nonzero((g.e_kind == EXIT) & g.e_alive
+                                & (res.flow == 1)))
+
+
+def tracker_residuals(window=4):
+    """A windowed tracker's own residual at frames mid-stream, repriced: its
+    slots are recycled, and its sink root carries the reversed exits of the
+    tracks that continue."""
+    frames, model = synthetic_frames()
+    tracker = OnlineTracker(TrackerConfig(model=model, window=window))
+    for f in sorted(frames):
+        tracker.process_frame(frames[f], frame=f)
+        if f >= 6 and f % 3 == 0:
+            res = tracker.cache.residual
+            res.reprice()
+            yield res
+
+
+def multi_push_states(seed, rounds=4):
+    """(residual, seeds, labels) after each of the first rounds of a dssp
+    solve of a crossing scene, pushed and settled by the solver's own
+    push_round and settle: the sink root carries the pushed paths' reversed
+    exits, the labels are max(d - d_k, 0) and the seeds are the used nodes
+    and the target, as successive_shortest_paths broadcasts them."""
+    cfg = SyntheticConfig(n_frames=20, n_initial_tracks=4, crossing=True,
+                          miss_rate=0.1, fp_rate=0.2)
+    graph = build_batch_graph(generate_synthetic(cfg, seed)[0], CostModel())
+    res = ResidualGraph(graph)
+    path, labels = dag_shortest_path(res)
+    labels = convert_edge_costs(res, labels)
+    for _ in range(rounds):
+        cap, certified, used = ssp.push_round(
+            res, path, labels, SolverStats(), graph.n_detections, single=False)
+        res.settle(labels.dist, cap)
+        if certified:
+            return
+        res.reprice()
+        labels.dist = np.maximum(labels.dist - cap, 0.0)
+        yield res, np.append(np.flatnonzero(used), res.target), labels
+        path, labels = dijkstra_full(res)
+        if path is None:
+            return
 
 
 class TestCompiledDijkstra:
@@ -220,14 +272,18 @@ class TestCompiledDijkstra:
         assert np.array_equal(np.isfinite(labels.dist), reached)
         assert np.allclose(labels.dist[reached], want[reached],
                            rtol=0.0, atol=1e-12)
-        assert (path is None) == (not reached[SINK])
+        assert (path is None) == (not reached[res.target])
         assert stats.relaxations == scanned
         assert stats.queue_pushes == int(reached.sum())
         if path is not None:
-            # the path follows the labels: every arc on it is tight
-            for u, v, eid in zip(path.nodes, path.nodes[1:], path.eids):
-                assert res.res_endpoints(eid) == (u, v)
-                assert labels.dist[v] == pytest.approx(
+            # the path follows the labels: every arc on it is tight; the
+            # path names the target the sink
+            g, heads = res.graph, path.nodes[1:-1] + [res.target]
+            for u, v, w, eid in zip(path.nodes, path.nodes[1:], heads,
+                                    path.eids):
+                ends = int(g.e_src[eid]), int(g.e_dst[eid])
+                assert (ends if res.flow[eid] == 0 else ends[::-1]) == (u, v)
+                assert labels.dist[w] == pytest.approx(
                     labels.dist[u] + max(float(res.rcost[eid]), 0.0),
                     abs=1e-12)
         return path
@@ -259,6 +315,25 @@ class TestCompiledDijkstra:
                 for res in residual_states(g):
                     self.check(res)
 
+    def test_matches_heap_reference_from_the_sink_root(self):
+        # residuals whose sink root carries reversed exits: a windowed
+        # tracker's mid-stream, and a dssp solve's after each multi-push
+        # round; the searches reach nodes from the sink root
+        states = from_sink = 0
+        for res in tracker_residuals():
+            assert flowed_exits(res) > 0
+            self.check(res)
+            from_sink += int(np.count_nonzero(dijkstra_full(res)[1].pred == SINK))
+            states += 1
+        for seed in range(6):
+            for res, _, _ in multi_push_states(seed):
+                assert flowed_exits(res) > 0
+                self.check(res)
+                from_sink += int(np.count_nonzero(
+                    dijkstra_full(res)[1].pred == SINK))
+                states += 1
+        assert states > 15 and from_sink > 2 * states
+
     def test_zero_cost_arc_is_an_edge(self):
         # every arc costs exactly 0, so every node is reached only through
         # explicit zero weights
@@ -267,7 +342,7 @@ class TestCompiledDijkstra:
         path = self.check(res)
         assert path is not None and len(path.eids) == 3
         _, labels = dijkstra_full(res)
-        assert np.all(labels.dist[[SOURCE, SINK]] == 0.0)
+        assert np.all(labels.dist[[SOURCE, SINK, res.target]] == 0.0)
 
     def test_negative_arc_out_of_reached_node_raises(self):
         res = ResidualGraph(single_det_graph())  # detection edge costs -5
@@ -286,14 +361,15 @@ class TestCompiledDijkstra:
         stats = SolverStats()
         path, labels = dijkstra_full(res, stats)
         assert path is None
-        assert np.isfinite(labels.dist).sum() == 1
-        assert stats.relaxations == 0 and stats.queue_pushes == 1
+        assert np.isfinite(labels.dist).sum() == len(res.roots)
+        assert stats.relaxations == 0 and stats.queue_pushes == len(res.roots)
 
 
 def in_arcs(res, node):
-    """Residual arcs into node, as (edge id, tail), from the edge columns."""
+    """Residual arcs into node, as (edge id, tail), from the edge columns;
+    forward arcs end at their forward heads (the target for the sink)."""
     g, fl = res.graph, res.flow
-    yield from edges_at(g, (g.e_dst == node) & (fl == 0), g.e_src)
+    yield from edges_at(g, (res.fwd_dst() == node) & (fl == 0), g.e_src)
     yield from edges_at(g, (g.e_src == node) & (fl == 1), g.e_dst)
 
 
@@ -311,13 +387,13 @@ def python_broadcast(res, seeds, labels, stats):
     frontier's in-arcs. relaxations counts the arcs into the affected set out
     of reached nodes, queue_pushes the nodes settled."""
     dist, pred = labels.dist, labels.pred
-    n = res.n_nodes
+    n = len(res.potential)
     children = [[] for _ in range(n)]
     for x in range(n):
         if pred[x] >= 0:
             children[pred[x]].append(x)
     affected = set()
-    stack = [s for s in set(seeds) if s != SOURCE]
+    stack = [s for s in set(seeds) if s not in res.roots]
     while stack:
         x = stack.pop()
         if x in affected:
@@ -370,13 +446,13 @@ def copy_labels(labels):
 
 def single_det_tree():
     """single_det_graph's residual with zero labels over the tree source ->
-    u -> v -> sink; the u -> v detection arc costs -5."""
+    u -> v -> target; the u -> v detection arc costs -5."""
     g = single_det_graph()
     res = ResidualGraph(g)
     u, v = g.det_nodes[(0, 0)]
-    labels = PredecessorMap(res.n_nodes)
+    labels = PredecessorMap(len(res.potential), res.roots)
     labels.dist[:] = 0.0
-    labels.pred[[u, v, SINK]] = [SOURCE, u, v]
+    labels.pred[[u, v, res.target]] = [SOURCE, u, v]
     return res, labels, u, v
 
 
@@ -413,6 +489,7 @@ class TestCompiledBroadcast:
                and checked <= max_paths):
             labels = convert_edge_costs(res, labels)
             build_residual(res, path)
+            res.reprice()
             path = self.check(res, path.nodes, labels)
             checked += 1
         return checked
@@ -455,7 +532,7 @@ class TestCompiledBroadcast:
         stats = SolverStats()
         path, _ = dynamic_broadcast(res, [v], labels, stats)
         assert path is None
-        assert not np.isfinite(labels.dist[[v, SINK]]).any()
+        assert not np.isfinite(labels.dist[[v, res.target]]).any()
         assert stats.relaxations == 0 and stats.queue_pushes == 0
 
     def test_negative_frontier_label_raises(self):
@@ -466,14 +543,13 @@ class TestCompiledBroadcast:
             dynamic_broadcast(res, [v], labels)
 
     def solve_multi_push(self, graph, max_rounds=50):
-        """Check every broadcast of a multi-push solve over the plain
-        residual: each round pushes the exits' tree paths in order of value
-        dist(v) + clamped reduced cost while they cost < 0 and avoid the sink
-        and the nodes of earlier pushes, raises the potentials by the labels
-        capped at d_k, the last pushed value (the sink's by d_k), and
-        broadcasts from the used nodes and the sink with labels
-        max(d - d_k, 0). Returns the labels above 0 the broadcasts started
-        from."""
+        """Check every broadcast of a multi-push solve: each round pushes
+        the exits' tree paths in order of value dist(v) + clamped reduced
+        cost while they cost < 0 and avoid the sink (no cycles) and the
+        nodes of earlier pushes, raises the potentials by the labels capped
+        at d_k, the last pushed value (the target's by d_k), and broadcasts
+        from the used nodes and the target with labels max(d - d_k, 0).
+        Returns the labels above 0 the broadcasts started from."""
         g, res = graph, ResidualGraph(graph)
         _, labels = dag_shortest_path(res)
         labels = convert_edge_costs(res, labels)
@@ -489,7 +565,7 @@ class TestCompiledBroadcast:
                 if not np.isfinite(values[i]):
                     break
                 path = extract_path(res, labels, via=int(tails[i]))
-                if (used & set(path.nodes[1:-1])
+                if (used & set(path.nodes[:-1])
                         or path_original_cost(res, path) >= 0.0):
                     break
                 used |= set(path.nodes[1:-1])
@@ -498,13 +574,13 @@ class TestCompiledBroadcast:
             if cap is None:
                 return above_zero
             raised = np.minimum(dist, cap)
-            raised[SINK] = cap
+            raised[res.target] = cap
             res.potential += raised
             res.reprice()
             labels.dist = np.maximum(dist - cap, 0.0)
             above_zero += int(np.count_nonzero(np.isfinite(labels.dist)
                                                & (labels.dist > 0.0)))
-            self.check(res, sorted(used), labels)
+            self.check(res, sorted(used | {res.target}), labels)
         return above_zero
 
     def test_matches_reference_after_a_multi_push_settle(self):
@@ -522,6 +598,25 @@ class TestCompiledBroadcast:
                                                  dets_range=(1, 4))
             above_zero += self.solve_multi_push(build_graph(frames, model))
         assert above_zero > 100
+
+    def test_matches_reference_from_the_sink_root(self):
+        # a windowed tracker's residual mid-stream, from a full search's
+        # labels: re-label the subtrees of the nodes the sink root's arcs
+        # reach and the target's; and a dssp solve's after each multi-push
+        # round, from the labels, used nodes and target that round leaves
+        checked = 0
+        for res in tracker_residuals():
+            _, labels = dijkstra_full(res)
+            below_sink = np.flatnonzero(labels.pred == SINK)
+            assert len(below_sink)
+            self.check(res, np.append(below_sink, res.target), labels)
+            checked += 1
+        for seed in range(6):
+            for res, seeds, labels in multi_push_states(seed):
+                assert flowed_exits(res) > 0
+                self.check(res, seeds, labels)
+                checked += 1
+        assert checked > 15
 
     def test_broken_or_cyclic_chain_raises(self):
         res, labels, u, v = single_det_tree()
@@ -583,10 +678,10 @@ def python_dag(res, stats, excluded=frozenset()):
     v nodes' out-arcs, in the order out_arcs gives, with a strict-<
     relaxation, skipping unreached tails and excluded nodes."""
     g = res.graph
-    labels = PredecessorMap(res.n_nodes)
+    labels = PredecessorMap(len(res.potential), res.roots)
     if g.is_empty:
         return None, labels
-    dist, pred = labels.dist, [-1] * res.n_nodes
+    dist, pred = labels.dist, [-1] * len(res.potential)
 
     def relax(u, eid, v):
         stats.relaxations += 1
@@ -619,9 +714,9 @@ def python_dp_greedy(graph):
     edge_flow = {eid: 0 for eid in graph.live_edges()}
     for _ in range(graph.n_detections + 1):
         path, labels = python_dag(res, stats, excluded)
-        if path is None or labels.dist[SINK] >= 0.0:
+        if path is None or labels.dist[res.target] >= 0.0:
             break
-        cost = float(labels.dist[SINK])
+        cost = float(labels.dist[res.target])
         stats.iterations += 1
         dets = [graph.node_det[n] for n in path.nodes
                 if graph.node_kind[n] == KIND_U]
@@ -697,7 +792,8 @@ class TestCompiledDagSweep:
         return res
 
     def random_mask(self, graph, rng):
-        mask = np.zeros(len(graph.node_kind), dtype=bool)
+        # one entry per search node: the node slots, then the target
+        mask = np.zeros(len(graph.node_kind) + 1, dtype=bool)
         for u, v in graph.det_nodes.values():
             if rng.random() < 0.3:
                 mask[u if rng.random() < 0.5 else v] = True
@@ -735,8 +831,8 @@ class TestCompiledDagSweep:
                 self.check(graph, self.random_mask(graph, rng))
         # excluding every node leaves the sink unreached
         graph = dyadic_instance(0)
-        mask = np.ones(len(graph.node_kind), dtype=bool)
-        mask[[SOURCE, SINK]] = False
+        mask = np.ones(len(graph.node_kind) + 1, dtype=bool)
+        mask[[SOURCE, SINK, -1]] = False
         res = self.check(graph, mask)
         assert dag_shortest_path(res, excluded=mask)[0] is None
 
@@ -750,8 +846,10 @@ class TestCompiledDagSweep:
             for graph in recycled_graphs(frames, model):
                 self.check(graph)
                 self.check(graph, self.random_mask(graph, rng))
-                eids, _, heads, _ = ResidualGraph(graph).dag_levels()
-                reordered += bool(np.any(np.diff(eids[heads == SINK]) < 0))
+                res = ResidualGraph(graph)
+                eids, _, heads, _ = res.dag_levels()
+                reordered += bool(np.any(np.diff(eids[heads == res.target])
+                                         < 0))
         assert reordered > 20
 
     def test_empty_graph_and_frames_without_detections(self):
@@ -759,8 +857,9 @@ class TestCompiledDagSweep:
         graph = TrackingGraph()
         graph.append_frame([], StubModel(), frame=4)
         graph.append_frame([], StubModel(), frame=5)
-        path, labels = dag_shortest_path(ResidualGraph(graph))
-        assert path is None and np.isinf(labels.dist[SINK])
+        res = ResidualGraph(graph)
+        path, labels = dag_shortest_path(res)
+        assert path is None and np.isinf(labels.dist[res.target])
 
     def test_level_index_lives_with_the_arcs(self):
         res = ResidualGraph(canonical_graph()[0])
@@ -777,7 +876,7 @@ class TestCompiledDagSweep:
         g, _, (d00, _, d10, _) = canonical_graph()
         eid = {"entry": g.entry_edge_of(d00),
                "detection": g.detection_edge_of(d00),
-               "link": g.link_edge_between(d00, d10),
+               "link": link_edge_between(g, d00, d10),
                "exit": int(g.node_out[g.v_node(d10)])}[kind]
         res = ResidualGraph(g)
         res.flow[eid] = 1
