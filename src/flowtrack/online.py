@@ -3,15 +3,15 @@
 Each incoming frame is appended to the graph and the flow problem is re-solved
 from the previous frame's optimum: the tracker keeps the split-sink residual
 graph every solver runs on (ssp.ResidualGraph) with its flow and node
-potentials, gives the new frame's nodes potentials in one relaxation pass,
-reprices the reduced costs from them, and runs the exact solvers' loop
-(ssp.successive_shortest_paths) with full searches from the source and the
-sink's reversed exits, so tracks that continue into the frame are extended by
-cycles through the sink. One search usually settles a frame, as every path
-and cycle that is still a shortest path is pushed from it. A tracker
-with a window is memory-bounded: it also clips frames older than the window,
-folding clipped trajectory prefixes into synthesized entry-edge costs, which
-take over their flow, so track identities and costs survive clipping.
+potentials, from which each search derives the reduced costs it reads, gives
+the new frame's nodes potentials in one relaxation pass, and runs the exact
+solvers' loop (ssp.successive_shortest_paths) with full searches from the
+source and the sink's reversed exits, so tracks that continue into the frame
+are extended by cycles through the sink. One search usually settles a frame,
+as every path and cycle that is still a shortest path is pushed from it. A
+tracker with a window is memory-bounded: it also clips frames older than the
+window, folding clipped trajectory prefixes into synthesized entry-edge costs,
+which take over their flow, so track identities and costs survive clipping.
 
 The decoded solution and its ids are kept from frame to frame: a frame
 re-decodes only the trajectories through the detections that its pushes and
@@ -348,7 +348,6 @@ class OnlineTracker:
         else:
             stats.cache_hits += 1
         if self.graph.n_detections:
-            res.reprice()
             # A safety bound far above the paths and cycles one frame needs.
             successive_shortest_paths(res, run, 2 * self.graph.n_detections + 2,
                                       *dijkstra_full(res, run))

@@ -1,9 +1,9 @@
 """Successive shortest path solvers over the tracking graph.
 
-Contains the residual graph (a flow per edge, node potentials, from which
-reprice alone derives the reduced costs c + p(u) - p(v), and the decode of
-the flow), the DAG shortest-path sweep, the full Dijkstra search, the
-paper's dynamic broadcast that re-labels only the invalidated part of the
+Contains the residual graph (a flow per edge and node potentials, from which
+each search derives the reduced costs c + p(u) - p(v) it reads, and the
+decode of the flow), the DAG shortest-path sweep, the full Dijkstra search,
+the paper's dynamic broadcast that re-labels only the invalidated part of the
 shortest-path tree, trajectory decoding kept up to date from the edges whose
 flow changed (FlowDecoder), and the greedy DP baseline. Every search is
 compiled: the DAG sweep is one numpy reduction per frame layer, and both
@@ -82,7 +82,7 @@ class PredecessorMap:
     The edge of a tree arc u -> v is the residual slot keyed u * n + v (see
     ResidualGraph.arcs). They start at 0 for the roots, inf elsewhere."""
 
-    def __init__(self, n_nodes: int, roots=(SOURCE,)):
+    def __init__(self, n_nodes: int, roots):
         self.dist = np.full(n_nodes, np.inf)
         self.dist[list(roots)] = 0.0
         self.pred = np.full(n_nodes, -1, dtype=np.int64)
@@ -116,9 +116,9 @@ class ResidualGraph:
     edge slot, a potential per search node and the decode of its flow.
 
     Edges carrying flow are traversed dst -> src. Every search node u has a
-    potential p(u), and rcost holds each edge's reduced cost in its residual
-    direction, c + p(tail) - p(head). reprice alone sets it: after a flip or
-    a change of potentials it is stale until the next reprice. eps is the
+    potential p(u). Flow and potentials are the whole state: an edge's
+    reduced cost in its residual direction, c + p(tail) - p(head), is
+    derived from them on read (reduced), so none goes stale. eps is the
     tolerance below 0 that a reduced cost may reach by rounding (see EPS).
 
     A track that continues into a new frame keeps the flow value: it is a
@@ -141,7 +141,6 @@ class ResidualGraph:
         self.decoded = FlowDecoder(graph)
         self._read_costs()
         check_cost_sum(self.cost_sum)
-        self.reprice()
 
     @property
     def n_nodes(self) -> int:
@@ -160,18 +159,20 @@ class ResidualGraph:
             self.cost_sum = float(np.sum(live))
         self._arcs = self._dag = None
 
-    def fwd_dst(self) -> np.ndarray:
-        """The search node each edge's forward arc ends at: its head, the
-        target for the sink."""
-        return np.where(self.graph.e_dst == SINK, self.target, self.graph.e_dst)
+    def fwd_dst(self, eids=slice(None)) -> np.ndarray:
+        """The search node each edge eids' (default every slot's) forward
+        arc ends at: its head, the target for the sink."""
+        dst = self.graph.e_dst[eids]
+        return np.where(dst == SINK, self.target, dst)
 
-    def reprice(self):
-        """Set rcost to every edge's reduced cost in its residual direction."""
+    def reduced(self, eids=slice(None)) -> np.ndarray:
+        """The reduced cost of each edge eids (default every slot) in its
+        residual direction, from the flow and the potentials."""
         g, p = self.graph, self.potential
-        p_src = p[g.e_src]
-        fwd = g.e_cost + p_src - p[self.fwd_dst()]
-        rev = p[g.e_dst] - p_src - g.e_cost
-        self.rcost = np.where(self.flow == 0, fwd, rev)
+        cost, p_src = g.e_cost[eids], p[g.e_src[eids]]
+        fwd = cost + p_src - p[self.fwd_dst(eids)]
+        rev = p[g.e_dst[eids]] - p_src - cost
+        return np.where(self.flow[eids] == 0, fwd, rev)
 
     def arcs(self) -> Arcs:
         """Static index of residual arc slots over the search nodes, built
@@ -308,7 +309,7 @@ class ResidualGraph:
         g = self.graph
         eids = np.flatnonzero((g.e_kind == EXIT) & g.e_alive & (self.flow == 0))
         tails = g.e_src[eids]
-        values = dist[tails] + np.maximum(self.rcost[eids], 0.0)
+        values = dist[tails] + np.maximum(self.reduced(eids), 0.0)
         order = np.argsort(values, kind="stable")
         order = order[np.isfinite(values[order])]
         return values[order], tails[order]
@@ -381,7 +382,7 @@ def dag_shortest_path(res: ResidualGraph, stats: SolverStats | None = None,
     if np.any(res.flow[res.graph.e_alive]):
         raise InvariantBreach("DAG sweep over a residual graph carrying flow")
     eids, tails, heads, levels = res.dag_levels()
-    w = res.rcost[eids]
+    w = res.reduced()[eids]  # every live edge: cheaper than reduced(eids)
     if excluded is not None:
         w[excluded[heads]] = np.inf
     dist = labels.dist
@@ -399,9 +400,9 @@ def dag_shortest_path(res: ResidualGraph, stats: SolverStats | None = None,
 
 
 def convert_edge_costs(res: ResidualGraph, labels: PredecessorMap) -> PredecessorMap:
-    """Add the reached nodes' distance labels d to their potentials and
-    reprice, so every residual arc's reduced cost c + p(u) - p(v) gains
-    d(u) - d(v).
+    """Add the reached nodes' distance labels d to their potentials, so
+    every residual arc's reduced cost c + p(u) - p(v), derived from them on
+    read, gains d(u) - d(v).
 
     Unreached nodes keep their potentials: no search ever reaches them
     again, so the arcs leaving them are never traversed. An arc between
@@ -413,13 +414,13 @@ def convert_edge_costs(res: ResidualGraph, labels: PredecessorMap) -> Predecesso
     d, g = labels.dist, res.graph
     reached = np.isfinite(d)
     res.potential[reached] += d[reached]
-    res.reprice()
+    rc = res.reduced()
     bad = np.flatnonzero(reached[g.e_src] & reached[g.e_dst] & g.e_alive
-                         & (res.rcost < -res.eps))
+                         & (rc < -res.eps))
     if len(bad):
         eid = int(bad[0])
         raise InvariantBreach(
-            f"stale labels: reduced cost {res.rcost[eid]} on edge {eid}")
+            f"stale labels: reduced cost {rc[eid]} on edge {eid}")
     out = PredecessorMap.__new__(PredecessorMap)
     out.dist = np.where(reached, 0.0, np.inf)
     out.pred = labels.pred
@@ -454,12 +455,12 @@ def build_residual(res: ResidualGraph, *paths: Path) -> ResidualGraph:
 
 def _count_search(res: ResidualGraph, stats: SolverStats, eids, scanned,
                   cost, labelled):
-    """Count a search, its scanned arcs (edges eids) and labelled nodes; a
-    scanned arc whose reduced cost is below -eps breaks its precondition."""
+    """Count a search, its scanned arcs (edges eids, reduced costs cost) and
+    labelled nodes; a scanned arc's cost below -eps breaks its precondition."""
     bad = np.flatnonzero(scanned & (cost < -res.eps))
     if len(bad):
-        eid = int(eids[bad[0]])
-        raise InvariantBreach(f"negative reduced cost {res.rcost[eid]} on edge {eid}")
+        i = bad[0]
+        raise InvariantBreach(f"negative reduced cost {cost[i]} on edge {eids[i]}")
     stats.relaxations += int(np.count_nonzero(scanned))
     stats.queue_pushes += int(np.count_nonzero(labelled))
     stats.searches += 1
@@ -473,7 +474,7 @@ def dijkstra_full(res: ResidualGraph, stats: SolverStats | None = None):
     stats = stats or SolverStats()
     arcs, n = res.arcs(), len(res.potential)
     active = res.flow[arcs.eid] == arcs.rev
-    cost = res.rcost[arcs.eid]
+    cost = res.reduced()[arcs.eid]
     arcs.matrix.data[:len(cost)] = np.where(active, np.maximum(cost, 0.0),
                                             np.inf)
     dist, pred, _ = dijkstra(arcs.matrix, indices=res.roots, min_only=True,
@@ -529,7 +530,7 @@ def dynamic_broadcast(res: ResidualGraph, seeds, labels: PredecessorMap,
     # The usable arc slots into the set.
     slots = np.flatnonzero(in_set[arcs.col] & (res.flow[arcs.eid] == arcs.rev))
     eids, tails, heads = arcs.eid[slots], arcs.row[slots], arcs.col[slots]
-    cost = res.rcost[eids]
+    cost = res.reduced(eids)
     weight = np.maximum(cost, 0.0)
     # With the set's labels cleared, a reached tail lies outside the set.
     if np.any(dist[tails] < 0.0):
@@ -628,7 +629,6 @@ def successive_shortest_paths(res: ResidualGraph, stats: SolverStats,
         res.settle(labels.dist, cap)
         if certified:
             break
-        res.reprice()
         if broadcast:
             labels.dist = np.maximum(labels.dist - cap, 0.0)
             seeds = np.append(np.flatnonzero(used), res.target)
@@ -678,8 +678,7 @@ class FlowDecoder:
         self.chains: dict[int, Chain] = {}  # start u node -> chain
         self.chain_of: dict[int, Chain] = {}  # u node -> chain holding it
         self.keys: list[tuple[int, int]] = []  # chain keys, in order
-        self.trajs: list[Trajectory] = []  # their trajectories and costs
-        self.costs: list[float] = []
+        self.trajs: list[Trajectory] = []  # their trajectories
         self._moved: dict[Chain, None] = {}  # by clips, since the update
         self._emptied: list[Chain] = []
         # The last update's report. Each chain it walked, with its Trajectory
@@ -765,7 +764,7 @@ class FlowDecoder:
         self.moved, self.emptied = list(self._moved), self._emptied
         self._moved, self._emptied = {}, []
         return FlowSolution(trajectories=list(self.trajs),
-                            total_cost=sum(self.costs))
+                            total_cost=sum(t.cost for t in self.trajs))
 
     def _walk(self, s, changed, det_on, step, cut, marks):
         """Decode the trajectory that starts at u node s. Returns the chain
@@ -861,18 +860,17 @@ class FlowDecoder:
         i = bisect_left(self.keys, c.key)
         self.keys.insert(i, c.key)
         self.trajs.insert(i, c.traj)
-        self.costs.insert(i, c.traj.cost)
 
     def _remove(self, c: Chain):
         del self.chains[c.nodes[0]]
         i = bisect_left(self.keys, c.key)
-        del self.keys[i], self.trajs[i], self.costs[i]
+        del self.keys[i], self.trajs[i]
 
     def replace_traj(self, c: Chain, traj: Trajectory) -> int:
         """Give chain c a new Trajectory object; returns its position."""
         c.traj = traj
         i = bisect_left(self.keys, c.key)
-        self.trajs[i], self.costs[i] = traj, traj.cost
+        self.trajs[i] = traj
         return i
 
 

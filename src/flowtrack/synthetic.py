@@ -138,19 +138,3 @@ def generate_synthetic(cfg: SyntheticConfig, seed: int):
         detections[f] = frame_dets
     return detections, gt
 
-
-def detections_to_gt_map(detections: dict[int, list[Detection]], gt: GroundTruth,
-                         iou_threshold: float = 0.5):
-    """Map each detection key to its originating gt id (None for FPs)."""
-    from .cost_model import iou as _iou
-    mapping = {}
-    for f, dets in detections.items():
-        gt_objs = gt.frames.get(f, [])
-        for d in dets:
-            best, best_ov = None, iou_threshold
-            for g, b in gt_objs:
-                ov = _iou(d.box, b)
-                if ov >= best_ov:
-                    best, best_ov = g, ov
-            mapping[d.key] = best
-    return mapping

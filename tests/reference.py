@@ -1,12 +1,14 @@
 """Reference implementations that the tests hold the package to: the full
-decode of a flow, and three graph helpers that only tests use."""
+decode of a flow, three graph helpers and a ground-truth matcher that only
+tests use."""
 from __future__ import annotations
 
 import numpy as np
 
-from flowtrack.cost_model import Detection, FrameBoxes
+from flowtrack.cost_model import Detection, FrameBoxes, iou
 from flowtrack.errors import InvariantBreach
 from flowtrack.graph import SINK, SOURCE, TrackingGraph, Trajectory, gate_pairs
+from flowtrack.metrics import GroundTruth
 
 
 def decode_trajectories(res, start_id: int = 0) -> list[Trajectory]:
@@ -77,3 +79,19 @@ def graphs_structurally_equal(a: TrackingGraph, b: TrackingGraph,
     ea, eb = edge_set(a), edge_set(b)
     return set(ea) == set(eb) and all(abs(ea[k] - eb[k]) <= cost_tol
                                       for k in ea)
+
+
+def detections_to_gt_map(detections: dict[int, list[Detection]], gt: GroundTruth,
+                         iou_threshold: float = 0.5):
+    """Map each detection key to its originating gt id (None for FPs)."""
+    mapping = {}
+    for f, dets in detections.items():
+        gt_objs = gt.frames.get(f, [])
+        for d in dets:
+            best, best_ov = None, iou_threshold
+            for g, b in gt_objs:
+                ov = iou(d.box, b)
+                if ov >= best_ov:
+                    best, best_ov = g, ov
+            mapping[d.key] = best
+    return mapping

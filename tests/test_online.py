@@ -60,7 +60,6 @@ def single_push_solve(tracker, frame):
         stats.cache_hits += 1
     guard = 2 * tracker.graph.n_detections + 2
     while tracker.graph.n_detections:
-        res.reprice()
         path, labels = dijkstra_full(res, run)
         if path is None:
             break
@@ -512,8 +511,7 @@ class TestSeveralPushesPerSearch:
         assert track_keys(solution.trajectories) == [((0, 0), (1, 0))]
         assert tr.frame_stats[-1].iterations == 1
         res = tr.cache.residual
-        res.reprice()
-        assert res.rcost[res.graph.e_alive].min() >= -res.eps
+        assert res.reduced()[res.graph.e_alive].min() >= -res.eps
 
 
 def reference_frame(tracker, previous, registry):

@@ -70,8 +70,8 @@ class TestConvertEdgeCosts:
         path, labels = dag_shortest_path(res)
         convert_edge_costs(res, labels)
         for eid in path.eids:
-            assert res.rcost[eid] == pytest.approx(0.0, abs=1e-12)
-        assert float(res.rcost[res.graph.e_alive].min()) >= -1e-9
+            assert res.reduced(eid) == pytest.approx(0.0, abs=1e-12)
+        assert float(res.reduced()[res.graph.e_alive].min()) >= -1e-9
 
     def test_formula_by_hand(self):
         # edge (u,v) with C=1, d(u)=-3, d(v)=-6 -> C' = 1 + (-3) - (-6) = 4
@@ -86,7 +86,7 @@ class TestConvertEdgeCosts:
         labels.dist[v] = -6.0
         labels.dist[res.target] = -106.0
         convert_edge_costs(res, labels)
-        assert res.rcost[det_eid] == pytest.approx(4.0)
+        assert res.reduced(det_eid) == pytest.approx(4.0)
 
     def test_zero_labels_leave_costs_unchanged(self):
         # all-zero labels are valid distances here (free entry/det/exit),
@@ -100,9 +100,9 @@ class TestConvertEdgeCosts:
         res = ResidualGraph(g)
         labels = PredecessorMap(len(res.potential), res.roots)
         labels.dist[:] = 0.0
-        before = res.rcost.copy()
+        before = res.reduced()
         convert_edge_costs(res, labels)
-        assert np.array_equal(res.rcost, before)
+        assert np.array_equal(res.reduced(), before)
 
     def test_stale_labels_detected(self):
         g = single_det_graph()
@@ -141,7 +141,6 @@ class TestBuildResidual:
         assert len(first_link) == 1 and g.e_cost[first_link[0]] == -4.0
         labels = convert_edge_costs(res, labels)
         build_residual(res, path)
-        res.reprice()
         path2, labels = dijkstra_full(res)
         assert path_original_cost(res, path2) == pytest.approx(-8.0)
         # the second path traverses the reversed -4 link, cancelling it
@@ -184,6 +183,7 @@ def heap_dijkstra(res):
     dist[list(res.roots)] = 0.0
     done = np.zeros(len(res.potential), dtype=bool)
     heap, scanned = sorted((0.0, r) for r in res.roots), 0
+    rc = res.reduced()
     while heap:
         d, u = heapq.heappop(heap)
         if done[u]:
@@ -191,7 +191,7 @@ def heap_dijkstra(res):
         done[u] = True
         for eid, v in out_arcs(res, u):
             scanned += 1
-            nd = d + max(float(res.rcost[eid]), 0.0)
+            nd = d + max(float(rc[eid]), 0.0)
             if nd < dist[v]:
                 dist[v] = nd
                 heapq.heappush(heap, (nd, v))
@@ -209,7 +209,6 @@ def residual_states(graph, max_paths=6):
         if path is None or path_original_cost(res, path) >= 0.0:
             return
         build_residual(res, path)
-        res.reprice()
         path, labels = dijkstra_full(res)
 
 
@@ -221,17 +220,15 @@ def flowed_exits(res):
 
 
 def tracker_residuals(window=4):
-    """A windowed tracker's own residual at frames mid-stream, repriced: its
-    slots are recycled, and its sink root carries the reversed exits of the
-    tracks that continue."""
+    """A windowed tracker's own residual at frames mid-stream: its slots are
+    recycled, and its sink root carries the reversed exits of the tracks
+    that continue."""
     frames, model = synthetic_frames()
     tracker = OnlineTracker(TrackerConfig(model=model, window=window))
     for f in sorted(frames):
         tracker.process_frame(frames[f], frame=f)
         if f >= 6 and f % 3 == 0:
-            res = tracker.cache.residual
-            res.reprice()
-            yield res
+            yield tracker.cache.residual
 
 
 def multi_push_states(seed, rounds=4):
@@ -252,7 +249,6 @@ def multi_push_states(seed, rounds=4):
         res.settle(labels.dist, cap)
         if certified:
             return
-        res.reprice()
         labels.dist = np.maximum(labels.dist - cap, 0.0)
         yield res, np.append(np.flatnonzero(used), res.target), labels
         path, labels = dijkstra_full(res)
@@ -264,10 +260,11 @@ class TestCompiledDijkstra:
     """dijkstra_full against the plain-heap reference on the same residual
     graphs: every distance, whether the sink is reached, the counters."""
 
-    def check(self, res):
+    def check(self, res, ref=None):
+        """ref, if given, is the residual the reference searches instead."""
         stats = SolverStats()
         path, labels = dijkstra_full(res, stats)
-        want, scanned = heap_dijkstra(res)
+        want, scanned = heap_dijkstra(res if ref is None else ref)
         reached = np.isfinite(want)
         assert np.array_equal(np.isfinite(labels.dist), reached)
         assert np.allclose(labels.dist[reached], want[reached],
@@ -284,7 +281,7 @@ class TestCompiledDijkstra:
                 ends = int(g.e_src[eid]), int(g.e_dst[eid])
                 assert (ends if res.flow[eid] == 0 else ends[::-1]) == (u, v)
                 assert labels.dist[w] == pytest.approx(
-                    labels.dist[u] + max(float(res.rcost[eid]), 0.0),
+                    labels.dist[u] + max(float(res.reduced(eid)), 0.0),
                     abs=1e-12)
         return path
 
@@ -334,11 +331,29 @@ class TestCompiledDijkstra:
                 states += 1
         assert states > 15 and from_sink > 2 * states
 
+    def test_matches_heap_reference_between_frames(self):
+        # a tracker's residual as each frame leaves it, with nothing run
+        # since: the frame's last settle raised the potentials after its
+        # last search. The search must weigh each arc by the reduced cost
+        # its flow and potentials give now, as it does on a residual built
+        # afresh over the same graph, flow and potentials.
+        frames, model = synthetic_frames()
+        for window in (4, None):
+            tracker = OnlineTracker(TrackerConfig(model=model, window=window))
+            for f in sorted(frames):
+                tracker.process_frame(frames[f], frame=f)
+                res = tracker.cache.residual
+                fresh = ResidualGraph(res.graph)
+                fresh.flow, fresh.potential = res.flow.copy(), res.potential.copy()
+                self.check(res, fresh)
+
     def test_zero_cost_arc_is_an_edge(self):
         # every arc costs exactly 0, so every node is reached only through
         # explicit zero weights
-        res = ResidualGraph(single_det_graph())
-        res.rcost[:] = 0.0
+        g = TrackingGraph(gating=False)
+        g.append_frame([det(0, 0)],
+                       StubModel(entry=0.0, detection=0.0, exit_=0.0), frame=0)
+        res = ResidualGraph(g)
         path = self.check(res)
         assert path is not None and len(path.eids) == 3
         _, labels = dijkstra_full(res)
@@ -357,7 +372,6 @@ class TestCompiledDijkstra:
         # the sink are unreached and u's -5 detection arc is never scanned
         entry = g.entry_edge_of(det(0, 0))
         res.flow[entry] = 1
-        res.rcost[entry] = 0.0
         stats = SolverStats()
         path, labels = dijkstra_full(res, stats)
         assert path is None
@@ -375,7 +389,7 @@ def in_arcs(res, node):
 
 def arc_cost(res, eid):
     """Residual arc cost clamped for queue ordering."""
-    rc = float(res.rcost[eid])
+    rc = float(res.reduced(eid))
     if rc < -res.eps:
         raise InvariantBreach(f"negative reduced cost {rc} on edge {eid}")
     return rc if rc > 0.0 else 0.0
@@ -439,7 +453,7 @@ def python_broadcast(res, seeds, labels, stats):
 
 
 def copy_labels(labels):
-    out = PredecessorMap(len(labels.dist))
+    out = PredecessorMap(len(labels.dist), ())
     out.dist, out.pred = labels.dist.copy(), labels.pred.copy()
     return out
 
@@ -489,7 +503,6 @@ class TestCompiledBroadcast:
                and checked <= max_paths):
             labels = convert_edge_costs(res, labels)
             build_residual(res, path)
-            res.reprice()
             path = self.check(res, path.nodes, labels)
             checked += 1
         return checked
@@ -537,7 +550,6 @@ class TestCompiledBroadcast:
 
     def test_negative_frontier_label_raises(self):
         res, labels, u, v = single_det_tree()
-        res.rcost[:] = 0.0
         labels.dist[u] = -1.5
         with pytest.raises(InvariantBreach, match="label"):
             dynamic_broadcast(res, [v], labels)
@@ -559,7 +571,7 @@ class TestCompiledBroadcast:
             exits = np.flatnonzero((g.e_kind == EXIT) & g.e_alive
                                    & (res.flow == 0))
             tails = g.e_src[exits]
-            values = dist[tails] + np.maximum(res.rcost[exits], 0.0)
+            values = dist[tails] + np.maximum(res.reduced(exits), 0.0)
             used, cap = {SINK}, None
             for i in np.argsort(values, kind="stable"):
                 if not np.isfinite(values[i]):
@@ -576,7 +588,6 @@ class TestCompiledBroadcast:
             raised = np.minimum(dist, cap)
             raised[res.target] = cap
             res.potential += raised
-            res.reprice()
             labels.dist = np.maximum(dist - cap, 0.0)
             above_zero += int(np.count_nonzero(np.isfinite(labels.dist)
                                                & (labels.dist > 0.0)))
@@ -682,10 +693,11 @@ def python_dag(res, stats, excluded=frozenset()):
     if g.is_empty:
         return None, labels
     dist, pred = labels.dist, [-1] * len(res.potential)
+    rc = res.reduced()
 
     def relax(u, eid, v):
         stats.relaxations += 1
-        nd = dist[u] + res.rcost[eid]
+        nd = dist[u] + rc[eid]
         if nd < dist[v]:
             dist[v] = nd
             pred[v] = u
@@ -811,7 +823,7 @@ class TestCompiledDagSweep:
             res = self.check(dyadic_instance(seed))
             _, labels = dag_shortest_path(res)
             eids, tails, heads, _ = res.dag_levels()
-            via = labels.dist[tails] + res.rcost[eids]
+            via = labels.dist[tails] + res.reduced(eids)
             tight = heads[np.isfinite(via) & (via == labels.dist[heads])]
             ties += len(tight) - len(np.unique(tight))
         assert ties > 50  # many nodes have two or more tight in-edges

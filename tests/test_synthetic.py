@@ -1,8 +1,8 @@
 import pytest
 
 from flowtrack.errors import DataError
-from flowtrack.synthetic import (SyntheticConfig, detections_to_gt_map,
-                                 generate_synthetic)
+from flowtrack.synthetic import SyntheticConfig, generate_synthetic
+from reference import detections_to_gt_map
 
 
 class TestDeterminism:
