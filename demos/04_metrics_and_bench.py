@@ -44,5 +44,5 @@ print(f"{'mbod-10':>8} {r.mota:>7.4f} {r.motp:>7.4f} {r.id_switches:>4} "
 print("\nwindow sweep (bounded tracker, per-frame relaxations after warmup):")
 rows = run_bench(dets, model, solvers=("mbodssp",), taus=(2, 5, 10, 20))
 for tau in (2, 5, 10, 20):
-    rel = [row.relaxations for row in rows if row.tau == tau][20:]
+    rel = [row.stats.relaxations for row in rows if row.tau == tau][20:]
     print(f"  window {tau:>2}: mean {np.mean(rel):>7.0f} relaxations/frame")

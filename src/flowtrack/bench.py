@@ -1,18 +1,20 @@
 """Benchmark harness: run each solver over a detection set and emit CSV rows.
 
-Row format: ``solver,tau,frame,wall_time,relaxations,queue_pushes,live_nodes,
+Each row is one solve's record (ssp.SolverStats), written as it is:
+``solver,tau,frame,wall_time,relaxations,queue_pushes,live_nodes,
 live_edges,iterations,searches``. Streaming solvers emit one row per frame
-that occurs in the input; batch solvers emit a single summary row with
-frame = -1. iterations counts augmentations, the paths and cycles pushed,
-and searches the searches that found them: a batch solve's DAG sweep and
-then full searches (ssp, one path each; only ssp's stats carry Algorithm
-1's per-search stop rule) or broadcasts (dssp), or one online frame's full
-searches; dssp's and the online ones can each push several paths.
+that occurs in the input, the frame's own record; batch solvers emit a
+single summary row with frame = -1, on whose record the harness stamps the
+solve's wall time and the graph's live sizes. iterations counts
+augmentations, the paths and cycles pushed, and searches the searches that
+found them: a batch solve's DAG sweep and then full searches (ssp, one path
+each) or broadcasts (dssp), or one online frame's full searches; dssp's and
+the online ones can each push several paths.
 """
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .cost_model import CostModel, Detection
 from .errors import DataError
@@ -26,24 +28,9 @@ HEADER = ("solver,tau,frame,wall_time,relaxations,queue_pushes,"
 BATCH_SOLVERS = {"ssp": solve_ssp, "dssp": solve_dssp, "dp": solve_dp_greedy}
 
 
-@dataclass
-class BenchRow:
-    solver: str
-    tau: int | None
-    frame: int
-    wall_time: float
-    relaxations: int
-    queue_pushes: int
-    live_nodes: int
-    live_edges: int
-    iterations: int
-    searches: int
-
-    def format(self) -> str:
-        tau = "" if self.tau is None else str(self.tau)
-        return (f"{self.solver},{tau},{self.frame},{self.wall_time:.6f},"
-                f"{self.relaxations},{self.queue_pushes},{self.live_nodes},"
-                f"{self.live_edges},{self.iterations},{self.searches}")
+#: One CSV row: a solver's name, its window (None for none) and the record
+#: of one solve, a batch solve or one online frame.
+BenchRow = namedtuple("BenchRow", "solver tau stats")
 
 
 def _bench_batch(name: str, detections, model: CostModel, gating, factor):
@@ -51,10 +38,9 @@ def _bench_batch(name: str, detections, model: CostModel, gating, factor):
                               gate_radius_factor=factor)
     t0 = time.perf_counter()
     _, stats = BATCH_SOLVERS[name](graph)
-    dt = time.perf_counter() - t0
-    return [BenchRow(name, None, -1, dt, stats.relaxations, stats.queue_pushes,
-                     graph.n_live_nodes, graph.n_live_edges, stats.iterations,
-                     stats.searches)]
+    stats.wall_time = time.perf_counter() - t0
+    stats.live_nodes, stats.live_edges = graph.n_live_nodes, graph.n_live_edges
+    return [BenchRow(name, None, stats)]
 
 
 def _bench_online(name: str, detections, model: CostModel, gating, factor,
@@ -64,10 +50,7 @@ def _bench_online(name: str, detections, model: CostModel, gating, factor,
                                           gate_radius_factor=factor))
     for f in sorted(detections):
         tracker.process_frame(detections[f], frame=f)
-    return [BenchRow(name, tau, fs.frame, fs.wall_time,
-                     fs.relaxations, fs.queue_pushes, fs.live_nodes,
-                     fs.live_edges, fs.iterations, fs.searches)
-            for fs in tracker.frame_stats]
+    return [BenchRow(name, tau, fs) for fs in tracker.frame_stats]
 
 
 def run_bench(detections: dict[int, list[Detection]], model: CostModel,
@@ -94,5 +77,8 @@ def run_bench(detections: dict[int, list[Detection]], model: CostModel,
 
 def write_bench(dest, rows: list[BenchRow]):
     dest.write(HEADER + "\n")
-    for row in rows:
-        dest.write(row.format() + "\n")
+    for solver, tau, s in rows:
+        tau = "" if tau is None else tau
+        dest.write(f"{solver},{tau},{s.frame},{s.wall_time:.6f},"
+                   f"{s.relaxations},{s.queue_pushes},{s.live_nodes},"
+                   f"{s.live_edges},{s.iterations},{s.searches}\n")

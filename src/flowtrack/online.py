@@ -80,18 +80,6 @@ class TrackRegistry:
         return tid
 
 
-@dataclass
-class FrameStats:
-    frame: int
-    relaxations: int
-    queue_pushes: int
-    wall_time: float
-    live_nodes: int
-    live_edges: int
-    iterations: int  # augmentations: paths and cycles pushed this frame
-    searches: int  # compiled searches run this frame
-
-
 def assign_track_ids(previous: FlowSolution, current: FlowSolution,
                      registry: TrackRegistry,
                      origins: dict[int, int] | None = None) -> dict[int, int]:
@@ -170,8 +158,8 @@ class OnlineTracker:
         # their entry carries (_assign_ids).
         self._holder: dict[int, Chain] = {}
         self._by_origin: dict[int, set[Chain]] = {}
-        self.stats = SolverStats()
-        self.frame_stats: list[FrameStats] = []
+        self.stats = SolverStats()  # totals over the frames
+        self.frame_stats: list[SolverStats] = []
         self.max_dets_per_frame = 0
 
     # -- frame processing -----------------------------------------------------
@@ -198,16 +186,9 @@ class OnlineTracker:
 
         if window is not None:
             self._check_bounds()
-        self.frame_stats.append(FrameStats(
-            frame=frame,
-            relaxations=run.relaxations,
-            queue_pushes=run.queue_pushes,
-            wall_time=time.perf_counter() - t_start,
-            live_nodes=g.n_live_nodes,
-            live_edges=g.n_live_edges,
-            iterations=run.iterations,
-            searches=run.searches,
-        ))
+        run.frame, run.wall_time = frame, time.perf_counter() - t_start
+        run.live_nodes, run.live_edges = g.n_live_nodes, g.n_live_edges
+        self.frame_stats.append(run)
         return solution
 
     def _clip_one_frame(self):
@@ -341,12 +322,13 @@ class OnlineTracker:
         """Successive shortest paths from the previous frame's optimum,
         several per full search (ssp.successive_shortest_paths); after an
         empty graph, a cold start from DAG potentials through the same loop.
-        Counters fold into self.stats."""
+        Returns the solution and the frame's record, which counts its cache
+        hit or miss; its six counters fold into self.stats."""
         res, run, stats = self.cache.residual, SolverStats(), self.stats
         if self.cache.lookup() is None:
-            stats.cache_misses += 1
+            run.cache_misses = 1
         else:
-            stats.cache_hits += 1
+            run.cache_hits = 1
         if self.graph.n_detections:
             # A safety bound far above the paths and cycles one frame needs.
             successive_shortest_paths(res, run, 2 * self.graph.n_detections + 2,
@@ -356,6 +338,8 @@ class OnlineTracker:
         stats.queue_pushes += run.queue_pushes
         stats.iterations += run.iterations
         stats.searches += run.searches
+        stats.cache_hits += run.cache_hits
+        stats.cache_misses += run.cache_misses
         return _solution_from_residual(res), run
 
     def _check_bounds(self):

@@ -24,8 +24,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_left, bisect_right
 from collections import namedtuple
-from dataclasses import dataclass, field
-from itertools import takewhile
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.sparse import csr_matrix
@@ -42,9 +41,10 @@ from .graph import (DET, ENTRY, EXIT, LINK, SINK, SOURCE, FlowSolution,
 EPS = 1e-9
 
 
-@dataclass
+@dataclass(slots=True)
 class SolverStats:
-    """Instrumentation counters accumulated during a solve.
+    """The one record of a solve: a batch solve, one online frame, or an
+    online tracker's totals over its frames.
 
     iterations counts augmentations, the paths and cycles pushed, and
     searches the shortest-path searches run: DAG sweeps, full searches and
@@ -56,24 +56,24 @@ class SolverStats:
         nodes; the nodes reached.
       - broadcast (dynamic_broadcast): the residual arcs into the affected
         set out of reached nodes; the affected nodes re-labelled.
-    A batch solve keeps each search's distance to the target (the DAG
-    sweep's first) and the cost of each path pushed, then of the one that
-    stopped it. Algorithm 1's stop rule reads one search per path, so only
-    a one-path solve (ssp) sets alg1_stop_iteration; dssp leaves it None.
+    An online frame's record counts one cache hit, a solve from the previous
+    frame's optimum, or one miss, a solve from zero flow. frame is the frame
+    solved (-1 for a batch solve and for totals). The caller that times the
+    solve stamps wall_time, its seconds, and the graph's live sizes after
+    it: OnlineTracker.process_frame for a frame, the bench for a batch
+    solve.
     """
 
     relaxations: int = 0
     queue_pushes: int = 0
     iterations: int = 0
     searches: int = 0
-    # Online trackers: frames solved from the previous frame's optimum (hits)
-    # or from zero flow (misses).
     cache_hits: int = 0
     cache_misses: int = 0
-    reduced_sink_dists: list = field(default_factory=list)
-    path_original_costs: list = field(default_factory=list)
-    prose_stop_iteration: int | None = None
-    alg1_stop_iteration: int | None = None
+    frame: int = -1
+    wall_time: float = 0.0
+    live_nodes: int = 0
+    live_edges: int = 0
 
 
 class PredecessorMap:
@@ -367,7 +367,8 @@ def dag_shortest_path(res: ResidualGraph, stats: SolverStats | None = None,
     """Shortest paths from the source over the forward (acyclic) graph,
     compiled: one numpy min-reduction per level of res.dag_levels().
 
-    Handles negative costs. The residual graph must carry no flow. excluded
+    Handles negative costs. The residual graph must carry no flow, and its
+    potentials are not read: the sweep weighs each edge by its cost. excluded
     is a boolean node mask of nodes the sweep may not enter, so it never
     leaves them either. Every root starts at 0. A node's predecessor is the
     tail of its first tight in-edge in push order: the edge a strict-<
@@ -382,7 +383,7 @@ def dag_shortest_path(res: ResidualGraph, stats: SolverStats | None = None,
     if np.any(res.flow[res.graph.e_alive]):
         raise InvariantBreach("DAG sweep over a residual graph carrying flow")
     eids, tails, heads, levels = res.dag_levels()
-    w = res.reduced()[eids]  # every live edge: cheaper than reduced(eids)
+    w = res.graph.e_cost[eids]
     if excluded is not None:
         w[excluded[heads]] = np.inf
     dist = labels.dist
@@ -569,9 +570,9 @@ def push_round(res: ResidualGraph, shortest: Path, labels: PredecessorMap,
     exit a pushed cycle freed: so each push is a shortest path at its turn,
     and the labels stay a lower bound, by which the least remaining item
     certifies the optimum if it costs >= 0. The round's paths are disjoint
-    and flipped together at its end; their costs, then one >= 0, go to
-    stats.path_original_costs. Returns the cap d_k (the last pushed value,
-    else the first's), whether the optimum is certified, and a used mask.
+    and flipped together at its end. Returns the cap d_k (the last pushed
+    value, else the first's), whether the optimum is certified, and a used
+    mask.
     """
     dist, first = labels.dist, int(labels.pred[res.target])
     if single:
@@ -589,8 +590,6 @@ def push_round(res: ResidualGraph, shortest: Path, labels: PredecessorMap,
         cost = path_original_cost(res, path)
         if cost >= 0.0 or used[path.nodes[1:-1]].any():
             certified = cost >= 0.0  # else it enters a node a push used
-            if certified:
-                stats.path_original_costs.append(cost)
             break
         if stats.iterations >= guard:
             raise InvariantBreach(f"SSP exceeded its iteration bound {guard}")
@@ -600,7 +599,6 @@ def push_round(res: ResidualGraph, shortest: Path, labels: PredecessorMap,
             freed = min(freed, dist[x] + max(rc, 0.0))
         used[path.nodes[1:-1]] = True
         pushed.append(path)
-        stats.path_original_costs.append(cost)
         stats.iterations += 1
         cap = value
     if pushed:  # nothing above reads the flow
@@ -620,8 +618,7 @@ def successive_shortest_paths(res: ResidualGraph, stats: SolverStats,
     used nodes' and the target's subtrees, as outside them a label d becomes
     max(d - d_k, 0), its tree path's length after the settle, and no path
     is shorter (a path's last used node lies within d_k and no reversed arc
-    follows it). guard bounds the pushes; the later searches' distances to
-    the target go to stats.reduced_sink_dists.
+    follows it). guard bounds the pushes.
     """
     while path is not None:
         cap, certified, used = push_round(res, path, labels, stats, guard,
@@ -635,7 +632,6 @@ def successive_shortest_paths(res: ResidualGraph, stats: SolverStats,
             path, labels = dynamic_broadcast(res, seeds, labels, stats)
         else:
             path, labels = dijkstra_full(res, stats)
-        stats.reduced_sink_dists.append(float(labels.dist[res.target]))
 
 
 @dataclass(eq=False, slots=True)
@@ -879,19 +875,6 @@ def _solution_from_residual(res: ResidualGraph) -> FlowSolution:
     return res.decode()
 
 
-def _finalize_termination_stats(stats: SolverStats, single: bool):
-    """Derive the stop iteration under both equivalent termination rules:
-    the first path costing >= 0, and for a one-path solve Algorithm 1's
-    (the later searches' distances sum past the first's magnitude)."""
-    stats.prose_stop_iteration = next(
-        (k for k, c in enumerate(stats.path_original_costs) if c >= 0), None)
-    d = stats.reduced_sink_dists
-    if single and d and -math.inf < d[0] < 0:
-        acc = np.cumsum(list(takewhile(math.isfinite, d[1:])))
-        over = np.flatnonzero(acc > -d[0])
-        stats.alg1_stop_iteration = int(over[0]) + 1 if len(over) else None
-
-
 def _solve_batch(graph: TrackingGraph, broadcast: bool, single: bool):
     """Successive shortest paths from zero flow, the first round pushing
     from one DAG sweep's tree, whose distances become the potentials.
@@ -901,10 +884,8 @@ def _solve_batch(graph: TrackingGraph, broadcast: bool, single: bool):
         return FlowSolution(), stats
     res = ResidualGraph(graph)
     path, labels = dag_shortest_path(res, stats=stats)
-    stats.reduced_sink_dists.append(float(labels.dist[res.target]))
     successive_shortest_paths(res, stats, graph.n_detections, path,
                               convert_edge_costs(res, labels), broadcast, single)
-    _finalize_termination_stats(stats, single)
     solution = _solution_from_residual(res)
     for i, t in enumerate(solution.trajectories):
         t.track_id = i

@@ -1,7 +1,10 @@
 """Reference implementations that the tests hold the package to: the full
-decode of a flow, three graph helpers and a ground-truth matcher that only
-tests use."""
+decode of a flow, three graph helpers, Algorithm 1's stop rule and a
+ground-truth matcher that only tests use."""
 from __future__ import annotations
+
+import math
+from itertools import takewhile
 
 import numpy as np
 
@@ -79,6 +82,21 @@ def graphs_structurally_equal(a: TrackingGraph, b: TrackingGraph,
     ea, eb = edge_set(a), edge_set(b)
     return set(ea) == set(eb) and all(abs(ea[k] - eb[k]) <= cost_tol
                                       for k in ea)
+
+
+def stop_iterations(dists, costs):
+    """The stop iteration of a one-path SSP solve under both termination
+    rules, from each search's distance to the target (the DAG sweep's first)
+    and the original cost of each path priced: the first path costing >= 0,
+    and Algorithm 1's, where the later searches' distances sum past the
+    first's magnitude. Returns (prose, alg1); None where a rule never fired."""
+    prose = next((k for k, c in enumerate(costs) if c >= 0), None)
+    alg1 = None
+    if dists and -math.inf < dists[0] < 0:
+        acc = np.cumsum(list(takewhile(math.isfinite, dists[1:])))
+        over = np.flatnonzero(acc > -dists[0])
+        alg1 = int(over[0]) + 1 if len(over) else None
+    return prose, alg1
 
 
 def detections_to_gt_map(detections: dict[int, list[Detection]], gt: GroundTruth,

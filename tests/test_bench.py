@@ -26,9 +26,9 @@ class TestRunBench:
                          taus=())
         batch = [r for r in rows if r.solver == "ssp"]
         online = [r for r in rows if r.solver == "odssp"]
-        assert len(batch) == 1 and batch[0].frame == -1
+        assert len(batch) == 1 and batch[0].stats.frame == -1
         assert len(online) == len(sequence)
-        assert [r.frame for r in online] == sorted(sequence)
+        assert [r.stats.frame for r in online] == sorted(sequence)
 
     def test_unknown_solver_rejected(self, sequence):
         with pytest.raises(DataError):
@@ -38,7 +38,8 @@ class TestRunBench:
         # per-frame relaxations grow with the window size (proxy for time)
         rows = run_bench(sequence, CostModel(), solvers=("mbodssp",),
                          taus=(2, 5, 10, 20))
-        means = [np.mean([r.relaxations for r in rows if r.tau == tau][20:])
+        means = [np.mean([r.stats.relaxations for r in rows
+                          if r.tau == tau][20:])
                  for tau in (2, 5, 10, 20)]
         assert all(a < b for a, b in zip(means, means[1:]))
 
@@ -47,12 +48,12 @@ class TestRunBench:
                               death_prob=0.0, miss_rate=0.0, fp_rate=0.0)
         dets, _ = generate_synthetic(cfg, 1)
         rows = run_bench(dets, CostModel(), solvers=("mbodssp",), taus=(10,))
-        nodes = [r.live_nodes for r in rows if r.frame > 10]
+        nodes = [r.stats.live_nodes for r in rows if r.stats.frame > 10]
         assert len(set(nodes)) == 1
 
     def test_dssp_fewer_relaxations_than_ssp(self, sequence):
         rows = run_bench(sequence, CostModel(), solvers=("ssp", "dssp"))
-        by = {r.solver: r.relaxations for r in rows}
+        by = {r.solver: r.stats.relaxations for r in rows}
         assert by["dssp"] < by["ssp"]
 
     def test_csv_output(self, sequence):

@@ -55,9 +55,9 @@ def single_push_solve(tracker, frame):
     the potentials settle with the target's distance as the cap."""
     res, run, stats = tracker.cache.residual, SolverStats(), tracker.stats
     if tracker.cache.lookup() is None:
-        stats.cache_misses += 1
+        run.cache_misses = 1
     else:
-        stats.cache_hits += 1
+        run.cache_hits = 1
     guard = 2 * tracker.graph.n_detections + 2
     while tracker.graph.n_detections:
         path, labels = dijkstra_full(res, run)
@@ -75,6 +75,8 @@ def single_push_solve(tracker, frame):
     stats.queue_pushes += run.queue_pushes
     stats.iterations += run.iterations
     stats.searches += run.searches
+    stats.cache_hits += run.cache_hits
+    stats.cache_misses += run.cache_misses
     return _solution_from_residual(res), run
 
 
@@ -452,6 +454,43 @@ class TestReuseStatistics:
         assert np.mean(iterations[100:150]) <= 1.5 * np.mean(iterations[20:60])
         relaxations = [fs.relaxations for fs in tr.frame_stats]
         assert np.mean(relaxations[-40:]) > 2 * np.mean(relaxations[20:60])
+
+    def test_frame_records_sum_to_the_totals(self):
+        # each frame's record is its solve's own SolverStats: the records'
+        # counters sum to the tracker's totals, and each counts one cache hit
+        # or one miss, a miss where the solve starts from zero flow: on the
+        # first frame and, with a window, after each gap that empties the
+        # graph
+        counters = ("relaxations", "queue_pushes", "iterations", "searches",
+                    "cache_hits", "cache_misses")
+
+        class Tracker(OnlineTracker):
+            def _solve(self, frame):
+                self.zero_flow.append(
+                    not self.cache.residual.flow[self.graph.e_alive].any())
+                return super()._solve(frame)
+
+        for seed in range(4):
+            frames = {f: ds for f, ds in gated_scene(seed).items()
+                      if not (8 <= f < 13 or 17 <= f < 22)}
+            order = sorted(frames)
+            for window in (None, 2):
+                tr = Tracker(TrackerConfig(model=CostModel(), window=window))
+                tr.zero_flow = []
+                stream(tr, frames)
+                records = tr.frame_stats
+                assert [fs.frame for fs in records] == order
+                for name in counters:
+                    assert (sum(getattr(fs, name) for fs in records)
+                            == getattr(tr.stats, name)), (seed, window, name)
+                cold = [f == order[0] or (window is not None
+                                          and f - prev >= window)
+                        for prev, f in zip([None, *order], order)]
+                assert [fs.cache_misses for fs in records] == cold
+                assert all(fs.cache_hits + fs.cache_misses == 1
+                           for fs in records)
+                assert all(z for z, miss in zip(tr.zero_flow, cold) if miss)
+                assert sum(cold) == (1 if window is None else 3)
 
 
 class TestSeveralPushesPerSearch:

@@ -19,7 +19,7 @@ from flowtrack.ssp import (Path, PredecessorMap, ResidualGraph, SolverStats,
                            solve_dssp, solve_ssp)
 from flowtrack.online import OnlineTracker, TrackerConfig
 from flowtrack.synthetic import SyntheticConfig, generate_synthetic
-from reference import link_edge_between
+from reference import link_edge_between, stop_iterations
 
 
 def single_det_graph(detection=-5.0):
@@ -27,6 +27,31 @@ def single_det_graph(detection=-5.0):
     g = TrackingGraph(gating=False)
     g.append_frame([det(0, 0)], model, frame=0)
     return g
+
+
+def record_trace(monkeypatch):
+    """Log, through ssp's module attributes, each search's distance to the
+    target (DAG sweep, full search or broadcast) and the original cost of
+    each path priced. Returns the two lists, which the caller may clear."""
+    dists, costs = [], []
+
+    def logged(search):
+        def wrapper(res, *args, **kwargs):
+            path, labels = search(res, *args, **kwargs)
+            dists.append(float(labels.dist[res.target]))
+            return path, labels
+        return wrapper
+
+    for name in ("dag_shortest_path", "dijkstra_full", "dynamic_broadcast"):
+        monkeypatch.setattr(ssp, name, logged(getattr(ssp, name)))
+    price = ssp.path_original_cost
+
+    def priced(res, path):
+        costs.append(price(res, path))
+        return costs[-1]
+
+    monkeypatch.setattr(ssp, "path_original_cost", priced)
+    return dists, costs
 
 
 class TestDagShortestPath:
@@ -650,17 +675,22 @@ class TestDynamicBroadcast:
         assert stats.relaxations == 0
         assert path2.eids == path.eids
 
-    def test_matches_dijkstra_sink_distance_per_search(self):
+    def test_matches_dijkstra_sink_distance_per_search(self, monkeypatch):
         # dssp against the same loop with a full search in place of each
         # broadcast: the same rounds, each search at the same sink distance
+        dists, _ = record_trace(monkeypatch)
         for seed in range(25):
             frames, model = make_random_instance(seed)
-            s1, st1 = ssp._solve_batch(build_graph(frames, model),
-                                       broadcast=False, single=False)
-            s2, st2 = solve_dssp(build_graph(frames, model))
+            s1, _ = ssp._solve_batch(build_graph(frames, model),
+                                     broadcast=False, single=False)
+            d1 = dists[:]
+            dists.clear()
+            s2, _ = solve_dssp(build_graph(frames, model))
+            d2 = dists[:]
+            dists.clear()
             assert s1.total_cost == pytest.approx(s2.total_cost, abs=1e-9)
-            assert len(st1.reduced_sink_dists) == len(st2.reduced_sink_dists)
-            for a, b in zip(st1.reduced_sink_dists, st2.reduced_sink_dists):
+            assert len(d1) == len(d2)
+            for a, b in zip(d1, d2):
                 if np.isfinite(a) or np.isfinite(b):
                     assert a == pytest.approx(b, abs=1e-12)
 
@@ -988,27 +1018,34 @@ class TestSolveSsp:
         solution, _ = solve_ssp(TrackingGraph())
         assert solution.total_cost == 0.0
 
-    def test_iteration_bound_and_monotone_objective(self):
+    def test_iteration_bound_and_monotone_objective(self, monkeypatch):
+        _, costs = record_trace(monkeypatch)
         for seed in range(20):
             frames, model = make_random_instance(seed)
             g = build_graph(frames, model)
+            costs.clear()
             solution, stats = solve_ssp(g)
             assert stats.iterations <= g.n_detections
             # accepted path costs are the per-iteration deltas; all negative
-            accepted = [c for c in stats.path_original_costs if c < 0]
+            accepted = [c for c in costs if c < 0]
             assert len(accepted) == stats.iterations
             assert all(np.diff(np.cumsum(accepted)) <= 0) if accepted else True
 
-    def test_termination_rules_agree(self):
+    def test_termination_rules_agree(self, monkeypatch):
+        dists, costs = record_trace(monkeypatch)
         agree = checked = 0
         for seed in range(40):
             frames, model = make_random_instance(seed)
-            _, stats = solve_ssp(build_graph(frames, model))
-            if stats.prose_stop_iteration is None:
+            g = build_graph(frames, model)
+            dists.clear()
+            costs.clear()
+            solve_ssp(g)
+            prose, alg1 = stop_iterations(dists, costs)
+            if prose is None:
                 continue
             checked += 1
-            if stats.alg1_stop_iteration is not None:
-                assert stats.alg1_stop_iteration == stats.prose_stop_iteration
+            if alg1 is not None:
+                assert alg1 == prose
                 agree += 1
         assert checked > 0
         print(f"termination-rule agreement on {agree}/{checked} "
