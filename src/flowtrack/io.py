@@ -164,7 +164,7 @@ def write_tracks(dest, trajectories):
 
 def parse_tracks(source) -> dict[int, list[tuple[int, tuple]]]:
     """Read a track CSV into {frame: [(track_id, box), ...]} hypotheses."""
-    frames: dict[int, list[tuple[int, tuple]]] = {}
+    frames: dict[int, dict[int, tuple]] = {}  # frame -> track id -> box
     with open_or_stdio(source) as fobj:
         for lineno, row in _rows(fobj):
             if len(row) < 6:
@@ -172,11 +172,11 @@ def parse_tracks(source) -> dict[int, list[tuple[int, tuple]]]:
             f = _parse_int(row[0], "frame", lineno)
             tid = _parse_int(row[1], "track id", lineno)
             box = tuple(_parse_float(row[i], "box", lineno) for i in range(2, 6))
-            if any(tid == t for t, _ in frames.get(f, [])):
+            if tid in (boxes := frames.setdefault(f, {})):
                 raise DataError(f"line {lineno}: duplicate track id {tid} "
                                 f"in frame {f}")
-            frames.setdefault(f, []).append((tid, box))
-    return frames
+            boxes[tid] = box
+    return {f: list(boxes.items()) for f, boxes in frames.items()}
 
 
 def load_config(source) -> dict[str, str]:

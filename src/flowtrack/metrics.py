@@ -24,12 +24,13 @@ class GroundTruth:
     """Per-frame ground truth boxes keyed by stable track ids."""
 
     frames: dict[int, list[tuple[int, tuple]]] = field(default_factory=dict)
+    taken: set = field(default_factory=set, repr=False, compare=False)
 
     def add(self, frame: int, gt_id: int, box):
-        objs = self.frames.setdefault(frame, [])
-        if any(g == gt_id for g, _ in objs):
+        if (frame, gt_id) in self.taken:
             raise DataError(f"duplicate gt id {gt_id} in frame {frame}")
-        objs.append((gt_id, tuple(box)))
+        self.taken.add((frame, gt_id))
+        self.frames.setdefault(frame, []).append((gt_id, tuple(box)))
 
 
 @dataclass

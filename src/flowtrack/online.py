@@ -231,15 +231,18 @@ class OnlineTracker:
         FlowDecoder.fresh); it is then the same chain. The rule gives a
         settled trajectory its previous id unless an open trajectory claims
         its id or its origin (an open trajectory claims its origin and the
-        previous id of each of its detections), or no settled one holds that
-        origin any more. Settled ones that meet such an id open, until none
-        does. So does a settled one that a clip moved, whose start may now
-        sort before or after others: when its origin is not its id, or
-        another's origin is its id. The others are open. The rule then runs
-        over the open trajectories, against the previous ones they overlap;
-        a settled one claims no id an open one could take, as its origin and
-        previous id are its own id, or an id that another settled one holds
-        and, in the unchanged order, takes first.
+        previous id of each of its detections). Settled ones that meet such
+        an id open, until none does. So does a settled one that a clip
+        moved, whose start may now sort before or after others: when its
+        origin is not its id, or another's origin is its id. The others are
+        open. No trajectory that left frees an id a settled one would take:
+        only clips remove one (no shortest path runs through the source, a
+        root, to unflow an entry), and each origin sits at the oldest frame,
+        so the clip moved each settled one whose origin is not its id. The
+        rule then runs over the open trajectories, against the previous ones
+        they overlap; a settled one claims no id an open one could take, as
+        its origin and previous id are its own id, or an id that another
+        settled one holds and, in the unchanged order, takes first.
         """
         dec = self.cache.residual.decoded
         fresh = dec.fresh
@@ -259,8 +262,8 @@ class OnlineTracker:
         queue = list(opened)
 
         def spoil(tid: int):
-            """tid is claimed by an open trajectory or held by no settled
-            one: open the settled ones whose origin or previous id it is."""
+            """tid is claimed by an open trajectory: open the settled ones
+            whose origin or previous id it is."""
             if tid < 0 or tid in bad:
                 return
             bad.add(tid)
@@ -269,8 +272,6 @@ class OnlineTracker:
                     opened[c] = None
                     queue.append(c)
 
-        for c in (*dec.ended, *dec.emptied):
-            spoil(c.traj.track_id)
         while queue:
             c = queue.pop()
             spoil(c.origin)

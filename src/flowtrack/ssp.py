@@ -6,8 +6,9 @@ decode of the flow), the DAG shortest-path sweep, the full Dijkstra search,
 the paper's dynamic broadcast that re-labels only the invalidated part of the
 shortest-path tree, trajectory decoding kept up to date from the edges whose
 flow changed (FlowDecoder), and the greedy DP baseline. Every search is
-compiled: the DAG sweep is one numpy reduction per frame layer, and both
-other searches are scipy's Dijkstra over one CSR of the residual arcs.
+compiled: one DAG relaxation (_relax_frames) gives the sweep's labels and
+each appended frame's potentials, and both other searches are scipy's
+Dijkstra over one CSR of the residual arcs.
 
 Every solver runs on one residual graph, whose sink is split into a root
 and a target (ResidualGraph). Every exact solver runs one loop,
@@ -31,14 +32,15 @@ from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import dijkstra
 
 from .errors import DataError, InvariantBreach
-from .graph import (DET, ENTRY, EXIT, LINK, SINK, SOURCE, FlowSolution,
-                    TrackingGraph, Trajectory)
+from .graph import (DET, ENTRY, EXIT, LINK, NO_EDGES, SINK, SOURCE,
+                    FlowSolution, TrackingGraph, Trajectory)
 
 #: Tolerance for reduced-cost non-negativity, relative to the graph's largest
 #: |edge cost|: a search weighs values in [-eps, 0), eps = EPS * that cost,
 #: as zero and rejects any below. Being relative, it makes a solve invariant
 #: under scaling every cost by a power of two.
 EPS = 1e-9
+NO_NODES = np.zeros((2, 0), dtype=np.int64)
 
 
 @dataclass(slots=True)
@@ -152,12 +154,12 @@ class ResidualGraph:
 
     def _read_costs(self):
         """Re-read the live costs' scale (eps) and sum after the graph
-        changed, and drop the indexes built over its slots."""
+        changed, and drop the arc index built over its slots."""
         live = np.abs(self.graph.e_cost[self.graph.e_alive])
         self.eps = EPS * float(np.max(live, initial=0.0))
         with np.errstate(over="ignore"):
             self.cost_sum = float(np.sum(live))
-        self._arcs = self._dag = None
+        self._arcs = None
 
     def fwd_dst(self, eids=slice(None)) -> np.ndarray:
         """The search node each edge eids' (default every slot's) forward
@@ -205,41 +207,6 @@ class ResidualGraph:
                               cols, keys)
         return self._arcs
 
-    def dag_levels(self):
-        """Level index of the forward (acyclic) graph, built on first use,
-        with the same lifetime as arcs().
-
-        Levels are the source, then the u and then the v nodes of each frame
-        in frame order, then the target. Forward edges are sorted by (level of
-        head, head, rank in push order): the source's out-edges, then each
-        frame's u nodes' and then v nodes' out-edges. Listing the entries and
-        exits in (frame, local index) order and then every frame's link block
-        puts each node's in-edges in that order, whatever the ids. Returns
-        (edge ids, tails, heads, one (first edge, end edge, group starts
-        within those edges, group heads) per level).
-        """
-        if self._dag is None:
-            g, n, fwd = self.graph, len(self.potential), self.fwd_dst()
-            level = np.zeros(n, dtype=np.int64)
-            sizes = [uv.shape[1] for uv in g.frame_nodes.values()]
-            u, v = np.concatenate([np.zeros((2, 0), np.int64),
-                                   *g.frame_nodes.values()], axis=1)
-            layer = 2 * np.repeat(np.arange(len(sizes)), sizes)
-            level[u], level[v] = layer + 1, layer + 2
-            level[self.target] = 2 * len(sizes) + 1
-            push = np.concatenate((g.node_in[u], g.node_out[u], g.node_out[v],
-                                   *g.frame_links.values()))
-            heads = fwd[push]
-            eids = push[np.argsort(level[heads] * n + heads, kind="stable")]
-            heads = fwd[eids]
-            first = np.flatnonzero(np.diff(heads, prepend=-1))
-            bounds = np.flatnonzero(np.diff(level[heads[first]], prepend=-1))
-            ends = np.append(first, len(eids))
-            levels = [(ends[a], ends[b], first[a:b] - ends[a], heads[first[a:b]])
-                      for a, b in zip(bounds, np.append(bounds[1:], len(first)))]
-            self._dag = (eids, g.e_src[eids], heads, levels)
-        return self._dag
-
     def flip(self, eids: np.ndarray):
         """Push or cancel the unit of flow on the distinct edges eids: their
         residual arcs turn round."""
@@ -266,22 +233,15 @@ class ResidualGraph:
 
     def append_frame(self, detections, model, prepared):
         """Append prepared frames to the graph. Their edges carry no flow;
-        each frame's nodes get potentials in one relaxation pass over their
-        in-arcs (entries and links from frame - 1), and the sink's potential
-        drops to its lowest new exit, which keeps every reduced cost >= 0.
-        On an empty graph these are the DAG shortest-path distances, from
-        which the solve starts at zero flow."""
+        their nodes get potentials, and the sink's potential drops to its
+        lowest new exit, in the one DAG relaxation (_relax_frames) over the
+        edge costs, which keeps every reduced cost >= 0. On an empty graph
+        these are the DAG shortest-path distances, from which the solve
+        starts at zero flow."""
         g = self.graph
         g.append_frame(detections, model, prepared=prepared)
         self._sync()
-        p, t, c = self.potential, self.target, g.e_cost
-        for frame in prepared.frames:
-            u, v = g.frame_nodes[frame]
-            links = g.frame_links[frame]
-            p[u] = p[SOURCE] + c[g.node_in[u]]
-            np.minimum.at(p, g.e_dst[links], p[g.e_src[links]] + c[links])
-            p[v] = p[u] + c[g.node_out[u]]
-            p[t] = np.min(p[v] + c[g.node_out[v]], initial=p[t])
+        _relax_frames(self, self.potential, prepared.frames, g.e_cost)
 
     def decode(self) -> FlowSolution:
         """Bring the kept decode up to date with the edges flipped since the
@@ -362,40 +322,77 @@ def path_original_cost(res: ResidualGraph, path: Path) -> float:
                               -costs).tolist())
 
 
+def _relax_frames(res: ResidualGraph, dist: np.ndarray, frames, w):
+    """Relax into dist (a label per search node) the forward in-arcs of the
+    nodes of frames, in frame order, each edge slot weighed by w: a u node
+    takes its entry, then the least with its links; a v node its u node's label
+    plus its detection edge; the target the least of its label and the exits.
+    Only links go frame by frame: one from a frame of the run carries its
+    tail's u label plus that detection edge plus its own weight, bit for bit
+    the tail's label to be plus its weight, so the v nodes follow in one pass;
+    the first frame's links leave the frame before, whose labels are set.
+    Returns the u and v nodes, the entries' labels, the links' tails and heads
+    in push order with their labels, and the exits' labels."""
+    g = res.graph
+    u, v = np.concatenate([NO_NODES, *map(g.frame_nodes.get, frames)], axis=1)
+    links = np.concatenate([NO_EDGES, *map(g.frame_links.get, frames)])
+    tails, heads, w_link = g.e_src[links], g.e_dst[links], w[links]
+    tail_det = g.node_in[tails]
+    tail_u, w_tail = g.e_src[tail_det], w[tail_det]
+    entry = dist[SOURCE] + w[g.node_in[u]]
+    via = np.empty(len(links))
+    dist[u] = entry
+    b = 0
+    for i, f in enumerate(frames):
+        d = b + len(g.frame_links[f])
+        out = via[b:d]
+        if i == 0:
+            np.add(dist[tails[b:d]], w_link[b:d], out=out)
+        else:
+            np.add(dist[tail_u[b:d]], w_tail[b:d], out=out)
+            out += w_link[b:d]
+        np.minimum.at(dist, heads[b:d], out)
+        b = d
+    dist[v] = dist[u] + w[g.node_out[u]]
+    exits = dist[v] + w[g.node_out[v]]
+    dist[res.target] = np.min(exits, initial=dist[res.target])
+    return u, v, entry, tails, heads, via, exits
+
+
 def dag_shortest_path(res: ResidualGraph, stats: SolverStats | None = None,
                       excluded: np.ndarray | None = None):
-    """Shortest paths from the source over the forward (acyclic) graph,
-    compiled: one numpy min-reduction per level of res.dag_levels().
+    """Shortest paths from the source over the forward (acyclic) graph: the
+    one DAG relaxation (_relax_frames) over every frame, from fresh labels.
 
     Handles negative costs. The residual graph must carry no flow, and its
     potentials are not read: the sweep weighs each edge by its cost. excluded
-    is a boolean node mask of nodes the sweep may not enter, so it never
-    leaves them either. Every root starts at 0. A node's predecessor is the
-    tail of its first tight in-edge in push order: the edge a strict-<
-    relaxation in that order keeps. relaxations counts the edges out of
-    reached nodes into nodes not excluded. Returns (path to res.target or
-    None, labels).
+    is a boolean node mask of nodes the sweep may not enter (their in-edges
+    weigh inf), so it never leaves them either. Every root starts at 0. A
+    node's predecessor is the tail of its first tight in-edge in push order
+    (entries, links in frame_links order, detection edges, exits in frame
+    order): the edge a strict-< relaxation in that order keeps. relaxations
+    counts the edges out of reached nodes into nodes not excluded. Returns
+    (path to res.target or None, labels).
     """
     stats = stats or SolverStats()
     labels = PredecessorMap(len(res.potential), res.roots)
-    if res.graph.is_empty:
+    g, dist = res.graph, labels.dist
+    if g.is_empty:
         return None, labels
-    if np.any(res.flow[res.graph.e_alive]):
+    if np.any(res.flow[g.e_alive]):
         raise InvariantBreach("DAG sweep over a residual graph carrying flow")
-    eids, tails, heads, levels = res.dag_levels()
-    w = res.graph.e_cost[eids]
-    if excluded is not None:
-        w[excluded[heads]] = np.inf
-    dist = labels.dist
-    for a, b, starts, level_heads in levels:
-        dist[level_heads] = np.minimum.reduceat(dist[tails[a:b]] + w[a:b],
-                                                starts)
-    via = dist[tails] + w
+    w = (g.e_cost if excluded is None else
+         np.where(excluded[res.fwd_dst()], np.inf, g.e_cost))
+    u, v, entry, tails, heads, via, exits = _relax_frames(
+        res, dist, g.frames, w)
+    tails = np.concatenate((np.full(len(u), SOURCE), tails, u, v))
+    heads = np.concatenate((u, heads, v, np.full(len(v), res.target)))
+    via = np.concatenate((entry, via, dist[v], exits))
     reached = np.isfinite(via)
     stats.relaxations += int(np.count_nonzero(reached))
     stats.searches += 1
     tight = np.flatnonzero(reached & (via == dist[heads]))
-    first = tight[np.diff(heads[tight], prepend=-1) != 0]
+    first = tight[np.unique(heads[tight], return_index=True)[1]]  # per head
     labels.pred[heads[first]] = tails[first]
     return extract_path(res, labels), labels
 

@@ -16,6 +16,7 @@ from flowtrack.ssp import (SolverStats, _solution_from_residual,
                            solve_dssp, solve_ssp)
 from flowtrack.synthetic import SyntheticConfig, generate_synthetic
 from reference import decode_trajectories
+from test_ssp import dyadic_frames
 from test_stream_emit import SCENES as STREAM_SCENES
 
 
@@ -641,6 +642,20 @@ class TestKeptDecode:
         origins, ties, recycled = map(sum, zip(*events))
         assert ties > 0 or window == 2
         assert (origins > 0 and recycled == len(events)) == (window is not None)
+
+    @pytest.mark.parametrize("window", [2, 3, 4, 5])
+    def test_tied_and_gapped_instances_match_full_decode(self, window):
+        # Dyadic costs tie paths and overlaps exactly, and are often
+        # re-routed; gaps and empty frames clip several frames at once or
+        # empty the window, so whole trajectories leave with their ids.
+        events = []
+        for seed in range(40):
+            frames, model = dyadic_frames(seed, n_frames=24, max_dets=6,
+                                          skip=seed % 2 == 1)
+            events.append(self.compare(frames, window, model, gating=False))
+        origins, ties, recycled = map(sum, zip(*events))
+        assert origins > 0 and recycled == len(events)
+        assert ties > 0 or window == 2
 
     @pytest.mark.parametrize("window", [None, 2, 3, 10])
     def test_criteria_scene_matches_full_decode(self, window):
