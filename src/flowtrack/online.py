@@ -59,14 +59,6 @@ class PredecessorCache:
         the graph was empty, so the solve starts from zero flow."""
         return None if self.frame is None else self.residual
 
-    def clip(self, heads: list[Chain]):
-        """Clip the oldest frame, where the chains heads start, keeping the
-        optimum's flow and decode on what stays
-        (ResidualGraph.clip_oldest_frame); an emptied graph holds none."""
-        self.residual.clip_oldest_frame(heads)
-        if self.residual.graph.is_empty:
-            self.frame = None
-
 
 @dataclass
 class TrackRegistry:
@@ -154,10 +146,8 @@ class OnlineTracker:
         # for each detection that a push took out of the current solution;
         # the owner consumes and trims it.
         self.row_log: list[tuple[int | None, Detection]] | None = None
-        # The current trajectories' chains by track id, and by the origin
-        # their entry carries (_assign_ids).
+        # The current trajectories' chains by track id (_assign_ids).
         self._holder: dict[int, Chain] = {}
-        self._by_origin: dict[int, set[Chain]] = {}
         self.stats = SolverStats()  # totals over the frames
         self.frame_stats: list[SolverStats] = []
         self.max_dets_per_frame = 0
@@ -192,33 +182,25 @@ class OnlineTracker:
         return solution
 
     def _clip_one_frame(self):
-        """Clip the oldest frame: the first detection of each trajectory
-        that starts there is frozen."""
-        g = self.graph
-        heads = self.cache.residual.decoded.starting_in(g.frame_nodes[g.t_min][0])
+        """Clip the oldest frame, keeping the optimum's flow and decode on
+        what stays (ResidualGraph.clip_oldest_frame): the first detection of
+        each trajectory that starts there is frozen. An emptied graph holds
+        no optimum."""
+        g, res = self.graph, self.cache.residual
+        heads = res.decoded.starting_in(g.frame_nodes[g.t_min][0])
         for c in heads:
-            tid, first = c.traj.track_id, c.dets[0]
+            tid, first = c.traj.track_id, c.traj.detections[0]
             self.frozen.setdefault(tid, []).append(first)
             if self.row_log is not None:
                 self.row_log.append((tid, first))
-        self.cache.clip(heads)
-
-    def _register(self, c: Chain):
-        """Add chain c to the lookups by id and by an origin other than its
-        id."""
-        tid, origin = c.traj.track_id, c.origin
-        self._holder[tid] = c
-        if origin >= 0 and origin != tid:
-            self._by_origin.setdefault(origin, set()).add(c)
+        res.clip_oldest_frame(heads)
+        if g.is_empty:
+            self.cache.frame = None
 
     def _unregister(self, c: Chain):
-        """Drop chain c, under its current id, from the lookups."""
+        """Drop chain c, under its current id, from the lookup by id."""
         if self._holder.get(c.traj.track_id) is c:
             del self._holder[c.traj.track_id]
-        if (same := self._by_origin.get(c.origin)) is not None:
-            same.discard(c)
-            if not same:
-                del self._by_origin[c.origin]
 
     def _assign_ids(self, solution: FlowSolution):
         """Give the current trajectories the ids assign_track_ids gives them
@@ -233,44 +215,53 @@ class OnlineTracker:
         its id or its origin (an open trajectory claims its origin and the
         previous id of each of its detections). Settled ones that meet such
         an id open, until none does. So does a settled one that a clip
-        moved, whose start may now sort before or after others: when its
-        origin is not its id, or another's origin is its id. The others are
-        open. No trajectory that left frees an id a settled one would take:
-        only clips remove one (no shortest path runs through the source, a
-        root, to unflow an entry), and each origin sits at the oldest frame,
-        so the clip moved each settled one whose origin is not its id. The
-        rule then runs over the open trajectories, against the previous ones
-        they overlap; a settled one claims no id an open one could take, as
-        its origin and previous id are its own id, or an id that another
-        settled one holds and, in the unchanged order, takes first.
+        moved, whose start may now sort before or after others, when its
+        origin is not its id. The others are open. Two invariants of the
+        flow leave nothing else to open:
+
+        1. No push unflows an entry (FlowDecoder): every pushed path starts
+           at a root and none enters the source. So only clips remove a
+           trajectory, and none that left frees an id a settled one would
+           take.
+        2. Every trajectory whose entry carries an origin was moved by a
+           clip in this frame. Clipping frame c writes origins only on the
+           entries of frame c + 1, and it ran at a frame index >= c + W for
+           the window W. Every later frame index is >= c + W + 1, so each
+           later frame first clips frame c + 1, moving the trajectories that
+           start there. So one whose origin is not its id is open, and the
+           settled holder of an origin that an open one claims opens, as
+           the claim is on its previous id.
+
+        The rule then runs over the open trajectories, against the previous
+        ones they overlap; a settled one claims no id an open one could
+        take, as its origin and previous id are its own id.
         """
         dec = self.cache.residual.decoded
         fresh = dec.fresh
-        for c in (*dec.ended, *dec.emptied):
+        for c in dec.emptied:
             self._unregister(c)
         opened: dict[Chain, None] = {}  # open chains, in the order opened
         for c, (was, segments) in fresh.items():
             if was is None or any(s is not None and s is not was
                                   for s, _, _ in segments):
                 opened[c] = None
-        moved, ended = set(dec.moved), set(dec.ended)
+        moved = set(dec.moved)
         for c in dec.moved:
-            tid = c.traj.track_id
-            if c not in ended and (c.origin != tid or tid in self._by_origin):
+            if c.origin != c.traj.track_id:
                 opened[c] = None
         bad: set[int] = set()
         queue = list(opened)
 
         def spoil(tid: int):
-            """tid is claimed by an open trajectory: open the settled ones
-            whose origin or previous id it is."""
+            """tid is claimed by an open trajectory: open the settled one
+            whose previous id it is."""
             if tid < 0 or tid in bad:
                 return
             bad.add(tid)
-            for c in (self._holder.get(tid), *self._by_origin.get(tid, ())):
-                if c is not None and c not in opened:
-                    opened[c] = None
-                    queue.append(c)
+            c = self._holder.get(tid)
+            if c is not None and c not in opened:
+                opened[c] = None
+                queue.append(c)
 
         while queue:
             c = queue.pop()
@@ -304,7 +295,7 @@ class OnlineTracker:
                 FlowSolution(trajectories=current), self.registry,
                 {i: c.origin for i, c in enumerate(opened) if c.origin >= 0})
         for c in opened:
-            self._register(c)
+            self._holder[c.traj.track_id] = c
 
         if self.row_log is None:
             return

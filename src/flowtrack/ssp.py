@@ -634,14 +634,14 @@ def successive_shortest_paths(res: ResidualGraph, stats: SolverStats,
 @dataclass(eq=False, slots=True)
 class Chain:
     """One decoded trajectory and what its walk read, position by position:
-    each detection, its u node, the left fold of the edge costs through its
+    each detection's u node, the left fold of the edge costs through its
     detection edge, and the flowed edge out of its v node (a link, or the
-    exit for the last). The trajectory costs its last fold plus that exit.
+    exit for the last). traj is its Trajectory in the solution, whose
+    detections are the nodes', and which costs its last fold plus that exit.
     key is the first detection's key and origin the track id its entry edge
-    carries (-1 for none). traj is its Trajectory in the solution."""
+    carries (-1 for none)."""
 
     traj: Trajectory
-    dets: list
     nodes: list[int]
     folds: list[float]
     outs: list[int]
@@ -660,10 +660,14 @@ class FlowDecoder:
     such a trajectory kept its edges' flow, so a run of them lies in one
     chain of before and is copied from it, folds too when the fold before
     the run is unchanged. A trajectory that starts where a chain started is
-    that chain, updated in place; the other chains it touched end. Decoding
-    a flow from none, every flowed edge changed, walks every trajectory. The
-    chains are kept in the order of their keys, which is the order of the
-    solution's trajectories.
+    that chain, updated in place. No push unflows an entry: every pushed
+    path starts at a root, and no path enters the source, whose reversed
+    entries are the only arcs into it. So each chain an update touches still
+    starts where it started and is walked from there, and an update ends no
+    chain (an entry read unflowed is an InvariantBreach); chains leave only
+    through clips. Decoding a flow from none, every flowed edge changed,
+    walks every trajectory. The chains are kept in the order of their keys,
+    which is the order of the solution's trajectories.
     """
 
     def __init__(self, graph: TrackingGraph):
@@ -677,11 +681,9 @@ class FlowDecoder:
         # The last update's report. Each chain it walked, with its Trajectory
         # before (None for a new chain) and its segments (Trajectory before
         # or None, start, end): the runs of its positions that lay in one
-        # chain before, or in none. The chains that ended; the detections
-        # that left every chain; and the chains the clips before it trimmed,
-        # and emptied.
+        # chain before, or in none. The detections that left every chain;
+        # and the chains the clips before it trimmed, and emptied.
         self.fresh: dict[Chain, tuple[Trajectory | None, list]] = {}
-        self.ended: list[Chain] = []
         self.dropped: list = []
         self.moved: list[Chain] = []
         self.emptied: list[Chain] = []
@@ -691,21 +693,25 @@ class FlowDecoder:
         (repeats allowed). Returns every trajectory in key order, the
         chains' Trajectory objects, with their total cost. A walked
         trajectory carries the track id of the chain it updates, -1 for a
-        new chain."""
+        new chain. Raises InvariantBreach if an entry edge lost its flow."""
         g, chain_of = self.graph, self.chain_of
         eids = np.asarray(eids, dtype=np.int64)
         src = g.e_src[eids]
-        # The u nodes at either end of a changed edge; the flow now on those
-        # of their entry and detection edges that changed; and the flowed
-        # and the unflowed changed edges out of v nodes, the flowed by tail.
-        changed, entry_on, det_on, step, cut = set(), {}, {}, {}, set()
+        # The u nodes at either end of a changed edge; those whose entry
+        # changed, each a new start; the flow now on their detection edges
+        # that changed; and the flowed and the unflowed changed edges out of
+        # v nodes, the flowed by tail.
+        changed, entered, det_on, step, cut = set(), set(), {}, {}, set()
         for eid, kind, a, b, on, a_u in zip(
                 eids.tolist(), g.e_kind[eids].tolist(), src.tolist(),
                 g.e_dst[eids].tolist(), res.flow[eids].tolist(),
                 g.e_src[g.node_in[src]].tolist()):
             if kind == ENTRY:
+                if not on:
+                    raise InvariantBreach(f"a push unflowed the entry edge "
+                                          f"{eid}")
                 changed.add(b)
-                entry_on[b] = on
+                entered.add(b)
             elif kind == DET:
                 changed.add(a)
                 det_on[a] = on
@@ -722,8 +728,7 @@ class FlowDecoder:
         for x in sorted(changed):
             if (c := chain_of.get(x)) is not None:
                 marks.setdefault(c, []).append(c.nodes.index(x))
-            # An unchanged entry carries flow if it did, at a chain's start.
-            if entry_on.get(x, x in self.chains):
+            if x in entered or x in self.chains:
                 starts.append(x)
         for c, positions in marks.items():
             positions.sort()
@@ -732,23 +737,19 @@ class FlowDecoder:
         walks = [self._walk(s, changed, det_on, step, cut, marks)
                  for s in starts]
         gone = [x for x, on in det_on.items() if not on and x in chain_of]
-        kept = {walk[0] for walk in walks}
-        self.ended = [c for c in marks if c not in kept]
-        for c in self.ended:
-            self._remove(c)
         for x in gone:
             del chain_of[x]
         fresh = {}
-        for c, traj, dets, nodes, folds, outs, key, origin, segments in walks:
+        for c, traj, nodes, folds, outs, key, origin, segments in walks:
             if c is None:
-                c = Chain(traj, dets, nodes, folds, outs, key, origin)
+                c = Chain(traj, nodes, folds, outs, key, origin)
                 self._place(c)
                 fresh[c] = None, segments
                 chain_of.update(dict.fromkeys(nodes, c))
             else:
                 before = c.traj
                 fresh[c] = before, segments
-                c.dets, c.nodes, c.folds, c.outs = dets, nodes, folds, outs
+                c.nodes, c.folds, c.outs = nodes, folds, outs
                 self.replace_traj(c, traj)
                 for s, lo, hi in segments:  # nodes it did not hold before
                     if s is not before:
@@ -762,8 +763,8 @@ class FlowDecoder:
     def _walk(self, s, changed, det_on, step, cut, marks):
         """Decode the trajectory that starts at u node s. Returns the chain
         that started at s, if any, and what the trajectory's chain holds:
-        its Trajectory, detections, nodes, folds, outs, key and origin, then
-        its segments."""
+        its Trajectory, nodes, folds, outs, key and origin, then its
+        segments."""
         g, chain_of, sink = self.graph, self.chain_of, SINK
         cost, node_out, e_dst, node_det = g.e_cost, g.node_out, g.e_dst, g.node_det
         nodes, folds, outs, dets, segments = [], [], [], [], []
@@ -804,7 +805,7 @@ class FlowDecoder:
             segments.append((c.traj, len(nodes), len(nodes) + end - p))
             nodes += c.nodes[p:end]
             outs += c.outs[p:end]
-            dets += c.dets[p:end]
+            dets += c.traj.detections[p:end]
             if p == 0 or folds[-1] == c.folds[p - 1]:
                 folds += c.folds[p:end]
             else:  # the run's prefix changed: fold its costs again
@@ -816,10 +817,10 @@ class FlowDecoder:
             x = c.nodes[end] if end < len(c.nodes) else sink
         was = self.chains.get(s)
         if was is None:
-            return (None, Trajectory(-1, dets, acc), dets, nodes, folds, outs,
+            return (None, Trajectory(-1, dets, acc), nodes, folds, outs,
                     dets[0].key, g.e_origin.item(g.node_in.item(s)), segments)
-        return (was, Trajectory(was.traj.track_id, dets, acc), dets, nodes,
-                folds, outs, was.key, was.origin, segments)
+        return (was, Trajectory(was.traj.track_id, dets, acc), nodes, folds,
+                outs, was.key, was.origin, segments)
 
     def starting_in(self, us: np.ndarray) -> list[Chain]:
         """The chains that start at the u nodes us, in their order."""
@@ -841,9 +842,9 @@ class FlowDecoder:
                 self._emptied.append(c)
                 continue
             del c.nodes[0], c.folds[0], c.outs[0]
-            c.dets = c.dets[1:]
-            c.traj = Trajectory(c.traj.track_id, c.dets, c.traj.cost)
-            c.key = c.dets[0].key
+            c.traj = Trajectory(c.traj.track_id, c.traj.detections[1:],
+                                c.traj.cost)
+            c.key = c.traj.detections[0].key
             c.origin = g.e_origin.item(g.node_in.item(c.nodes[0]))
             self._place(c)
             self._moved[c] = None

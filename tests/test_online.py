@@ -8,6 +8,7 @@ from conftest import StubModel, build_graph, det, make_random_instance
 from flowtrack.cost_model import CostModel, Detection
 import flowtrack.ssp as ssp
 from flowtrack.errors import DataError, InvariantBreach
+from flowtrack.graph import ENTRY
 from flowtrack.graph import FlowSolution, Trajectory, build_batch_graph
 from flowtrack.online import (OnlineTracker, TrackerConfig, TrackRegistry,
                               assign_track_ids, trajectory_model_cost)
@@ -357,6 +358,20 @@ class TestBoundedOnline:
         for t in tr.final_tracks():
             assert t.cost == pytest.approx(
                 trajectory_model_cost(t.detections, model), abs=1e-12)
+        # Here a chain's fold carries the prefix of the lineage its entry's
+        # origin names, not the frozen prefix of the id it holds, so the
+        # folds cannot price the final tracks.
+        frames, model = make_random_instance(111, frame_range=(8, 16),
+                                             dets_range=(2, 5))
+        tr = stream(OnlineTracker(TrackerConfig(model=model, window=3,
+                                                gating=False)), frames)
+        tracks = tr.final_tracks()
+        for t in tracks:
+            assert t.cost == pytest.approx(
+                trajectory_model_cost(t.detections, model), abs=1e-12)
+        final = {(t.track_id, t.detections[-1].key): t.cost for t in tracks}
+        assert any(final[t.track_id, t.detections[-1].key] != t.cost
+                   for t in tr.solution.trajectories)
 
     def test_frozen_prefixes_cover_all_emitted_detections(self):
         cfg = SyntheticConfig(n_frames=30, n_initial_tracks=2, miss_rate=0.0,
@@ -598,6 +613,38 @@ def criteria_scene(n_frames=500):
     return generate_synthetic(cfg, 0)[0]
 
 
+def quarter_frames(seed, n_frames=40, max_dets=8):
+    """(frames, model) with cheap entries and exits and link costs on a
+    quarter step in [-2, 2], so tracks are short, split and merge often and
+    sometimes tie. Up to max_dets detections per frame; some frames are
+    empty and some frame indices jump by 2-3."""
+    rng = np.random.default_rng(seed)
+    frames, f = {}, 0
+    for _ in range(n_frames):
+        n = 0 if rng.random() < 0.15 else int(rng.integers(1, max_dets + 1))
+        frames[f] = [det(f, i, x=float(rng.uniform(0, 500))) for i in range(n)]
+        f += 1 if rng.random() < 0.8 else int(rng.integers(2, 4))
+    quarter = lambda lo, hi: float(rng.integers(4 * lo, 4 * hi + 1)) / 4.0
+    dets = [d for ds in frames.values() for d in ds]
+    model = StubModel(
+        entry={d.key: quarter(0, 1) for d in dets},
+        exit_={d.key: quarter(0, 1) for d in dets},
+        detection={d.key: quarter(-2, 0) for d in dets},
+        links={(a.key, b.key): quarter(-2, 2) for a in dets for b in dets
+               if b.frame == a.frame + 1})
+    return frames, model
+
+
+def invariant_instances():
+    """The windowed streams TestKeptDecode runs: tied and gapped dyadic
+    ones, random ones and quarter-step ones."""
+    for seed in range(12):
+        yield dyadic_frames(seed, n_frames=24, max_dets=6, skip=seed % 2 == 1)
+        yield make_random_instance(100 + seed, frame_range=(8, 16),
+                                   dets_range=(2, 5))
+        yield quarter_frames(seed, n_frames=24)
+
+
 class TestKeptDecode:
     """The decode and ids the tracker keeps from frame to frame, against the
     full walk of the flow and the id rule over the whole solutions, frame by
@@ -660,6 +707,66 @@ class TestKeptDecode:
     @pytest.mark.parametrize("window", [None, 2, 3, 10])
     def test_criteria_scene_matches_full_decode(self, window):
         self.compare(criteria_scene(), window)
+
+    @pytest.mark.parametrize("window", [2, 3, 4, 6])
+    def test_quarter_step_instances_match_full_decode(self, window):
+        # Cheap entries and exits and links of either sign start, end and
+        # re-route many short tracks per frame, up to 8 detections wide;
+        # empty frames and index jumps clip several frames at once.
+        events = []
+        for seed in range(60):
+            frames, model = quarter_frames(seed)
+            events.append(self.compare(frames, window, model, gating=False))
+        origins, ties, recycled = map(sum, zip(*events))
+        assert origins > 0 and recycled == len(events)
+        assert ties > 0 or window == 2
+
+
+class TestFlowInvariants:
+    """The two invariants of the flow that the kept decode and the id rule
+    rest on (FlowDecoder, OnlineTracker._assign_ids)."""
+
+    def test_an_unflowed_entry_is_a_breach(self):
+        # No push unflows an entry, so the decoder ends no chain; an entry
+        # that lost its flow anyway is reported, not decoded around.
+        frames, model = dyadic_frames(3, n_frames=8, max_dets=4)
+        tracker = stream(OnlineTracker(TrackerConfig(
+            model=model, window=3, gating=False)), frames)
+        g, res = tracker.graph, tracker.cache.residual
+        flowed = np.flatnonzero(g.e_alive & (g.e_kind == ENTRY)
+                                & (res.flow == 1))
+        assert len(flowed)
+        res.flip(flowed[:1])
+        with pytest.raises(InvariantBreach, match="unflowed the entry"):
+            res.decode()
+
+    @pytest.mark.parametrize("window", [2, 3, 4, 5])
+    def test_origins_sit_at_the_oldest_frame_and_were_moved(self, window):
+        # Each live entry that carries an origin leads into the oldest
+        # frame, and each chain it starts was moved by this frame's clips,
+        # so the id rule sees every origin-bearing chain as moved.
+        seen = 0
+        for frames, model in invariant_instances():
+            tracker = OnlineTracker(TrackerConfig(model=model, window=window,
+                                                  gating=False))
+            assign, dec = tracker._assign_ids, tracker.cache.residual.decoded
+
+            def checked(solution):
+                nonlocal seen
+                carried = [c for c in dec.chains.values() if c.origin >= 0]
+                assert set(carried) <= set(dec.moved)
+                seen += len(carried)
+                assign(solution)
+
+            tracker._assign_ids = checked
+            g = tracker.graph
+            for f in sorted(frames):
+                tracker.process_frame(frames[f], frame=f)
+                folded = g.e_alive & (g.e_kind == ENTRY) & (g.e_origin >= 0)
+                if folded.any():
+                    oldest = set(g.frame_nodes[g.t_min][0].tolist())
+                    assert set(g.e_dst[folded].tolist()) <= oldest, f
+        assert seen > 0
 
 
 def test_keys_read_per_frame_stay_flat(monkeypatch):
