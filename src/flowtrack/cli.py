@@ -8,6 +8,9 @@ built-in defaults. Exit codes: 0 success, 1 usage error, 2 bad input data,
 from __future__ import annotations
 
 import argparse
+import csv
+import dataclasses
+import inspect
 import math
 import os
 import sys
@@ -25,25 +28,23 @@ from .synthetic import SyntheticConfig, generate_synthetic
 
 CONFIG_ENV = "FLOWTRACK_CONFIG"
 
-_MODEL_KEYS = {
-    "beta": float,
-    "entry_cost": float,
-    "exit_cost": float,
-    "det_offset": float,
-    "det_weight": float,
-    "det_cost_form": str,
-}
-_TUPLE_KEYS = ("feature_offsets", "feature_weights")
-_RUN_KEYS = {
+
+def _floats(text: str) -> tuple[float, ...]:
+    return tuple(float(v) for v in text.split(","))
+
+
+#: CostModel field -> converter of its text, by the type of its default.
+_MODEL_KEYS = {f.name: _floats if isinstance(f.default, tuple)
+               else type(f.default) for f in dataclasses.fields(CostModel)}
+#: Config file key -> converter of its text.
+_CONFIG_KEYS = {
+    **_MODEL_KEYS,
     "gating": lambda s: s.lower() in ("1", "true", "yes", "on"),
     "gate_radius_factor": float,
     "window": int,
     "iou_threshold": float,
 }
-#: Config file key -> converter of its text.
-_CONFIG_KEYS = {**_MODEL_KEYS, **_RUN_KEYS,
-                **{key: lambda s: tuple(float(v) for v in s.split(","))
-                   for key in _TUPLE_KEYS}}
+_GATE_KEYS = ("gating", "gate_radius_factor")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -66,7 +67,7 @@ def _load_settings(args) -> dict:
             except ValueError:
                 raise DataError(f"config key {key!r}: cannot parse "
                                 f"{value!r}") from None
-    for key in list(_MODEL_KEYS) + list(_RUN_KEYS):
+    for key in _CONFIG_KEYS:
         cli_value = getattr(args, key, None)
         if cli_value is not None:
             settings[key] = cli_value
@@ -100,17 +101,22 @@ def _nonneg_int(text: str) -> int:
     raise argparse.ArgumentTypeError(f"expected an integer >= 0, got {text!r}")
 
 
+def _set(settings: dict, keys) -> dict:
+    """The settings among keys that were set, as keyword arguments: the
+    library's own defaults stand for the others."""
+    return {k: settings[k] for k in keys if k in settings}
+
+
 def _make_model(settings: dict) -> CostModel:
-    kwargs = {k: settings[k] for k in list(_MODEL_KEYS) + list(_TUPLE_KEYS)
-              if k in settings}
-    return CostModel(**kwargs)
+    return CostModel(**_set(settings, _MODEL_KEYS))
 
 
 def _add_model_args(p: argparse.ArgumentParser):
     p.add_argument("--config", help="key=value settings file "
                    f"(default: ${CONFIG_ENV})")
     for key, conv in _MODEL_KEYS.items():
-        p.add_argument(f"--{key.replace('_', '-')}", type=conv, dest=key)
+        if conv is not _floats:  # the feature tuples are config keys only
+            p.add_argument(f"--{key.replace('_', '-')}", type=conv, dest=key)
     p.add_argument("--no-gating", dest="gating", action="store_const",
                    const=False)
     p.add_argument("--gate-radius-factor", type=float, dest="gate_radius_factor")
@@ -121,10 +127,9 @@ def _add_model_args(p: argparse.ArgumentParser):
 def _cmd_track(args) -> int:
     settings = _load_settings(args)
     model = _make_model(settings)
-    gating = settings.get("gating", True)
-    factor = settings.get("gate_radius_factor", 2.0)
+    gate = _set(settings, _GATE_KEYS)
     solver = args.solver
-    window = args.window if args.window is not None else settings.get("window")
+    window = settings.get("window")
     if solver == "mbodssp" and window is None:
         raise DataError("mbodssp needs --window")
 
@@ -132,7 +137,7 @@ def _cmd_track(args) -> int:
         """The online tracker: a window makes it mbodssp; odssp ignores it."""
         return OnlineTracker(TrackerConfig(
             model=model, window=window if solver == "mbodssp" else None,
-            gating=gating, gate_radius_factor=factor))
+            **gate))
 
     if args.stream:
         if solver not in ("odssp", "mbodssp"):
@@ -142,8 +147,7 @@ def _cmd_track(args) -> int:
     detections = ftio.parse_detections(args.input)
 
     if solver in ("ssp", "dssp", "dp"):
-        graph = build_batch_graph(detections, model, gating=gating,
-                                  gate_radius_factor=factor)
+        graph = build_batch_graph(detections, model, **gate)
         solve = {"ssp": solve_ssp, "dssp": solve_dssp, "dp": solve_dp_greedy}[solver]
         solution, _ = solve(graph)
         tracks = solution.trajectories
@@ -161,7 +165,7 @@ def _cmd_track(args) -> int:
 
 
 def _track_stream(args, tracker: OnlineTracker) -> int:
-    """Read blank-line-terminated frame blocks from stdin and emit track rows
+    """Read blank-row-terminated frame blocks from stdin and emit track rows
     once they are --confirm-lag frames old (0 = emit and possibly revise)."""
     lag = args.confirm_lag
     with ftio.open_or_stdio(args.output, "w") as fout:
@@ -191,10 +195,8 @@ def _track_stream(args, tracker: OnlineTracker) -> int:
             ready = [row for row in pending.values() if row[1].frame <= limit]
             rows = sorted((d.frame, tid, *d.box) for tid, d in ready
                           if (d.frame, tid) not in emitted)
-            for f, tid, x, y, w, h in rows:
-                emitted.add((f, tid))
-                fout.write(f"{f},{tid},{'%.6g' % x},{'%.6g' % y},"
-                           f"{'%.6g' % w},{'%.6g' % h}\n")
+            emitted.update(row[:2] for row in rows)
+            ftio.write_track_rows(fout, rows)
             fout.flush()
             for _, d in ready:
                 del pending[id(d)]
@@ -202,8 +204,8 @@ def _track_stream(args, tracker: OnlineTracker) -> int:
                 t_min = tracker.graph.t_min
                 emitted = {key for key in emitted if key[0] >= t_min}
 
-        last, lines = None, ftio.LineCounter(sys.stdin)
-        while (block := ftio.parse_stream_frame(lines)) is not None:
+        last, reader = None, csv.reader(sys.stdin)
+        while (block := ftio.parse_stream_frame(reader)) is not None:
             last, dets = block
             tracker.process_frame(dets, frame=last)
             emit_through(last - lag)
@@ -230,8 +232,7 @@ def _cmd_eval(args) -> int:
     settings = _load_settings(args)
     _, gt = ftio.parse_ground_truth(args.gt)
     hypotheses = ftio.parse_tracks(args.tracks)
-    report = clear_mot(gt, hypotheses,
-                       iou_threshold=settings.get("iou_threshold", 0.5))
+    report = clear_mot(gt, hypotheses, **_set(settings, ("iou_threshold",)))
     print(f"MOTA {report.mota:.4f}")
     print(f"MOTP {report.motp:.4f}")
     print(f"MT {report.mostly_tracked:.4f}")
@@ -249,10 +250,7 @@ def _cmd_oracle(args) -> int:
     settings = _load_settings(args)
     model = _make_model(settings)
     detections = ftio.parse_detections(args.input)
-    graph = build_batch_graph(detections, model,
-                              gating=settings.get("gating", True),
-                              gate_radius_factor=settings.get(
-                                  "gate_radius_factor", 2.0))
+    graph = build_batch_graph(detections, model, **_set(settings, _GATE_KEYS))
     solution = brute_force_optimum(graph, seed=args.seed,
                                    max_detections=args.max_detections)
     ftio.write_tracks(args.output, solution.trajectories)
@@ -266,9 +264,7 @@ def _cmd_bench(args) -> int:
     detections = ftio.parse_detections(args.input)
     rows = run_bench(detections, model,
                      solvers=tuple(args.solvers.split(",")),
-                     taus=args.taus,
-                     gating=settings.get("gating", True),
-                     gate_radius_factor=settings.get("gate_radius_factor", 2.0))
+                     taus=args.taus, **_set(settings, _GATE_KEYS))
     with ftio.open_or_stdio(args.output, "w") as fout:
         write_bench(fout, rows)
     return 0
@@ -314,7 +310,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--gt", required=True, help="ground-truth CSV")
     p.add_argument("--tracks", required=True, help="track CSV")
     p.add_argument("--iou", type=float, dest="iou_threshold",
-                   help="match threshold in [0, 1] (default 0.5)")
+                   help="match threshold in [0, 1] (default "
+                   f"{inspect.signature(clear_mot).parameters['iou_threshold'].default})")
     p.add_argument("--config")
     p.set_defaults(func=_cmd_eval)
 

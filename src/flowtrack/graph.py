@@ -175,7 +175,7 @@ class TrackingGraph:
         self.e_origin = np.zeros(0, dtype=np.int64)
         self.det_nodes: dict[tuple[int, int], tuple[int, int]] = {}  # key -> (u, v)
         self.frames: dict[int, list[Detection]] = {}
-        self.boxes: dict[int, FrameBoxes | None] = {}  # geometry of frames
+        self.last_boxes: FrameBoxes | None = None  # t_max's, if it has any
         self.frame_nodes: dict[int, np.ndarray] = {}
         self.frame_links: dict[int, np.ndarray] = {}
 
@@ -315,7 +315,7 @@ class TrackingGraph:
         if dets:
             boxes = FrameBoxes(dets)
             if pool > len(dets):
-                prev = self.boxes[frames[0] - 1]
+                prev = self.last_boxes
                 boxes = FrameBoxes(prev.dets + dets, np.concatenate(
                     (prev.geo, boxes.geo), axis=1))
             if pairs:
@@ -428,9 +428,10 @@ class TrackingGraph:
             e = l + count
             links.append(eids[l:e])
             self.frames[f] = p.dets[a:b]
-            self.boxes[f] = p.boxes[n_prev + a:n_prev + b] if size else None
             self.frame_nodes[f], self.frame_links[f] = nodes[:, a:b], links[-1]
             a = b
+        geo = p.boxes.geo[:, -size:].copy() if size else None  # owns its data
+        self.last_boxes = FrameBoxes(self.frames[f], geo) if size else None
         triples = np.concatenate(triples).reshape(n, 3)
         links = np.concatenate(links)
         self.node_kind[uv] = KIND_U, KIND_V
@@ -461,7 +462,9 @@ class TrackingGraph:
         if self.is_empty:
             raise DataError("cannot clip an empty graph")
         t_min, removed = self.t_min, self.frames.pop(self.t_min)
-        del self.boxes[t_min], self.frame_links[t_min]
+        del self.frame_links[t_min]
+        if self.is_empty:
+            self.last_boxes = None
         nodes = u, v = self.frame_nodes.pop(t_min)
         out = self.links_out_of(t_min)
 

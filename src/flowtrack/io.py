@@ -4,7 +4,10 @@ Detections: ``frame,id,x,y,w,h,score[,extra...]`` — the id column is parsed
 but ignored (detections carry no identity), extra columns become additional
 pairwise features. Tracks: ``frame,track_id,x,y,w,h`` sorted by
 (frame, track_id). Ground truth: detection columns plus a trailing gt_id.
-Floats are written with ``%.6g`` so output is byte-identical across runs.
+Files and streams share one csv row reader (quoted fields, '#' comments; a
+blank row ends a stream's frame block), whose every error, csv's included,
+is a DataError that names the input line, and one track row writer, which
+writes floats with ``%.6g`` so output is byte-identical across runs.
 """
 from __future__ import annotations
 
@@ -17,6 +20,8 @@ import sys
 from .cost_model import Detection
 from .errors import DataError
 from .metrics import GroundTruth
+
+_READER = type(csv.reader(()))
 
 
 @contextlib.contextmanager
@@ -50,13 +55,23 @@ def _parse_int(text: str, what: str, lineno: int) -> int:
         raise DataError(f"line {lineno}: bad {what} {text!r}") from None
 
 
-def _rows(fobj):
-    for lineno, row in enumerate(csv.reader(fobj), start=1):
-        if not row or (len(row) == 1 and not row[0].strip()):
-            continue
-        if row[0].lstrip().startswith("#"):
-            continue
-        yield lineno, [c.strip() for c in row]
+def _rows(reader):
+    """Yield (line number, stripped fields) for the rows of a csv.reader but
+    '#' comments; a blank row gives no fields. A csv.Error becomes a
+    DataError that names the line, counted over the reader's whole input."""
+    try:
+        for row in reader:
+            fields = [c.strip() for c in row]
+            if fields and fields[0].startswith("#"):
+                continue
+            yield reader.line_num, fields if fields != [""] else []
+    except csv.Error as exc:
+        raise DataError(f"line {reader.line_num}: {exc}") from None
+
+
+def _file_rows(fobj):
+    """The nonblank rows of a CSV file, as _rows gives them."""
+    return ((lineno, row) for lineno, row in _rows(csv.reader(fobj)) if row)
 
 
 def _add_detection(per_frame: dict[int, list[Detection]], row, lineno,
@@ -96,7 +111,7 @@ def parse_detections(source) -> dict[int, list[Detection]]:
     per_frame: dict[int, list[Detection]] = {}
     n_extras = None
     with open_or_stdio(source) as fobj:
-        for lineno, row in _rows(fobj):
+        for lineno, row in _file_rows(fobj):
             det, _ = _add_detection(per_frame, row, lineno)
             if n_extras is None:
                 n_extras = len(det.extras)
@@ -110,7 +125,7 @@ def parse_ground_truth(source) -> tuple[dict[int, list[Detection]], GroundTruth]
     per_frame: dict[int, list[Detection]] = {}
     gt = GroundTruth()
     with open_or_stdio(source) as fobj:
-        for lineno, row in _rows(fobj):
+        for lineno, row in _file_rows(fobj):
             det, gt_id = _add_detection(per_frame, row, lineno, with_gt_id=True)
             gt.add(det.frame, gt_id, det.box)
     return dict(sorted(per_frame.items())), gt
@@ -158,15 +173,20 @@ def write_tracks(dest, trajectories):
             rows.append((d.frame, traj.track_id, x, y, w, h))
     rows.sort(key=lambda r: (r[0], r[1]))
     with open_or_stdio(dest, "w") as fobj:
-        for f, tid, x, y, w, h in rows:
-            fobj.write(f"{f},{tid},{_fmt(x)},{_fmt(y)},{_fmt(w)},{_fmt(h)}\n")
+        write_track_rows(fobj, rows)
+
+
+def write_track_rows(fobj, rows):
+    """Write (frame, track id, x, y, w, h) tuples as rows, one write each."""
+    for f, tid, x, y, w, h in rows:
+        fobj.write(f"{f},{tid},{_fmt(x)},{_fmt(y)},{_fmt(w)},{_fmt(h)}\n")
 
 
 def parse_tracks(source) -> dict[int, list[tuple[int, tuple]]]:
     """Read a track CSV into {frame: [(track_id, box), ...]} hypotheses."""
     frames: dict[int, dict[int, tuple]] = {}  # frame -> track id -> box
     with open_or_stdio(source) as fobj:
-        for lineno, row in _rows(fobj):
+        for lineno, row in _file_rows(fobj):
             if len(row) < 6:
                 raise DataError(f"line {lineno}: expected 6 columns, got {len(row)}")
             f = _parse_int(row[0], "frame", lineno)
@@ -197,43 +217,24 @@ def load_config(source) -> dict[str, str]:
     return out
 
 
-class LineCounter:
-    """Iterates a text stream's lines and counts them: lineno is the number
-    of the last line read. Read a stream's blocks through one so that every
-    error names the row's line in the whole input."""
-
-    def __init__(self, fobj):
-        self._lines = iter(fobj)
-        self.lineno = 0
-
-    def __iter__(self):
-        return self
-
-    def __next__(self):
-        line = next(self._lines)
-        self.lineno += 1
-        return line
-
-
 def parse_stream_frame(fobj) -> tuple[int, list[Detection]] | None:
-    """Read one blank-line-terminated block of detection rows from a stream.
+    """Read one blank-row-terminated block of detection rows from a stream.
 
     Returns (frame, detections) or None at end of input. All rows in a block
     must share one frame index. Errors name input lines counted by fobj if
-    it is a LineCounter, else from the first line this call reads.
+    it is a csv.reader, else (a text stream) from the first line this call
+    reads.
     """
-    lines = fobj if isinstance(fobj, LineCounter) else LineCounter(fobj)
+    reader = fobj if isinstance(fobj, _READER) else csv.reader(fobj)
     per_frame: dict[int, list[Detection]] = {}
-    for line in lines:
-        text = line.strip()
-        if not text:
+    for lineno, row in _rows(reader):
+        if not row:
             if per_frame:
                 break
-            continue  # leading blank lines
-        row = [c.strip() for c in text.split(",")]
-        det, _ = _add_detection(per_frame, row, lines.lineno)
+            continue  # leading blank rows
+        det, _ = _add_detection(per_frame, row, lineno)
         frame = next(iter(per_frame))
         if det.frame != frame:
-            raise DataError(f"line {lines.lineno}: stream block mixes frames "
+            raise DataError(f"line {lineno}: stream block mixes frames "
                             f"{frame} and {det.frame}")
     return next(iter(per_frame.items()), None)

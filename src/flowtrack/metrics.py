@@ -58,7 +58,6 @@ def clear_mot(gt: GroundTruth, hypotheses: dict[int, list[tuple[int, tuple]]],
     frames = sorted(set(gt.frames) | set(hypotheses))
     carried: dict[int, int] = {}          # gt id -> hyp id matched last frame
     last_hyp: dict[int, int] = {}         # gt id -> last hyp id ever matched
-    was_matched: set[int] = set()
     matched_prev_presence: dict[int, bool] = {}  # matched at its previous appearance
 
     total_gt = fp = fn = ids = frags = tp = 0
@@ -105,10 +104,9 @@ def clear_mot(gt: GroundTruth, hypotheses: dict[int, list[tuple[int, tuple]]],
                 gt_matched_frames[g] = gt_matched_frames.get(g, 0) + 1
                 if g in last_hyp and last_hyp[g] != h:
                     ids += 1
-                if g in was_matched and not matched_prev_presence.get(g, True):
+                if g in last_hyp and not matched_prev_presence.get(g, True):
                     frags += 1
                 last_hyp[g] = h
-                was_matched.add(g)
                 matched_prev_presence[g] = True
             else:
                 fn += 1

@@ -2,11 +2,13 @@
 1 or 2, never in a traceback.
 
 Rows mix valid detections with bad numbers, short rows, non-positive sizes,
-negative frames, comments and blank lines; frame indices reach 10^9, which
-costs nothing because skipped frames are never created. Config files mix
+negative frames, comments, blank lines, NUL bytes and overlong fields;
+frame indices reach 10^9, which costs nothing because skipped frames are
+never created. Config files mix
 known and unknown keys with junk, huge and non-finite numbers, and windows
 of 0, 1 and 10^9. The settings are fixed so the test is deterministic.
 """
+import csv
 import io
 import sys
 
@@ -34,8 +36,12 @@ good_tail = st.builds(
     st.floats(0.0, 500.0), st.floats(0.0, 500.0), st.floats(1.0, 80.0),
     st.floats(1.0, 80.0), st.floats(-4.0, 6.0))
 bad_tail = st.lists(numbers, max_size=8).map(lambda c: ",".join(["-1", *c]))
+#: Rows that csv itself may reject: a field over its size limit, and a NUL
+#: byte (rejected by csv before Python 3.11, by the number parser after).
+csv_faults = [f"0,-1,{'9' * (csv.field_size_limit() + 1)},1,5,5,1",
+              "0,-1,1,1,5,5,1\x00"]
 odd_lines = st.sampled_from(["", "   ", "# comment", "#0,-1,1,1,5,5,1",
-                             ",,,", "0", "x,-1,1,1,5,5,1"])
+                             ",,,", "0", "x,-1,1,1,5,5,1", *csv_faults])
 row = "{},{}".format
 junk_lines = st.one_of(st.builds(row, frames, bad_tail), odd_lines)
 

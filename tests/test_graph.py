@@ -4,13 +4,14 @@ import pytest
 
 from conftest import BATCH_FAULTS, StubModel, build_graph, canonical_graph, \
     det, faulty_batch, make_random_instance
-from flowtrack.cost_model import CostModel
+from flowtrack.cost_model import CostModel, FrameBoxes
 from flowtrack.errors import DataError, InvariantBreach
 from flowtrack.graph import (DET, EDGE_COLUMNS, ENTRY, EXIT, LINK,
                              NODE_COLUMNS, FlowSolution, TrackingGraph,
                              Trajectory,
                              build_batch_graph, check_flow_conservation,
                              check_layered_dag)
+from flowtrack.online import OnlineTracker, TrackerConfig
 from flowtrack.ssp import solve_ssp
 from reference import graphs_structurally_equal, link_edge_between
 
@@ -310,3 +311,47 @@ class TestTrajectoryAndSolution:
             check_flow_conservation(g, FlowSolution(
                 trajectories=solution.trajectories,
                 total_cost=solution.total_cost, edge_flow=broken))
+
+
+class TestHeldGeometry:
+    """A graph keeps box geometry only for t_max, the frame whose detections
+    the next frame links to, in an array of its own: no view keeps the
+    geometry of earlier frames or runs alive."""
+
+    @staticmethod
+    def held(g) -> list[FrameBoxes]:
+        found = []
+        for value in vars(g).values():
+            found += [b for b in (value.values() if isinstance(value, dict)
+                                  else [value]) if isinstance(b, FrameBoxes)]
+        return found
+
+    def check(self, g):
+        held = self.held(g)
+        dets = [] if g.is_empty else g.frames[g.t_max]
+        if not dets:
+            assert held == [] and g.last_boxes is None
+            return
+        assert held == [g.last_boxes] and g.last_boxes.dets == dets
+        assert g.last_boxes.geo.base is None
+        assert g.last_boxes.geo.tolist() == FrameBoxes(dets).geo.tolist()
+
+    @pytest.mark.parametrize("window", [None, 2, 3])
+    def test_after_each_frame(self, window):
+        tracker = OnlineTracker(TrackerConfig(model=CostModel(),
+                                              window=window))
+        for f in range(8):  # frames 3 and 6 hold no detection
+            dets = [] if f % 3 == 0 and f else [det(f, i, x=10.0 * i + f)
+                                                 for i in range(3)]
+            tracker.process_frame(dets, frame=f)
+            self.check(tracker.graph)
+
+    def test_after_a_run_and_each_clip(self):
+        g = build_batch_graph([det(f, i) for f in range(4) for i in range(2)],
+                              CostModel())
+        self.check(g)
+        while not g.is_empty:
+            g.clip_oldest_frame(_solve(g))
+            self.check(g)
+        g.append_frame([det(9, 0)], CostModel())
+        self.check(g)

@@ -1,3 +1,4 @@
+import csv
 import io
 import os
 import subprocess
@@ -188,6 +189,67 @@ class TestStreamBlocks:
             ftio.parse_stream_frame(io.StringIO(text))
 
 
+class TestOneRowReader:
+    """Files and --stream read rows through one csv.reader: comments and
+    quoted fields mean the same on both paths, and every row that csv
+    rejects is a data error that names its line."""
+
+    #: A field one character over csv's limit, and a NUL byte in a number
+    #: (csv rejects a NUL before Python 3.11; from 3.11 the number does).
+    FAULTS = ("9" * (csv.field_size_limit() + 1), "10\x00")
+
+    def test_stream_reads_rows_as_a_file_does(self, tmp_path):
+        blocks = []
+        dets, _ = generate_synthetic(SyntheticConfig(
+            n_frames=12, n_initial_tracks=3, miss_rate=0.1, fp_rate=0.1), 3)
+        for f in sorted(dets):
+            rows = [f'"{d.frame}",-1,{",".join(map(repr, map(float, d.box)))}'
+                    f'," {float(d.score)!r} "' for d in dets[f]]
+            rows.insert(1, "# a comment inside a block")
+            blocks.append("\n".join(rows))
+        text = "# frame,id,x,y,w,h,score\n\n" + "\n\n\n".join(blocks) + "\n\n"
+        path = tmp_path / "det.csv"
+        path.write_text(text)
+        args = ["--solver", "odssp", "-o", "-", "--confirm-lag", "1000"]
+        batch = run_cli("track", "-i", str(path), *args[:-2])
+        streamed = run_cli("track", "--stream", *args, stdin=text)
+        assert batch.returncode == 0, batch.stderr
+        assert streamed.returncode == 0, streamed.stderr
+        assert streamed.stdout == batch.stdout and batch.stdout
+
+    @pytest.mark.parametrize("fault", FAULTS, ids=["long-field", "nul"])
+    @pytest.mark.parametrize("command", ["track", "stream", "oracle", "bench",
+                                         "eval-gt", "eval-tracks",
+                                         "tracks-to-gt"])
+    def test_csv_errors_name_the_line(self, command, fault, tmp_path,
+                                      monkeypatch, capsys):
+        """The fault sits on line 2 of the one input that holds it."""
+        rows = {"det": "0,-1,10,10,20,20,0.9\n1,-1,{},10,20,20,0.9\n",
+                "gt": "0,-1,10,10,20,20,1,7\n1,-1,{},10,20,20,1,7\n",
+                "tracks": "0,1,10,10,20,20\n1,1,{},10,20,20\n"}
+        bad, good = {}, {}
+        for name, text in rows.items():
+            bad[name], good[name] = tmp_path / f"{name}.csv", tmp_path / name
+            bad[name].write_text(text.format(fault))
+            good[name].write_text(text.format(10))
+        out = ["-o", str(tmp_path / "out")]
+        argv = {
+            "track": ["track", "-i", bad["det"], *out],
+            "stream": ["track", "--stream", "--solver", "odssp", *out],
+            "oracle": ["oracle", "-i", bad["det"], *out],
+            "bench": ["bench", "-i", bad["det"], *out],
+            "eval-gt": ["eval", "--gt", bad["gt"], "--tracks", good["tracks"]],
+            "eval-tracks": ["eval", "--gt", good["gt"],
+                            "--tracks", bad["tracks"]],
+            "tracks-to-gt": ["tracks-to-gt", "-i", bad["tracks"], *out],
+        }[command]
+        monkeypatch.delenv(cli.CONFIG_ENV, raising=False)
+        monkeypatch.setattr(sys, "stdin", io.StringIO(
+            rows["det"].format(fault) + "\n"))
+        assert cli.main(list(map(str, argv))) == 2
+        assert "flowtrack: data error: line 2: " in capsys.readouterr().err
+
+
 class TestStreamLineNumbers:
     """Stream errors name the row's line in the whole input, counted across
     blocks and blank lines."""
@@ -199,7 +261,7 @@ class TestStreamLineNumbers:
         for text, line in (("0,-1,5,5,1e-200,1e-200,2\n\n", 1),
                            (self.TEXT + "2,-1,4,4,5,x,0.5\n\n", 8),
                            (self.TEXT + "3,-1,4,4,5,5,0.5\n\n", 8)):
-            lines = ftio.LineCounter(io.StringIO(text))
+            lines = csv.reader(io.StringIO(text))
             with pytest.raises(DataError, match=f"^line {line}: "):
                 while ftio.parse_stream_frame(lines) is not None:
                     pass
