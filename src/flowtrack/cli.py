@@ -173,18 +173,20 @@ def _track_stream(args, tracker: OnlineTracker) -> int:
         # revised later is written again under the new id. Keys below the
         # graph's first frame, t_min, can never match again.
         emitted, t_min = set(), None
-        # Rows the tracker logged (its row_log): the frozen rows and the
-        # current rows that were new or got a new id. Pending, by detection
-        # object, are the logged rows not written yet.
+        # Rows the tracker logged (its row_log): the current rows that were
+        # new or got a new id. Pending, by detection object, are the logged
+        # rows not written yet.
         changed = tracker.row_log = []
         pending = {}
 
         def emit_through(limit):
             """Write the not yet emitted rows of frames <= limit. The
             candidates are the frozen rows and the current solution's rows,
-            which is what final_tracks() holds. A row at or below a limit is
-            written then or never, unless its id changes, which logs it
-            again, so only the logged rows are candidates."""
+            which is what final_tracks() holds. Each was logged when new and
+            again whenever its id changed, and a clip freezes a row under
+            its last id, so only the logged rows are candidates. A row at
+            or below a limit is written then or never, unless its id
+            changes."""
             nonlocal emitted, t_min
             for tid, d in changed:
                 if tid is None:

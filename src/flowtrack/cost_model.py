@@ -110,8 +110,7 @@ class FrameBoxes:
     """Detections (nonempty, a frame's in local-index order, or a run of
     frames'), with their box geometry as the rows of the (8, n) array `geo`:
     x, y, x + w, y + h, centre x, centre y, area and diagonal, each computed
-    as the Detection properties and iou() compute it. A slice gives the
-    boxes of a slice of the detections, over a view of `geo`."""
+    as the Detection properties and iou() compute it."""
 
     __slots__ = ("dets", "geo")
 
@@ -121,9 +120,6 @@ class FrameBoxes:
             [(x, y, x + w, y + h, x + w / 2.0, y + h / 2.0, w * h,
               math.hypot(w, h)) for x, y, w, h in (d.box for d in dets)],
             dtype=float).T
-
-    def __getitem__(self, part: slice) -> "FrameBoxes":
-        return FrameBoxes(self.dets[part], self.geo[:, part])
 
 
 def _logistic(z: float) -> float:

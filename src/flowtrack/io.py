@@ -28,11 +28,14 @@ _READER = type(csv.reader(()))
 def open_or_stdio(target, mode: str = "r"):
     """Yield a text file for target. A path is opened and closed on exit,
     None or "-" is stdin (mode "r") or stdout (mode "w"), and an open file
-    object is used as is."""
+    object is used as is. A path read decodes bytes that are not UTF-8 to
+    lone surrogates, as stdin does under a C locale, so they reach the
+    parsers, which reject them with the line."""
     if target is None or target == "-":
         yield sys.stdin if mode == "r" else sys.stdout
     elif isinstance(target, (str, os.PathLike)):
-        with open(target, mode, newline="") as fobj:
+        errors = "surrogateescape" if mode == "r" else None
+        with open(target, mode, newline="", errors=errors) as fobj:
             yield fobj
     else:
         yield target

@@ -15,10 +15,11 @@ which take over their flow, so track identities and costs survive clipping.
 
 The decoded solution and its ids are kept from frame to frame: a frame
 re-decodes only the trajectories through the detections that its pushes and
-clips changed (ssp.FlowDecoder), runs the id rule (assign_track_ids) only over
-the trajectories whose id it may change, and logs for a streaming caller the
-rows that are new or got a new id. So the per-frame decode, id and output
-work follow the rows the frame changed, not the history.
+clips changed (ssp.FlowDecoder), and logs for a streaming caller the rows
+that are new or got a new id. So the per-frame decode and output work follow
+the rows the frame changed, not the history. The id rule (assign_track_ids)
+visits each current trajectory once per frame, at O(1) for one the frame did
+not re-walk.
 """
 from __future__ import annotations
 
@@ -28,7 +29,7 @@ from dataclasses import dataclass
 from .cost_model import CostModel, Detection
 from .errors import DataError, InvariantBreach
 from .graph import FlowSolution, TrackingGraph, Trajectory
-from .ssp import (Chain, ResidualGraph, SolverStats, _solution_from_residual,
+from .ssp import (ResidualGraph, SolverStats, _solution_from_residual,
                   dijkstra_full, successive_shortest_paths)
 
 
@@ -72,13 +73,30 @@ class TrackRegistry:
         return tid
 
 
+def _pick_id(origin: int, counts: dict[int, int], taken: set[int],
+             registry: TrackRegistry) -> int:
+    """The id rule for one trajectory, given the ids taken before it: its
+    origin, the id its synthesized entry carries (negative for none), else
+    the previous id it shares the most detections with, by counts (ties to
+    the lower id), else a fresh id. The id is taken."""
+    tid = origin
+    if tid < 0 or tid in taken:
+        tid = min((p for p in counts if p not in taken),
+                  key=lambda p: (-counts[p], p), default=None)
+        if tid is None:
+            tid = registry.fresh()
+    taken.add(tid)
+    return tid
+
+
 def assign_track_ids(previous: FlowSolution, current: FlowSolution,
                      registry: TrackRegistry,
                      origins: dict[int, int] | None = None) -> dict[int, int]:
     """Assign stable ids to current trajectories (applied in place).
 
     Priority: synthesized-entry origin id, then the previous trajectory
-    sharing the most detections (ties to the lower id), then a fresh id.
+    sharing the most detections (ties to the lower id), then a fresh id,
+    over the trajectories in the order of their first detections' keys.
     Returns {trajectory index -> id}; inherited ids are injective.
     """
     origins = origins or {}
@@ -92,26 +110,13 @@ def assign_track_ids(previous: FlowSolution, current: FlowSolution,
                    key=lambda i: current.trajectories[i].detections[0].key)
     for i in order:
         traj = current.trajectories[i]
-        tid = None
-        origin = origins.get(i)
-        if origin is not None and origin not in taken:
-            tid = origin
-        if tid is None:
-            counts: dict[int, int] = {}
-            for d in traj.detections:
-                p = prev_by_key.get(d.key)
-                if p is not None:
-                    counts[p] = counts.get(p, 0) + 1
-            for cand, _ in sorted(counts.items(),
-                                  key=lambda kv: (-kv[1], kv[0])):
-                if cand not in taken:
-                    tid = cand
-                    break
-        if tid is None:
-            tid = registry.fresh()
-        taken.add(tid)
-        mapping[i] = tid
-        traj.track_id = tid
+        counts: dict[int, int] = {}
+        for d in traj.detections:
+            p = prev_by_key.get(d.key)
+            if p is not None:
+                counts[p] = counts.get(p, 0) + 1
+        traj.track_id = mapping[i] = _pick_id(origins.get(i, -1), counts,
+                                              taken, registry)
     return mapping
 
 
@@ -141,13 +146,11 @@ class OnlineTracker:
         self.registry = TrackRegistry()
         self.frozen: dict[int, list[Detection]] = {}
         # Set to a list to have appended, as each frame is solved, each
-        # current (track id, detection) row that is new or got a new id, each
-        # (track id, detection) row that a clip froze, and (None, detection)
-        # for each detection that a push took out of the current solution;
-        # the owner consumes and trims it.
+        # current (track id, detection) row that is new or got a new id, and
+        # (None, detection) for each detection that a push took out of the
+        # current solution; the owner consumes and trims it. A row that a
+        # clip freezes keeps the id it was last logged with.
         self.row_log: list[tuple[int | None, Detection]] | None = None
-        # The current trajectories' chains by track id (_assign_ids).
-        self._holder: dict[int, Chain] = {}
         self.stats = SolverStats()  # totals over the frames
         self.frame_stats: list[SolverStats] = []
         self.max_dets_per_frame = 0
@@ -191,124 +194,46 @@ class OnlineTracker:
         for c in heads:
             tid, first = c.traj.track_id, c.traj.detections[0]
             self.frozen.setdefault(tid, []).append(first)
-            if self.row_log is not None:
-                self.row_log.append((tid, first))
         res.clip_oldest_frame(heads)
         if g.is_empty:
             self.cache.frame = None
 
-    def _unregister(self, c: Chain):
-        """Drop chain c, under its current id, from the lookup by id."""
-        if self._holder.get(c.traj.track_id) is c:
-            del self._holder[c.traj.track_id]
-
     def _assign_ids(self, solution: FlowSolution):
-        """Give the current trajectories the ids assign_track_ids gives them
-        over the whole previous and current solution, running it only over
-        the trajectories whose id it may change.
-
-        A trajectory is settled, and keeps its previous id, when it is
-        unchanged, or when it starts where a previous trajectory started and
-        holds no detection of any other (counted once per run of the decode,
-        FlowDecoder.fresh); it is then the same chain. The rule gives a
-        settled trajectory its previous id unless an open trajectory claims
-        its id or its origin (an open trajectory claims its origin and the
-        previous id of each of its detections). Settled ones that meet such
-        an id open, until none does. So does a settled one that a clip
-        moved, whose start may now sort before or after others, when its
-        origin is not its id. The others are open. Two invariants of the
-        flow leave nothing else to open:
-
-        1. No push unflows an entry (FlowDecoder): every pushed path starts
-           at a root and none enters the source. So only clips remove a
-           trajectory, and none that left frees an id a settled one would
-           take.
-        2. Every trajectory whose entry carries an origin was moved by a
-           clip in this frame. Clipping frame c writes origins only on the
-           entries of frame c + 1, and it ran at a frame index >= c + W for
-           the window W. Every later frame index is >= c + W + 1, so each
-           later frame first clips frame c + 1, moving the trajectories that
-           start there. So one whose origin is not its id is open, and the
-           settled holder of an origin that an open one claims opens, as
-           the claim is on its previous id.
-
-        The rule then runs over the open trajectories, against the previous
-        ones they overlap; a settled one claims no id an open one could
-        take, as its origin and previous id are its own id.
-        """
-        dec = self.cache.residual.decoded
-        fresh = dec.fresh
-        for c in dec.emptied:
-            self._unregister(c)
-        opened: dict[Chain, None] = {}  # open chains, in the order opened
-        for c, (was, segments) in fresh.items():
-            if was is None or any(s is not None and s is not was
-                                  for s, _, _ in segments):
-                opened[c] = None
-        moved = set(dec.moved)
-        for c in dec.moved:
-            if c.origin != c.traj.track_id:
-                opened[c] = None
-        bad: set[int] = set()
-        queue = list(opened)
-
-        def spoil(tid: int):
-            """tid is claimed by an open trajectory: open the settled one
-            whose previous id it is."""
-            if tid < 0 or tid in bad:
-                return
-            bad.add(tid)
-            c = self._holder.get(tid)
-            if c is not None and c not in opened:
-                opened[c] = None
-                queue.append(c)
-
-        while queue:
-            c = queue.pop()
-            spoil(c.origin)
-            if c in fresh:
-                for s, _, _ in fresh[c][1]:
-                    if s is not None:
-                        spoil(s.track_id)
-            else:
-                spoil(c.traj.track_id)
-
-        # The open trajectories, each new to this solution, and the previous
-        # ones they overlap.
-        current, previous, before = [], {}, {}
-        for c in opened:
-            self._unregister(c)
+        """Give the current trajectories, in place in solution, the ids
+        assign_track_ids gives them over the whole previous and current
+        solution: one pass of the rule (_pick_id) over the chains in key
+        order. A chain the decode walked counts its overlap with each
+        previous trajectory over its segments (FlowDecoder.fresh). Any other
+        holds only its previous trajectory's detections, so its one
+        candidate after its origin is its previous id. A chain whose id
+        changes gets a new Trajectory, so the previous solution keeps its
+        ids."""
+        dec, log = self.cache.residual.decoded, self.row_log
+        fresh, taken = dec.fresh, set()
+        if log is not None:
+            log.extend((None, d) for d in dec.dropped)
+        for i, c in enumerate(dec.chains):
             t = c.traj
             if c in fresh:
-                previous.update((id(s), s) for s, _, _ in fresh[c][1]
-                                if s is not None)
+                segments = fresh[c]
             else:
-                previous[id(t)] = t
-                before[c] = t.track_id
-                if c not in moved:  # shared with the previous solution
-                    t = Trajectory(t.track_id, t.detections, t.cost)
-                    solution.trajectories[dec.replace_traj(c, t)] = t
-            current.append(c.traj)
-        if current:
-            assign_track_ids(
-                FlowSolution(trajectories=list(previous.values())),
-                FlowSolution(trajectories=current), self.registry,
-                {i: c.origin for i, c in enumerate(opened) if c.origin >= 0})
-        for c in opened:
-            self._holder[c.traj.track_id] = c
-
-        if self.row_log is None:
-            return
-        log = self.row_log
-        log.extend((None, d) for d in dec.dropped)
-        for c, (_, segments) in fresh.items():
-            tid, dets = c.traj.track_id, c.traj.detections
+                tid = t.track_id
+                if (c.origin < 0 or c.origin == tid) and tid not in taken:
+                    taken.add(tid)  # what the rule gives it
+                    continue
+                segments = [(t, 0, len(t.detections))]
+            counts: dict[int, int] = {}
             for s, lo, hi in segments:
-                if s is None or s.track_id != tid:
-                    log.extend((tid, d) for d in dets[lo:hi])
-        for c, tid in before.items():
-            if c.traj.track_id != tid:
-                log.extend((c.traj.track_id, d) for d in c.traj.detections)
+                if s is not None:
+                    counts[s.track_id] = counts.get(s.track_id, 0) + hi - lo
+            tid = _pick_id(c.origin, counts, taken, self.registry)
+            if tid != t.track_id:
+                c.traj = solution.trajectories[i] = Trajectory(
+                    tid, t.detections, t.cost)
+            if log is not None:
+                log.extend((tid, d) for s, lo, hi in segments
+                           if s is None or s.track_id != tid
+                           for d in t.detections[lo:hi])
 
     def _solve(self, frame: int) -> tuple[FlowSolution, SolverStats]:
         """Successive shortest paths from the previous frame's optimum,

@@ -26,6 +26,7 @@ import math
 from bisect import bisect_left, bisect_right
 from collections import namedtuple
 from dataclasses import dataclass
+from operator import attrgetter
 
 import numpy as np
 from scipy.sparse import csr_matrix
@@ -649,6 +650,9 @@ class Chain:
     origin: int
 
 
+_chain_key = attrgetter("key")
+
+
 class FlowDecoder:
     """A residual graph's flow decoded into trajectories, kept up to date
     from the edges whose flow changed.
@@ -672,21 +676,14 @@ class FlowDecoder:
 
     def __init__(self, graph: TrackingGraph):
         self.graph = graph
-        self.chains: dict[int, Chain] = {}  # start u node -> chain
+        self.chains: list[Chain] = []  # in key order
         self.chain_of: dict[int, Chain] = {}  # u node -> chain holding it
-        self.keys: list[tuple[int, int]] = []  # chain keys, in order
-        self.trajs: list[Trajectory] = []  # their trajectories
-        self._moved: dict[Chain, None] = {}  # by clips, since the update
-        self._emptied: list[Chain] = []
-        # The last update's report. Each chain it walked, with its Trajectory
-        # before (None for a new chain) and its segments (Trajectory before
-        # or None, start, end): the runs of its positions that lay in one
-        # chain before, or in none. The detections that left every chain;
-        # and the chains the clips before it trimmed, and emptied.
-        self.fresh: dict[Chain, tuple[Trajectory | None, list]] = {}
+        # The last update's report. Each chain it walked, with its segments
+        # (Trajectory before or None, start, end): the runs of its positions
+        # that lay in one chain before, or in none. And the detections that
+        # left every chain.
+        self.fresh: dict[Chain, list] = {}
         self.dropped: list = []
-        self.moved: list[Chain] = []
-        self.emptied: list[Chain] = []
 
     def update(self, res: ResidualGraph, eids) -> FlowSolution:
         """Re-decode after the flow of the live edges `eids` changed
@@ -728,7 +725,7 @@ class FlowDecoder:
         for x in sorted(changed):
             if (c := chain_of.get(x)) is not None:
                 marks.setdefault(c, []).append(c.nodes.index(x))
-            if x in entered or x in self.chains:
+            if x in entered or (c is not None and c.nodes[0] == x):
                 starts.append(x)
         for c, positions in marks.items():
             positions.sort()
@@ -744,21 +741,18 @@ class FlowDecoder:
             if c is None:
                 c = Chain(traj, nodes, folds, outs, key, origin)
                 self._place(c)
-                fresh[c] = None, segments
                 chain_of.update(dict.fromkeys(nodes, c))
             else:
                 before = c.traj
-                fresh[c] = before, segments
-                c.nodes, c.folds, c.outs = nodes, folds, outs
-                self.replace_traj(c, traj)
+                c.traj, c.nodes, c.folds, c.outs = traj, nodes, folds, outs
                 for s, lo, hi in segments:  # nodes it did not hold before
                     if s is not before:
                         chain_of.update(dict.fromkeys(nodes[lo:hi], c))
+            fresh[c] = segments
         self.fresh, self.dropped = fresh, [g.node_det[x] for x in gone]
-        self.moved, self.emptied = list(self._moved), self._emptied
-        self._moved, self._emptied = {}, []
-        return FlowSolution(trajectories=list(self.trajs),
-                            total_cost=sum(t.cost for t in self.trajs))
+        trajs = [c.traj for c in self.chains]
+        return FlowSolution(trajectories=trajs,
+                            total_cost=sum(t.cost for t in trajs))
 
     def _walk(self, s, changed, det_on, step, cut, marks):
         """Decode the trajectory that starts at u node s. Returns the chain
@@ -815,8 +809,8 @@ class FlowDecoder:
                     acc += cost.item(e)
             acc = folds[-1] + cost.item(outs[-1])
             x = c.nodes[end] if end < len(c.nodes) else sink
-        was = self.chains.get(s)
-        if was is None:
+        was = chain_of.get(s)
+        if was is None or was.nodes[0] != s:
             return (None, Trajectory(-1, dets, acc), nodes, folds, outs,
                     dets[0].key, g.e_origin.item(g.node_in.item(s)), segments)
         return (was, Trajectory(was.traj.track_id, dets, acc), nodes, folds,
@@ -824,22 +818,20 @@ class FlowDecoder:
 
     def starting_in(self, us: np.ndarray) -> list[Chain]:
         """The chains that start at the u nodes us, in their order."""
-        return [c for u in us.tolist() if (c := self.chains.get(u)) is not None]
+        return [c for u in us.tolist()
+                if (c := self.chain_of.get(u)) is not None and c.nodes[0] == u]
 
     def clip(self, heads: list[Chain]):
         """Drop the first detection of each chain in heads, whose frame the
         graph clipped. The rest of each, if any, stays the chain, from its
         second detection, onto whose entry the clip moved the flow, with the
         same folds and cost: the folded entry cost is the left fold of the
-        costs it replaced. The next update reports the chains trimmed
-        (moved) and emptied."""
+        costs it replaced."""
         g = self.graph
         for c in heads:
             self._remove(c)
             del self.chain_of[c.nodes[0]]
             if len(c.nodes) == 1:
-                self._moved.pop(c, None)
-                self._emptied.append(c)
                 continue
             del c.nodes[0], c.folds[0], c.outs[0]
             c.traj = Trajectory(c.traj.track_id, c.traj.detections[1:],
@@ -847,25 +839,12 @@ class FlowDecoder:
             c.key = c.traj.detections[0].key
             c.origin = g.e_origin.item(g.node_in.item(c.nodes[0]))
             self._place(c)
-            self._moved[c] = None
 
     def _place(self, c: Chain):
-        self.chains[c.nodes[0]] = c
-        i = bisect_left(self.keys, c.key)
-        self.keys.insert(i, c.key)
-        self.trajs.insert(i, c.traj)
+        self.chains.insert(bisect_left(self.chains, c.key, key=_chain_key), c)
 
     def _remove(self, c: Chain):
-        del self.chains[c.nodes[0]]
-        i = bisect_left(self.keys, c.key)
-        del self.keys[i], self.trajs[i]
-
-    def replace_traj(self, c: Chain, traj: Trajectory) -> int:
-        """Give chain c a new Trajectory object; returns its position."""
-        c.traj = traj
-        i = bisect_left(self.keys, c.key)
-        self.trajs[i] = traj
-        return i
+        del self.chains[bisect_left(self.chains, c.key, key=_chain_key)]
 
 
 def _solution_from_residual(res: ResidualGraph) -> FlowSolution:

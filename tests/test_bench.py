@@ -30,6 +30,20 @@ class TestRunBench:
         assert len(online) == len(sequence)
         assert [r.stats.frame for r in online] == sorted(sequence)
 
+    def test_batch_solvers_are_read_at_call_time(self, sequence,
+                                                 monkeypatch):
+        # A wrapper set on the module attribute, as a tracer sets one, runs.
+        import flowtrack.bench as bench
+        calls = []
+
+        def wrapped(graph):
+            calls.append(graph)
+            return solve_ssp(graph)
+
+        monkeypatch.setattr(bench, "solve_ssp", wrapped)
+        rows = run_bench(sequence, CostModel(), solvers=("ssp",))
+        assert len(calls) == 1 and len(rows) == 1
+
     def test_unknown_solver_rejected(self, sequence):
         with pytest.raises(DataError):
             run_bench(sequence, CostModel(), solvers=("simplex",))

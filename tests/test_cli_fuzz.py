@@ -6,7 +6,9 @@ negative frames, comments, blank lines, NUL bytes and overlong fields;
 frame indices reach 10^9, which costs nothing because skipped frames are
 never created. Config files mix
 known and unknown keys with junk, huge and non-finite numbers, and windows
-of 0, 1 and 10^9. The settings are fixed so the test is deterministic.
+of 0, 1 and 10^9. Detection, track and config files read by `track`,
+`oracle`, `bench`, `tracks-to-gt` and `--config` also get bytes that are
+not UTF-8. The settings are fixed so the test is deterministic.
 """
 import csv
 import io
@@ -136,3 +138,39 @@ def test_config_file_never_crashes(config, lines, text, stream, solver,
         run([*argv, "--stream"], text, monkeypatch)
     else:
         run([*argv, "-i", "-"], "\n".join(lines) + "\n", monkeypatch)
+
+
+#: Bytes that are not UTF-8: a lone continuation byte, a byte no UTF-8 text
+#: holds and a cut-off two-byte sequence.
+undecodable = st.sampled_from([b"\x80", b"\xff", b"\xc3"])
+#: Commands reading a detection file, one reading a track file and one
+#: reading a config file; the brute force is capped to keep runs short.
+file_commands = st.sampled_from([
+    ["track", "--solver", "ssp", "-i"],
+    ["track", "--solver", "mbodssp", "--window", "2", "-i"],
+    ["oracle", "--max-detections", "6", "-i"],
+    ["bench", "--solvers", "ssp,odssp", "-i"],
+    ["tracks-to-gt", "-i"],
+    ["track", "-i", "-", "--config"],
+])
+
+
+config_lines = st.lists(st.builds("{} = {}".format, config_keys,
+                                  config_values), max_size=4)
+
+
+@FUZZ
+@given(command=file_commands, data=st.data())
+def test_undecodable_file_never_crashes(command, data, tmp_path, monkeypatch):
+    # Each bad byte lands inside a line, a config key among them, or as a
+    # line of its own.
+    config = command[-1] == "--config"
+    lines = data.draw(config_lines if config else csv_lines())
+    raw = [line.encode() for line in lines] or [b""]
+    for bad in data.draw(st.lists(undecodable, min_size=1, max_size=2)):
+        i = data.draw(st.integers(0, len(raw) - 1))
+        at = data.draw(st.integers(0, len(raw[i])))
+        raw[i] = raw[i][:at] + bad + raw[i][at:]
+    path = tmp_path / "input"
+    path.write_bytes(b"\n".join(raw) + b"\n")
+    run([*command, str(path), "-o", "-"], "", monkeypatch)

@@ -721,10 +721,22 @@ class TestKeptDecode:
         assert origins > 0 and recycled == len(events)
         assert ties > 0 or window == 2
 
+    @pytest.mark.parametrize("window", [None, 2, 3, 6])
+    def test_long_wide_quarter_step_instances_match_full_decode(self, window):
+        # Past the other families' sizes: 80 frames of up to 12 detections,
+        # so most chains go un-walked for many frames while a few re-route.
+        events = []
+        for seed in range(16):
+            frames, model = quarter_frames(seed, n_frames=80, max_dets=12)
+            events.append(self.compare(frames, window, model, gating=False))
+        origins, ties, recycled = map(sum, zip(*events))
+        assert (origins > 0 and recycled == len(events)) == (window is not None)
+        assert ties > 0 or window == 2
+
 
 class TestFlowInvariants:
-    """The two invariants of the flow that the kept decode and the id rule
-    rest on (FlowDecoder, OnlineTracker._assign_ids)."""
+    """Two invariants of the flow: the kept decode rests on the first
+    (FlowDecoder); the second pins where clips leave origins."""
 
     def test_an_unflowed_entry_is_a_breach(self):
         # No push unflows an entry, so the decoder ends no chain; an entry
@@ -742,23 +754,30 @@ class TestFlowInvariants:
 
     @pytest.mark.parametrize("window", [2, 3, 4, 5])
     def test_origins_sit_at_the_oldest_frame_and_were_moved(self, window):
-        # Each live entry that carries an origin leads into the oldest
-        # frame, and each chain it starts was moved by this frame's clips,
-        # so the id rule sees every origin-bearing chain as moved.
+        """Each live entry that carries an origin leads into the oldest
+        frame, and each chain it starts was trimmed by this frame's clips.
+        The id rule, which runs over every chain, no longer depends on
+        this; it pins how clips fold entries."""
         seen = 0
         for frames, model in invariant_instances():
             tracker = OnlineTracker(TrackerConfig(model=model, window=window,
                                                   gating=False))
             assign, dec = tracker._assign_ids, tracker.cache.residual.decoded
+            clip, moved = dec.clip, []
+
+            def recorded(heads):
+                moved.extend(c for c in heads if len(c.nodes) > 1)
+                clip(heads)
 
             def checked(solution):
                 nonlocal seen
-                carried = [c for c in dec.chains.values() if c.origin >= 0]
-                assert set(carried) <= set(dec.moved)
+                carried = [c for c in dec.chains if c.origin >= 0]
+                assert set(carried) <= set(moved)
+                moved.clear()
                 seen += len(carried)
                 assign(solution)
 
-            tracker._assign_ids = checked
+            dec.clip, tracker._assign_ids = recorded, checked
             g = tracker.graph
             for f in sorted(frames):
                 tracker.process_frame(frames[f], frame=f)
