@@ -72,11 +72,12 @@ class Trajectory:
 
 @dataclass
 class FlowSolution:
-    """A set of disjoint unit-flow trajectories plus per-edge flow indicators."""
+    """A set of disjoint unit-flow trajectories, and for a batch solve its
+    int8 flow over the graph's edge slots (None for an online solve)."""
 
     trajectories: list[Trajectory] = field(default_factory=list)
     total_cost: float = 0.0
-    edge_flow: dict[int, int] = field(default_factory=dict)
+    flow: np.ndarray | None = field(default=None, compare=False)
 
 
 @dataclass
@@ -538,13 +539,11 @@ def check_layered_dag(graph: TrackingGraph) -> None:
 
 
 def check_flow_conservation(graph: TrackingGraph, solution: FlowSolution) -> None:
-    """Check per-node conservation of the 0/1 edge flows in a solution: at a
+    """Check per-node conservation of a batch solution's 0/1 edge flow: at a
     u node, entry and links in against the detection edge, at a v node, the
     detection edge against exit and links out."""
     g, n = graph, len(graph.node_kind)
-    flow = np.zeros(len(g.e_src), dtype=np.int64)
-    flow[list(solution.edge_flow)] = list(solution.edge_flow.values())
-    flow[~g.e_alive] = 0
+    flow = np.where(g.e_alive, solution.flow, 0)
     into, out = np.bincount(g.e_dst, flow, n), np.bincount(g.e_src, flow, n)
     for key, (u, v) in g.det_nodes.items():
         if into[u] != out[u] or out[u] != out[v]:

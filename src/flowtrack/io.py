@@ -191,10 +191,15 @@ def parse_tracks(source) -> dict[int, list[tuple[int, tuple]]]:
     with open_or_stdio(source) as fobj:
         for lineno, row in _file_rows(fobj):
             if len(row) < 6:
-                raise DataError(f"line {lineno}: expected 6 columns, got {len(row)}")
+                raise DataError(f"line {lineno}: expected at least 6 columns, "
+                                f"got {len(row)}")
             f = _parse_int(row[0], "frame", lineno)
             tid = _parse_int(row[1], "track id", lineno)
             box = tuple(_parse_float(row[i], "box", lineno) for i in range(2, 6))
+            try:  # a track box obeys the rule of a detection's
+                Detection(frame=f, box=box, score=1.0, local_index=0)
+            except DataError as exc:
+                raise DataError(f"line {lineno}: {exc}") from None
             if tid in (boxes := frames.setdefault(f, {})):
                 raise DataError(f"line {lineno}: duplicate track id {tid} "
                                 f"in frame {f}")

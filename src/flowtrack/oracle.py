@@ -3,6 +3,8 @@ from __future__ import annotations
 
 import random
 
+import numpy as np
+
 from .errors import DataError
 from .graph import FlowSolution, TrackingGraph, Trajectory
 
@@ -77,11 +79,10 @@ def brute_force_optimum(graph: TrackingGraph, seed: int | None = None,
     search(0, frozenset(), 0.0, [])
 
     trajectories = []
-    edge_flow = {eid: 0 for eid in graph.live_edges()}
+    flow = np.zeros(len(graph.e_src), dtype=np.int8)
     for tid, i in enumerate(sorted(best_sets, key=lambda i: paths[i][0][0].key)):
         dets, eids, c = paths[i]
         trajectories.append(Trajectory(tid, list(dets), c))
-        for eid in eids:
-            edge_flow[eid] = 1
+        flow[eids] = 1
     return FlowSolution(trajectories=trajectories, total_cost=best_cost,
-                        edge_flow=edge_flow)
+                        flow=flow)

@@ -109,9 +109,9 @@ class Path:
 
 
 #: ResidualGraph.arcs: the CSR over the search nodes and a virtual root, and
-#: per edge slot in CSR order its edge, is-reverse flag, row, column and key
-#: row * n + col.
-Arcs = namedtuple("Arcs", "matrix eid rev row col key")
+#: per edge slot in CSR order its edge, is-reverse flag, row and key
+#: row * n + column; a slot's column is the CSR's own matrix.indices.
+Arcs = namedtuple("Arcs", "matrix eid rev row key")
 
 
 class ResidualGraph:
@@ -204,8 +204,7 @@ class ResidualGraph:
                  np.concatenate((cols, np.arange(n))).astype(np.int32),
                  indptr), shape=(n + 1, n + 1))
             self._arcs = Arcs(matrix, np.concatenate((live, live))[order],
-                              (order >= len(live)).astype(np.int8), rows,
-                              cols, keys)
+                              (order >= len(live)).astype(np.int8), rows, keys)
         return self._arcs
 
     def flip(self, eids: np.ndarray):
@@ -526,9 +525,10 @@ def dynamic_broadcast(res: ResidualGraph, seeds, labels: PredecessorMap,
     pred[affected] = -1
 
     arcs = res.arcs()
+    cols = arcs.matrix.indices[:len(arcs.eid)]
     # The usable arc slots into the set.
-    slots = np.flatnonzero(in_set[arcs.col] & (res.flow[arcs.eid] == arcs.rev))
-    eids, tails, heads = arcs.eid[slots], arcs.row[slots], arcs.col[slots]
+    slots = np.flatnonzero(in_set[cols] & (res.flow[arcs.eid] == arcs.rev))
+    eids, tails, heads = arcs.eid[slots], arcs.row[slots], cols[slots]
     cost = res.reduced(eids)
     weight = np.maximum(cost, 0.0)
     # With the set's labels cleared, a reached tail lies outside the set.
@@ -848,26 +848,25 @@ class FlowDecoder:
 
 
 def _solution_from_residual(res: ResidualGraph) -> FlowSolution:
-    """The decoded trajectories and their total; edge_flow is left empty."""
+    """The decoded trajectories and their total; the flow is left None."""
     return res.decode()
 
 
 def _solve_batch(graph: TrackingGraph, broadcast: bool, single: bool):
     """Successive shortest paths from zero flow, the first round pushing
     from one DAG sweep's tree, whose distances become the potentials.
-    Returns (solution with its edge flows, stats)."""
+    Returns (solution carrying the residual's flow array, stats)."""
     stats = SolverStats()
-    if graph.is_empty or graph.n_detections == 0:
-        return FlowSolution(), stats
     res = ResidualGraph(graph)
+    if graph.is_empty or graph.n_detections == 0:
+        return FlowSolution(flow=res.flow), stats
     path, labels = dag_shortest_path(res, stats=stats)
     successive_shortest_paths(res, stats, graph.n_detections, path,
                               convert_edge_costs(res, labels), broadcast, single)
     solution = _solution_from_residual(res)
     for i, t in enumerate(solution.trajectories):
         t.track_id = i
-    solution.edge_flow = dict(zip(graph.live_edges(),
-                                  res.flow[graph.e_alive].tolist()))
+    solution.flow = res.flow
     return solution, stats
 
 
@@ -891,12 +890,12 @@ def solve_dp_greedy(graph: TrackingGraph):
     """
     stats = SolverStats()
     res = ResidualGraph(graph)
+    flow = np.zeros_like(res.flow)  # res.flow stays 0, as the sweeps need
     if graph.is_empty or graph.n_detections == 0:
-        return FlowSolution(), stats
+        return FlowSolution(flow=flow), stats
 
     excluded = np.zeros(len(res.potential), dtype=bool)
     trajectories = []
-    edge_flow = {eid: 0 for eid in graph.live_edges()}
     total = 0.0
     for _ in range(graph.n_detections + 1):
         path, labels = dag_shortest_path(res, stats=stats, excluded=excluded)
@@ -909,8 +908,7 @@ def solve_dp_greedy(graph: TrackingGraph):
         dets = [graph.node_det[u] for u in path.nodes[1:-1:2]]  # u, v, ...
         trajectories.append(Trajectory(len(trajectories), dets, cost))
         total += cost
-        for eid in path.eids:
-            edge_flow[eid] = 1
+        flow[path.eids] = 1
         excluded[path.nodes[1:-1]] = True
     return FlowSolution(trajectories=trajectories, total_cost=total,
-                        edge_flow=edge_flow), stats
+                        flow=flow), stats

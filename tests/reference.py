@@ -1,5 +1,5 @@
 """Reference implementations that the tests hold the package to: the full
-decode of a flow, three graph helpers, Algorithm 1's stop rule and a
+decode of a flow, four graph helpers, Algorithm 1's stop rule and a
 ground-truth matcher that only tests use."""
 from __future__ import annotations
 
@@ -64,6 +64,23 @@ def link_edge_between(g: TrackingGraph, a: Detection,
     block = g.frame_links[b.frame]
     hit = block[(g.e_src[block] == va) & (g.e_dst[block] == ub)]
     return int(hit[0]) if len(hit) else None
+
+
+def trajectory_flow(g: TrackingGraph, trajectories) -> np.ndarray:
+    """The flow of trajectories over g's edge slots, as int8: per trajectory
+    1 on its entry edge, its detection edges, the link between each two
+    consecutive detections and its exit edge. A slot two trajectories share
+    reads 2, and a missing link is an InvariantBreach."""
+    eids = []
+    for t in trajectories:
+        dets = t.detections
+        eids += [g.entry_edge_of(dets[0]), int(g.node_out[g.v_node(dets[-1])])]
+        eids += [g.detection_edge_of(d) for d in dets]
+        for a, b in zip(dets, dets[1:]):
+            if (link := link_edge_between(g, a, b)) is None:
+                raise InvariantBreach(f"no link {a.key}->{b.key}")
+            eids.append(link)
+    return np.bincount(eids, minlength=len(g.e_src)).astype(np.int8)
 
 
 def graphs_structurally_equal(a: TrackingGraph, b: TrackingGraph,

@@ -301,7 +301,6 @@ def test_online_graphs_match_scalar_builder(window, monkeypatch):
             assert (last.dets if last else []) == got.graph.frames[f]
             assert (float(sol_got.total_cost).hex()
                     == float(sol_ref.total_cost).hex())
-            assert sol_got.edge_flow == sol_ref.edge_flow
         if window is not None:  # clips recycled ids
             assert len(got.graph.e_src) < appended
 

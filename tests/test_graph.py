@@ -304,13 +304,12 @@ class TestTrajectoryAndSolution:
         g, _, _ = canonical_graph()
         solution = _solve(g)
         check_flow_conservation(g, solution)
-        broken = dict(solution.edge_flow)
-        flowed = [e for e, f in broken.items() if f == 1]
-        broken[flowed[0]] = 0
+        broken = solution.flow.copy()
+        broken[broken.argmax()] = 0  # the first flowed slot
         with pytest.raises(InvariantBreach):
             check_flow_conservation(g, FlowSolution(
                 trajectories=solution.trajectories,
-                total_cost=solution.total_cost, edge_flow=broken))
+                total_cost=solution.total_cost, flow=broken))
 
 
 class TestHeldGeometry:

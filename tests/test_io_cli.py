@@ -277,6 +277,39 @@ class TestStreamLineNumbers:
         assert "line 8: bad h 'x'" in r.stderr
 
 
+class TestTrackRows:
+    """A track row holds a box that a detection could hold. Every command
+    that reads tracks rejects any other row with exit 2 and names its
+    line."""
+
+    @pytest.mark.parametrize("row,message", [
+        ("1,1,10,10,inf,20", "detection fields must be finite"),
+        ("1,1,10,10,0,20", "positive size, got w=0.0"),
+        ("1,1,10,10,20,-5", "positive size, got w=20.0, h=-5.0"),
+        ("1,1,10,10,1e-200,1e-200", "area w*h underflows"),
+        ("-1,1,10,10,20,20", "frame must be >= 0"),
+    ])
+    @pytest.mark.parametrize("command", ["eval", "tracks-to-gt"])
+    def test_impossible_box_names_the_line(self, command, row, message,
+                                           tmp_path, monkeypatch, capsys):
+        tracks, gt = tmp_path / "tracks.csv", tmp_path / "gt.csv"
+        tracks.write_text(f"0,1,10,10,20,20\n{row}\n")
+        gt.write_text("0,-1,10,10,20,20,1,7\n1,-1,10,10,20,20,1,7\n")
+        argv = {"eval": ["eval", "--gt", gt, "--tracks", tracks],
+                "tracks-to-gt": ["tracks-to-gt", "-i", tracks,
+                                 "-o", tmp_path / "out.csv"]}[command]
+        monkeypatch.delenv(cli.CONFIG_ENV, raising=False)
+        assert cli.main(list(map(str, argv))) == 2
+        err = capsys.readouterr().err
+        assert "flowtrack: data error: line 2: " in err and message in err
+
+    def test_short_row_asks_for_at_least_six_columns(self):
+        text = "0,1,10,10,20,20,0.9\n1,1,10,10,20\n"  # a longer row passes
+        with pytest.raises(DataError, match="^line 2: expected at least 6 "
+                                            "columns, got 5$"):
+            ftio.parse_tracks(io.StringIO(text))
+
+
 def run_python(*args, stdin=None, env_extra=None):
     """A fresh interpreter run with `args`, without $FLOWTRACK_CONFIG."""
     env = dict(os.environ)

@@ -10,17 +10,19 @@ occur) and start after frame 0.
 import os
 import sys
 
+import numpy as np
 import pytest
 
 from flowtrack.cost_model import CostModel
 from flowtrack.graph import build_batch_graph
 from flowtrack.online import OnlineTracker, TrackerConfig
-from flowtrack.ssp import solve_dssp, solve_ssp
+from flowtrack.ssp import solve_dp_greedy, solve_dssp, solve_ssp
 from flowtrack.synthetic import SyntheticConfig, generate_synthetic
 
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(
     os.path.abspath(__file__))), "perfbench"))
 from check import REL_TOL, Scene, lp_optimum, same_objective  # noqa: E402
+from reference import trajectory_flow  # noqa: E402
 
 
 def gapped_scene(cfg: SyntheticConfig, seed: int) -> dict:
@@ -70,3 +72,15 @@ def test_solvers_reach_the_lp_optimum(cfg, seed, online):
         for f in sorted(frames):
             last = tracker.process_frame(frames[f], frame=f)
         assert same_objective(last.total_cost, want), (last.total_cost, want)
+
+
+@pytest.mark.parametrize("cfg,seed", [scene[:2] for scene in SCENES])
+def test_solution_flow_is_the_trajectories_flow(cfg, seed):
+    """A batch solution's flow is the flow its trajectories carry, edge
+    for edge: the solver pushed exactly what it decoded."""
+    graph = build_batch_graph(gapped_scene(cfg, seed), CostModel())
+    for solve in (solve_ssp, solve_dssp, solve_dp_greedy):
+        solution = solve(graph)[0]
+        assert solution.trajectories
+        assert np.array_equal(solution.flow, trajectory_flow(
+            graph, solution.trajectories)), solve.__name__

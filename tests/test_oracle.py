@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from conftest import (StubModel, build_graph, canonical_graph, det,
@@ -5,6 +6,7 @@ from conftest import (StubModel, build_graph, canonical_graph, det,
 from flowtrack.errors import DataError
 from flowtrack.graph import TrackingGraph, check_flow_conservation
 from flowtrack.oracle import brute_force_optimum, enumerate_paths
+from reference import trajectory_flow
 
 
 class TestEnumeratePaths:
@@ -67,6 +69,14 @@ class TestBruteForceOptimum:
                     assert d.key not in seen
                     seen.add(d.key)
             check_flow_conservation(g, solution)
+
+    def test_flow_is_the_trajectories_flow(self):
+        for seed in range(10):
+            frames, model = make_random_instance(seed)
+            g = build_graph(frames, model)
+            solution = brute_force_optimum(g)
+            assert np.array_equal(solution.flow,
+                                  trajectory_flow(g, solution.trajectories))
 
     def test_size_bound_enforced(self):
         frames = {0: [det(0, i, x=30.0 * i) for i in range(13)]}
