@@ -9,7 +9,9 @@ solve's wall time and the graph's live sizes. iterations counts
 augmentations, the paths and cycles pushed, and searches the searches that
 found them: a batch solve's DAG sweep and then full searches (ssp, one path
 each) or broadcasts (dssp), or one online frame's full searches; dssp's and
-the online ones can each push several paths.
+the online ones can each push several paths. For dp, searches counts its DAG
+sweeps, the first full and the rest resumed, each of which can commit
+several paths.
 """
 from __future__ import annotations
 

@@ -8,6 +8,27 @@ import numpy as np
 from .errors import DataError
 from .graph import FlowSolution, TrackingGraph, Trajectory
 
+#: The most source-to-sink paths brute_force_optimum enumerates. Its search
+#: recurses once per path, so near 1,000 paths (Python's default recursion
+#: limit) it fails; 12 detections, the default cap, admit at most 272 paths.
+MAX_PATHS = 500
+
+
+def count_paths(graph: TrackingGraph) -> int:
+    """The number of source-to-sink paths, in one backward pass over the
+    links: from a detection, its exit and the paths from each detection it
+    links to."""
+    from_node, total = [0] * len(graph.node_kind), 0  # by u or v node
+    for f in reversed(graph.frames):
+        block = graph.links_out_of(f)
+        for a, b in zip(graph.e_src[block].tolist(),
+                        graph.e_dst[block].tolist()):
+            from_node[a] += from_node[b]
+        for u, v in zip(*graph.frame_nodes[f].tolist()):
+            from_node[u] = from_node[v] = from_node[v] + 1
+            total += from_node[u]
+    return total
+
 
 def enumerate_paths(graph: TrackingGraph):
     """All source-to-sink paths as (detection list, edge id list, cost), by
@@ -38,12 +59,17 @@ def brute_force_optimum(graph: TrackingGraph, seed: int | None = None,
     """Minimum-cost set of node-disjoint source-sink paths by enumeration.
 
     The search order is shuffled by seed to guard against order-dependent
-    bugs; the returned optimum is order-independent.
+    bugs; the returned optimum is order-independent. Its time grows
+    exponentially with the number of paths. DataError past max_detections
+    detections or MAX_PATHS paths.
     """
     if graph.n_detections > max_detections:
         raise DataError(
             f"brute force limited to {max_detections} detections, "
             f"got {graph.n_detections}")
+    if (count := count_paths(graph)) > MAX_PATHS:
+        raise DataError(f"brute force limited to {MAX_PATHS} source-to-sink "
+                        f"paths, got {count}")
     paths = enumerate_paths(graph)
     if seed is not None:
         random.Random(seed).shuffle(paths)

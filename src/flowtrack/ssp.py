@@ -18,7 +18,9 @@ paper's standard SSP does. dssp pushes every candidate that is still a
 shortest path at its turn (as in muSSP, Wang et al., NeurIPS 2019) and
 broadcasts after each round. The online trackers push several per full
 search, from the last frame's optimum. The greedy dp sweeps the forward
-graph alone and carries no flow.
+graph alone and carries no flow: one sweep commits every path that the next
+full sweep would return, and the next sweep resumes at the earliest frame
+those paths touched.
 """
 from __future__ import annotations
 
@@ -54,7 +56,7 @@ class SolverStats:
     broadcasts. relaxations counts arcs examined, queue_pushes nodes
     labelled:
       - DAG sweep: the forward edges out of reached nodes into nodes not
-        excluded; no queue (0).
+        excluded, for a resumed sweep those it re-labels; no queue (0).
       - full search (dijkstra_full): the residual arcs out of reached
         nodes; the nodes reached.
       - broadcast (dynamic_broadcast): the residual arcs into the affected
@@ -360,9 +362,12 @@ def _relax_frames(res: ResidualGraph, dist: np.ndarray, frames, w):
 
 
 def dag_shortest_path(res: ResidualGraph, stats: SolverStats | None = None,
-                      excluded: np.ndarray | None = None):
+                      excluded: np.ndarray | None = None,
+                      labels: PredecessorMap | None = None,
+                      start: int | None = None):
     """Shortest paths from the source over the forward (acyclic) graph: the
-    one DAG relaxation (_relax_frames) over every frame, from fresh labels.
+    one DAG relaxation (_relax_frames) over the frames from frame start on
+    (default every frame), and then the target over every exit.
 
     Handles negative costs. The residual graph must carry no flow, and its
     potentials are not read: the sweep weighs each edge by its cost. excluded
@@ -370,12 +375,19 @@ def dag_shortest_path(res: ResidualGraph, stats: SolverStats | None = None,
     weigh inf), so it never leaves them either. Every root starts at 0. A
     node's predecessor is the tail of its first tight in-edge in push order
     (entries, links in frame_links order, detection edges, exits in frame
-    order): the edge a strict-< relaxation in that order keeps. relaxations
-    counts the edges out of reached nodes into nodes not excluded. Returns
-    (path to res.target or None, labels).
+    order): the edge a strict-< relaxation in that order keeps.
+
+    Without labels the sweep starts from fresh ones over every frame. With
+    labels, a sweep's over the same graph, and start, it resumes: the
+    nodes of frames before start keep their labels and predecessors, which
+    must be those of a sweep under excluded (so excluded may have grown only
+    in frames from start on), and the rest are re-labelled in place, bit
+    for bit as a fresh sweep under excluded. relaxations counts the edges
+    out of reached nodes into re-labelled nodes not excluded, the target's
+    from every frame. Returns (path to res.target or None, labels).
     """
     stats = stats or SolverStats()
-    labels = PredecessorMap(len(res.potential), res.roots)
+    labels = labels or PredecessorMap(len(res.potential), res.roots)
     g, dist = res.graph, labels.dist
     if g.is_empty:
         return None, labels
@@ -383,14 +395,22 @@ def dag_shortest_path(res: ResidualGraph, stats: SolverStats | None = None,
         raise InvariantBreach("DAG sweep over a residual graph carrying flow")
     w = (g.e_cost if excluded is None else
          np.where(excluded[res.fwd_dst()], np.inf, g.e_cost))
+    frames = list(g.frames)
+    k = 0 if start is None else bisect_left(frames, start)
+    kept = np.concatenate([NO_NODES, *map(g.frame_nodes.get, frames[:k])],
+                          axis=1)[1]
+    kept_exits = dist[kept] + w[g.node_out[kept]]
+    dist[res.target] = np.min(kept_exits, initial=np.inf)
     u, v, entry, tails, heads, via, exits = _relax_frames(
-        res, dist, g.frames, w)
-    tails = np.concatenate((np.full(len(u), SOURCE), tails, u, v))
-    heads = np.concatenate((u, heads, v, np.full(len(v), res.target)))
-    via = np.concatenate((entry, via, dist[v], exits))
+        res, dist, frames[k:], w)
+    tails = np.concatenate((np.full(len(u), SOURCE), tails, u, kept, v))
+    heads = np.concatenate((u, heads, v,
+                            np.full(len(kept) + len(v), res.target)))
+    via = np.concatenate((entry, via, dist[v], kept_exits, exits))
     reached = np.isfinite(via)
     stats.relaxations += int(np.count_nonzero(reached))
     stats.searches += 1
+    labels.pred[np.concatenate((u, v, [res.target]))] = -1
     tight = np.flatnonzero(reached & (via == dist[heads]))
     first = tight[np.unique(heads[tight], return_index=True)[1]]  # per head
     labels.pred[heads[first]] = tails[first]
@@ -886,7 +906,19 @@ def solve_dp_greedy(graph: TrackingGraph):
     """Greedy baseline: repeated DAG shortest paths without flow cancellation.
 
     Accepted paths have their nodes removed outright, so earlier choices can
-    never be revised; not optimal, used only for comparison.
+    never be revised; not optimal, used only for comparison. The result is
+    that of committing the path of one full sweep at a time while it costs
+    < 0, each sweep excluding the nodes committed before it.
+
+    One sweep commits several: its exits ranked by value, the label of the
+    v node plus the exit cost, ties in frame order. Each is committed with
+    its v node's tree path in turn, until one costs >= 0, which ends the
+    solve, or holds a node committed since the sweep, which ends the round.
+    Excluding nodes never lowers a label, and a node whose tree path avoids
+    them keeps its label and predecessor bit for bit, so each committed
+    path is the one a full sweep would return at its turn, at the same
+    cost. The next sweep resumes from the earliest frame the round's paths
+    touched; the frames before it keep their labels.
     """
     stats = SolverStats()
     res = ResidualGraph(graph)
@@ -895,20 +927,29 @@ def solve_dp_greedy(graph: TrackingGraph):
         return FlowSolution(flow=flow), stats
 
     excluded = np.zeros(len(res.potential), dtype=bool)
-    trajectories = []
-    total = 0.0
-    for _ in range(graph.n_detections + 1):
-        path, labels = dag_shortest_path(res, stats=stats, excluded=excluded)
-        if path is None:
-            break
-        cost = float(labels.dist[res.target])
-        if cost >= 0.0:
-            break
-        stats.iterations += 1
-        dets = [graph.node_det[u] for u in path.nodes[1:-1:2]]  # u, v, ...
-        trajectories.append(Trajectory(len(trajectories), dets, cost))
-        total += cost
-        flow[path.eids] = 1
-        excluded[path.nodes[1:-1]] = True
+    v = np.concatenate([graph.frame_nodes[f][1] for f in graph.frames])
+    exit_cost = graph.e_cost[graph.node_out[v]]
+    trajectories, total = [], 0.0
+    labels = start = None
+    for _ in range(graph.n_detections + 1):  # each round commits one or more
+        path, labels = dag_shortest_path(res, stats, excluded, labels, start)
+        values = labels.dist[v] + exit_cost
+        start = math.inf
+        for rank, i in enumerate(np.argsort(values, kind="stable").tolist()):
+            cost = values.item(i)
+            if not cost < 0.0:  # >= 0, or unreached
+                return FlowSolution(trajectories=trajectories,
+                                    total_cost=total, flow=flow), stats
+            if rank:  # the first is the sweep's own path
+                path = extract_path(res, labels, via=v.item(i))
+                if excluded[path.nodes[1:-1]].any():  # committed this round
+                    break
+            stats.iterations += 1
+            dets = [graph.node_det[u] for u in path.nodes[1:-1:2]]  # u, v, ...
+            trajectories.append(Trajectory(len(trajectories), dets, cost))
+            total += cost
+            flow[path.eids] = 1
+            excluded[path.nodes[1:-1]] = True
+            start = min(start, dets[0].frame)
     return FlowSolution(trajectories=trajectories, total_cost=total,
                         flow=flow), stats

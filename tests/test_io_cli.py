@@ -7,7 +7,8 @@ import time
 
 import pytest
 
-from conftest import BATCH_FAULTS, det, faulty_batch
+from conftest import (BATCH_FAULTS, StubModel, build_graph, det, faulty_batch,
+                      make_random_instance)
 from flowtrack import cli
 from flowtrack import io as ftio
 from flowtrack.cost_model import CostModel
@@ -15,6 +16,7 @@ from flowtrack.errors import DataError
 from flowtrack.graph import TrackingGraph, Trajectory
 from flowtrack.metrics import clear_mot
 from flowtrack.online import OnlineTracker
+from flowtrack.oracle import MAX_PATHS, count_paths, enumerate_paths
 from flowtrack.synthetic import SyntheticConfig, generate_synthetic
 
 
@@ -405,6 +407,33 @@ class TestCli:
                     "--max-detections", "20")
         assert r.returncode == 0, r.stderr
         assert a.read_text() == b.read_text()
+
+    def test_oracle_refuses_a_long_chain(self, tmp_path):
+        # one box a frame, 1,100 frames: its paths, 1100 * 1101 / 2, once
+        # recursed past the interpreter's limit and now exit 2 up front
+        det_path = tmp_path / "chain.csv"
+        det_path.write_text("".join(f"{f},0,10,10,20,20,0.9\n"
+                                    for f in range(1100)))
+        t0 = time.perf_counter()
+        r = run_cli("oracle", "-i", str(det_path), "-o", "-",
+                    "--max-detections", "2000")
+        assert time.perf_counter() - t0 < 10
+        assert r.returncode == 2, r.stderr
+        assert "source-to-sink paths, got 605550" in r.stderr
+        assert "Traceback" not in r.stderr
+
+    def test_oracle_path_count(self):
+        for seed in range(20):
+            frames, model = make_random_instance(seed)
+            graph = build_graph(frames, model)
+            assert count_paths(graph) == len(enumerate_paths(graph))
+        # the most paths 12 detections admit, all frames fully linked
+        frames = {f: [det(f, i) for i in range(1 if f in (0, 6) else 2)]
+                  for f in range(7)}
+        links = {(a.key, b.key): 0.0 for f in range(6) for a in frames[f]
+                 for b in frames[f + 1]}
+        graph = build_graph(frames, StubModel(links=links))
+        assert count_paths(graph) == 272 < MAX_PATHS
 
     def test_bench_emits_rows(self, sample_files):
         root, det_path, _ = sample_files
