@@ -28,7 +28,7 @@ from .errors import DataError
 GEOMETRY_FEATURES = ("iou_overlap", "location_similarity", "size_similarity")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Detection:
     """One detected bounding box.
 
@@ -43,6 +43,15 @@ class Detection:
     extras: tuple[float, ...] = ()
 
     def __post_init__(self):
+        x, y, w, h = self.box
+        # w > 0 and w * h > 0 give h > 0; a sum of finite fields is finite
+        # unless it overflows, which the checks below let pass.
+        if not (w > 0 and w * h > 0 and self.frame >= 0
+                and math.isfinite(x + y + w + h + self.score)):
+            self._check_fields()
+
+    def _check_fields(self):
+        """DataError naming the first rule the fields break, if any."""
         x, y, w, h = self.box
         if not (w > 0 and h > 0):
             raise DataError(f"detection box must have positive size, got w={w}, h={h}")

@@ -4,10 +4,13 @@ Detections: ``frame,id,x,y,w,h,score[,extra...]`` — the id column is parsed
 but ignored (detections carry no identity), extra columns become additional
 pairwise features. Tracks: ``frame,track_id,x,y,w,h`` sorted by
 (frame, track_id). Ground truth: detection columns plus a trailing gt_id.
-Files and streams share one csv row reader (quoted fields, '#' comments; a
-blank row ends a stream's frame block), whose every error, csv's included,
-is a DataError that names the input line, and one track row writer, which
-writes floats with ``%.6g`` so output is byte-identical across runs.
+Files and streams share one csv row reader (quoted and padded fields, '#'
+comments; a blank or whitespace-only row ends a stream's frame block),
+whose every error, csv's included, is a DataError that names the input
+line. A detection row converts in one step; only a row with a bad or NaN
+field goes field by field, to name the first such field. One track row
+writer formats each row with ``%`` (floats ``%.6g``, so output is
+byte-identical across runs) and writes a call's rows at once.
 """
 from __future__ import annotations
 
@@ -16,6 +19,7 @@ import csv
 import math
 import os
 import sys
+from operator import itemgetter
 
 from .cost_model import Detection
 from .errors import DataError
@@ -58,48 +62,55 @@ def _parse_int(text: str, what: str, lineno: int) -> int:
         raise DataError(f"line {lineno}: bad {what} {text!r}") from None
 
 
-def _rows(reader):
-    """Yield (line number, stripped fields) for the rows of a csv.reader but
-    '#' comments; a blank row gives no fields. A csv.Error becomes a
+def _rows(reader, blanks=False):
+    """Yield (line number, fields) for the rows of a csv.reader but '#'
+    comments and blank or whitespace-only rows, which give no fields with
+    blanks and are skipped without. Fields keep their padding; the
+    converters strip it (see _add_detection). A csv.Error becomes a
     DataError that names the line, counted over the reader's whole input."""
     try:
         for row in reader:
-            fields = [c.strip() for c in row]
-            if fields and fields[0].startswith("#"):
+            head = row[0].lstrip() if row else ""
+            if head.startswith("#"):
                 continue
-            yield reader.line_num, fields if fields != [""] else []
+            if head or len(row) > 1:
+                yield reader.line_num, row
+            elif blanks:
+                yield reader.line_num, []
     except csv.Error as exc:
         raise DataError(f"line {reader.line_num}: {exc}") from None
 
 
-def _file_rows(fobj):
-    """The nonblank rows of a CSV file, as _rows gives them."""
-    return ((lineno, row) for lineno, row in _rows(csv.reader(fobj)) if row)
-
-
 def _add_detection(per_frame: dict[int, list[Detection]], row, lineno,
-                   with_gt_id=False):
-    """Parse one detection row and append it to its frame's list in
+                   tail=0):
+    """Convert one detection row and append it to its frame's list in
     per_frame, with the next local index of that frame. Returns the
-    detection and its gt id (None without with_gt_id)."""
-    tail = 1 if with_gt_id else 0
+    detection and, with tail 1, the row's trailing gt id (else None).
+
+    The row converts in one step. Only a bad or NaN field (or inf and -inf,
+    whose sum is NaN) sends it field by field through _parse_int and
+    _parse_float, on stripped text, so the first bad field is named."""
     if len(row) < 7 + tail:
         raise DataError(f"line {lineno}: expected at least {7 + tail} columns, "
                         f"got {len(row)}")
-    frame = _parse_int(row[0], "frame", lineno)
-    x = _parse_float(row[2], "x", lineno)
-    y = _parse_float(row[3], "y", lineno)
-    w = _parse_float(row[4], "w", lineno)
-    h = _parse_float(row[5], "h", lineno)
-    score = _parse_float(row[6], "score", lineno)
-    extra_cols = row[7:len(row) - tail] if with_gt_id else row[7:]
-    extras = tuple(_parse_float(c, f"extra column {i}", lineno)
-                   for i, c in enumerate(extra_cols, start=7))
-    gt_id = _parse_int(row[-1], "gt id", lineno) if with_gt_id else None
+    try:
+        frame = int(row[0])
+        values = [*map(float, row[2:len(row) - tail])]
+        gt_id = int(row[-1]) if tail else None
+    except ValueError:
+        values = [math.nan]
+    if math.isnan(sum(values)):
+        row = [c.strip() for c in row]
+        frame = _parse_int(row[0], "frame", lineno)
+        values = [_parse_float(c, what, lineno)
+                  for c, what in zip(row[2:7], ("x", "y", "w", "h", "score"))]
+        values += [_parse_float(c, f"extra column {i}", lineno)
+                   for i, c in enumerate(row[7:len(row) - tail], start=7)]
+        gt_id = _parse_int(row[-1], "gt id", lineno) if tail else None
     dets = per_frame.setdefault(frame, [])
     try:
-        dets.append(Detection(frame=frame, box=(x, y, w, h), score=score,
-                              local_index=len(dets), extras=extras))
+        dets.append(Detection(frame, tuple(values[:4]), values[4], len(dets),
+                              tuple(values[5:])))
     except DataError as exc:
         raise DataError(f"line {lineno}: {exc}") from None
     return dets[-1], gt_id
@@ -114,7 +125,7 @@ def parse_detections(source) -> dict[int, list[Detection]]:
     per_frame: dict[int, list[Detection]] = {}
     n_extras = None
     with open_or_stdio(source) as fobj:
-        for lineno, row in _file_rows(fobj):
+        for lineno, row in _rows(csv.reader(fobj)):
             det, _ = _add_detection(per_frame, row, lineno)
             if n_extras is None:
                 n_extras = len(det.extras)
@@ -128,8 +139,8 @@ def parse_ground_truth(source) -> tuple[dict[int, list[Detection]], GroundTruth]
     per_frame: dict[int, list[Detection]] = {}
     gt = GroundTruth()
     with open_or_stdio(source) as fobj:
-        for lineno, row in _file_rows(fobj):
-            det, gt_id = _add_detection(per_frame, row, lineno, with_gt_id=True)
+        for lineno, row in _rows(csv.reader(fobj)):
+            det, gt_id = _add_detection(per_frame, row, lineno, tail=1)
             gt.add(det.frame, gt_id, det.box)
     return dict(sorted(per_frame.items())), gt
 
@@ -169,30 +180,28 @@ def write_ground_truth(dest, frames: dict[int, list[tuple[int, tuple]]]):
 
 def write_tracks(dest, trajectories):
     """Write ``frame,track_id,x,y,w,h`` rows sorted by (frame, track_id)."""
-    rows = []
-    for traj in trajectories:
-        for d in traj.detections:
-            x, y, w, h = d.box
-            rows.append((d.frame, traj.track_id, x, y, w, h))
-    rows.sort(key=lambda r: (r[0], r[1]))
+    rows = [(d.frame, traj.track_id, *d.box)
+            for traj in trajectories for d in traj.detections]
+    rows.sort(key=itemgetter(0, 1))
     with open_or_stdio(dest, "w") as fobj:
         write_track_rows(fobj, rows)
 
 
 def write_track_rows(fobj, rows):
-    """Write (frame, track id, x, y, w, h) tuples as rows, one write each."""
-    for f, tid, x, y, w, h in rows:
-        fobj.write(f"{f},{tid},{_fmt(x)},{_fmt(y)},{_fmt(w)},{_fmt(h)}\n")
+    """Write (frame, track id, x, y, w, h) tuples as rows, all in one write;
+    each row formats with one % operation."""
+    fobj.write("".join(["%s,%s,%.6g,%.6g,%.6g,%.6g\n" % row for row in rows]))
 
 
 def parse_tracks(source) -> dict[int, list[tuple[int, tuple]]]:
     """Read a track CSV into {frame: [(track_id, box), ...]} hypotheses."""
     frames: dict[int, dict[int, tuple]] = {}  # frame -> track id -> box
     with open_or_stdio(source) as fobj:
-        for lineno, row in _file_rows(fobj):
+        for lineno, row in _rows(csv.reader(fobj)):
             if len(row) < 6:
                 raise DataError(f"line {lineno}: expected at least 6 columns, "
                                 f"got {len(row)}")
+            row = [c.strip() for c in row]
             f = _parse_int(row[0], "frame", lineno)
             tid = _parse_int(row[1], "track id", lineno)
             box = tuple(_parse_float(row[i], "box", lineno) for i in range(2, 6))
@@ -235,14 +244,13 @@ def parse_stream_frame(fobj) -> tuple[int, list[Detection]] | None:
     """
     reader = fobj if isinstance(fobj, _READER) else csv.reader(fobj)
     per_frame: dict[int, list[Detection]] = {}
-    for lineno, row in _rows(reader):
+    for lineno, row in _rows(reader, blanks=True):
         if not row:
             if per_frame:
                 break
             continue  # leading blank rows
         det, _ = _add_detection(per_frame, row, lineno)
-        frame = next(iter(per_frame))
-        if det.frame != frame:
+        if len(per_frame) > 1:
             raise DataError(f"line {lineno}: stream block mixes frames "
-                            f"{frame} and {det.frame}")
+                            f"{next(iter(per_frame))} and {det.frame}")
     return next(iter(per_frame.items()), None)

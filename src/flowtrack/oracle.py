@@ -13,6 +13,12 @@ from .graph import FlowSolution, TrackingGraph, Trajectory
 #: limit) it fails; 12 detections, the default cap, admit at most 272 paths.
 MAX_PATHS = 500
 
+#: The most calls brute_force_optimum's subset search makes, a few seconds
+#: of work. Its time depends on the shape of the instance, not only on the
+#: path count: a one-box chain of 30 frames (465 paths) needs 7.3 million.
+#: The tests' instances need at most about 276,000, 11 times fewer.
+MAX_SEARCHES = 3_000_000
+
 
 def count_paths(graph: TrackingGraph) -> int:
     """The number of source-to-sink paths, in one backward pass over the
@@ -61,7 +67,7 @@ def brute_force_optimum(graph: TrackingGraph, seed: int | None = None,
     The search order is shuffled by seed to guard against order-dependent
     bugs; the returned optimum is order-independent. Its time grows
     exponentially with the number of paths. DataError past max_detections
-    detections or MAX_PATHS paths.
+    detections, MAX_PATHS paths or MAX_SEARCHES search steps.
     """
     if graph.n_detections > max_detections:
         raise DataError(
@@ -86,9 +92,13 @@ def brute_force_optimum(graph: TrackingGraph, seed: int | None = None,
 
     best_cost = 0.0
     best_sets: list[int] = []
+    calls = 0
 
     def search(i, used, cost, chosen):
-        nonlocal best_cost, best_sets
+        nonlocal best_cost, best_sets, calls
+        if (calls := calls + 1) > MAX_SEARCHES:
+            raise DataError(f"brute force limited to {MAX_SEARCHES} search "
+                            f"steps")
         if cost < best_cost:
             best_cost = cost
             best_sets = list(chosen)

@@ -288,20 +288,25 @@ class ResidualGraph:
 
 
 def extract_path(res: ResidualGraph, labels: PredecessorMap,
-                 via: int | None = None) -> Path | None:
+                 via: int | None = None, stop=None) -> Path | None:
     """Walk the predecessor chain back from res.target to one of res.roots;
     None if the target is unreached. With via, the path is via's tree path
-    and then the arc via -> target, which need not be a tree arc. Each arc
-    u -> v is the slot keyed u * n + v. The target stands for the sink in
-    the returned path."""
+    and then the arc via -> target, which need not be a tree arc. With
+    stop, a mask over the nodes, None also once the walk meets a node it
+    marks (via included). Each arc u -> v is the slot keyed u * n + v. The
+    target stands for the sink in the returned path."""
     if not np.isfinite(labels.dist[res.target if via is None else via]):
         return None
     arcs, n, pred = res.arcs(), len(res.potential), labels.pred.item
-    nodes = [res.target] if via is None else [res.target, via]
-    while (u := pred(nodes[-1])) >= 0:
+    nodes = [res.target]
+    u = pred(res.target) if via is None else via
+    while u >= 0:
+        if stop is not None and stop.item(u):
+            return None
         nodes.append(u)
         if len(nodes) > n:
             raise InvariantBreach("predecessor chain contains a cycle")
+        u = pred(u)
     if nodes[-1] not in res.roots:
         raise InvariantBreach(f"broken predecessor chain at node {nodes[-1]}")
     nodes.reverse()
@@ -941,8 +946,8 @@ def solve_dp_greedy(graph: TrackingGraph):
                 return FlowSolution(trajectories=trajectories,
                                     total_cost=total, flow=flow), stats
             if rank:  # the first is the sweep's own path
-                path = extract_path(res, labels, via=v.item(i))
-                if excluded[path.nodes[1:-1]].any():  # committed this round
+                path = extract_path(res, labels, via=v.item(i), stop=excluded)
+                if path is None:  # it meets a node committed this round
                     break
             stats.iterations += 1
             dets = [graph.node_det[u] for u in path.nodes[1:-1:2]]  # u, v, ...

@@ -1,15 +1,17 @@
 """Reference implementations that the tests hold the package to: the full
-decode of a flow, four graph helpers, Algorithm 1's stop rule and a
-ground-truth matcher that only tests use."""
+decode of a flow, four graph helpers, Algorithm 1's stop rule, a
+ground-truth matcher that only tests use, the field-by-field CSV row parser
+and the per-row track writer."""
 from __future__ import annotations
 
+import csv
 import math
 from itertools import takewhile
 
 import numpy as np
 
 from flowtrack.cost_model import Detection, FrameBoxes, iou
-from flowtrack.errors import InvariantBreach
+from flowtrack.errors import DataError, InvariantBreach
 from flowtrack.graph import SINK, SOURCE, TrackingGraph, Trajectory, gate_pairs
 from flowtrack.metrics import GroundTruth
 
@@ -130,3 +132,153 @@ def detections_to_gt_map(detections: dict[int, list[Detection]], gt: GroundTruth
                     best, best_ov = g, ov
             mapping[d.key] = best
     return mapping
+
+
+# The CSV row parser, field by field: every field is stripped, then each is
+# converted and checked in column order, so the first bad one is named.
+
+def _parse_float(text, what, lineno):
+    try:
+        value = float(text)
+    except ValueError:
+        raise DataError(f"line {lineno}: bad {what} {text!r}") from None
+    if math.isnan(value):
+        raise DataError(f"line {lineno}: {what} is NaN")
+    return value
+
+
+def _parse_int(text, what, lineno):
+    try:
+        return int(text)
+    except ValueError:
+        raise DataError(f"line {lineno}: bad {what} {text!r}") from None
+
+
+def check_detection(frame, box, score):
+    """The detection rules in the order they are checked: DataError naming
+    the first that frame, box and score break."""
+    x, y, w, h = box
+    if not (w > 0 and h > 0):
+        raise DataError(f"detection box must have positive size, got w={w}, h={h}")
+    if frame < 0:
+        raise DataError(f"detection frame must be >= 0, got {frame}")
+    if not all(math.isfinite(v) for v in (x, y, w, h, score)):
+        raise DataError("detection fields must be finite")
+    if not w * h > 0:
+        raise DataError(f"detection box area w*h underflows to zero, "
+                        f"got w={w}, h={h}")
+
+
+def _checked(lineno, frame, box, score):
+    try:
+        check_detection(frame, box, score)
+    except DataError as exc:
+        raise DataError(f"line {lineno}: {exc}") from None
+
+
+def rows(reader):
+    """Yield (line number, stripped fields) for the rows of a csv.reader but
+    '#' comments; a blank row gives no fields. A csv.Error becomes a
+    DataError that names the line."""
+    try:
+        for row in reader:
+            fields = [c.strip() for c in row]
+            if fields and fields[0].startswith("#"):
+                continue
+            yield reader.line_num, fields if fields != [""] else []
+    except csv.Error as exc:
+        raise DataError(f"line {reader.line_num}: {exc}") from None
+
+
+def _file_rows(fobj):
+    return ((lineno, row) for lineno, row in rows(csv.reader(fobj)) if row)
+
+
+def add_detection(per_frame, row, lineno, with_gt_id=False):
+    """Parse one detection row and append it to its frame's list in
+    per_frame, with the next local index of that frame. Returns the
+    detection and its gt id (None without with_gt_id). The detection rules
+    are checked here, so a Detection that rejects what they accept raises
+    without the line."""
+    tail = 1 if with_gt_id else 0
+    if len(row) < 7 + tail:
+        raise DataError(f"line {lineno}: expected at least {7 + tail} columns, "
+                        f"got {len(row)}")
+    frame = _parse_int(row[0], "frame", lineno)
+    x = _parse_float(row[2], "x", lineno)
+    y = _parse_float(row[3], "y", lineno)
+    w = _parse_float(row[4], "w", lineno)
+    h = _parse_float(row[5], "h", lineno)
+    score = _parse_float(row[6], "score", lineno)
+    extra_cols = row[7:len(row) - tail] if with_gt_id else row[7:]
+    extras = tuple(_parse_float(c, f"extra column {i}", lineno)
+                   for i, c in enumerate(extra_cols, start=7))
+    gt_id = _parse_int(row[-1], "gt id", lineno) if with_gt_id else None
+    dets = per_frame.setdefault(frame, [])
+    _checked(lineno, frame, (x, y, w, h), score)
+    dets.append(Detection(frame=frame, box=(x, y, w, h), score=score,
+                          local_index=len(dets), extras=extras))
+    return dets[-1], gt_id
+
+
+def parse_detections(fobj) -> dict[int, list[Detection]]:
+    per_frame, n_extras = {}, None
+    for lineno, row in _file_rows(fobj):
+        det, _ = add_detection(per_frame, row, lineno)
+        if n_extras is None:
+            n_extras = len(det.extras)
+        elif len(det.extras) != n_extras:
+            raise DataError(f"line {lineno}: inconsistent column count")
+    return dict(sorted(per_frame.items()))
+
+
+def parse_ground_truth(fobj) -> tuple[dict[int, list[Detection]], GroundTruth]:
+    per_frame, gt = {}, GroundTruth()
+    for lineno, row in _file_rows(fobj):
+        det, gt_id = add_detection(per_frame, row, lineno, with_gt_id=True)
+        gt.add(det.frame, gt_id, det.box)
+    return dict(sorted(per_frame.items())), gt
+
+
+def parse_tracks(fobj) -> dict[int, list[tuple[int, tuple]]]:
+    frames = {}
+    for lineno, row in _file_rows(fobj):
+        if len(row) < 6:
+            raise DataError(f"line {lineno}: expected at least 6 columns, "
+                            f"got {len(row)}")
+        f = _parse_int(row[0], "frame", lineno)
+        tid = _parse_int(row[1], "track id", lineno)
+        box = tuple(_parse_float(row[i], "box", lineno) for i in range(2, 6))
+        _checked(lineno, f, box, 1.0)
+        if tid in (boxes := frames.setdefault(f, {})):
+            raise DataError(f"line {lineno}: duplicate track id {tid} "
+                            f"in frame {f}")
+        boxes[tid] = box
+    return {f: list(boxes.items()) for f, boxes in frames.items()}
+
+
+def parse_stream_frame(reader) -> tuple[int, list[Detection]] | None:
+    """One blank-row-terminated block of detection rows from a csv.reader."""
+    per_frame = {}
+    for lineno, row in rows(reader):
+        if not row:
+            if per_frame:
+                break
+            continue
+        det, _ = add_detection(per_frame, row, lineno)
+        frame = next(iter(per_frame))
+        if det.frame != frame:
+            raise DataError(f"line {lineno}: stream block mixes frames "
+                            f"{frame} and {det.frame}")
+    return next(iter(per_frame.items()), None)
+
+
+def _fmt(x: float) -> str:
+    return "%.6g" % x
+
+
+def track_rows_text(rows) -> str:
+    """(frame, track id, x, y, w, h) tuples as CSV text, row by row, each
+    float through _fmt."""
+    return "".join(f"{f},{tid},{_fmt(x)},{_fmt(y)},{_fmt(w)},{_fmt(h)}\n"
+                   for f, tid, x, y, w, h in rows)

@@ -16,7 +16,8 @@ from flowtrack.errors import DataError
 from flowtrack.graph import TrackingGraph, Trajectory
 from flowtrack.metrics import clear_mot
 from flowtrack.online import OnlineTracker
-from flowtrack.oracle import MAX_PATHS, count_paths, enumerate_paths
+from flowtrack.oracle import (MAX_PATHS, MAX_SEARCHES, count_paths,
+                              enumerate_paths)
 from flowtrack.synthetic import SyntheticConfig, generate_synthetic
 
 
@@ -420,6 +421,20 @@ class TestCli:
         assert time.perf_counter() - t0 < 10
         assert r.returncode == 2, r.stderr
         assert "source-to-sink paths, got 605550" in r.stderr
+        assert "Traceback" not in r.stderr
+
+    def test_oracle_gives_up_on_a_slow_chain(self, tmp_path):
+        # one box a frame, 30 frames: 465 paths pass MAX_PATHS, but the
+        # subset search needs 7.3 million steps (5.8 s); its budget ends it
+        det_path = tmp_path / "chain.csv"
+        det_path.write_text("".join(f"{f},0,10,10,20,20,0.9\n"
+                                    for f in range(30)))
+        t0 = time.perf_counter()
+        r = run_cli("oracle", "-i", str(det_path), "-o", "-",
+                    "--max-detections", "2000")
+        assert time.perf_counter() - t0 < 10
+        assert r.returncode == 2, r.stderr
+        assert f"limited to {MAX_SEARCHES} search steps" in r.stderr
         assert "Traceback" not in r.stderr
 
     def test_oracle_path_count(self):
