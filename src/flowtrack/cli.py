@@ -3,13 +3,17 @@
 Subcommands: track, bench, synth, eval, oracle, tracks-to-gt. Settings are
 resolved as command line > config file (--config or $FLOWTRACK_CONFIG) >
 built-in defaults. Exit codes: 0 success, 1 usage error, 2 bad input data,
-3 internal invariant failure.
+3 internal invariant failure. The first `main` call of a process, the
+`flowtrack` command's or an in-process caller's, freezes the heap its imports
+left (`gc.freeze()`) so that no later collection and not the teardown walks
+it; importing flowtrack freezes nothing.
 """
 from __future__ import annotations
 
 import argparse
 import csv
 import dataclasses
+import gc
 import inspect
 import math
 import os
@@ -342,10 +346,20 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+#: The parser of this process, built by the first main() call.
+_parser: argparse.ArgumentParser | None = None
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
+    global _parser
+    if _parser is None:
+        # numpy's and scipy's import-time objects live until exit; frozen,
+        # full collections and the teardown no longer walk them. Once per
+        # process: each later freeze would pin whatever is alive at the call.
+        gc.freeze()
+        _parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser.parse_args(argv)
         return args.func(args)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 1

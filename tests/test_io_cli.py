@@ -1,5 +1,6 @@
 import csv
 import io
+import json
 import os
 import subprocess
 import sys
@@ -637,7 +638,9 @@ OPTIMIZE_PROBE = (
 
 class TestColdStart:
     """Only CLEAR-MOT scoring loads scipy.optimize, which is slow to import;
-    tracking and a plain import of the package do not."""
+    tracking and a plain import of the package do not. The first main() call
+    of a process freezes the heap the imports left, once; the collector stays
+    on for everything made afterwards."""
 
     @pytest.mark.parametrize("args", [
         ("--solver", "ssp"), ("--solver", "dssp"), ("--solver", "dp"),
@@ -671,6 +674,79 @@ class TestColdStart:
         assert cli.main(argv) == 0
         assert r.stdout == capsys.readouterr().out
         assert r.stdout.startswith("MOTA ")
+
+    MAIN = ("import gc\n"
+            "from flowtrack import cli\n"
+            "def main():\n"
+            "    assert cli.main(['track', '--stream', '--solver', 'odssp',\n"
+            "                     '-o', '-']) == 0\n")
+
+    def probe(self, code: str) -> str:
+        r = run_python("-c", self.MAIN + code, stdin="")
+        assert r.returncode == 0, r.stderr
+        return r.stdout
+
+    def test_import_freezes_nothing(self):
+        assert self.probe("print(gc.get_freeze_count())") == "0\n"
+
+    def test_first_main_freezes_and_keeps_the_collector_on(self):
+        out = self.probe("main(); print(gc.get_freeze_count(), gc.isenabled())")
+        count, enabled = out.split()
+        assert int(count) > 0 and enabled == "True"
+
+    def test_second_main_freezes_nothing_more(self):
+        out = self.probe("main(); n = gc.get_freeze_count(); main(); "
+                         "print(n, gc.get_freeze_count())")
+        first, second = map(int, out.split())
+        assert first > 0 and second == first
+
+    def test_a_cycle_made_after_main_is_collected(self):
+        out = self.probe("import weakref\n"
+                         "class Node: pass\n"
+                         "main(); node = Node(); node.self = node\n"
+                         "ref = weakref.ref(node); del node; gc.collect()\n"
+                         "print(ref() is None)")
+        assert out == "True\n"
+
+    def test_main_leaves_a_full_collection_little_to_walk(self):
+        # gc.get_objects() lists the collected generations, not the frozen one
+        out = self.probe("n = len(gc.get_objects()); main(); "
+                         "print(n, len(gc.get_objects()))")
+        imported, after = map(int, out.split())
+        assert after < imported / 10, (imported, after)
+
+    def test_one_process_answers_each_call_as_a_fresh_one(self, sample_files,
+                                                          tmp_path):
+        """main() keeps its parser across calls: no flag or default of one
+        call reaches the next."""
+        _, det_path, gt_path = sample_files
+        tracks = tmp_path / "tracks.csv"
+        assert run_cli("track", "-i", str(det_path), "-o", str(tracks)).returncode == 0
+        det = str(det_path)
+        calls = [
+            ["track", "-i", det, "-o", "-", "--solver", "mbodssp",
+             "--window", "3", "--entry-cost", "0.5", "--no-gating"],
+            ["track", "--solver", "nope"],
+            ["eval", "--gt", str(gt_path), "--tracks", str(tracks),
+             "--iou", "0.3"],
+            ["track", "-i", det, "-o", "-"],
+            ["track", "-i", det, "-o", "-", "--solver", "mbodssp"],
+        ]
+        r = run_python("-c", "import contextlib, io, json, sys\n"
+                       "from flowtrack import cli\n"
+                       "runs = []\n"
+                       "for argv in json.loads(sys.argv[1]):\n"
+                       "    out, err = io.StringIO(), io.StringIO()\n"
+                       "    with contextlib.redirect_stdout(out), \\\n"
+                       "            contextlib.redirect_stderr(err):\n"
+                       "        code = cli.main(argv)\n"
+                       "    runs.append([code, out.getvalue(), err.getvalue()])\n"
+                       "print(json.dumps(runs))\n", json.dumps(calls))
+        assert r.returncode == 0, r.stderr
+        fresh = [run_cli(*argv) for argv in calls]
+        assert [code for code, _, _ in json.loads(r.stdout)] == [0, 1, 0, 0, 2]
+        assert json.loads(r.stdout) == [[f.returncode, f.stdout, f.stderr]
+                                        for f in fresh]
 
 
 @pytest.mark.parametrize("solver,stream", [("ssp", False), ("dssp", False),
