@@ -23,7 +23,7 @@ from . import io as ftio
 from .bench import run_bench, write_bench
 from .cost_model import CostModel
 from .errors import DataError, InvariantBreach
-from .graph import Trajectory, build_batch_graph
+from .graph import build_batch_graph
 from .metrics import clear_mot
 from .online import OnlineTracker, TrackerConfig
 from .oracle import brute_force_optimum
@@ -325,7 +325,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--input", "-i", help="detection CSV ('-' = stdin)")
     p.add_argument("--output", "-o", help="track CSV ('-' = stdout)")
     p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--max-detections", type=int, default=12)
+    p.add_argument("--max-detections", type=_nonneg_int, default=12)
     _add_model_args(p)
     p.set_defaults(func=_cmd_oracle)
 

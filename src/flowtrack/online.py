@@ -14,12 +14,13 @@ window, folding clipped trajectory prefixes into synthesized entry-edge costs,
 which take over their flow, so track identities and costs survive clipping.
 
 The decoded solution and its ids are kept from frame to frame: a frame
-re-decodes only the trajectories through the detections that its pushes and
-clips changed (ssp.FlowDecoder), and logs for a streaming caller the rows
-that are new or got a new id. So the per-frame decode and output work follow
-the rows the frame changed, not the history. The id rule (assign_track_ids)
-visits each current trajectory once per frame, at O(1) for one the frame did
-not re-walk.
+walks again only the trajectories through the detections that its pushes
+changed, each from the first such detection on (ssp.FlowDecoder), and logs
+for a streaming caller the rows that are new or got a new id. So the
+per-frame decode and output work follow the rows the frame changed, not the
+history. The per-frame id pass (OnlineTracker._assign_ids) applies the id
+rule of assign_track_ids (_pick_id) to each current trajectory once, at
+O(1) for one the frame did not walk.
 """
 from __future__ import annotations
 

@@ -4,8 +4,9 @@ Contains the residual graph (a flow per edge and node potentials, from which
 each search derives the reduced costs c + p(u) - p(v) it reads, and the
 decode of the flow), the DAG shortest-path sweep, the full Dijkstra search,
 the paper's dynamic broadcast that re-labels only the invalidated part of the
-shortest-path tree, trajectory decoding kept up to date from the edges whose
-flow changed (FlowDecoder), and the greedy DP baseline. Every search is
+shortest-path tree, the decoded trajectories kept up to date by walking each
+one again from its first node that a changed edge touches (FlowDecoder), and
+the greedy DP baseline. Every search is
 compiled: one DAG relaxation (_relax_frames) gives the sweep's labels and
 each appended frame's potentials, and both other searches are scipy's
 Dijkstra over one CSR of the residual arcs.
@@ -25,7 +26,7 @@ those paths touched.
 from __future__ import annotations
 
 import math
-from bisect import bisect_left, bisect_right
+from bisect import bisect_left
 from collections import namedtuple
 from dataclasses import dataclass
 from operator import attrgetter
@@ -660,17 +661,15 @@ def successive_shortest_paths(res: ResidualGraph, stats: SolverStats,
 @dataclass(eq=False, slots=True)
 class Chain:
     """One decoded trajectory and what its walk read, position by position:
-    each detection's u node, the left fold of the edge costs through its
-    detection edge, and the flowed edge out of its v node (a link, or the
-    exit for the last). traj is its Trajectory in the solution, whose
-    detections are the nodes', and which costs its last fold plus that exit.
-    key is the first detection's key and origin the track id its entry edge
-    carries (-1 for none)."""
+    each detection's u node and the left fold of the edge costs through its
+    detection edge. traj is its Trajectory in the solution, whose detections
+    are the nodes', at consecutive frames, and which costs its last fold
+    plus the exit. key is the first detection's key and origin the track id
+    its entry edge carries (-1 for none)."""
 
     traj: Trajectory
     nodes: list[int]
     folds: list[float]
-    outs: list[int]
     key: tuple[int, int]
     origin: int
 
@@ -684,25 +683,26 @@ class FlowDecoder:
 
     A trajectory follows the flow from a flowed entry edge through each
     detection edge and the flowed edge out of its v node, and costs the left
-    fold of its edge costs. update re-walks only the trajectories through a
-    detection at either end of a changed edge. Every other detection of
-    such a trajectory kept its edges' flow, so a run of them lies in one
-    chain of before and is copied from it, folds too when the fold before
-    the run is unchanged. A trajectory that starts where a chain started is
-    that chain, updated in place. No push unflows an entry: every pushed
-    path starts at a root, and no path enters the source, whose reversed
-    entries are the only arcs into it. So each chain an update touches still
-    starts where it started and is walked from there, and an update ends no
+    fold of its edge costs. One map, out, holds each decoded u node's
+    flowed edge out of its v node; update sets and deletes its entries from
+    the changed exits and links. A chain that holds a node at either end of
+    a changed edge keeps its positions before the first such node, whose
+    edges all kept their flow, and is walked again from there to the sink.
+    No push unflows an entry: every pushed path starts at a root, and no
+    path enters the source, whose reversed entries are the only arcs into
+    it. So each chain still starts where it started, and an update ends no
     chain (an entry read unflowed is an InvariantBreach); chains leave only
-    through clips. Decoding a flow from none, every flowed edge changed,
-    walks every trajectory. The chains are kept in the order of their keys,
-    which is the order of the solution's trajectories.
+    through clips. A newly flowed entry starts a new chain, walked in full;
+    decoding a flow from none, every flowed edge changed, walks every
+    trajectory so. The chains are kept in the order of their keys, which is
+    the order of the solution's trajectories.
     """
 
     def __init__(self, graph: TrackingGraph):
         self.graph = graph
         self.chains: list[Chain] = []  # in key order
         self.chain_of: dict[int, Chain] = {}  # u node -> chain holding it
+        self.out: dict[int, int] = {}  # u node -> flowed edge out of its v
         # The last update's report. Each chain it walked, with its segments
         # (Trajectory before or None, start, end): the runs of its positions
         # that lay in one chain before, or in none. And the detections that
@@ -716,14 +716,13 @@ class FlowDecoder:
         chains' Trajectory objects, with their total cost. A walked
         trajectory carries the track id of the chain it updates, -1 for a
         new chain. Raises InvariantBreach if an entry edge lost its flow."""
-        g, chain_of = self.graph, self.chain_of
+        g, chain_of, out = self.graph, self.chain_of, self.out
         eids = np.asarray(eids, dtype=np.int64)
         src = g.e_src[eids]
-        # The u nodes at either end of a changed edge; those whose entry
-        # changed, each a new start; the flow now on their detection edges
-        # that changed; and the flowed and the unflowed changed edges out of
-        # v nodes, the flowed by tail.
-        changed, entered, det_on, step, cut = set(), set(), {}, {}, set()
+        # The u nodes at either end of a changed edge, those whose entry
+        # changed and those whose detection edge lost its flow; out follows
+        # the changed exits and links.
+        changed, entered, off = set(), set(), []
         for eid, kind, a, b, on, a_u in zip(
                 eids.tolist(), g.e_kind[eids].tolist(), src.tolist(),
                 g.e_dst[eids].tolist(), res.flow[eids].tolist(),
@@ -736,110 +735,83 @@ class FlowDecoder:
                 entered.add(b)
             elif kind == DET:
                 changed.add(a)
-                det_on[a] = on
+                if not on:
+                    off.append(a)
             else:  # an exit or a link out of v node a, whose u node is a_u
                 changed.add(a_u)
                 if kind == LINK:
                     changed.add(b)
                 if on:
-                    step[a] = eid
-                else:
-                    cut.add(eid)
-        marks: dict[Chain, list[int]] = {}  # chain -> its changed positions
-        starts = []
-        for x in sorted(changed):
+                    out[a_u] = eid
+                elif out.get(a_u) == eid:
+                    del out[a_u]
+        first: dict[Chain, int] = {}  # chain -> its first changed position
+        for x in changed:
             if (c := chain_of.get(x)) is not None:
-                marks.setdefault(c, []).append(c.nodes.index(x))
-            if x in entered or (c is not None and c.nodes[0] == x):
-                starts.append(x)
-        for c, positions in marks.items():
-            positions.sort()
-            if c.nodes[0] not in changed:
-                starts.append(c.nodes[0])
-        walks = [self._walk(s, changed, det_on, step, cut, marks)
-                 for s in starts]
-        gone = [x for x, on in det_on.items() if not on and x in chain_of]
+                p = g.node_det[x].frame - c.key[0]  # consecutive frames
+                first[c] = min(p, first.get(c, p))
+        walks = [(c, p, c.nodes[p]) for c, p in first.items()]
+        for x in entered:  # a new chain's traj is None until it is placed
+            if (c := chain_of.get(x)) is None or c.nodes[0] != x:
+                walks.append((Chain(None, [], [], g.node_det[x].key,
+                                    g.e_origin.item(g.node_in.item(x))), 0, x))
+        walked = [self._walk(res.flow, changed, *w) for w in walks]
+        gone = [x for x in dict.fromkeys(off) if x in chain_of]
         for x in gone:
             del chain_of[x]
         fresh = {}
-        for c, traj, nodes, folds, outs, key, origin, segments in walks:
-            if c is None:
-                c = Chain(traj, nodes, folds, outs, key, origin)
+        for (c, p, _), (traj, segments) in zip(walks, walked):
+            if c.traj is None:
                 self._place(c)
-                chain_of.update(dict.fromkeys(nodes, c))
-            else:
-                before = c.traj
-                c.traj, c.nodes, c.folds, c.outs = traj, nodes, folds, outs
-                for s, lo, hi in segments:  # nodes it did not hold before
-                    if s is not before:
-                        chain_of.update(dict.fromkeys(nodes[lo:hi], c))
+            c.traj = traj
+            chain_of.update(dict.fromkeys(c.nodes[p:], c))
             fresh[c] = segments
         self.fresh, self.dropped = fresh, [g.node_det[x] for x in gone]
         trajs = [c.traj for c in self.chains]
         return FlowSolution(trajectories=trajs,
                             total_cost=sum(t.cost for t in trajs))
 
-    def _walk(self, s, changed, det_on, step, cut, marks):
-        """Decode the trajectory that starts at u node s. Returns the chain
-        that started at s, if any, and what the trajectory's chain holds:
-        its Trajectory, nodes, folds, outs, key and origin, then its
-        segments."""
-        g, chain_of, sink = self.graph, self.chain_of, SINK
+    def _walk(self, flow, changed, c, p, x):
+        """Walk chain c again from position p, whose u node is x: it keeps
+        its first p nodes and folds and steps from x through the flowed
+        edges to the sink. c.traj, the trajectory before (None for a new
+        chain), is left as it was. Returns the new Trajectory and its
+        segments: the kept prefix, then the runs of the walked nodes'
+        previous chains."""
+        g, chain_of, out, sink = self.graph, self.chain_of, self.out, SINK
         cost, node_out, e_dst, node_det = g.e_cost, g.node_out, g.e_dst, g.node_det
-        nodes, folds, outs, dets, segments = [], [], [], [], []
-        acc = cost.item(g.node_in.item(s))  # the fold through the edge into x
-        x = s
+        nodes, folds, before = c.nodes, c.folds, c.traj
+        del nodes[p:], folds[p:]
+        if p:
+            dets, segments = before.detections[:p], [(before, 0, p)]
+            acc = folds[-1] + cost.item(out[nodes[-1]])
+        else:
+            dets, segments = [], []
+            acc = cost.item(g.node_in.item(x))  # the fold through the entry
         while x != sink:
-            c = chain_of.get(x)
-            if x in changed:
-                d, det = node_out.item(x), node_det[x]
-                if not det_on.get(x, c is not None):
-                    raise InvariantBreach(f"dangling flow: detection edge of "
-                                          f"{det.key} carries no flow")
-                acc += cost.item(d)
-                e = step.get(e_dst.item(d))
-                if e is None and c is not None:
-                    e = c.outs[c.nodes.index(x)]
-                    if e in cut:
-                        e = None
-                if e is None:
-                    raise InvariantBreach(f"trajectory through {det.key} has "
-                                          f"no outflow")
-                n = len(nodes)
-                segments.append((c and c.traj, n, n + 1))
-                nodes.append(x)
-                folds.append(acc)
-                outs.append(e)
-                dets.append(det)
-                acc += cost.item(e)
-                x = e_dst.item(e)
-                continue
-            if c is None:
+            if (prev := chain_of.get(x)) is None and x not in changed:
                 raise InvariantBreach(f"flow enters node {x}, which no decoded "
                                       f"trajectory holds")
-            p = c.nodes.index(x)
-            positions = marks.get(c, ())
-            k = bisect_right(positions, p)
-            end = positions[k] if k < len(positions) else len(c.nodes)
-            segments.append((c.traj, len(nodes), len(nodes) + end - p))
-            nodes += c.nodes[p:end]
-            outs += c.outs[p:end]
-            dets += c.traj.detections[p:end]
-            if p == 0 or folds[-1] == c.folds[p - 1]:
-                folds += c.folds[p:end]
-            else:  # the run's prefix changed: fold its costs again
-                for u, e in zip(c.nodes[p:end], c.outs[p:end]):
-                    acc += cost.item(node_out.item(u))
-                    folds.append(acc)
-                    acc += cost.item(e)
-            acc = folds[-1] + cost.item(outs[-1])
-            x = c.nodes[end] if end < len(c.nodes) else sink
-        was = chain_of.get(s)
-        if was is None or was.nodes[0] != s:
-            return (None, Trajectory(-1, dets, acc), nodes, folds, outs,
-                    dets[0].key, g.e_origin.item(g.node_in.item(s)), segments)
-        return (was, Trajectory(was.traj.track_id, dets, acc), nodes, folds,
-                outs, was.key, was.origin, segments)
+            d, det = node_out.item(x), node_det[x]
+            if not flow.item(d):
+                raise InvariantBreach(f"dangling flow: detection edge of "
+                                      f"{det.key} carries no flow")
+            if (e := out.get(x)) is None:
+                raise InvariantBreach(f"trajectory through {det.key} has no "
+                                      f"outflow")
+            s, n = prev and prev.traj, len(nodes)
+            if segments and segments[-1][0] is s:
+                segments[-1] = (s, segments[-1][1], n + 1)
+            else:
+                segments.append((s, n, n + 1))
+            acc += cost.item(d)
+            nodes.append(x)
+            folds.append(acc)
+            dets.append(det)
+            acc += cost.item(e)
+            x = e_dst.item(e)
+        tid = -1 if before is None else before.track_id
+        return Trajectory(tid, dets, acc), segments
 
     def starting_in(self, us: np.ndarray) -> list[Chain]:
         """The chains that start at the u nodes us, in their order."""
@@ -848,17 +820,17 @@ class FlowDecoder:
 
     def clip(self, heads: list[Chain]):
         """Drop the first detection of each chain in heads, whose frame the
-        graph clipped. The rest of each, if any, stays the chain, from its
-        second detection, onto whose entry the clip moved the flow, with the
-        same folds and cost: the folded entry cost is the left fold of the
-        costs it replaced."""
+        graph clipped, with its out-edge entry. The rest of each, if any,
+        stays the chain, from its second detection, onto whose entry the
+        clip moved the flow, with the same folds and cost: the folded entry
+        cost is the left fold of the costs it replaced."""
         g = self.graph
         for c in heads:
             self._remove(c)
-            del self.chain_of[c.nodes[0]]
+            del self.chain_of[c.nodes[0]], self.out[c.nodes[0]]
             if len(c.nodes) == 1:
                 continue
-            del c.nodes[0], c.folds[0], c.outs[0]
+            del c.nodes[0], c.folds[0]
             c.traj = Trajectory(c.traj.track_id, c.traj.detections[1:],
                                 c.traj.cost)
             c.key = c.traj.detections[0].key

@@ -410,6 +410,15 @@ class TestCli:
         assert r.returncode == 0, r.stderr
         assert a.read_text() == b.read_text()
 
+    def test_negative_max_detections_is_usage_error(self, sample_files):
+        _, det_path, _ = sample_files
+        for limit in ("-1", "x"):
+            r = run_cli("oracle", "-i", str(det_path), "-o", "-",
+                        "--max-detections", limit)
+            assert r.returncode == 1, (limit, r.stderr)
+            assert "argument --max-detections" in r.stderr
+            assert r.stdout == "" and "Traceback" not in r.stderr
+
     def test_oracle_refuses_a_long_chain(self, tmp_path):
         # one box a frame, 1,100 frames: its paths, 1100 * 1101 / 2, once
         # recursed past the interpreter's limit and now exit 2 up front

@@ -8,7 +8,7 @@ from conftest import StubModel, build_graph, det, make_random_instance
 from flowtrack.cost_model import CostModel, Detection
 import flowtrack.ssp as ssp
 from flowtrack.errors import DataError, InvariantBreach
-from flowtrack.graph import ENTRY
+from flowtrack.graph import ENTRY, EXIT
 from flowtrack.graph import FlowSolution, Trajectory, build_batch_graph
 from flowtrack.online import (OnlineTracker, TrackerConfig, TrackRegistry,
                               assign_track_ids, trajectory_model_cost)
@@ -645,6 +645,18 @@ def invariant_instances():
         yield quarter_frames(seed, n_frames=24)
 
 
+def check_out_edges(tracker):
+    """The decoder's out-edge map holds exactly the decoded u nodes, each
+    mapped to the live, flowed edge out of its v node."""
+    g, res = tracker.graph, tracker.cache.residual
+    dec = res.decoded
+    held = [x for c in dec.chains for x in c.nodes]
+    assert sorted(dec.out) == sorted(held)
+    eids = np.array([dec.out[x] for x in held], dtype=np.int64)
+    assert g.e_alive[eids].all() and (res.flow[eids] == 1).all()
+    assert (g.e_src[eids] == g.e_dst[g.node_out[held]]).all()
+
+
 class TestKeptDecode:
     """The decode and ids the tracker keeps from frame to frame, against the
     full walk of the flow and the id rule over the whole solutions, frame by
@@ -660,6 +672,7 @@ class TestKeptDecode:
             want, n_origins, n_ties = reference_frame(tracker, previous,
                                                       registry)
             assert solution_record(got) == solution_record(want), (window, f)
+            check_out_edges(tracker)
             assert tracker.registry.next_id == registry.next_id, (window, f)
             previous = want
             origins += n_origins
@@ -752,6 +765,20 @@ class TestFlowInvariants:
         with pytest.raises(InvariantBreach, match="unflowed the entry"):
             res.decode()
 
+    def test_an_exit_unflowed_with_nothing_in_its_place_is_a_breach(self):
+        # The out-edge map drops an exit that lost its flow, so the walk
+        # finds no flowed edge out of that v node instead of the stale one.
+        frames, model = dyadic_frames(3, n_frames=8, max_dets=4)
+        tracker = stream(OnlineTracker(TrackerConfig(
+            model=model, window=3, gating=False)), frames)
+        g, res = tracker.graph, tracker.cache.residual
+        flowed = np.flatnonzero(g.e_alive & (g.e_kind == EXIT)
+                                & (res.flow == 1))
+        assert len(flowed)
+        res.flip(flowed[:1])
+        with pytest.raises(InvariantBreach, match="no outflow"):
+            res.decode()
+
     @pytest.mark.parametrize("window", [2, 3, 4, 5])
     def test_origins_sit_at_the_oldest_frame_and_were_moved(self, window):
         """Each live entry that carries an origin leads into the oldest
@@ -806,3 +833,24 @@ def test_keys_read_per_frame_stay_flat(monkeypatch):
         reads.append(0)
         tracker.process_frame(frames[f], frame=f)
     assert np.mean(reads[400:500]) <= 1.5 * np.mean(reads[20:100])
+
+
+def test_positions_walked_per_frame_stay_flat(monkeypatch):
+    """Over 500 odssp frames of the criteria 4-5 scene, the positions the
+    decode walks per frame, past the prefixes of chains it keeps, do not
+    grow with the history the graph holds."""
+    walked = []
+    walk = ssp.FlowDecoder._walk
+
+    def counted(self, flow, changed, c, p, x):
+        out = walk(self, flow, changed, c, p, x)
+        walked[-1] += len(c.nodes) - p
+        return out
+
+    frames = criteria_scene()
+    tracker = OnlineTracker(TrackerConfig(model=CostModel()))
+    monkeypatch.setattr(ssp.FlowDecoder, "_walk", counted)
+    for f in sorted(frames):
+        walked.append(0)
+        tracker.process_frame(frames[f], frame=f)
+    assert np.mean(walked[400:500]) <= 1.5 * np.mean(walked[20:100])
