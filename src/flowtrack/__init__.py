@@ -10,7 +10,7 @@ comparison and verification.
 from .cost_model import CostModel, Detection, iou, pairwise_features
 from .errors import DataError, FlowTrackError, InvariantBreach
 from .graph import (FlowSolution, TrackingGraph, Trajectory, build_batch_graph,
-                    check_flow_conservation, check_layered_dag)
+                    check_flow_conservation)
 from .metrics import GroundTruth, MotReport, clear_mot
 from .online import OnlineTracker, TrackerConfig, assign_track_ids
 from .oracle import brute_force_optimum
@@ -23,7 +23,7 @@ __all__ = [
     "CostModel", "Detection", "iou", "pairwise_features",
     "FlowTrackError", "DataError", "InvariantBreach",
     "TrackingGraph", "Trajectory", "FlowSolution", "build_batch_graph",
-    "check_layered_dag", "check_flow_conservation",
+    "check_flow_conservation",
     "solve_ssp", "solve_dssp", "solve_dp_greedy", "SolverStats",
     "OnlineTracker", "TrackerConfig", "assign_track_ids",
     "brute_force_optimum",

@@ -40,10 +40,13 @@ def _floats(text: str) -> tuple[float, ...]:
 #: CostModel field -> converter of its text, by the type of its default.
 _MODEL_KEYS = {f.name: _floats if isinstance(f.default, tuple)
                else type(f.default) for f in dataclasses.fields(CostModel)}
+#: The spellings of a config flag, in any case.
+_FLAGS = {**dict.fromkeys(("1", "true", "yes", "on"), True),
+          **dict.fromkeys(("0", "false", "no", "off"), False)}
 #: Config file key -> converter of its text.
 _CONFIG_KEYS = {
     **_MODEL_KEYS,
-    "gating": lambda s: s.lower() in ("1", "true", "yes", "on"),
+    "gating": lambda s: _FLAGS[s.lower()],
     "gate_radius_factor": float,
     "window": int,
     "iou_threshold": float,
@@ -68,7 +71,7 @@ def _load_settings(args) -> dict:
                 raise DataError(f"unknown config key {key!r}")
             try:
                 settings[key] = convert(value)
-            except ValueError:
+            except (KeyError, ValueError):
                 raise DataError(f"config key {key!r}: cannot parse "
                                 f"{value!r}") from None
     for key in _CONFIG_KEYS:

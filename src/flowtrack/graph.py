@@ -228,16 +228,6 @@ class TrackingGraph:
     def live_edges(self):
         return np.flatnonzero(self.e_alive).tolist()
 
-    def node_topo_key(self, nid: int):
-        """Sort key realizing the layered order source < frames < sink."""
-        kind = self.node_kind[nid]
-        if kind == KIND_SOURCE:
-            return (-1, 0, 0)
-        if kind == KIND_SINK:
-            return (1 << 60, 0, 0)
-        det = self.node_det[nid]
-        return (det.frame, 0 if kind == KIND_U else 1, det.local_index)
-
     def _take(self, dead: np.ndarray, k: int, columns) -> np.ndarray:
         """k slot ids: the dead slots (mask `dead` over the named columns) in
         id order, then as many new ones as are missing, added to each named
@@ -519,23 +509,6 @@ def build_batch_graph(detections, model, gating: bool = True,
         for d in detections:
             by_frame.setdefault(d.frame, []).append(d)
     return graph.append_frame({f: by_frame[f] for f in sorted(by_frame)}, model)
-
-
-def check_layered_dag(graph: TrackingGraph) -> None:
-    """Verify every live edge respects the source < frames < sink layering."""
-    for eid in graph.live_edges():
-        ks = graph.node_topo_key(graph.e_src[eid])
-        kd = graph.node_topo_key(graph.e_dst[eid])
-        if not ks < kd:
-            raise InvariantBreach(f"edge {eid} violates the layered order")
-    held = list(graph.frames)
-    if held != sorted(held) or any(
-            d.frame != f for f, dets in graph.frames.items() for d in dets):
-        raise InvariantBreach("frames out of order or holding another "
-                              "frame's detection")
-    live = int(np.count_nonzero(graph.node_kind != KIND_DEAD))
-    if live != graph.n_live_nodes:
-        raise InvariantBreach(f"live node count {live} != {graph.n_live_nodes}")
 
 
 def check_flow_conservation(graph: TrackingGraph, solution: FlowSolution) -> None:

@@ -13,14 +13,16 @@ tracker with a window is memory-bounded: it also clips frames older than the
 window, folding clipped trajectory prefixes into synthesized entry-edge costs,
 which take over their flow, so track identities and costs survive clipping.
 
-The decoded solution and its ids are kept from frame to frame: a frame
-walks again only the trajectories through the detections that its pushes
-changed, each from the first such detection on (ssp.FlowDecoder), and logs
-for a streaming caller the rows that are new or got a new id. So the
+The decoded solution and its ids are kept from frame to frame, in place: a
+frame cuts and extends only the trajectories through the detections that its
+pushes changed, each from the first such detection on (ssp.FlowDecoder), and
+logs for a streaming caller the rows that are new or got a new id. So the
 per-frame decode and output work follow the rows the frame changed, not the
 history. The per-frame id pass (OnlineTracker._assign_ids) applies the id
 rule of assign_track_ids (_pick_id) to each current trajectory once, at
-O(1) for one the frame did not walk.
+O(1) for one the frame did not walk. So the solution process_frame returns
+is the tracker's live state, which the next call changes, while
+final_tracks() returns lists of the caller's own.
 """
 from __future__ import annotations
 
@@ -160,6 +162,11 @@ class OnlineTracker:
 
     def process_frame(self, detections: list[Detection],
                       frame: int | None = None) -> FlowSolution:
+        """Append the frame (its index, or the next one), clip what leaves
+        the window and solve. Returns the solution, which is also
+        self.solution: the tracker's live trajectories, which the next call
+        changes in place. A caller who keeps tracks across calls copies
+        them, or reads final_tracks()."""
         t_start = time.perf_counter()
         g = self.graph
         # Check the frame and its costs before clipping, so a rejected frame
@@ -200,20 +207,20 @@ class OnlineTracker:
             self.cache.frame = None
 
     def _assign_ids(self, solution: FlowSolution):
-        """Give the current trajectories, in place in solution, the ids
-        assign_track_ids gives them over the whole previous and current
-        solution: one pass of the rule (_pick_id) over the chains in key
-        order. A chain the decode walked counts its overlap with each
-        previous trajectory over its segments (FlowDecoder.fresh). Any other
-        holds only its previous trajectory's detections, so its one
-        candidate after its origin is its previous id. A chain whose id
-        changes gets a new Trajectory, so the previous solution keeps its
-        ids."""
+        """Give the current trajectories the ids assign_track_ids gives them
+        over the whole previous and current solution: one pass of the rule
+        (_pick_id) over the chains in key order, setting each chain's
+        track_id in place, so in solution too, which holds the chains' own
+        trajectories. A chain the decode walked counts its overlap with each
+        previous trajectory over its segments, which carry the previous ids
+        (FlowDecoder.fresh). Any other holds only its previous trajectory's
+        detections, so its one candidate after its origin is its previous
+        id."""
         dec, log = self.cache.residual.decoded, self.row_log
         fresh, taken = dec.fresh, set()
         if log is not None:
             log.extend((None, d) for d in dec.dropped)
-        for i, c in enumerate(dec.chains):
+        for c in dec.chains:
             t = c.traj
             if c in fresh:
                 segments = fresh[c]
@@ -222,18 +229,14 @@ class OnlineTracker:
                 if (c.origin < 0 or c.origin == tid) and tid not in taken:
                     taken.add(tid)  # what the rule gives it
                     continue
-                segments = [(t, 0, len(t.detections))]
+                segments = [(tid, 0, len(t.detections))]
             counts: dict[int, int] = {}
             for s, lo, hi in segments:
                 if s is not None:
-                    counts[s.track_id] = counts.get(s.track_id, 0) + hi - lo
-            tid = _pick_id(c.origin, counts, taken, self.registry)
-            if tid != t.track_id:
-                c.traj = solution.trajectories[i] = Trajectory(
-                    tid, t.detections, t.cost)
+                    counts[s] = counts.get(s, 0) + hi - lo
+            t.track_id = tid = _pick_id(c.origin, counts, taken, self.registry)
             if log is not None:
-                log.extend((tid, d) for s, lo, hi in segments
-                           if s is None or s.track_id != tid
+                log.extend((tid, d) for s, lo, hi in segments if s != tid
                            for d in t.detections[lo:hi])
 
     def _solve(self, frame: int) -> tuple[FlowSolution, SolverStats]:

@@ -662,10 +662,11 @@ def successive_shortest_paths(res: ResidualGraph, stats: SolverStats,
 class Chain:
     """One decoded trajectory and what its walk read, position by position:
     each detection's u node and the left fold of the edge costs through its
-    detection edge. traj is its Trajectory in the solution, whose detections
-    are the nodes', at consecutive frames, and which costs its last fold
-    plus the exit. key is the first detection's key and origin the track id
-    its entry edge carries (-1 for none)."""
+    detection edge. traj is its Trajectory in the solution, one object for
+    the chain's whole life that walks, clips and the id pass change in
+    place; its detections are the nodes', at consecutive frames, and it
+    costs its last fold plus the exit. key is the first detection's key and
+    origin the track id its entry edge carries (-1 for none)."""
 
     traj: Trajectory
     nodes: list[int]
@@ -695,7 +696,10 @@ class FlowDecoder:
     through clips. A newly flowed entry starts a new chain, walked in full;
     decoding a flow from none, every flowed edge changed, walks every
     trajectory so. The chains are kept in the order of their keys, which is
-    the order of the solution's trajectories.
+    the order of the solution's trajectories. A walk cuts and extends its
+    chain's Trajectory in place, so a frame's work follows the positions it
+    walks, not the tracks' length; a solution update returned holds the
+    live trajectories, which later updates change.
     """
 
     def __init__(self, graph: TrackingGraph):
@@ -704,7 +708,7 @@ class FlowDecoder:
         self.chain_of: dict[int, Chain] = {}  # u node -> chain holding it
         self.out: dict[int, int] = {}  # u node -> flowed edge out of its v
         # The last update's report. Each chain it walked, with its segments
-        # (Trajectory before or None, start, end): the runs of its positions
+        # (track id before or None, start, end): the runs of its positions
         # that lay in one chain before, or in none. And the detections that
         # left every chain.
         self.fresh: dict[Chain, list] = {}
@@ -713,9 +717,9 @@ class FlowDecoder:
     def update(self, res: ResidualGraph, eids) -> FlowSolution:
         """Re-decode after the flow of the live edges `eids` changed
         (repeats allowed). Returns every trajectory in key order, the
-        chains' Trajectory objects, with their total cost. A walked
-        trajectory carries the track id of the chain it updates, -1 for a
-        new chain. Raises InvariantBreach if an entry edge lost its flow."""
+        chains' own Trajectory objects, with their total cost. A walked
+        trajectory keeps the track id of its chain, -1 for a new chain.
+        Raises InvariantBreach if an entry edge lost its flow."""
         g, chain_of, out = self.graph, self.chain_of, self.out
         eids = np.asarray(eids, dtype=np.int64)
         src = g.e_src[eids]
@@ -751,7 +755,7 @@ class FlowDecoder:
                 p = g.node_det[x].frame - c.key[0]  # consecutive frames
                 first[c] = min(p, first.get(c, p))
         walks = [(c, p, c.nodes[p]) for c, p in first.items()]
-        for x in entered:  # a new chain's traj is None until it is placed
+        for x in entered:  # a new chain's traj is None until its walk
             if (c := chain_of.get(x)) is None or c.nodes[0] != x:
                 walks.append((Chain(None, [], [], g.node_det[x].key,
                                     g.e_origin.item(g.node_in.item(x))), 0, x))
@@ -759,34 +763,32 @@ class FlowDecoder:
         gone = [x for x in dict.fromkeys(off) if x in chain_of]
         for x in gone:
             del chain_of[x]
-        fresh = {}
-        for (c, p, _), (traj, segments) in zip(walks, walked):
-            if c.traj is None:
-                self._place(c)
-            c.traj = traj
+        for c, p, _ in walks:
             chain_of.update(dict.fromkeys(c.nodes[p:], c))
-            fresh[c] = segments
-        self.fresh, self.dropped = fresh, [g.node_det[x] for x in gone]
+        self.fresh = {c: segments for (c, _, _), segments in zip(walks, walked)}
+        self.dropped = [g.node_det[x] for x in gone]
         trajs = [c.traj for c in self.chains]
         return FlowSolution(trajectories=trajs,
                             total_cost=sum(t.cost for t in trajs))
 
     def _walk(self, flow, changed, c, p, x):
         """Walk chain c again from position p, whose u node is x: it keeps
-        its first p nodes and folds and steps from x through the flowed
-        edges to the sink. c.traj, the trajectory before (None for a new
-        chain), is left as it was. Returns the new Trajectory and its
+        its first p nodes, folds and detections and steps from x through the
+        flowed edges to the sink, cutting and extending c.traj in place; a
+        new chain (traj None) gets its Trajectory and its place here. Each
+        step's frame is checked against the detection before it. Returns the
         segments: the kept prefix, then the runs of the walked nodes'
-        previous chains."""
+        previous chains, each as (its track id, or None, start, end)."""
         g, chain_of, out, sink = self.graph, self.chain_of, self.out, SINK
         cost, node_out, e_dst, node_det = g.e_cost, g.node_out, g.e_dst, g.node_det
-        nodes, folds, before = c.nodes, c.folds, c.traj
-        del nodes[p:], folds[p:]
+        nodes, folds, traj = c.nodes, c.folds, c.traj
+        dets = [] if traj is None else traj.detections
+        del nodes[p:], folds[p:], dets[p:]
         if p:
-            dets, segments = before.detections[:p], [(before, 0, p)]
+            segments = [(traj.track_id, 0, p)]
             acc = folds[-1] + cost.item(out[nodes[-1]])
         else:
-            dets, segments = [], []
+            segments = []
             acc = cost.item(g.node_in.item(x))  # the fold through the entry
         while x != sink:
             if (prev := chain_of.get(x)) is None and x not in changed:
@@ -799,8 +801,10 @@ class FlowDecoder:
             if (e := out.get(x)) is None:
                 raise InvariantBreach(f"trajectory through {det.key} has no "
                                       f"outflow")
-            s, n = prev and prev.traj, len(nodes)
-            if segments and segments[-1][0] is s:
+            if dets and det.frame != dets[-1].frame + 1:
+                raise InvariantBreach("trajectory frames must be consecutive")
+            s, n = None if prev is None else prev.traj.track_id, len(nodes)
+            if segments and segments[-1][0] == s:
                 segments[-1] = (s, segments[-1][1], n + 1)
             else:
                 segments.append((s, n, n + 1))
@@ -810,8 +814,12 @@ class FlowDecoder:
             dets.append(det)
             acc += cost.item(e)
             x = e_dst.item(e)
-        tid = -1 if before is None else before.track_id
-        return Trajectory(tid, dets, acc), segments
+        if traj is None:
+            c.traj = Trajectory(-1, dets, acc)
+            self._place(c)
+        else:
+            traj.cost = acc
+        return segments
 
     def starting_in(self, us: np.ndarray) -> list[Chain]:
         """The chains that start at the u nodes us, in their order."""
@@ -821,18 +829,16 @@ class FlowDecoder:
     def clip(self, heads: list[Chain]):
         """Drop the first detection of each chain in heads, whose frame the
         graph clipped, with its out-edge entry. The rest of each, if any,
-        stays the chain, from its second detection, onto whose entry the
-        clip moved the flow, with the same folds and cost: the folded entry
-        cost is the left fold of the costs it replaced."""
+        stays the chain and its Trajectory, from its second detection, onto
+        whose entry the clip moved the flow, with the same folds and cost:
+        the folded entry cost is the left fold of the costs it replaced."""
         g = self.graph
         for c in heads:
             self._remove(c)
             del self.chain_of[c.nodes[0]], self.out[c.nodes[0]]
             if len(c.nodes) == 1:
                 continue
-            del c.nodes[0], c.folds[0]
-            c.traj = Trajectory(c.traj.track_id, c.traj.detections[1:],
-                                c.traj.cost)
+            del c.nodes[0], c.folds[0], c.traj.detections[0]
             c.key = c.traj.detections[0].key
             c.origin = g.e_origin.item(g.node_in.item(c.nodes[0]))
             self._place(c)

@@ -1,5 +1,5 @@
 """Reference implementations that the tests hold the package to: the full
-decode of a flow, four graph helpers, Algorithm 1's stop rule, a
+decode of a flow, six graph helpers, Algorithm 1's stop rule, a
 ground-truth matcher that only tests use, the field-by-field CSV row parser
 and the per-row track writer."""
 from __future__ import annotations
@@ -12,7 +12,8 @@ import numpy as np
 
 from flowtrack.cost_model import Detection, FrameBoxes, iou
 from flowtrack.errors import DataError, InvariantBreach
-from flowtrack.graph import SINK, SOURCE, TrackingGraph, Trajectory, gate_pairs
+from flowtrack.graph import (KIND_DEAD, KIND_SINK, KIND_SOURCE, KIND_U, SINK,
+                             SOURCE, TrackingGraph, Trajectory, gate_pairs)
 from flowtrack.metrics import GroundTruth
 
 
@@ -83,6 +84,34 @@ def trajectory_flow(g: TrackingGraph, trajectories) -> np.ndarray:
                 raise InvariantBreach(f"no link {a.key}->{b.key}")
             eids.append(link)
     return np.bincount(eids, minlength=len(g.e_src)).astype(np.int8)
+
+
+def node_topo_key(g: TrackingGraph, nid: int):
+    """Sort key realizing the layered order source < frames < sink."""
+    kind = g.node_kind[nid]
+    if kind == KIND_SOURCE:
+        return (-1, 0, 0)
+    if kind == KIND_SINK:
+        return (1 << 60, 0, 0)
+    det = g.node_det[nid]
+    return (det.frame, 0 if kind == KIND_U else 1, det.local_index)
+
+
+def check_layered_dag(graph: TrackingGraph) -> None:
+    """Verify every live edge respects the source < frames < sink layering."""
+    for eid in graph.live_edges():
+        ks = node_topo_key(graph, graph.e_src[eid])
+        kd = node_topo_key(graph, graph.e_dst[eid])
+        if not ks < kd:
+            raise InvariantBreach(f"edge {eid} violates the layered order")
+    held = list(graph.frames)
+    if held != sorted(held) or any(
+            d.frame != f for f, dets in graph.frames.items() for d in dets):
+        raise InvariantBreach("frames out of order or holding another "
+                              "frame's detection")
+    live = int(np.count_nonzero(graph.node_kind != KIND_DEAD))
+    if live != graph.n_live_nodes:
+        raise InvariantBreach(f"live node count {live} != {graph.n_live_nodes}")
 
 
 def graphs_structurally_equal(a: TrackingGraph, b: TrackingGraph,

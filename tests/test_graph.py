@@ -9,11 +9,11 @@ from flowtrack.errors import DataError, InvariantBreach
 from flowtrack.graph import (DET, EDGE_COLUMNS, ENTRY, EXIT, LINK,
                              NODE_COLUMNS, FlowSolution, TrackingGraph,
                              Trajectory,
-                             build_batch_graph, check_flow_conservation,
-                             check_layered_dag)
+                             build_batch_graph, check_flow_conservation)
 from flowtrack.online import OnlineTracker, TrackerConfig
 from flowtrack.ssp import solve_ssp
-from reference import graphs_structurally_equal, link_edge_between
+from reference import (check_layered_dag, graphs_structurally_equal,
+                       link_edge_between)
 
 
 class TestStructure:

@@ -565,6 +565,21 @@ class TestCli:
             assert r.returncode == 2
             assert f"unknown config key '{key}'" in r.stderr
 
+    def test_gating_value_must_parse(self, sample_files, tmp_path):
+        _, det_path, _ = sample_files
+        cfg = tmp_path / "gating.cfg"
+        track = ("track", "-i", str(det_path), "-o", "-")
+        for value in ("ture", "2", "maybe", ""):
+            cfg.write_text(f"gating = {value}\n")
+            r = run_cli(*track, "--config", str(cfg))
+            assert r.returncode == 2, (value, r.stdout)
+            assert f"config key 'gating': cannot parse {value!r}" in r.stderr
+        for value, flags in (("Yes", ()), ("OFF", ("--no-gating",))):
+            cfg.write_text(f"gating = {value}\n")
+            r = run_cli(*track, "--config", str(cfg))
+            assert r.returncode == 0, (value, r.stderr)
+            assert r.stdout == run_cli(*track, *flags).stdout, value
+
     def test_scaled_costs_give_the_same_tracks(self, tmp_path, monkeypatch):
         """Scaling every cost by a power of two changes no track, however
         large or small the costs get."""

@@ -815,6 +815,60 @@ class TestFlowInvariants:
         assert seen > 0
 
 
+class TestWhatACallerMayKeep:
+    """process_frame returns the tracker's live solution, which later frames
+    change in place; final_tracks() returns trajectories of the caller's
+    own, which later frames leave as they were."""
+
+    @pytest.mark.parametrize("window", [None, 3])
+    def test_final_tracks_stay_as_returned(self, window):
+        def record(tracks):
+            return [(t.track_id, [d.key for d in t.detections],
+                     float.hex(t.cost)) for t in tracks]
+
+        revised = 0
+        for seed in range(100, 110):
+            frames, model = make_random_instance(seed, frame_range=(8, 16),
+                                                 dets_range=(2, 5))
+            tracker = OnlineTracker(TrackerConfig(model=model, window=window,
+                                                  gating=False))
+            kept, ids = [], {}
+            for f in sorted(frames):
+                got = tracker.process_frame(frames[f], frame=f)
+                assert got is tracker.solution
+                now = {d.key: t.track_id for t in got.trajectories
+                       for d in t.detections}
+                revised += sum(ids.get(k, v) != v for k, v in now.items())
+                ids = now
+                tracks = tracker.final_tracks()
+                kept.append((tracks, record(tracks)))
+            for tracks, want in kept:
+                assert record(tracks) == want, (window, seed)
+        assert revised > 0  # some later frame re-routed a kept track
+
+
+def test_detections_put_into_new_trajectories_stay_flat(monkeypatch):
+    """Over 500 odssp frames of five tracks without misses, the detections
+    a frame puts into newly built Trajectory objects do not grow with the
+    tracks' length: the decode cuts and extends each chain's own."""
+    built = []
+    check = Trajectory.__post_init__
+
+    def counted(self):
+        built[-1] += len(self.detections)
+        check(self)
+
+    cfg = SyntheticConfig(n_frames=500, n_initial_tracks=5, spawn_prob=0.0,
+                          death_prob=0.0, miss_rate=0.0, fp_rate=0.0)
+    frames = generate_synthetic(cfg, 0)[0]
+    tracker = OnlineTracker(TrackerConfig(model=CostModel()))
+    monkeypatch.setattr(Trajectory, "__post_init__", counted)
+    for f in sorted(frames):
+        built.append(0)
+        tracker.process_frame(frames[f], frame=f)
+    assert np.mean(built[400:500]) <= 1.5 * np.mean(built[20:100]) + 1
+
+
 def test_keys_read_per_frame_stay_flat(monkeypatch):
     """Over 500 odssp frames of the criteria 4-5 scene, the detection keys a
     frame reads (to decode, assign ids and price) do not grow with the

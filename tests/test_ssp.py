@@ -22,7 +22,7 @@ from flowtrack.ssp import (Path, PredecessorMap, ResidualGraph, SolverStats,
                            solve_dssp, solve_ssp)
 from flowtrack.online import OnlineTracker, TrackerConfig
 from flowtrack.synthetic import SyntheticConfig, generate_synthetic
-from reference import link_edge_between, stop_iterations
+from reference import link_edge_between, node_topo_key, stop_iterations
 
 
 def single_det_graph(detection=-5.0):
@@ -190,7 +190,7 @@ def edges_at(g, mask, ends):
     then by the other end's place in the layered order."""
     eids = np.flatnonzero(mask & g.e_alive).tolist()
     pairs = [(eid, int(ends[eid])) for eid in eids]
-    return sorted(pairs, key=lambda p: (g.e_kind[p[0]], g.node_topo_key(p[1])))
+    return sorted(pairs, key=lambda p: (g.e_kind[p[0]], node_topo_key(g, p[1])))
 
 
 def out_arcs(res, node):
