@@ -177,30 +177,21 @@ def _track_stream(args, tracker: OnlineTracker) -> int:
     lag = args.confirm_lag
     with ftio.open_or_stdio(args.output, "w") as fout:
         # Rows already written, as (frame, track id); a detection whose id is
-        # revised later is written again under the new id. Keys below the
-        # graph's first frame, t_min, can never match again.
+        # revised later is written again under the new id if no row holds
+        # that key yet. Keys below t_min, the graph's first frame, can never
+        # match again.
         emitted, t_min = set(), None
-        # Rows the tracker logged (its row_log): the current rows that were
-        # new or got a new id. Pending, by detection object, are the logged
-        # rows not written yet.
-        changed = tracker.row_log = []
-        pending = {}
+        pending = tracker.pending_rows = {}  # the rows not written yet
 
         def emit_through(limit):
             """Write the not yet emitted rows of frames <= limit. The
             candidates are the frozen rows and the current solution's rows,
-            which is what final_tracks() holds. Each was logged when new and
+            which is what final_tracks() holds. Each was pending when new and
             again whenever its id changed, and a clip freezes a row under
-            its last id, so only the logged rows are candidates. A row at
+            its last id, so only the pending rows are candidates. A row at
             or below a limit is written then or never, unless its id
             changes."""
             nonlocal emitted, t_min
-            for tid, d in changed:
-                if tid is None:
-                    pending.pop(id(d), None)
-                else:
-                    pending[id(d)] = tid, d
-            changed.clear()
             ready = [row for row in pending.values() if row[1].frame <= limit]
             rows = sorted((d.frame, tid, *d.box) for tid, d in ready
                           if (d.frame, tid) not in emitted)

@@ -225,9 +225,6 @@ class TrackingGraph:
         """The link edges from frame to frame + 1, in (previous, new) order."""
         return self.frame_links.get(frame + 1, NO_EDGES)
 
-    def live_edges(self):
-        return np.flatnonzero(self.e_alive).tolist()
-
     def _take(self, dead: np.ndarray, k: int, columns) -> np.ndarray:
         """k slot ids: the dead slots (mask `dead` over the named columns) in
         id order, then as many new ones as are missing, added to each named

@@ -12,17 +12,21 @@ as every path and cycle that is still a shortest path is pushed from it. A
 tracker with a window is memory-bounded: it also clips frames older than the
 window, folding clipped trajectory prefixes into synthesized entry-edge costs,
 which take over their flow, so track identities and costs survive clipping.
+What the window bounds is the graph, the residual and the decode, and so the
+per-frame work; the per-frame records (frame_stats) and the frozen rows kept
+for final_tracks() still grow with the stream.
 
 The decoded solution and its ids are kept from frame to frame, in place: a
 frame cuts and extends only the trajectories through the detections that its
 pushes changed, each from the first such detection on (ssp.FlowDecoder), and
-logs for a streaming caller the rows that are new or got a new id. So the
-per-frame decode and output work follow the rows the frame changed, not the
-history. The per-frame id pass (OnlineTracker._assign_ids) applies the id
-rule of assign_track_ids (_pick_id) to each current trajectory once, at
-O(1) for one the frame did not walk. So the solution process_frame returns
-is the tracker's live state, which the next call changes, while
-final_tracks() returns lists of the caller's own.
+keeps the rows that are new or got a new id until a streaming caller writes
+them (OnlineTracker.pending_rows). So the per-frame decode and output work
+follow the rows the frame changed, not the history. The per-frame id pass
+(OnlineTracker._assign_ids) applies the id rule of assign_track_ids
+(_pick_id) to each current trajectory once, at O(1) for one the frame did
+not walk. So the solution process_frame returns is the tracker's live
+state, which the next call changes, while final_tracks() returns lists of
+the caller's own.
 """
 from __future__ import annotations
 
@@ -137,8 +141,10 @@ def trajectory_model_cost(dets: list[Detection], model: CostModel) -> float:
 class OnlineTracker:
     """Single-stream tracker state; callers serialize process_frame calls.
 
-    With config.window set the tracker is memory-bounded (mbodssp); without
-    it, it is the exact online tracker (odssp)."""
+    With config.window set the tracker is memory-bounded (mbodssp): its
+    graph, residual and decode stay within the window, while frame_stats
+    and frozen keep a record per frame and every frozen row; without it, it
+    is the exact online tracker (odssp)."""
 
     def __init__(self, config: TrackerConfig):
         self.config = config
@@ -148,12 +154,12 @@ class OnlineTracker:
         self.solution = FlowSolution()
         self.registry = TrackRegistry()
         self.frozen: dict[int, list[Detection]] = {}
-        # Set to a list to have appended, as each frame is solved, each
-        # current (track id, detection) row that is new or got a new id, and
-        # (None, detection) for each detection that a push took out of the
-        # current solution; the owner consumes and trims it. A row that a
-        # clip freezes keeps the id it was last logged with.
-        self.row_log: list[tuple[int | None, Detection]] | None = None
+        # Set to a dict to have kept in it, by id(detection), each current
+        # (track id, detection) row that is new or got a new id and has not
+        # been written yet; a detection that a push took out of the current
+        # solution leaves it. The owner writes and deletes the rows. A row
+        # that a clip freezes keeps the id it was last entered with.
+        self.pending_rows: dict[int, tuple[int, Detection]] | None = None
         self.stats = SolverStats()  # totals over the frames
         self.frame_stats: list[SolverStats] = []
         self.max_dets_per_frame = 0
@@ -182,7 +188,7 @@ class OnlineTracker:
         self.max_dets_per_frame = max(self.max_dets_per_frame, len(detections))
 
         solution, run = self._solve(frame)
-        self._assign_ids(solution)
+        self._assign_ids()
         self.solution = solution
 
         if window is not None:
@@ -206,20 +212,21 @@ class OnlineTracker:
         if g.is_empty:
             self.cache.frame = None
 
-    def _assign_ids(self, solution: FlowSolution):
+    def _assign_ids(self):
         """Give the current trajectories the ids assign_track_ids gives them
         over the whole previous and current solution: one pass of the rule
         (_pick_id) over the chains in key order, setting each chain's
-        track_id in place, so in solution too, which holds the chains' own
-        trajectories. A chain the decode walked counts its overlap with each
-        previous trajectory over its segments, which carry the previous ids
-        (FlowDecoder.fresh). Any other holds only its previous trajectory's
-        detections, so its one candidate after its origin is its previous
-        id."""
-        dec, log = self.cache.residual.decoded, self.row_log
+        track_id in place, so in the solution too, which holds the chains'
+        own trajectories. A chain the decode walked counts its overlap with
+        each previous trajectory over its segments, which carry the previous
+        ids (FlowDecoder.fresh). Any other holds only its previous
+        trajectory's detections, so its one candidate after its origin is
+        its previous id."""
+        dec, pending = self.cache.residual.decoded, self.pending_rows
         fresh, taken = dec.fresh, set()
-        if log is not None:
-            log.extend((None, d) for d in dec.dropped)
+        if pending is not None:
+            for d in dec.dropped:
+                pending.pop(id(d), None)
         for c in dec.chains:
             t = c.traj
             if c in fresh:
@@ -235,9 +242,9 @@ class OnlineTracker:
                 if s is not None:
                     counts[s] = counts.get(s, 0) + hi - lo
             t.track_id = tid = _pick_id(c.origin, counts, taken, self.registry)
-            if log is not None:
-                log.extend((tid, d) for s, lo, hi in segments if s != tid
-                           for d in t.detections[lo:hi])
+            if pending is not None:
+                pending.update((id(d), (tid, d)) for s, lo, hi in segments
+                               if s != tid for d in t.detections[lo:hi])
 
     def _solve(self, frame: int) -> tuple[FlowSolution, SolverStats]:
         """Successive shortest paths from the previous frame's optimum,

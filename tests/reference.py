@@ -86,6 +86,11 @@ def trajectory_flow(g: TrackingGraph, trajectories) -> np.ndarray:
     return np.bincount(eids, minlength=len(g.e_src)).astype(np.int8)
 
 
+def live_edges(g: TrackingGraph) -> list[int]:
+    """The ids of the graph's live edge slots, in id order."""
+    return np.flatnonzero(g.e_alive).tolist()
+
+
 def node_topo_key(g: TrackingGraph, nid: int):
     """Sort key realizing the layered order source < frames < sink."""
     kind = g.node_kind[nid]
@@ -99,7 +104,7 @@ def node_topo_key(g: TrackingGraph, nid: int):
 
 def check_layered_dag(graph: TrackingGraph) -> None:
     """Verify every live edge respects the source < frames < sink layering."""
-    for eid in graph.live_edges():
+    for eid in live_edges(graph):
         ks = node_topo_key(graph, graph.e_src[eid])
         kd = node_topo_key(graph, graph.e_dst[eid])
         if not ks < kd:
@@ -125,7 +130,7 @@ def graphs_structurally_equal(a: TrackingGraph, b: TrackingGraph,
         def det_key(node):  # None for the source and the sink
             return getattr(g.node_det[node], "key", None)
         return {(int(g.e_kind[e]), det_key(g.e_src[e]), det_key(g.e_dst[e])):
-                float(g.e_cost[e]) for e in g.live_edges()}
+                float(g.e_cost[e]) for e in live_edges(g)}
 
     ea, eb = edge_set(a), edge_set(b)
     return set(ea) == set(eb) and all(abs(ea[k] - eb[k]) <= cost_tol

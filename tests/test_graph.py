@@ -13,7 +13,7 @@ from flowtrack.graph import (DET, EDGE_COLUMNS, ENTRY, EXIT, LINK,
 from flowtrack.online import OnlineTracker, TrackerConfig
 from flowtrack.ssp import solve_ssp
 from reference import (check_layered_dag, graphs_structurally_equal,
-                       link_edge_between)
+                       link_edge_between, live_edges)
 
 
 class TestStructure:
@@ -27,7 +27,7 @@ class TestStructure:
         g = build_batch_graph([det(0, 0)], CostModel())
         assert g.n_live_nodes == 4
         assert g.n_live_edges == 3
-        kinds = sorted(g.e_kind[g.live_edges()].tolist())
+        kinds = sorted(g.e_kind[live_edges(g)].tolist())
         assert kinds == sorted([DET, ENTRY, EXIT])
 
     def test_two_by_two_all_links(self):
@@ -35,7 +35,7 @@ class TestStructure:
         assert g.n_live_nodes == 10
         assert g.n_live_edges == 16
         by_kind = {}
-        for e in g.live_edges():
+        for e in live_edges(g):
             kind = int(g.e_kind[e])
             by_kind[kind] = by_kind.get(kind, 0) + 1
         assert by_kind == {ENTRY: 4, DET: 4, EXIT: 4, LINK: 4}
@@ -78,14 +78,14 @@ class TestAppendFrame:
         assert g.t_max == 1
         # links cannot bridge the gap
         g.append_frame([det(2, 0)], CostModel())
-        assert all(g.e_kind[e] != LINK for e in g.live_edges())
+        assert all(g.e_kind[e] != LINK for e in live_edges(g))
 
     def test_frame_gap_links_nothing(self):
         model = CostModel()
         g = build_batch_graph([det(0, 0)], model)
         g.append_frame([det(5, 0)], model)
         assert (g.t_min, g.t_max, list(g.frames)) == (0, 5, [0, 5])
-        assert all(g.e_kind[e] != LINK for e in g.live_edges())
+        assert all(g.e_kind[e] != LINK for e in live_edges(g))
         check_layered_dag(g)
         # the same graph as with the skipped frames appended empty
         filled = TrackingGraph()
@@ -154,16 +154,16 @@ class TestGatingAndCosts:
     def test_gate_blocks_distant_pairs(self):
         a, b = det(0, 0, x=0.0), det(1, 0, x=5000.0)
         g = build_batch_graph([a, b], CostModel(), gating=True)
-        assert all(g.e_kind[e] != LINK for e in g.live_edges())
+        assert all(g.e_kind[e] != LINK for e in live_edges(g))
         g2 = build_batch_graph([a, b], CostModel(), gating=False)
-        assert any(g2.e_kind[e] == LINK for e in g2.live_edges())
+        assert any(g2.e_kind[e] == LINK for e in live_edges(g2))
 
     def test_infinite_link_cost_means_no_edge(self):
         model = StubModel(links={})  # every link cost +inf
         g = TrackingGraph(gating=False)
         g.append_frame([det(0, 0)], model, frame=0)
         g.append_frame([det(1, 0)], model)
-        assert all(g.e_kind[e] != LINK for e in g.live_edges())
+        assert all(g.e_kind[e] != LINK for e in live_edges(g))
 
     def test_nan_link_cost_rejected(self):
         model = StubModel(links={((0, 0), (1, 0)): math.nan})
@@ -256,6 +256,15 @@ class TestClipOldestFrame:
         assert (g.n_live_nodes, g.n_live_edges) == (6, 6)
         check_layered_dag(g)
 
+    def test_trajectory_over_a_missing_link_is_a_breach(self):
+        g = TrackingGraph(gating=False)
+        for f in range(2):
+            g.append_frame([det(f, 0)], StubModel(links={}), frame=f)
+        solution = FlowSolution([Trajectory(0, [det(0, 0), det(1, 0)], 0.0)])
+        with pytest.raises(InvariantBreach, match=r"^solution trajectory uses "
+                           r"missing link \(0, 0\)->\(1, 0\)$"):
+            g.clip_oldest_frame(solution)
+
     def test_clip_moves_tmin_past_a_gap(self):
         model = CostModel()
         g = TrackingGraph()
@@ -310,6 +319,14 @@ class TestTrajectoryAndSolution:
             check_flow_conservation(g, FlowSolution(
                 trajectories=solution.trajectories,
                 total_cost=solution.total_cost, flow=broken))
+        # Twice the flow on every flowed edge is conserved at every node,
+        # but no detection may carry more than one track.
+        doubled = FlowSolution(trajectories=solution.trajectories,
+                               total_cost=solution.total_cost,
+                               flow=2 * solution.flow)
+        with pytest.raises(InvariantBreach, match=r"^detection \(\d+, \d+\) "
+                           r"carries flow 2$"):
+            check_flow_conservation(g, doubled)
 
 
 class TestHeldGeometry:

@@ -385,6 +385,37 @@ class TestBoundedOnline:
         expected = {d.key for ds in dets.values() for d in ds}
         assert emitted == expected
 
+    def test_a_prefix_that_does_not_reach_its_track_stays_apart(self):
+        # A frozen prefix joins the current track that holds its id only if
+        # it ends on the frame before that track's first; else each is a
+        # track of its own, priced on its own detections.
+        model = CostModel()
+        tr = OnlineTracker(TrackerConfig(model=model, window=3))
+        head = [det(0, 0), det(1, 0)]
+        tail = [det(3, 0), det(4, 0)]
+        tr.frozen = {4: head}
+        tr.solution = FlowSolution([Trajectory(4, tail, 0.0)])
+        tracks = tr.final_tracks()
+        assert [(t.track_id, t.detections, t.cost) for t in tracks] == [
+            (4, head, trajectory_model_cost(head, model)),
+            (4, tail, trajectory_model_cost(tail, model))]
+        assert tracks[0].detections is not head
+
+    def test_check_bounds_names_each_breach(self):
+        frames = {f: [det(f, i) for i in range(3)] for f in range(4)}
+        tr = stream(OnlineTracker(TrackerConfig(model=CostModel(), window=3)),
+                    frames)
+        tr._check_bounds()
+        tr.config = replace(tr.config, window=2)
+        with pytest.raises(InvariantBreach,
+                           match="^graph exceeds the frame window$"):
+            tr._check_bounds()
+        tr.config = replace(tr.config, window=3)
+        tr.max_dets_per_frame = 1
+        with pytest.raises(InvariantBreach,
+                           match="^live nodes 20 exceed the bound 8$"):
+            tr._check_bounds()
+
 
 class TestAssignTrackIds:
     def _traj(self, tid, dets):
@@ -796,13 +827,13 @@ class TestFlowInvariants:
                 moved.extend(c for c in heads if len(c.nodes) > 1)
                 clip(heads)
 
-            def checked(solution):
+            def checked():
                 nonlocal seen
                 carried = [c for c in dec.chains if c.origin >= 0]
                 assert set(carried) <= set(moved)
                 moved.clear()
                 seen += len(carried)
-                assign(solution)
+                assign()
 
             dec.clip, tracker._assign_ids = recorded, checked
             g = tracker.graph

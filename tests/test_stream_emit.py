@@ -1,7 +1,7 @@
 """Streaming output path of `flowtrack track --stream`.
 
-The CLI writes each frame's rows from what the tracker logged since the last
-emit: the rows it froze, and the current rows that are new or got a new id.
+The CLI writes each frame's rows from those the tracker keeps until they are
+written: the rows it froze, and the current rows that are new or got a new id.
 So the decode, id and output work of a frame follow the rows the frame
 changed, not the history. These tests pin that to the straightforward
 emitter, which rescans every final track after each frame, and check that
@@ -186,3 +186,23 @@ def test_stream_work_per_frame_stays_bounded(monkeypatch):
     assert len(starts) == 200
     per_frame = [b - a for a, b in zip(starts, starts[1:] + [model.link_calls])]
     assert 0 < sum(per_frame[150:200]) <= sum(per_frame[20:70])
+
+
+@pytest.mark.parametrize("solver,args", (RUNS[0], RUNS[3]))
+def test_lag_0_writes_each_frame_and_id_once(solver, args, monkeypatch):
+    """At lag 0 no written row is withdrawn, and a row whose id a later
+    frame revises is written again only under a (frame, id) not written
+    yet. So the stream can lack final rows, each of whose (frame, id) it
+    wrote for another detection."""
+    text = scene_text(*SCENES[1])
+    got = run_stream(["--solver", solver, *args, "--confirm-lag", "0"], text,
+                     monkeypatch)
+    streamed = [tuple(line.split(",")) for line in got.splitlines()]
+    pairs = [row[:2] for row in streamed]
+    assert len(set(pairs)) == len(pairs)
+    # A lag past the last frame writes the final tracks.
+    window = int(args[1]) if args else None
+    final = reference_stream(solver, window, 10**6, text).splitlines()
+    lacking = {tuple(line.split(",")) for line in final} - set(streamed)
+    assert lacking
+    assert {row[:2] for row in lacking} <= set(pairs)
