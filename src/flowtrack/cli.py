@@ -176,11 +176,11 @@ def _track_stream(args, tracker: OnlineTracker) -> int:
     once they are --confirm-lag frames old (0 = emit and possibly revise)."""
     lag = args.confirm_lag
     with ftio.open_or_stdio(args.output, "w") as fout:
-        # Rows already written, as (frame, track id); a detection whose id is
-        # revised later is written again under the new id if no row holds
-        # that key yet. Keys below t_min, the graph's first frame, can never
-        # match again.
-        emitted, t_min = set(), None
+        # Rows already written: the track ids written per frame. A detection
+        # whose id is revised later is written again under the new id if no
+        # row holds that (frame, id) yet. Frames below t_min, the graph's
+        # first frame, can never match again and are dropped.
+        emitted, t_min = {}, None
         pending = tracker.pending_rows = {}  # the rows not written yet
 
         def emit_through(limit):
@@ -191,18 +191,20 @@ def _track_stream(args, tracker: OnlineTracker) -> int:
             its last id, so only the pending rows are candidates. A row at
             or below a limit is written then or never, unless its id
             changes."""
-            nonlocal emitted, t_min
+            nonlocal t_min
             ready = [row for row in pending.values() if row[1].frame <= limit]
             rows = sorted((d.frame, tid, *d.box) for tid, d in ready
-                          if (d.frame, tid) not in emitted)
-            emitted.update(row[:2] for row in rows)
+                          if tid not in emitted.get(d.frame, ()))
+            for frame, tid, *_ in rows:
+                emitted.setdefault(frame, set()).add(tid)
             ftio.write_track_rows(fout, rows)
             fout.flush()
             for _, d in ready:
                 del pending[id(d)]
             if tracker.graph.t_min != t_min:
                 t_min = tracker.graph.t_min
-                emitted = {key for key in emitted if key[0] >= t_min}
+                for frame in [f for f in emitted if f < t_min]:
+                    del emitted[frame]
 
         last, reader = None, csv.reader(sys.stdin)
         while (block := ftio.parse_stream_frame(reader)) is not None:

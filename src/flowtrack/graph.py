@@ -229,7 +229,7 @@ class TrackingGraph:
         """k slot ids: the dead slots (mask `dead` over the named columns) in
         id order, then as many new ones as are missing, added to each named
         column; the caller writes every slot taken."""
-        ids = np.flatnonzero(dead)[:k]
+        ids = dead.nonzero()[0][:k]
         if len(ids) < k:
             size, grow = len(dead), k - len(ids)
             ids = np.concatenate((ids, np.arange(size, size + grow)))

@@ -9,7 +9,12 @@ one again from its first node that a changed edge touches (FlowDecoder), and
 the greedy DP baseline. Every search is
 compiled: one DAG relaxation (_relax_frames) gives the sweep's labels and
 each appended frame's potentials, and both other searches are scipy's
-Dijkstra over one CSR of the residual arcs.
+Dijkstra over the CSR of one slot table (ResidualGraph.arcs), which holds
+per residual arc slot its tail, head, original cost and direction, and the
+target's exit slots. It is built once after each append or clip, and keeps
+its CSR object while the node count stays. A full search derives each
+slot's reduced cost from it once and prices the exits from those values, a
+path is priced from its slots, and a broadcast reads the slots it gathers.
 
 Every solver runs on one residual graph, whose sink is split into a root
 and a target (ResidualGraph). Every exact solver runs one loop,
@@ -86,7 +91,11 @@ class PredecessorMap:
     """Per-node shortest-path distance labels and the predecessor tree:
     pred[v] is the node before v, -1 for none (a root or an unreached node).
     The edge of a tree arc u -> v is the residual slot keyed u * n + v (see
-    ResidualGraph.arcs). They start at 0 for the roots, inf elsewhere."""
+    ResidualGraph.arcs). They start at 0 for the roots, inf elsewhere. rc is
+    the reduced cost per slot that a full search read (dijkstra_full), None
+    once the potentials may have moved since."""
+
+    rc = None
 
     def __init__(self, n_nodes: int, roots):
         self.dist = np.full(n_nodes, np.inf)
@@ -105,16 +114,22 @@ def check_cost_sum(total: float):
 
 @dataclass
 class Path:
-    """A source-to-sink path: node sequence plus the edge taken into each node."""
+    """A source-to-sink path: node sequence plus the edge taken into each
+    node, and its original cost as extract_path read it from the slots."""
 
     nodes: list[int]
     eids: list[int]
+    cost: float = math.nan
 
 
-#: ResidualGraph.arcs: the CSR over the search nodes and a virtual root, and
-#: per edge slot in CSR order its edge, is-reverse flag, row and key
-#: row * n + column; a slot's column is the CSR's own matrix.indices.
-Arcs = namedtuple("Arcs", "matrix eid rev row key")
+#: ResidualGraph.arcs, the slot table: the CSR over the search nodes and a
+#: virtual root, and per arc slot in CSR order (by tail, then head) its edge,
+#: is-reverse flag, tail (row), head (col), original cost of the arc (the
+#: edge's cost, negated on a reverse slot) and key row * n + col. exits holds
+#: the target's in-slots, the exits' forward slots, in edge order; eps and
+#: cost_sum are read from the live costs with it (see ResidualGraph).
+SlotTable = namedtuple("SlotTable",
+                       "matrix eid rev row col cost key exits eps cost_sum")
 
 
 class ResidualGraph:
@@ -124,8 +139,16 @@ class ResidualGraph:
     Edges carrying flow are traversed dst -> src. Every search node u has a
     potential p(u). Flow and potentials are the whole state: an edge's
     reduced cost in its residual direction, c + p(tail) - p(head), is
-    derived from them on read (reduced), so none goes stale. eps is the
-    tolerance below 0 that a reduced cost may reach by rounding (see EPS).
+    derived from them on read, so none goes stale. eps is the tolerance
+    below 0 that a reduced cost may reach by rounding (see EPS), and
+    cost_sum the sum of |edge cost| (check_cost_sum).
+
+    Every search reads the slot table (arcs): per residual arc slot its
+    tail, head, original cost and direction, over the live edges. A search
+    derives each slot's reduced cost from it once (slot_reduced), bit for
+    bit what the edge-column reference reduced() gives. An append or a clip
+    changes the graph and drops the table, with eps and cost_sum; the next
+    reader of any of them builds all three again, once.
 
     A track that continues into a new frame keeps the flow value: it is a
     cycle sink -> v_old (reversed exit) -> u_new -> v_new -> sink. So the
@@ -145,7 +168,7 @@ class ResidualGraph:
         self.touched: list[int] = []  # edges flipped since the last decode
         self.potential = np.zeros(self.n_nodes + 1)  # node slots, the target
         self.decoded = FlowDecoder(graph)
-        self._read_costs()
+        self._table = self._matrix = None
         check_cost_sum(self.cost_sum)
 
     @property
@@ -156,14 +179,13 @@ class ResidualGraph:
     def target(self) -> int:
         return self.n_nodes
 
-    def _read_costs(self):
-        """Re-read the live costs' scale (eps) and sum after the graph
-        changed, and drop the arc index built over its slots."""
-        live = np.abs(self.graph.e_cost[self.graph.e_alive])
-        self.eps = EPS * float(np.max(live, initial=0.0))
-        with np.errstate(over="ignore"):
-            self.cost_sum = float(np.sum(live))
-        self._arcs = None
+    @property
+    def eps(self) -> float:
+        return self.arcs().eps
+
+    @property
+    def cost_sum(self) -> float:
+        return self.arcs().cost_sum
 
     def fwd_dst(self, eids=slice(None)) -> np.ndarray:
         """The search node each edge eids' (default every slot's) forward
@@ -173,16 +195,17 @@ class ResidualGraph:
 
     def reduced(self, eids=slice(None)) -> np.ndarray:
         """The reduced cost of each edge eids (default every slot) in its
-        residual direction, from the flow and the potentials."""
+        residual direction, from the flow and the potentials: the reference
+        that the slot table's reduced costs (slot_reduced) match."""
         g, p = self.graph, self.potential
         cost, p_src = g.e_cost[eids], p[g.e_src[eids]]
         fwd = cost + p_src - p[self.fwd_dst(eids)]
         rev = p[g.e_dst[eids]] - p_src - cost
         return np.where(self.flow[eids] == 0, fwd, rev)
 
-    def arcs(self) -> Arcs:
-        """Static index of residual arc slots over the search nodes, built
-        on first use.
+    def arcs(self) -> SlotTable:
+        """The slot table over the live edges, built on first use after the
+        graph changed.
 
         Every live edge has a forward slot (src -> fwd_dst, usable while it
         carries no flow) and a reverse slot (dst -> src, usable while it
@@ -190,25 +213,53 @@ class ResidualGraph:
         slot to every search node after them, where a broadcast starts.
         Only the weights change from search to search. Indexes are int32,
         which scipy keeps as given (int64 ones it checks and copies down).
+        While the node count stays, as it does on each steady windowed
+        frame, the CSR object is kept and takes the new arrays.
         """
-        if self._arcs is None:
+        if self._table is None:
             g, n = self.graph, len(self.potential)
-            live = np.flatnonzero(g.e_alive)
-            src, dst = g.e_src[live], g.e_dst[live]
-            keys = np.concatenate((src * n + self.fwd_dst()[live],
-                                   dst * n + src))
-            order = np.argsort(keys, kind="stable")
+            live = g.e_alive.nonzero()[0]
+            src, dst, cost = g.e_src[live], g.e_dst[live], g.e_cost[live]
+            fwd = dst.copy()
+            fwd[dst == SINK] = n - 1  # the target
+            keys = np.concatenate((src * n + fwd, dst * n + src))
+            order = keys.argsort(kind="stable")
             keys = keys[order]
-            rows, cols = keys // n, keys % n
-            indptr = np.append(np.searchsorted(rows, np.arange(n + 1)),
-                               len(keys) + n).astype(np.int32)
-            matrix = csr_matrix(
-                (np.zeros(len(keys) + n),
-                 np.concatenate((cols, np.arange(n))).astype(np.int32),
-                 indptr), shape=(n + 1, n + 1))
-            self._arcs = Arcs(matrix, np.concatenate((live, live))[order],
-                              (order >= len(live)).astype(np.int8), rows, keys)
-        return self._arcs
+            rows, cols = np.divmod(keys, n)
+            at = np.empty(len(keys), dtype=np.int64)  # unsorted -> CSR slot
+            at[order] = np.arange(len(keys))
+            indptr = np.empty(n + 2, dtype=np.int32)
+            indptr[:-1] = rows.searchsorted(np.arange(n + 1))
+            indptr[-1] = len(keys) + n
+            data = np.zeros(len(keys) + n)
+            indices = np.concatenate((cols, np.arange(n)), dtype=np.int32)
+            matrix = self._matrix
+            if matrix is None or matrix.shape[0] != n + 1:
+                matrix = self._matrix = csr_matrix((data, indices, indptr),
+                                                   shape=(n + 1, n + 1))
+            else:
+                matrix.data, matrix.indices, matrix.indptr = data, indices, indptr
+            size = abs(cost)
+            with np.errstate(over="ignore"):
+                cost_sum = float(size.sum())
+            self._table = SlotTable(
+                matrix, np.concatenate((live, live))[order],
+                order >= len(live), rows, cols,
+                np.concatenate((cost, -cost))[order], keys,
+                at[:len(live)][g.e_kind[live] == EXIT],
+                EPS * float(size.max(initial=0.0)), cost_sum)
+        return self._table
+
+    def slot_reduced(self, slots=slice(None)) -> np.ndarray:
+        """The reduced cost of each slot of the table (default every one)
+        in the slot's own direction, from the potentials: a forward slot's
+        (cost + p(tail)) - p(head), a reverse slot's (p(tail) - p(head)) +
+        cost, its edge's cost negated. These are the floats reduced() gives
+        the slot's edge while its flow makes the slot usable."""
+        t, p = self.arcs(), self.potential
+        cost, p_row, p_col = t.cost[slots], p[t.row[slots]], p[t.col[slots]]
+        return np.where(t.rev[slots], (p_row - p_col) + cost,
+                        (cost + p_row) - p_col)
 
     def flip(self, eids: np.ndarray):
         """Push or cancel the unit of flow on the distinct edges eids: their
@@ -217,15 +268,18 @@ class ResidualGraph:
         self.touched += eids.tolist()
 
     def _sync(self):
-        """Fit flow and potentials to the graph's slots after an append: new
-        slots start at 0 and the target's potential moves to the end."""
+        """Fit flow and potentials to the graph's slots after an append, by
+        growing them only when a column grew: new slots start at 0 and the
+        target's potential moves to the end."""
         g, n, old = self.graph, self.n_nodes, self.potential
-        self.flow = np.concatenate(
-            (self.flow, np.zeros(len(g.e_src) - len(self.flow), np.int8)))
-        self.potential = np.zeros(n + 1)
-        self.potential[:len(old) - 1] = old[:-1]
-        self.potential[n] = old[-1]
-        self._read_costs()
+        grow = len(g.e_src) - len(self.flow)
+        if grow:
+            self.flow = np.concatenate((self.flow, np.zeros(grow, np.int8)))
+        if len(old) <= n:
+            self.potential = np.zeros(n + 1)
+            self.potential[:len(old) - 1] = old[:-1]
+            self.potential[n] = old[-1]
+        self._table = None
 
     def check_frame(self, prepared):
         """check_cost_sum over the live edges and a prepared frame's, so a
@@ -257,23 +311,29 @@ class ResidualGraph:
         that start there, the chains heads (FlowDecoder.clip). The freed edge
         slots lose their flow, and each continuing track's flow moves onto
         its folded entry edge, whose reduced cost is the sum of the flowed
-        arcs' it replaces (each <= 0), so the potentials stay valid."""
+        arcs' it replaces (each <= 0), so the potentials stay valid. The slot
+        table, eps and cost_sum are dropped, as after an append."""
         g = self.graph
         g.clip_oldest_frame(FlowSolution([c.traj for c in heads]))
         self.flow[~g.e_alive] = 0
         self.flow[g.node_in[[c.nodes[1] for c in heads if len(c.nodes) > 1]]] = 1
         self.decoded.clip(heads)
+        self._table = None
 
-    def exits(self, dist: np.ndarray):
+    def exits(self, dist: np.ndarray, rc: np.ndarray | None = None):
         """The usable arcs into the target, the unflowed exits v -> sink, as
         (values, tails v), sorted by value dist(v) + clamped reduced cost: the
         length of the tree path to v and on to the target. Exits of
-        unreached nodes are left out; the least value is dist[target]."""
-        g = self.graph
-        eids = np.flatnonzero((g.e_kind == EXIT) & g.e_alive & (self.flow == 0))
-        tails = g.e_src[eids]
-        values = dist[tails] + np.maximum(self.reduced(eids), 0.0)
-        order = np.argsort(values, kind="stable")
+        unreached nodes are left out; the least value is dist[target]. The
+        table's exit slots are filtered by flow, in edge order, and priced
+        by rc, the reduced cost per slot at the current potentials, if
+        given (PredecessorMap.rc), else by slot_reduced."""
+        t = self.arcs()
+        slots = t.exits[self.flow[t.eid[t.exits]] == 0]
+        tails = t.row[slots]
+        cost = self.slot_reduced(slots) if rc is None else rc[slots]
+        values = dist[tails] + np.maximum(cost, 0.0)
+        order = values.argsort(kind="stable")
         order = order[np.isfinite(values[order])]
         return values[order], tails[order]
 
@@ -294,40 +354,40 @@ def extract_path(res: ResidualGraph, labels: PredecessorMap,
     None if the target is unreached. With via, the path is via's tree path
     and then the arc via -> target, which need not be a tree arc. With
     stop, a mask over the nodes, None also once the walk meets a node it
-    marks (via included). Each arc u -> v is the slot keyed u * n + v. The
-    target stands for the sink in the returned path."""
-    if not np.isfinite(labels.dist[res.target if via is None else via]):
+    marks (via included). Each arc u -> v is the slot keyed u * n + v, and
+    the path costs the fsum of its slots' original costs. The target stands
+    for the sink in the returned path."""
+    t, n, pred = res.arcs(), len(res.potential), labels.pred.item
+    if not math.isfinite(labels.dist.item(n - 1 if via is None else via)):
         return None
-    arcs, n, pred = res.arcs(), len(res.potential), labels.pred.item
-    nodes = [res.target]
-    u = pred(res.target) if via is None else via
-    while u >= 0:
+    nodes = [n - 1]
+    u = pred(n - 1) if via is None else via
+    for _ in range(n):
+        if u < 0:
+            break
         if stop is not None and stop.item(u):
             return None
         nodes.append(u)
-        if len(nodes) > n:
-            raise InvariantBreach("predecessor chain contains a cycle")
         u = pred(u)
+    else:
+        raise InvariantBreach("predecessor chain contains a cycle")
     if nodes[-1] not in res.roots:
         raise InvariantBreach(f"broken predecessor chain at node {nodes[-1]}")
     nodes.reverse()
     chain = np.array(nodes, dtype=np.int64)
-    eids = arcs.eid[np.searchsorted(arcs.key, chain[:-1] * n + chain[1:])]
+    slots = t.key.searchsorted(chain[:-1] * n + chain[1:])
     nodes[-1] = SINK
-    return Path(nodes, eids.tolist())
+    return Path(nodes, t.eid[slots].tolist(), math.fsum(t.cost[slots].tolist()))
 
 
 def path_original_cost(res: ResidualGraph, path: Path) -> float:
     """Sum of unreduced edge costs along a residual path, rounded once: a
     cycle whose costs cancel, such as one swapping two equal continuations
     of a track, costs exactly 0, so the stop rule does not push it back and
-    forth forever. An arc that runs against its edge negates the cost; the
-    direction is read from the path's nodes, not from the flow, so a path
-    is priced as it was found even after some of its arcs flipped."""
-    g, eids = res.graph, np.array(path.eids)
-    costs = g.e_cost[eids]
-    return math.fsum(np.where(g.e_src[eids] == path.nodes[:-1], costs,
-                              -costs).tolist())
+    forth forever. An arc that runs against its edge negates the cost. It is
+    the price extract_path read from the path's slots (Path.cost), so a
+    path is priced as it was found even after some of its arcs flipped."""
+    return path.cost
 
 
 def _relax_frames(res: ResidualGraph, dist: np.ndarray, frames, w):
@@ -363,7 +423,7 @@ def _relax_frames(res: ResidualGraph, dist: np.ndarray, frames, w):
         b = d
     dist[v] = dist[u] + w[g.node_out[u]]
     exits = dist[v] + w[g.node_out[v]]
-    dist[res.target] = np.min(exits, initial=dist[res.target])
+    dist[res.target] = exits.min(initial=dist[res.target])
     return u, v, entry, tails, heads, via, exits
 
 
@@ -467,8 +527,8 @@ def build_residual(res: ResidualGraph, *paths: Path) -> ResidualGraph:
     g, eids = res.graph, np.array(eids, dtype=np.int64)
     tails, heads = np.array(tails), np.array(heads)
     src, dst, flowed = g.e_src[eids], g.e_dst[eids], res.flow[eids] == 1
-    bad = np.flatnonzero((np.where(flowed, dst, src) != tails)
-                         | (np.where(flowed, src, dst) != heads))
+    bad = ((np.where(flowed, dst, src) != tails)
+           | (np.where(flowed, src, dst) != heads)).nonzero()[0]
     if len(bad):
         i = int(bad[0])
         raise DataError(f"path edge {eids[i]} does not connect "
@@ -477,11 +537,11 @@ def build_residual(res: ResidualGraph, *paths: Path) -> ResidualGraph:
     return res
 
 
-def _count_search(res: ResidualGraph, stats: SolverStats, eids, scanned,
-                  cost, labelled):
+def _count_search(eps: float, stats: SolverStats, eids, scanned, cost,
+                  labelled):
     """Count a search, its scanned arcs (edges eids, reduced costs cost) and
     labelled nodes; a scanned arc's cost below -eps breaks its precondition."""
-    bad = np.flatnonzero(scanned & (cost < -res.eps))
+    bad = (scanned & (cost < -eps)).nonzero()[0]
     if len(bad):
         i = bad[0]
         raise InvariantBreach(f"negative reduced cost {cost[i]} on edge {eids[i]}")
@@ -492,22 +552,22 @@ def _count_search(res: ResidualGraph, stats: SolverStats, eids, scanned,
 
 def dijkstra_full(res: ResidualGraph, stats: SolverStats | None = None):
     """Full Dijkstra from res.roots over the residual arcs, weighed by their
-    reduced costs clamped at 0, compiled. relaxations counts the residual
-    arcs out of reached nodes, queue_pushes the nodes reached. Returns
-    (path to res.target or None, every node's labels)."""
+    reduced costs clamped at 0, compiled: each slot's reduced cost is read
+    once (slot_reduced), and the labels keep them (PredecessorMap.rc).
+    relaxations counts the residual arcs out of reached nodes, queue_pushes
+    the nodes reached. Returns (path to res.target or None, every node's
+    labels)."""
     stats = stats or SolverStats()
-    arcs, n = res.arcs(), len(res.potential)
-    active = res.flow[arcs.eid] == arcs.rev
-    cost = res.reduced()[arcs.eid]
-    arcs.matrix.data[:len(cost)] = np.where(active, np.maximum(cost, 0.0),
-                                            np.inf)
-    dist, pred, _ = dijkstra(arcs.matrix, indices=res.roots, min_only=True,
+    t, n = res.arcs(), len(res.potential)
+    rc = res.slot_reduced()
+    active = res.flow[t.eid] == t.rev
+    t.matrix.data[:len(rc)] = np.where(active, np.maximum(rc, 0.0), np.inf)
+    dist, pred, _ = dijkstra(t.matrix, indices=res.roots, min_only=True,
                              return_predecessors=True)
     labels = PredecessorMap.__new__(PredecessorMap)
-    labels.dist, labels.pred = dist[:n], np.maximum(pred[:n], -1)
+    labels.dist, labels.pred, labels.rc = dist[:n], np.maximum(pred[:n], -1), rc
     reached = np.isfinite(labels.dist)
-    _count_search(res, stats, arcs.eid, active & reached[arcs.row], cost,
-                  reached)
+    _count_search(t.eps, stats, t.eid, active & reached[t.row], rc, reached)
     return extract_path(res, labels), labels
 
 
@@ -522,14 +582,16 @@ def dynamic_broadcast(res: ResidualGraph, seeds, labels: PredecessorMap,
     their tree descendants, found by pointer doubling. Each of its nodes
     starts at its least label through a usable arc from outside, whose tail
     is then a frontier node (one labelled below 0 is an InvariantBreach), and
-    one compiled Dijkstra over the arcs within the set gives the rest.
-    relaxations counts the usable arcs into the set out of reached nodes,
-    queue_pushes the nodes re-labelled. Returns the updated shortest path to
-    the target; labels are updated in place.
+    one compiled Dijkstra over the arcs within the set gives the rest. The
+    usable slots into the set are gathered from the slot table and priced
+    from it (slot_reduced). relaxations counts the usable arcs into the set
+    out of reached nodes, queue_pushes the nodes re-labelled. Returns the
+    updated shortest path to the target; labels are updated in place, and
+    their rc is dropped, since the potentials moved since it was read.
     """
     stats = stats or SolverStats()
     dist, pred = labels.dist, labels.pred
-    n = len(dist)
+    n, labels.rc = len(dist), None
     seeds = np.asarray(seeds, dtype=np.int64)
     seeds = seeds[np.all(seeds[:, None] != res.roots, axis=1)]
     if not len(seeds):
@@ -550,12 +612,11 @@ def dynamic_broadcast(res: ResidualGraph, seeds, labels: PredecessorMap,
     dist[affected] = np.inf
     pred[affected] = -1
 
-    arcs = res.arcs()
-    cols = arcs.matrix.indices[:len(arcs.eid)]
+    t = res.arcs()
     # The usable arc slots into the set.
-    slots = np.flatnonzero(in_set[cols] & (res.flow[arcs.eid] == arcs.rev))
-    eids, tails, heads = arcs.eid[slots], arcs.row[slots], cols[slots]
-    cost = res.reduced(eids)
+    slots = np.flatnonzero(in_set[t.col] & (res.flow[t.eid] == t.rev))
+    tails, heads = t.row[slots], t.col[slots]
+    cost = res.slot_reduced(slots)
     weight = np.maximum(cost, 0.0)
     # With the set's labels cleared, a reached tail lies outside the set.
     if np.any(dist[tails] < 0.0):
@@ -570,16 +631,16 @@ def dynamic_broadcast(res: ResidualGraph, seeds, labels: PredecessorMap,
     first[heads[tight]] = tails[tight]
     # One Dijkstra over the arcs within the set, from the virtual root,
     # whose slot to each node weighs its start label.
-    inside, data = in_set[tails], arcs.matrix.data
+    inside, data = in_set[tails], t.matrix.data
     data.fill(np.inf)
     data[slots[inside]] = weight[inside]
     data[-n:] = start
-    d, p, _ = dijkstra(arcs.matrix, indices=n, min_only=True,
+    d, p, _ = dijkstra(t.matrix, indices=n, min_only=True,
                        return_predecessors=True)
     dist[affected] = d[affected]
     p = p[affected]
     pred[affected] = np.where(p == n, first[affected], np.maximum(p, -1))
-    _count_search(res, stats, eids, np.isfinite(dist[tails]), cost,
+    _count_search(t.eps, stats, t.eid[slots], np.isfinite(dist[tails]), cost,
                   np.isfinite(dist[affected]))
     return extract_path(res, labels), labels
 
@@ -598,12 +659,13 @@ def push_round(res: ResidualGraph, shortest: Path, labels: PredecessorMap,
     value, else the first's), whether the optimum is certified, and a used
     mask.
     """
-    dist, first = labels.dist, int(labels.pred[res.target])
+    dist, target = labels.dist, res.target
+    first = labels.pred.item(target)
     if single:
-        values, tails = [float(dist[res.target])], [first]
+        values, tails = [dist.item(target)], [first]
     else:
-        values, tails = (a.tolist() for a in res.exits(dist))
-    used = np.zeros(len(dist), dtype=bool)
+        values, tails = (a.tolist() for a in res.exits(dist, labels.rc))
+    used: set[int] = set()
     freed = math.inf  # the least bound of an exit this round freed
     cap, certified, pushed = values[0], not single, []
     for value, v in zip(values, tails):
@@ -611,23 +673,25 @@ def push_round(res: ResidualGraph, shortest: Path, labels: PredecessorMap,
             certified = True
             break
         path = shortest if v == first else extract_path(res, labels, via=v)
-        cost = path_original_cost(res, path)
-        if cost >= 0.0 or used[path.nodes[1:-1]].any():
+        cost, inner = path_original_cost(res, path), path.nodes[1:-1]
+        if cost >= 0.0 or not used.isdisjoint(inner):
             certified = cost >= 0.0  # else it enters a node a push used
             break
         if stats.iterations >= guard:
             raise InvariantBreach(f"SSP exceeded its iteration bound {guard}")
         if path.nodes[0] == SINK:  # it frees its first node x's exit
             x, p = path.nodes[1], res.potential
-            rc = res.graph.e_cost[path.eids[0]] + p[x] - p[res.target]
+            rc = res.graph.e_cost[path.eids[0]] + p[x] - p[target]
             freed = min(freed, dist[x] + max(rc, 0.0))
-        used[path.nodes[1:-1]] = True
+        used.update(inner)
         pushed.append(path)
         stats.iterations += 1
         cap = value
     if pushed:  # nothing above reads the flow
         build_residual(res, *pushed)
-    return cap, certified, used
+    mask = np.zeros(len(dist), dtype=bool)
+    mask[list(used)] = True
+    return cap, certified, mask
 
 
 def successive_shortest_paths(res: ResidualGraph, stats: SolverStats,

@@ -1,7 +1,7 @@
 """Reference implementations that the tests hold the package to: the full
-decode of a flow, six graph helpers, Algorithm 1's stop rule, a
-ground-truth matcher that only tests use, the field-by-field CSV row parser
-and the per-row track writer."""
+decode of a flow, a path's price from the edge columns, six graph helpers,
+Algorithm 1's stop rule, a ground-truth matcher that only tests use, the
+field-by-field CSV row parser and the per-row track writer."""
 from __future__ import annotations
 
 import csv
@@ -49,6 +49,16 @@ def decode_trajectories(res, start_id: int = 0) -> list[Trajectory]:
             dets.append(det)
         trajectories.append(Trajectory(start_id + i, dets, cost))
     return trajectories
+
+
+def edge_path_cost(res, path) -> float:
+    """The fsum of a residual path's edge costs read from the edge columns,
+    each negated where the path runs against its edge (the path's nodes
+    tell), as the slot table prices it (ssp.extract_path)."""
+    g, eids = res.graph, np.array(path.eids)
+    costs = g.e_cost[eids]
+    return math.fsum(np.where(g.e_src[eids] == path.nodes[:-1], costs,
+                              -costs).tolist())
 
 
 def gate_block(a: FrameBoxes, b: FrameBoxes,

@@ -1,10 +1,13 @@
 import math
+import os
+import sys
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from conftest import StubModel, build_graph, det, make_random_instance
+import flowtrack
 from flowtrack.cost_model import CostModel, Detection
 import flowtrack.ssp as ssp
 from flowtrack.errors import DataError, InvariantBreach
@@ -939,3 +942,43 @@ def test_positions_walked_per_frame_stay_flat(monkeypatch):
         walked.append(0)
         tracker.process_frame(frames[f], frame=f)
     assert np.mean(walked[400:500]) <= 1.5 * np.mean(walked[20:100])
+
+
+def calls_per_frame(window, first, last):
+    """The mean calls a tracker frame makes from flowtrack's own code, over
+    frames first..last - 1 of the criteria 4-5 scene of seed 7000: the
+    sys.setprofile call and c_call events whose caller runs in a file of the
+    package. Calls made inside numpy and scipy do not count."""
+    package = os.path.dirname(flowtrack.__file__) + os.sep
+    cfg = SyntheticConfig(n_frames=last, n_initial_tracks=5, spawn_prob=0.0,
+                          death_prob=0.0, miss_rate=0.1, fp_rate=0.1)
+    frames = generate_synthetic(cfg, 7000)[0]
+    tracker = OnlineTracker(TrackerConfig(model=CostModel(), window=window))
+    calls = 0
+
+    def count(frame, event, arg):
+        nonlocal calls
+        if event == "call":
+            frame = frame.f_back
+        elif event != "c_call":
+            return
+        if frame is not None and frame.f_code.co_filename.startswith(package):
+            calls += 1
+
+    for f in range(last):
+        if f >= first:
+            sys.setprofile(count)
+        try:
+            tracker.process_frame(frames.get(f, []), frame=f)
+        finally:
+            sys.setprofile(None)
+    return calls / (last - first)
+
+
+@pytest.mark.parametrize("window, first, last, bound",
+                         [(10, 20, 200, 730), (None, 20, 40, 655)])
+def test_calls_per_frame_stay_bounded(window, first, last, bound):
+    """The fixed cost of a stream frame as a count that does not depend on
+    the machine: mbodssp (window 10) and odssp frames make at most bound
+    calls each from the package's code."""
+    assert calls_per_frame(window, first, last) <= bound
