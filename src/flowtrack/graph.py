@@ -10,22 +10,29 @@ stays bounded in memory.
 
 Nodes and edges are stored once, as numpy columns by slot id that the
 solvers read directly, with fixed edge slots per detection and a block of
-link edges per frame. A run of frames, one frame online or a whole batch,
-is checked and priced as one block and appended with one slot take and one
-write per column; a clip is one write per column too.
+link edges per frame. Each column is an exact-length view over a buffer
+with spare room that doubles when it runs out (`lengthen`), so an append
+that adds slots costs what it adds, not the columns' length. A run of
+frames, one frame online or a whole batch, is checked and priced as one
+block and appended with one slot take and one write per column; a clip is
+one write per column too. Only when a clip left dead slots does an append
+look for them.
 
 A run's candidate links, the (previous frame x frame) pairs of every frame,
 are laid out as one global pair index over the run's box geometry (and the
 frame before it), gated in one pass by `gate_pairs` and priced by the
-model's `link_costs_of`, PAIR_BUDGET pairs at a time. Both give, bit for
-bit, what the scalar references `default_gate` and `link_cost_of` give pair
-by pair.
+model's `link_costs_of`, PAIR_BUDGET pairs at a time. A single frame's pairs
+are gated as the grid of its previous frame's boxes against its own, with
+no pair geometry gathered, and only the admitted pairs are priced. Both give,
+bit for bit, what the scalar references `default_gate` and `link_cost_of`
+give pair by pair.
 """
 from __future__ import annotations
 
 import math
 import sys
 from dataclasses import dataclass, field
+from operator import attrgetter
 
 import numpy as np
 
@@ -52,6 +59,7 @@ TINY = sys.float_info.min
 PAIR_BUDGET = 1 << 13
 NODE_COLUMNS = ("node_kind", "node_in", "node_out")
 EDGE_COLUMNS = ("e_src", "e_dst", "e_kind", "e_cost", "e_alive", "e_origin")
+_local_index = attrgetter("local_index")
 
 
 @dataclass
@@ -127,18 +135,40 @@ def gate_pairs(a: FrameBoxes, b: FrameBoxes, ip: np.ndarray, jn: np.ndarray,
     of the true distance, so they can disagree on the gate only for a
     distance within GATE_TOL of the radius; those pairs alone are measured
     again with math.hypot, as default_gate measures them."""
+    return _gate(a.geo[4:8, ip], b.geo[4:8, jn], radius_factor)
+
+
+def _gate(ga: np.ndarray, gb: np.ndarray, radius_factor: float) -> np.ndarray:
+    """gate_pairs over the centre x, centre y, area and diagonal rows of
+    the boxes a and b of each pair, ga and gb, which broadcast: gathered
+    pair by pair, or a frame's (m, 1) column against the next one's (1, n)
+    row for the grid of its pairs."""
     with np.errstate(all="ignore"):
-        ga, gb = a.geo[4:8, ip], b.geo[4:8, jn]  # centre x, y, area, diagonal
         dx, dy = ga[0] - gb[0], ga[1] - gb[1]
         radius = radius_factor * np.maximum(ga[3], gb[3])
         dist = np.hypot(dx, dy)
         admit = dist <= radius
-        edge = (abs(dist - radius) <= radius * GATE_TOL + TINY).nonzero()[0]
-        if len(edge):
+        edge = abs(dist - radius) <= radius * GATE_TOL + TINY
+        if edge.any():
             admit[edge] = (np.array(list(map(math.hypot, dx[edge].tolist(),
                                               dy[edge].tolist())))
                            <= radius[edge])
     return admit
+
+
+def lengthen(owner, names, size: int):
+    """Lengthen each named 1-D array attribute of owner to size entries,
+    the new ones 0, at the cost of the entries added: each is a view of the
+    first size entries of a buffer (owner._buffers[name]) that doubles when
+    it runs out, so no spare entry shows. An array that is no view of its
+    buffer, as at the start, gets a new buffer."""
+    arrays, buffers = owner.__dict__, owner._buffers
+    for name in names:
+        a, buf = arrays[name], buffers[name]
+        if a.base is not buf or buf.size < size:
+            buf = buffers[name] = np.zeros(max(2 * len(a), size), a.dtype)
+            buf[:len(a)] = a
+        arrays[name] = buf[:size]
 
 
 class TrackingGraph:
@@ -155,10 +185,12 @@ class TrackingGraph:
     e_origin (the track id a folded entry carries, -1 for none).
     frame_nodes[f] holds frame f's u and v nodes, (2, n) in local-index
     order, frame_links[f] its link edges from f - 1 in (previous, new) order.
-    Nothing is stored twice: t_min and t_max are read from `frames`, the
-    live counts from det_nodes and e_alive, and an append reuses the dead
-    slots (node_kind KIND_DEAD, e_alive False) a clip leaves before it grows
-    a column, by exactly the slots missing.
+    Nothing is stored twice but the count of dead edge slots: t_min and
+    t_max are read from `frames`, the live node count from det_nodes and
+    the live edge count from that count. An append reuses the dead slots
+    (node_kind KIND_DEAD, e_alive False) a clip leaves before it adds new
+    ones, by exactly the slots missing; the columns' lengths are the slots,
+    and their buffers hold the spare room (lengthen).
     """
 
     def __init__(self, gating: bool = True, gate_radius_factor: float = 2.0):
@@ -174,6 +206,10 @@ class TrackingGraph:
         self.e_cost = np.zeros(0)
         self.e_alive = np.zeros(0, dtype=bool)
         self.e_origin = np.zeros(0, dtype=np.int64)
+        # each column's buffer (lengthen), at first the column itself
+        self._buffers = {name: getattr(self, name)
+                         for name in NODE_COLUMNS + EDGE_COLUMNS}
+        self._dead_edges = 0  # edge slots a clip freed that no append took
         self.det_nodes: dict[tuple[int, int], tuple[int, int]] = {}  # key -> (u, v)
         self.frames: dict[int, list[Detection]] = {}
         self.last_boxes: FrameBoxes | None = None  # t_max's, if it has any
@@ -203,7 +239,7 @@ class TrackingGraph:
 
     @property
     def n_live_edges(self) -> int:
-        return int(np.count_nonzero(self.e_alive))
+        return len(self.e_alive) - self._dead_edges
 
     @property
     def n_detections(self) -> int:
@@ -225,18 +261,18 @@ class TrackingGraph:
         """The link edges from frame to frame + 1, in (previous, new) order."""
         return self.frame_links.get(frame + 1, NO_EDGES)
 
-    def _take(self, dead: np.ndarray, k: int, columns) -> np.ndarray:
-        """k slot ids: the dead slots (mask `dead` over the named columns) in
-        id order, then as many new ones as are missing, added to each named
-        column; the caller writes every slot taken."""
-        ids = dead.nonzero()[0][:k]
+    def _take(self, dead: np.ndarray | None, size: int, k: int,
+              columns) -> np.ndarray:
+        """k slot ids: the dead slots (mask `dead` over the named columns of
+        `size` slots, None when no slot is dead) in id order, then as many
+        new ones as are missing, added to each named column (lengthen); the
+        caller writes every slot taken."""
+        ids = NO_EDGES if dead is None else dead.nonzero()[0][:k]
         if len(ids) < k:
-            size, grow = len(dead), k - len(ids)
-            ids = np.concatenate((ids, np.arange(size, size + grow)))
-            for name in columns:
-                column = getattr(self, name)
-                setattr(self, name, np.concatenate(
-                    (column, np.zeros(grow, column.dtype))))
+            end = size + k - len(ids)
+            new = np.arange(size, end)
+            ids = np.concatenate((ids, new)) if len(ids) else new
+            lengthen(self, columns, end)
         return ids
 
     # -- frame-level operations ------------------------------------------------
@@ -285,7 +321,7 @@ class TrackingGraph:
             layout.append((pairs + m * n, pairs, pool - m, pool, n))
             pool, pairs = pool + n, pairs + m * n
             frames.append(frame)
-            blocks.append(sorted(dets, key=lambda d: d.local_index))
+            blocks.append(sorted(dets, key=_local_index))
             last = frame
         sizes = [row[4] for row in layout]
         dets = [d for block in blocks for d in block]
@@ -307,8 +343,8 @@ class TrackingGraph:
                 boxes = FrameBoxes(prev.dets + dets, np.concatenate(
                     (prev.geo, boxes.geo), axis=1))
             if pairs:
-                ends, link_costs, counts = self._links(
-                    boxes, np.array(layout).T, pairs, model)
+                ends, link_costs, counts = self._links(boxes, layout, pairs,
+                                                       model)
         return PreparedFrames(frames, sizes, dets, boxes, node_costs, ends,
                               link_costs, counts)
 
@@ -341,15 +377,52 @@ class TrackingGraph:
                 seen.add(d.local_index)
         return frame
 
-    def _links(self, boxes: FrameBoxes, layout: np.ndarray, n_pairs: int,
+    def _links(self, boxes: FrameBoxes, layout: list[tuple], n_pairs: int,
                model):
         """The admitted links among the n_pairs candidate pairs that
         `layout` lays out over `boxes`: each frame's (previous frame x frame)
         pairs, row-major and frame by frame, gated and priced PAIR_BUDGET
         pairs at a time. Returns the link ends (ip, jn), their costs and
         each frame's number of links."""
-        pair_end, pair_first, prev_first, first, size = layout
+        grid = len(layout) == 1 and n_pairs <= PAIR_BUDGET
+        if grid:
+            # One frame after its m previous detections: the m x n grid of
+            # its pairs, gated on the geometry as it lies, in pair order.
+            m, n = layout[0][3:]
+            if self.gating:
+                geo = boxes.geo[4:8]
+                ip, jn = _gate(geo[:, :m, None], geo[:, None, m:],
+                               self.gate_radius_factor).nonzero()
+            else:
+                ip, jn = np.divmod(np.arange(n_pairs), n)
+            jn += m
+            chunks = [(None, ip, jn)]
+        else:
+            chunks = self._pairs(boxes, np.array(layout).T, n_pairs)
         found = []
+        for at, ip, jn in chunks:
+            cost = np.array(model.link_costs_of(boxes, boxes, ip, jn)
+                            if len(ip) else (), dtype=float)
+            if not np.isfinite(cost).all():
+                nan = np.isnan(cost)
+                if nan.any():
+                    k = nan.argmax()
+                    raise nan_link_error(boxes.dets[ip[k]], boxes.dets[jn[k]])
+                keep = ~np.isinf(cost)  # +inf means "no plausible link"
+                ip, jn, cost = ip[keep], jn[keep], cost[keep]
+                at = None if at is None else at[keep]
+            found.append((at, ip, jn, cost))
+        if grid:
+            return (ip, jn), cost, [len(cost)]
+        at, ip, jn, cost = (found[0] if len(found) == 1 else
+                            map(np.concatenate, zip(*found)))
+        return ((ip, jn), cost,
+                np.bincount(at, minlength=len(layout)).tolist())
+
+    def _pairs(self, boxes: FrameBoxes, layout: np.ndarray, n_pairs: int):
+        """The candidate pairs of _links, PAIR_BUDGET at a time, each block
+        as (the pair's frame in the run, ip, jn), gated."""
+        pair_end, pair_first, prev_first, first, size = layout
         for start in range(0, n_pairs, PAIR_BUDGET):
             pair = np.arange(start, min(start + PAIR_BUDGET, n_pairs))
             at = pair_end.searchsorted(pair, "right")  # the pair's frame
@@ -359,20 +432,7 @@ class TrackingGraph:
                 admit = gate_pairs(boxes, boxes, ip, jn,
                                    self.gate_radius_factor)
                 at, ip, jn = at[admit], ip[admit], jn[admit]
-            cost = np.array(model.link_costs_of(boxes, boxes, ip, jn)
-                            if len(at) else (), dtype=float)
-            if not np.isfinite(cost).all():
-                nan = np.isnan(cost)
-                if nan.any():
-                    k = nan.argmax()
-                    raise nan_link_error(boxes.dets[ip[k]], boxes.dets[jn[k]])
-                keep = ~np.isinf(cost)  # +inf means "no plausible link"
-                at, ip, jn, cost = at[keep], ip[keep], jn[keep], cost[keep]
-            found.append((at, ip, jn, cost))
-        at, ip, jn, cost = (found[0] if len(found) == 1 else
-                            map(np.concatenate, zip(*found)))
-        return ((ip, jn), cost,
-                np.bincount(at, minlength=layout.shape[1]).tolist())
+            yield at, ip, jn
 
     def append_frame(self, new_detections, model, frame: int | None = None,
                      prepared: PreparedFrames | None = None) -> "TrackingGraph":
@@ -394,17 +454,21 @@ class TrackingGraph:
         if not p.frames:
             return self
 
-        # per detection, its u and v node
-        uv = self._take(self.node_kind == KIND_DEAD, 2 * n,
-                        NODE_COLUMNS).reshape(n, 2)
+        # per detection, its u and v node; dead ones only if a clip left any
+        slots = len(self.node_kind)
+        dead = (self.node_kind == KIND_DEAD
+                if slots > 2 * len(self.det_nodes) + 2 else None)
+        uv = self._take(dead, slots, 2 * n, NODE_COLUMNS).reshape(n, 2)
         nodes = uv.T
         self.node_det += [None] * (len(self.node_kind) - len(self.node_det))
         for d, x, y in zip(p.dets, *nodes.tolist()):
             self.det_nodes[d.key] = (x, y)
             self.node_det[x] = self.node_det[y] = d
 
-        eids = self._take(~self.e_alive, 3 * n + len(p.link_costs),
-                          EDGE_COLUMNS)
+        k, n_dead = 3 * n + len(p.link_costs), self._dead_edges
+        eids = self._take(~self.e_alive if n_dead else None, len(self.e_alive),
+                          k, EDGE_COLUMNS)
+        self._dead_edges -= min(n_dead, k)
         # Frame by frame: the entry, detection and exit edge of each of its
         # detections, then its links.
         triples, links = [], []
@@ -420,13 +484,16 @@ class TrackingGraph:
             a = b
         geo = p.boxes.geo[:, -size:].copy() if size else None  # owns its data
         self.last_boxes = FrameBoxes(self.frames[f], geo) if size else None
-        triples = np.concatenate(triples).reshape(n, 3)
-        links = np.concatenate(links)
+        if len(triples) > 1:
+            triples, links = np.concatenate(triples), np.concatenate(links)
+        else:
+            triples, links = triples[0], links[0]
+        triples = triples.reshape(n, 3)
         self.node_kind[uv] = KIND_U, KIND_V
         self.node_in[uv], self.node_out[uv] = triples[:, :2], triples[:, 1:]
-        chain = np.empty((n, 4), dtype=np.int64)  # source, u, v, sink
-        chain[:, 0], chain[:, 1:3], chain[:, 3] = SOURCE, uv, SINK
-        self.e_src[triples], self.e_dst[triples] = chain[:, :3], chain[:, 1:]
+        # source -> u -> v -> sink
+        self.e_src[triples[:, 0]], self.e_src[triples[:, 1:]] = SOURCE, uv
+        self.e_dst[triples[:, :2]], self.e_dst[triples[:, 2]] = uv, SINK
         self.e_kind[triples] = ENTRY, DET, EXIT
         self.e_cost[triples] = p.node_costs
         if len(links):  # ends index the frame before the run, then the run
@@ -439,13 +506,14 @@ class TrackingGraph:
         self.e_alive[eids], self.e_origin[eids] = True, -1
         return self
 
-    def clip_oldest_frame(self, solution: FlowSolution) -> "TrackingGraph":
+    def clip_oldest_frame(self, solution: FlowSolution) -> np.ndarray:
         """Drop the oldest frame, folding each clipped trajectory's prefix
         cost (entry, detection and link) into its successor's entry edge, so
         the suffix keeps the trajectory's full cost and, via e_origin, its id.
         t_min moves to the oldest frame left; clipping the only frame empties
         the graph. The frame's nodes and edges and its links out die: their
-        slots are dead, for later appends to reuse.
+        slots are dead, for later appends to reuse. Returns the edge slots
+        it freed.
         """
         if self.is_empty:
             raise DataError("cannot clip an empty graph")
@@ -459,34 +527,36 @@ class TrackingGraph:
         # Each link out, keyed by its (v node, next u node).
         link_of = dict(zip(zip(self.e_src[out].tolist(),
                                self.e_dst[out].tolist()), out.tolist()))
-        fold = []  # (track id, u node, link, next u node) per continuing track
+        # Each continuing track, a float at a time (a handful a frame): the
+        # reads are the clipped frame's edges and links out, the writes the
+        # next frame's entries.
+        cost, origin, node_in = self.e_cost, self.e_origin, self.node_in
         for t in solution.trajectories:
             if t.detections[0].frame == t_min and len(t.detections) > 1:
                 u0, v0 = self.det_nodes[t.detections[0].key]
-                u1 = self.u_node(t.detections[1])
+                u1 = self.det_nodes[t.detections[1].key][0]
                 if (v0, u1) not in link_of:
                     raise InvariantBreach(
                         f"solution trajectory uses missing link "
                         f"{t.detections[0].key}->{t.detections[1].key}")
-                fold.append((t.track_id, u0, link_of[v0, u1], u1))
-        if fold:
-            tid, u0, link, u1 = np.array(fold).T
-            entry, succ_entry = self.node_in[u0], self.node_in[u1]
-            # Same additions in the same order as a left-fold path cost.
-            self.e_cost[succ_entry] = (self.e_cost[entry] + self.e_cost[
-                self.node_out[u0]] + self.e_cost[link])
-            origin = self.e_origin[entry]
-            self.e_origin[succ_entry] = np.where(origin < 0, tid, origin)
+                entry, succ_entry = node_in[u0], node_in[u1]
+                # Same additions in the same order as a left-fold path cost.
+                cost[succ_entry] = (cost[entry] + cost[self.node_out[u0]]
+                                    + cost[link_of[v0, u1]])
+                o = origin[entry]
+                origin[succ_entry] = t.track_id if o < 0 else o
 
-        self.e_alive[np.concatenate((self.node_in[u], self.node_out[u],
-                                     self.node_out[v], out))] = False
+        freed = np.concatenate((self.node_in[u], self.node_out[u],
+                                self.node_out[v], out))
+        self.e_alive[freed] = False
+        self._dead_edges += len(freed)
         if len(out):
             self.frame_links[t_min + 1] = NO_EDGES
         self.node_kind[nodes] = KIND_DEAD
         for d in removed:
             for x in self.det_nodes.pop(d.key):
                 self.node_det[x] = None
-        return self
+        return freed
 
     @property
     def n_frames(self) -> int:

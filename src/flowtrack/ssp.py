@@ -12,9 +12,11 @@ each appended frame's potentials, and both other searches are scipy's
 Dijkstra over the CSR of one slot table (ResidualGraph.arcs), which holds
 per residual arc slot its tail, head, original cost and direction, and the
 target's exit slots. It is built once after each append or clip, and keeps
-its CSR object while the node count stays. A full search derives each
-slot's reduced cost from it once and prices the exits from those values, a
-path is priced from its slots, and a broadcast reads the slots it gathers.
+one CSR object, resized when the node count changes. A full search derives
+each slot's reduced cost from it once and prices the exits from those
+values, a path is priced from its slots, and a broadcast reads the slots it
+gathers. The flow and the potentials grow in place with the graph's
+columns (graph.lengthen).
 
 Every solver runs on one residual graph, whose sink is split into a root
 and a target (ResidualGraph). Every exact solver runs one loop,
@@ -34,6 +36,7 @@ import math
 from bisect import bisect_left
 from collections import namedtuple
 from dataclasses import dataclass
+from itertools import chain
 from operator import attrgetter
 
 import numpy as np
@@ -42,7 +45,7 @@ from scipy.sparse.csgraph import dijkstra
 
 from .errors import DataError, InvariantBreach
 from .graph import (DET, ENTRY, EXIT, LINK, NO_EDGES, SINK, SOURCE,
-                    FlowSolution, TrackingGraph, Trajectory)
+                    FlowSolution, TrackingGraph, Trajectory, lengthen)
 
 #: Tolerance for reduced-cost non-negativity, relative to the graph's largest
 #: |edge cost|: a search weighs values in [-eps, 0), eps = EPS * that cost,
@@ -169,6 +172,8 @@ class ResidualGraph:
         self.potential = np.zeros(self.n_nodes + 1)  # node slots, the target
         self.decoded = FlowDecoder(graph)
         self._table = self._matrix = None
+        # their buffers (graph.lengthen), at first the arrays themselves
+        self._buffers = {"flow": self.flow, "potential": self.potential}
         check_cost_sum(self.cost_sum)
 
     @property
@@ -213,19 +218,24 @@ class ResidualGraph:
         slot to every search node after them, where a broadcast starts.
         Only the weights change from search to search. Indexes are int32,
         which scipy keeps as given (int64 ones it checks and copies down).
-        While the node count stays, as it does on each steady windowed
-        frame, the CSR object is kept and takes the new arrays.
+        The CSR object is kept and takes the new arrays, resized in place
+        (csr_matrix.resize) when the node count changed. Without dead edge
+        slots, as under odssp, the edge columns are read as they are.
         """
         if self._table is None:
             g, n = self.graph, len(self.potential)
-            live = g.e_alive.nonzero()[0]
-            src, dst, cost = g.e_src[live], g.e_dst[live], g.e_cost[live]
-            fwd = dst.copy()
-            fwd[dst == SINK] = n - 1  # the target
-            keys = np.concatenate((src * n + fwd, dst * n + src))
+            if g.n_live_edges < len(g.e_alive):
+                live = g.e_alive.nonzero()[0]
+                src, dst, cost = g.e_src[live], g.e_dst[live], g.e_cost[live]
+                kind = g.e_kind[live]
+            else:  # no dead slot: the columns as they are
+                live = np.arange(len(g.e_alive))
+                src, dst, cost, kind = g.e_src, g.e_dst, g.e_cost, g.e_kind
+            tails, heads = np.concatenate((src, dst)), np.concatenate((dst, src))
+            heads[:len(live)][dst == SINK] = n - 1  # the target
+            keys = tails * n + heads
             order = keys.argsort(kind="stable")
-            keys = keys[order]
-            rows, cols = np.divmod(keys, n)
+            keys, rows, cols = keys[order], tails[order], heads[order]
             at = np.empty(len(keys), dtype=np.int64)  # unsorted -> CSR slot
             at[order] = np.arange(len(keys))
             indptr = np.empty(n + 2, dtype=np.int32)
@@ -234,20 +244,22 @@ class ResidualGraph:
             data = np.zeros(len(keys) + n)
             indices = np.concatenate((cols, np.arange(n)), dtype=np.int32)
             matrix = self._matrix
-            if matrix is None or matrix.shape[0] != n + 1:
+            if matrix is None:
                 matrix = self._matrix = csr_matrix((data, indices, indptr),
                                                    shape=(n + 1, n + 1))
             else:
+                if matrix.shape[0] != n + 1:
+                    matrix.resize((n + 1, n + 1))
                 matrix.data, matrix.indices, matrix.indptr = data, indices, indptr
             size = abs(cost)
             with np.errstate(over="ignore"):
-                cost_sum = float(size.sum())
+                cost_sum = float(np.add.reduce(size))
             self._table = SlotTable(
                 matrix, np.concatenate((live, live))[order],
                 order >= len(live), rows, cols,
                 np.concatenate((cost, -cost))[order], keys,
-                at[:len(live)][g.e_kind[live] == EXIT],
-                EPS * float(size.max(initial=0.0)), cost_sum)
+                at[:len(live)][kind == EXIT],
+                EPS * float(np.maximum.reduce(size, initial=0.0)), cost_sum)
         return self._table
 
     def slot_reduced(self, slots=slice(None)) -> np.ndarray:
@@ -269,24 +281,31 @@ class ResidualGraph:
 
     def _sync(self):
         """Fit flow and potentials to the graph's slots after an append, by
-        growing them only when a column grew: new slots start at 0 and the
-        target's potential moves to the end."""
-        g, n, old = self.graph, self.n_nodes, self.potential
-        grow = len(g.e_src) - len(self.flow)
-        if grow:
-            self.flow = np.concatenate((self.flow, np.zeros(grow, np.int8)))
-        if len(old) <= n:
-            self.potential = np.zeros(n + 1)
-            self.potential[:len(old) - 1] = old[:-1]
-            self.potential[n] = old[-1]
+        lengthening them in place (graph.lengthen) when a column grew: new
+        slots start at 0 and the target's potential moves to the end."""
+        n, target = self.n_nodes, len(self.potential) - 1
+        if len(self.flow) < len(self.graph.e_src):
+            lengthen(self, ("flow",), len(self.graph.e_src))
+        if target < n:
+            lengthen(self, ("potential",), n + 1)
+            p = self.potential
+            p[n], p[target] = p[target], 0.0
         self._table = None
 
     def check_frame(self, prepared):
         """check_cost_sum over the live edges and a prepared frame's, so a
         frame whose costs would overflow is rejected before it changes
-        anything."""
+        anything. The live edges' sum is the slot table's; when no table is
+        built, as after a frame that ran no search, it is read from the edge
+        columns as the table reads it, and no table is built for it."""
+        g, t = self.graph, self._table
+        if t is None:
+            with np.errstate(over="ignore"):
+                live = float(abs(g.e_cost[g.e_alive]).sum())
+        else:
+            live = t.cost_sum
         new = prepared.node_costs.ravel().tolist() + prepared.link_costs.tolist()
-        check_cost_sum(self.cost_sum + sum(map(abs, new)))
+        check_cost_sum(live + sum(map(abs, new)))
 
     def append_frame(self, detections, model, prepared):
         """Append prepared frames to the graph. Their edges carry no flow;
@@ -314,8 +333,7 @@ class ResidualGraph:
         arcs' it replaces (each <= 0), so the potentials stay valid. The slot
         table, eps and cost_sum are dropped, as after an append."""
         g = self.graph
-        g.clip_oldest_frame(FlowSolution([c.traj for c in heads]))
-        self.flow[~g.e_alive] = 0
+        self.flow[g.clip_oldest_frame(FlowSolution([c.traj for c in heads]))] = 0
         self.flow[g.node_in[[c.nodes[1] for c in heads if len(c.nodes) > 1]]] = 1
         self.decoded.clip(heads)
         self._table = None
@@ -402,11 +420,16 @@ def _relax_frames(res: ResidualGraph, dist: np.ndarray, frames, w):
     Returns the u and v nodes, the entries' labels, the links' tails and heads
     in push order with their labels, and the exits' labels."""
     g = res.graph
-    u, v = np.concatenate([NO_NODES, *map(g.frame_nodes.get, frames)], axis=1)
-    links = np.concatenate([NO_EDGES, *map(g.frame_links.get, frames)])
+    if len(frames) == 1:
+        (u, v), links = g.frame_nodes[frames[0]], g.frame_links[frames[0]]
+    else:
+        u, v = np.concatenate([NO_NODES, *map(g.frame_nodes.get, frames)],
+                              axis=1)
+        links = np.concatenate([NO_EDGES, *map(g.frame_links.get, frames)])
     tails, heads, w_link = g.e_src[links], g.e_dst[links], w[links]
-    tail_det = g.node_in[tails]
-    tail_u, w_tail = g.e_src[tail_det], w[tail_det]
+    if len(frames) > 1:  # the tails' u nodes and detection edges
+        tail_det = g.node_in[tails]
+        tail_u, w_tail = g.e_src[tail_det], w[tail_det]
     entry = dist[SOURCE] + w[g.node_in[u]]
     via = np.empty(len(links))
     dist[u] = entry
@@ -423,7 +446,7 @@ def _relax_frames(res: ResidualGraph, dist: np.ndarray, frames, w):
         b = d
     dist[v] = dist[u] + w[g.node_out[u]]
     exits = dist[v] + w[g.node_out[v]]
-    dist[res.target] = exits.min(initial=dist[res.target])
+    dist[res.target] = np.minimum.reduce(exits, initial=dist[res.target])
     return u, v, entry, tails, heads, via, exits
 
 
@@ -645,6 +668,17 @@ def dynamic_broadcast(res: ResidualGraph, seeds, labels: PredecessorMap,
     return extract_path(res, labels), labels
 
 
+def _blocks(values: np.ndarray, tails: np.ndarray):
+    """zip(values.tolist(), tails.tolist()) in blocks, each twice the
+    last, so that a reader who flattens them (chain.from_iterable) converts
+    only as far as it reads."""
+    start, size = 0, 8
+    while start < len(values):
+        end = start + size
+        yield zip(values[start:end].tolist(), tails[start:end].tolist())
+        start, size = end, 2 * size
+
+
 def push_round(res: ResidualGraph, shortest: Path, labels: PredecessorMap,
                stats: SolverStats, guard: int, single: bool):
     """Push one search's candidates, the unflowed exits v -> target by value
@@ -662,13 +696,16 @@ def push_round(res: ResidualGraph, shortest: Path, labels: PredecessorMap,
     dist, target = labels.dist, res.target
     first = labels.pred.item(target)
     if single:
-        values, tails = [dist.item(target)], [first]
+        items = [(dist.item(target), first)]
+        cap = items[0][0]
     else:
-        values, tails = (a.tolist() for a in res.exits(dist, labels.rc))
+        values, tails = res.exits(dist, labels.rc)
+        items = chain.from_iterable(_blocks(values, tails))
+        cap = float(values[0])
     used: set[int] = set()
     freed = math.inf  # the least bound of an exit this round freed
-    cap, certified, pushed = values[0], not single, []
-    for value, v in zip(values, tails):
+    certified, pushed = not single, []
+    for value, v in items:
         if freed < value:
             certified = True
             break

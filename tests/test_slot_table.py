@@ -7,7 +7,8 @@ import pytest
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import dijkstra
 
-from flowtrack.cost_model import CostModel
+import flowtrack.ssp as ssp
+from flowtrack.cost_model import CostModel, Detection
 from flowtrack.graph import EXIT, KIND_DEAD
 from flowtrack.online import OnlineTracker, TrackerConfig
 from flowtrack.ssp import ResidualGraph, dijkstra_full, extract_path
@@ -96,9 +97,10 @@ def test_kept_csr_searches_as_a_new_one():
                           fp_rate=0.3, spawn_prob=0.1, death_prob=0.05)
     frames = generate_synthetic(cfg, 11)[0]
     tracker = OnlineTracker(TrackerConfig(model=CostModel(), window=5))
-    res, kept = tracker.cache.residual, []
+    res, kept, resized = tracker.cache.residual, [], []
     for f in sorted(frames):
         before = res.arcs().matrix
+        shape = before.shape
         tracker.process_frame(frames[f], frame=f)
         matrix = res.arcs().matrix
         kept.append(matrix is before)
@@ -112,7 +114,9 @@ def test_kept_csr_searches_as_a_new_one():
                 dijkstra(fresh, indices=res.roots, min_only=True,
                          return_predecessors=True)):
             assert np.array_equal(got, want)
-    assert any(kept) and not all(kept[1:])
+        resized.append(matrix.shape != shape)
+    # the object is kept and resized when the node count changes
+    assert all(kept[1:]) and any(resized[1:])
 
 
 def test_search_right_after_a_clip():
@@ -132,3 +136,24 @@ def test_search_right_after_a_clip():
     assert dead.any() and not np.isfinite(labels.dist[dead]).any()
     fresh = ResidualGraph(tracker.graph)
     assert (res.eps, res.cost_sum) == (fresh.eps, fresh.cost_sum)
+
+
+def test_no_frame_builds_the_table_twice(monkeypatch):
+    """The cost check of a frame reads the live edges' cost sum without
+    building the slot table, so a frame after one that ran no search, as
+    at the start of a stream that opens with empty frames, builds it once,
+    for its own search."""
+    built = [0]  # per frame, after the tracker's own
+    table = ssp.SlotTable
+
+    def counted(*fields):
+        built[-1] += 1
+        return table(*fields)
+
+    monkeypatch.setattr(ssp, "SlotTable", counted)
+    tracker = OnlineTracker(TrackerConfig(model=CostModel(), window=3))
+    for f in range(8):
+        built.append(0)
+        dets = [Detection(f, (10.0 + f, 10.0, 20.0, 40.0), 2.0, 0)] if f > 1 else []
+        tracker.process_frame(dets, frame=f)
+    assert built[1:] == [0, 0, 1, 1, 1, 1, 1, 1]
