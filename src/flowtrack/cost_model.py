@@ -9,10 +9,12 @@ either affinely or through log-odds.
 prices every candidate pair of a run of frames at once with
 `CostModel.link_costs_of`, over the `FrameBoxes` geometry computed once per
 detection. It gives the same floats bit for bit: numpy does the elementwise
-IEEE arithmetic, `math.hypot`, `math.exp` and the builtin `sum` are mapped
-over lists (numpy's hypot and exp differ in the last bit on some inputs, and
-its sum in the order of adding), and `np.fmin`/`np.fmax` keep the builtin
-`min`/`max` rule of passing over a NaN second argument.
+IEEE arithmetic, `math.hypot` and `math.exp` are mapped over lists (numpy's
+hypot and exp differ in the last bit on some inputs), both add the weighted
+terms one at a time from 0.0, left to right (the builtin `sum` compensates
+its rounding from Python 3.12 on, and numpy's sum changes the order of
+adding), and `np.fmin`/`np.fmax` keep the builtin `min`/`max` rule of
+passing over a NaN second argument.
 """
 from __future__ import annotations
 
@@ -201,8 +203,10 @@ class CostModel:
         s = tuple(features)
         if len(s) != self.n_features:
             raise DataError(f"expected {self.n_features} features, got {len(s)}")
-        return sum(((1.0 - sl) + o) * w
-                   for sl, o, w in zip(s, self.feature_offsets, self.feature_weights))
+        acc = 0.0  # left to right: the builtin sum rounds otherwise from 3.12
+        for sl, o, w in zip(s, self.feature_offsets, self.feature_weights):
+            acc += ((1.0 - sl) + o) * w
+        return acc
 
     # -- detection-level interface used by the graph builder -----------------
 
@@ -260,7 +264,10 @@ class CostModel:
             np.subtract(1.0, s, out=s)
             s += self._offsets
             s *= self._weights
-        costs = list(map(sum, s.T.tolist()))
+            acc = 0.0 + s[0]  # as link_cost adds the terms, left to right
+            for row in s[1:]:
+                acc += row
+        costs = acc.tolist()
         # the sum of the costs is NaN whenever one of them is
         if missing is not None or math.isnan(sum(costs)):
             bad = np.isnan(costs)

@@ -12,7 +12,12 @@ each appended frame's potentials, and both other searches are scipy's
 Dijkstra over the CSR of one slot table (ResidualGraph.arcs), which holds
 per residual arc slot its tail, head, original cost and direction, and the
 target's exit slots. It is built once after each append or clip, and keeps
-one CSR object, resized when the node count changes. A full search derives
+one CSR object, resized when the node count changes. A sweep reads the
+residual's sweep plan (ResidualGraph.sweep_plan): the nodes, the links and
+the costs by arc kind over every frame, built on the first sweep and
+dropped with the slot table, so the sweeps of a dp solve gather the graph
+once. Trackers never sweep and build no plan: an append relaxes the new
+frame's own arrays. A full search derives
 each slot's reduced cost from it once and prices the exits from those
 values, a path is priced from its slots, and a broadcast reads the slots it
 gathers. The flow and the potentials grow in place with the graph's
@@ -36,7 +41,7 @@ import math
 from bisect import bisect_left
 from collections import namedtuple
 from dataclasses import dataclass
-from itertools import chain
+from itertools import accumulate, chain, islice
 from operator import attrgetter
 
 import numpy as np
@@ -53,6 +58,7 @@ from .graph import (DET, ENTRY, EXIT, LINK, NO_EDGES, SINK, SOURCE,
 #: under scaling every cost by a power of two.
 EPS = 1e-9
 NO_NODES = np.zeros((2, 0), dtype=np.int64)
+NO_COSTS = np.zeros(0)
 
 
 @dataclass(slots=True)
@@ -134,6 +140,17 @@ class Path:
 SlotTable = namedtuple("SlotTable",
                        "matrix eid rev row col cost key exits eps cost_sum")
 
+#: ResidualGraph.sweep_plan, the forward graph of a run of frames as the DAG
+#: relaxation reads it (_sweep_plan): frames, the run's frame indices; u and
+#: v, the detections' u and v nodes in frame order, with nodes[i] the first
+#: of frame i's (nodes[-1] their count); tails and heads, the links in
+#: frame_links order, with links[i] the first of frame i's; costs, the costs
+#: by arc kind: each u node's entry and detection edge, each link, each
+#: tail's detection edge and each v node's exit; and spans, per frame its
+#: links' slice with their tails, heads and tails' u nodes.
+SweepPlan = namedtuple("SweepPlan",
+                       "frames nodes links u v tails heads costs spans")
+
 
 class ResidualGraph:
     """The residual graph of every solver: a tracking graph plus a flow per
@@ -151,7 +168,8 @@ class ResidualGraph:
     derives each slot's reduced cost from it once (slot_reduced), bit for
     bit what the edge-column reference reduced() gives. An append or a clip
     changes the graph and drops the table, with eps and cost_sum; the next
-    reader of any of them builds all three again, once.
+    reader of any of them builds all three again, once. The DAG sweeps'
+    plan (sweep_plan) is dropped with them.
 
     A track that continues into a new frame keeps the flow value: it is a
     cycle sink -> v_old (reversed exit) -> u_new -> v_new -> sink. So the
@@ -171,7 +189,7 @@ class ResidualGraph:
         self.touched: list[int] = []  # edges flipped since the last decode
         self.potential = np.zeros(self.n_nodes + 1)  # node slots, the target
         self.decoded = FlowDecoder(graph)
-        self._table = self._matrix = None
+        self._table = self._matrix = self._plan = None
         # their buffers (graph.lengthen), at first the arrays themselves
         self._buffers = {"flow": self.flow, "potential": self.potential}
         check_cost_sum(self.cost_sum)
@@ -262,6 +280,15 @@ class ResidualGraph:
                 EPS * float(np.maximum.reduce(size, initial=0.0)), cost_sum)
         return self._table
 
+    def sweep_plan(self) -> SweepPlan:
+        """The sweep plan over every frame (_sweep_plan), built on first use
+        after the graph changed and dropped with the slot table: what every
+        DAG sweep reads and none changes. Trackers never sweep, so a stream
+        builds none."""
+        if self._plan is None:
+            self._plan = _sweep_plan(self.graph, list(self.graph.frames))
+        return self._plan
+
     def slot_reduced(self, slots=slice(None)) -> np.ndarray:
         """The reduced cost of each slot of the table (default every one)
         in the slot's own direction, from the potentials: a forward slot's
@@ -282,7 +309,8 @@ class ResidualGraph:
     def _sync(self):
         """Fit flow and potentials to the graph's slots after an append, by
         lengthening them in place (graph.lengthen) when a column grew: new
-        slots start at 0 and the target's potential moves to the end."""
+        slots start at 0 and the target's potential moves to the end. The
+        slot table and the sweep plan are dropped."""
         n, target = self.n_nodes, len(self.potential) - 1
         if len(self.flow) < len(self.graph.e_src):
             lengthen(self, ("flow",), len(self.graph.e_src))
@@ -290,7 +318,7 @@ class ResidualGraph:
             lengthen(self, ("potential",), n + 1)
             p = self.potential
             p[n], p[target] = p[target], 0.0
-        self._table = None
+        self._table = self._plan = None
 
     def check_frame(self, prepared):
         """check_cost_sum over the live edges and a prepared frame's, so a
@@ -317,7 +345,8 @@ class ResidualGraph:
         g = self.graph
         g.append_frame(detections, model, prepared=prepared)
         self._sync()
-        _relax_frames(self, self.potential, prepared.frames, g.e_cost)
+        plan = _sweep_plan(g, prepared.frames)
+        _relax_frames(self.potential, self.target, plan, 0, plan.costs)
 
     def decode(self) -> FlowSolution:
         """Bring the kept decode up to date with the edges flipped since the
@@ -331,12 +360,13 @@ class ResidualGraph:
         slots lose their flow, and each continuing track's flow moves onto
         its folded entry edge, whose reduced cost is the sum of the flowed
         arcs' it replaces (each <= 0), so the potentials stay valid. The slot
-        table, eps and cost_sum are dropped, as after an append."""
+        table, eps, cost_sum and the sweep plan are dropped, as after an
+        append."""
         g = self.graph
         self.flow[g.clip_oldest_frame(FlowSolution([c.traj for c in heads]))] = 0
         self.flow[g.node_in[[c.nodes[1] for c in heads if len(c.nodes) > 1]]] = 1
         self.decoded.clip(heads)
-        self._table = None
+        self._table = self._plan = None
 
     def exits(self, dist: np.ndarray, rc: np.ndarray | None = None):
         """The usable arcs into the target, the unflowed exits v -> sink, as
@@ -408,46 +438,74 @@ def path_original_cost(res: ResidualGraph, path: Path) -> float:
     return path.cost
 
 
-def _relax_frames(res: ResidualGraph, dist: np.ndarray, frames, w):
+def _sweep_plan(g: TrackingGraph, frames: list[int]) -> SweepPlan:
+    """The SweepPlan of frames, a run of g's frames in order. A run of one
+    frame, as an append relaxes, gathers no tails' u nodes or detection
+    edges (both are left empty): only the links of a run's first frame are
+    read, from their tails' labels."""
+    cost = g.e_cost
+    if len(frames) == 1:
+        (u, v), links = g.frame_nodes[frames[0]], g.frame_links[frames[0]]
+        tails, heads = g.e_src[links], g.e_dst[links]
+        nodes, ends = (0, len(u)), (0, len(links))
+        tail_u, tail = NO_EDGES, NO_COSTS
+        spans = [(slice(None), tails, heads, tail_u)]
+    else:
+        blocks = list(map(g.frame_nodes.get, frames))
+        u, v = np.concatenate([NO_NODES, *blocks], axis=1)
+        runs = list(map(g.frame_links.get, frames))
+        links = np.concatenate([NO_EDGES, *runs])
+        tails, heads = g.e_src[links], g.e_dst[links]
+        nodes = [0, *accumulate(b.shape[1] for b in blocks)]
+        ends = [0, *accumulate(map(len, runs))]
+        tail_det = g.node_in[tails]
+        tail_u, tail = g.e_src[tail_det], cost[tail_det]
+        spans = [(slice(b, d), tails[b:d], heads[b:d], tail_u[b:d])
+                 for b, d in zip(ends, ends[1:])]
+    costs = (cost[g.node_in[u]], cost[g.node_out[u]], cost[links], tail,
+             cost[g.node_out[v]])
+    return SweepPlan(frames, nodes, ends, u, v, tails, heads, costs, spans)
+
+
+def _relax_frames(dist: np.ndarray, target: int, plan: SweepPlan, k: int,
+                  w) -> tuple[np.ndarray, np.ndarray]:
     """Relax into dist (a label per search node) the forward in-arcs of the
-    nodes of frames, in frame order, each edge slot weighed by w: a u node
-    takes its entry, then the least with its links; a v node its u node's label
-    plus its detection edge; the target the least of its label and the exits.
+    nodes of plan's frames from its k-th on, in frame order, each arc weighed
+    by w, the weights (entry, det, link, tail, exit) over every arc of the
+    plan by kind, as its costs are: a u node takes its entry, then the least
+    with its links; a v node its u node's label plus its detection edge; the
+    target the least of its label and the exits of every frame of the plan.
     Only links go frame by frame: one from a frame of the run carries its
     tail's u label plus that detection edge plus its own weight, bit for bit
     the tail's label to be plus its weight, so the v nodes follow in one pass;
-    the first frame's links leave the frame before, whose labels are set.
-    Returns the u and v nodes, the entries' labels, the links' tails and heads
-    in push order with their labels, and the exits' labels."""
-    g = res.graph
-    if len(frames) == 1:
-        (u, v), links = g.frame_nodes[frames[0]], g.frame_links[frames[0]]
-    else:
-        u, v = np.concatenate([NO_NODES, *map(g.frame_nodes.get, frames)],
-                              axis=1)
-        links = np.concatenate([NO_EDGES, *map(g.frame_links.get, frames)])
-    tails, heads, w_link = g.e_src[links], g.e_dst[links], w[links]
-    if len(frames) > 1:  # the tails' u nodes and detection edges
-        tail_det = g.node_in[tails]
-        tail_u, w_tail = g.e_src[tail_det], w[tail_det]
-    entry = dist[SOURCE] + w[g.node_in[u]]
-    via = np.empty(len(links))
-    dist[u] = entry
-    b = 0
-    for i, f in enumerate(frames):
-        d = b + len(g.frame_links[f])
-        out = via[b:d]
-        if i == 0:
-            np.add(dist[tails[b:d]], w_link[b:d], out=out)
-        else:
-            np.add(dist[tail_u[b:d]], w_tail[b:d], out=out)
-            out += w_link[b:d]
-        np.minimum.at(dist, heads[b:d], out)
-        b = d
-    dist[v] = dist[u] + w[g.node_out[u]]
-    exits = dist[v] + w[g.node_out[v]]
-    dist[res.target] = np.minimum.reduce(exits, initial=dist[res.target])
-    return u, v, entry, tails, heads, via, exits
+    the run's first frame's links leave the frame before, whose labels are
+    set. A sweep passes the residual's plan over every frame
+    (ResidualGraph.sweep_plan: the nodes, the links and the costs by arc
+    kind), kept until an append or a clip drops it with the slot table; an
+    append passes a plan of its own frames, which it builds and drops, so
+    streams never build the kept one. Returns the links' labels, set from
+    the run's first link on, and the exits'."""
+    w_entry, w_det, w_link, w_tail, w_exit = w
+    u, v, spans = plan.u, plan.v, plan.spans
+    if k:
+        a = plan.nodes[k]
+        u, v, w_entry, w_det = u[a:], v[a:], w_entry[a:], w_det[a:]
+    dist[u] = dist[SOURCE] + w_entry
+    via = np.empty(len(w_link))
+    if k < len(spans):
+        s, tails, heads, _ = spans[k]
+        out = via[s]
+        np.add(dist[tails], w_link[s], out=out)
+        np.minimum.at(dist, heads, out)
+    for s, _, heads, tail_u in islice(spans, k + 1, None):
+        out = via[s]
+        np.add(dist[tail_u], w_tail[s], out=out)
+        out += w_link[s]
+        np.minimum.at(dist, heads, out)
+    dist[v] = dist[u] + w_det
+    exits = dist[plan.v] + w_exit
+    dist[target] = np.minimum.reduce(exits, initial=dist[target])
+    return via, exits
 
 
 def dag_shortest_path(res: ResidualGraph, stats: SolverStats | None = None,
@@ -464,7 +522,17 @@ def dag_shortest_path(res: ResidualGraph, stats: SolverStats | None = None,
     weigh inf), so it never leaves them either. Every root starts at 0. A
     node's predecessor is the tail of its first tight in-edge in push order
     (entries, links in frame_links order, detection edges, exits in frame
-    order): the edge a strict-< relaxation in that order keeps.
+    order): the edge a strict-< relaxation in that order keeps. So a v
+    node's is its u node, the target's the first tight exit, and a u node's
+    the source if its entry is tight, else its first tight link.
+
+    The sweep reads the residual's sweep plan (ResidualGraph.sweep_plan):
+    the u and v nodes in frame order, the links with their tails' u nodes,
+    the costs by arc kind and per-frame views of the links, gathered over
+    every frame once per graph. The plan lives as long as the slot table:
+    an append or a clip drops both. Each sweep pays only for its exclusion
+    weights (the costs, inf into excluded nodes), the relaxation and the
+    predecessors. Trackers never sweep, so streams never build a plan.
 
     Without labels the sweep starts from fresh ones over every frame. With
     labels, a sweep's over the same graph, and start, it resumes: the
@@ -477,32 +545,41 @@ def dag_shortest_path(res: ResidualGraph, stats: SolverStats | None = None,
     """
     stats = stats or SolverStats()
     labels = labels or PredecessorMap(len(res.potential), res.roots)
-    g, dist = res.graph, labels.dist
+    g, dist, pred, target = res.graph, labels.dist, labels.pred, res.target
     if g.is_empty:
         return None, labels
     if np.any(res.flow[g.e_alive]):
         raise InvariantBreach("DAG sweep over a residual graph carrying flow")
-    w = (g.e_cost if excluded is None else
-         np.where(excluded[res.fwd_dst()], np.inf, g.e_cost))
-    frames = list(g.frames)
-    k = 0 if start is None else bisect_left(frames, start)
-    kept = np.concatenate([NO_NODES, *map(g.frame_nodes.get, frames[:k])],
-                          axis=1)[1]
-    kept_exits = dist[kept] + w[g.node_out[kept]]
-    dist[res.target] = np.min(kept_exits, initial=np.inf)
-    u, v, entry, tails, heads, via, exits = _relax_frames(
-        res, dist, frames[k:], w)
-    tails = np.concatenate((np.full(len(u), SOURCE), tails, u, kept, v))
-    heads = np.concatenate((u, heads, v,
-                            np.full(len(kept) + len(v), res.target)))
-    via = np.concatenate((entry, via, dist[v], kept_exits, exits))
-    reached = np.isfinite(via)
-    stats.relaxations += int(np.count_nonzero(reached))
+    p = res.sweep_plan()
+    w = p.costs
+    if excluded is not None:
+        entry, det, link, tail, exit_ = w
+        w = (np.where(excluded[p.u], np.inf, entry),
+             np.where(excluded[p.v], np.inf, det),
+             np.where(excluded[p.heads], np.inf, link),
+             np.where(excluded[p.tails], np.inf, tail),
+             np.full(len(exit_), np.inf) if excluded[target] else exit_)
+    k = 0 if start is None else bisect_left(p.frames, start)
+    a, b = p.nodes[k], p.links[k]
+    dist[target] = np.inf
+    via, exits = _relax_frames(dist, target, p, k, w)
+    via, heads = via[b:], p.heads[b:]
+    u, v, entry = p.u[a:], p.v[a:], w[0][a:]
+    du, dv = dist[u], dist[v]
+    stats.relaxations += int(np.count_nonzero(np.isfinite(entry))
+                             + np.count_nonzero(np.isfinite(via))
+                             + np.count_nonzero(np.isfinite(dv))
+                             + np.count_nonzero(np.isfinite(exits)))
     stats.searches += 1
-    labels.pred[np.concatenate((u, v, [res.target]))] = -1
-    tight = np.flatnonzero(reached & (via == dist[heads]))
+    pred[u] = -1
+    tight = np.flatnonzero(np.isfinite(via) & (via == dist[heads]))
     first = tight[np.unique(heads[tight], return_index=True)[1]]  # per head
-    labels.pred[heads[first]] = tails[first]
+    pred[heads[first]] = p.tails[b:][first]
+    pred[u[np.isfinite(du) & (entry == du)]] = SOURCE
+    pred[v] = np.where(np.isfinite(dv), u, -1)
+    d = dist.item(target)
+    pred[target] = (p.v.item(np.argmax(exits == d)) if math.isfinite(d)
+                    else -1)
     return extract_path(res, labels), labels
 
 
@@ -1011,8 +1088,8 @@ def solve_dp_greedy(graph: TrackingGraph):
         return FlowSolution(flow=flow), stats
 
     excluded = np.zeros(len(res.potential), dtype=bool)
-    v = np.concatenate([graph.frame_nodes[f][1] for f in graph.frames])
-    exit_cost = graph.e_cost[graph.node_out[v]]
+    plan = res.sweep_plan()
+    v, exit_cost = plan.v, plan.costs[-1]
     trajectories, total = [], 0.0
     labels = start = None
     for _ in range(graph.n_detections + 1):  # each round commits one or more

@@ -156,6 +156,13 @@ class TestLinkCost:
         with pytest.raises(DataError):
             model.link_cost((0.5, 0.5))
 
+    def test_terms_add_left_to_right(self):
+        # 0.0 + 1e16 + 1.0 rounds back to 1e16 and the last term cancels it;
+        # the builtin sum compensates that rounding from Python 3.12 on.
+        model = CostModel(feature_offsets=(0, 0, -2),
+                          feature_weights=(1e16, 1, 1e16))
+        assert model.link_cost((0, 0, 0)) == 0.0
+
     @given(st.floats(0, 1), st.floats(0, 1))
     def test_monotone_nonincreasing_per_feature(self, f1, f2):
         model = CostModel()  # all weights non-negative

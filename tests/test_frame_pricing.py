@@ -152,6 +152,19 @@ def test_overlap_rounded_up_to_the_summed_areas():
         == [model.link_cost_of(a, b)]
 
 
+def test_block_terms_add_left_to_right():
+    """Identical boxes have every geometry feature 1.0, so each term is its
+    offset times its weight: 1e16, 1.0 and -1e16, which add up to 0.0 from
+    left to right on every interpreter."""
+    a = Detection(0, (3.0, 4.0, 2.0, 5.0), 0.0, 0)
+    b = replace(a, frame=1)
+    model = CostModel(feature_offsets=(1.0, 1.0, -1.0),
+                      feature_weights=(1e16, 1.0, 1e16))
+    one = np.array([0])
+    assert model.link_costs_of(FrameBoxes([a]), FrameBoxes([b]), one, one) \
+        == [model.link_cost_of(a, b)] == [0.0]
+
+
 class _NodeCostsOnly:
     """The wrapped model, except that it prices every link +inf."""
 

@@ -964,6 +964,92 @@ class TestCompiledDagSweep:
             dag_shortest_path(res)
 
 
+def sweep_outcomes(res, rng):
+    """Three sweeps of res, with its flow set aside: over every frame with
+    no mask and under a random one, then resumed from a random frame under
+    a grown mask. Each as (dist and pred bytes, relaxations, path)."""
+    g, saved = res.graph, res.flow.copy()
+    mask = np.zeros(len(res.potential), dtype=bool)
+    mask[rng.integers(2, len(mask), size=len(mask) // 4)] = True
+    frames = list(g.frames)
+    start = frames[rng.integers(len(frames))] if frames else None
+    grown = mask.copy()
+    for f in frames[frames.index(start):] if frames else ():
+        grown[g.frame_nodes[f].ravel()[rng.random(g.frame_nodes[f].size)
+                                       < 0.3]] = True
+    res.flow[:] = 0
+    outcomes, labels = [], None
+    try:
+        for excluded, begin in ((None, None), (mask, None), (grown, start)):
+            stats = SolverStats()
+            path, labels = dag_shortest_path(
+                res, stats, excluded, labels if begin is not None else None,
+                begin)
+            outcomes.append((labels.dist.tobytes(), labels.pred.tobytes(),
+                             stats.relaxations, None if path is None else
+                             (path.nodes, path.eids, path.cost)))
+    finally:
+        res.flow[:] = saved
+    return outcomes
+
+
+class TestSweepPlan:
+    """The sweep plan a residual keeps (ResidualGraph.sweep_plan)."""
+
+    @pytest.mark.parametrize("window", [3, 4])
+    def test_append_and_clip_drop_the_plan(self, monkeypatch, window):
+        # After every append and every clip of a windowed tracker, whose
+        # slot ids are recycled, its residual sweeps bit for bit as a fresh
+        # residual over the same graph.
+        checked = {"append": 0, "clip": 0}
+
+        def checking(name, method):
+            def wrapped(res, *args):
+                method(res, *args)
+                seed = sum(checked.values())
+                got = sweep_outcomes(res, np.random.default_rng(seed))
+                want = sweep_outcomes(ResidualGraph(res.graph),
+                                      np.random.default_rng(seed))
+                assert got == want
+                checked[name] += not res.graph.is_empty
+            return wrapped
+
+        monkeypatch.setattr(ResidualGraph, "append_frame", checking(
+            "append", ResidualGraph.append_frame))
+        monkeypatch.setattr(ResidualGraph, "clip_oldest_frame", checking(
+            "clip", ResidualGraph.clip_oldest_frame))
+        recycled = 0
+        for seed in range(4):
+            frames, model = dyadic_frames(seed, n_frames=14, skip=True)
+            tracker = OnlineTracker(TrackerConfig(model=model, window=window,
+                                                  gating=False))
+            for f, dets in frames.items():
+                tracker.process_frame(dets, frame=f)
+                g = tracker.graph
+                if not g.is_empty:
+                    u = np.concatenate([g.frame_nodes[t][0] for t in g.frames])
+                    recycled += bool(np.any(np.diff(u) < 0))
+        assert checked["append"] > 40 and checked["clip"] > 20
+        assert recycled > 5  # slot ids no longer follow frame order
+
+    def test_a_dp_solve_builds_one_plan(self, monkeypatch):
+        built = []
+        build = ssp._sweep_plan
+
+        def counted(*args):
+            built.append(1)
+            return build(*args)
+
+        monkeypatch.setattr(ssp, "_sweep_plan", counted)
+        cfg = SyntheticConfig(n_frames=80, n_initial_tracks=8, crossing=True,
+                              spawn_prob=0.0, death_prob=0.0, miss_rate=0.05,
+                              fp_rate=0.2)
+        dets, _ = generate_synthetic(cfg, 5)
+        _, stats = solve_dp_greedy(build_batch_graph(dets, CostModel()))
+        assert stats.searches >= 10
+        assert len(built) == 1
+
+
 class TestAppendRelaxation:
     """The potentials ResidualGraph.append_frame gives a frame's nodes."""
 
