@@ -185,10 +185,6 @@ class CostModel:
 
     # -- per-edge costs -----------------------------------------------------
 
-    def detection_probability(self, score: float) -> float:
-        """Probability of the detection being a true positive."""
-        return _logistic(-self.beta * score)
-
     def detection_cost(self, score: float) -> float:
         """Signed cost of keeping a detection; negative for confident ones."""
         logistic = _logistic(self.beta * score)

@@ -5,7 +5,8 @@ each search derives the reduced costs c + p(u) - p(v) it reads, and the
 decode of the flow), the DAG shortest-path sweep, the full Dijkstra search,
 the paper's dynamic broadcast that re-labels only the invalidated part of the
 shortest-path tree, the decoded trajectories kept up to date by walking each
-one again from its first node that a changed edge touches (FlowDecoder), and
+one again from its first node that a changed edge touches, or all at once in
+one walk over the flowed edges when none is decoded yet (FlowDecoder), and
 the greedy DP baseline. Every search is
 compiled: one DAG relaxation (_relax_frames) gives the sweep's labels and
 each appended frame's potentials, and both other searches are scipy's
@@ -19,9 +20,13 @@ dropped with the slot table, so the sweeps of a dp solve gather the graph
 once. Trackers never sweep and build no plan: an append relaxes the new
 frame's own arrays. A full search derives
 each slot's reduced cost from it once and prices the exits from those
-values, a path is priced from its slots, and a broadcast reads the slots it
-gathers. The flow and the potentials grow in place with the graph's
-columns (graph.lengthen).
+values, and a path is priced from its slots. A broadcast prices only the
+usable slots into the set it re-labels, found through a per-slot usable
+mask kept with the table (ResidualGraph.broadcast_index), which flip
+updates; it is built on the first broadcast, so trackers build none. A
+push round ranks the exits, and a dp round its sweep's exits, only as far
+as it reads them (_ranked). The flow and the potentials grow in place with
+the graph's columns (graph.lengthen).
 
 Every solver runs on one residual graph, whose sink is split into a root
 and a target (ResidualGraph). Every exact solver runs one loop,
@@ -151,6 +156,12 @@ SlotTable = namedtuple("SlotTable",
 SweepPlan = namedtuple("SweepPlan",
                        "frames nodes links u v tails heads costs spans")
 
+#: ResidualGraph.broadcast_index, what a broadcast reads of the flow:
+#: usable, per slot of the table whether the flow makes it usable, and
+#: slot[d, e], edge e's forward (d = 0) or reverse (d = 1) slot, by which
+#: flip keeps usable up to date.
+BroadcastIndex = namedtuple("BroadcastIndex", "usable slot")
+
 
 class ResidualGraph:
     """The residual graph of every solver: a tracking graph plus a flow per
@@ -165,11 +176,11 @@ class ResidualGraph:
 
     Every search reads the slot table (arcs): per residual arc slot its
     tail, head, original cost and direction, over the live edges. A search
-    derives each slot's reduced cost from it once (slot_reduced), bit for
-    bit what the edge-column reference reduced() gives. An append or a clip
-    changes the graph and drops the table, with eps and cost_sum; the next
-    reader of any of them builds all three again, once. The DAG sweeps'
-    plan (sweep_plan) is dropped with them.
+    derives each slot's reduced cost from it once (slot_reduced). An append
+    or a clip changes the graph and drops the table, with eps and cost_sum;
+    the next reader of any of them builds all three again, once. The DAG
+    sweeps' plan (sweep_plan) and the broadcasts' index (broadcast_index)
+    are dropped with them.
 
     A track that continues into a new frame keeps the flow value: it is a
     cycle sink -> v_old (reversed exit) -> u_new -> v_new -> sink. So the
@@ -189,7 +200,7 @@ class ResidualGraph:
         self.touched: list[int] = []  # edges flipped since the last decode
         self.potential = np.zeros(self.n_nodes + 1)  # node slots, the target
         self.decoded = FlowDecoder(graph)
-        self._table = self._matrix = self._plan = None
+        self._table = self._matrix = self._plan = self._index = None
         # their buffers (graph.lengthen), at first the arrays themselves
         self._buffers = {"flow": self.flow, "potential": self.potential}
         check_cost_sum(self.cost_sum)
@@ -210,29 +221,13 @@ class ResidualGraph:
     def cost_sum(self) -> float:
         return self.arcs().cost_sum
 
-    def fwd_dst(self, eids=slice(None)) -> np.ndarray:
-        """The search node each edge eids' (default every slot's) forward
-        arc ends at: its head, the target for the sink."""
-        dst = self.graph.e_dst[eids]
-        return np.where(dst == SINK, self.target, dst)
-
-    def reduced(self, eids=slice(None)) -> np.ndarray:
-        """The reduced cost of each edge eids (default every slot) in its
-        residual direction, from the flow and the potentials: the reference
-        that the slot table's reduced costs (slot_reduced) match."""
-        g, p = self.graph, self.potential
-        cost, p_src = g.e_cost[eids], p[g.e_src[eids]]
-        fwd = cost + p_src - p[self.fwd_dst(eids)]
-        rev = p[g.e_dst[eids]] - p_src - cost
-        return np.where(self.flow[eids] == 0, fwd, rev)
-
     def arcs(self) -> SlotTable:
         """The slot table over the live edges, built on first use after the
         graph changed.
 
-        Every live edge has a forward slot (src -> fwd_dst, usable while it
-        carries no flow) and a reverse slot (dst -> src, usable while it
-        does), sorted by row then column. Row n is a virtual root with a
+        Every live edge has a forward slot (src -> dst, the target for the
+        sink, usable while it carries no flow) and a reverse slot (dst ->
+        src, usable while it does), sorted by row then column. Row n is a virtual root with a
         slot to every search node after them, where a broadcast starts.
         Only the weights change from search to search. Indexes are int32,
         which scipy keeps as given (int64 ones it checks and copies down).
@@ -293,24 +288,39 @@ class ResidualGraph:
         """The reduced cost of each slot of the table (default every one)
         in the slot's own direction, from the potentials: a forward slot's
         (cost + p(tail)) - p(head), a reverse slot's (p(tail) - p(head)) +
-        cost, its edge's cost negated. These are the floats reduced() gives
-        the slot's edge while its flow makes the slot usable."""
+        cost, its edge's cost negated."""
         t, p = self.arcs(), self.potential
         cost, p_row, p_col = t.cost[slots], p[t.row[slots]], p[t.col[slots]]
         return np.where(t.rev[slots], (p_row - p_col) + cost,
                         (cost + p_row) - p_col)
 
+    def broadcast_index(self) -> BroadcastIndex:
+        """The broadcasts' index (BroadcastIndex), built on the first
+        broadcast after the graph changed and dropped with the slot table,
+        so that trackers, which never broadcast, build none. flip keeps its
+        usable mask up to date, so a broadcast finds the usable slots into
+        its set without reading the flow of every slot."""
+        if self._index is None:
+            t = self.arcs()
+            slot = np.empty((2, len(self.flow)), dtype=np.int64)
+            slot[t.rev.view(np.int8), t.eid] = np.arange(len(t.eid))
+            self._index = BroadcastIndex(self.flow[t.eid] == t.rev, slot)
+        return self._index
+
     def flip(self, eids: np.ndarray):
         """Push or cancel the unit of flow on the distinct edges eids: their
-        residual arcs turn round."""
+        residual arcs turn round, in the broadcasts' index too if it is
+        built."""
         self.flow[eids] ^= 1
         self.touched += eids.tolist()
+        if self._index is not None:
+            self._index.usable[self._index.slot[:, eids]] ^= True
 
     def _sync(self):
         """Fit flow and potentials to the graph's slots after an append, by
         lengthening them in place (graph.lengthen) when a column grew: new
         slots start at 0 and the target's potential moves to the end. The
-        slot table and the sweep plan are dropped."""
+        slot table, the sweep plan and the broadcasts' index are dropped."""
         n, target = self.n_nodes, len(self.potential) - 1
         if len(self.flow) < len(self.graph.e_src):
             lengthen(self, ("flow",), len(self.graph.e_src))
@@ -318,7 +328,7 @@ class ResidualGraph:
             lengthen(self, ("potential",), n + 1)
             p = self.potential
             p[n], p[target] = p[target], 0.0
-        self._table = self._plan = None
+        self._table = self._plan = self._index = None
 
     def check_frame(self, prepared):
         """check_cost_sum over the live edges and a prepared frame's, so a
@@ -360,30 +370,30 @@ class ResidualGraph:
         slots lose their flow, and each continuing track's flow moves onto
         its folded entry edge, whose reduced cost is the sum of the flowed
         arcs' it replaces (each <= 0), so the potentials stay valid. The slot
-        table, eps, cost_sum and the sweep plan are dropped, as after an
-        append."""
+        table, eps, cost_sum, the sweep plan and the broadcasts' index are
+        dropped, as after an append."""
         g = self.graph
         self.flow[g.clip_oldest_frame(FlowSolution([c.traj for c in heads]))] = 0
         self.flow[g.node_in[[c.nodes[1] for c in heads if len(c.nodes) > 1]]] = 1
         self.decoded.clip(heads)
-        self._table = self._plan = None
+        self._table = self._plan = self._index = None
 
     def exits(self, dist: np.ndarray, rc: np.ndarray | None = None):
         """The usable arcs into the target, the unflowed exits v -> sink, as
-        (values, tails v), sorted by value dist(v) + clamped reduced cost: the
-        length of the tree path to v and on to the target. Exits of
-        unreached nodes are left out; the least value is dist[target]. The
-        table's exit slots are filtered by flow, in edge order, and priced
-        by rc, the reduced cost per slot at the current potentials, if
-        given (PredecessorMap.rc), else by slot_reduced."""
+        an iterator of (value, tail v) pairs by value dist(v) + clamped
+        reduced cost, the length of the tree path to v and on to the target,
+        ties in edge order. Exits of unreached nodes are left out; the least
+        value is dist[target]. The table's exit slots are filtered by flow,
+        in edge order, and priced by rc, the reduced cost per slot at the
+        current potentials, if given (PredecessorMap.rc), else by
+        slot_reduced. They are ranked lazily (_ranked): a reader that stops
+        early, as a push round does, sorts only the blocks it reached."""
         t = self.arcs()
         slots = t.exits[self.flow[t.eid[t.exits]] == 0]
         tails = t.row[slots]
         cost = self.slot_reduced(slots) if rc is None else rc[slots]
         values = dist[tails] + np.maximum(cost, 0.0)
-        order = values.argsort(kind="stable")
-        order = order[np.isfinite(values[order])]
-        return values[order], tails[order]
+        return chain.from_iterable(_finite_pairs(values, tails))
 
     def settle(self, dist: np.ndarray, cap: float):
         """Raise the potentials by a search's distances capped at cap (see
@@ -394,6 +404,38 @@ class ResidualGraph:
         raised = np.minimum(dist, cap)
         raised[self.target] = cap
         self.potential += raised
+
+
+def _ranked(values: np.ndarray):
+    """The indices of values in ascending order, ties in index order, as a
+    stable argsort gives them, in blocks, lazily. At most 256 values are
+    sorted at once; of more, each block is the next 128, 256, ... of the
+    rest (with any tied with its last), found by one partition and sorted
+    alone. A reader that stops early pays for the blocks it reached."""
+    size = 128
+    if len(values) <= 2 * size:
+        yield values.argsort(kind="stable")
+        return
+    rest = np.arange(len(values))
+    while len(rest) > 2 * size:
+        part = values[rest]
+        low = part <= np.partition(part, size - 1)[size - 1]
+        block = rest[low]
+        yield block[values[block].argsort(kind="stable")]
+        rest, size = rest[~low], 2 * size
+    yield rest[values[rest].argsort(kind="stable")]
+
+
+def _finite_pairs(values: np.ndarray, tails: np.ndarray):
+    """zip(values, tails) per block of _ranked(values), up to the first
+    value that is not finite: the blocks a reader flattens
+    (chain.from_iterable), converted only as far as it reads."""
+    for block in _ranked(values):
+        ranked = values[block]
+        end = ranked.searchsorted(np.inf)
+        yield zip(ranked[:end].tolist(), tails[block[:end]].tolist())
+        if end < len(block):
+            return
 
 
 def extract_path(res: ResidualGraph, labels: PredecessorMap,
@@ -589,22 +631,27 @@ def convert_edge_costs(res: ResidualGraph, labels: PredecessorMap) -> Predecesso
     read, gains d(u) - d(v).
 
     Unreached nodes keep their potentials: no search ever reaches them
-    again, so the arcs leaving them are never traversed. An arc between
-    reached nodes whose reduced cost falls below -eps means the labels were
-    not shortest-path distances (InvariantBreach). Returns the labels valid
-    after conversion: zero for every reachable node, infinity otherwise,
-    with the same predecessors.
+    again, so the arcs leaving them are never traversed. A usable slot
+    between reached nodes whose reduced cost (slot_reduced) falls below -eps
+    means the labels were not shortest-path distances (InvariantBreach,
+    naming the least such edge). An exit's forward slot counts as between
+    reached nodes when its tail is reached: its edge ends at the sink root,
+    which always is. Returns the labels valid after conversion: zero for
+    every reachable node, infinity otherwise, with the same predecessors.
     """
-    d, g = labels.dist, res.graph
+    d, t = labels.dist, res.arcs()
     reached = np.isfinite(d)
     res.potential[reached] += d[reached]
-    rc = res.reduced()
-    bad = np.flatnonzero(reached[g.e_src] & reached[g.e_dst] & g.e_alive
-                         & (rc < -res.eps))
+    head_reached = reached.copy()
+    head_reached[res.target] = reached[SINK]
+    slots = np.flatnonzero((res.flow[t.eid] == t.rev) & reached[t.row]
+                           & head_reached[t.col])
+    rc = res.slot_reduced(slots)
+    bad = np.flatnonzero(rc < -res.eps)
     if len(bad):
-        eid = int(bad[0])
-        raise InvariantBreach(
-            f"stale labels: reduced cost {rc[eid]} on edge {eid}")
+        i = bad[t.eid[slots[bad]].argmin()]
+        raise InvariantBreach(f"stale labels: reduced cost {rc[i]} on edge "
+                              f"{t.eid[slots[i]]}")
     out = PredecessorMap.__new__(PredecessorMap)
     out.dist = np.where(reached, 0.0, np.inf)
     out.pred = labels.pred
@@ -679,53 +726,62 @@ def dynamic_broadcast(res: ResidualGraph, seeds, labels: PredecessorMap,
     (typically the nodes of the just-reversed paths); every other label must
     be a valid distance, as convert_edge_costs (all 0) or a settle after
     pushes leaves it. The affected set is the seeds other than the roots and
-    their tree descendants, found by pointer doubling. Each of its nodes
-    starts at its least label through a usable arc from outside, whose tail
-    is then a frontier node (one labelled below 0 is an InvariantBreach), and
-    one compiled Dijkstra over the arcs within the set gives the rest. The
-    usable slots into the set are gathered from the slot table and priced
-    from it (slot_reduced). relaxations counts the usable arcs into the set
-    out of reached nodes, queue_pushes the nodes re-labelled. Returns the
-    updated shortest path to the target; labels are updated in place, and
-    their rc is dropped, since the potentials moved since it was read.
+    their tree descendants, found by pointer doubling in which each seed is
+    a root of its own: a node is affected when its chain ends at a seed, so
+    the rounds stop once every chain has reached a seed or a root. Each
+    node of the set starts at its least label through a usable arc from
+    outside, the last such arc in slot order, whose tail is then a frontier
+    node (one labelled below 0 is an InvariantBreach), and one compiled
+    Dijkstra over the arcs within the set gives the rest.
+
+    The usable slots into the set are found through the usable mask that
+    the broadcasts' index keeps (ResidualGraph.broadcast_index), so the flow
+    of the slots is not read again, and only they are priced
+    (slot_reduced). relaxations counts the usable arcs into the set out of
+    reached nodes, queue_pushes the nodes re-labelled. Returns the updated
+    shortest path to the target; labels are updated in place, and their rc
+    is dropped, since the potentials moved since it was read.
     """
     stats = stats or SolverStats()
     dist, pred = labels.dist, labels.pred
     n, labels.rc = len(dist), None
     seeds = np.asarray(seeds, dtype=np.int64)
-    seeds = seeds[np.all(seeds[:, None] != res.roots, axis=1)]
+    seeds = seeds[(seeds != SINK) & (seeds != SOURCE)]
     if not len(seeds):
         return extract_path(res, labels), labels
-    # Pointer doubling: after round k, in_set holds the nodes with a seed
-    # among their 2^k nearest ancestors and up their 2^k-th, n past a root.
-    in_set = np.zeros(n + 1, dtype=bool)
-    in_set[seeds] = True
-    up = np.append(np.where(pred >= 0, pred, n), n)
+    # Pointer doubling, each seed a root of its own: after round k, up holds
+    # each node's 2^k-th ancestor, or where its chain ends, n + 1 past a
+    # seed and n past a root.
+    up = np.empty(n + 2, dtype=np.int64)
+    up[:n] = np.where(pred >= 0, pred, n)
+    up[n:] = n, n + 1
+    up[seeds] = n + 1
     for _ in range(n.bit_length() + 1):
-        in_set |= in_set[up]
         up = up[up]
-        if (up == n).all():
+        if np.minimum.reduce(up) >= n:
             break
     else:
         raise InvariantBreach("predecessor tree contains a cycle")
+    in_set = up == n + 1
     affected = np.flatnonzero(in_set[:n])
     dist[affected] = np.inf
     pred[affected] = -1
 
     t = res.arcs()
     # The usable arc slots into the set.
-    slots = np.flatnonzero(in_set[t.col] & (res.flow[t.eid] == t.rev))
+    slots = np.flatnonzero(in_set[t.col] & res.broadcast_index().usable)
     tails, heads = t.row[slots], t.col[slots]
     cost = res.slot_reduced(slots)
     weight = np.maximum(cost, 0.0)
     # With the set's labels cleared, a reached tail lies outside the set.
-    if np.any(dist[tails] < 0.0):
-        x = int(tails[np.argmax(dist[tails] < 0.0)])
+    at_tails = dist[tails]
+    if np.any(at_tails < 0.0):
+        x = int(tails[np.argmax(at_tails < 0.0)])
         raise InvariantBreach(f"frontier node {x} has negative label {dist[x]}")
-    entry = dist[tails] + weight
+    entry = at_tails + weight
     start = np.full(n, np.inf)
     np.minimum.at(start, heads, entry)
-    # Each start label's arc (one of equal ones).
+    # Each start label's arc: the last tight one in slot order.
     tight = np.flatnonzero(entry == start[heads])
     first = np.full(n, -1)
     first[heads[tight]] = tails[tight]
@@ -745,23 +801,13 @@ def dynamic_broadcast(res: ResidualGraph, seeds, labels: PredecessorMap,
     return extract_path(res, labels), labels
 
 
-def _blocks(values: np.ndarray, tails: np.ndarray):
-    """zip(values.tolist(), tails.tolist()) in blocks, each twice the
-    last, so that a reader who flattens them (chain.from_iterable) converts
-    only as far as it reads."""
-    start, size = 0, 8
-    while start < len(values):
-        end = start + size
-        yield zip(values[start:end].tolist(), tails[start:end].tolist())
-        start, size = end, 2 * size
-
-
 def push_round(res: ResidualGraph, shortest: Path, labels: PredecessorMap,
                stats: SolverStats, guard: int, single: bool):
     """Push one search's candidates, the unflowed exits v -> target by value
     dist(v) + clamped reduced cost, each with v's tree path (shortest, the
     search's own path, for the first). A single round pushes only the first.
-    Otherwise pushes stop at the first candidate that costs >= 0 (fsum of
+    Otherwise the candidates are ranked lazily (ResidualGraph.exits), and
+    pushes stop at the first candidate that costs >= 0 (fsum of
     original costs), enters a node an earlier push used, or ranks after an
     exit a pushed cycle freed: so each push is a shortest path at its turn,
     and the labels stay a lower bound, by which the least remaining item
@@ -774,15 +820,14 @@ def push_round(res: ResidualGraph, shortest: Path, labels: PredecessorMap,
     first = labels.pred.item(target)
     if single:
         items = [(dist.item(target), first)]
-        cap = items[0][0]
-    else:
-        values, tails = res.exits(dist, labels.rc)
-        items = chain.from_iterable(_blocks(values, tails))
-        cap = float(values[0])
+    else:  # ranked only as far as the loop reads (ResidualGraph.exits)
+        items = res.exits(dist, labels.rc)
     used: set[int] = set()
     freed = math.inf  # the least bound of an exit this round freed
-    certified, pushed = not single, []
+    certified, pushed, cap = not single, [], None
     for value, v in items:
+        if cap is None:  # the first's, until a push
+            cap = value
         if freed < value:
             certified = True
             break
@@ -897,9 +942,13 @@ class FlowDecoder:
         (repeats allowed). Returns every trajectory in key order, the
         chains' own Trajectory objects, with their total cost. A walked
         trajectory keeps the track id of its chain, -1 for a new chain.
-        Raises InvariantBreach if an entry edge lost its flow."""
+        Raises InvariantBreach if an entry edge lost its flow. With no chain
+        yet, as for a batch solve, every trajectory is new and is walked in
+        one pass over the flowed edges (_walk_all)."""
         g, chain_of, out = self.graph, self.chain_of, self.out
         eids = np.asarray(eids, dtype=np.int64)
+        if not self.chains:
+            return self._walk_all(res, eids)
         src = g.e_src[eids]
         # The u nodes at either end of a changed edge, those whose entry
         # changed and those whose detection edge lost its flow; out follows
@@ -999,6 +1048,62 @@ class FlowDecoder:
             traj.cost = acc
         return segments
 
+    def _walk_all(self, res: ResidualGraph, eids: np.ndarray) -> FlowSolution:
+        """update with no chain: every trajectory of the flow is new, and
+        each is walked from its flowed entry as _walk walks a new chain,
+        with the same folds, checks and report, through per-node lists
+        gathered from the flowed edges at once: per u node the cost of its
+        detection edge, and the cost and head (the next u node, or the sink)
+        of the flowed edge out of its v node, -1 for none."""
+        g, flow, node_det = self.graph, res.flow, self.graph.node_det
+        off = eids[(g.e_kind[eids] == ENTRY) & (flow[eids] == 0)]
+        if len(off):
+            raise InvariantBreach(f"a push unflowed the entry edge {off[0]}")
+        flowed = np.flatnonzero(flow & g.e_alive)
+        kind = g.e_kind[flowed]
+        outs = flowed[(kind == LINK) | (kind == EXIT)]  # out of a v node
+        entries = flowed[kind == ENTRY]
+        us, firsts = g.e_src[g.node_in[g.e_src[outs]]], g.e_dst[entries]
+        held = np.concatenate((firsts, us))
+        if len(dangling := held[flow[g.node_out[held]] == 0]):
+            raise InvariantBreach(f"dangling flow: detection edge of "
+                                  f"{node_det[dangling[0]].key} carries no "
+                                  f"flow")
+        n = len(g.node_kind)
+        det_cost, out_cost, after = np.zeros(n), np.zeros(n), np.full(n, -1)
+        det_cost[us] = g.e_cost[g.node_out[us]]
+        out_cost[us] = g.e_cost[outs]
+        after[us] = g.e_dst[outs]
+        det_cost, out_cost = det_cost.tolist(), out_cost.tolist()
+        after = after.tolist()
+        self.out = dict(zip(us.tolist(), outs.tolist()))
+        starts = sorted(zip(firsts.tolist(), g.e_cost[entries].tolist(),
+                            g.e_origin[entries].tolist()),
+                        key=lambda start: node_det[start[0]].key)
+        self.chains, self.fresh, self.dropped = [], {}, []
+        for x, acc, origin in starts:
+            nodes, folds = [], []
+            while x != SINK:
+                if (y := after[x]) < 0:
+                    raise InvariantBreach(f"trajectory through "
+                                          f"{node_det[x].key} has no outflow")
+                nodes.append(x)
+                acc += det_cost[x]
+                folds.append(acc)
+                acc += out_cost[x]
+                x = y
+            dets = [node_det[x] for x in nodes]
+            if dets[-1].frame - dets[0].frame != len(dets) - 1:
+                raise InvariantBreach("trajectory frames must be consecutive")
+            c = Chain(Trajectory(-1, dets, acc), nodes, folds, dets[0].key,
+                      origin)
+            self.chains.append(c)
+            self.chain_of.update(dict.fromkeys(nodes, c))
+            self.fresh[c] = [(None, 0, len(nodes))]
+        trajs = [c.traj for c in self.chains]
+        return FlowSolution(trajectories=trajs,
+                            total_cost=sum(t.cost for t in trajs))
+
     def starting_in(self, us: np.ndarray) -> list[Chain]:
         """The chains that start at the u nodes us, in their order."""
         return [c for u in us.tolist()
@@ -1072,9 +1177,10 @@ def solve_dp_greedy(graph: TrackingGraph):
     < 0, each sweep excluding the nodes committed before it.
 
     One sweep commits several: its exits ranked by value, the label of the
-    v node plus the exit cost, ties in frame order. Each is committed with
-    its v node's tree path in turn, until one costs >= 0, which ends the
-    solve, or holds a node committed since the sweep, which ends the round.
+    v node plus the exit cost, ties in frame order, and only as far as the
+    round reads (_ranked). Each is committed with its v node's tree path in
+    turn, until one costs >= 0, which ends the solve, or holds a node
+    committed since the sweep, which ends the round.
     Excluding nodes never lowers a label, and a node whose tree path avoids
     them keeps its label and predecessor bit for bit, so each committed
     path is the one a full sweep would return at its turn, at the same
@@ -1096,7 +1202,8 @@ def solve_dp_greedy(graph: TrackingGraph):
         path, labels = dag_shortest_path(res, stats, excluded, labels, start)
         values = labels.dist[v] + exit_cost
         start = math.inf
-        for rank, i in enumerate(np.argsort(values, kind="stable").tolist()):
+        ranked = chain.from_iterable(map(np.ndarray.tolist, _ranked(values)))
+        for rank, i in enumerate(ranked):
             cost = values.item(i)
             if not cost < 0.0:  # >= 0, or unreached
                 return FlowSolution(trajectories=trajectories,

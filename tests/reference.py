@@ -1,5 +1,7 @@
 """Reference implementations that the tests hold the package to: the full
-decode of a flow, a path's price from the edge columns, six graph helpers,
+decode of a flow, a path's price and each edge's reduced cost from the edge
+columns, the dynamic broadcast as it was before the residual kept a usable
+mask for it, a detection's true-positive probability, six graph helpers,
 Algorithm 1's stop rule, a ground-truth matcher that only tests use, the
 field-by-field CSV row parser and the per-row track writer."""
 from __future__ import annotations
@@ -9,12 +11,14 @@ import math
 from itertools import takewhile
 
 import numpy as np
+from scipy.sparse.csgraph import dijkstra
 
-from flowtrack.cost_model import Detection, FrameBoxes, iou
+from flowtrack.cost_model import CostModel, Detection, FrameBoxes, _logistic, iou
 from flowtrack.errors import DataError, InvariantBreach
 from flowtrack.graph import (KIND_DEAD, KIND_SINK, KIND_SOURCE, KIND_U, SINK,
                              SOURCE, TrackingGraph, Trajectory, gate_pairs)
 from flowtrack.metrics import GroundTruth
+from flowtrack.ssp import SolverStats, _count_search, extract_path
 
 
 def decode_trajectories(res, start_id: int = 0) -> list[Trajectory]:
@@ -59,6 +63,102 @@ def edge_path_cost(res, path) -> float:
     costs = g.e_cost[eids]
     return math.fsum(np.where(g.e_src[eids] == path.nodes[:-1], costs,
                               -costs).tolist())
+
+
+def fwd_dst(res, eids=slice(None)) -> np.ndarray:
+    """The search node each edge eids' (default every slot's) forward arc
+    ends at: its head, the target for the sink."""
+    dst = res.graph.e_dst[eids]
+    return np.where(dst == SINK, res.target, dst)
+
+
+def reduced(res, eids=slice(None)) -> np.ndarray:
+    """The reduced cost of each edge eids (default every slot) in its
+    residual direction, from the flow and the potentials, read from the edge
+    columns: what the slot table's reduced costs (slot_reduced) match."""
+    g, p = res.graph, res.potential
+    cost, p_src = g.e_cost[eids], p[g.e_src[eids]]
+    fwd = cost + p_src - p[fwd_dst(res, eids)]
+    rev = p[g.e_dst[eids]] - p_src - cost
+    return np.where(res.flow[eids] == 0, fwd, rev)
+
+
+def detection_probability(model: CostModel, score: float) -> float:
+    """Probability of the detection being a true positive."""
+    return _logistic(-model.beta * score)
+
+
+def dynamic_broadcast(res, seeds, labels, stats: SolverStats | None = None):
+    """Re-label only the invalidated part of the shortest-path tree, compiled.
+
+    seeds must contain every node whose predecessor arc may have changed
+    (typically the nodes of the just-reversed paths); every other label must
+    be a valid distance, as convert_edge_costs (all 0) or a settle after
+    pushes leaves it. The affected set is the seeds other than the roots and
+    their tree descendants, found by pointer doubling. Each of its nodes
+    starts at its least label through a usable arc from outside, whose tail
+    is then a frontier node (one labelled below 0 is an InvariantBreach), and
+    one compiled Dijkstra over the arcs within the set gives the rest. The
+    usable slots into the set are gathered from the slot table and priced
+    from it (slot_reduced). relaxations counts the usable arcs into the set
+    out of reached nodes, queue_pushes the nodes re-labelled. Returns the
+    updated shortest path to the target; labels are updated in place, and
+    their rc is dropped, since the potentials moved since it was read.
+    """
+    stats = stats or SolverStats()
+    dist, pred = labels.dist, labels.pred
+    n, labels.rc = len(dist), None
+    seeds = np.asarray(seeds, dtype=np.int64)
+    seeds = seeds[np.all(seeds[:, None] != res.roots, axis=1)]
+    if not len(seeds):
+        return extract_path(res, labels), labels
+    # Pointer doubling: after round k, in_set holds the nodes with a seed
+    # among their 2^k nearest ancestors and up their 2^k-th, n past a root.
+    in_set = np.zeros(n + 1, dtype=bool)
+    in_set[seeds] = True
+    up = np.append(np.where(pred >= 0, pred, n), n)
+    for _ in range(n.bit_length() + 1):
+        in_set |= in_set[up]
+        up = up[up]
+        if (up == n).all():
+            break
+    else:
+        raise InvariantBreach("predecessor tree contains a cycle")
+    affected = np.flatnonzero(in_set[:n])
+    dist[affected] = np.inf
+    pred[affected] = -1
+
+    t = res.arcs()
+    # The usable arc slots into the set.
+    slots = np.flatnonzero(in_set[t.col] & (res.flow[t.eid] == t.rev))
+    tails, heads = t.row[slots], t.col[slots]
+    cost = res.slot_reduced(slots)
+    weight = np.maximum(cost, 0.0)
+    # With the set's labels cleared, a reached tail lies outside the set.
+    if np.any(dist[tails] < 0.0):
+        x = int(tails[np.argmax(dist[tails] < 0.0)])
+        raise InvariantBreach(f"frontier node {x} has negative label {dist[x]}")
+    entry = dist[tails] + weight
+    start = np.full(n, np.inf)
+    np.minimum.at(start, heads, entry)
+    # Each start label's arc (one of equal ones).
+    tight = np.flatnonzero(entry == start[heads])
+    first = np.full(n, -1)
+    first[heads[tight]] = tails[tight]
+    # One Dijkstra over the arcs within the set, from the virtual root,
+    # whose slot to each node weighs its start label.
+    inside, data = in_set[tails], t.matrix.data
+    data.fill(np.inf)
+    data[slots[inside]] = weight[inside]
+    data[-n:] = start
+    d, p, _ = dijkstra(t.matrix, indices=n, min_only=True,
+                       return_predecessors=True)
+    dist[affected] = d[affected]
+    p = p[affected]
+    pred[affected] = np.where(p == n, first[affected], np.maximum(p, -1))
+    _count_search(t.eps, stats, t.eid[slots], np.isfinite(dist[tails]), cost,
+                  np.isfinite(dist[affected]))
+    return extract_path(res, labels), labels
 
 
 def gate_block(a: FrameBoxes, b: FrameBoxes,

@@ -19,7 +19,7 @@ from flowtrack.ssp import (SolverStats, _solution_from_residual,
                            build_residual, dijkstra_full, path_original_cost,
                            solve_dssp, solve_ssp)
 from flowtrack.synthetic import SyntheticConfig, generate_synthetic
-from reference import decode_trajectories
+from reference import decode_trajectories, reduced
 from test_ssp import dyadic_frames
 from test_stream_emit import SCENES as STREAM_SCENES
 
@@ -645,7 +645,7 @@ class TestSeveralPushesPerSearch:
         assert track_keys(solution.trajectories) == [((0, 0), (1, 0))]
         assert tr.frame_stats[-1].iterations == 1
         res = tr.cache.residual
-        assert res.reduced()[res.graph.e_alive].min() >= -res.eps
+        assert reduced(res)[res.graph.e_alive].min() >= -res.eps
 
 
 def reference_frame(tracker, previous, registry):

@@ -13,7 +13,7 @@ from flowtrack.graph import EXIT, KIND_DEAD
 from flowtrack.online import OnlineTracker, TrackerConfig
 from flowtrack.ssp import ResidualGraph, dijkstra_full, extract_path
 from flowtrack.synthetic import SyntheticConfig, generate_synthetic
-from reference import edge_path_cost
+from reference import edge_path_cost, fwd_dst, reduced
 from test_online import quarter_frames
 from test_ssp import dyadic_frames, synthetic_frames
 
@@ -46,7 +46,7 @@ def reference_exits(res, dist):
     g = res.graph
     eids = np.flatnonzero((g.e_kind == EXIT) & g.e_alive & (res.flow == 0))
     tails = g.e_src[eids]
-    values = dist[tails] + np.maximum(res.reduced(eids), 0.0)
+    values = dist[tails] + np.maximum(reduced(res, eids), 0.0)
     order = np.argsort(values, kind="stable")
     order = order[np.isfinite(values[order])]
     return values[order], tails[order]
@@ -64,10 +64,10 @@ def test_table_matches_the_edge_columns_after_every_frame(name):
         assert np.array_equal(t.row, np.where(t.rev, g.e_dst[t.eid],
                                               g.e_src[t.eid]))
         assert np.array_equal(t.col, np.where(t.rev, g.e_src[t.eid],
-                                              res.fwd_dst(t.eid)))
+                                              fwd_dst(res, t.eid)))
         usable = res.flow[t.eid] == t.rev
         assert np.array_equal(bits(res.slot_reduced()[usable]),
-                              bits(res.reduced(t.eid[usable])))
+                              bits(reduced(res, t.eid[usable])))
         # the kept exit slots are the live exits, in edge order
         exits = live[g.e_kind[live] == EXIT]
         assert t.eid[t.exits].tolist() == exits.tolist()
@@ -76,8 +76,10 @@ def test_table_matches_the_edge_columns_after_every_frame(name):
         path, labels = dijkstra_full(res)
         want = reference_exits(res, labels.dist)
         for got in (res.exits(labels.dist, labels.rc), res.exits(labels.dist)):
-            assert np.array_equal(bits(got[0]), bits(want[0]))
-            assert np.array_equal(got[1], want[1])
+            got = list(got)
+            assert np.array_equal(bits([value for value, _ in got]),
+                                  bits(want[0]))
+            assert [v for _, v in got] == want[1].tolist()
         # every candidate's path costs its edge-column price
         for v in want[1].tolist():
             via = extract_path(res, labels, via=v)

@@ -22,7 +22,8 @@ from flowtrack.ssp import (Path, PredecessorMap, ResidualGraph, SolverStats,
                            solve_dssp, solve_ssp)
 from flowtrack.online import OnlineTracker, TrackerConfig
 from flowtrack.synthetic import SyntheticConfig, generate_synthetic
-from reference import link_edge_between, node_topo_key, stop_iterations
+from reference import (fwd_dst, link_edge_between, node_topo_key, reduced,
+                       stop_iterations)
 
 
 def single_det_graph(detection=-5.0):
@@ -98,8 +99,8 @@ class TestConvertEdgeCosts:
         path, labels = dag_shortest_path(res)
         convert_edge_costs(res, labels)
         for eid in path.eids:
-            assert res.reduced(eid) == pytest.approx(0.0, abs=1e-12)
-        assert float(res.reduced()[res.graph.e_alive].min()) >= -1e-9
+            assert reduced(res, eid) == pytest.approx(0.0, abs=1e-12)
+        assert float(reduced(res)[res.graph.e_alive].min()) >= -1e-9
 
     def test_formula_by_hand(self):
         # edge (u,v) with C=1, d(u)=-3, d(v)=-6 -> C' = 1 + (-3) - (-6) = 4
@@ -114,7 +115,7 @@ class TestConvertEdgeCosts:
         labels.dist[v] = -6.0
         labels.dist[res.target] = -106.0
         convert_edge_costs(res, labels)
-        assert res.reduced(det_eid) == pytest.approx(4.0)
+        assert reduced(res, det_eid) == pytest.approx(4.0)
 
     def test_zero_labels_leave_costs_unchanged(self):
         # all-zero labels are valid distances here (free entry/det/exit),
@@ -128,9 +129,9 @@ class TestConvertEdgeCosts:
         res = ResidualGraph(g)
         labels = PredecessorMap(len(res.potential), res.roots)
         labels.dist[:] = 0.0
-        before = res.reduced()
+        before = reduced(res)
         convert_edge_costs(res, labels)
-        assert np.array_equal(res.reduced(), before)
+        assert np.array_equal(reduced(res), before)
 
     def test_stale_labels_detected(self):
         g = single_det_graph()
@@ -197,7 +198,7 @@ def out_arcs(res, node):
     """Residual arcs out of node, as (edge id, head), from the edge columns:
     its out-edges without flow, to their forward heads (the target for the
     sink), then its in-edges with flow."""
-    g, fl, fwd = res.graph, res.flow, res.fwd_dst()
+    g, fl, fwd = res.graph, res.flow, fwd_dst(res)
     for eid, _ in edges_at(g, (g.e_src == node) & (fl == 0), g.e_dst):
         yield eid, int(fwd[eid])
     yield from edges_at(g, (g.e_dst == node) & (fl == 1), g.e_src)
@@ -211,7 +212,7 @@ def heap_dijkstra(res):
     dist[list(res.roots)] = 0.0
     done = np.zeros(len(res.potential), dtype=bool)
     heap, scanned = sorted((0.0, r) for r in res.roots), 0
-    rc = res.reduced()
+    rc = reduced(res)
     while heap:
         d, u = heapq.heappop(heap)
         if done[u]:
@@ -309,7 +310,7 @@ class TestCompiledDijkstra:
                 ends = int(g.e_src[eid]), int(g.e_dst[eid])
                 assert (ends if res.flow[eid] == 0 else ends[::-1]) == (u, v)
                 assert labels.dist[w] == pytest.approx(
-                    labels.dist[u] + max(float(res.reduced(eid)), 0.0),
+                    labels.dist[u] + max(float(reduced(res, eid)), 0.0),
                     abs=1e-12)
         return path
 
@@ -411,13 +412,13 @@ def in_arcs(res, node):
     """Residual arcs into node, as (edge id, tail), from the edge columns;
     forward arcs end at their forward heads (the target for the sink)."""
     g, fl = res.graph, res.flow
-    yield from edges_at(g, (res.fwd_dst() == node) & (fl == 0), g.e_src)
+    yield from edges_at(g, (fwd_dst(res) == node) & (fl == 0), g.e_src)
     yield from edges_at(g, (g.e_src == node) & (fl == 1), g.e_dst)
 
 
 def arc_cost(res, eid):
     """Residual arc cost clamped for queue ordering."""
-    rc = float(res.reduced(eid))
+    rc = float(reduced(res, eid))
     if rc < -res.eps:
         raise InvariantBreach(f"negative reduced cost {rc} on edge {eid}")
     return rc if rc > 0.0 else 0.0
@@ -599,7 +600,7 @@ class TestCompiledBroadcast:
             exits = np.flatnonzero((g.e_kind == EXIT) & g.e_alive
                                    & (res.flow == 0))
             tails = g.e_src[exits]
-            values = dist[tails] + np.maximum(res.reduced(exits), 0.0)
+            values = dist[tails] + np.maximum(reduced(res, exits), 0.0)
             used, cap = {SINK}, None
             for i in np.argsort(values, kind="stable"):
                 if not np.isfinite(values[i]):
@@ -726,7 +727,7 @@ def python_dag(res, stats, excluded=frozenset()):
     if g.is_empty:
         return None, labels
     dist, pred = labels.dist, [-1] * len(res.potential)
-    rc = res.reduced()
+    rc = reduced(res)
 
     def relax(u, eid, v):
         stats.relaxations += 1
@@ -855,8 +856,8 @@ class TestCompiledDagSweep:
             res = self.check(dyadic_instance(seed))
             _, labels = dag_shortest_path(res)
             eids = np.flatnonzero(res.graph.e_alive)
-            tails, heads = res.graph.e_src[eids], res.fwd_dst(eids)
-            via = labels.dist[tails] + res.reduced(eids)
+            tails, heads = res.graph.e_src[eids], fwd_dst(res, eids)
+            via = labels.dist[tails] + reduced(res, eids)
             tight = heads[np.isfinite(via) & (via == labels.dist[heads])]
             ties += len(tight) - len(np.unique(tight))
         assert ties > 50  # many nodes have two or more tight in-edges
@@ -907,7 +908,7 @@ class TestCompiledDagSweep:
         if path is not None:
             assert (path.nodes, path.eids) == (want_path.nodes, want_path.eids)
         eids = np.flatnonzero(graph.e_alive)
-        heads = res.fwd_dst(eids)
+        heads = fwd_dst(res, eids)
         relaxed = np.isfinite(want.dist[graph.e_src[eids]]) & ~grown[heads]
         assert np.count_nonzero(relaxed) == want_stats.relaxations
         assert stats.relaxations == np.count_nonzero(relaxed
