@@ -385,13 +385,17 @@ class ResidualGraph:
         ties in edge order. Exits of unreached nodes are left out; the least
         value is dist[target]. The table's exit slots are filtered by flow,
         in edge order, and priced by rc, the reduced cost per slot at the
-        current potentials, if given (PredecessorMap.rc), else by
-        slot_reduced. They are ranked lazily (_ranked): a reader that stops
-        early, as a push round does, sorts only the blocks it reached."""
-        t = self.arcs()
+        current potentials, if given (PredecessorMap.rc), else from the
+        potentials as slot_reduced prices a forward slot. They are ranked
+        lazily (_ranked): a reader that stops early, as a push round does,
+        sorts only the blocks it reached."""
+        t, p = self.arcs(), self.potential
         slots = t.exits[self.flow[t.eid[t.exits]] == 0]
         tails = t.row[slots]
-        cost = self.slot_reduced(slots) if rc is None else rc[slots]
+        if rc is None:  # forward slots into the target, as slot_reduced
+            cost = (t.cost[slots] + p[tails]) - p[self.target]
+        else:
+            cost = rc[slots]
         values = dist[tails] + np.maximum(cost, 0.0)
         return chain.from_iterable(_finite_pairs(values, tails))
 
@@ -408,15 +412,14 @@ class ResidualGraph:
 
 def _ranked(values: np.ndarray):
     """The indices of values in ascending order, ties in index order, as a
-    stable argsort gives them, in blocks, lazily. At most 256 values are
-    sorted at once; of more, each block is the next 128, 256, ... of the
+    stable argsort gives them, in blocks, lazily. Up to 256 values are
+    sorted at once; of more, each block is the next 16, 32, 64, ... of the
     rest (with any tied with its last), found by one partition and sorted
     alone. A reader that stops early pays for the blocks it reached."""
-    size = 128
-    if len(values) <= 2 * size:
+    if len(values) <= 256:
         yield values.argsort(kind="stable")
         return
-    rest = np.arange(len(values))
+    rest, size = np.arange(len(values)), 16
     while len(rest) > 2 * size:
         part = values[rest]
         low = part <= np.partition(part, size - 1)[size - 1]
@@ -775,7 +778,7 @@ def dynamic_broadcast(res: ResidualGraph, seeds, labels: PredecessorMap,
     weight = np.maximum(cost, 0.0)
     # With the set's labels cleared, a reached tail lies outside the set.
     at_tails = dist[tails]
-    if np.any(at_tails < 0.0):
+    if np.minimum.reduce(at_tails, initial=0.0) < 0.0:
         x = int(tails[np.argmax(at_tails < 0.0)])
         raise InvariantBreach(f"frontier node {x} has negative label {dist[x]}")
     entry = at_tails + weight
@@ -786,10 +789,12 @@ def dynamic_broadcast(res: ResidualGraph, seeds, labels: PredecessorMap,
     first = np.full(n, -1)
     first[heads[tight]] = tails[tight]
     # One Dijkstra over the arcs within the set, from the virtual root,
-    # whose slot to each node weighs its start label.
-    inside, data = in_set[tails], t.matrix.data
+    # whose slot to each node weighs its start label. Only the set's rows
+    # are scanned from a finite label, so the usable slots into the set are
+    # weighed whatever their tails: those from outside are never scanned.
+    data = t.matrix.data
     data.fill(np.inf)
-    data[slots[inside]] = weight[inside]
+    data[slots] = weight
     data[-n:] = start
     d, p, _ = dijkstra(t.matrix, indices=n, min_only=True,
                        return_predecessors=True)
