@@ -18,14 +18,14 @@ block and appended with one slot take and one write per column; a clip is
 one write per column too. Only when a clip left dead slots does an append
 look for them.
 
-A run's candidate links, the (previous frame x frame) pairs of every frame,
-are laid out as one global pair index over the run's box geometry (and the
-frame before it), gated in one pass by `gate_pairs` and priced by the
-model's `link_costs_of`, PAIR_BUDGET pairs at a time. A single frame's pairs
-are gated as the grid of its previous frame's boxes against its own, with
-no pair geometry gathered, and only the admitted pairs are priced. Both give,
-bit for bit, what the scalar references `default_gate` and `link_cost_of`
-give pair by pair.
+A frame's candidate links are the grid of its previous frame's boxes
+against its own, gated with no pair geometry gathered. A run of frames
+stacks its frames' grids into padded blocks of at most PAIR_BUDGET cells,
+each gathered once by row and column over the run's box geometry (and the
+frame before it) and gated in one call; a grid above the budget is cut by
+rows of the previous frame. Only the admitted pairs are priced, by the
+model's `link_costs_of`, block by block. Both give, bit for bit, what the
+scalar references `default_gate` and `link_cost_of` give pair by pair.
 """
 from __future__ import annotations
 
@@ -54,8 +54,9 @@ NO_EDGES = np.zeros(0, dtype=np.int64)
 #: absolute error of subnormal distances.
 GATE_TOL = 1e-9
 TINY = sys.float_info.min
-#: Candidate link pairs gated and priced per pass, which bounds the pass's
-#: temporary arrays however long the run of frames.
+#: Grid cells, padding included, gated per block of a run of frames (or
+#: one row of a previous frame, if wider), whose admitted pairs are then
+#: priced: it bounds a block's temporary arrays however long the run.
 PAIR_BUDGET = 1 << 13
 NODE_COLUMNS = ("node_kind", "node_in", "node_out")
 EDGE_COLUMNS = ("e_src", "e_dst", "e_kind", "e_cost", "e_alive", "e_origin")
@@ -305,8 +306,8 @@ class TrackingGraph:
         raises only once the frames before it have passed, as one by one."""
         frames, blocks, last = [], [], self.t_max
         # Per frame, with its detections after the previous frame's in one
-        # pool: the end and start of its candidate pairs in pair order, the
-        # previous frame's first detection and its own, and its size.
+        # pool: the previous frame's first detection and their number, and
+        # its own first detection and their number.
         layout, pool, pairs = [], 0, 0
         for k, (frame, dets) in enumerate(runs):
             try:
@@ -318,12 +319,12 @@ class TrackingGraph:
             m, n = len(prev) if last == frame - 1 else 0, len(dets)
             if not k:  # the graph's frame before the run leads the pool
                 pool = m
-            layout.append((pairs + m * n, pairs, pool - m, pool, n))
+            layout.append((pool - m, m, pool, n))
             pool, pairs = pool + n, pairs + m * n
             frames.append(frame)
             blocks.append(sorted(dets, key=_local_index))
             last = frame
-        sizes = [row[4] for row in layout]
+        sizes = [row[3] for row in layout]
         dets = [d for block in blocks for d in block]
         costs = [(model.entry_cost_of(d), model.detection_cost_of(d),
                   model.exit_cost_of(d)) for d in dets]
@@ -380,15 +381,16 @@ class TrackingGraph:
     def _links(self, boxes: FrameBoxes, layout: list[tuple], n_pairs: int,
                model):
         """The admitted links among the n_pairs candidate pairs that
-        `layout` lays out over `boxes`: each frame's (previous frame x frame)
-        pairs, row-major and frame by frame, gated and priced PAIR_BUDGET
-        pairs at a time. Returns the link ends (ip, jn), their costs and
-        each frame's number of links."""
+        `layout` lays out over `boxes`, per frame (its previous frame's
+        first detection, their number, its own first and their number):
+        each frame's (previous frame x frame) grid, row-major and frame by
+        frame, gated and priced in blocks (_grids). Returns the link ends
+        (ip, jn), their costs and each frame's number of links."""
         grid = len(layout) == 1 and n_pairs <= PAIR_BUDGET
         if grid:
             # One frame after its m previous detections: the m x n grid of
             # its pairs, gated on the geometry as it lies, in pair order.
-            m, n = layout[0][3:]
+            m, n = layout[0][2:]
             if self.gating:
                 geo = boxes.geo[4:8]
                 ip, jn = _gate(geo[:, :m, None], geo[:, None, m:],
@@ -398,7 +400,7 @@ class TrackingGraph:
             jn += m
             chunks = [(None, ip, jn)]
         else:
-            chunks = self._pairs(boxes, np.array(layout).T, n_pairs)
+            chunks = self._grids(boxes, layout)
         found = []
         for at, ip, jn in chunks:
             cost = np.array(model.link_costs_of(boxes, boxes, ip, jn)
@@ -419,20 +421,46 @@ class TrackingGraph:
         return ((ip, jn), cost,
                 np.bincount(at, minlength=len(layout)).tolist())
 
-    def _pairs(self, boxes: FrameBoxes, layout: np.ndarray, n_pairs: int):
-        """The candidate pairs of _links, PAIR_BUDGET at a time, each block
-        as (the pair's frame in the run, ip, jn), gated."""
-        pair_end, pair_first, prev_first, first, size = layout
-        for start in range(0, n_pairs, PAIR_BUDGET):
-            pair = np.arange(start, min(start + PAIR_BUDGET, n_pairs))
-            at = pair_end.searchsorted(pair, "right")  # the pair's frame
-            i, j = np.divmod(pair - pair_first[at], size[at])
-            ip, jn = prev_first[at] + i, first[at] + j
+    def _grids(self, boxes: FrameBoxes, layout: list[tuple]):
+        """The candidate pairs of _links, gated, in blocks of (the pair's
+        frame in the run, ip, jn), in pair order. Each frame's grid is one
+        piece, or, past PAIR_BUDGET cells, is cut by rows of the previous
+        frame into pieces of at most that many (or of one row). Consecutive
+        pieces are stacked into blocks of at most PAIR_BUDGET cells, each
+        piece padded to the block's widest, and a block is gated in one
+        call on its geometry gathered by piece, row and column; padding
+        reads a NaN column, which no gate admits."""
+        pieces, budget = [], PAIR_BUDGET
+        for k, (a, m, b, n) in enumerate(layout):
+            if m and n:
+                step = max(1, budget // n)
+                pieces += [(k, i, min(step, a + m - i), b, n)
+                           for i in range(a, a + m, step)]
+        blocks, block, height, width = [], [], 0, 0
+        for piece in pieces:
+            h, w = max(height, piece[2]), max(width, piece[4])
+            if block and (len(block) + 1) * h * w > budget:
+                blocks.append(block)
+                block, h, w = [], piece[2], piece[4]
+            block.append(piece)
+            height, width = h, w
+        blocks.append(block)
+        geo, pad = boxes.geo[4:8], len(boxes.dets)
+        if self.gating and len(blocks) < len(pieces):  # a block stacks pieces
+            geo = np.concatenate((geo, np.full((4, 1), np.nan)), axis=1)
+        for block in blocks:
+            k, a, m, b, n = map(np.array, zip(*block))
+            i, j = np.arange(m.max()), np.arange(n.max())
+            row_in, col_in = i < m[:, None], j < n[:, None]
+            rows = np.where(row_in, a[:, None] + i, pad)
+            cols = np.where(col_in, b[:, None] + j, pad)
             if self.gating:
-                admit = gate_pairs(boxes, boxes, ip, jn,
-                                   self.gate_radius_factor)
-                at, ip, jn = at[admit], ip[admit], jn[admit]
-            yield at, ip, jn
+                admit = _gate(geo[:, rows, None], geo[:, cols][:, :, None],
+                              self.gate_radius_factor)
+            else:
+                admit = row_in[:, :, None] & col_in[:, None]
+            at, row, col = admit.nonzero()
+            yield k[at], rows[at, row], cols[at, col]
 
     def append_frame(self, new_detections, model, frame: int | None = None,
                      prepared: PreparedFrames | None = None) -> "TrackingGraph":

@@ -7,9 +7,14 @@ pairwise features. Tracks: ``frame,track_id,x,y,w,h`` sorted by
 Files and streams share one csv row reader (quoted and padded fields, '#'
 comments; a blank or whitespace-only row ends a stream's frame block),
 whose every error, csv's included, is a DataError that names the input
-line. A detection row converts in one step; only a row with a bad or NaN
-field goes field by field, to name the first such field. One track row
-writer formats each row with ``%`` (floats ``%.6g``, so output is
+line. A detection file converts by columns: its rows are read once, each
+column is converted in one map and checked as a whole against the row
+checks (column count, a NaN row sum and Detection's rule), and each
+Detection is built without running that rule again. Only a file with a
+row at fault goes row by row, where a row converts in one step and only a
+row with a bad or NaN field goes field by field, so the first bad line and
+field are named. Stream blocks and ground truth go row by row. One track
+row writer formats each row with ``%`` (floats ``%.6g``, so output is
 byte-identical across runs) and writes a call's rows at once.
 """
 from __future__ import annotations
@@ -19,13 +24,20 @@ import csv
 import math
 import os
 import sys
+from itertools import repeat
 from operator import itemgetter
+
+import numpy as np
 
 from .cost_model import Detection
 from .errors import DataError
 from .metrics import GroundTruth
 
 _READER = type(csv.reader(()))
+#: Detection's slot setters, in field order, by which a row whose column
+#: passed Detection's rule is built without __init__ running it again.
+_SET_FRAME, _SET_BOX, _SET_SCORE, _SET_INDEX, _SET_EXTRAS = (
+    getattr(Detection, name).__set__ for name in Detection.__slots__)
 
 
 @contextlib.contextmanager
@@ -120,17 +132,80 @@ def parse_detections(source) -> dict[int, list[Detection]]:
     """Read a detection CSV into {frame: [Detection, ...]} in frame order.
 
     Only frames that occur in the file are keys; local indices follow file
-    order within each frame.
+    order within each frame. The rows are read once and converted by
+    columns (_by_columns); a file with a row at fault, or a csv error, is
+    converted row by row up to the first bad line, which raises.
     """
+    rows, error = [], None
+    with open_or_stdio(source) as fobj:
+        try:
+            rows.extend(_rows(csv.reader(fobj)))
+        except DataError as exc:
+            error = exc
+    per_frame = None if error else _by_columns(rows)
+    if per_frame is None:
+        per_frame = _by_rows(rows)
+        if error:
+            raise error
+    return per_frame
+
+
+def _by_rows(rows) -> dict[int, list[Detection]]:
+    """parse_detections over (line number, fields) rows, one row at a time:
+    the first row at fault raises its DataError."""
     per_frame: dict[int, list[Detection]] = {}
     n_extras = None
-    with open_or_stdio(source) as fobj:
-        for lineno, row in _rows(csv.reader(fobj)):
-            det, _ = _add_detection(per_frame, row, lineno)
-            if n_extras is None:
-                n_extras = len(det.extras)
-            elif len(det.extras) != n_extras:
-                raise DataError(f"line {lineno}: inconsistent column count")
+    for lineno, row in rows:
+        det, _ = _add_detection(per_frame, row, lineno)
+        if n_extras is None:
+            n_extras = len(det.extras)
+        elif len(det.extras) != n_extras:
+            raise DataError(f"line {lineno}: inconsistent column count")
+    return dict(sorted(per_frame.items()))
+
+
+def _by_columns(rows) -> dict[int, list[Detection]] | None:
+    """_by_rows over the same rows, a column at a time, or None when _by_rows
+    would raise or take its field-by-field branch on some row: rows of
+    unequal or short width, a field int or float rejects, a row whose
+    values sum to NaN, or one that Detection's rule sends to its per-field
+    checks. Each column converts in one map, as _add_detection converts the
+    row's fields, and the rule and the row sum are checked on whole
+    columns, left to right as the row path adds; the rows that pass are
+    built without the rule."""
+    if not rows:
+        return {}
+    width, n = len(rows[0][1]), len(rows)
+    if width < 7 or any(len(row) != width for _, row in rows):
+        return None
+    columns = [*zip(*[row for _, row in rows])]
+    try:
+        frames = [*map(int, columns[0])]
+        values = [[*map(float, c)] for c in columns[2:]]
+    except ValueError:
+        return None
+    x, y, w, h, score, *extras = (np.fromiter(v, float, n) for v in values)
+    with np.errstate(all="ignore"):
+        total = x + y + w + h + score  # Detection's rule adds the five so
+        ok = (w > 0) & (w * h > 0) & np.isfinite(total)
+        for e in extras:  # and the row sum goes on over the extras
+            total += e
+    if min(frames) < 0 or not ok.all() or np.isnan(total).any():
+        return None
+    per_frame: dict[int, list[Detection]] = {}
+    new = object.__new__
+    for frame, box, s, e in zip(frames, zip(*values[:4]), values[4],
+                                zip(*values[5:]) if extras else repeat(())):
+        dets = per_frame.get(frame)
+        if dets is None:
+            dets = per_frame[frame] = []
+        d = new(Detection)
+        _SET_FRAME(d, frame)
+        _SET_BOX(d, box)
+        _SET_SCORE(d, s)
+        _SET_INDEX(d, len(dets))
+        _SET_EXTRAS(d, e)
+        dets.append(d)
     return dict(sorted(per_frame.items()))
 
 

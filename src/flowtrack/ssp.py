@@ -9,7 +9,9 @@ one again from its first node that a changed edge touches, or all at once in
 one walk over the flowed edges when none is decoded yet (FlowDecoder), and
 the greedy DP baseline. Every search is
 compiled: one DAG relaxation (_relax_frames) gives the sweep's labels and
-each appended frame's potentials, and both other searches are scipy's
+each appended frame's potentials, and a sweep's tree paths are read from the
+graph's columns (sweep_path), so a dp solve builds no slot table. Both other
+searches are scipy's
 Dijkstra over the CSR of one slot table (ResidualGraph.arcs), which holds
 per residual arc slot its tail, head, original cost and direction, and the
 target's exit slots. It is built once after each append or clip, and keeps
@@ -107,9 +109,12 @@ class PredecessorMap:
     The edge of a tree arc u -> v is the residual slot keyed u * n + v (see
     ResidualGraph.arcs). They start at 0 for the roots, inf elsewhere. rc is
     the reduced cost per slot that a full search read (dijkstra_full), None
-    once the potentials may have moved since."""
+    once the potentials may have moved since. link, set by a DAG sweep
+    (dag_shortest_path), is per u node the link edge of its tree arc when
+    its predecessor is a v node, by which sweep_path reads a tree path
+    without the slot table; None for other searches' labels."""
 
-    rc = None
+    rc = link = None
 
     def __init__(self, n_nodes: int, roots):
         self.dist = np.full(n_nodes, np.inf)
@@ -148,13 +153,13 @@ SlotTable = namedtuple("SlotTable",
 #: ResidualGraph.sweep_plan, the forward graph of a run of frames as the DAG
 #: relaxation reads it (_sweep_plan): frames, the run's frame indices; u and
 #: v, the detections' u and v nodes in frame order, with nodes[i] the first
-#: of frame i's (nodes[-1] their count); tails and heads, the links in
-#: frame_links order, with links[i] the first of frame i's; costs, the costs
+#: of frame i's (nodes[-1] their count); edges, tails and heads, the links
+#: in frame_links order, with links[i] the first of frame i's; costs, the costs
 #: by arc kind: each u node's entry and detection edge, each link, each
 #: tail's detection edge and each v node's exit; and spans, per frame its
 #: links' slice with their tails, heads and tails' u nodes.
 SweepPlan = namedtuple("SweepPlan",
-                       "frames nodes links u v tails heads costs spans")
+                       "frames nodes links u v edges tails heads costs spans")
 
 #: ResidualGraph.broadcast_index, what a broadcast reads of the flow:
 #: usable, per slot of the table whether the flow makes it usable, and
@@ -203,7 +208,7 @@ class ResidualGraph:
         self._table = self._matrix = self._plan = self._index = None
         # their buffers (graph.lengthen), at first the arrays themselves
         self._buffers = {"flow": self.flow, "potential": self.potential}
-        check_cost_sum(self.cost_sum)
+        check_cost_sum(self._live_cost_sum())
 
     @property
     def n_nodes(self) -> int:
@@ -330,20 +335,22 @@ class ResidualGraph:
             p[n], p[target] = p[target], 0.0
         self._table = self._plan = self._index = None
 
+    def _live_cost_sum(self) -> float:
+        """The live edges' sum of |edge cost|: the slot table's, or, when no
+        table is built, as at the start or after a frame that ran no search,
+        read from the edge columns as the table reads it, building none."""
+        g, t = self.graph, self._table
+        if t is not None:
+            return t.cost_sum
+        with np.errstate(over="ignore"):
+            return float(abs(g.e_cost[g.e_alive]).sum())
+
     def check_frame(self, prepared):
         """check_cost_sum over the live edges and a prepared frame's, so a
         frame whose costs would overflow is rejected before it changes
-        anything. The live edges' sum is the slot table's; when no table is
-        built, as after a frame that ran no search, it is read from the edge
-        columns as the table reads it, and no table is built for it."""
-        g, t = self.graph, self._table
-        if t is None:
-            with np.errstate(over="ignore"):
-                live = float(abs(g.e_cost[g.e_alive]).sum())
-        else:
-            live = t.cost_sum
+        anything."""
         new = prepared.node_costs.ravel().tolist() + prepared.link_costs.tolist()
-        check_cost_sum(live + sum(map(abs, new)))
+        check_cost_sum(self._live_cost_sum() + sum(map(abs, new)))
 
     def append_frame(self, detections, model, prepared):
         """Append prepared frames to the graph. Their edges carry no flow;
@@ -441,16 +448,12 @@ def _finite_pairs(values: np.ndarray, tails: np.ndarray):
             return
 
 
-def extract_path(res: ResidualGraph, labels: PredecessorMap,
-                 via: int | None = None, stop=None) -> Path | None:
-    """Walk the predecessor chain back from res.target to one of res.roots;
-    None if the target is unreached. With via, the path is via's tree path
-    and then the arc via -> target, which need not be a tree arc. With
-    stop, a mask over the nodes, None also once the walk meets a node it
-    marks (via included). Each arc u -> v is the slot keyed u * n + v, and
-    the path costs the fsum of its slots' original costs. The target stands
-    for the sink in the returned path."""
-    t, n, pred = res.arcs(), len(res.potential), labels.pred.item
+def _tree_nodes(res: ResidualGraph, labels: PredecessorMap, n: int,
+                via: int | None, stop) -> list[int] | None:
+    """The nodes of extract_path's path, from a root to res.target (n - 1,
+    n the search nodes), or None where it returns None; a cycle or a chain
+    that ends off the roots is an InvariantBreach."""
+    pred = labels.pred.item
     if not math.isfinite(labels.dist.item(n - 1 if via is None else via)):
         return None
     nodes = [n - 1]
@@ -467,10 +470,50 @@ def extract_path(res: ResidualGraph, labels: PredecessorMap,
     if nodes[-1] not in res.roots:
         raise InvariantBreach(f"broken predecessor chain at node {nodes[-1]}")
     nodes.reverse()
+    return nodes
+
+
+def extract_path(res: ResidualGraph, labels: PredecessorMap,
+                 via: int | None = None, stop=None) -> Path | None:
+    """Walk the predecessor chain back from res.target to one of res.roots;
+    None if the target is unreached. With via, the path is via's tree path
+    and then the arc via -> target, which need not be a tree arc. With
+    stop, a mask over the nodes, None also once the walk meets a node it
+    marks (via included). Each arc u -> v is the slot keyed u * n + v, and
+    the path costs the fsum of its slots' original costs. The target stands
+    for the sink in the returned path."""
+    n = len(res.potential)
+    nodes = _tree_nodes(res, labels, n, via, stop)
+    if nodes is None:
+        return None
+    t = res.arcs()
     chain = np.array(nodes, dtype=np.int64)
     slots = t.key.searchsorted(chain[:-1] * n + chain[1:])
     nodes[-1] = SINK
     return Path(nodes, t.eid[slots].tolist(), math.fsum(t.cost[slots].tolist()))
+
+
+def sweep_path(res: ResidualGraph, labels: PredecessorMap,
+               via: int | None = None, stop=None) -> Path | None:
+    """extract_path over a DAG sweep's tree (dag_shortest_path), read from
+    the graph's columns without the slot table: a tree path runs source,
+    then u and v nodes in turn, and then the target. Each u node is entered
+    by its entry edge (node_in) when the source is its predecessor, else by
+    the tight link the sweep kept (labels.link), and left by its detection
+    edge (node_out), and the last v node's exit (node_out) enters the
+    target. The path costs the fsum of those edges' costs, the original
+    costs of their forward slots, so it equals extract_path's."""
+    nodes = _tree_nodes(res, labels, len(res.potential), via, stop)
+    if nodes is None:
+        return None
+    g, u = res.graph, np.array(nodes[1:-1:2], dtype=np.int64)
+    eids = np.empty(2 * len(u) + 1, dtype=np.int64)
+    eids[:-1:2] = np.where(labels.pred[u] == SOURCE, g.node_in[u],
+                           labels.link[u])
+    eids[1:-1:2] = g.node_out[u]
+    eids[-1] = g.node_out[nodes[-2]]
+    nodes[-1] = SINK
+    return Path(nodes, eids.tolist(), math.fsum(g.e_cost[eids].tolist()))
 
 
 def path_original_cost(res: ResidualGraph, path: Path) -> float:
@@ -509,7 +552,8 @@ def _sweep_plan(g: TrackingGraph, frames: list[int]) -> SweepPlan:
                  for b, d in zip(ends, ends[1:])]
     costs = (cost[g.node_in[u]], cost[g.node_out[u]], cost[links], tail,
              cost[g.node_out[v]])
-    return SweepPlan(frames, nodes, ends, u, v, tails, heads, costs, spans)
+    return SweepPlan(frames, nodes, ends, u, v, links, tails, heads, costs,
+                     spans)
 
 
 def _relax_frames(dist: np.ndarray, target: int, plan: SweepPlan, k: int,
@@ -577,7 +621,10 @@ def dag_shortest_path(res: ResidualGraph, stats: SolverStats | None = None,
     every frame once per graph. The plan lives as long as the slot table:
     an append or a clip drops both. Each sweep pays only for its exclusion
     weights (the costs, inf into excluded nodes), the relaxation and the
-    predecessors. Trackers never sweep, so streams never build a plan.
+    predecessors. Trackers never sweep, so streams never build a plan. The
+    tight link found per u node is kept with the labels (PredecessorMap.link),
+    and the path is read from them and the graph's columns (sweep_path), so
+    a sweep builds no slot table.
 
     Without labels the sweep starts from fresh ones over every frame. With
     labels, a sweep's over the same graph, and start, it resumes: the
@@ -620,12 +667,15 @@ def dag_shortest_path(res: ResidualGraph, stats: SolverStats | None = None,
     tight = np.flatnonzero(np.isfinite(via) & (via == dist[heads]))
     first = tight[np.unique(heads[tight], return_index=True)[1]]  # per head
     pred[heads[first]] = p.tails[b:][first]
+    if labels.link is None:
+        labels.link = np.empty(len(dist), dtype=np.int64)
+    labels.link[heads[first]] = p.edges[b:][first]
     pred[u[np.isfinite(du) & (entry == du)]] = SOURCE
     pred[v] = np.where(np.isfinite(dv), u, -1)
     d = dist.item(target)
     pred[target] = (p.v.item(np.argmax(exits == d)) if math.isfinite(d)
                     else -1)
-    return extract_path(res, labels), labels
+    return sweep_path(res, labels), labels
 
 
 def convert_edge_costs(res: ResidualGraph, labels: PredecessorMap) -> PredecessorMap:
@@ -1185,7 +1235,8 @@ def solve_dp_greedy(graph: TrackingGraph):
     v node plus the exit cost, ties in frame order, and only as far as the
     round reads (_ranked). Each is committed with its v node's tree path in
     turn, until one costs >= 0, which ends the solve, or holds a node
-    committed since the sweep, which ends the round.
+    committed since the sweep, which ends the round. Tree paths are read
+    without the slot table (sweep_path), so a dp solve builds none.
     Excluding nodes never lowers a label, and a node whose tree path avoids
     them keeps its label and predecessor bit for bit, so each committed
     path is the one a full sweep would return at its turn, at the same
@@ -1214,7 +1265,7 @@ def solve_dp_greedy(graph: TrackingGraph):
                 return FlowSolution(trajectories=trajectories,
                                     total_cost=total, flow=flow), stats
             if rank:  # the first is the sweep's own path
-                path = extract_path(res, labels, via=v.item(i), stop=excluded)
+                path = sweep_path(res, labels, via=v.item(i), stop=excluded)
                 if path is None:  # it meets a node committed this round
                     break
             stats.iterations += 1

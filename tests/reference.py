@@ -2,8 +2,10 @@
 decode of a flow, a path's price and each edge's reduced cost from the edge
 columns, the dynamic broadcast as it was before the residual kept a usable
 mask for it, a detection's true-positive probability, six graph helpers,
-Algorithm 1's stop rule, a ground-truth matcher that only tests use, the
-field-by-field CSV row parser and the per-row track writer."""
+a run's candidate links enumerated as one global pair index, Algorithm 1's
+stop rule, a ground-truth matcher that only tests use, the field-by-field
+CSV row parser, the row-by-row detection file parser and the per-row track
+writer."""
 from __future__ import annotations
 
 import csv
@@ -13,10 +15,13 @@ from itertools import takewhile
 import numpy as np
 from scipy.sparse.csgraph import dijkstra
 
-from flowtrack.cost_model import CostModel, Detection, FrameBoxes, _logistic, iou
+from flowtrack import io as ftio
+from flowtrack.cost_model import (CostModel, Detection, FrameBoxes, _logistic,
+                                  iou, nan_link_error)
 from flowtrack.errors import DataError, InvariantBreach
-from flowtrack.graph import (KIND_DEAD, KIND_SINK, KIND_SOURCE, KIND_U, SINK,
-                             SOURCE, TrackingGraph, Trajectory, gate_pairs)
+from flowtrack.graph import (KIND_DEAD, KIND_SINK, KIND_SOURCE, KIND_U,
+                             PAIR_BUDGET, SINK, SOURCE, TrackingGraph,
+                             Trajectory, gate_pairs)
 from flowtrack.metrics import GroundTruth
 from flowtrack.ssp import SolverStats, _count_search, extract_path
 
@@ -168,6 +173,44 @@ def gate_block(a: FrameBoxes, b: FrameBoxes,
     shape = len(a.dets), len(b.dets)
     ip, jn = np.indices(shape).reshape(2, -1)
     return gate_pairs(a, b, ip, jn, radius_factor).reshape(shape)
+
+
+def pair_index_links(prepared, model, gating: bool = True,
+                     radius_factor: float = 2.0, budget: int = PAIR_BUDGET):
+    """The links of prepared, a run of frames prepared on an empty graph, as
+    one global pair index enumerates them: each frame's (previous frame x
+    frame) pairs, row-major and frame by frame, numbered in one sequence
+    over the run's boxes, gathered, gated (gate_pairs) and priced
+    (link_costs_of) budget pairs at a time; a NaN cost raises, +inf admits
+    no link. Returns ((ip, jn), costs, each frame's number of links)."""
+    # per frame: the end and start of its pairs, the previous frame's first
+    # detection and its own, and its size
+    layout, pool, pairs, last = [], 0, 0, None
+    for frame, n in zip(prepared.frames, prepared.sizes):
+        m = layout[-1][4] if last == frame - 1 else 0
+        layout.append((pairs + m * n, pairs, pool - m, pool, n))
+        pool, pairs, last = pool + n, pairs + m * n, frame
+    pair_end, pair_first, prev_first, first, size = np.array(layout).T
+    boxes, found = prepared.boxes, []
+    for start in range(0, pairs, budget):
+        pair = np.arange(start, min(start + budget, pairs))
+        at = pair_end.searchsorted(pair, "right")  # the pair's frame
+        i, j = np.divmod(pair - pair_first[at], size[at])
+        ip, jn = prev_first[at] + i, first[at] + j
+        if gating:
+            admit = gate_pairs(boxes, boxes, ip, jn, radius_factor)
+            at, ip, jn = at[admit], ip[admit], jn[admit]
+        cost = np.array(model.link_costs_of(boxes, boxes, ip, jn)
+                        if len(ip) else (), dtype=float)
+        if np.isnan(cost).any():
+            k = np.isnan(cost).argmax()
+            raise nan_link_error(boxes.dets[ip[k]], boxes.dets[jn[k]])
+        keep = ~np.isinf(cost)
+        found.append((at[keep], ip[keep], jn[keep], cost[keep]))
+    empty = np.zeros(0, dtype=np.int64)
+    at, ip, jn, cost = (map(np.concatenate, zip(*found)) if found
+                        else (empty, empty, empty, np.zeros(0)))
+    return (ip, jn), cost, np.bincount(at, minlength=len(layout)).tolist()
 
 
 def link_edge_between(g: TrackingGraph, a: Detection,
@@ -373,6 +416,22 @@ def parse_detections(fobj) -> dict[int, list[Detection]]:
             n_extras = len(det.extras)
         elif len(det.extras) != n_extras:
             raise DataError(f"line {lineno}: inconsistent column count")
+    return dict(sorted(per_frame.items()))
+
+
+def parse_detections_by_rows(source) -> dict[int, list[Detection]]:
+    """The package's detection file parser as it was before it converted by
+    columns: each row in turn through io._add_detection, which converts it
+    in one step, or field by field when a field is bad or NaN, and checks
+    Detection's rule and the column count, so the first bad line raises."""
+    per_frame, n_extras = {}, None
+    with ftio.open_or_stdio(source) as fobj:
+        for lineno, row in ftio._rows(csv.reader(fobj)):
+            det, _ = ftio._add_detection(per_frame, row, lineno)
+            if n_extras is None:
+                n_extras = len(det.extras)
+            elif len(det.extras) != n_extras:
+                raise DataError(f"line {lineno}: inconsistent column count")
     return dict(sorted(per_frame.items()))
 
 

@@ -6,6 +6,7 @@ both to default_gate and link_cost_of bit for bit, errors included, and pin
 whole graphs, batch and windowed, to a builder that prices pair by pair.
 """
 import math
+import random
 import warnings
 from dataclasses import replace
 
@@ -21,7 +22,7 @@ from flowtrack.graph import (LINK, TrackingGraph, build_batch_graph,
                              default_gate)
 from flowtrack.online import OnlineTracker, TrackerConfig
 from flowtrack.synthetic import SyntheticConfig, generate_synthetic
-from reference import gate_block
+from reference import gate_block, pair_index_links
 
 PROPERTY = settings(derandomize=True, database=None, max_examples=400,
                     deadline=None)
@@ -271,25 +272,74 @@ def test_batch_graph_matches_scalar_builder(model, gating, radius):
         assert sum(k == LINK for k in got.e_kind) > 0
 
 
-@pytest.mark.parametrize("budget", [1, 7, 100])
+def wide_scene():
+    """A run with frames of 1 and of 200 detections, an empty frame, a gap
+    and one frame pair (200 x 50) above the default PAIR_BUDGET, its boxes
+    spread so that some pairs pass the gate and most do not."""
+    rnd = random.Random(5)
+    sizes = {0: 3, 1: 1, 2: 200, 3: 50, 4: 0, 6: 7, 7: 1, 8: 4}
+    frames = {}
+    for f, n in sizes.items():
+        frames[f] = []
+        for i in range(n):
+            w = rnd.uniform(10.0, 40.0)
+            frames[f].append(Detection(
+                f, (rnd.uniform(0.0, 400.0), rnd.uniform(0.0, 400.0), w,
+                    w * rnd.uniform(1.5, 2.5)), rnd.uniform(-1.0, 3.0), i,
+                extras=((i % 5) / 4.0,)))
+    return frames
+
+
+@pytest.mark.parametrize("budget", [1, 7, 100, None])
 def test_pair_budget_does_not_change_the_graph(budget, monkeypatch):
-    """Gating and pricing PAIR_BUDGET pairs at a time, with chunks cut
-    inside frames, gives the graph and the first error of one pass."""
-    detections = parsed({f: ds for f, ds in
-                         generate_synthetic(CROWDED, 0)[0].items() if f < 8})
+    """Gating and pricing blocks of at most PAIR_BUDGET pairs (None: the
+    default), frame grids stacked or cut by rows, gives the graph and the
+    first error of the default budget, and the link ends, costs and
+    per-frame counts of the global pair index (pair_index_links), on a
+    crowded run and on wide_scene; no gated block is larger."""
+    scenes = [parsed({f: ds for f, ds in
+                      generate_synthetic(CROWDED, 0)[0].items() if f < 8}),
+              wide_scene()]
     nan_model = CostModel(feature_offsets=(1e308, 1e308, 0.0),
                           feature_weights=(1e308, -1e308, 1.0))
 
     def outcomes():
-        out = [graph_arrays(build_batch_graph(detections, m, gating=gating))
-               for m in MODELS for gating in (True, False)]
-        with pytest.raises(DataError) as error:
-            build_batch_graph(detections, nan_model)
-        return out, str(error.value)
+        out = []
+        for detections in scenes:
+            out += [graph_arrays(build_batch_graph(detections, m,
+                                                   gating=gating))
+                    for m in MODELS for gating in (True, False)]
+            with pytest.raises(DataError) as error:
+                build_batch_graph(detections, nan_model)
+            out.append(str(error.value))
+        return out
 
-    one_pass = outcomes()
-    monkeypatch.setattr(graph, "PAIR_BUDGET", budget)
-    assert outcomes() == one_pass
+    default = outcomes()
+    if budget is not None:
+        monkeypatch.setattr(graph, "PAIR_BUDGET", budget)
+    gate, cells = graph._gate, []
+
+    def counted(ga, gb, radius_factor):
+        cells.append(np.broadcast(ga[0], gb[0]).size)
+        return gate(ga, gb, radius_factor)
+
+    monkeypatch.setattr(graph, "_gate", counted)
+    assert outcomes() == default
+    # a gated block holds at most the budget, or one row of 200 or 50
+    assert 0 < max(cells) <= max(budget or graph.PAIR_BUDGET, 200)
+    for detections in scenes:
+        for model in MODELS:
+            for gating in (True, False):
+                got = TrackingGraph(gating=gating).prepare_frame(detections,
+                                                                 model)
+                (ip, jn), cost, counts = pair_index_links(got, model, gating)
+                assert [e.tolist() for e in got.link_ends] == [ip.tolist(),
+                                                               jn.tolist()]
+                assert ([c.hex() for c in got.link_costs.tolist()]
+                        == [c.hex() for c in cost.tolist()])
+                assert list(got.link_counts) == counts
+    wide = TrackingGraph().prepare_frame(scenes[1], MODELS[0])
+    assert 0 < wide.link_counts[3] < 200 * 50  # the gate admits some
 
 
 @pytest.mark.parametrize("window", [3, None])

@@ -2,9 +2,11 @@ import gc
 import heapq
 import tracemalloc
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
 from conftest import (StubModel, build_graph, canonical_graph, det,
                       interchange_graph, make_random_instance)
@@ -24,6 +26,7 @@ from flowtrack.online import OnlineTracker, TrackerConfig
 from flowtrack.synthetic import SyntheticConfig, generate_synthetic
 from reference import (fwd_dst, link_edge_between, node_topo_key, reduced,
                        stop_iterations)
+from test_ties import tied_scenes
 
 
 def single_det_graph(detection=-5.0):
@@ -1161,6 +1164,62 @@ class TestCompiledGreedyDp:
         stats = self.check(lambda: build_batch_graph(dets, CostModel()))
         assert stats.iterations > 3
         assert stats.searches < stats.iterations + 1  # several per sweep
+
+
+class TestDpReadsNoSlotTable:
+    """solve_dp_greedy with ResidualGraph.arcs made to raise returns what it
+    returns when its sweeps' paths are read through the slot table
+    (extract_path): the same trajectories, costs, flow and counters."""
+
+    @staticmethod
+    def check(build):
+        with mock.patch.object(ssp, "sweep_path", extract_path):
+            want, want_stats = solve_dp_greedy(build())
+        with mock.patch.object(ResidualGraph, "arcs",
+                               side_effect=AssertionError("slot table")):
+            got, stats = solve_dp_greedy(build())
+        assert ([([d.key for d in t.detections], t.cost.hex())
+                 for t in got.trajectories]
+                == [([d.key for d in t.detections], t.cost.hex())
+                    for t in want.trajectories])
+        assert got.total_cost.hex() == want.total_cost.hex()
+        assert np.array_equal(got.flow, want.flow)
+        assert stats == want_stats
+        return len(got.trajectories)
+
+    def test_criterion_6_scenes(self):
+        tracks = 0
+        for seed in range(10):
+            cfg = SyntheticConfig(n_frames=110, n_initial_tracks=4,
+                                  miss_rate=0.1, fp_rate=0.1,
+                                  spawn_prob=0.05, death_prob=0.02)
+            dets, _ = generate_synthetic(cfg, seed)
+            tracks += self.check(lambda: build_batch_graph(dets, CostModel()))
+        assert tracks > 40
+
+    @settings(max_examples=150, derandomize=True, database=None,
+              deadline=None)
+    @given(tied_scenes())
+    def test_tied_scenes(self, scene):
+        frames, model = scene
+        self.check(lambda: build_batch_graph(frames, model))
+
+    def test_sweep_paths_are_the_table_paths(self):
+        """Every reached v node's tree path and the target's, as ssp and
+        dssp take their first path from a sweep."""
+        paths = 0
+        for seed in range(3):
+            cfg = SyntheticConfig(n_frames=30, n_initial_tracks=4,
+                                  crossing=True, miss_rate=0.1, fp_rate=0.2)
+            dets, _ = generate_synthetic(cfg, seed)
+            res = ResidualGraph(build_batch_graph(dets, CostModel()))
+            path, labels = dag_shortest_path(res)
+            assert path == extract_path(res, labels)
+            for v in res.sweep_plan().v.tolist():
+                assert (ssp.sweep_path(res, labels, via=v)
+                        == extract_path(res, labels, via=v))
+                paths += 1
+        assert paths > 100
 
 
 class TestLayerHooks:
