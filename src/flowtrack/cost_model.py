@@ -8,19 +8,21 @@ either affinely or through log-odds.
 `link_cost_of` prices one pair of detections and is the reference. The graph
 prices every candidate pair of a run of frames at once with
 `CostModel.link_costs_of`, over the `FrameBoxes` geometry computed once per
-detection. It gives the same floats bit for bit: numpy does the elementwise
-IEEE arithmetic, `math.hypot` and `math.exp` are mapped over lists (numpy's
-hypot and exp differ in the last bit on some inputs), both add the weighted
-terms one at a time from 0.0, left to right (the builtin `sum` compensates
-its rounding from Python 3.12 on, and numpy's sum changes the order of
-adding), and `np.fmin`/`np.fmax` keep the builtin `min`/`max` rule of
-passing over a NaN second argument.
+detection, and a run's entry, detection and exit costs with
+`CostModel.node_costs_of`. Both give the same floats bit for bit as the
+per-detection and per-pair methods: numpy does the elementwise IEEE
+arithmetic, `math.hypot` and `math.exp` are mapped over lists (numpy's
+hypot and exp differ in the last bit on some inputs), link costs add the
+weighted terms one at a time from 0.0, left to right (the builtin `sum`
+compensates its rounding from Python 3.12 on, and numpy's sum changes the
+order of adding; `np.add.accumulate` does not), and `np.fmin`/`np.fmax`
+keep the builtin `min`/`max` rule of passing over a NaN second argument.
 """
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
+from operator import attrgetter, neg, truediv
 
 import numpy as np
 
@@ -28,6 +30,7 @@ from .errors import DataError
 
 #: Geometry-derived pairwise features, in order.
 GEOMETRY_FEATURES = ("iou_overlap", "location_similarity", "size_similarity")
+_box = attrgetter("box")
 
 
 @dataclass(frozen=True, slots=True)
@@ -129,7 +132,7 @@ class FrameBoxes:
         self.dets = dets
         self.geo = geo if geo is not None else np.array(
             [(x, y, x + w, y + h, x + w / 2.0, y + h / 2.0, w * h,
-              math.hypot(w, h)) for x, y, w, h in (d.box for d in dets)],
+              math.hypot(w, h)) for x, y, w, h in map(_box, dets)],
             dtype=float).T
 
 
@@ -178,6 +181,10 @@ class CostModel:
                            np.array(self.feature_offsets, dtype=float)[:, None])
         object.__setattr__(self, "_weights",
                            np.array(self.feature_weights, dtype=float)[:, None])
+        object.__setattr__(self, "_n_extra",
+                           len(self.feature_weights) - len(GEOMETRY_FEATURES))
+        # the rows link_costs_of sums: a zero, then a term per feature
+        object.__setattr__(self, "_rows", len(self.feature_weights) + 1)
 
     @property
     def n_features(self) -> int:
@@ -215,6 +222,25 @@ class CostModel:
     def detection_cost_of(self, det: Detection) -> float:
         return self.detection_cost(det.score)
 
+    def node_costs_of(self, dets: list[Detection]) -> np.ndarray:
+        """The (entry, detection, exit) cost of each detection, as the rows
+        of an (n, 3) array: entry_cost_of, detection_cost_of and
+        exit_cost_of, bit for bit. The affine form is priced inline, with
+        the logistic's math.exp; where it overflows, and for the log-odds
+        form, each detection goes through detection_cost."""
+        entry, exit_ = self.entry_cost, self.exit_cost
+        if self.det_cost_form == "affine":
+            off, wt, beta = self.det_offset, self.det_weight, self.beta
+            try:
+                return np.array(
+                    [(entry, off + wt * (1.0 / (1.0 + e)), exit_) for e in
+                     map(math.exp, [beta * d.score for d in dets])],
+                    dtype=float).reshape(-1, 3)
+            except OverflowError:  # where _logistic takes its limit 0.0
+                pass
+        return np.array([(entry, self.detection_cost(d.score), exit_)
+                         for d in dets], dtype=float).reshape(-1, 3)
+
     def link_cost_of(self, a: Detection, b: Detection) -> float:
         feats = list(pairwise_features(a, b))
         n_extra = self.n_features - len(feats)
@@ -227,45 +253,42 @@ class CostModel:
             feats.extend(min(1.0, max(0.0, e)) for e in extras)
         return self.link_cost(feats)
 
+    @np.errstate(all="ignore")
     def link_costs_of(self, prev: FrameBoxes, new: FrameBoxes,
-                      ip: np.ndarray, jn: np.ndarray) -> list[float]:
-        """[link_cost_of(prev.dets[i], new.dets[j]) for i, j in zip(ip, jn)],
-        bit for bit, in one array pass.
+                      ip: np.ndarray, jn: np.ndarray) -> np.ndarray:
+        """[link_cost_of(prev.dets[i], new.dets[j]) for i, j in zip(ip, jn)]
+        as a float array, bit for bit, in one array pass.
 
         Raises a DataError for the first pair whose cost is NaN or whose
         successor lacks the model's extra feature columns, with the text
         that pricing pair by pair gives.
         """
-        a, b = prev.geo[:, ip], new.geo[:, jn]
-        area_a, area_b = a[6], b[6]
-        s = np.empty((self.n_features, len(ip)))
-        with np.errstate(all="ignore"):
-            ixy = np.minimum(a[2:4], b[2:4]) - np.maximum(a[0:2], b[0:2])
-            np.maximum(ixy, 0.0, out=ixy)
-            inter = ixy[0] * ixy[1]
-            # iou(). Areas are positive, so inter == 0.0 gives 0.0 without
-            # a branch, and inter / 0.0 is inf, which min() makes 1.0.
-            np.fmin(1.0, inter / (area_a + area_b - inter), out=s[0])
-            # exp(-dist / diagonal) in Python floats, as pairwise_features()
-            dist = map(math.hypot, *(a[4:6] - b[4:6]).tolist())
-            s[1] = list(map(math.exp, map(operator.truediv,
-                                          map(operator.neg, dist),
-                                          a[7].tolist())))
-            np.divide(np.minimum(area_a, area_b), np.maximum(area_a, area_b),
-                      out=s[2])
-            missing = self._extras(new, s, jn)
-            # The geometry features are at most 1.0 or NaN, and the extras
-            # come clamped, so max(0.0, v) is what is left of the clamp.
-            np.fmax(0.0, s, out=s)
-            np.subtract(1.0, s, out=s)
-            s += self._offsets
-            s *= self._weights
-            acc = 0.0 + s[0]  # as link_cost adds the terms, left to right
-            for row in s[1:]:
-                acc += row
-        costs = acc.tolist()
-        # the sum of the costs is NaN whenever one of them is
-        if missing is not None or math.isnan(sum(costs)):
+        a, b = prev.geo.take(ip, axis=1), new.geo.take(jn, axis=1)
+        low, high = np.minimum(a, b), np.maximum(a, b)  # row by row
+        # Row 0 stays 0.0, the start of the left-to-right sum of the terms.
+        s = np.zeros((self._rows, len(ip)))
+        ixy = low[2:4] - high[0:2]
+        np.maximum(ixy, 0.0, out=ixy)
+        inter = ixy[0] * ixy[1]
+        # iou(). Areas are positive, so inter == 0.0 gives 0.0 without a
+        # branch, and inter / 0.0 is inf, which min() makes 1.0.
+        np.fmin(1.0, inter / (a[6] + b[6] - inter), out=s[1])
+        # exp(-dist / diagonal) in Python floats, as pairwise_features()
+        dist = map(math.hypot, *(a[4:6] - b[4:6]).tolist())
+        s[2] = list(map(math.exp, map(truediv, map(neg, dist), a[7].tolist())))
+        np.divide(low[6], high[6], out=s[3])
+        terms, missing = s[1:], None
+        if self._n_extra:
+            missing = self._extras(new, terms, jn)
+        # The geometry features are at most 1.0 or NaN, and the extras come
+        # clamped, so max(0.0, v) is what is left of the clamp.
+        np.fmax(0.0, terms, out=terms)
+        np.subtract(1.0, terms, out=terms)
+        terms += self._offsets
+        terms *= self._weights
+        costs = np.add.accumulate(s)[-1]  # 0.0, then each term, in order
+        # their sum is NaN whenever a cost is
+        if missing is not None or math.isnan(np.add.reduce(costs)):
             bad = np.isnan(costs)
             if missing is not None:
                 bad |= missing
@@ -281,9 +304,7 @@ class CostModel:
         """Fill s[3:] with the clamped extra columns of new.dets[jn].
         Returns the mask of the pairs whose successor lacks them, or None
         when none does."""
-        n_extra = self.n_features - len(GEOMETRY_FEATURES)
-        if not n_extra:
-            return None
+        n_extra = self._n_extra
         rows = [d.extras[:n_extra] for d in new.dets]
         short = np.array([len(r) < n_extra for r in rows])
         table = np.array([(0.0,) * n_extra if lacks else r

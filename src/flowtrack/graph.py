@@ -6,7 +6,8 @@ to the sink, and link edges connect v nodes to u nodes in the next frame.
 The graph supports online frame appending and oldest-frame clipping, which
 folds each clipped trajectory prefix into its successor's entry cost, and
 reuses the clipped node/edge slots, the dead ones, so a windowed graph
-stays bounded in memory.
+stays bounded in memory. A tracker's clip hands over each continuing
+track's fold as its decode holds it, so the graph looks nothing up.
 
 Nodes and edges are stored once, as numpy columns by slot id that the
 solvers read directly, with fixed edge slots per detection and a block of
@@ -14,18 +15,22 @@ link edges per frame. Each column is an exact-length view over a buffer
 with spare room that doubles when it runs out (`lengthen`), so an append
 that adds slots costs what it adds, not the columns' length. A run of
 frames, one frame online or a whole batch, is checked and priced as one
-block and appended with one slot take and one write per column; a clip is
-one write per column too. Only when a clip left dead slots does an append
-look for them.
+block and appended with one slot take and a few flat writes per column
+(`put` for the per-detection rows); a clip is one write per column too.
+Only when a clip left dead slots does an append look for them.
 
 A frame's candidate links are the grid of its previous frame's boxes
 against its own, gated with no pair geometry gathered. A run of frames
 stacks its frames' grids into padded blocks of at most PAIR_BUDGET cells,
 each gathered once by row and column over the run's box geometry (and the
 frame before it) and gated in one call; a grid above the budget is cut by
-rows of the previous frame. Only the admitted pairs are priced, by the
-model's `link_costs_of`, block by block. Both give, bit for bit, what the
-scalar references `default_gate` and `link_cost_of` give pair by pair.
+rows of the previous frame. Every block is gated before any is priced, and
+a frame whose gate admits more than LINK_BUDGET links is a DataError. Only
+the admitted pairs are priced, by the model's `link_costs_of`, block by
+block, and the run's entry, detection and exit costs by its
+`node_costs_of`, at once. Both give, bit for bit, what the scalar
+references `default_gate`, `link_cost_of` and the per-detection cost
+methods give one by one.
 """
 from __future__ import annotations
 
@@ -47,8 +52,12 @@ KIND_SOURCE, KIND_SINK, KIND_U, KIND_V, KIND_DEAD = range(5)
 # Edge kinds (int8 column e_kind), in the order a node's edges were pushed:
 # entry before links into a u node, exit before links out of a v node.
 ENTRY, DET, EXIT, LINK = range(4)
+# A detection's u and v node kinds, and its entry, detection and exit kinds.
+UV_KINDS = np.array([KIND_U, KIND_V], dtype=np.int8)
+TRIPLE_KINDS = np.array([ENTRY, DET, EXIT], dtype=np.int8)
 
 NO_EDGES = np.zeros(0, dtype=np.int64)
+NO_COSTS = np.zeros(0)
 #: Relative distance to the gate radius, far above any hypot's rounding
 #: error, inside which a pair is measured with math.hypot; TINY covers the
 #: absolute error of subnormal distances.
@@ -58,9 +67,18 @@ TINY = sys.float_info.min
 #: one row of a previous frame, if wider), whose admitted pairs are then
 #: priced: it bounds a block's temporary arrays however long the run.
 PAIR_BUDGET = 1 << 13
+#: Links the gate may admit into one frame from the frame before, never
+#: below PAIR_BUDGET: N boxes alike in two frames admit N * N, from a file
+#: of about 36 * N bytes. Past it a frame is a DataError, raised before its
+#: links are priced. It lies far above every input the tests, demos and
+#: benchmark feed (at most 62,500, two frames of 250 boxes alike), and
+#: bounds what one frame pair costs: a million links took a solve about
+#: 300 MB.
+LINK_BUDGET = 1 << 20
 NODE_COLUMNS = ("node_kind", "node_in", "node_out")
 EDGE_COLUMNS = ("e_src", "e_dst", "e_kind", "e_cost", "e_alive", "e_origin")
-_local_index = attrgetter("local_index")
+_frame, _local_index = attrgetter("frame"), attrgetter("local_index")
+_key = attrgetter("frame", "local_index")  # Detection.key
 
 
 @dataclass
@@ -139,22 +157,38 @@ def gate_pairs(a: FrameBoxes, b: FrameBoxes, ip: np.ndarray, jn: np.ndarray,
     return _gate(a.geo[4:8, ip], b.geo[4:8, jn], radius_factor)
 
 
+@np.errstate(all="ignore")
 def _gate(ga: np.ndarray, gb: np.ndarray, radius_factor: float) -> np.ndarray:
     """gate_pairs over the centre x, centre y, area and diagonal rows of
     the boxes a and b of each pair, ga and gb, which broadcast: gathered
     pair by pair, or a frame's (m, 1) column against the next one's (1, n)
     row for the grid of its pairs."""
-    with np.errstate(all="ignore"):
-        dx, dy = ga[0] - gb[0], ga[1] - gb[1]
-        radius = radius_factor * np.maximum(ga[3], gb[3])
-        dist = np.hypot(dx, dy)
-        admit = dist <= radius
-        edge = abs(dist - radius) <= radius * GATE_TOL + TINY
-        if edge.any():
-            admit[edge] = (np.array(list(map(math.hypot, dx[edge].tolist(),
-                                              dy[edge].tolist())))
-                           <= radius[edge])
+    dx, dy = ga[0:2] - gb[0:2]
+    radius = radius_factor * np.maximum(ga[3], gb[3])
+    dist = np.hypot(dx, dy)
+    admit = dist <= radius
+    edge = np.abs(dist - radius) <= radius * GATE_TOL + TINY
+    if np.logical_or.reduce(edge, axis=None):
+        admit[edge] = (np.array(list(map(math.hypot, dx[edge].tolist(),
+                                          dy[edge].tolist())))
+                       <= radius[edge])
     return admit
+
+
+def _priced(boxes: FrameBoxes, ip: np.ndarray, jn: np.ndarray, model):
+    """The model's costs of the links boxes.dets[ip] -> boxes.dets[jn]
+    (model.link_costs_of), with the mask of those to keep, None for all: a
+    NaN cost is a DataError, and +inf admits no link."""
+    cost = (np.asarray(model.link_costs_of(boxes, boxes, ip, jn), dtype=float)
+            if len(ip) else NO_COSTS)
+    if np.logical_and.reduce(np.isfinite(cost)):
+        return None, cost
+    nan = np.isnan(cost)
+    if nan.any():
+        k = nan.argmax()
+        raise nan_link_error(boxes.dets[ip[k]], boxes.dets[jn[k]])
+    keep = ~np.isinf(cost)  # +inf means "no plausible link"
+    return keep, cost[keep]
 
 
 def lengthen(owner, names, size: int):
@@ -269,8 +303,8 @@ class TrackingGraph:
         new ones as are missing, added to each named column (lengthen); the
         caller writes every slot taken."""
         ids = NO_EDGES if dead is None else dead.nonzero()[0][:k]
-        if len(ids) < k:
-            end = size + k - len(ids)
+        if missing := k - len(ids):
+            end = size + missing
             new = np.arange(size, end)
             ids = np.concatenate((ids, new)) if len(ids) else new
             lengthen(self, columns, end)
@@ -325,27 +359,27 @@ class TrackingGraph:
             blocks.append(sorted(dets, key=_local_index))
             last = frame
         sizes = [row[3] for row in layout]
-        dets = [d for block in blocks for d in block]
-        costs = [(model.entry_cost_of(d), model.detection_cost_of(d),
-                  model.exit_cost_of(d)) for d in dets]
-        node_costs = np.array(costs, dtype=float).reshape(-1, 3)
-        if not np.isfinite(node_costs).all():
-            i, kind = divmod(int(np.isfinite(node_costs).argmin()), 3)
+        dets = blocks[0] if len(blocks) == 1 else [d for b in blocks for d in b]
+        node_costs = model.node_costs_of(dets)
+        finite = np.isfinite(node_costs)
+        if not np.logical_and.reduce(finite, axis=None):
+            i, kind = divmod(int(finite.argmin()), 3)
             self._prepare(runs[:np.searchsorted(np.cumsum(sizes), i, "right")],
                           model)
             raise DataError(f"non-finite {('entry', 'det', 'exit')[kind]} "
-                            f"edge cost {costs[i][kind]!r}")
-        boxes, ends, link_costs = None, (NO_EDGES, NO_EDGES), np.zeros(0)
+                            f"edge cost {node_costs[i, kind].item()!r}")
+        boxes, ends, link_costs = None, (NO_EDGES, NO_EDGES), NO_COSTS
         counts = [0] * len(frames)
         if dets:
-            boxes = FrameBoxes(dets)
             if pool > len(dets):
                 prev = self.last_boxes
                 boxes = FrameBoxes(prev.dets + dets, np.concatenate(
-                    (prev.geo, boxes.geo), axis=1))
+                    (prev.geo, FrameBoxes(dets).geo), axis=1))
+            else:
+                boxes = FrameBoxes(dets)
             if pairs:
-                ends, link_costs, counts = self._links(boxes, layout, pairs,
-                                                       model)
+                ends, link_costs, counts = self._links(boxes, frames, layout,
+                                                       pairs, model)
         return PreparedFrames(frames, sizes, dets, boxes, node_costs, ends,
                               link_costs, counts)
 
@@ -354,10 +388,9 @@ class TrackingGraph:
         """The checked index of one frame of detections that follows frame
         `last` (None on an empty graph)."""
         if dets:
-            found = {d.frame for d in dets}
+            found, det_frame = set(map(_frame, dets)), dets[0].frame
             if len(found) > 1:
                 raise DataError(f"detections span multiple frames: {sorted(found)}")
-            det_frame = found.pop()
             if frame is not None and frame != det_frame:
                 raise DataError(f"frame argument {frame} != detection frame {det_frame}")
             frame = det_frame
@@ -369,7 +402,7 @@ class TrackingGraph:
         elif frame <= last:
             raise DataError(f"frames must be strictly in order: expected a "
                             f"frame above {last}, got {frame}")
-        if len({d.local_index for d in dets}) < len(dets):
+        if len(set(map(_local_index, dets))) < len(dets):
             seen = set()
             for d in dets:
                 if d.local_index in seen:
@@ -378,16 +411,17 @@ class TrackingGraph:
                 seen.add(d.local_index)
         return frame
 
-    def _links(self, boxes: FrameBoxes, layout: list[tuple], n_pairs: int,
-               model):
+    def _links(self, boxes: FrameBoxes, frames: list[int],
+               layout: list[tuple], n_pairs: int, model):
         """The admitted links among the n_pairs candidate pairs that
-        `layout` lays out over `boxes`, per frame (its previous frame's
-        first detection, their number, its own first and their number):
-        each frame's (previous frame x frame) grid, row-major and frame by
-        frame, gated and priced in blocks (_grids). Returns the link ends
-        (ip, jn), their costs and each frame's number of links."""
-        grid = len(layout) == 1 and n_pairs <= PAIR_BUDGET
-        if grid:
+        `layout` lays out over `boxes`, per frame of `frames` (its previous
+        frame's first detection, their number, its own first and their
+        number): each frame's (previous frame x frame) grid, row-major and
+        frame by frame, gated (_gated) and priced. One frame of at most
+        PAIR_BUDGET pairs is gated as one grid, which holds fewer than
+        LINK_BUDGET links. Returns the link ends (ip, jn), their costs and
+        each frame's number of links."""
+        if len(layout) == 1 and n_pairs <= PAIR_BUDGET:
             # One frame after its m previous detections: the m x n grid of
             # its pairs, gated on the geometry as it lies, in pair order.
             m, n = layout[0][2:]
@@ -398,28 +432,43 @@ class TrackingGraph:
             else:
                 ip, jn = np.divmod(np.arange(n_pairs), n)
             jn += m
-            chunks = [(None, ip, jn)]
-        else:
-            chunks = self._grids(boxes, layout)
-        found = []
-        for at, ip, jn in chunks:
-            cost = np.array(model.link_costs_of(boxes, boxes, ip, jn)
-                            if len(ip) else (), dtype=float)
-            if not np.isfinite(cost).all():
-                nan = np.isnan(cost)
-                if nan.any():
-                    k = nan.argmax()
-                    raise nan_link_error(boxes.dets[ip[k]], boxes.dets[jn[k]])
-                keep = ~np.isinf(cost)  # +inf means "no plausible link"
-                ip, jn, cost = ip[keep], jn[keep], cost[keep]
-                at = None if at is None else at[keep]
-            found.append((at, ip, jn, cost))
-        if grid:
+            keep, cost = _priced(boxes, ip, jn, model)
+            if keep is not None:
+                ip, jn = ip[keep], jn[keep]
             return (ip, jn), cost, [len(cost)]
+        found = []
+        for at, ip, jn in self._gated(boxes, frames, layout, model):
+            keep, cost = _priced(boxes, ip, jn, model)
+            found.append((at, ip, jn, cost) if keep is None else
+                         (at[keep], ip[keep], jn[keep], cost))
         at, ip, jn, cost = (found[0] if len(found) == 1 else
                             map(np.concatenate, zip(*found)))
         return ((ip, jn), cost,
                 np.bincount(at, minlength=len(layout)).tolist())
+
+    def _gated(self, boxes: FrameBoxes, frames: list[int],
+               layout: list[tuple], model) -> list[tuple]:
+        """The blocks of _grids, every one gated before any is priced,
+        while the links each frame admits are counted. A frame past
+        LINK_BUDGET is a DataError, once the links of the frames before it
+        are priced (and so checked), as one by one."""
+        blocks, admitted = [], np.zeros(len(layout), dtype=np.int64)
+        for block in self._grids(boxes, layout):
+            at = block[0]
+            if len(at):  # a block's frames are consecutive
+                lo = at.item(0)
+                seen = admitted[lo:at.item(-1) + 1]
+                seen += np.bincount(at - lo, minlength=len(seen))
+                if (over := seen > LINK_BUDGET).any():
+                    k = lo + int(over.argmax())  # the first frame past it
+                    for at, ip, jn in blocks + [block]:
+                        _priced(boxes, ip[at < k], jn[at < k], model)
+                    raise DataError(
+                        f"frame {frames[k]} admits {admitted.item(k)} links "
+                        f"or more from frame {frames[k] - 1}, past the budget "
+                        f"of {LINK_BUDGET} a frame pair")
+            blocks.append(block)
+        return blocks
 
     def _grids(self, boxes: FrameBoxes, layout: list[tuple]):
         """The candidate pairs of _links, gated, in blocks of (the pair's
@@ -487,11 +536,12 @@ class TrackingGraph:
         dead = (self.node_kind == KIND_DEAD
                 if slots > 2 * len(self.det_nodes) + 2 else None)
         uv = self._take(dead, slots, 2 * n, NODE_COLUMNS).reshape(n, 2)
-        nodes = uv.T
-        self.node_det += [None] * (len(self.node_kind) - len(self.node_det))
-        for d, x, y in zip(p.dets, *nodes.tolist()):
-            self.det_nodes[d.key] = (x, y)
-            self.node_det[x] = self.node_det[y] = d
+        nodes = uv.T.copy()  # contiguous rows, which fancy writes index faster
+        node_det, (us, vs) = self.node_det, nodes.tolist()
+        node_det += [None] * (len(self.node_kind) - len(node_det))
+        self.det_nodes.update(zip(map(_key, p.dets), zip(us, vs)))
+        for d, x, y in zip(p.dets, us, vs):
+            node_det[x] = node_det[y] = d
 
         k, n_dead = 3 * n + len(p.link_costs), self._dead_edges
         eids = self._take(~self.e_alive if n_dead else None, len(self.e_alive),
@@ -516,25 +566,31 @@ class TrackingGraph:
             triples, links = np.concatenate(triples), np.concatenate(links)
         else:
             triples, links = triples[0], links[0]
+        # Written row by row through put, whose flat writes of repeated or
+        # (n, 2)-shaped values cost less than the same fancy assignments.
         triples = triples.reshape(n, 3)
-        self.node_kind[uv] = KIND_U, KIND_V
-        self.node_in[uv], self.node_out[uv] = triples[:, :2], triples[:, 1:]
+        self.node_kind.put(uv, UV_KINDS)
+        self.node_in.put(uv, triples[:, :2])
+        self.node_out.put(uv, triples[:, 1:])
         # source -> u -> v -> sink
-        self.e_src[triples[:, 0]], self.e_src[triples[:, 1:]] = SOURCE, uv
-        self.e_dst[triples[:, :2]], self.e_dst[triples[:, 2]] = uv, SINK
-        self.e_kind[triples] = ENTRY, DET, EXIT
+        self.e_src[triples[:, 0]] = SOURCE
+        self.e_src.put(triples[:, 1:], uv)
+        self.e_dst.put(triples[:, :2], uv)
+        self.e_dst[triples[:, 2]] = SINK
+        self.e_kind.put(triples, TRIPLE_KINDS)
         self.e_cost[triples] = p.node_costs
         if len(links):  # ends index the frame before the run, then the run
             ip, jn = p.link_ends
+            us, vs = nodes
             if n_prev:
-                nodes = np.concatenate((self.frame_nodes[p.frames[0] - 1],
-                                        nodes), axis=1)
-            self.e_src[links], self.e_dst[links] = nodes[1, ip], nodes[0, jn]
+                us, vs = np.concatenate((self.frame_nodes[p.frames[0] - 1],
+                                         nodes), axis=1)
+            self.e_src[links], self.e_dst[links] = vs[ip], us[jn]
         self.e_kind[links], self.e_cost[links] = LINK, p.link_costs
         self.e_alive[eids], self.e_origin[eids] = True, -1
         return self
 
-    def clip_oldest_frame(self, solution: FlowSolution) -> np.ndarray:
+    def clip_oldest_frame(self, solution: FlowSolution | list) -> np.ndarray:
         """Drop the oldest frame, folding each clipped trajectory's prefix
         cost (entry, detection and link) into its successor's entry edge, so
         the suffix keeps the trajectory's full cost and, via e_origin, its id.
@@ -542,23 +598,56 @@ class TrackingGraph:
         the graph. The frame's nodes and edges and its links out die: their
         slots are dead, for later appends to reuse. Returns the edge slots
         it freed.
-        """
-        if self.is_empty:
-            raise DataError("cannot clip an empty graph")
-        t_min, removed = self.t_min, self.frames.pop(self.t_min)
-        del self.frame_links[t_min]
-        if self.is_empty:
-            self.last_boxes = None
-        nodes = u, v = self.frame_nodes.pop(t_min)
-        out = self.links_out_of(t_min)
 
-        # Each link out, keyed by its (v node, next u node).
+        solution is a FlowSolution, whose trajectories that start in the
+        frame and go on are folded (_continuing), or those alone as a
+        decoder holds them (ssp.FlowDecoder), without a lookup: per track,
+        the next detection's entry edge, the link to it, the left fold of
+        the clipped entry and detection edge's costs, and the id its entry
+        takes (the clipped entry's origin, else the track's id). Each
+        continuing entry then costs the fold plus the link, a float at a
+        time, the additions of a left-fold path cost.
+        """
+        if not self.frames:
+            raise DataError("cannot clip an empty graph")
+        t_min = next(iter(self.frames))
+        out = self.frame_links.get(t_min + 1, NO_EDGES)  # the links out
+        if isinstance(solution, FlowSolution):
+            solution = self._continuing(t_min, solution, out)
+        cost, origin = self.e_cost, self.e_origin
+        for entry, link, fold, track_id in solution:
+            cost[entry] = fold + cost.item(link)
+            origin[entry] = track_id
+
+        removed = self.frames.pop(t_min)
+        del self.frame_links[t_min]
+        if not self.frames:
+            self.last_boxes = None
+        nodes = self.frame_nodes.pop(t_min)
+        freed = np.concatenate((self.node_in[nodes[0]],
+                                self.node_out.take(nodes).ravel(), out))
+        self.e_alive[freed] = False
+        self._dead_edges += len(freed)
+        if len(out):
+            self.frame_links[t_min + 1] = NO_EDGES
+        self.node_kind.put(nodes, KIND_DEAD)
+        det_nodes, node_det = self.det_nodes, self.node_det
+        for key in map(_key, removed):
+            del det_nodes[key]
+        for x in nodes.ravel().tolist():
+            node_det[x] = None
+        return freed
+
+    def _continuing(self, t_min: int, solution: FlowSolution,
+                    out: np.ndarray) -> list[tuple]:
+        """The trajectories of solution that start in frame t_min and go on,
+        as clip_oldest_frame folds them, found by their detections' keys;
+        out holds the links out of t_min. A trajectory over a link that
+        does not exist is an InvariantBreach."""
         link_of = dict(zip(zip(self.e_src[out].tolist(),
                                self.e_dst[out].tolist()), out.tolist()))
-        # Each continuing track, a float at a time (a handful a frame): the
-        # reads are the clipped frame's edges and links out, the writes the
-        # next frame's entries.
-        cost, origin, node_in = self.e_cost, self.e_origin, self.node_in
+        cost, node_in, node_out = self.e_cost, self.node_in, self.node_out
+        found = []
         for t in solution.trajectories:
             if t.detections[0].frame == t_min and len(t.detections) > 1:
                 u0, v0 = self.det_nodes[t.detections[0].key]
@@ -567,24 +656,12 @@ class TrackingGraph:
                     raise InvariantBreach(
                         f"solution trajectory uses missing link "
                         f"{t.detections[0].key}->{t.detections[1].key}")
-                entry, succ_entry = node_in[u0], node_in[u1]
-                # Same additions in the same order as a left-fold path cost.
-                cost[succ_entry] = (cost[entry] + cost[self.node_out[u0]]
-                                    + cost[link_of[v0, u1]])
-                o = origin[entry]
-                origin[succ_entry] = t.track_id if o < 0 else o
-
-        freed = np.concatenate((self.node_in[u], self.node_out[u],
-                                self.node_out[v], out))
-        self.e_alive[freed] = False
-        self._dead_edges += len(freed)
-        if len(out):
-            self.frame_links[t_min + 1] = NO_EDGES
-        self.node_kind[nodes] = KIND_DEAD
-        for d in removed:
-            for x in self.det_nodes.pop(d.key):
-                self.node_det[x] = None
-        return freed
+                entry = node_in.item(u0)
+                o = self.e_origin.item(entry)
+                found.append((node_in.item(u1), link_of[v0, u1],
+                              cost.item(entry) + cost.item(node_out.item(u0)),
+                              t.track_id if o < 0 else o))
+        return found
 
     @property
     def n_frames(self) -> int:

@@ -200,11 +200,12 @@ class OnlineTracker:
 
     def _clip_one_frame(self):
         """Clip the oldest frame, keeping the optimum's flow and decode on
-        what stays (ResidualGraph.clip_oldest_frame): the first detection of
-        each trajectory that starts there is frozen. An emptied graph holds
-        no optimum."""
+        what stays (ResidualGraph.clip_oldest_frame): the chains that start
+        there, which lead the decode's key order (FlowDecoder.leading), hand
+        the graph their folds, and the first detection of each is frozen. An
+        emptied graph holds no optimum."""
         g, res = self.graph, self.cache.residual
-        heads = res.decoded.starting_in(g.frame_nodes[g.t_min][0])
+        heads = res.decoded.leading(g.t_min + 1)
         for c in heads:
             tid, first = c.traj.track_id, c.traj.detections[0]
             self.frozen.setdefault(tid, []).append(first)

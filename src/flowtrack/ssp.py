@@ -56,7 +56,7 @@ from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import dijkstra
 
 from .errors import DataError, InvariantBreach
-from .graph import (DET, ENTRY, EXIT, LINK, NO_EDGES, SINK, SOURCE,
+from .graph import (DET, ENTRY, EXIT, LINK, NO_COSTS, NO_EDGES, SINK, SOURCE,
                     FlowSolution, TrackingGraph, Trajectory, lengthen)
 
 #: Tolerance for reduced-cost non-negativity, relative to the graph's largest
@@ -65,7 +65,6 @@ from .graph import (DET, ENTRY, EXIT, LINK, NO_EDGES, SINK, SOURCE,
 #: under scaling every cost by a power of two.
 EPS = 1e-9
 NO_NODES = np.zeros((2, 0), dtype=np.int64)
-NO_COSTS = np.zeros(0)
 
 
 @dataclass(slots=True)
@@ -326,9 +325,10 @@ class ResidualGraph:
         lengthening them in place (graph.lengthen) when a column grew: new
         slots start at 0 and the target's potential moves to the end. The
         slot table, the sweep plan and the broadcasts' index are dropped."""
-        n, target = self.n_nodes, len(self.potential) - 1
-        if len(self.flow) < len(self.graph.e_src):
-            lengthen(self, ("flow",), len(self.graph.e_src))
+        g = self.graph
+        n, target = len(g.node_kind), len(self.potential) - 1
+        if len(self.flow) < (edges := len(g.e_src)):
+            lengthen(self, ("flow",), edges)
         if target < n:
             lengthen(self, ("potential",), n + 1)
             p = self.potential
@@ -353,17 +353,27 @@ class ResidualGraph:
         check_cost_sum(self._live_cost_sum() + sum(map(abs, new)))
 
     def append_frame(self, detections, model, prepared):
-        """Append prepared frames to the graph. Their edges carry no flow;
-        their nodes get potentials, and the sink's potential drops to its
+        """Append one prepared frame to the graph. Its edges carry no flow;
+        its nodes get potentials, and the sink's potential drops to its
         lowest new exit, in the one DAG relaxation (_relax_frames) over the
-        edge costs, which keeps every reduced cost >= 0. On an empty graph
-        these are the DAG shortest-path distances, from which the solve
-        starts at zero flow."""
+        edge costs, which keeps every reduced cost >= 0. The relaxation
+        reads the frame's costs from prepared, its nodes and links as the
+        graph took them, and its links' ends from the columns. On an empty
+        graph these are the DAG shortest-path distances, from which the
+        solve starts at zero flow."""
         g = self.graph
         g.append_frame(detections, model, prepared=prepared)
         self._sync()
-        plan = _sweep_plan(g, prepared.frames)
-        _relax_frames(self.potential, self.target, plan, 0, plan.costs)
+        (f,) = prepared.frames
+        u, v = g.frame_nodes[f]
+        links = g.frame_links[f]
+        entry, det, exit_ = prepared.node_costs.T
+        plan = SweepPlan(prepared.frames, None, None, u, v, links, None, None,
+                         (entry, det, prepared.link_costs, NO_COSTS, exit_),
+                         [(slice(None), g.e_src[links], g.e_dst[links],
+                           NO_EDGES)])
+        _relax_frames(self.potential, len(self.potential) - 1, plan, 0,
+                      plan.costs)
 
     def decode(self) -> FlowSolution:
         """Bring the kept decode up to date with the edges flipped since the
@@ -373,15 +383,22 @@ class ResidualGraph:
 
     def clip_oldest_frame(self, heads: list[Chain]):
         """Clip the graph's oldest frame, folding the decoded trajectories
-        that start there, the chains heads (FlowDecoder.clip). The freed edge
+        that start there, the chains heads (FlowDecoder.clip). Each head
+        that goes on hands the graph what it folds as the decode holds it,
+        with no lookup: its second node's entry edge, its flowed link (out),
+        the fold of its first entry and detection edge (folds[0]) and the
+        id the entry takes, its origin or else its track id. The freed edge
         slots lose their flow, and each continuing track's flow moves onto
         its folded entry edge, whose reduced cost is the sum of the flowed
-        arcs' it replaces (each <= 0), so the potentials stay valid. The slot
-        table, eps, cost_sum, the sweep plan and the broadcasts' index are
-        dropped, as after an append."""
-        g = self.graph
-        self.flow[g.clip_oldest_frame(FlowSolution([c.traj for c in heads]))] = 0
-        self.flow[g.node_in[[c.nodes[1] for c in heads if len(c.nodes) > 1]]] = 1
+        arcs' it replaces (each <= 0), so the potentials stay valid. The
+        slot table, eps, cost_sum, the sweep plan and the broadcasts' index
+        are dropped, as after an append."""
+        out, node_in = self.decoded.out, self.graph.node_in
+        folds = [(node_in.item(c.nodes[1]), out[c.nodes[0]], c.folds[0],
+                  c.traj.track_id if c.origin < 0 else c.origin)
+                 for c in heads if c.nodes[1:]]
+        self.flow[self.graph.clip_oldest_frame(folds)] = 0
+        self.flow[[fold[0] for fold in folds]] = 1
         self.decoded.clip(heads)
         self._table = self._plan = self._index = None
 
@@ -527,29 +544,19 @@ def path_original_cost(res: ResidualGraph, path: Path) -> float:
 
 
 def _sweep_plan(g: TrackingGraph, frames: list[int]) -> SweepPlan:
-    """The SweepPlan of frames, a run of g's frames in order. A run of one
-    frame, as an append relaxes, gathers no tails' u nodes or detection
-    edges (both are left empty): only the links of a run's first frame are
-    read, from their tails' labels."""
+    """The SweepPlan of frames, a run of g's frames in order."""
     cost = g.e_cost
-    if len(frames) == 1:
-        (u, v), links = g.frame_nodes[frames[0]], g.frame_links[frames[0]]
-        tails, heads = g.e_src[links], g.e_dst[links]
-        nodes, ends = (0, len(u)), (0, len(links))
-        tail_u, tail = NO_EDGES, NO_COSTS
-        spans = [(slice(None), tails, heads, tail_u)]
-    else:
-        blocks = list(map(g.frame_nodes.get, frames))
-        u, v = np.concatenate([NO_NODES, *blocks], axis=1)
-        runs = list(map(g.frame_links.get, frames))
-        links = np.concatenate([NO_EDGES, *runs])
-        tails, heads = g.e_src[links], g.e_dst[links]
-        nodes = [0, *accumulate(b.shape[1] for b in blocks)]
-        ends = [0, *accumulate(map(len, runs))]
-        tail_det = g.node_in[tails]
-        tail_u, tail = g.e_src[tail_det], cost[tail_det]
-        spans = [(slice(b, d), tails[b:d], heads[b:d], tail_u[b:d])
-                 for b, d in zip(ends, ends[1:])]
+    blocks = list(map(g.frame_nodes.get, frames))
+    u, v = np.concatenate([NO_NODES, *blocks], axis=1)
+    runs = list(map(g.frame_links.get, frames))
+    links = np.concatenate([NO_EDGES, *runs])
+    tails, heads = g.e_src[links], g.e_dst[links]
+    nodes = [0, *accumulate(b.shape[1] for b in blocks)]
+    ends = [0, *accumulate(map(len, runs))]
+    tail_det = g.node_in[tails]
+    tail_u, tail = g.e_src[tail_det], cost[tail_det]
+    spans = [(slice(b, d), tails[b:d], heads[b:d], tail_u[b:d])
+             for b, d in zip(ends, ends[1:])]
     costs = (cost[g.node_in[u]], cost[g.node_out[u]], cost[links], tail,
              cost[g.node_out[v]])
     return SweepPlan(frames, nodes, ends, u, v, links, tails, heads, costs,
@@ -571,9 +578,10 @@ def _relax_frames(dist: np.ndarray, target: int, plan: SweepPlan, k: int,
     set. A sweep passes the residual's plan over every frame
     (ResidualGraph.sweep_plan: the nodes, the links and the costs by arc
     kind), kept until an append or a clip drops it with the slot table; an
-    append passes a plan of its own frames, which it builds and drops, so
-    streams never build the kept one. Returns the links' labels, set from
-    the run's first link on, and the exits'."""
+    append passes one frame's nodes, links and prepared costs
+    (ResidualGraph.append_frame), gathering none, so streams never build the
+    kept one. Returns the links' labels, set from the run's first link on,
+    and the exits'."""
     w_entry, w_det, w_link, w_tail, w_exit = w
     u, v, spans = plan.u, plan.v, plan.spans
     if k:
@@ -1159,33 +1167,32 @@ class FlowDecoder:
         return FlowSolution(trajectories=trajs,
                             total_cost=sum(t.cost for t in trajs))
 
-    def starting_in(self, us: np.ndarray) -> list[Chain]:
-        """The chains that start at the u nodes us, in their order."""
-        return [c for u in us.tolist()
-                if (c := self.chain_of.get(u)) is not None and c.nodes[0] == u]
+    def leading(self, frame: int) -> list[Chain]:
+        """The chains that start before frame, which lead the key order."""
+        return self.chains[:bisect_left(self.chains, (frame,),
+                                        key=_chain_key)]
 
     def clip(self, heads: list[Chain]):
-        """Drop the first detection of each chain in heads, whose frame the
-        graph clipped, with its out-edge entry. The rest of each, if any,
-        stays the chain and its Trajectory, from its second detection, onto
-        whose entry the clip moved the flow, with the same folds and cost:
-        the folded entry cost is the left fold of the costs it replaced."""
-        g = self.graph
+        """Drop the first detection of each chain in heads, the chains that
+        start in the graph's oldest frame, which the graph clipped and which
+        lead the key order (leading), with its out-edge entry. The rest of
+        each, if any, stays the chain and its Trajectory, from its second
+        detection, onto whose entry the clip moved the flow, with the same
+        folds and cost: the folded entry cost is the left fold of the costs
+        it replaced."""
+        g, chain_of, out = self.graph, self.chain_of, self.out
+        del self.chains[:len(heads)]
         for c in heads:
-            self._remove(c)
-            del self.chain_of[c.nodes[0]], self.out[c.nodes[0]]
-            if len(c.nodes) == 1:
-                continue
-            del c.nodes[0], c.folds[0], c.traj.detections[0]
-            c.key = c.traj.detections[0].key
-            c.origin = g.e_origin.item(g.node_in.item(c.nodes[0]))
-            self._place(c)
+            nodes = c.nodes
+            del chain_of[nodes[0]], out[nodes[0]]
+            if nodes[1:]:
+                del nodes[0], c.folds[0], c.traj.detections[0]
+                c.key = c.traj.detections[0].key
+                c.origin = g.e_origin.item(g.node_in.item(nodes[0]))
+                self._place(c)
 
     def _place(self, c: Chain):
         self.chains.insert(bisect_left(self.chains, c.key, key=_chain_key), c)
-
-    def _remove(self, c: Chain):
-        del self.chains[bisect_left(self.chains, c.key, key=_chain_key)]
 
 
 def _solution_from_residual(res: ResidualGraph) -> FlowSolution:

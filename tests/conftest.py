@@ -42,6 +42,11 @@ class StubModel:
     def detection_cost_of(self, d):
         return self._scalar(self.detection, d.key)
 
+    def node_costs_of(self, dets):
+        return np.array([(self.entry_cost_of(d), self.detection_cost_of(d),
+                          self.exit_cost_of(d)) for d in dets],
+                        dtype=float).reshape(-1, 3)
+
     def link_cost_of(self, a, b):
         return self.links.get((a.key, b.key), math.inf)
 

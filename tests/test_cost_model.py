@@ -135,6 +135,28 @@ class TestDetectionCost:
             1.0 / (1.0 + math.exp(-score))
 
 
+class TestNodeCosts:
+    @given(st.lists(st.one_of(st.floats(-800, 800), st.integers(-5, 5),
+                              st.sampled_from([0.0, -0.0, 1e308, -1e308])),
+                    max_size=8),
+           st.sampled_from([1.0, 0.5, 3, -2.0, 1e300]),
+           st.sampled_from(["affine", "logodds"]))
+    def test_rows_are_the_per_detection_costs(self, scores, beta, form):
+        """node_costs_of gives entry_cost_of, detection_cost_of and
+        exit_cost_of bit for bit, past exp's overflow too (in the integer,
+        huge and mixed scores)."""
+        model = CostModel(beta=beta, det_cost_form=form, det_offset=-0.3,
+                          det_weight=1.7, entry_cost=2.5, exit_cost=-0.0)
+        dets = [box_det(0, (0.0, 0.0, 1.0, 1.0), s, i)
+                for i, s in enumerate(scores)]
+        rows = model.node_costs_of(dets)
+        assert rows.shape == (len(dets), 3)
+        assert [[c.hex() for c in row] for row in rows.tolist()] == [
+            [c.hex() for c in (model.entry_cost_of(d),
+                               model.detection_cost_of(d),
+                               model.exit_cost_of(d))] for d in dets]
+
+
 class TestLinkCost:
     def test_perfect_match_zero_offset(self):
         model = CostModel(feature_offsets=(0.0,) * 3,

@@ -5,6 +5,7 @@ block at once, with gate_block and CostModel.link_costs_of. These tests pin
 both to default_gate and link_cost_of bit for bit, errors included, and pin
 whole graphs, batch and windowed, to a builder that prices pair by pair.
 """
+import itertools
 import math
 import random
 import warnings
@@ -22,6 +23,7 @@ from flowtrack.graph import (LINK, TrackingGraph, build_batch_graph,
                              default_gate)
 from flowtrack.online import OnlineTracker, TrackerConfig
 from flowtrack.synthetic import SyntheticConfig, generate_synthetic
+from conftest import StubModel
 from reference import gate_block, pair_index_links
 
 PROPERTY = settings(derandomize=True, database=None, max_examples=400,
@@ -116,13 +118,14 @@ def test_block_pricing_is_bit_identical_to_scalar(dets, model, radius):
                     == outcome(lambda: scalar_costs(model, pairs)))
 
 
-def test_gate_on_its_radius_follows_math_hypot():
-    """Centre distances exactly on the gate radius, where np.hypot rounds
-    above math.hypot: default_gate admits the pair, so gate_block must."""
+def radius_edge_pairs(count=10):
+    """Pairs of boxes (a, b) in frames 0 and 1, with a gate radius factor
+    that puts b's centre exactly on a's gate radius, where np.hypot rounds
+    above math.hypot."""
     rng = np.random.default_rng(0)
     a = Detection(0, (0.0, 0.0, 1.0, 1.0), 0.0, 0)
-    checked = 0
-    while checked < 10:
+    found = []
+    while len(found) < count:
         b = Detection(1, (*rng.uniform(-100.0, 100.0, 2).tolist(), 1.0, 1.0),
                       0.0, 0)
         dx, dy = a.center[0] - b.center[0], a.center[1] - b.center[1]
@@ -133,12 +136,24 @@ def test_gate_on_its_radius_follows_math_hypot():
         radius = next((r for r in (radius, math.nextafter(radius, 0.0),
                                    math.nextafter(radius, math.inf))
                        if r * a.diagonal == dist), None)
-        if radius is None:
-            continue
+        if radius is not None:
+            found.append((a, b, radius))
+    return found
+
+
+def test_gate_on_its_radius_follows_math_hypot():
+    """Centre distances exactly on the gate radius, where np.hypot rounds
+    above math.hypot: default_gate admits the pair, so gate_block must, and
+    so must a tracker, which gates one frame as a grid."""
+    for a, b, radius in radius_edge_pairs():
         assert default_gate(a, b, radius)
         assert gate_block(FrameBoxes([a]), FrameBoxes([b]), radius).tolist() \
             == [[True]]
-        checked += 1
+        tracker = OnlineTracker(TrackerConfig(model=CostModel(),
+                                              gate_radius_factor=radius))
+        tracker.process_frame([a], frame=0)
+        tracker.process_frame([b], frame=1)
+        assert len(tracker.graph.frame_links[1]) == 1
 
 
 def test_overlap_rounded_up_to_the_summed_areas():
@@ -167,13 +182,19 @@ def test_block_terms_add_left_to_right():
 
 
 class _NodeCostsOnly:
-    """The wrapped model, except that it prices every link +inf."""
+    """The wrapped model, except that it prices every link +inf and each
+    detection's costs one by one."""
 
     def __init__(self, model):
         self.model = model
 
     def __getattr__(self, name):
         return getattr(self.model, name)
+
+    def node_costs_of(self, dets):
+        return np.array([(self.entry_cost_of(d), self.detection_cost_of(d),
+                          self.exit_cost_of(d)) for d in dets],
+                        dtype=float).reshape(-1, 3)
 
     def link_costs_of(self, prev, new, ip, jn):
         return [math.inf] * len(ip)
@@ -345,10 +366,16 @@ def test_pair_budget_does_not_change_the_graph(budget, monkeypatch):
 @pytest.mark.parametrize("window", [3, None])
 def test_online_graphs_match_scalar_builder(window, monkeypatch):
     """Windowed graphs recycle node and edge ids across clips; odssp's only
-    grow. Every frame's graph and solution match the reference's."""
-    detections = parsed(generate_synthetic(STATIONARY, 4)[0])
-    for model in MODELS:
-        config = TrackerConfig(model=model, window=window)
+    grow. Every frame's graph and solution match the reference's, on a
+    stationary scene and on boxes right at the gate's edge, gated at two
+    radii and not gated."""
+    scenes = [parsed(generate_synthetic(STATIONARY, 4)[0]),
+              gate_boundary_scene()]
+    gates = [(True, 2.0), (True, 0.5), (False, 2.0)]
+    for detections, (gating, radius), model in itertools.product(
+            scenes, gates, MODELS):
+        config = TrackerConfig(model=model, window=window, gating=gating,
+                               gate_radius_factor=radius)
         got = OnlineTracker(config)
         with monkeypatch.context() as m:
             m.setattr(online, "TrackingGraph", ScalarGraph)
@@ -380,3 +407,37 @@ def test_nan_link_leaves_graph_untouched():
                                             r"\(0, 0\)->\(1, 0\)"):
             graph.append_frame(frames[1], model, frame=1)
         assert graph_arrays(graph) == before
+
+
+@pytest.mark.parametrize("nan_frame, message", [
+    (2, r"non-finite link cost for \(1, 0\)->\(2, 0\)"),
+    (4, "frame 3 admits 6 links or more from frame 2, past the budget of 4"),
+    (None, "frame 3 admits 6 links or more from frame 2, past the budget of 4"),
+    (3, "frame 3 admits 6 links or more from frame 2, past the budget of 4"),
+])
+def test_link_budget_errors_come_frame_by_frame(nan_frame, message,
+                                                monkeypatch):
+    """A frame whose links pass LINK_BUDGET (here 4; frame 3's 2 x 3 pairs
+    admit 6, and frame 4's 3 x 4 pairs 12) is a DataError, raised by a batch
+    build, an append frame by frame and a tracker alike: after the error of
+    any frame before it, and before its own links or any later frame's are
+    priced. The budget is never below PAIR_BUDGET, the most that one
+    frame's grid holds."""
+    monkeypatch.setattr(graph, "LINK_BUDGET", 4)
+    monkeypatch.setattr(graph, "PAIR_BUDGET", 2)
+    sizes = {3: 3, 4: 4}
+    frames = {f: [Detection(f, (0.0, 0.0, 10.0, 10.0), 1.0, i)
+                  for i in range(sizes.get(f, 2))] for f in range(6)}
+    links = {(a.key, b.key): math.nan if f == nan_frame else 0.5
+             for f in range(1, 6) for a in frames[f - 1] for b in frames[f]}
+    model = StubModel(links=links)
+    with pytest.raises(DataError, match=message):
+        build_batch_graph(frames, model, gating=False)
+    g = TrackingGraph(gating=False)
+    with pytest.raises(DataError, match=message):
+        for f in sorted(frames):
+            g.append_frame(frames[f], model, frame=f)
+    tracker = OnlineTracker(TrackerConfig(model=model, gating=False))
+    with pytest.raises(DataError, match=message):
+        for f in sorted(frames):
+            tracker.process_frame(frames[f], frame=f)

@@ -1,10 +1,13 @@
 import csv
 import io
 import json
+import math
 import os
+import re
 import subprocess
 import sys
 import time
+import tracemalloc
 
 import pytest
 
@@ -14,7 +17,7 @@ from flowtrack import cli
 from flowtrack import io as ftio
 from flowtrack.cost_model import CostModel
 from flowtrack.errors import DataError
-from flowtrack.graph import TrackingGraph, Trajectory
+from flowtrack.graph import LINK_BUDGET, TrackingGraph, Trajectory
 from flowtrack.metrics import clear_mot
 from flowtrack.online import OnlineTracker
 from flowtrack.oracle import (MAX_PATHS, MAX_SEARCHES, count_paths,
@@ -895,3 +898,32 @@ def test_overflowing_cost_sums_are_data_errors(solver, stream, tmp_path,
     assert cli.main(argv) == 2
     err = capsys.readouterr().err
     assert "edge costs too large" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ["track", "oracle", "bench"])
+def test_a_frame_pair_past_the_link_budget_is_a_data_error(command, tmp_path,
+                                                            monkeypatch,
+                                                            capsys):
+    """Two frames of identical boxes admit every link between them: past
+    LINK_BUDGET the file ends in exit 2, naming the frames and the count,
+    in bounded time and memory instead of a solve of a million links."""
+    n = math.isqrt(LINK_BUDGET) + 1  # n * n links
+    dense = tmp_path / "dense.csv"
+    dense.write_text("".join(f"{f},{i},0,0,10,20,1\n"
+                             for f in (0, 1) for i in range(n)))
+    monkeypatch.delenv("FLOWTRACK_CONFIG", raising=False)
+    argv = [command, "-i", str(dense), "-o", str(tmp_path / "out.csv")]
+    start = time.perf_counter()
+    tracemalloc.start()
+    try:
+        assert cli.main(argv) == 2
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert time.perf_counter() - start < 10.0
+    assert peak < 64 * 2 ** 20, peak  # about 25 MB; a solve took 300 MB
+    err = capsys.readouterr().err
+    found = re.fullmatch(r"flowtrack: data error: frame 1 admits (\d+) links "
+                         r"or more from frame 0, past the budget of "
+                         rf"{LINK_BUDGET} a frame pair\n", err)
+    assert found and LINK_BUDGET < int(found[1]) <= n * n, err

@@ -12,7 +12,8 @@ from flowtrack.cost_model import CostModel, Detection
 import flowtrack.ssp as ssp
 from flowtrack.errors import DataError, InvariantBreach
 from flowtrack.graph import EDGE_COLUMNS, ENTRY, EXIT, NODE_COLUMNS
-from flowtrack.graph import FlowSolution, Trajectory, build_batch_graph
+from flowtrack.graph import (FlowSolution, TrackingGraph, Trajectory,
+                            build_batch_graph)
 from flowtrack.online import (OnlineTracker, TrackerConfig, TrackRegistry,
                               assign_track_ids, trajectory_model_cost)
 from flowtrack.ssp import (SolverStats, _solution_from_residual,
@@ -989,26 +990,50 @@ def test_positions_walked_per_frame_stay_flat(monkeypatch):
     assert np.mean(walked[400:500]) <= 1.5 * np.mean(walked[20:100])
 
 
+#: The process_frame step each package function belongs to, innermost
+#: first (calls_per_frame): the table build counts with the search.
+STEPS = ((TrackingGraph.prepare_frame, "prepare"),
+         (ssp.ResidualGraph.check_frame, "check"),
+         (OnlineTracker._clip_one_frame, "clip"),
+         (ssp.ResidualGraph.append_frame, "append"),
+         (ssp.dijkstra_full, "search"),
+         (ssp.push_round, "push"),
+         (ssp.ResidualGraph.settle, "settle"),
+         (ssp.ResidualGraph.decode, "decode"),
+         (OnlineTracker._assign_ids, "ids"))
+
+
 def calls_per_frame(window, first, last):
     """The mean calls a tracker frame makes from flowtrack's own code, over
     frames first..last - 1 of the criteria 4-5 scene of seed 7000: the
     sys.setprofile call and c_call events whose caller runs in a file of the
-    package. Calls made inside numpy and scipy do not count."""
+    package. Calls made inside numpy and scipy do not count. Returns the
+    mean and its split by the process_frame step that made each call (see
+    STEPS; "other" for the rest), which sums to it."""
     package = os.path.dirname(flowtrack.__file__) + os.sep
     cfg = SyntheticConfig(n_frames=last, n_initial_tracks=5, spawn_prob=0.0,
                           death_prob=0.0, miss_rate=0.1, fp_rate=0.1)
     frames = generate_synthetic(cfg, 7000)[0]
     tracker = OnlineTracker(TrackerConfig(model=CostModel(), window=window))
-    calls = 0
+    step_of = {f.__code__: name for f, name in STEPS}
+    top = OnlineTracker.process_frame.__code__
+    calls = dict.fromkeys([name for _, name in STEPS] + ["other"], 0)
 
     def count(frame, event, arg):
-        nonlocal calls
         if event == "call":
-            frame = frame.f_back
-        elif event != "c_call":
+            caller = frame.f_back
+        elif event == "c_call":
+            caller = frame
+        else:
             return
-        if frame is not None and frame.f_code.co_filename.startswith(package):
-            calls += 1
+        if caller is None or not caller.f_code.co_filename.startswith(package):
+            return
+        while frame is not None and frame.f_code is not top:
+            if (step := step_of.get(frame.f_code)) is not None:
+                calls[step] += 1
+                return
+            frame = frame.f_back
+        calls["other"] += 1
 
     for f in range(last):
         if f >= first:
@@ -1017,13 +1042,16 @@ def calls_per_frame(window, first, last):
             tracker.process_frame(frames.get(f, []), frame=f)
         finally:
             sys.setprofile(None)
-    return calls / (last - first)
+    split = {name: n / (last - first) for name, n in calls.items()}
+    return sum(calls.values()) / (last - first), split
 
 
 @pytest.mark.parametrize("window, first, last, bound",
-                         [(10, 20, 200, 713), (None, 20, 40, 607)])
+                         [(10, 20, 200, 612), (None, 20, 40, 547)])
 def test_calls_per_frame_stay_bounded(window, first, last, bound):
     """The fixed cost of a stream frame as a count that does not depend on
     the machine: mbodssp (window 10) and odssp frames make at most bound
     calls each from the package's code."""
-    assert calls_per_frame(window, first, last) <= bound
+    total, split = calls_per_frame(window, first, last)
+    assert total <= bound
+    assert math.isclose(sum(split.values()), total)
