@@ -6,8 +6,8 @@ to the sink, and link edges connect v nodes to u nodes in the next frame.
 The graph supports online frame appending and oldest-frame clipping, which
 folds each clipped trajectory prefix into its successor's entry cost, and
 reuses the clipped node/edge slots, the dead ones, so a windowed graph
-stays bounded in memory. A tracker's clip hands over each continuing
-track's fold as its decode holds it, so the graph looks nothing up.
+stays bounded in memory. A clip takes each continuing track's fold as the
+decode of the flow holds it, so the graph keeps no index by detection.
 
 Nodes and edges are stored once, as numpy columns by slot id that the
 solvers read directly, with fixed edge slots per detection and a block of
@@ -36,6 +36,7 @@ from __future__ import annotations
 
 import math
 import sys
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from operator import attrgetter
 
@@ -78,7 +79,6 @@ LINK_BUDGET = 1 << 20
 NODE_COLUMNS = ("node_kind", "node_in", "node_out")
 EDGE_COLUMNS = ("e_src", "e_dst", "e_kind", "e_cost", "e_alive", "e_origin")
 _frame, _local_index = attrgetter("frame"), attrgetter("local_index")
-_key = attrgetter("frame", "local_index")  # Detection.key
 
 
 @dataclass
@@ -145,24 +145,18 @@ def default_gate(a: Detection, b: Detection, radius_factor: float = 2.0) -> bool
     return dist <= radius_factor * max(a.diagonal, b.diagonal)
 
 
-def gate_pairs(a: FrameBoxes, b: FrameBoxes, ip: np.ndarray, jn: np.ndarray,
-               radius_factor: float = 2.0) -> np.ndarray:
-    """default_gate(a.dets[i], b.dets[j], radius_factor) for each pair (i, j)
-    of ip and jn, as a boolean array, bit for bit.
+@np.errstate(all="ignore")
+def _gate(ga: np.ndarray, gb: np.ndarray, radius_factor: float) -> np.ndarray:
+    """default_gate(a, b, radius_factor) for the boxes a and b of each pair,
+    as a boolean array, bit for bit, from their centre x, centre y, area
+    and diagonal rows (FrameBoxes.geo[4:8]), ga and gb, which broadcast:
+    gathered pair by pair, or a frame's (m, 1) column against the next
+    one's (1, n) row for the grid of its pairs.
 
     numpy's hypot and math.hypot are each within one unit in the last place
     of the true distance, so they can disagree on the gate only for a
     distance within GATE_TOL of the radius; those pairs alone are measured
     again with math.hypot, as default_gate measures them."""
-    return _gate(a.geo[4:8, ip], b.geo[4:8, jn], radius_factor)
-
-
-@np.errstate(all="ignore")
-def _gate(ga: np.ndarray, gb: np.ndarray, radius_factor: float) -> np.ndarray:
-    """gate_pairs over the centre x, centre y, area and diagonal rows of
-    the boxes a and b of each pair, ga and gb, which broadcast: gathered
-    pair by pair, or a frame's (m, 1) column against the next one's (1, n)
-    row for the grid of its pairs."""
     dx, dy = ga[0:2] - gb[0:2]
     radius = radius_factor * np.maximum(ga[3], gb[3])
     dist = np.hypot(dx, dy)
@@ -220,9 +214,10 @@ class TrackingGraph:
     e_origin (the track id a folded entry carries, -1 for none).
     frame_nodes[f] holds frame f's u and v nodes, (2, n) in local-index
     order, frame_links[f] its link edges from f - 1 in (previous, new) order.
-    Nothing is stored twice but the count of dead edge slots: t_min and
-    t_max are read from `frames`, the live node count from det_nodes and
-    the live edge count from that count. An append reuses the dead slots
+    Nothing is stored twice but the counts of detections and of dead edge
+    slots: t_min and t_max are read from `frames`, the live node count from
+    the first count, the live edge count from the second and a detection's
+    nodes from its frame_nodes column. An append reuses the dead slots
     (node_kind KIND_DEAD, e_alive False) a clip leaves before it adds new
     ones, by exactly the slots missing; the columns' lengths are the slots,
     and their buffers hold the spare room (lengthen).
@@ -245,7 +240,7 @@ class TrackingGraph:
         self._buffers = {name: getattr(self, name)
                          for name in NODE_COLUMNS + EDGE_COLUMNS}
         self._dead_edges = 0  # edge slots a clip freed that no append took
-        self.det_nodes: dict[tuple[int, int], tuple[int, int]] = {}  # key -> (u, v)
+        self.n_detections = 0  # detections held, over all of `frames`
         self.frames: dict[int, list[Detection]] = {}
         self.last_boxes: FrameBoxes | None = None  # t_max's, if it has any
         self.frame_nodes: dict[int, np.ndarray] = {}
@@ -270,21 +265,24 @@ class TrackingGraph:
     @property
     def n_live_nodes(self) -> int:
         """The source, the sink and each detection's u and v node."""
-        return 2 * len(self.det_nodes) + 2
+        return 2 * self.n_detections + 2
 
     @property
     def n_live_edges(self) -> int:
         return len(self.e_alive) - self._dead_edges
 
-    @property
-    def n_detections(self) -> int:
-        return len(self.det_nodes)
-
     def u_node(self, det: Detection) -> int:
-        return self.det_nodes[det.key][0]
+        """det's u node, in its column of frame_nodes, found by local index
+        in its frame; KeyError if the graph does not hold det."""
+        dets = self.frames.get(det.frame, ())
+        i = bisect_left(dets, det.local_index, key=_local_index)
+        if i == len(dets) or dets[i].local_index != det.local_index:
+            raise KeyError(det.key)
+        return self.frame_nodes[det.frame].item(0, i)
 
     def v_node(self, det: Detection) -> int:
-        return self.det_nodes[det.key][1]
+        """det's v node, the head of its detection edge."""
+        return self.e_dst.item(self.detection_edge_of(det))
 
     def entry_edge_of(self, det: Detection) -> int:
         return int(self.node_in[self.u_node(det)])
@@ -533,13 +531,12 @@ class TrackingGraph:
 
         # per detection, its u and v node; dead ones only if a clip left any
         slots = len(self.node_kind)
-        dead = (self.node_kind == KIND_DEAD
-                if slots > 2 * len(self.det_nodes) + 2 else None)
+        dead = self.node_kind == KIND_DEAD if slots > self.n_live_nodes else None
         uv = self._take(dead, slots, 2 * n, NODE_COLUMNS).reshape(n, 2)
         nodes = uv.T.copy()  # contiguous rows, which fancy writes index faster
         node_det, (us, vs) = self.node_det, nodes.tolist()
         node_det += [None] * (len(self.node_kind) - len(node_det))
-        self.det_nodes.update(zip(map(_key, p.dets), zip(us, vs)))
+        self.n_detections += n
         for d, x, y in zip(p.dets, us, vs):
             node_det[x] = node_det[y] = d
 
@@ -590,7 +587,7 @@ class TrackingGraph:
         self.e_alive[eids], self.e_origin[eids] = True, -1
         return self
 
-    def clip_oldest_frame(self, solution: FlowSolution | list) -> np.ndarray:
+    def clip_oldest_frame(self, folds: list[tuple]) -> np.ndarray:
         """Drop the oldest frame, folding each clipped trajectory's prefix
         cost (entry, detection and link) into its successor's entry edge, so
         the suffix keeps the trajectory's full cost and, via e_origin, its id.
@@ -599,27 +596,23 @@ class TrackingGraph:
         slots are dead, for later appends to reuse. Returns the edge slots
         it freed.
 
-        solution is a FlowSolution, whose trajectories that start in the
-        frame and go on are folded (_continuing), or those alone as a
-        decoder holds them (ssp.FlowDecoder), without a lookup: per track,
-        the next detection's entry edge, the link to it, the left fold of
-        the clipped entry and detection edge's costs, and the id its entry
-        takes (the clipped entry's origin, else the track's id). Each
-        continuing entry then costs the fold plus the link, a float at a
-        time, the additions of a left-fold path cost.
+        folds holds, per trajectory that starts in the frame and goes on, the
+        (entry, link, fold, id) its decode holds (ssp.ResidualGraph): the
+        next detection's entry edge, the link to it, the left fold of the
+        clipped entry and detection edge's costs, and the id its entry takes
+        (the clipped entry's origin, else the track's id). Each such entry
+        then costs the fold plus the link, as a left-fold path cost adds.
         """
         if not self.frames:
             raise DataError("cannot clip an empty graph")
         t_min = next(iter(self.frames))
         out = self.frame_links.get(t_min + 1, NO_EDGES)  # the links out
-        if isinstance(solution, FlowSolution):
-            solution = self._continuing(t_min, solution, out)
         cost, origin = self.e_cost, self.e_origin
-        for entry, link, fold, track_id in solution:
+        for entry, link, fold, track_id in folds:
             cost[entry] = fold + cost.item(link)
             origin[entry] = track_id
 
-        removed = self.frames.pop(t_min)
+        self.n_detections -= len(self.frames.pop(t_min))
         del self.frame_links[t_min]
         if not self.frames:
             self.last_boxes = None
@@ -631,37 +624,10 @@ class TrackingGraph:
         if len(out):
             self.frame_links[t_min + 1] = NO_EDGES
         self.node_kind.put(nodes, KIND_DEAD)
-        det_nodes, node_det = self.det_nodes, self.node_det
-        for key in map(_key, removed):
-            del det_nodes[key]
+        node_det = self.node_det
         for x in nodes.ravel().tolist():
             node_det[x] = None
         return freed
-
-    def _continuing(self, t_min: int, solution: FlowSolution,
-                    out: np.ndarray) -> list[tuple]:
-        """The trajectories of solution that start in frame t_min and go on,
-        as clip_oldest_frame folds them, found by their detections' keys;
-        out holds the links out of t_min. A trajectory over a link that
-        does not exist is an InvariantBreach."""
-        link_of = dict(zip(zip(self.e_src[out].tolist(),
-                               self.e_dst[out].tolist()), out.tolist()))
-        cost, node_in, node_out = self.e_cost, self.node_in, self.node_out
-        found = []
-        for t in solution.trajectories:
-            if t.detections[0].frame == t_min and len(t.detections) > 1:
-                u0, v0 = self.det_nodes[t.detections[0].key]
-                u1 = self.det_nodes[t.detections[1].key][0]
-                if (v0, u1) not in link_of:
-                    raise InvariantBreach(
-                        f"solution trajectory uses missing link "
-                        f"{t.detections[0].key}->{t.detections[1].key}")
-                entry = node_in.item(u0)
-                o = self.e_origin.item(entry)
-                found.append((node_in.item(u1), link_of[v0, u1],
-                              cost.item(entry) + cost.item(node_out.item(u0)),
-                              t.track_id if o < 0 else o))
-        return found
 
     @property
     def n_frames(self) -> int:
@@ -690,8 +656,11 @@ def check_flow_conservation(graph: TrackingGraph, solution: FlowSolution) -> Non
     g, n = graph, len(graph.node_kind)
     flow = np.where(g.e_alive, solution.flow, 0)
     into, out = np.bincount(g.e_dst, flow, n), np.bincount(g.e_src, flow, n)
-    for key, (u, v) in g.det_nodes.items():
-        if into[u] != out[u] or out[u] != out[v]:
-            raise InvariantBreach(f"flow conservation violated at detection {key}")
-        if out[u] not in (0, 1):
-            raise InvariantBreach(f"detection {key} carries flow {out[u]:g}")
+    for f, dets in g.frames.items():
+        for d, u, v in zip(dets, *g.frame_nodes[f].tolist()):
+            if into[u] != out[u] or out[u] != out[v]:
+                raise InvariantBreach(f"flow conservation violated at "
+                                      f"detection {d.key}")
+            if out[u] not in (0, 1):
+                raise InvariantBreach(f"detection {d.key} carries flow "
+                                      f"{out[u]:g}")

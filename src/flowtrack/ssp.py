@@ -175,8 +175,8 @@ class ResidualGraph:
     potential p(u). Flow and potentials are the whole state: an edge's
     reduced cost in its residual direction, c + p(tail) - p(head), is
     derived from them on read, so none goes stale. eps is the tolerance
-    below 0 that a reduced cost may reach by rounding (see EPS), and
-    cost_sum the sum of |edge cost| (check_cost_sum).
+    below 0 that a reduced cost may reach by rounding (see EPS), and the
+    slot table's cost_sum the sum of |edge cost| (check_cost_sum).
 
     Every search reads the slot table (arcs): per residual arc slot its
     tail, head, original cost and direction, over the live edges. A search
@@ -220,10 +220,6 @@ class ResidualGraph:
     @property
     def eps(self) -> float:
         return self.arcs().eps
-
-    @property
-    def cost_sum(self) -> float:
-        return self.arcs().cost_sum
 
     def arcs(self) -> SlotTable:
         """The slot table over the live edges, built on first use after the
@@ -383,16 +379,16 @@ class ResidualGraph:
 
     def clip_oldest_frame(self, heads: list[Chain]):
         """Clip the graph's oldest frame, folding the decoded trajectories
-        that start there, the chains heads (FlowDecoder.clip). Each head
-        that goes on hands the graph what it folds as the decode holds it,
-        with no lookup: its second node's entry edge, its flowed link (out),
-        the fold of its first entry and detection edge (folds[0]) and the
-        id the entry takes, its origin or else its track id. The freed edge
-        slots lose their flow, and each continuing track's flow moves onto
-        its folded entry edge, whose reduced cost is the sum of the flowed
-        arcs' it replaces (each <= 0), so the potentials stay valid. The
-        slot table, eps, cost_sum, the sweep plan and the broadcasts' index
-        are dropped, as after an append."""
+        that start there, the chains heads (FlowDecoder.leading). Each that
+        goes on hands the graph's clip its one input as the decode holds it:
+        its second node's entry edge, its flowed link (out), the fold of its
+        first entry and detection edge (folds[0]) and the id the entry
+        takes, its origin or else its track id. The freed edge slots lose
+        their flow, and each continuing track's flow moves onto its folded
+        entry edge, whose reduced cost is the sum of the flowed arcs' it
+        replaces (each <= 0), so the potentials stay valid. The slot table,
+        eps, cost_sum, the sweep plan and the broadcasts' index are
+        dropped, as after an append."""
         out, node_in = self.decoded.out, self.graph.node_in
         folds = [(node_in.item(c.nodes[1]), out[c.nodes[0]], c.folds[0],
                   c.traj.track_id if c.origin < 0 else c.origin)
@@ -1156,8 +1152,6 @@ class FlowDecoder:
                 acc += out_cost[x]
                 x = y
             dets = [node_det[x] for x in nodes]
-            if dets[-1].frame - dets[0].frame != len(dets) - 1:
-                raise InvariantBreach("trajectory frames must be consecutive")
             c = Chain(Trajectory(-1, dets, acc), nodes, folds, dets[0].key,
                       origin)
             self.chains.append(c)

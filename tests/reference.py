@@ -1,11 +1,11 @@
 """Reference implementations that the tests hold the package to: the full
 decode of a flow, a path's price and each edge's reduced cost from the edge
 columns, the dynamic broadcast as it was before the residual kept a usable
-mask for it, a detection's true-positive probability, six graph helpers,
-a run's candidate links enumerated as one global pair index, Algorithm 1's
-stop rule, a ground-truth matcher that only tests use, the field-by-field
-CSV row parser, the row-by-row detection file parser and the per-row track
-writer."""
+mask for it, a detection's true-positive probability, the gate of gathered
+box pairs, six graph helpers, a run's candidate links enumerated as one
+global pair index, Algorithm 1's stop rule, a ground-truth matcher that only
+tests use, the field-by-field CSV row parser, the row-by-row detection file
+parser and the per-row track writer."""
 from __future__ import annotations
 
 import csv
@@ -21,7 +21,7 @@ from flowtrack.cost_model import (CostModel, Detection, FrameBoxes, _logistic,
 from flowtrack.errors import DataError, InvariantBreach
 from flowtrack.graph import (KIND_DEAD, KIND_SINK, KIND_SOURCE, KIND_U,
                              PAIR_BUDGET, SINK, SOURCE, TrackingGraph,
-                             Trajectory, gate_pairs)
+                             Trajectory, _gate)
 from flowtrack.metrics import GroundTruth
 from flowtrack.ssp import SolverStats, _count_search, extract_path
 
@@ -166,6 +166,14 @@ def dynamic_broadcast(res, seeds, labels, stats: SolverStats | None = None):
     return extract_path(res, labels), labels
 
 
+def gate_pairs(a: FrameBoxes, b: FrameBoxes, ip: np.ndarray, jn: np.ndarray,
+               radius_factor: float = 2.0) -> np.ndarray:
+    """default_gate(a.dets[i], b.dets[j], radius_factor) for each pair (i, j)
+    of ip and jn, as a boolean array, bit for bit: the package's gate
+    (graph._gate) over the pairs' geometry, gathered pair by pair."""
+    return _gate(a.geo[4:8, ip], b.geo[4:8, jn], radius_factor)
+
+
 def gate_block(a: FrameBoxes, b: FrameBoxes,
                radius_factor: float = 2.0) -> np.ndarray:
     """default_gate(a.dets[i], b.dets[j], radius_factor) as the [i, j] entry
@@ -256,7 +264,9 @@ def node_topo_key(g: TrackingGraph, nid: int):
 
 
 def check_layered_dag(graph: TrackingGraph) -> None:
-    """Verify every live edge respects the source < frames < sink layering."""
+    """Verify every live edge respects the source < frames < sink layering,
+    the live node and detection counts, and that each held detection's
+    u_node and v_node are its column of its frame's nodes."""
     for eid in live_edges(graph):
         ks = node_topo_key(graph, graph.e_src[eid])
         kd = node_topo_key(graph, graph.e_dst[eid])
@@ -270,13 +280,29 @@ def check_layered_dag(graph: TrackingGraph) -> None:
     live = int(np.count_nonzero(graph.node_kind != KIND_DEAD))
     if live != graph.n_live_nodes:
         raise InvariantBreach(f"live node count {live} != {graph.n_live_nodes}")
+    held = sum(map(len, graph.frames.values()))
+    if held != graph.n_detections:
+        raise InvariantBreach(f"{held} detections held, but n_detections "
+                              f"is {graph.n_detections}")
+    for f, dets in graph.frames.items():
+        nodes = graph.frame_nodes[f]
+        if nodes.shape != (2, len(dets)):
+            raise InvariantBreach(f"frame {f} holds {len(dets)} detections "
+                                  f"but nodes of shape {nodes.shape}")
+        for d, u, v in zip(dets, *nodes.tolist()):
+            if (graph.u_node(d), graph.v_node(d)) != (u, v):
+                raise InvariantBreach(f"detection {d.key} looks up nodes "
+                                      f"other than its column ({u}, {v})")
 
 
 def graphs_structurally_equal(a: TrackingGraph, b: TrackingGraph,
                               cost_tol: float = 1e-12) -> bool:
     """Compare node and edge sets by detection identity, kind and cost."""
-    if (set(a.det_nodes), a.t_min, a.t_max) != (set(b.det_nodes), b.t_min,
-                                                 b.t_max):
+    def held(g: TrackingGraph):
+        keys = {d.key for dets in g.frames.values() for d in dets}
+        return keys, g.t_min, g.t_max
+
+    if held(a) != held(b):
         return False
 
     def edge_set(g: TrackingGraph):

@@ -11,7 +11,9 @@ from flowtrack.graph import (DET, EDGE_COLUMNS, ENTRY, EXIT, LINK,
                              Trajectory,
                              build_batch_graph, check_flow_conservation)
 from flowtrack.online import OnlineTracker, TrackerConfig
-from flowtrack.ssp import solve_ssp
+from flowtrack.ssp import (ResidualGraph, SolverStats, convert_edge_costs,
+                           dag_shortest_path, solve_ssp,
+                           successive_shortest_paths)
 from reference import (check_layered_dag, graphs_structurally_equal,
                        link_edge_between, live_edges)
 
@@ -178,6 +180,30 @@ def _solve(graph):
     return solution
 
 
+def _solve_kept(graph):
+    """A batch ssp solve of graph on a residual graph kept for a clip
+    (_clip), run as _solve_batch runs it: (the residual, its solution)."""
+    res = ResidualGraph(graph)
+    if graph.n_detections:
+        stats = SolverStats()
+        path, labels = dag_shortest_path(res, stats=stats)
+        successive_shortest_paths(res, stats, graph.n_detections, path,
+                                  convert_edge_costs(res, labels), single=True)
+    solution = res.decode()
+    for i, t in enumerate(solution.trajectories):
+        t.track_id = i
+    return res, solution
+
+
+def _clip(graph, res=None):
+    """Clip graph's oldest frame as a tracker does: the decode of res, by
+    default a fresh solve's (_solve_kept), hands over the folds of the
+    tracks that start there and go on."""
+    if res is None:
+        res, _ = _solve_kept(graph)
+    res.clip_oldest_frame(res.decoded.leading(graph.t_min + 1))
+
+
 class TestClipOldestFrame:
     def _three_frame_chain(self):
         links = {((0, 0), (1, 0)): 0.0, ((1, 0), (2, 0)): 0.0}
@@ -189,9 +215,9 @@ class TestClipOldestFrame:
 
     def test_synthesized_entry_cost(self):
         g = self._three_frame_chain()
-        solution = _solve(g)
+        res, solution = _solve_kept(g)
         assert solution.total_cost == pytest.approx(-11.0)  # 2 -5 -5 -5 +2
-        g.clip_oldest_frame(solution)
+        _clip(g, res)
         eid = g.entry_edge_of(det(1, 0))
         # remembered prefix: entry 2 + det -5 + link 0 = -3
         assert g.e_cost[eid] == -3.0
@@ -199,8 +225,8 @@ class TestClipOldestFrame:
 
     def test_suffix_cost_preserved_exactly(self):
         g = self._three_frame_chain()
-        solution = _solve(g)
-        g.clip_oldest_frame(solution)
+        res, solution = _solve_kept(g)
+        _clip(g, res)
         clipped = _solve(g)
         assert clipped.total_cost == solution.total_cost  # exact, same fp order
 
@@ -209,7 +235,7 @@ class TestClipOldestFrame:
         g = TrackingGraph(gating=False)
         g.append_frame([det(0, 0)], model, frame=0)
         g.append_frame([det(1, 0)], model)
-        g.clip_oldest_frame(FlowSolution())
+        g.clip_oldest_frame([])
         assert g.n_live_nodes == 4
         eid = g.entry_edge_of(det(1, 0))
         assert g.e_cost[eid] == 2.0
@@ -217,12 +243,12 @@ class TestClipOldestFrame:
 
     def test_clip_only_frame_empties_graph(self):
         g = build_batch_graph([det(0, 0)], CostModel())
-        g.clip_oldest_frame(FlowSolution())
+        g.clip_oldest_frame([])
         assert g.is_empty and g.t_max is None and g.frames == {}
         assert (g.n_detections, g.n_live_nodes, g.n_live_edges) == (0, 2, 0)
         check_layered_dag(g)
         with pytest.raises(DataError, match="empty graph"):
-            g.clip_oldest_frame(FlowSolution())
+            g.clip_oldest_frame([])
         g.append_frame([det(7, 0)], CostModel())
         assert (g.t_min, g.t_max, g.n_live_nodes) == (7, 7, 4)
 
@@ -235,7 +261,7 @@ class TestClipOldestFrame:
         g.append_frame([det(0, 0)], model, frame=0)
         g.append_frame([det(1, 0)], model)
         old = det(0, 0)
-        freed_nodes = set(g.det_nodes[old.key])
+        freed_nodes = {g.u_node(old), g.v_node(old)}
         freed_edges = {g.entry_edge_of(old), g.detection_edge_of(old),
                        int(g.node_out[g.v_node(old)]),
                        link_edge_between(g, old, det(1, 0))}
@@ -245,34 +271,41 @@ class TestClipOldestFrame:
                     ("node_det",) + NODE_COLUMNS + EDGE_COLUMNS]
 
         before = lengths()
-        g.clip_oldest_frame(FlowSolution())
+        g.clip_oldest_frame([])
         assert lengths() == before
         d = det(2, 5, x=9000.0)
         g.append_frame([d], model)  # no link into it
-        assert set(g.det_nodes[d.key]) == freed_nodes
+        assert {g.u_node(d), g.v_node(d)} == freed_nodes
         assert {g.entry_edge_of(d), g.detection_edge_of(d),
                 int(g.node_out[g.v_node(d)])} < freed_edges
         assert lengths() == before
         assert (g.n_live_nodes, g.n_live_edges) == (6, 6)
         check_layered_dag(g)
-
-    def test_trajectory_over_a_missing_link_is_a_breach(self):
-        g = TrackingGraph(gating=False)
-        for f in range(2):
-            g.append_frame([det(f, 0)], StubModel(links={}), frame=f)
-        solution = FlowSolution([Trajectory(0, [det(0, 0), det(1, 0)], 0.0)])
-        with pytest.raises(InvariantBreach, match=r"^solution trajectory uses "
-                           r"missing link \(0, 0\)->\(1, 0\)$"):
-            g.clip_oldest_frame(solution)
+        # Sparse local indices, given out of order: each detection's nodes
+        # are its column of its frame's, in local-index order.
+        late = [det(3, 5, x=9000.0), det(3, 2, x=-9000.0)]
+        g.append_frame(late, model)
+        u, v = g.frame_nodes[3].tolist()
+        assert [(g.u_node(d), g.v_node(d)) for d in late] == [(u[1], v[1]),
+                                                              (u[0], v[0])]
+        check_layered_dag(g)
+        # A clipped frame, a frame never held, and local indices their
+        # frame lacks, below, between and past the ones it holds.
+        for gone in (old, det(1, 1), det(4, 0), det(3, 0), det(3, 3),
+                     det(3, 6)):
+            for lookup in (g.u_node, g.v_node, g.entry_edge_of,
+                           g.detection_edge_of):
+                with pytest.raises(KeyError):
+                    lookup(gone)
 
     def test_clip_moves_tmin_past_a_gap(self):
         model = CostModel()
         g = TrackingGraph()
         for f in (2, 3, 9):
             g.append_frame([det(f, 0)], model, frame=f)
-        g.clip_oldest_frame(_solve(g))
+        _clip(g)
         assert (g.t_min, g.n_frames) == (3, 7)
-        g.clip_oldest_frame(_solve(g))
+        _clip(g)
         assert (g.t_min, g.t_max, list(g.frames), g.n_detections) == (9, 9, [9], 1)
         check_layered_dag(g)
 
@@ -283,9 +316,9 @@ class TestClipOldestFrame:
         g = TrackingGraph(gating=False)
         for f in range(4):
             g.append_frame([det(f, 0)], model, frame=f)
-        sol = _solve(g)
-        g.clip_oldest_frame(sol)
-        g.clip_oldest_frame(_solve(g))
+        res, sol = _solve_kept(g)
+        _clip(g, res)
+        _clip(g)
         # the second fold carries the first one's prefix along
         assert _solve(g).total_cost == sol.total_cost
 
@@ -296,7 +329,7 @@ class TestClipOldestFrame:
         for f in range(30):
             dets = [det(f, i, x=20.0 * i, y=1.0 * f) for i in range(d_max)]
             if not g.is_empty and g.n_frames >= tau:
-                g.clip_oldest_frame(_solve(g))
+                _clip(g)
             g.append_frame(dets, model, frame=f)
             assert g.n_live_nodes <= 2 * tau * d_max + 2
             check_layered_dag(g)
@@ -367,7 +400,7 @@ class TestHeldGeometry:
                               CostModel())
         self.check(g)
         while not g.is_empty:
-            g.clip_oldest_frame(_solve(g))
+            _clip(g)
             self.check(g)
         g.append_frame([det(9, 0)], CostModel())
         self.check(g)

@@ -1047,7 +1047,7 @@ def calls_per_frame(window, first, last):
 
 
 @pytest.mark.parametrize("window, first, last, bound",
-                         [(10, 20, 200, 612), (None, 20, 40, 547)])
+                         [(10, 20, 200, 606), (None, 20, 40, 542)])
 def test_calls_per_frame_stay_bounded(window, first, last, bound):
     """The fixed cost of a stream frame as a count that does not depend on
     the machine: mbodssp (window 10) and odssp frames make at most bound

@@ -111,7 +111,7 @@ class TestConvertEdgeCosts:
         g = TrackingGraph(gating=False)
         g.append_frame([det(0, 0)], model, frame=0)
         res = ResidualGraph(g)
-        u, v = g.det_nodes[(0, 0)]
+        u, v = g.u_node(det(0, 0)), g.v_node(det(0, 0))
         det_eid = g.detection_edge_of(det(0, 0))
         labels = PredecessorMap(len(res.potential), res.roots)
         labels.dist[u] = -3.0
@@ -495,7 +495,7 @@ def single_det_tree():
     u -> v -> target; the u -> v detection arc costs -5."""
     g = single_det_graph()
     res = ResidualGraph(g)
-    u, v = g.det_nodes[(0, 0)]
+    u, v = g.u_node(det(0, 0)), g.v_node(det(0, 0))
     labels = PredecessorMap(len(res.potential), res.roots)
     labels.dist[:] = 0.0
     labels.pred[[u, v, res.target]] = [SOURCE, u, v]
@@ -842,9 +842,10 @@ class TestCompiledDagSweep:
     def random_mask(self, graph, rng):
         # one entry per search node: the node slots, then the target
         mask = np.zeros(len(graph.node_kind) + 1, dtype=bool)
-        for u, v in graph.det_nodes.values():
-            if rng.random() < 0.3:
-                mask[u if rng.random() < 0.5 else v] = True
+        for nodes in graph.frame_nodes.values():
+            for u, v in nodes.T.tolist():
+                if rng.random() < 0.3:
+                    mask[u if rng.random() < 0.5 else v] = True
         return mask
 
     def test_random_instances(self):
