@@ -502,7 +502,8 @@ class TrackingGraph:
             rows = np.where(row_in, a[:, None] + i, pad)
             cols = np.where(col_in, b[:, None] + j, pad)
             if self.gating:
-                admit = _gate(geo[:, rows, None], geo[:, cols][:, :, None],
+                admit = _gate(geo.take(rows, axis=1)[..., None],
+                              geo.take(cols, axis=1)[:, :, None],
                               self.gate_radius_factor)
             else:
                 admit = row_in[:, :, None] & col_in[:, None]

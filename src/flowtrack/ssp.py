@@ -7,28 +7,31 @@ the paper's dynamic broadcast that re-labels only the invalidated part of the
 shortest-path tree, the decoded trajectories kept up to date by walking each
 one again from its first node that a changed edge touches, or all at once in
 one walk over the flowed edges when none is decoded yet (FlowDecoder), and
-the greedy DP baseline. Every search is
-compiled: one DAG relaxation (_relax_frames) gives the sweep's labels and
-each appended frame's potentials, and a sweep's tree paths are read from the
-graph's columns (sweep_path), so a dp solve builds no slot table. Both other
-searches are scipy's
-Dijkstra over the CSR of one slot table (ResidualGraph.arcs), which holds
-per residual arc slot its tail, head, original cost and direction, and the
-target's exit slots. It is built once after each append or clip, and keeps
-one CSR object, resized when the node count changes. A sweep reads the
-residual's sweep plan (ResidualGraph.sweep_plan): the nodes, the links and
-the costs by arc kind over every frame, built on the first sweep and
-dropped with the slot table, so the sweeps of a dp solve gather the graph
-once. Trackers never sweep and build no plan: an append relaxes the new
-frame's own arrays. A full search derives
-each slot's reduced cost from it once and prices the exits from those
-values, and a path is priced from its slots. A broadcast prices only the
-usable slots into the set it re-labels, found through a per-slot usable
-mask kept with the table (ResidualGraph.broadcast_index), which flip
-updates; it is built on the first broadcast, so trackers build none. A
-push round ranks the exits, and a dp round its sweep's exits, only as far
-as it reads them (_ranked). The flow and the potentials grow in place with
-the graph's columns (graph.lengthen).
+the greedy DP baseline. Every search is compiled: one DAG relaxation
+(_relax_frames) gives the sweep's labels and each appended frame's
+potentials, and a sweep's tree paths are read from the graph's columns
+(sweep_path), so a dp solve builds no slot table and, as it ranks by the
+labels, prices no path. Both other searches are scipy's Dijkstra over the
+CSR of one slot table (ResidualGraph.arcs), which holds per residual arc
+slot its edge, tail, head, original cost, direction and key, and the
+target's exit slots with their tails. It is built once after each append
+or clip, and keeps one CSR object, with a row per slot of the potentials'
+buffer, resized when that buffer grows. A sweep reads the residual's sweep
+plan (ResidualGraph.sweep_plan): the nodes, the links and the costs by arc
+kind over every frame, built on the first sweep and dropped with the slot
+table, so the sweeps of a dp solve gather the graph once. Trackers never
+sweep and build no plan: an append relaxes the new frame's own arrays. A
+full search derives each slot's reduced cost from it once and keeps it
+where the flow makes the slot usable, inf elsewhere: from that one array it
+weighs the CSR, checks itself and ranks the exits, without reading the
+flow again. A path's arcs are found by key, each found key checked, and
+the path is priced from its slots. A broadcast prices only the usable
+slots into the set it re-labels, found through a per-slot usable mask kept
+with the table (ResidualGraph.broadcast_index), which flip updates; it is
+built on the first broadcast, so trackers build none. A push round ranks
+the exits, and a dp round its sweep's exits, only as far as it reads them
+(_ranked). The flow and the potentials grow in place with the graph's
+columns (graph.lengthen).
 
 Every solver runs on one residual graph, whose sink is split into a root
 and a target (ResidualGraph). Every exact solver runs one loop,
@@ -107,8 +110,9 @@ class PredecessorMap:
     pred[v] is the node before v, -1 for none (a root or an unreached node).
     The edge of a tree arc u -> v is the residual slot keyed u * n + v (see
     ResidualGraph.arcs). They start at 0 for the roots, inf elsewhere. rc is
-    the reduced cost per slot that a full search read (dijkstra_full), None
-    once the potentials may have moved since. link, set by a DAG sweep
+    the reduced cost per slot that a full search read (dijkstra_full), inf
+    on the slots the flow makes unusable, None once the potentials may have
+    moved since. link, set by a DAG sweep
     (dag_shortest_path), is per u node the link edge of its tree arc when
     its predecessor is a v node, by which sweep_path reads a tree path
     without the slot table; None for other searches' labels."""
@@ -141,13 +145,16 @@ class Path:
 
 
 #: ResidualGraph.arcs, the slot table: the CSR over the search nodes and a
-#: virtual root, and per arc slot in CSR order (by tail, then head) its edge,
-#: is-reverse flag, tail (row), head (col), original cost of the arc (the
-#: edge's cost, negated on a reverse slot) and key row * n + col. exits holds
-#: the target's in-slots, the exits' forward slots, in edge order; eps and
-#: cost_sum are read from the live costs with it (see ResidualGraph).
-SlotTable = namedtuple("SlotTable",
-                       "matrix eid rev row col cost key exits eps cost_sum")
+#: virtual root (then empty rows up to the potentials' buffer), and per arc
+#: slot in CSR order (by tail, then head) its edge, is-reverse flag, tail
+#: (row), head (col), original cost of the arc (the edge's cost, negated on
+#: a reverse slot) and key row * n + col, by which a path finds its arcs.
+#: exits holds the target's in-slots, the exits' forward slots, in edge
+#: order, and exit_tails their tails; eps and cost_sum are read from the
+#: live costs with it (see ResidualGraph). A search reads the columns and
+#: the flow, and writes only the CSR's weights.
+SlotTable = namedtuple("SlotTable", "matrix eid rev row col cost key exits "
+                                    "exit_tails eps cost_sum")
 
 #: ResidualGraph.sweep_plan, the forward graph of a run of frames as the DAG
 #: relaxation reads it (_sweep_plan): frames, the run's frame indices; u and
@@ -227,52 +234,54 @@ class ResidualGraph:
 
         Every live edge has a forward slot (src -> dst, the target for the
         sink, usable while it carries no flow) and a reverse slot (dst ->
-        src, usable while it does), sorted by row then column. Row n is a virtual root with a
-        slot to every search node after them, where a broadcast starts.
-        Only the weights change from search to search. Indexes are int32,
-        which scipy keeps as given (int64 ones it checks and copies down).
-        The CSR object is kept and takes the new arrays, resized in place
-        (csr_matrix.resize) when the node count changed. Without dead edge
-        slots, as under odssp, the edge columns are read as they are.
+        src, usable while it does), sorted by row then column. Row n is a
+        virtual root with a slot to every search node after them, where a
+        broadcast starts; the rows past it, one per spare slot of the
+        potentials' buffer (graph.lengthen), are empty. Only the weights
+        change from search to search. Indexes are int32, which scipy keeps
+        as given (int64 ones it checks and copies down). The CSR object is
+        kept and takes the new arrays, resized in place (csr_matrix.resize)
+        only when the potentials' buffer grew, so a growing stream resizes
+        it when that buffer doubles. An exit's forward slot is the last of
+        its tail's row, the target being the last column, so the exit slots
+        come from the row starts in edge order. Without dead edge slots, as
+        under odssp, the edge columns are read as they are.
         """
         if self._table is None:
             g, n = self.graph, len(self.potential)
-            if g.n_live_edges < len(g.e_alive):
+            if (m := g.n_live_edges) < len(g.e_alive):
                 live = g.e_alive.nonzero()[0]
                 src, dst, cost = g.e_src[live], g.e_dst[live], g.e_cost[live]
-                kind = g.e_kind[live]
             else:  # no dead slot: the columns as they are
-                live = np.arange(len(g.e_alive))
-                src, dst, cost, kind = g.e_src, g.e_dst, g.e_cost, g.e_kind
+                live = np.arange(m)
+                src, dst, cost = g.e_src, g.e_dst, g.e_cost
             tails, heads = np.concatenate((src, dst)), np.concatenate((dst, src))
-            heads[:len(live)][dst == SINK] = n - 1  # the target
+            exits = (dst == SINK).nonzero()[0]
+            heads[exits] = n - 1  # the target
             keys = tails * n + heads
             order = keys.argsort(kind="stable")
             keys, rows, cols = keys[order], tails[order], heads[order]
-            at = np.empty(len(keys), dtype=np.int64)  # unsorted -> CSR slot
-            at[order] = np.arange(len(keys))
-            indptr = np.empty(n + 2, dtype=np.int32)
-            indptr[:-1] = rows.searchsorted(np.arange(n + 1))
-            indptr[-1] = len(keys) + n
-            data = np.zeros(len(keys) + n)
-            indices = np.concatenate((cols, np.arange(n)), dtype=np.int32)
+            steps = np.arange(n + 1)
+            starts = rows.searchsorted(steps)  # each row's first slot
+            size = len(self._buffers["potential"]) + 1
+            indptr = np.empty(size + 1, dtype=np.int32)
+            indptr[:n + 1] = starts
+            indptr[n + 1:] = 2 * m + n
+            data = np.zeros(2 * m + n)
+            indices = np.concatenate((cols, steps[:n]), dtype=np.int32)
             matrix = self._matrix
             if matrix is None:
                 matrix = self._matrix = csr_matrix((data, indices, indptr),
-                                                   shape=(n + 1, n + 1))
+                                                   shape=(size, size))
             else:
-                if matrix.shape[0] != n + 1:
-                    matrix.resize((n + 1, n + 1))
+                if matrix.shape[0] != size:
+                    matrix.resize((size, size))
                 matrix.data, matrix.indices, matrix.indptr = data, indices, indptr
-            size = abs(cost)
-            with np.errstate(over="ignore"):
-                cost_sum = float(np.add.reduce(size))
+            ends = src[exits]  # the exits' tails
             self._table = SlotTable(
-                matrix, np.concatenate((live, live))[order],
-                order >= len(live), rows, cols,
-                np.concatenate((cost, -cost))[order], keys,
-                at[:len(live)][kind == EXIT],
-                EPS * float(np.maximum.reduce(size, initial=0.0)), cost_sum)
+                matrix, np.concatenate((live, live))[order], order >= m, rows,
+                cols, np.concatenate((cost, -cost))[order], keys,
+                starts[1:][ends] - 1, ends, *_cost_bounds(cost))
         return self._table
 
     def sweep_plan(self) -> SweepPlan:
@@ -291,8 +300,11 @@ class ResidualGraph:
         cost, its edge's cost negated."""
         t, p = self.arcs(), self.potential
         cost, p_row, p_col = t.cost[slots], p[t.row[slots]], p[t.col[slots]]
-        return np.where(t.rev[slots], (p_row - p_col) + cost,
-                        (cost + p_row) - p_col)
+        forward = cost + p_row
+        forward -= p_col
+        p_row -= p_col  # now the reverse slot's, in place
+        p_row += cost
+        return np.where(t.rev[slots], p_row, forward)
 
     def broadcast_index(self) -> BroadcastIndex:
         """The broadcasts' index (BroadcastIndex), built on the first
@@ -338,8 +350,7 @@ class ResidualGraph:
         g, t = self.graph, self._table
         if t is not None:
             return t.cost_sum
-        with np.errstate(over="ignore"):
-            return float(abs(g.e_cost[g.e_alive]).sum())
+        return _cost_bounds(g.e_cost[g.e_alive])[1]
 
     def check_frame(self, prepared):
         """check_cost_sum over the live edges and a prepared frame's, so a
@@ -403,19 +414,22 @@ class ResidualGraph:
         an iterator of (value, tail v) pairs by value dist(v) + clamped
         reduced cost, the length of the tree path to v and on to the target,
         ties in edge order. Exits of unreached nodes are left out; the least
-        value is dist[target]. The table's exit slots are filtered by flow,
-        in edge order, and priced by rc, the reduced cost per slot at the
-        current potentials, if given (PredecessorMap.rc), else from the
-        potentials as slot_reduced prices a forward slot. They are ranked
-        lazily (_ranked): a reader that stops early, as a push round does,
-        sorts only the blocks it reached."""
-        t, p = self.arcs(), self.potential
-        slots = t.exits[self.flow[t.eid[t.exits]] == 0]
-        tails = t.row[slots]
+        value is dist[target]. The table's exit slots, in edge order, are
+        priced by rc, the reduced cost per slot at the current potentials
+        and inf on unusable ones, if given (PredecessorMap.rc), else from
+        the potentials as slot_reduced prices a forward slot and the flow.
+        A flowed exit's value is inf, so it ranks past every usable one.
+        They are ranked lazily (_ranked): a reader that stops early, as a
+        push round does, sorts and converts only the blocks it reached."""
+        t = self.arcs()
+        tails = t.exit_tails
         if rc is None:  # forward slots into the target, as slot_reduced
-            cost = (t.cost[slots] + p[tails]) - p[self.target]
+            p = self.potential
+            cost = np.where(self.flow[t.eid[t.exits]] == 0,
+                            (t.cost[t.exits] + p[tails]) - p[self.target],
+                            np.inf)
         else:
-            cost = rc[slots]
+            cost = rc[t.exits]
         values = dist[tails] + np.maximum(cost, 0.0)
         return chain.from_iterable(_finite_pairs(values, tails))
 
@@ -430,14 +444,28 @@ class ResidualGraph:
         self.potential += raised
 
 
+@np.errstate(over="ignore")
+def _cost_bounds(cost: np.ndarray) -> tuple[float, float]:
+    """eps and cost_sum (see ResidualGraph) of the edge costs cost: EPS times
+    the largest |cost|, and the sum of |cost|, inf if it overflows. The
+    decorator's errstate costs half the with statement's."""
+    size = abs(cost)
+    return (EPS * float(np.maximum.reduce(size, initial=0.0)),
+            float(np.add.reduce(size)))
+
+
 def _ranked(values: np.ndarray):
     """The indices of values in ascending order, ties in index order, as a
     stable argsort gives them, in blocks, lazily. Up to 256 values are
-    sorted at once; of more, each block is the next 16, 32, 64, ... of the
-    rest (with any tied with its last), found by one partition and sorted
-    alone. A reader that stops early pays for the blocks it reached."""
+    sorted at once and yielded as the first 8, which is as far as a push
+    round usually reads, and the rest; of more, each block is the next 16,
+    32, 64, ... of the rest (with any tied with its last), found by one
+    partition and sorted alone. A reader that stops early pays for the
+    blocks it reached."""
     if len(values) <= 256:
-        yield values.argsort(kind="stable")
+        order = values.argsort(kind="stable")
+        yield order[:8]
+        yield order[8:]
         return
     rest, size = np.arange(len(values)), 16
     while len(rest) > 2 * size:
@@ -465,25 +493,27 @@ def _tree_nodes(res: ResidualGraph, labels: PredecessorMap, n: int,
                 via: int | None, stop) -> list[int] | None:
     """The nodes of extract_path's path, from a root to res.target (n - 1,
     n the search nodes), or None where it returns None; a cycle or a chain
-    that ends off the roots is an InvariantBreach."""
-    pred = labels.pred.item
-    if not math.isfinite(labels.dist.item(n - 1 if via is None else via)):
+    that ends off the roots is an InvariantBreach. The walk reads the
+    predecessors and stop through memoryviews, whose items are Python
+    ints and bools."""
+    if not math.isfinite(labels.dist[n - 1 if via is None else via]):
         return None
+    pred = memoryview(labels.pred)
+    stop = None if stop is None else memoryview(stop)
     nodes = [n - 1]
-    u = pred(n - 1) if via is None else via
+    u = pred[n - 1] if via is None else via
     for _ in range(n):
         if u < 0:
             break
-        if stop is not None and stop.item(u):
+        if stop is not None and stop[u]:
             return None
         nodes.append(u)
-        u = pred(u)
+        u = pred[u]
     else:
         raise InvariantBreach("predecessor chain contains a cycle")
     if nodes[-1] not in res.roots:
         raise InvariantBreach(f"broken predecessor chain at node {nodes[-1]}")
-    nodes.reverse()
-    return nodes
+    return nodes[::-1]
 
 
 def extract_path(res: ResidualGraph, labels: PredecessorMap,
@@ -493,15 +523,23 @@ def extract_path(res: ResidualGraph, labels: PredecessorMap,
     and then the arc via -> target, which need not be a tree arc. With
     stop, a mask over the nodes, None also once the walk meets a node it
     marks (via included). Each arc u -> v is the slot keyed u * n + v, and
-    the path costs the fsum of its slots' original costs. The target stands
-    for the sink in the returned path."""
+    the path costs the fsum of its slots' original costs. An arc that no
+    slot holds, as from a predecessor no search set, is an InvariantBreach.
+    The target stands for the sink in the returned path."""
     n = len(res.potential)
     nodes = _tree_nodes(res, labels, n, via, stop)
     if nodes is None:
         return None
     t = res.arcs()
-    chain = np.array(nodes, dtype=np.int64)
-    slots = t.key.searchsorted(chain[:-1] * n + chain[1:])
+    keys = [u * n + v for u, v in zip(nodes, islice(nodes, 1, None))]
+    slots = t.key.searchsorted(keys)
+    try:
+        found = t.key[slots].tolist()
+    except IndexError:  # a key past the last slot's
+        found = None
+    if found != keys:
+        raise InvariantBreach(f"the tree path {nodes} takes an arc that no "
+                              f"slot holds")
     nodes[-1] = SINK
     return Path(nodes, t.eid[slots].tolist(), math.fsum(t.cost[slots].tolist()))
 
@@ -509,13 +547,23 @@ def extract_path(res: ResidualGraph, labels: PredecessorMap,
 def sweep_path(res: ResidualGraph, labels: PredecessorMap,
                via: int | None = None, stop=None) -> Path | None:
     """extract_path over a DAG sweep's tree (dag_shortest_path), read from
-    the graph's columns without the slot table: a tree path runs source,
-    then u and v nodes in turn, and then the target. Each u node is entered
-    by its entry edge (node_in) when the source is its predecessor, else by
-    the tight link the sweep kept (labels.link), and left by its detection
-    edge (node_out), and the last v node's exit (node_out) enters the
-    target. The path costs the fsum of those edges' costs, the original
-    costs of their forward slots, so it equals extract_path's."""
+    the graph's columns without the slot table (_sweep_walk). The path
+    costs the fsum of its edges' costs, the original costs of their forward
+    slots, so it equals extract_path's."""
+    path = _sweep_walk(res, labels, via, stop)
+    if path is not None:
+        path.cost = math.fsum(res.graph.e_cost[path.eids].tolist())
+    return path
+
+
+def _sweep_walk(res: ResidualGraph, labels: PredecessorMap,
+                via: int | None = None, stop=None) -> Path | None:
+    """sweep_path's path with its cost left nan, for solve_dp_greedy, which
+    ranks and sums by the labels: a tree path runs source, then u and v
+    nodes in turn, and then the target. Each u node is entered by its entry
+    edge (node_in) when the source is its predecessor, else by the tight
+    link the sweep kept (labels.link), and left by its detection edge
+    (node_out), and the last v node's exit (node_out) enters the target."""
     nodes = _tree_nodes(res, labels, len(res.potential), via, stop)
     if nodes is None:
         return None
@@ -526,7 +574,7 @@ def sweep_path(res: ResidualGraph, labels: PredecessorMap,
     eids[1:-1:2] = g.node_out[u]
     eids[-1] = g.node_out[nodes[-2]]
     nodes[-1] = SINK
-    return Path(nodes, eids.tolist(), math.fsum(g.e_cost[eids].tolist()))
+    return Path(nodes, eids.tolist())
 
 
 def path_original_cost(res: ResidualGraph, path: Path) -> float:
@@ -604,7 +652,7 @@ def _relax_frames(dist: np.ndarray, target: int, plan: SweepPlan, k: int,
 def dag_shortest_path(res: ResidualGraph, stats: SolverStats | None = None,
                       excluded: np.ndarray | None = None,
                       labels: PredecessorMap | None = None,
-                      start: int | None = None):
+                      start: int | None = None, priced: bool = True):
     """Shortest paths from the source over the forward (acyclic) graph: the
     one DAG relaxation (_relax_frames) over the frames from frame start on
     (default every frame), and then the target over every exit.
@@ -637,7 +685,9 @@ def dag_shortest_path(res: ResidualGraph, stats: SolverStats | None = None,
     in frames from start on), and the rest are re-labelled in place, bit
     for bit as a fresh sweep under excluded. relaxations counts the edges
     out of reached nodes into re-labelled nodes not excluded, the target's
-    from every frame. Returns (path to res.target or None, labels).
+    from every frame. Returns (path to res.target or None, labels); with
+    priced False the path's cost is left nan (_sweep_walk), for
+    solve_dp_greedy.
     """
     stats = stats or SolverStats()
     labels = labels or PredecessorMap(len(res.potential), res.roots)
@@ -679,7 +729,7 @@ def dag_shortest_path(res: ResidualGraph, stats: SolverStats | None = None,
     d = dist.item(target)
     pred[target] = (p.v.item(np.argmax(exits == d)) if math.isfinite(d)
                     else -1)
-    return sweep_path(res, labels), labels
+    return (sweep_path if priced else _sweep_walk)(res, labels), labels
 
 
 def convert_edge_costs(res: ResidualGraph, labels: PredecessorMap) -> PredecessorMap:
@@ -729,7 +779,6 @@ def build_residual(res: ResidualGraph, *paths: Path) -> ResidualGraph:
         tails += path.nodes[:-1]
         heads += path.nodes[1:]
     g, eids = res.graph, np.array(eids, dtype=np.int64)
-    tails, heads = np.array(tails), np.array(heads)
     src, dst, flowed = g.e_src[eids], g.e_dst[eids], res.flow[eids] == 1
     bad = ((np.where(flowed, dst, src) != tails)
            | (np.where(flowed, src, dst) != heads)).nonzero()[0]
@@ -744,11 +793,15 @@ def build_residual(res: ResidualGraph, *paths: Path) -> ResidualGraph:
 def _count_search(eps: float, stats: SolverStats, eids, scanned, cost,
                   labelled):
     """Count a search, its scanned arcs (edges eids, reduced costs cost) and
-    labelled nodes; a scanned arc's cost below -eps breaks its precondition."""
-    bad = (scanned & (cost < -eps)).nonzero()[0]
-    if len(bad):
-        i = bad[0]
-        raise InvariantBreach(f"negative reduced cost {cost[i]} on edge {eids[i]}")
+    labelled nodes; a scanned arc's cost below -eps breaks its precondition.
+    cost may hold any value >= -eps off the scanned arcs, such as inf: the
+    scanned ones are looked up only when the least of cost is below -eps."""
+    if np.minimum.reduce(cost, initial=0.0) < -eps:
+        bad = (scanned & (cost < -eps)).nonzero()[0]
+        if len(bad):
+            i = bad[0]
+            raise InvariantBreach(f"negative reduced cost {cost[i]} on edge "
+                                  f"{eids[i]}")
     stats.relaxations += int(np.count_nonzero(scanned))
     stats.queue_pushes += int(np.count_nonzero(labelled))
     stats.searches += 1
@@ -757,21 +810,25 @@ def _count_search(eps: float, stats: SolverStats, eids, scanned, cost,
 def dijkstra_full(res: ResidualGraph, stats: SolverStats | None = None):
     """Full Dijkstra from res.roots over the residual arcs, weighed by their
     reduced costs clamped at 0, compiled: each slot's reduced cost is read
-    once (slot_reduced), and the labels keep them (PredecessorMap.rc).
-    relaxations counts the residual arcs out of reached nodes, queue_pushes
-    the nodes reached. Returns (path to res.target or None, every node's
-    labels)."""
+    once (slot_reduced). The usable slots' costs, inf elsewhere, are
+    clamped into the CSR's weights in place, checked for negative ones
+    (_count_search), and kept with the labels (PredecessorMap.rc). relaxations counts the residual arcs out of reached nodes,
+    queue_pushes the nodes reached. Returns (path to res.target or None,
+    every node's labels)."""
     stats = stats or SolverStats()
     t, n = res.arcs(), len(res.potential)
     rc = res.slot_reduced()
     active = res.flow[t.eid] == t.rev
-    t.matrix.data[:len(rc)] = np.where(active, np.maximum(rc, 0.0), np.inf)
+    usable = np.where(active, rc, np.inf)
+    np.maximum(usable, 0.0, out=t.matrix.data[:len(rc)])
     dist, pred, _ = dijkstra(t.matrix, indices=res.roots, min_only=True,
                              return_predecessors=True)
     labels = PredecessorMap.__new__(PredecessorMap)
-    labels.dist, labels.pred, labels.rc = dist[:n], np.maximum(pred[:n], -1), rc
+    labels.dist, labels.pred = dist[:n], np.maximum(pred[:n], -1)
+    labels.rc = usable
     reached = np.isfinite(labels.dist)
-    _count_search(t.eps, stats, t.eid, active & reached[t.row], rc, reached)
+    _count_search(t.eps, stats, t.eid, active & reached[t.row], usable,
+                  reached)
     return extract_path(res, labels), labels
 
 
@@ -900,7 +957,9 @@ def push_round(res: ResidualGraph, shortest: Path, labels: PredecessorMap,
         if path.nodes[0] == SINK:  # it frees its first node x's exit
             x, p = path.nodes[1], res.potential
             rc = res.graph.e_cost[path.eids[0]] + p[x] - p[target]
-            freed = min(freed, dist[x] + max(rc, 0.0))
+            bound = dist[x] + (0.0 if rc < 0.0 else rc)
+            if bound < freed:
+                freed = bound
         used.update(inner)
         pushed.append(path)
         stats.iterations += 1
@@ -1237,7 +1296,8 @@ def solve_dp_greedy(graph: TrackingGraph):
     round reads (_ranked). Each is committed with its v node's tree path in
     turn, until one costs >= 0, which ends the solve, or holds a node
     committed since the sweep, which ends the round. Tree paths are read
-    without the slot table (sweep_path), so a dp solve builds none.
+    without the slot table and left unpriced (_sweep_walk), so a dp solve
+    builds no table and prices each path by its value alone.
     Excluding nodes never lowers a label, and a node whose tree path avoids
     them keeps its label and predecessor bit for bit, so each committed
     path is the one a full sweep would return at its turn, at the same
@@ -1256,7 +1316,8 @@ def solve_dp_greedy(graph: TrackingGraph):
     trajectories, total = [], 0.0
     labels = start = None
     for _ in range(graph.n_detections + 1):  # each round commits one or more
-        path, labels = dag_shortest_path(res, stats, excluded, labels, start)
+        path, labels = dag_shortest_path(res, stats, excluded, labels, start,
+                                         priced=False)
         values = labels.dist[v] + exit_cost
         start = math.inf
         ranked = chain.from_iterable(map(np.ndarray.tolist, _ranked(values)))
@@ -1266,7 +1327,7 @@ def solve_dp_greedy(graph: TrackingGraph):
                 return FlowSolution(trajectories=trajectories,
                                     total_cost=total, flow=flow), stats
             if rank:  # the first is the sweep's own path
-                path = sweep_path(res, labels, via=v.item(i), stop=excluded)
+                path = _sweep_walk(res, labels, via=v.item(i), stop=excluded)
                 if path is None:  # it meets a node committed this round
                     break
             stats.iterations += 1

@@ -1,29 +1,34 @@
 """Reference implementations that the tests hold the package to: the full
 decode of a flow, a path's price and each edge's reduced cost from the edge
 columns, the dynamic broadcast as it was before the residual kept a usable
-mask for it, a detection's true-positive probability, the gate of gathered
-box pairs, six graph helpers, a run's candidate links enumerated as one
-global pair index, Algorithm 1's stop rule, a ground-truth matcher that only
-tests use, the field-by-field CSV row parser, the row-by-row detection file
-parser and the per-row track writer."""
+mask for it, a frame's solve step (the slot table, the full search, the push
+round and the flip) as it was before each of its pieces took fewer passes,
+a detection's true-positive probability, the gate of gathered box pairs,
+six graph helpers, a run's candidate links enumerated as one global pair
+index, Algorithm 1's stop rule, a ground-truth matcher that only tests use,
+the field-by-field CSV row parser, the row-by-row detection file parser and
+the per-row track writer."""
 from __future__ import annotations
 
 import csv
 import math
-from itertools import takewhile
+from collections import namedtuple
+from itertools import chain, takewhile
 
 import numpy as np
+from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import dijkstra
 
 from flowtrack import io as ftio
 from flowtrack.cost_model import (CostModel, Detection, FrameBoxes, _logistic,
                                   iou, nan_link_error)
 from flowtrack.errors import DataError, InvariantBreach
-from flowtrack.graph import (KIND_DEAD, KIND_SINK, KIND_SOURCE, KIND_U,
-                             PAIR_BUDGET, SINK, SOURCE, TrackingGraph,
+from flowtrack.graph import (EXIT, KIND_DEAD, KIND_SINK, KIND_SOURCE,
+                             KIND_U, PAIR_BUDGET, SINK, SOURCE, TrackingGraph,
                              Trajectory, _gate)
 from flowtrack.metrics import GroundTruth
-from flowtrack.ssp import SolverStats, _count_search, extract_path
+from flowtrack.ssp import (EPS, Path, PredecessorMap, SolverStats,
+                           _count_search, extract_path, path_original_cost)
 
 
 def decode_trajectories(res, start_id: int = 0) -> list[Trajectory]:
@@ -164,6 +169,236 @@ def dynamic_broadcast(res, seeds, labels, stats: SolverStats | None = None):
     _count_search(t.eps, stats, t.eid[slots], np.isfinite(dist[tails]), cost,
                   np.isfinite(dist[affected]))
     return extract_path(res, labels), labels
+
+
+# The solve step of a frame as it was before each piece took fewer passes:
+# ResidualGraph.arcs, slot_reduced and exits (the three take the residual
+# as self), and extract_path (table_path here), build_residual,
+# _count_search (count_search), dijkstra_full and push_round, each reading
+# the others of this set. The slot table had no exit_tails and kept a CSR
+# of exactly n + 1 rows.
+SlotTable = namedtuple("SlotTable",
+                       "matrix eid rev row col cost key exits eps cost_sum")
+
+
+def arcs(self):
+    """ResidualGraph.arcs."""
+    if self._table is None:
+        g, n = self.graph, len(self.potential)
+        if g.n_live_edges < len(g.e_alive):
+            live = g.e_alive.nonzero()[0]
+            src, dst, cost = g.e_src[live], g.e_dst[live], g.e_cost[live]
+            kind = g.e_kind[live]
+        else:  # no dead slot: the columns as they are
+            live = np.arange(len(g.e_alive))
+            src, dst, cost, kind = g.e_src, g.e_dst, g.e_cost, g.e_kind
+        tails, heads = np.concatenate((src, dst)), np.concatenate((dst, src))
+        heads[:len(live)][dst == SINK] = n - 1  # the target
+        keys = tails * n + heads
+        order = keys.argsort(kind="stable")
+        keys, rows, cols = keys[order], tails[order], heads[order]
+        at = np.empty(len(keys), dtype=np.int64)  # unsorted -> CSR slot
+        at[order] = np.arange(len(keys))
+        indptr = np.empty(n + 2, dtype=np.int32)
+        indptr[:-1] = rows.searchsorted(np.arange(n + 1))
+        indptr[-1] = len(keys) + n
+        data = np.zeros(len(keys) + n)
+        indices = np.concatenate((cols, np.arange(n)), dtype=np.int32)
+        matrix = self._matrix
+        if matrix is None:
+            matrix = self._matrix = csr_matrix((data, indices, indptr),
+                                               shape=(n + 1, n + 1))
+        else:
+            if matrix.shape[0] != n + 1:
+                matrix.resize((n + 1, n + 1))
+            matrix.data, matrix.indices, matrix.indptr = data, indices, indptr
+        size = abs(cost)
+        with np.errstate(over="ignore"):
+            cost_sum = float(np.add.reduce(size))
+        self._table = SlotTable(
+            matrix, np.concatenate((live, live))[order],
+            order >= len(live), rows, cols,
+            np.concatenate((cost, -cost))[order], keys,
+            at[:len(live)][kind == EXIT],
+            EPS * float(np.maximum.reduce(size, initial=0.0)), cost_sum)
+    return self._table
+
+
+def slot_reduced(self, slots=slice(None)) -> np.ndarray:
+    """ResidualGraph.slot_reduced."""
+    t, p = self.arcs(), self.potential
+    cost, p_row, p_col = t.cost[slots], p[t.row[slots]], p[t.col[slots]]
+    return np.where(t.rev[slots], (p_row - p_col) + cost,
+                    (cost + p_row) - p_col)
+
+
+def exits(self, dist: np.ndarray, rc: np.ndarray | None = None):
+    """ResidualGraph.exits, rc the reduced cost of every slot."""
+    t, p = self.arcs(), self.potential
+    slots = t.exits[self.flow[t.eid[t.exits]] == 0]
+    tails = t.row[slots]
+    if rc is None:  # forward slots into the target, as slot_reduced
+        cost = (t.cost[slots] + p[tails]) - p[self.target]
+    else:
+        cost = rc[slots]
+    values = dist[tails] + np.maximum(cost, 0.0)
+    return chain.from_iterable(finite_pairs(values, tails))
+
+
+def ranked(values: np.ndarray):
+    """ssp._ranked: the stable argsort order of values, lazily in blocks."""
+    if len(values) <= 256:
+        yield values.argsort(kind="stable")
+        return
+    rest, size = np.arange(len(values)), 16
+    while len(rest) > 2 * size:
+        part = values[rest]
+        low = part <= np.partition(part, size - 1)[size - 1]
+        block = rest[low]
+        yield block[values[block].argsort(kind="stable")]
+        rest, size = rest[~low], 2 * size
+    yield rest[values[rest].argsort(kind="stable")]
+
+
+def finite_pairs(values: np.ndarray, tails: np.ndarray):
+    """ssp._finite_pairs."""
+    for block in ranked(values):
+        ranks = values[block]
+        end = ranks.searchsorted(np.inf)
+        yield zip(ranks[:end].tolist(), tails[block[:end]].tolist())
+        if end < len(block):
+            return
+
+
+def tree_nodes(res, labels, n: int, via, stop):
+    """ssp._tree_nodes."""
+    pred = labels.pred.item
+    if not math.isfinite(labels.dist.item(n - 1 if via is None else via)):
+        return None
+    nodes = [n - 1]
+    u = pred(n - 1) if via is None else via
+    for _ in range(n):
+        if u < 0:
+            break
+        if stop is not None and stop.item(u):
+            return None
+        nodes.append(u)
+        u = pred(u)
+    else:
+        raise InvariantBreach("predecessor chain contains a cycle")
+    if nodes[-1] not in res.roots:
+        raise InvariantBreach(f"broken predecessor chain at node {nodes[-1]}")
+    nodes.reverse()
+    return nodes
+
+
+def table_path(res, labels, via=None, stop=None):
+    """ssp.extract_path: each arc's slot found by its key, unchecked."""
+    n = len(res.potential)
+    nodes = tree_nodes(res, labels, n, via, stop)
+    if nodes is None:
+        return None
+    t = res.arcs()
+    arc_keys = np.array(nodes, dtype=np.int64)
+    slots = t.key.searchsorted(arc_keys[:-1] * n + arc_keys[1:])
+    nodes[-1] = SINK
+    return Path(nodes, t.eid[slots].tolist(),
+                math.fsum(t.cost[slots].tolist()))
+
+
+def build_residual(res, *paths):
+    """ssp.build_residual."""
+    eids, tails, heads = [], [], []
+    for path in paths:
+        if path is None or not path.eids:
+            raise DataError("cannot build a residual from an empty path")
+        if path.nodes[0] not in (SOURCE, SINK) or path.nodes[-1] != SINK:
+            raise DataError("path must run from the source or the sink to "
+                            "the sink")
+        eids += path.eids
+        tails += path.nodes[:-1]
+        heads += path.nodes[1:]
+    g, eids = res.graph, np.array(eids, dtype=np.int64)
+    tails, heads = np.array(tails), np.array(heads)
+    src, dst, flowed = g.e_src[eids], g.e_dst[eids], res.flow[eids] == 1
+    bad = ((np.where(flowed, dst, src) != tails)
+           | (np.where(flowed, src, dst) != heads)).nonzero()[0]
+    if len(bad):
+        i = int(bad[0])
+        raise DataError(f"path edge {eids[i]} does not connect "
+                        f"{tails[i]}->{heads[i]}")
+    res.flip(eids)
+    return res
+
+
+def count_search(eps: float, stats: SolverStats, eids, scanned, cost,
+                 labelled):
+    """ssp._count_search."""
+    bad = (scanned & (cost < -eps)).nonzero()[0]
+    if len(bad):
+        i = bad[0]
+        raise InvariantBreach(f"negative reduced cost {cost[i]} on edge "
+                              f"{eids[i]}")
+    stats.relaxations += int(np.count_nonzero(scanned))
+    stats.queue_pushes += int(np.count_nonzero(labelled))
+    stats.searches += 1
+
+
+def dijkstra_full(res, stats: SolverStats | None = None):
+    """ssp.dijkstra_full: its labels' rc holds every slot's reduced cost."""
+    stats = stats or SolverStats()
+    t, n = res.arcs(), len(res.potential)
+    rc = res.slot_reduced()
+    active = res.flow[t.eid] == t.rev
+    t.matrix.data[:len(rc)] = np.where(active, np.maximum(rc, 0.0), np.inf)
+    dist, pred, _ = dijkstra(t.matrix, indices=res.roots, min_only=True,
+                             return_predecessors=True)
+    labels = PredecessorMap.__new__(PredecessorMap)
+    labels.dist, labels.pred, labels.rc = (dist[:n], np.maximum(pred[:n], -1),
+                                           rc)
+    reached = np.isfinite(labels.dist)
+    count_search(t.eps, stats, t.eid, active & reached[t.row], rc, reached)
+    return table_path(res, labels), labels
+
+
+def push_round(res, shortest, labels, stats: SolverStats, guard: int,
+               single: bool):
+    """ssp.push_round."""
+    dist, target = labels.dist, res.target
+    first = labels.pred.item(target)
+    if single:
+        items = [(dist.item(target), first)]
+    else:
+        items = res.exits(dist, labels.rc)
+    used: set[int] = set()
+    freed = math.inf
+    certified, pushed, cap = not single, [], None
+    for value, v in items:
+        if cap is None:
+            cap = value
+        if freed < value:
+            certified = True
+            break
+        path = shortest if v == first else table_path(res, labels, via=v)
+        cost, inner = path_original_cost(res, path), path.nodes[1:-1]
+        if cost >= 0.0 or not used.isdisjoint(inner):
+            certified = cost >= 0.0
+            break
+        if stats.iterations >= guard:
+            raise InvariantBreach(f"SSP exceeded its iteration bound {guard}")
+        if path.nodes[0] == SINK:
+            x, p = path.nodes[1], res.potential
+            rc = res.graph.e_cost[path.eids[0]] + p[x] - p[target]
+            freed = min(freed, dist[x] + max(rc, 0.0))
+        used.update(inner)
+        pushed.append(path)
+        stats.iterations += 1
+        cap = value
+    if pushed:
+        build_residual(res, *pushed)
+    mask = np.zeros(len(dist), dtype=bool)
+    mask[list(used)] = True
+    return cap, certified, mask
 
 
 def gate_pairs(a: FrameBoxes, b: FrameBoxes, ip: np.ndarray, jn: np.ndarray,

@@ -1174,7 +1174,7 @@ class TestDpReadsNoSlotTable:
 
     @staticmethod
     def check(build):
-        with mock.patch.object(ssp, "sweep_path", extract_path):
+        with mock.patch.object(ssp, "_sweep_walk", extract_path):
             want, want_stats = solve_dp_greedy(build())
         with mock.patch.object(ResidualGraph, "arcs",
                                side_effect=AssertionError("slot table")):
