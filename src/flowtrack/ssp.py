@@ -812,9 +812,10 @@ def dijkstra_full(res: ResidualGraph, stats: SolverStats | None = None):
     reduced costs clamped at 0, compiled: each slot's reduced cost is read
     once (slot_reduced). The usable slots' costs, inf elsewhere, are
     clamped into the CSR's weights in place, checked for negative ones
-    (_count_search), and kept with the labels (PredecessorMap.rc). relaxations counts the residual arcs out of reached nodes,
-    queue_pushes the nodes reached. Returns (path to res.target or None,
-    every node's labels)."""
+    (_count_search), and kept with the labels (PredecessorMap.rc).
+    relaxations counts the residual arcs out of reached nodes, queue_pushes
+    the nodes reached. Returns (path to res.target or None, every node's
+    labels)."""
     stats = stats or SolverStats()
     t, n = res.arcs(), len(res.potential)
     rc = res.slot_reduced()
