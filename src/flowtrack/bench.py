@@ -30,6 +30,12 @@ HEADER = ("solver,tau,frame,wall_time,relaxations,queue_pushes,"
 BATCH_SOLVERS = ("ssp", "dssp", "dp")
 
 
+def batch_solver(name: str):
+    """The batch solve of one of BATCH_SOLVERS, read from this module's
+    attributes at call time, so that a wrapper set on one runs."""
+    return {"ssp": solve_ssp, "dssp": solve_dssp, "dp": solve_dp_greedy}[name]
+
+
 #: One CSV row: a solver's name, its window (None for none) and the record
 #: of one solve, a batch solve or one online frame.
 BenchRow = namedtuple("BenchRow", "solver tau stats")
@@ -38,8 +44,7 @@ BenchRow = namedtuple("BenchRow", "solver tau stats")
 def _bench_batch(name: str, detections, model: CostModel, gating, factor):
     graph = build_batch_graph(detections, model, gating=gating,
                               gate_radius_factor=factor)
-    # Read at call time, so that a wrapper set on a module attribute runs.
-    solve = {"ssp": solve_ssp, "dssp": solve_dssp, "dp": solve_dp_greedy}[name]
+    solve = batch_solver(name)
     t0 = time.perf_counter()
     _, stats = solve(graph)
     stats.wall_time = time.perf_counter() - t0

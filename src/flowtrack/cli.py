@@ -20,14 +20,13 @@ import os
 import sys
 
 from . import io as ftio
-from .bench import run_bench, write_bench
+from .bench import BATCH_SOLVERS, batch_solver, run_bench, write_bench
 from .cost_model import CostModel
 from .errors import DataError, InvariantBreach
 from .graph import build_batch_graph
 from .metrics import clear_mot
 from .online import OnlineTracker, TrackerConfig
 from .oracle import brute_force_optimum
-from .ssp import solve_dp_greedy, solve_dssp, solve_ssp
 from .synthetic import SyntheticConfig, generate_synthetic
 
 CONFIG_ENV = "FLOWTRACK_CONFIG"
@@ -153,10 +152,9 @@ def _cmd_track(args) -> int:
 
     detections = ftio.parse_detections(args.input)
 
-    if solver in ("ssp", "dssp", "dp"):
+    if solver in BATCH_SOLVERS:
         graph = build_batch_graph(detections, model, **gate)
-        solve = {"ssp": solve_ssp, "dssp": solve_dssp, "dp": solve_dp_greedy}[solver]
-        solution, _ = solve(graph)
+        solution, _ = batch_solver(solver)(graph)
         tracks = solution.trajectories
         total = solution.total_cost
     else:

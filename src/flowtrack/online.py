@@ -2,7 +2,7 @@
 
 Each incoming frame is appended to the graph and the flow problem is re-solved
 from the previous frame's optimum: the tracker keeps the split-sink residual
-graph every solver runs on (ssp.ResidualGraph) with its flow and node
+graph every exact solver runs on (ssp.ResidualGraph) with its flow and node
 potentials, from which each search derives the reduced costs it reads, gives
 the new frame's nodes potentials in one relaxation pass, and runs the exact
 solvers' loop (ssp.successive_shortest_paths) with full searches from the

@@ -7,34 +7,30 @@ the paper's dynamic broadcast that re-labels only the invalidated part of the
 shortest-path tree, the decoded trajectories kept up to date by walking each
 one again from its first node that a changed edge touches, or all at once in
 one walk over the flowed edges when none is decoded yet (FlowDecoder), and
-the greedy DP baseline. Every search is compiled: one DAG relaxation
-(_relax_frames) gives the sweep's labels and each appended frame's
-potentials, and a sweep's tree paths are read from the graph's columns
-(sweep_path), so a dp solve builds no slot table and, as it ranks by the
-labels, prices no path. Both other searches are scipy's Dijkstra over the
-CSR of one slot table (ResidualGraph.arcs), which holds per residual arc
-slot its edge, tail, head, original cost, direction and key, and the
-target's exit slots with their tails. It is built once after each append
-or clip, and keeps one CSR object, with a row per slot of the potentials'
-buffer, resized when that buffer grows. A sweep reads the residual's sweep
-plan (ResidualGraph.sweep_plan): the nodes, the links and the costs by arc
-kind over every frame, built on the first sweep and dropped with the slot
-table, so the sweeps of a dp solve gather the graph once. Trackers never
-sweep and build no plan: an append relaxes the new frame's own arrays. A
-full search derives each slot's reduced cost from it once and keeps it
-where the flow makes the slot usable, inf elsewhere: from that one array it
-weighs the CSR, checks itself and ranks the exits, without reading the
-flow again. A path's arcs are found by key, each found key checked, and
-the path is priced from its slots. A broadcast prices only the usable
-slots into the set it re-labels, found through a per-slot usable mask kept
-with the table (ResidualGraph.broadcast_index), which flip updates; it is
-built on the first broadcast, so trackers build none. A push round ranks
+the greedy DP baseline. Every search is compiled. The DAG sweep reads the
+tracking graph alone, by the one DAG relaxation (_relax_frames) that also
+gives each appended frame's potentials. Its labels carry the plan it read
+(PredecessorMap.plan), so a dp solve gathers the graph once, and dp reads
+its paths from the graph's columns (sweep_path): it builds no residual
+graph. Both other searches are scipy's Dijkstra over the CSR of one slot
+table (ResidualGraph.arcs), which holds per residual arc slot its edge,
+tail, head, original cost, direction and key, and the target's exit slots
+with their tails. It is built once after each append or clip, and keeps one
+CSR object, with a row per slot of the potentials' buffer, resized when that
+buffer grows. A full search derives each slot's reduced cost from it once
+and keeps it where the flow makes the slot usable, inf elsewhere: from that
+one array it weighs the CSR, checks itself and ranks the exits, without
+reading the flow again. A path's arcs are found by key, each found key
+checked, and the path is priced from its slots. A broadcast prices only the
+usable slots into the set it re-labels, found through a per-slot usable mask
+kept with the table (ResidualGraph.broadcast_index), which flip updates; it
+is built on the first broadcast, so trackers build none. A push round ranks
 the exits, and a dp round its sweep's exits, only as far as it reads them
 (_ranked). The flow and the potentials grow in place with the graph's
 columns (graph.lengthen).
 
-Every solver runs on one residual graph, whose sink is split into a root
-and a target (ResidualGraph). Every exact solver runs one loop,
+Every exact solver runs on one residual graph, whose sink is split into a
+root and a target (ResidualGraph). Every exact solver runs one loop,
 successive_shortest_paths: each round pushes from one search's tree, and
 the potentials then settle. ssp pushes one path per full search, as the
 paper's standard SSP does. dssp pushes every candidate that is still a
@@ -112,12 +108,13 @@ class PredecessorMap:
     ResidualGraph.arcs). They start at 0 for the roots, inf elsewhere. rc is
     the reduced cost per slot that a full search read (dijkstra_full), inf
     on the slots the flow makes unusable, None once the potentials may have
-    moved since. link, set by a DAG sweep
-    (dag_shortest_path), is per u node the link edge of its tree arc when
-    its predecessor is a v node, by which sweep_path reads a tree path
-    without the slot table; None for other searches' labels."""
+    moved since. A DAG sweep (dag_shortest_path) sets link, per u node the
+    link edge of its tree arc when its predecessor is a v node, by which
+    sweep_path reads a tree path from the graph's columns, and plan, the
+    SweepPlan it read, which a resumed sweep reads again; both are None for
+    other searches' labels."""
 
-    rc = link = None
+    rc = link = plan = None
 
     def __init__(self, n_nodes: int, roots):
         self.dist = np.full(n_nodes, np.inf)
@@ -156,14 +153,15 @@ class Path:
 SlotTable = namedtuple("SlotTable", "matrix eid rev row col cost key exits "
                                     "exit_tails eps cost_sum")
 
-#: ResidualGraph.sweep_plan, the forward graph of a run of frames as the DAG
-#: relaxation reads it (_sweep_plan): frames, the run's frame indices; u and
-#: v, the detections' u and v nodes in frame order, with nodes[i] the first
-#: of frame i's (nodes[-1] their count); edges, tails and heads, the links
-#: in frame_links order, with links[i] the first of frame i's; costs, the costs
-#: by arc kind: each u node's entry and detection edge, each link, each
-#: tail's detection edge and each v node's exit; and spans, per frame its
-#: links' slice with their tails, heads and tails' u nodes.
+#: The forward graph of a run of frames as the DAG relaxation reads it, a
+#: sweep's over every frame (_sweep_plan) or an appended frame's: frames,
+#: the run's frame indices; u and v, the detections' u and v nodes in frame
+#: order, with nodes[i] the first of frame i's (nodes[-1] their count);
+#: edges, tails and heads, the links in frame_links order, with links[i] the
+#: first of frame i's; costs, the costs by arc kind: each u node's entry and
+#: detection edge, each link, each tail's detection edge and each v node's
+#: exit; and spans, per frame its links' slice with their tails, heads and
+#: tails' u nodes.
 SweepPlan = namedtuple("SweepPlan",
                        "frames nodes links u v edges tails heads costs spans")
 
@@ -175,8 +173,9 @@ BroadcastIndex = namedtuple("BroadcastIndex", "usable slot")
 
 
 class ResidualGraph:
-    """The residual graph of every solver: a tracking graph plus a flow per
-    edge slot, a potential per search node and the decode of its flow.
+    """The residual graph of every exact solver: a tracking graph plus a
+    flow per edge slot, a potential per search node and the decode of its
+    flow.
 
     Edges carrying flow are traversed dst -> src. Every search node u has a
     potential p(u). Flow and potentials are the whole state: an edge's
@@ -189,9 +188,8 @@ class ResidualGraph:
     tail, head, original cost and direction, over the live edges. A search
     derives each slot's reduced cost from it once (slot_reduced). An append
     or a clip changes the graph and drops the table, with eps and cost_sum;
-    the next reader of any of them builds all three again, once. The DAG
-    sweeps' plan (sweep_plan) and the broadcasts' index (broadcast_index)
-    are dropped with them.
+    the next reader of any of them builds all three again, once. The
+    broadcasts' index (broadcast_index) is dropped with them.
 
     A track that continues into a new frame keeps the flow value: it is a
     cycle sink -> v_old (reversed exit) -> u_new -> v_new -> sink. So the
@@ -211,7 +209,7 @@ class ResidualGraph:
         self.touched: list[int] = []  # edges flipped since the last decode
         self.potential = np.zeros(self.n_nodes + 1)  # node slots, the target
         self.decoded = FlowDecoder(graph)
-        self._table = self._matrix = self._plan = self._index = None
+        self._table = self._matrix = self._index = None
         # their buffers (graph.lengthen), at first the arrays themselves
         self._buffers = {"flow": self.flow, "potential": self.potential}
         check_cost_sum(self._live_cost_sum())
@@ -284,15 +282,6 @@ class ResidualGraph:
                 starts[1:][ends] - 1, ends, *_cost_bounds(cost))
         return self._table
 
-    def sweep_plan(self) -> SweepPlan:
-        """The sweep plan over every frame (_sweep_plan), built on first use
-        after the graph changed and dropped with the slot table: what every
-        DAG sweep reads and none changes. Trackers never sweep, so a stream
-        builds none."""
-        if self._plan is None:
-            self._plan = _sweep_plan(self.graph, list(self.graph.frames))
-        return self._plan
-
     def slot_reduced(self, slots=slice(None)) -> np.ndarray:
         """The reduced cost of each slot of the table (default every one)
         in the slot's own direction, from the potentials: a forward slot's
@@ -332,7 +321,7 @@ class ResidualGraph:
         """Fit flow and potentials to the graph's slots after an append, by
         lengthening them in place (graph.lengthen) when a column grew: new
         slots start at 0 and the target's potential moves to the end. The
-        slot table, the sweep plan and the broadcasts' index are dropped."""
+        slot table and the broadcasts' index are dropped."""
         g = self.graph
         n, target = len(g.node_kind), len(self.potential) - 1
         if len(self.flow) < (edges := len(g.e_src)):
@@ -341,7 +330,7 @@ class ResidualGraph:
             lengthen(self, ("potential",), n + 1)
             p = self.potential
             p[n], p[target] = p[target], 0.0
-        self._table = self._plan = self._index = None
+        self._table = self._index = None
 
     def _live_cost_sum(self) -> float:
         """The live edges' sum of |edge cost|: the slot table's, or, when no
@@ -398,8 +387,8 @@ class ResidualGraph:
         their flow, and each continuing track's flow moves onto its folded
         entry edge, whose reduced cost is the sum of the flowed arcs' it
         replaces (each <= 0), so the potentials stay valid. The slot table,
-        eps, cost_sum, the sweep plan and the broadcasts' index are
-        dropped, as after an append."""
+        eps, cost_sum and the broadcasts' index are dropped, as after an
+        append."""
         out, node_in = self.decoded.out, self.graph.node_in
         folds = [(node_in.item(c.nodes[1]), out[c.nodes[0]], c.folds[0],
                   c.traj.track_id if c.origin < 0 else c.origin)
@@ -407,7 +396,7 @@ class ResidualGraph:
         self.flow[self.graph.clip_oldest_frame(folds)] = 0
         self.flow[[fold[0] for fold in folds]] = 1
         self.decoded.clip(heads)
-        self._table = self._plan = self._index = None
+        self._table = self._index = None
 
     def exits(self, dist: np.ndarray, rc: np.ndarray | None = None):
         """The usable arcs into the target, the unflowed exits v -> sink, as
@@ -489,13 +478,13 @@ def _finite_pairs(values: np.ndarray, tails: np.ndarray):
             return
 
 
-def _tree_nodes(res: ResidualGraph, labels: PredecessorMap, n: int,
-                via: int | None, stop) -> list[int] | None:
-    """The nodes of extract_path's path, from a root to res.target (n - 1,
-    n the search nodes), or None where it returns None; a cycle or a chain
-    that ends off the roots is an InvariantBreach. The walk reads the
-    predecessors and stop through memoryviews, whose items are Python
-    ints and bools."""
+def _tree_nodes(labels: PredecessorMap, n: int, via: int | None,
+                stop) -> list[int] | None:
+    """The nodes of a tree path from a root to the target (n - 1, n the
+    search nodes), or None where extract_path or sweep_path returns None; a
+    cycle or a chain that ends off the roots is an InvariantBreach. The walk
+    reads the predecessors and stop through memoryviews, whose items are
+    Python ints and bools."""
     if not math.isfinite(labels.dist[n - 1 if via is None else via]):
         return None
     pred = memoryview(labels.pred)
@@ -511,23 +500,22 @@ def _tree_nodes(res: ResidualGraph, labels: PredecessorMap, n: int,
         u = pred[u]
     else:
         raise InvariantBreach("predecessor chain contains a cycle")
-    if nodes[-1] not in res.roots:
+    if nodes[-1] not in ResidualGraph.roots:
         raise InvariantBreach(f"broken predecessor chain at node {nodes[-1]}")
     return nodes[::-1]
 
 
 def extract_path(res: ResidualGraph, labels: PredecessorMap,
-                 via: int | None = None, stop=None) -> Path | None:
+                 via: int | None = None) -> Path | None:
     """Walk the predecessor chain back from res.target to one of res.roots;
     None if the target is unreached. With via, the path is via's tree path
-    and then the arc via -> target, which need not be a tree arc. With
-    stop, a mask over the nodes, None also once the walk meets a node it
-    marks (via included). Each arc u -> v is the slot keyed u * n + v, and
-    the path costs the fsum of its slots' original costs. An arc that no
-    slot holds, as from a predecessor no search set, is an InvariantBreach.
-    The target stands for the sink in the returned path."""
+    and then the arc via -> target, which need not be a tree arc. Each arc
+    u -> v is the slot keyed u * n + v, and the path costs the fsum of its
+    slots' original costs. An arc that no slot holds, as from a predecessor
+    no search set, is an InvariantBreach. The target stands for the sink in
+    the returned path."""
     n = len(res.potential)
-    nodes = _tree_nodes(res, labels, n, via, stop)
+    nodes = _tree_nodes(labels, n, via, None)
     if nodes is None:
         return None
     t = res.arcs()
@@ -544,30 +532,21 @@ def extract_path(res: ResidualGraph, labels: PredecessorMap,
     return Path(nodes, t.eid[slots].tolist(), math.fsum(t.cost[slots].tolist()))
 
 
-def sweep_path(res: ResidualGraph, labels: PredecessorMap,
+def sweep_path(g: TrackingGraph, labels: PredecessorMap,
                via: int | None = None, stop=None) -> Path | None:
-    """extract_path over a DAG sweep's tree (dag_shortest_path), read from
-    the graph's columns without the slot table (_sweep_walk). The path
-    costs the fsum of its edges' costs, the original costs of their forward
-    slots, so it equals extract_path's."""
-    path = _sweep_walk(res, labels, via, stop)
-    if path is not None:
-        path.cost = math.fsum(res.graph.e_cost[path.eids].tolist())
-    return path
-
-
-def _sweep_walk(res: ResidualGraph, labels: PredecessorMap,
-                via: int | None = None, stop=None) -> Path | None:
-    """sweep_path's path with its cost left nan, for solve_dp_greedy, which
-    ranks and sums by the labels: a tree path runs source, then u and v
-    nodes in turn, and then the target. Each u node is entered by its entry
-    edge (node_in) when the source is its predecessor, else by the tight
-    link the sweep kept (labels.link), and left by its detection edge
-    (node_out), and the last v node's exit (node_out) enters the target."""
-    nodes = _tree_nodes(res, labels, len(res.potential), via, stop)
+    """extract_path over a DAG sweep's tree of g (dag_shortest_path), read
+    from the graph's columns, with its cost left nan: solve_dp_greedy ranks
+    and sums by the labels. With stop, a mask over the nodes, None also once
+    the walk meets a node it marks (via included). A tree path runs source,
+    then u and v nodes in turn, and then the target. Each u node is entered
+    by its entry edge (node_in) when the source is its predecessor, else by
+    the tight link the sweep kept (labels.link), and left by its detection
+    edge (node_out), and the last v node's exit (node_out) enters the
+    target."""
+    nodes = _tree_nodes(labels, len(labels.dist), via, stop)
     if nodes is None:
         return None
-    g, u = res.graph, np.array(nodes[1:-1:2], dtype=np.int64)
+    u = np.array(nodes[1:-1:2], dtype=np.int64)
     eids = np.empty(2 * len(u) + 1, dtype=np.int64)
     eids[:-1:2] = np.where(labels.pred[u] == SOURCE, g.node_in[u],
                            labels.link[u])
@@ -587,9 +566,9 @@ def path_original_cost(res: ResidualGraph, path: Path) -> float:
     return path.cost
 
 
-def _sweep_plan(g: TrackingGraph, frames: list[int]) -> SweepPlan:
-    """The SweepPlan of frames, a run of g's frames in order."""
-    cost = g.e_cost
+def _sweep_plan(g: TrackingGraph) -> SweepPlan:
+    """The SweepPlan of every frame of g."""
+    cost, frames = g.e_cost, list(g.frames)
     blocks = list(map(g.frame_nodes.get, frames))
     u, v = np.concatenate([NO_NODES, *blocks], axis=1)
     runs = list(map(g.frame_links.get, frames))
@@ -619,13 +598,11 @@ def _relax_frames(dist: np.ndarray, target: int, plan: SweepPlan, k: int,
     tail's u label plus that detection edge plus its own weight, bit for bit
     the tail's label to be plus its weight, so the v nodes follow in one pass;
     the run's first frame's links leave the frame before, whose labels are
-    set. A sweep passes the residual's plan over every frame
-    (ResidualGraph.sweep_plan: the nodes, the links and the costs by arc
-    kind), kept until an append or a clip drops it with the slot table; an
-    append passes one frame's nodes, links and prepared costs
-    (ResidualGraph.append_frame), gathering none, so streams never build the
-    kept one. Returns the links' labels, set from the run's first link on,
-    and the exits'."""
+    set. A sweep passes its plan over every frame (_sweep_plan), which its
+    labels carry to the sweeps that resume from them; an append passes one
+    frame's nodes, links and prepared costs (ResidualGraph.append_frame),
+    gathering none. Returns the links' labels, set from the run's first link
+    on, and the exits'."""
     w_entry, w_det, w_link, w_tail, w_exit = w
     u, v, spans = plan.u, plan.v, plan.spans
     if k:
@@ -649,34 +626,29 @@ def _relax_frames(dist: np.ndarray, target: int, plan: SweepPlan, k: int,
     return via, exits
 
 
-def dag_shortest_path(res: ResidualGraph, stats: SolverStats | None = None,
+def dag_shortest_path(g: TrackingGraph, stats: SolverStats | None = None,
                       excluded: np.ndarray | None = None,
                       labels: PredecessorMap | None = None,
-                      start: int | None = None, priced: bool = True):
-    """Shortest paths from the source over the forward (acyclic) graph: the
+                      start: int | None = None) -> PredecessorMap:
+    """Shortest paths from the source over g's forward (acyclic) graph: the
     one DAG relaxation (_relax_frames) over the frames from frame start on
-    (default every frame), and then the target over every exit.
+    (default every frame), and then the target over every exit. Labels are
+    kept per search node of a residual over g: the node slots, the target.
 
-    Handles negative costs. The residual graph must carry no flow, and its
-    potentials are not read: the sweep weighs each edge by its cost. excluded
-    is a boolean node mask of nodes the sweep may not enter (their in-edges
-    weigh inf), so it never leaves them either. Every root starts at 0. A
-    node's predecessor is the tail of its first tight in-edge in push order
-    (entries, links in frame_links order, detection edges, exits in frame
-    order): the edge a strict-< relaxation in that order keeps. So a v
-    node's is its u node, the target's the first tight exit, and a u node's
-    the source if its entry is tight, else its first tight link.
+    Handles negative costs: each edge weighs its cost, and no flow is read.
+    excluded is a boolean node mask of nodes the sweep may not enter (their
+    in-edges weigh inf), so it never leaves them either. Every root starts
+    at 0. A node's predecessor is the tail of its first tight in-edge in
+    push order (entries, links in frame_links order, detection edges, exits
+    in frame order): the edge a strict-< relaxation in that order keeps. So
+    a v node's is its u node, the target's the first tight exit, and a u
+    node's the source if its entry is tight, else its first tight link,
+    which the labels keep (PredecessorMap.link) for sweep_path.
 
-    The sweep reads the residual's sweep plan (ResidualGraph.sweep_plan):
-    the u and v nodes in frame order, the links with their tails' u nodes,
-    the costs by arc kind and per-frame views of the links, gathered over
-    every frame once per graph. The plan lives as long as the slot table:
-    an append or a clip drops both. Each sweep pays only for its exclusion
-    weights (the costs, inf into excluded nodes), the relaxation and the
-    predecessors. Trackers never sweep, so streams never build a plan. The
-    tight link found per u node is kept with the labels (PredecessorMap.link),
-    and the path is read from them and the graph's columns (sweep_path), so
-    a sweep builds no slot table.
+    A fresh sweep gathers its plan (_sweep_plan), which the labels carry
+    (PredecessorMap.plan), so a sweep resumed from them pays only for its
+    exclusion weights (the costs, inf into excluded nodes), the relaxation
+    and the predecessors.
 
     Without labels the sweep starts from fresh ones over every frame. With
     labels, a sweep's over the same graph, and start, it resumes: the
@@ -685,18 +657,16 @@ def dag_shortest_path(res: ResidualGraph, stats: SolverStats | None = None,
     in frames from start on), and the rest are re-labelled in place, bit
     for bit as a fresh sweep under excluded. relaxations counts the edges
     out of reached nodes into re-labelled nodes not excluded, the target's
-    from every frame. Returns (path to res.target or None, labels); with
-    priced False the path's cost is left nan (_sweep_walk), for
-    solve_dp_greedy.
+    from every frame. Returns the labels.
     """
     stats = stats or SolverStats()
-    labels = labels or PredecessorMap(len(res.potential), res.roots)
-    g, dist, pred, target = res.graph, labels.dist, labels.pred, res.target
+    target = len(g.node_kind)
+    labels = labels or PredecessorMap(target + 1, ResidualGraph.roots)
     if g.is_empty:
-        return None, labels
-    if np.any(res.flow[g.e_alive]):
-        raise InvariantBreach("DAG sweep over a residual graph carrying flow")
-    p = res.sweep_plan()
+        return labels
+    if labels.plan is None:
+        labels.plan = _sweep_plan(g)
+    dist, pred, p = labels.dist, labels.pred, labels.plan
     w = p.costs
     if excluded is not None:
         entry, det, link, tail, exit_ = w
@@ -729,7 +699,7 @@ def dag_shortest_path(res: ResidualGraph, stats: SolverStats | None = None,
     d = dist.item(target)
     pred[target] = (p.v.item(np.argmax(exits == d)) if math.isfinite(d)
                     else -1)
-    return (sweep_path if priced else _sweep_walk)(res, labels), labels
+    return labels
 
 
 def convert_edge_costs(res: ResidualGraph, labels: PredecessorMap) -> PredecessorMap:
@@ -1256,15 +1226,17 @@ def _solution_from_residual(res: ResidualGraph) -> FlowSolution:
 
 def _solve_batch(graph: TrackingGraph, broadcast: bool, single: bool):
     """Successive shortest paths from zero flow, the first round pushing
-    from one DAG sweep's tree, whose distances become the potentials.
-    Returns (solution carrying the residual's flow array, stats)."""
+    from one DAG sweep's tree, whose distances become the potentials; its
+    path is read from the slot table. Returns (solution carrying the
+    residual's flow array, stats)."""
     stats = SolverStats()
     res = ResidualGraph(graph)
     if graph.is_empty or graph.n_detections == 0:
         return FlowSolution(flow=res.flow), stats
-    path, labels = dag_shortest_path(res, stats=stats)
-    successive_shortest_paths(res, stats, graph.n_detections, path,
-                              convert_edge_costs(res, labels), broadcast, single)
+    labels = convert_edge_costs(res, dag_shortest_path(graph, stats))
+    successive_shortest_paths(res, stats, graph.n_detections,
+                              extract_path(res, labels), labels, broadcast,
+                              single)
     solution = _solution_from_residual(res)
     for i, t in enumerate(solution.trajectories):
         t.track_id = i
@@ -1294,43 +1266,40 @@ def solve_dp_greedy(graph: TrackingGraph):
 
     One sweep commits several: its exits ranked by value, the label of the
     v node plus the exit cost, ties in frame order, and only as far as the
-    round reads (_ranked). Each is committed with its v node's tree path in
-    turn, until one costs >= 0, which ends the solve, or holds a node
-    committed since the sweep, which ends the round. Tree paths are read
-    without the slot table and left unpriced (_sweep_walk), so a dp solve
-    builds no table and prices each path by its value alone.
-    Excluding nodes never lowers a label, and a node whose tree path avoids
-    them keeps its label and predecessor bit for bit, so each committed
-    path is the one a full sweep would return at its turn, at the same
-    cost. The next sweep resumes from the earliest frame the round's paths
-    touched; the frames before it keep their labels.
+    round reads (_ranked). Each is committed with its v node's tree path
+    (sweep_path), the first the target's, until one costs >= 0, which ends
+    the solve, or holds a node committed since the sweep, which ends the
+    round; a path is priced by its value alone. Excluding nodes never lowers
+    a label, and a node whose tree path avoids them keeps its label and
+    predecessor bit for bit, so each committed path is the one a full sweep
+    would return at its turn, at the same cost. The next sweep resumes from
+    the earliest frame the round's paths touched; the frames before it keep
+    their labels, and the plan is the first sweep's (PredecessorMap.plan).
+    dp keeps its own flow and builds no residual graph; its edge costs are
+    checked as a residual's are (check_cost_sum).
     """
     stats = SolverStats()
-    res = ResidualGraph(graph)
-    flow = np.zeros_like(res.flow)  # res.flow stays 0, as the sweeps need
+    check_cost_sum(_cost_bounds(graph.e_cost[graph.e_alive])[1])
+    flow = np.zeros(len(graph.e_src), dtype=np.int8)
     if graph.is_empty or graph.n_detections == 0:
         return FlowSolution(flow=flow), stats
 
-    excluded = np.zeros(len(res.potential), dtype=bool)
-    plan = res.sweep_plan()
-    v, exit_cost = plan.v, plan.costs[-1]
+    excluded = np.zeros(len(graph.node_kind) + 1, dtype=bool)
     trajectories, total = [], 0.0
     labels = start = None
     for _ in range(graph.n_detections + 1):  # each round commits one or more
-        path, labels = dag_shortest_path(res, stats, excluded, labels, start,
-                                         priced=False)
+        labels = dag_shortest_path(graph, stats, excluded, labels, start)
+        v, exit_cost = labels.plan.v, labels.plan.costs[-1]
         values = labels.dist[v] + exit_cost
         start = math.inf
-        ranked = chain.from_iterable(map(np.ndarray.tolist, _ranked(values)))
-        for rank, i in enumerate(ranked):
+        for i in chain.from_iterable(map(np.ndarray.tolist, _ranked(values))):
             cost = values.item(i)
             if not cost < 0.0:  # >= 0, or unreached
                 return FlowSolution(trajectories=trajectories,
                                     total_cost=total, flow=flow), stats
-            if rank:  # the first is the sweep's own path
-                path = _sweep_walk(res, labels, via=v.item(i), stop=excluded)
-                if path is None:  # it meets a node committed this round
-                    break
+            path = sweep_path(graph, labels, via=v.item(i), stop=excluded)
+            if path is None:  # it meets a node committed this round
+                break
             stats.iterations += 1
             dets = [graph.node_det[u] for u in path.nodes[1:-1:2]]  # u, v, ...
             trajectories.append(Trajectory(len(trajectories), dets, cost))

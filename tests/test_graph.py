@@ -12,7 +12,7 @@ from flowtrack.graph import (DET, EDGE_COLUMNS, ENTRY, EXIT, LINK,
                              build_batch_graph, check_flow_conservation)
 from flowtrack.online import OnlineTracker, TrackerConfig
 from flowtrack.ssp import (ResidualGraph, SolverStats, convert_edge_costs,
-                           dag_shortest_path, solve_ssp,
+                           dag_shortest_path, extract_path, solve_ssp,
                            successive_shortest_paths)
 from reference import (check_layered_dag, graphs_structurally_equal,
                        link_edge_between, live_edges)
@@ -186,9 +186,10 @@ def _solve_kept(graph):
     res = ResidualGraph(graph)
     if graph.n_detections:
         stats = SolverStats()
-        path, labels = dag_shortest_path(res, stats=stats)
-        successive_shortest_paths(res, stats, graph.n_detections, path,
-                                  convert_edge_costs(res, labels), single=True)
+        labels = convert_edge_costs(res, dag_shortest_path(graph, stats))
+        successive_shortest_paths(res, stats, graph.n_detections,
+                                  extract_path(res, labels), labels,
+                                  single=True)
     solution = res.decode()
     for i, t in enumerate(solution.trajectories):
         t.track_id = i

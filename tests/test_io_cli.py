@@ -13,7 +13,7 @@ import pytest
 
 from conftest import (BATCH_FAULTS, StubModel, build_graph, det, faulty_batch,
                       make_random_instance)
-from flowtrack import cli
+from flowtrack import bench, cli
 from flowtrack import io as ftio
 from flowtrack.cost_model import CostModel
 from flowtrack.errors import DataError
@@ -859,7 +859,7 @@ def test_frame_gap_costs_nothing(solver, stream, monkeypatch):
     monkeypatch.setattr(OnlineTracker, "_solve",
                         counting(OnlineTracker._solve, solves))
     for name in ("solve_ssp", "solve_dssp", "solve_dp_greedy"):
-        monkeypatch.setattr(cli, name, counting(getattr(cli, name), solves))
+        monkeypatch.setattr(bench, name, counting(getattr(bench, name), solves))
     monkeypatch.delenv("FLOWTRACK_CONFIG", raising=False)
     monkeypatch.setattr(sys, "stdin", io.StringIO(
         "\n".join(rows) if stream else "".join(rows)))

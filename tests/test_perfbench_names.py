@@ -50,3 +50,19 @@ def test_tracker_and_graph_names_the_worker_reads():
     _, stats = solve_ssp(graph)
     for name in ("relaxations", "queue_pushes", "iterations"):
         assert isinstance(getattr(stats, name), int), name
+
+
+@pytest.mark.parametrize("solver", ["ssp", "dssp", "dp"])
+def test_a_traced_batch_track_records_one_solve_span(tmp_path, solver):
+    # cli resolves the batch solver at call time, so the wrapper runs.
+    detections = tmp_path / "det.csv"
+    assert cli.main(["synth", "--frames", "6", "-o", str(detections)]) == 0
+    rec = tracing.SpanRecorder()
+    restore = tracing.install(rec)
+    try:
+        assert cli.main(["track", "-i", str(detections), "-o",
+                         str(tmp_path / "tracks.csv"), "--solver",
+                         solver]) == 0
+    finally:
+        restore()
+    assert [rec.names[code] for code in rec.code].count("ssp.solve") == 1

@@ -24,8 +24,7 @@ from flowtrack.ssp import (Path, PredecessorMap, ResidualGraph, SolverStats,
                            solve_dssp, solve_ssp)
 from flowtrack.online import OnlineTracker, TrackerConfig
 from flowtrack.synthetic import SyntheticConfig, generate_synthetic
-from reference import (fwd_dst, link_edge_between, node_topo_key, reduced,
-                       stop_iterations)
+from reference import (fwd_dst, node_topo_key, reduced, stop_iterations)
 from test_ties import tied_scenes
 
 
@@ -43,10 +42,11 @@ def record_trace(monkeypatch):
     dists, costs = [], []
 
     def logged(search):
-        def wrapper(res, *args, **kwargs):
-            path, labels = search(res, *args, **kwargs)
-            dists.append(float(labels.dist[res.target]))
-            return path, labels
+        def wrapper(*args, **kwargs):
+            out = search(*args, **kwargs)
+            labels = out if isinstance(out, PredecessorMap) else out[1]
+            dists.append(float(labels.dist[-1]))  # the target's
+            return out
         return wrapper
 
     for name in ("dag_shortest_path", "dijkstra_full", "dynamic_broadcast"):
@@ -64,7 +64,8 @@ def record_trace(monkeypatch):
 class TestDagShortestPath:
     def test_single_detection(self):
         res = ResidualGraph(single_det_graph())
-        path, labels = dag_shortest_path(res)
+        labels = dag_shortest_path(res.graph)
+        path = extract_path(res, labels)
         assert labels.dist[res.target] == pytest.approx(-1.0)  # 2 - 5 + 2
         assert path.nodes[0] == SOURCE and path.nodes[-1] == SINK
         assert len(path.eids) == 3
@@ -72,7 +73,8 @@ class TestDagShortestPath:
     def test_canonical_first_path(self):
         g, _, _ = canonical_graph()
         res = ResidualGraph(g)
-        path, labels = dag_shortest_path(res)
+        labels = dag_shortest_path(res.graph)
+        path = extract_path(res, labels)
         assert labels.dist[res.target] == pytest.approx(-6.0)
         # the path uses a matched (cost 0) link
         link = [e for e in path.eids if g.e_kind[e] == LINK]
@@ -81,7 +83,8 @@ class TestDagShortestPath:
     def test_empty_graph_sink_unreachable(self):
         g = TrackingGraph()
         res = ResidualGraph(g)
-        path, labels = dag_shortest_path(res)
+        labels = dag_shortest_path(res.graph)
+        path = extract_path(res, labels)
         assert path is None
         assert not np.isfinite(labels.dist[res.target])
 
@@ -89,7 +92,7 @@ class TestDagShortestPath:
         for seed in range(10):
             frames, model = make_random_instance(seed)
             res = ResidualGraph(build_graph(frames, model))
-            p1, l1 = dag_shortest_path(res)
+            l1 = dag_shortest_path(res.graph)
             convert_edge_costs(res, l1)
             p2, l2 = dijkstra_full(res)
             assert l2.dist[res.target] == pytest.approx(0.0, abs=1e-9)
@@ -99,7 +102,8 @@ class TestConvertEdgeCosts:
     def test_shortest_path_edges_become_zero(self):
         g, _, _ = canonical_graph()
         res = ResidualGraph(g)
-        path, labels = dag_shortest_path(res)
+        labels = dag_shortest_path(res.graph)
+        path = extract_path(res, labels)
         convert_edge_costs(res, labels)
         for eid in path.eids:
             assert reduced(res, eid) == pytest.approx(0.0, abs=1e-12)
@@ -148,7 +152,7 @@ class TestConvertEdgeCosts:
     def test_converted_labels_are_zero_mask(self):
         g, _, _ = canonical_graph()
         res = ResidualGraph(g)
-        _, labels = dag_shortest_path(res)
+        labels = dag_shortest_path(res.graph)
         out = convert_edge_costs(res, labels)
         finite = np.isfinite(labels.dist)
         assert np.all(out.dist[finite] == 0.0)
@@ -158,7 +162,8 @@ class TestConvertEdgeCosts:
 class TestBuildResidual:
     def test_first_iteration_reverses_path(self):
         res = ResidualGraph(single_det_graph())
-        path, labels = dag_shortest_path(res)
+        labels = dag_shortest_path(res.graph)
+        path = extract_path(res, labels)
         convert_edge_costs(res, labels)
         build_residual(res, path)
         assert int(res.flow.sum()) == 3
@@ -167,7 +172,8 @@ class TestBuildResidual:
     def test_interchange_cancels_link_flow(self):
         g, _, _ = interchange_graph()
         res = ResidualGraph(g)
-        path, labels = dag_shortest_path(res)
+        labels = dag_shortest_path(res.graph)
+        path = extract_path(res, labels)
         assert path_original_cost(res, path) == pytest.approx(-10.0)
         first_link = [e for e in path.eids if g.e_kind[e] == LINK]
         assert len(first_link) == 1 and g.e_cost[first_link[0]] == -4.0
@@ -234,7 +240,8 @@ def residual_states(graph, max_paths=6):
     """The residual graph after 0, 1, ... augmentations of an SSP solve,
     each with reduced costs converted so every arc is non-negative."""
     res = ResidualGraph(graph)
-    path, labels = dag_shortest_path(res)
+    labels = dag_shortest_path(res.graph)
+    path = extract_path(res, labels)
     for _ in range(max_paths):
         labels = convert_edge_costs(res, labels)
         yield res
@@ -273,7 +280,8 @@ def multi_push_states(seed, rounds=4):
                           miss_rate=0.1, fp_rate=0.2)
     graph = build_batch_graph(generate_synthetic(cfg, seed)[0], CostModel())
     res = ResidualGraph(graph)
-    path, labels = dag_shortest_path(res)
+    labels = dag_shortest_path(res.graph)
+    path = extract_path(res, labels)
     labels = convert_edge_costs(res, labels)
     for _ in range(rounds):
         cap, certified, used = ssp.push_round(
@@ -527,7 +535,8 @@ class TestCompiledBroadcast:
         nothing (its seeds are the DAG's path, whose labels stay valid).
         Returns the number of broadcasts checked."""
         res = ResidualGraph(graph)
-        path, labels = dag_shortest_path(res)
+        labels = dag_shortest_path(res.graph)
+        path = extract_path(res, labels)
         labels = convert_edge_costs(res, labels)
         path = self.check(res, path.nodes, labels)
         checked = 1
@@ -557,7 +566,8 @@ class TestCompiledBroadcast:
     def test_empty_seeds_are_a_no_op(self):
         g, _, _ = canonical_graph()
         res = ResidualGraph(g)
-        path, labels = dag_shortest_path(res)
+        labels = dag_shortest_path(res.graph)
+        path = extract_path(res, labels)
         before = copy_labels(labels)
         stats = SolverStats()
         path2, _ = dynamic_broadcast(res, [], labels, stats)
@@ -595,7 +605,7 @@ class TestCompiledBroadcast:
         from the used nodes and the target with labels max(d - d_k, 0).
         Returns the labels above 0 the broadcasts started from."""
         g, res = graph, ResidualGraph(graph)
-        _, labels = dag_shortest_path(res)
+        labels = dag_shortest_path(res.graph)
         labels = convert_edge_costs(res, labels)
         above_zero = 0
         for _ in range(max_rounds):
@@ -675,7 +685,8 @@ class TestDynamicBroadcast:
     def test_empty_seed_queue_is_a_no_op(self):
         g, _, _ = canonical_graph()
         res = ResidualGraph(g)
-        path, labels = dag_shortest_path(res)
+        labels = dag_shortest_path(res.graph)
+        path = extract_path(res, labels)
         from flowtrack.ssp import SolverStats
         stats = SolverStats()
         path2, _ = dynamic_broadcast(res, [], labels, stats)
@@ -829,7 +840,8 @@ class TestCompiledDagSweep:
         want_stats, stats = SolverStats(), SolverStats()
         skip = set() if excluded is None else set(np.flatnonzero(excluded))
         want_path, want = python_dag(res, want_stats, skip)
-        path, got = dag_shortest_path(res, stats, excluded)
+        got = dag_shortest_path(graph, stats, excluded)
+        path = ssp.sweep_path(graph, got)
         assert np.array_equal(got.dist, want.dist)
         assert np.array_equal(got.pred, want.pred)
         assert stats.relaxations == want_stats.relaxations
@@ -858,7 +870,7 @@ class TestCompiledDagSweep:
         ties = 0
         for seed in range(20):
             res = self.check(dyadic_instance(seed))
-            _, labels = dag_shortest_path(res)
+            labels = dag_shortest_path(res.graph)
             eids = np.flatnonzero(res.graph.e_alive)
             tails, heads = res.graph.e_src[eids], fwd_dst(res, eids)
             via = labels.dist[tails] + reduced(res, eids)
@@ -884,7 +896,8 @@ class TestCompiledDagSweep:
         mask = np.ones(len(graph.node_kind) + 1, dtype=bool)
         mask[[SOURCE, SINK, -1]] = False
         res = self.check(graph, mask)
-        assert dag_shortest_path(res, excluded=mask)[0] is None
+        assert ssp.sweep_path(
+            graph, dag_shortest_path(graph, excluded=mask)) is None
 
     def check_resumed(self, graph, rng):
         """Sweep under a random mask, exclude more nodes in frames from a
@@ -894,7 +907,7 @@ class TestCompiledDagSweep:
         whose target is re-labelled from every exit."""
         res = ResidualGraph(graph)
         mask = self.random_mask(graph, rng)
-        _, labels = dag_shortest_path(res, excluded=mask)
+        labels = dag_shortest_path(graph, excluded=mask)
         frames = list(graph.frames)
         start = frames[rng.integers(len(frames))]
         relabelled = np.zeros(len(mask), dtype=bool)
@@ -903,7 +916,8 @@ class TestCompiledDagSweep:
         relabelled[-1] = True
         grown = mask | (self.random_mask(graph, rng) & relabelled)
         stats, want_stats = SolverStats(), SolverStats()
-        path, got = dag_shortest_path(res, stats, grown, labels, start)
+        got = dag_shortest_path(graph, stats, grown, labels, start)
+        path = ssp.sweep_path(graph, got)
         want_path, want = python_dag(res, want_stats,
                                      set(np.flatnonzero(grown)))
         assert np.array_equal(got.dist, want.dist)
@@ -953,70 +967,32 @@ class TestCompiledDagSweep:
         graph.append_frame([], StubModel(), frame=4)
         graph.append_frame([], StubModel(), frame=5)
         res = ResidualGraph(graph)
-        path, labels = dag_shortest_path(res)
+        labels = dag_shortest_path(graph)
+        path = ssp.sweep_path(graph, labels)
         assert path is None and np.isinf(labels.dist[res.target])
-
-    @pytest.mark.parametrize("kind", ["entry", "detection", "link", "exit"])
-    def test_refuses_a_residual_carrying_flow(self, kind):
-        g, _, (d00, _, d10, _) = canonical_graph()
-        eid = {"entry": g.entry_edge_of(d00),
-               "detection": g.detection_edge_of(d00),
-               "link": link_edge_between(g, d00, d10),
-               "exit": int(g.node_out[g.v_node(d10)])}[kind]
-        res = ResidualGraph(g)
-        res.flow[eid] = 1
-        with pytest.raises(InvariantBreach, match="carrying flow"):
-            dag_shortest_path(res)
-
-
-def sweep_outcomes(res, rng):
-    """Three sweeps of res, with its flow set aside: over every frame with
-    no mask and under a random one, then resumed from a random frame under
-    a grown mask. Each as (dist and pred bytes, relaxations, path)."""
-    g, saved = res.graph, res.flow.copy()
-    mask = np.zeros(len(res.potential), dtype=bool)
-    mask[rng.integers(2, len(mask), size=len(mask) // 4)] = True
-    frames = list(g.frames)
-    start = frames[rng.integers(len(frames))] if frames else None
-    grown = mask.copy()
-    for f in frames[frames.index(start):] if frames else ():
-        grown[g.frame_nodes[f].ravel()[rng.random(g.frame_nodes[f].size)
-                                       < 0.3]] = True
-    res.flow[:] = 0
-    outcomes, labels = [], None
-    try:
-        for excluded, begin in ((None, None), (mask, None), (grown, start)):
-            stats = SolverStats()
-            path, labels = dag_shortest_path(
-                res, stats, excluded, labels if begin is not None else None,
-                begin)
-            outcomes.append((labels.dist.tobytes(), labels.pred.tobytes(),
-                             stats.relaxations, None if path is None else
-                             (path.nodes, path.eids, path.cost)))
-    finally:
-        res.flow[:] = saved
-    return outcomes
 
 
 class TestSweepPlan:
-    """The sweep plan a residual keeps (ResidualGraph.sweep_plan)."""
+    """The sweep plan (_sweep_plan), which a sweep's labels carry
+    (PredecessorMap.plan)."""
 
     @pytest.mark.parametrize("window", [3, 4])
-    def test_append_and_clip_drop_the_plan(self, monkeypatch, window):
+    def test_sweeps_after_appends_and_clips(self, monkeypatch, window):
         # After every append and every clip of a windowed tracker, whose
-        # slot ids are recycled, its residual sweeps bit for bit as a fresh
-        # residual over the same graph.
+        # slot ids are recycled, a sweep of its graph, fresh, under a mask
+        # and resumed under a grown one, is the interpreted sweep's.
         checked = {"append": 0, "clip": 0}
+        sweeps, resumed = TestCompiledDagSweep(), [0]
 
         def checking(name, method):
             def wrapped(res, *args):
                 method(res, *args)
-                seed = sum(checked.values())
-                got = sweep_outcomes(res, np.random.default_rng(seed))
-                want = sweep_outcomes(ResidualGraph(res.graph),
-                                      np.random.default_rng(seed))
-                assert got == want
-                checked[name] += not res.graph.is_empty
+                g = res.graph
+                if not g.is_empty:
+                    rng = np.random.default_rng(sum(checked.values()))
+                    sweeps.check(g, sweeps.random_mask(g, rng))
+                    resumed[0] += sweeps.check_resumed(g, rng)
+                    checked[name] += 1
             return wrapped
 
         monkeypatch.setattr(ResidualGraph, "append_frame", checking(
@@ -1035,6 +1011,7 @@ class TestSweepPlan:
                     u = np.concatenate([g.frame_nodes[t][0] for t in g.frames])
                     recycled += bool(np.any(np.diff(u) < 0))
         assert checked["append"] > 40 and checked["clip"] > 20
+        assert resumed[0] > 10  # frames kept and nodes newly excluded
         assert recycled > 5  # slot ids no longer follow frame order
 
     def test_a_dp_solve_builds_one_plan(self, monkeypatch):
@@ -1073,7 +1050,7 @@ class TestAppendRelaxation:
         for name in NODE_COLUMNS + EDGE_COLUMNS:  # the same slot ids
             assert np.array_equal(getattr(res.graph, name),
                                   getattr(batch, name)), name
-        _, labels = dag_shortest_path(ResidualGraph(batch))
+        labels = dag_shortest_path(batch)
         want = labels.dist
         want[-1] = min(want[-1], 0.0)
         assert np.array_equal(res.potential, want)
@@ -1173,8 +1150,15 @@ class TestDpReadsNoSlotTable:
     (extract_path): the same trajectories, costs, flow and counters."""
 
     @staticmethod
+    def table_path(g, labels, via=None, stop=None):
+        """ssp.sweep_path through a residual's slot table (extract_path)."""
+        path = extract_path(ResidualGraph(g), labels, via)
+        return None if path is None or stop[path.nodes[1:-1]].any() else path
+
+    @staticmethod
     def check(build):
-        with mock.patch.object(ssp, "_sweep_walk", extract_path):
+        with mock.patch.object(ssp, "sweep_path",
+                               TestDpReadsNoSlotTable.table_path):
             want, want_stats = solve_dp_greedy(build())
         with mock.patch.object(ResidualGraph, "arcs",
                                side_effect=AssertionError("slot table")):
@@ -1214,13 +1198,26 @@ class TestDpReadsNoSlotTable:
                                   crossing=True, miss_rate=0.1, fp_rate=0.2)
             dets, _ = generate_synthetic(cfg, seed)
             res = ResidualGraph(build_batch_graph(dets, CostModel()))
-            path, labels = dag_shortest_path(res)
-            assert path == extract_path(res, labels)
-            for v in res.sweep_plan().v.tolist():
-                assert (ssp.sweep_path(res, labels, via=v)
-                        == extract_path(res, labels, via=v))
-                paths += 1
+            labels = dag_shortest_path(res.graph)
+            for v in [None, *labels.plan.v.tolist()]:
+                got = ssp.sweep_path(res.graph, labels, via=v)
+                want = extract_path(res, labels, via=v)
+                assert (got is None) == (want is None)
+                if got is not None:
+                    assert (got.nodes, got.eids) == (want.nodes, want.eids)
+                    paths += 1
         assert paths > 100
+
+    def test_a_dp_solve_builds_no_residual(self):
+        cfg = SyntheticConfig(n_frames=30, n_initial_tracks=4, crossing=True,
+                              miss_rate=0.1, fp_rate=0.2)
+        graph = build_batch_graph(generate_synthetic(cfg, 1)[0], CostModel())
+        with mock.patch.object(ResidualGraph, "__init__",
+                               side_effect=AssertionError("residual")), \
+                mock.patch.object(ResidualGraph, "arcs",
+                                  side_effect=AssertionError("slot table")):
+            solution, stats = solve_dp_greedy(graph)
+        assert len(solution.trajectories) == stats.iterations > 3
 
 
 class TestLayerHooks:
