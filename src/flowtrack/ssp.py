@@ -14,17 +14,18 @@ gives each appended frame's potentials. Its labels carry the plan it read
 its paths from the graph's columns (sweep_path): it builds no residual
 graph. Both other searches are scipy's Dijkstra over the CSR of one slot
 table (ResidualGraph.arcs), which holds per residual arc slot its edge,
-tail, head, original cost, direction and key, and the target's exit slots
-with their tails. It is built once after each append or clip, and keeps one
-CSR object, with a row per slot of the potentials' buffer, resized when that
-buffer grows. A full search derives each slot's reduced cost from it once
-and keeps it where the flow makes the slot usable, inf elsewhere: from that
-one array it weighs the CSR, checks itself and ranks the exits, without
-reading the flow again. A path's arcs are found by key, each found key
-checked, and the path is priced from its slots. A broadcast prices only the
-usable slots into the set it re-labels, found through a per-slot usable mask
-kept with the table (ResidualGraph.broadcast_index), which flip updates; it
-is built on the first broadcast, so trackers build none. A push round ranks
+tail, head, original cost, direction and key, the target's exit slots with
+their tails, and per live edge its ends, forward head, cost and two slots.
+It is built once after each append or clip, and keeps one CSR object, with
+a row per slot of the potentials' buffer, resized when that buffer grows. A
+full search prices each live edge once, in the one direction its flow makes
+usable, and puts each price at that arc's slot, inf at the other: from that
+one array it weighs the CSR and ranks the exits without reading the flow
+again. A path's arcs are found by key, each found key checked, and the path
+is priced from its slots. A broadcast prices only the usable slots into the
+set it re-labels (slot_reduced), found through a per-slot usable mask kept
+with the table (ResidualGraph.broadcast_index), which flip updates; it is
+built on the first broadcast, so trackers build none. A push round ranks
 the exits, and a dp round its sweep's exits, only as far as it reads them
 (_ranked). The flow and the potentials grow in place with the graph's
 columns (graph.lengthen).
@@ -110,11 +111,13 @@ class PredecessorMap:
     on the slots the flow makes unusable, None once the potentials may have
     moved since. A DAG sweep (dag_shortest_path) sets link, per u node the
     link edge of its tree arc when its predecessor is a v node, by which
-    sweep_path reads a tree path from the graph's columns, and plan, the
-    SweepPlan it read, which a resumed sweep reads again; both are None for
+    sweep_path reads a tree path from the graph's columns, plan, the
+    SweepPlan it read, which a resumed sweep reads again, and, under
+    excluded nodes, weights, the plan's weights under them
+    (ExcludedWeights), which a resumed sweep updates; all three are None for
     other searches' labels."""
 
-    rc = link = plan = None
+    rc = link = plan = weights = None
 
     def __init__(self, n_nodes: int, roots):
         self.dist = np.full(n_nodes, np.inf)
@@ -148,10 +151,16 @@ class Path:
 #: a reverse slot) and key row * n + col, by which a path finds its arcs.
 #: exits holds the target's in-slots, the exits' forward slots, in edge
 #: order, and exit_tails their tails; eps and cost_sum are read from the
-#: live costs with it (see ResidualGraph). A search reads the columns and
-#: the flow, and writes only the CSR's weights.
+#: live costs with it (see ResidualGraph). Per live edge, in edge order, it
+#: holds its src, dst, head (its forward slot's head: dst, or the target for
+#: an exit), edge_cost and slot[d], its forward (d = 0) and reverse (d = 1)
+#: slot; edges picks the live edges from an edge column (every slot, as a
+#: slice, when none is dead). A full search prices the edges and puts each
+#: price at its usable slot; a broadcast prices the slots of its set. A
+#: search reads the columns and the flow, and writes only the CSR's weights.
 SlotTable = namedtuple("SlotTable", "matrix eid rev row col cost key exits "
-                                    "exit_tails eps cost_sum")
+                                    "exit_tails eps cost_sum edges src dst "
+                                    "head edge_cost slot")
 
 #: The forward graph of a run of frames as the DAG relaxation reads it, a
 #: sweep's over every frame (_sweep_plan) or an appended frame's: frames,
@@ -164,6 +173,14 @@ SlotTable = namedtuple("SlotTable", "matrix eid rev row col cost key exits "
 #: tails' u nodes.
 SweepPlan = namedtuple("SweepPlan",
                        "frames nodes links u v edges tails heads costs spans")
+
+#: PredecessorMap.weights, a DAG sweep's weights under its exclusions
+#: (_excluded_weights): views, the weights by kind (entry, det, link, tail)
+#: as views of flat, their run end to end; by and bounds, flat's positions
+#: grouped by the node whose exclusion makes them inf, node x's
+#: by[bounds[x]:bounds[x + 1]]; and excluded, the mask flat is under.
+ExcludedWeights = namedtuple("ExcludedWeights",
+                             "views flat by bounds excluded")
 
 #: ResidualGraph.broadcast_index, what a broadcast reads of the flow:
 #: usable, per slot of the table whether the flow makes it usable, and
@@ -185,8 +202,9 @@ class ResidualGraph:
     slot table's cost_sum the sum of |edge cost| (check_cost_sum).
 
     Every search reads the slot table (arcs): per residual arc slot its
-    tail, head, original cost and direction, over the live edges. A search
-    derives each slot's reduced cost from it once (slot_reduced). An append
+    tail, head, original cost and direction, over the live edges. A full
+    search derives each live edge's reduced cost from it once, a broadcast
+    each slot's that it reads (slot_reduced). An append
     or a clip changes the graph and drops the table, with eps and cost_sum;
     the next reader of any of them builds all three again, once. The
     broadcasts' index (broadcast_index) is dropped with them.
@@ -242,20 +260,23 @@ class ResidualGraph:
         only when the potentials' buffer grew, so a growing stream resizes
         it when that buffer doubles. An exit's forward slot is the last of
         its tail's row, the target being the last column, so the exit slots
-        come from the row starts in edge order. Without dead edge slots, as
-        under odssp, the edge columns are read as they are.
+        come from the row starts in edge order. Each live edge's two slots
+        are the inverse of the sort. Without dead edge slots, as under
+        odssp, the edge columns are read as they are.
         """
         if self._table is None:
             g, n = self.graph, len(self.potential)
             if (m := g.n_live_edges) < len(g.e_alive):
-                live = g.e_alive.nonzero()[0]
+                live = edges = g.e_alive.nonzero()[0]
                 src, dst, cost = g.e_src[live], g.e_dst[live], g.e_cost[live]
             else:  # no dead slot: the columns as they are
-                live = np.arange(m)
+                live, edges = np.arange(m), slice(None)
                 src, dst, cost = g.e_src, g.e_dst, g.e_cost
-            tails, heads = np.concatenate((src, dst)), np.concatenate((dst, src))
             exits = (dst == SINK).nonzero()[0]
-            heads[exits] = n - 1  # the target
+            head = dst.copy()  # the forward slots' heads
+            head[exits] = n - 1  # the target
+            tails = np.concatenate((src, dst))
+            heads = np.concatenate((head, src))
             keys = tails * n + heads
             order = keys.argsort(kind="stable")
             keys, rows, cols = keys[order], tails[order], heads[order]
@@ -276,17 +297,20 @@ class ResidualGraph:
                     matrix.resize((size, size))
                 matrix.data, matrix.indices, matrix.indptr = data, indices, indptr
             ends = src[exits]  # the exits' tails
+            slot = np.empty(2 * m, dtype=np.int64)
+            slot[order] = np.arange(2 * m)
             self._table = SlotTable(
                 matrix, np.concatenate((live, live))[order], order >= m, rows,
                 cols, np.concatenate((cost, -cost))[order], keys,
-                starts[1:][ends] - 1, ends, *_cost_bounds(cost))
+                starts[1:][ends] - 1, ends, *_cost_bounds(cost), edges, src,
+                dst, head, cost, slot.reshape(2, m))
         return self._table
 
-    def slot_reduced(self, slots=slice(None)) -> np.ndarray:
-        """The reduced cost of each slot of the table (default every one)
-        in the slot's own direction, from the potentials: a forward slot's
-        (cost + p(tail)) - p(head), a reverse slot's (p(tail) - p(head)) +
-        cost, its edge's cost negated."""
+    def slot_reduced(self, slots) -> np.ndarray:
+        """The reduced cost of each of the table's slots given by slots (an
+        index or a mask) in the slot's own direction, from the potentials:
+        a forward slot's (cost + p(tail)) - p(head), a reverse slot's
+        (p(tail) - p(head)) + cost, its edge's cost negated."""
         t, p = self.arcs(), self.potential
         cost, p_row, p_col = t.cost[slots], p[t.row[slots]], p[t.col[slots]]
         forward = cost + p_row
@@ -626,6 +650,34 @@ def _relax_frames(dist: np.ndarray, target: int, plan: SweepPlan, k: int,
     return via, exits
 
 
+def _excluded_weights(labels: PredecessorMap, excluded: np.ndarray):
+    """The weights (entry, det, link, tail) of the labels' plan under
+    excluded: each cost, inf on the entry and links into an excluded u node
+    and on the detection edge and the tail weight of each link out of an
+    excluded v node. They are kept with the labels
+    (PredecessorMap.weights), so a sweep resumed under a grown mask writes
+    inf only where the nodes excluded since own a weight."""
+    p, kept = labels.plan, labels.weights
+    if kept is None:
+        owner = np.concatenate((p.u, p.v, p.heads, p.tails))
+        by = owner.argsort(kind="stable")
+        flat = np.concatenate(p.costs[:4])
+        kept = labels.weights = ExcludedWeights(
+            np.split(flat, list(accumulate((len(p.u), len(p.v),
+                                            len(p.heads))))),
+            flat, by, owner[by].searchsorted(np.arange(len(excluded) + 1)),
+            np.zeros(len(excluded), dtype=bool))
+    new = np.flatnonzero(excluded > kept.excluded)
+    if len(new):
+        kept.excluded[new] = True
+        lo = kept.bounds[new]
+        lens = kept.bounds[new + 1] - lo
+        ends = lens.cumsum()  # by[lo:lo + lens] of each, end to end
+        at = np.repeat(lo - ends + lens, lens) + np.arange(ends[-1])
+        kept.flat[kept.by[at]] = np.inf
+    return kept.views
+
+
 def dag_shortest_path(g: TrackingGraph, stats: SolverStats | None = None,
                       excluded: np.ndarray | None = None,
                       labels: PredecessorMap | None = None,
@@ -646,8 +698,9 @@ def dag_shortest_path(g: TrackingGraph, stats: SolverStats | None = None,
     which the labels keep (PredecessorMap.link) for sweep_path.
 
     A fresh sweep gathers its plan (_sweep_plan), which the labels carry
-    (PredecessorMap.plan), so a sweep resumed from them pays only for its
-    exclusion weights (the costs, inf into excluded nodes), the relaxation
+    (PredecessorMap.plan) with its weights under excluded (the costs, inf
+    into excluded nodes; _excluded_weights), so a sweep resumed from them
+    pays only for the weights of the nodes excluded since, the relaxation
     and the predecessors.
 
     Without labels the sweep starts from fresh ones over every frame. With
@@ -669,11 +722,8 @@ def dag_shortest_path(g: TrackingGraph, stats: SolverStats | None = None,
     dist, pred, p = labels.dist, labels.pred, labels.plan
     w = p.costs
     if excluded is not None:
-        entry, det, link, tail, exit_ = w
-        w = (np.where(excluded[p.u], np.inf, entry),
-             np.where(excluded[p.v], np.inf, det),
-             np.where(excluded[p.heads], np.inf, link),
-             np.where(excluded[p.tails], np.inf, tail),
+        exit_ = w[4]
+        w = (*_excluded_weights(labels, excluded),
              np.full(len(exit_), np.inf) if excluded[target] else exit_)
     k = 0 if start is None else bisect_left(p.frames, start)
     a, b = p.nodes[k], p.links[k]
@@ -688,12 +738,14 @@ def dag_shortest_path(g: TrackingGraph, stats: SolverStats | None = None,
                              + np.count_nonzero(np.isfinite(exits)))
     stats.searches += 1
     pred[u] = -1
-    tight = np.flatnonzero(np.isfinite(via) & (via == dist[heads]))
-    first = tight[np.unique(heads[tight], return_index=True)[1]]  # per head
-    pred[heads[first]] = p.tails[b:][first]
+    # Each head's first tight link in push order: the last one written
+    # when they are written in reverse.
+    tight = np.flatnonzero(np.isfinite(via) & (via == dist[heads]))[::-1]
+    at = heads[tight]
+    pred[at] = p.tails[b:][tight]
     if labels.link is None:
         labels.link = np.empty(len(dist), dtype=np.int64)
-    labels.link[heads[first]] = p.edges[b:][first]
+    labels.link[at] = p.edges[b:][tight]
     pred[u[np.isfinite(du) & (entry == du)]] = SOURCE
     pred[v] = np.where(np.isfinite(dv), u, -1)
     d = dist.item(target)
@@ -779,27 +831,46 @@ def _count_search(eps: float, stats: SolverStats, eids, scanned, cost,
 
 def dijkstra_full(res: ResidualGraph, stats: SolverStats | None = None):
     """Full Dijkstra from res.roots over the residual arcs, weighed by their
-    reduced costs clamped at 0, compiled: each slot's reduced cost is read
-    once (slot_reduced). The usable slots' costs, inf elsewhere, are
-    clamped into the CSR's weights in place, checked for negative ones
-    (_count_search), and kept with the labels (PredecessorMap.rc).
-    relaxations counts the residual arcs out of reached nodes, queue_pushes
-    the nodes reached. Returns (path to res.target or None, every node's
+    reduced costs clamped at 0, compiled. Each live edge is priced once, in
+    its usable direction, bit for bit as slot_reduced prices that slot:
+    (cost + p(src)) - p(head) unflowed, (p(dst) - p(src)) - cost flowed.
+    The prices go to the usable slots, inf to the others; that array is
+    clamped into the CSR's weights in place and kept with the labels
+    (PredecessorMap.rc). A price below -eps is looked up in slot order
+    (_count_search), so the arc named is the first scanned one in the
+    table. relaxations counts the residual arcs out of reached nodes, one
+    per live edge (its usable arc leaves dst if flowed, else src), every
+    one when every node is reached, as in a batch solve; queue_pushes the
+    nodes reached. Returns (path to res.target or None, every node's
     labels)."""
     stats = stats or SolverStats()
-    t, n = res.arcs(), len(res.potential)
-    rc = res.slot_reduced()
-    active = res.flow[t.eid] == t.rev
-    usable = np.where(active, rc, np.inf)
-    np.maximum(usable, 0.0, out=t.matrix.data[:len(rc)])
+    t, p = res.arcs(), res.potential
+    n = len(p)
+    flowed = res.flow[t.edges].view(bool)  # a flow is 0 or 1
+    p_src = p[t.src]
+    forward = t.edge_cost + p_src
+    forward -= p[t.head]
+    reverse = p[t.dst] - p_src
+    reverse -= t.edge_cost
+    edge_rc = np.where(flowed, reverse, forward)
+    usable = np.full(len(t.eid), np.inf)
+    usable[np.where(flowed, t.slot[1], t.slot[0])] = edge_rc
+    np.maximum(usable, 0.0, out=t.matrix.data[:len(usable)])
     dist, pred, _ = dijkstra(t.matrix, indices=res.roots, min_only=True,
                              return_predecessors=True)
     labels = PredecessorMap.__new__(PredecessorMap)
     labels.dist, labels.pred = dist[:n], np.maximum(pred[:n], -1)
     labels.rc = usable
     reached = np.isfinite(labels.dist)
-    _count_search(t.eps, stats, t.eid, active & reached[t.row], usable,
-                  reached)
+    if np.minimum.reduce(edge_rc, initial=0.0) < -t.eps:  # in slot order
+        _count_search(t.eps, stats, t.eid,
+                      (res.flow[t.eid] == t.rev) & reached[t.row], usable,
+                      reached)
+    else:  # each edge's usable arc leaves dst if flowed, else src
+        stats.relaxations += len(edge_rc) if reached.all() else int(
+            np.count_nonzero(reached[np.where(flowed, t.dst, t.src)]))
+        stats.queue_pushes += int(np.count_nonzero(reached))
+        stats.searches += 1
     return extract_path(res, labels), labels
 
 
@@ -900,8 +971,8 @@ def push_round(res: ResidualGraph, shortest: Path, labels: PredecessorMap,
     and the labels stay a lower bound, by which the least remaining item
     certifies the optimum if it costs >= 0. The round's paths are disjoint
     and flipped together at its end. Returns the cap d_k (the last pushed
-    value, else the first's), whether the optimum is certified, and a used
-    mask.
+    value, else the first's), whether the optimum is certified, and the set
+    of the nodes the pushed paths used, their inner nodes.
     """
     dist, target = labels.dist, res.target
     first = labels.pred.item(target)
@@ -937,9 +1008,7 @@ def push_round(res: ResidualGraph, shortest: Path, labels: PredecessorMap,
         cap = value
     if pushed:  # nothing above reads the flow
         build_residual(res, *pushed)
-    mask = np.zeros(len(dist), dtype=bool)
-    mask[list(used)] = True
-    return cap, certified, mask
+    return cap, certified, used
 
 
 def successive_shortest_paths(res: ResidualGraph, stats: SolverStats,
@@ -964,7 +1033,7 @@ def successive_shortest_paths(res: ResidualGraph, stats: SolverStats,
             break
         if broadcast:
             labels.dist = np.maximum(labels.dist - cap, 0.0)
-            seeds = np.append(np.flatnonzero(used), res.target)
+            seeds = np.fromiter(chain(used, (res.target,)), np.int64)
             path, labels = dynamic_broadcast(res, seeds, labels, stats)
         else:
             path, labels = dijkstra_full(res, stats)

@@ -1002,22 +1002,28 @@ STEPS = ((TrackingGraph.prepare_frame, "prepare"),
          (ssp.ResidualGraph.decode, "decode"),
          (OnlineTracker._assign_ids, "ids"))
 
+#: The batch solve step each package function belongs to (calls_per_solve).
+#: A call counts under the innermost of them on its stack, so the table
+#: build counts on its own, and the flip apart from the push round that
+#: makes it.
+SOLVE_STEPS = ((ssp.dag_shortest_path, "sweep"),
+               (ssp.ResidualGraph.arcs, "table"),
+               (ssp.dijkstra_full, "search"),
+               (ssp.dynamic_broadcast, "broadcast"),
+               (ssp.build_residual, "flip"),
+               (ssp.push_round, "push"),
+               (ssp.ResidualGraph.settle, "settle"),
+               (ssp.ResidualGraph.decode, "decode"))
 
-def calls_per_frame(window, first, last):
-    """The mean calls a tracker frame makes from flowtrack's own code, over
-    frames first..last - 1 of the criteria 4-5 scene of seed 7000: the
-    sys.setprofile call and c_call events whose caller runs in a file of the
-    package. Calls made inside numpy and scipy do not count. Returns the
-    mean and its split by the process_frame step that made each call (see
-    STEPS; "other" for the rest), which sums to it."""
+
+def package_calls(steps, top, calls):
+    """A sys.setprofile function that counts the call and c_call events
+    whose caller runs in a file of the package into calls, a count per
+    name of steps and "other": each under the innermost function of steps
+    on its stack below top, the function that runs the work, else
+    "other". Calls made inside numpy and scipy do not count."""
     package = os.path.dirname(flowtrack.__file__) + os.sep
-    cfg = SyntheticConfig(n_frames=last, n_initial_tracks=5, spawn_prob=0.0,
-                          death_prob=0.0, miss_rate=0.1, fp_rate=0.1)
-    frames = generate_synthetic(cfg, 7000)[0]
-    tracker = OnlineTracker(TrackerConfig(model=CostModel(), window=window))
-    step_of = {f.__code__: name for f, name in STEPS}
-    top = OnlineTracker.process_frame.__code__
-    calls = dict.fromkeys([name for _, name in STEPS] + ["other"], 0)
+    step_of = {f.__code__: name for f, name in steps}
 
     def count(frame, event, arg):
         if event == "call":
@@ -1035,6 +1041,21 @@ def calls_per_frame(window, first, last):
             frame = frame.f_back
         calls["other"] += 1
 
+    return count
+
+
+def calls_per_frame(window, first, last):
+    """The mean calls a tracker frame makes from flowtrack's own code, over
+    frames first..last - 1 of the criteria 4-5 scene of seed 7000
+    (package_calls). Returns the mean and its split by the process_frame
+    step that made each call (see STEPS; "other" for the rest), which sums
+    to it."""
+    cfg = SyntheticConfig(n_frames=last, n_initial_tracks=5, spawn_prob=0.0,
+                          death_prob=0.0, miss_rate=0.1, fp_rate=0.1)
+    frames = generate_synthetic(cfg, 7000)[0]
+    tracker = OnlineTracker(TrackerConfig(model=CostModel(), window=window))
+    calls = dict.fromkeys([name for _, name in STEPS] + ["other"], 0)
+    count = package_calls(STEPS, OnlineTracker.process_frame.__code__, calls)
     for f in range(last):
         if f >= first:
             sys.setprofile(count)
@@ -1046,6 +1067,27 @@ def calls_per_frame(window, first, last):
     return sum(calls.values()) / (last - first), split
 
 
+def calls_per_solve(solver):
+    """The calls one batch solve by solver ("ssp", "dssp" or "dp") makes
+    from flowtrack's own code on criterion 6's scene of seed 0
+    (package_calls), the graph built beforehand. Returns the count and its
+    split by the solve step that made each call (see SOLVE_STEPS; "other"
+    for the rest), which sums to it."""
+    from test_broadcast import CRITERION_6  # which imports this module
+
+    solve = {"ssp": ssp.solve_ssp, "dssp": ssp.solve_dssp,
+             "dp": ssp.solve_dp_greedy}[solver]
+    graph = build_batch_graph(generate_synthetic(CRITERION_6, 0)[0],
+                              CostModel())
+    calls = dict.fromkeys([name for _, name in SOLVE_STEPS] + ["other"], 0)
+    sys.setprofile(package_calls(SOLVE_STEPS, solve.__code__, calls))
+    try:
+        solve(graph)
+    finally:
+        sys.setprofile(None)
+    return sum(calls.values()), calls
+
+
 @pytest.mark.parametrize("window, first, last, bound",
                          [(10, 20, 200, 566), (None, 20, 40, 500)])
 def test_calls_per_frame_stay_bounded(window, first, last, bound):
@@ -1055,3 +1097,14 @@ def test_calls_per_frame_stay_bounded(window, first, last, bound):
     total, split = calls_per_frame(window, first, last)
     assert total <= bound
     assert math.isclose(sum(split.values()), total)
+
+
+@pytest.mark.parametrize("solver, bound", [("ssp", 2688), ("dssp", 3066),
+                                           ("dp", 2416)])
+def test_calls_per_solve_stay_bounded(solver, bound):
+    """The Python-level work of a batch solve as a count that does not
+    depend on the machine: a solve of criterion 6's seed-0 scene makes at
+    most bound calls from the package's code."""
+    total, split = calls_per_solve(solver)
+    assert total <= bound
+    assert sum(split.values()) == total

@@ -1,19 +1,25 @@
 """The slot table every search reads (ResidualGraph.arcs), held to the
 edge-column references after every frame of windowed, gapped and tied
 streams: each usable slot's reduced cost, the target's exit slots, path
-prices, and scipy's search on the CSR the table keeps between frames."""
+prices, and scipy's search on the CSR the table keeps between frames; and
+each full search's per-edge pricing held to the table's slots."""
 import numpy as np
 import pytest
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import dijkstra
 
+import flowtrack.online as online
 import flowtrack.ssp as ssp
+import reference
 from flowtrack.cost_model import CostModel, Detection
-from flowtrack.graph import EXIT, KIND_DEAD
+from flowtrack.errors import InvariantBreach
+from flowtrack.graph import EXIT, KIND_DEAD, KIND_U, SINK, build_batch_graph
 from flowtrack.online import OnlineTracker, TrackerConfig
-from flowtrack.ssp import ResidualGraph, dijkstra_full, extract_path
+from flowtrack.ssp import (ResidualGraph, SolverStats, dijkstra_full,
+                           extract_path, solve_ssp)
 from flowtrack.synthetic import SyntheticConfig, generate_synthetic
 from reference import edge_path_cost, fwd_dst, reduced
+from test_broadcast import CRITERION_6
 from test_online import quarter_frames
 from test_ssp import dyadic_frames, synthetic_frames
 
@@ -66,7 +72,7 @@ def test_table_matches_the_edge_columns_after_every_frame(name):
         assert np.array_equal(t.col, np.where(t.rev, g.e_src[t.eid],
                                               fwd_dst(res, t.eid)))
         usable = res.flow[t.eid] == t.rev
-        assert np.array_equal(bits(res.slot_reduced()[usable]),
+        assert np.array_equal(bits(res.slot_reduced(usable)),
                               bits(reduced(res, t.eid[usable])))
         # the kept exit slots are the live exits, in edge order
         exits = live[g.e_kind[live] == EXIT]
@@ -159,3 +165,121 @@ def test_no_frame_builds_the_table_twice(monkeypatch):
         dets = [Detection(f, (10.0 + f, 10.0, 20.0, 40.0), 2.0, 0)] if f > 1 else []
         tracker.process_frame(dets, frame=f)
     assert built[1:] == [0, 0, 1, 1, 1, 1, 1, 1]
+
+
+def slot_search(res, stats=None):
+    """dijkstra_full held to the slots it replaced: the reduced costs it
+    keeps (PredecessorMap.rc) are slot_reduced's on the usable slots, inf on
+    the others, bit for bit, and it counts as relaxations the usable slots
+    out of reached rows, as queue pushes the nodes reached."""
+    stats = stats or SolverStats()
+    before = stats.relaxations, stats.queue_pushes
+    t = res.arcs()
+    usable = res.flow[t.eid] == t.rev
+    want = np.full(len(t.eid), np.inf)
+    want[usable] = res.slot_reduced(usable)
+    path, labels = dijkstra_full(res, stats)
+    assert np.array_equal(bits(labels.rc), bits(want))
+    reached = np.isfinite(labels.dist)
+    assert (stats.relaxations - before[0], stats.queue_pushes - before[1]) \
+        == (np.count_nonzero(usable & reached[t.row]),
+            np.count_nonzero(reached))
+    return path, labels
+
+
+@pytest.fixture
+def slot_searches(monkeypatch):
+    """Route every full search through slot_search; the list of the
+    residuals searched, each as its solve left it."""
+    searched = []
+
+    def search(res, stats=None):
+        out = slot_search(res, stats)
+        searched.append(res)
+        return out
+
+    monkeypatch.setattr(ssp, "dijkstra_full", search)
+    monkeypatch.setattr(online, "dijkstra_full", search)
+    return searched
+
+
+@pytest.mark.parametrize("name", ["windowed", "gapped-windowed"])
+def test_windowed_searches_price_the_usable_slots(name, slot_searches):
+    """Windowed trackers over gapped streams: clips leave dead edge slots
+    and appends take them again, and every search still keeps the slots'
+    prices and counts their relaxations."""
+    frames, model, window = STREAMS[name]()
+    tracker = OnlineTracker(TrackerConfig(model=model, window=window))
+    g = tracker.graph
+    dead_seen = recycled = 0
+    was_dead = np.zeros(0, dtype=bool)
+    for f in sorted(frames):
+        tracker.process_frame(frames[f], frame=f)
+        alive = g.e_alive.copy()
+        recycled += np.count_nonzero(was_dead & alive[:len(was_dead)])
+        was_dead = ~alive
+        dead_seen += g.n_live_edges < len(alive)
+    assert len(slot_searches) > 10 and dead_seen > 5 and recycled > 0
+
+
+def test_batch_searches_with_flowed_exits(slot_searches):
+    """ssp on criterion 6's scenes: after the first push the flowed exits'
+    reverse arcs leave the sink root, and every search keeps the slots'
+    prices and counts their relaxations."""
+    from_sink = 0
+    for seed in range(3):
+        solve_ssp(build_batch_graph(generate_synthetic(CRITERION_6, seed)[0],
+                                    CostModel()))
+        t = slot_searches[-1].arcs()
+        from_sink += np.count_nonzero((t.row == SINK) & t.rev
+                                      & (slot_searches[-1].flow[t.eid] == 1))
+    assert len(slot_searches) > 30 and from_sink > 5
+
+
+def test_an_arc_out_of_an_unreached_node_is_not_scanned():
+    """A first-frame u node whose tight entry is marked flowed, and nothing
+    else: its one in-arc turns round, so the node is unreached, and the
+    entry's reverse arc, which leaves it, is not counted as scanned though
+    the entry's src, the source, is reached."""
+    g = build_batch_graph(generate_synthetic(CRITERION_6, 0)[0], CostModel())
+    res = ResidualGraph(g)
+    ssp.convert_edge_costs(res, ssp.dag_shortest_path(g))
+    u = g.frame_nodes[min(g.frames)][0]
+    tight = u[reduced(res, g.node_in[u]) == 0.0]
+    res.flow[g.node_in[tight[0]]] = 1
+    _, labels = slot_search(res)
+    assert not np.isfinite(labels.dist[tight[0]])
+
+
+def test_a_negative_arc_is_named_in_slot_order():
+    """Raised potentials make arcs into two nodes negative: a late u node's
+    entry, whose slot leaves the source and so comes first in slot order,
+    and an early v node's detection edge, with a smaller edge id. The
+    search raises and names the entry, as the slot-order scan it replaced
+    names it (reference.dijkstra_full)."""
+    g = build_batch_graph(generate_synthetic(CRITERION_6, 0)[0], CostModel())
+    res = ResidualGraph(g)
+    labels = ssp.convert_edge_costs(res, ssp.dag_shortest_path(g))
+    path = extract_path(res, labels)
+    for _ in range(3):
+        cap, _, _ = ssp.push_round(res, path, labels, SolverStats(),
+                                   g.n_detections, single=True)
+        res.settle(labels.dist, cap)
+        path, labels = dijkstra_full(res)
+    us = np.flatnonzero(g.node_kind == KIND_U)
+    # the u node with the last unflowed entry, and the first unflowed
+    # detection edge out of a reached u node
+    late = us[res.flow[g.node_in[us]] == 0][-1]
+    early = us[(res.flow[g.node_out[us]] == 0) & np.isfinite(labels.dist[us])]
+    entry, det_edge = int(g.node_in[late]), int(g.node_out[early[0]])
+    res.potential[[late, g.e_dst[det_edge]]] += 100.0
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        monkeypatch.setattr(ResidualGraph, "slot_reduced",
+                            reference.slot_reduced)
+        with pytest.raises(InvariantBreach, match="negative reduced cost") \
+                as want:
+            reference.dijkstra_full(res)
+    with pytest.raises(InvariantBreach) as got:
+        dijkstra_full(res)
+    assert str(got.value) == str(want.value)
+    assert str(got.value).endswith(f"on edge {entry}") and det_edge < entry

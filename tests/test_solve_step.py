@@ -92,7 +92,9 @@ def recording(monkeypatch, trace, step):
         del pushed[:]
         cap, certified, used = step["push_round"](res, shortest, labels,
                                                   stats, guard, single)
-        trace.append(("push", bits(cap), certified, used.tobytes(),
+        if isinstance(used, np.ndarray):  # the reference's mask
+            used = set(np.flatnonzero(used).tolist())
+        trace.append(("push", bits(cap), certified, sorted(used),
                       list(pushed), stats_record(stats)))
         return cap, certified, used
 

@@ -290,7 +290,7 @@ def multi_push_states(seed, rounds=4):
         if certified:
             return
         labels.dist = np.maximum(labels.dist - cap, 0.0)
-        yield res, np.append(np.flatnonzero(used), res.target), labels
+        yield res, np.array([*sorted(used), res.target]), labels
         path, labels = dijkstra_full(res)
         if path is None:
             return
